@@ -180,9 +180,9 @@ Built-in engines:
   per element, not per 64-wide block); declines everything else down to
   `optimized`.  See "Compiled kernels" below.
 * **`differential`** — runs a *primary* engine (`optimized` by default;
-  `primary="compiled"` or `GRAPHBLAS_DIFF_PRIMARY` puts the JIT tier
-  under test), then re-executes every operation whose dense replay fits
-  `GRAPHBLAS_DIFF_BUDGET` cells (default `1<<22`) on `reference` and
+  `primary="compiled"` puts the JIT tier under test), then re-executes
+  every operation whose dense replay fits the verification budget on
+  `reference` (the `diff.*` rows of [Configuration](#configuration)) and
   compares pattern + values, raising `BackendDivergence` on mismatch;
   over-budget ops are counted as skipped
   (`get_backend("differential").stats`).  CLI:
@@ -258,20 +258,16 @@ the compiled path, dimensions under `1<<24`.  Everything else declines
 to `optimized`; `GRAPHBLAS_BACKEND=compiled` with no toolchain at all
 warns once and falls back — never raises.
 
-Knobs and control surface:
+Tunables are the `compiled.*` rows of [Configuration](#configuration)
+(`capi.GxB_Compiled_set` / `GxB_Compiled_get`; the getter adds the
+resolved toolchain and the kernel-cache counters).  The kernel LRU holds
+`compiled.CACHE_SIZE` (128) built kernel sets.
 
-| surface | what |
-|---|---|
-| `GRAPHBLAS_COMPILED_TOOLCHAIN` | `auto` (default) / `numba` / `cc` / `python` / `off` |
-| `GRAPHBLAS_COMPILED_CACHE` | kernel LRU capacity (default 128) |
-| `GRAPHBLAS_COMPILED_DIR` | cc artifact directory (default per-user tempdir) |
-| `capi.GxB_Compiled_set(toolchain, cache_size=...)` | runtime override of both knobs |
-| `capi.GxB_Compiled_get()` | preference, resolved toolchain, cache counters |
-
-`benchmarks/bench_compiled_kernels.py --scale 14 --out BENCH_PR10.json`
-reproduces the committed numbers (warm compiled Gustavson >= 1.5x over
-optimized, early-exit LOR_LAND pull >= 3x on selective masks, zero
-differential divergences).
+`benchmarks/bench_compiled_kernels.py --scale 14` checks the tier's
+margins (warm compiled Gustavson >= 1.5x over optimized, early-exit
+LOR_LAND pull >= 3x on selective masks, zero differential divergences);
+the committed trajectory is `perfbench/results/baseline.json`
+(`kernel.mxm_compiled_s` against `kernel.mxm_engine_s`).
 """
 
 
@@ -384,13 +380,9 @@ constructs a context from C-API code.  Every governor decision —
 `governor.resume` — is a telemetry decision event, aggregated under the
 `"governor"` key of `telemetry.snapshot()`.
 
-The environment knobs `GRAPHBLAS_GOVERNOR_BUDGET` (bytes; `k`/`m`/`g`
-suffixes) and `GRAPHBLAS_GOVERNOR_DEADLINE` (seconds) wrap each
+The `governor.*` rows of [Configuration](#configuration) wrap each
 resilience test in a governed context (`governor.env_limits()`); the CI
-governor leg runs the whole suite under `64m` / `60`.  All
-governor-related environment parsing is hardened by
-`repro.graphblas.envutil`: a malformed value falls back to the default
-with a single `RuntimeWarning` instead of crashing at import.
+governor leg runs the whole suite under `64m` / `60`.
 """
 
 
@@ -443,15 +435,15 @@ assert ctx.stats["tiled"] == 1
   via `major_slab`), so a result bigger than memory can be consumed
   without ever materializing a full stripe.
   `benchmarks/bench_spill_tiled.py` streams RMAT-16 `A*A` under a
-  64 MiB budget this way; the committed `BENCH_PR6.json` records peak
-  RSS within `budget * 1.2` against a multi-GiB in-memory expansion.
+  64 MiB budget this way and gates peak RSS at `budget * 1.2`; the
+  committed trajectory of the spill path is the `spill_r12` workload
+  of `perfbench/results/baseline.json`.
 
-Configuration: `GRAPHBLAS_SPILL` (on/off), `GRAPHBLAS_SPILL_DIR`, and
-`GRAPHBLAS_SPILL_BUDGET` (`k`/`m`/`g` suffixes) parse through
-`envutil` with warn-once fallback; per-context `spill=` / `spill_dir=` /
-`spill_budget=` kwargs override them, and `governor.set_spill_config`
-(C API: `capi.GxB_Spill_set` / `GxB_Spill_get`) installs process-wide
-overrides.  `method="tiled"` on the descriptor forces the tiled path for
+Process-wide defaults are the `spill.*` rows of
+[Configuration](#configuration) (`governor.set_spill_config`, C API
+`capi.GxB_Spill_set` / `GxB_Spill_get`); per-context `spill=` /
+`spill_dir=` / `spill_budget=` kwargs override them.
+`method="tiled"` on the descriptor forces the tiled path for
 an in-budget op.  Telemetry records `governor.tile_plan`,
 `governor.spill`, and `governor.reload` decisions with byte counts.
 """
@@ -469,7 +461,7 @@ the differential and parity suites cross-check it).
 ```python
 from repro.graphblas import engine
 
-engine.set_engine(True, workers=4)      # or GRAPHBLAS_ENGINE_WORKERS=4
+engine.set_engine(True, workers=4)      # the engine.* rows of Configuration
 engine.kernel_cache_stats()             # hits / misses / evictions
 engine.set_engine(False)                # bit-identical baseline
 ```
@@ -478,7 +470,7 @@ engine.set_engine(False)                # bit-identical baseline
   out_type, ...)` compiles a `SpecializedKernel` binding the add/mult
   ufuncs, output cast, and terminal condition as closures, keyed on
   `(add, mult, out_type, mask kind, accum, method)` in an LRU cache
-  (`GRAPHBLAS_ENGINE_CACHE`, default 64 entries).  The Gustavson
+  (`engine.CACHE_SIZE`, 64 entries).  The Gustavson
   expansion, the dot-product loop, and push/pull mxv all consult the
   cache; non-builtin or positional operators fall back to the generic
   path (`unspecializable` in the stats).
@@ -492,8 +484,8 @@ engine.set_engine(False)                # bit-identical baseline
   pull mxv segment reductions are split at row boundaries (so
   concatenated block outputs equal the serial result bit for bit) and
   run on a shared thread pool.  The requested worker count
-  (`Descriptor(nthreads=...)` / `GxB_NTHREADS`, else
-  `GRAPHBLAS_ENGINE_WORKERS`) is submitted to the execution governor,
+  (`Descriptor(nthreads=...)` / `GxB_NTHREADS`, else the
+  `engine.workers` option) is submitted to the execution governor,
   which clamps it to what the memory budget funds — degrading to
   serial, never rejecting.  Per-block timings appear as
   `engine.block` telemetry spans.
@@ -507,8 +499,10 @@ operator resolution (`plan.resolver_cache_stats()`).
 
 `benchmarks/bench_parallel_engine.py` measures the engine-on vs
 engine-off ratio end to end and asserts result parity; the committed
-`BENCH_PR5.json` records the RMAT-14 margins.  The C API exposes the
-engine as `GxB_Engine_set` / `GxB_Engine_get`.
+trajectory is `perfbench/results/baseline.json` (`kernel.mxm_engine_s`
+against `kernel.mxm_numpy_s`).  The C API exposes the engine as
+`GxB_Engine_set` / `GxB_Engine_get`; the tunables are the `engine.*`
+rows of [Configuration](#configuration).
 """
 
 
@@ -534,7 +528,7 @@ verdicts, spill traffic, engine events — feeds a process-wide
   format 0.0.4 (cumulative `_bucket`/`_sum`/`_count` series,
   HELP/TYPE, escaped labels; `obs.check_prometheus_text` lints it);
   `obs.json_snapshot()` is the same data as JSON;
-  `obs.start_emitter(interval_s=30)` (or `GRAPHBLAS_OBS_EMIT_S`)
+  `obs.start_emitter(interval_s=30)` (or the `obs.emit_s` option)
   appends periodic JSON lines to a stream.  CLI:
   `scripts/export_metrics.py --demo --check` runs a workload, writes
   both formats, and cross-validates their totals.  C API:
@@ -546,8 +540,8 @@ verdicts, spill traffic, engine events — feeds a process-wide
   kernel-cache delta, tile/spill counts, and wall time — so "why was
   this op slow" is answerable without a trace viewer.  The same
   per-plan records feed the **slow-op log** (`obs.slow_ops()`, a
-  bounded min-heap of the worst plans over
-  `GRAPHBLAS_OBS_SLOW_MS`, capacity `GRAPHBLAS_OBS_SLOW_N`).
+  bounded min-heap of the worst plans; threshold, capacity and the
+  other `obs.*` tunables are in [Configuration](#configuration)).
 
 ```python
 from repro import obs
@@ -563,9 +557,10 @@ worst = obs.slow_ops()                # slowest plans since enable()
 
 Disabled cost is unchanged from plain telemetry — one module-attribute
 read per site; enabled cost is a few shard-dict writes per record
-(`benchmarks/bench_obs_overhead.py`; the committed `BENCH_PR7.json`
-records the disabled guard at ~17 ns and the metrics-on geomean at
-~1.2x across the Table-I kernels).  The CI metrics-smoke leg runs the
+(`benchmarks/bench_obs_overhead.py`; PR 7 measured the disabled guard
+at ~17 ns and the metrics-on geomean at ~1.2x across the Table-I
+kernels, and `harness.trace_overhead_x` in
+`perfbench/results/baseline.json` tracks the traced-vs-untraced ratio).  The CI metrics-smoke leg runs the
 obs + telemetry suites, the exporter round-trip, a 4-thread Chrome
 trace merge (`scripts/export_trace.py --demo --threads 4`), and the
 overhead budget.
@@ -644,9 +639,10 @@ for win in st.ingest(src, dst, timestamps):
 
 `benchmarks/bench_stream_ingest.py` is the acceptance harness: an
 RMAT-14 tumbling stream where every window is parity-asserted against
-the from-scratch algorithms while both sides are timed (the committed
-`BENCH_PR8.json` records a 5.8x median combined speedup and a 32 MiB
-peak-RSS delta under the 64 MiB governor envelope); the CI
+the from-scratch algorithms while both sides are timed (PR 8 measured
+a 5.8x median combined speedup and a 32 MiB peak-RSS delta under the
+64 MiB governor envelope; the committed trajectory is the `stream_r14`
+workload of `perfbench/results/baseline.json`); the CI
 `stream-smoke` leg replays it at scale 11 plus the stream, update-log
 property, and graph-cache suites.
 """
@@ -733,19 +729,65 @@ work and refuses new submits (`ServerClosed`); serve metrics
 `serve_queue_depth`, `serve_inflight`, `serve_breaker_state`,
 `serve_tier`, ...) land in the `repro.obs` registry for Prometheus
 exposition.  Defaults come from `ServeConfig`, overridable per server
-(constructor), process-wide (`capi.GxB_Serve_set` / `GxB_Serve_get`),
-or from `GRAPHBLAS_SERVE_WORKERS` / `_QUEUE_DEPTH` / `_DEADLINE_S` /
-`_BUDGET` / `_BREAKER_THRESHOLD` / `_BREAKER_RESET_S`.
+(constructor) or process-wide: the `serve.*` rows of
+[Configuration](#configuration) (`capi.GxB_Serve_set` / `GxB_Serve_get`).
 
 `benchmarks/bench_serve.py` is the acceptance harness: 10k
 mixed-tenant queries over an RMAT snapshot where every answer is
 checked against a direct call, interleaving fault-free and
-fault-injected rounds (the committed `BENCH_PR9.json` records the
-chaos goodput ratio, p50/p99 latencies, shed/retry/breaker counts, and
-the peak-RSS delta under the governor envelope); the CI `serve-smoke`
+fault-injected rounds (it reports the chaos goodput ratio, p50/p99
+latencies, shed/retry/breaker counts, and the peak-RSS delta under the
+governor envelope; the committed trajectory is the `serve_rw_r12`
+workload of `perfbench/results/baseline.json`); the CI `serve-smoke`
 leg replays it at scale 11 plus the `tests/serve` suite under a 64 MB
 budget and 60 s deadline.
 '''
+
+
+CONFIG_INTRO = """
+## Configuration
+
+Every process-wide tunable is one row of `repro.graphblas.options.TABLE`;
+this table, the environment parsing, `options.set()` validation and the
+`capi.GxB_<Group>_set/get` pairs are all generated from those rows.
+Precedence is `set` (an owner's setter, `GxB_*_set`, or `options.set`)
+> environment variable > default.  A malformed environment value warns
+once and falls back to the default; a malformed `set` raises
+`InvalidValue` (`GrB_INVALID_VALUE` through the C API) and stores
+nothing.  `bytes` values accept `k`/`m`/`g` binary suffixes.  The
+`engine`, `compiled` and `obs` groups are snapshotted by their owners:
+set them through `engine.set_engine`, `compiled.set_config`,
+`obs.enable` or the `GxB_*_set` call in the last column.
+
+| option | env var | kind | default | range / choices | C-API setter | what it controls |
+|---|---|---|---|---|---|---|
+"""
+
+
+def render_configuration(f) -> None:
+    from repro.graphblas import capi, options
+
+    f.write(CONFIG_INTRO)
+    for row in options.TABLE:
+        if row.default is None:
+            default = "unset"
+        elif row.kind == "on_off":
+            default = f"`{'on' if row.default else 'off'}`"
+        else:
+            default = f"`{row.default}`"
+        if callable(row.choices):
+            domain = "registered backends"
+        elif row.choices:
+            domain = " / ".join(f"`{c}`" for c in row.choices)
+        elif row.minimum is not None:
+            domain = f">= {row.minimum}"
+        else:
+            domain = "—"
+        setter = f"GxB_{row.group.capitalize()}_set"
+        kwarg = f"`{setter}({row.name}=)`" if hasattr(capi, setter) else "—"
+        env = f"`{row.env}`" if row.env else "—"
+        f.write(f"| `{row.group}.{row.name}` | {env} | {row.kind} | {default} "
+                f"| {domain} | {kwarg} | {row.doc} |\n")
 
 
 def main() -> None:
@@ -766,6 +808,7 @@ def main() -> None:
         f.write(OBS_SECTION)
         f.write(STREAM_SECTION)
         f.write(SERVE_SECTION)
+        render_configuration(f)
         render_module(f, repro.graphblas, "repro.graphblas")
         render_module(f, repro.graphblas.engine, "repro.graphblas.engine")
         render_module(f, repro.graphblas.backends, "repro.graphblas.backends")
@@ -774,6 +817,7 @@ def main() -> None:
         render_module(f, repro.graphblas.capi, "repro.graphblas.capi")
         render_module(f, repro.graphblas.governor, "repro.graphblas.governor")
         render_module(f, repro.graphblas.tiled, "repro.graphblas.tiled")
+        render_module(f, repro.graphblas.options, "repro.graphblas.options")
         render_module(f, repro.graphblas.envutil, "repro.graphblas.envutil")
         render_module(f, repro.graphblas.faults, "repro.graphblas.faults")
         render_module(f, repro.graphblas.telemetry, "repro.graphblas.telemetry")

@@ -24,8 +24,9 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.generators import rmat_graph
+from repro.graphblas import options
 from repro.graphblas.backends import backend
-from repro.graphblas.backends.differential import DEFAULT_BUDGET, DifferentialBackend
+from repro.graphblas.backends.differential import DifferentialBackend
 from repro.graphblas.errors import BackendDivergence, BudgetExceeded
 from repro.lagraph import bfs_level, sssp, triangle_count
 
@@ -37,7 +38,8 @@ def main(argv=None) -> int:
     ap.add_argument("--edge-factor", type=int, default=8)
     ap.add_argument("--budget", type=int, default=None,
                     help=f"verification budget in dense cells "
-                         f"(default GRAPHBLAS_DIFF_BUDGET or {DEFAULT_BUDGET})")
+                         f"(default GRAPHBLAS_DIFF_BUDGET or "
+                         f"{options.defaults('diff')['budget']})")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--strict", action="store_true",
                     help="fail (exit 1) instead of skipping operations whose "

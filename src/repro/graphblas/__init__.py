@@ -19,7 +19,7 @@ Quick start::
     gb.mxv(y, A, w, "plus_times")
 """
 
-from . import backends, engine, envutil, faults, governor, plan, telemetry, tiled, validate
+from . import backends, engine, envutil, faults, governor, options, plan, telemetry, tiled, validate
 from .backends import (
     available_backends,
     backend,
@@ -250,6 +250,7 @@ __all__ = [
     "telemetry",
     "governor",
     "envutil",
+    "options",
     "tiled",
     # performance engine
     "engine",

@@ -47,7 +47,7 @@ import threading
 import time
 
 from .. import engine as _engine
-from .. import envutil, governor, telemetry
+from .. import governor, options, telemetry
 from ..errors import InvalidValue
 from ..plan import TABLE1_OPS, OpPlan
 
@@ -108,6 +108,9 @@ del _op
 
 _factories: dict[str, object] = {}
 _instances: dict[str, KernelBackend] = {}
+#: serializes first-use construction: two threads entering
+#: ``backend(name)`` together must share one (stateful) instance.
+_instances_lock = threading.RLock()
 _tls = threading.local()
 _default: KernelBackend | None = None
 
@@ -140,7 +143,10 @@ def get_backend(spec) -> KernelBackend:
             raise InvalidValue(
                 f"unknown backend {spec!r}; available: {', '.join(available_backends())}"
             )
-        inst = _instances[spec] = factory()
+        with _instances_lock:
+            inst = _instances.get(spec)
+            if inst is None:
+                inst = _instances[spec] = factory()
     return inst
 
 
@@ -169,7 +175,11 @@ def set_default_backend(name: str | None) -> None:
     ``None`` re-reads the environment on next use.
     """
     global _default
-    _default = None if name is None else get_backend(name)
+    if name is None:
+        options.reset("backend")
+    else:
+        options.set("backend", name=name)
+    _default = None
 
 
 def current_backend() -> KernelBackend:
@@ -179,13 +189,10 @@ def current_backend() -> KernelBackend:
         return stack[-1]
     global _default
     if _default is None:
-        # Hardened: an unknown GRAPHBLAS_BACKEND warns once and falls
-        # back to the default rather than raising deep inside the first
-        # operation of the process.
-        name = envutil.env_choice(
-            "GRAPHBLAS_BACKEND", "optimized", available_backends()
-        )
-        _default = get_backend(name)
+        # Resolved once per change: an unknown GRAPHBLAS_BACKEND warns
+        # once and falls back to the default rather than raising deep
+        # inside the first operation of the process.
+        _default = get_backend(options.get("backend")["name"])
     return _default
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import envutil, governor, telemetry
+from .. import governor, options, telemetry
 from ..errors import BackendDivergence, BudgetExceeded
 from ..matrix import Matrix
 from ..plan import TABLE1_OPS, OpPlan
@@ -41,10 +41,6 @@ from ..reference import RefMatrix, _values_match
 from ..vector import Vector
 from . import KernelBackend, get_backend
 from .reference import run_ref, to_ref
-
-#: Default verification budget in dense cells (~4M: a 2048x2048 replay).
-DEFAULT_BUDGET = 1 << 22
-
 
 def _dense_cells(x) -> int:
     if isinstance(x, Matrix):
@@ -80,22 +76,12 @@ class DifferentialBackend(KernelBackend):
         strict: bool = False,
         primary: str | None = None,
     ):
-        if budget is None:
-            # Hardened: a malformed GRAPHBLAS_DIFF_BUDGET warns once and
-            # falls back to the default instead of raising ValueError.
-            budget = envutil.env_int(
-                "GRAPHBLAS_DIFF_BUDGET", DEFAULT_BUDGET, minimum=0
-            )
-        if primary is None:
-            primary = envutil.env_choice(
-                "GRAPHBLAS_DIFF_PRIMARY", "optimized",
-                ("optimized", "compiled", "scipy"),
-            )
-        self.budget = budget
+        cfg = options.get("diff")
+        self.budget = cfg["budget"] if budget is None else budget
         self.strict = bool(strict)
         #: engine under test: each plan runs here (walking its own
         #: ``supports``/fallback chain) and is checked against reference.
-        self.primary = primary
+        self.primary = cfg["primary"] if primary is None else primary
         self.stats = {"verified": 0, "skipped": 0, "divergences": 0}
 
     def _primary_for(self, plan: OpPlan) -> KernelBackend:

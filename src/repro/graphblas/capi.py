@@ -33,12 +33,16 @@ inputs, descriptor.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import importlib
 import threading
 
 import numpy as np
 
+from . import backends as _backends
 from . import operations as ops
+from . import options as _options
 from . import telemetry
 from . import validate
 from .descriptor import Descriptor
@@ -677,8 +681,6 @@ def GxB_Backend_set(name) -> Info:
     an unknown name returns ``GrB_INVALID_VALUE`` like any other bad
     global option.
     """
-    from . import backends as _backends
-
     try:
         _backends.set_default_backend(name)
     except GraphBLASError as exc:
@@ -688,181 +690,80 @@ def GxB_Backend_set(name) -> Info:
 
 def GxB_Backend_get() -> str:
     """``GxB_Global_Option_get``-style: the currently selected backend name."""
-    from . import backends as _backends
-
     return _backends.current_backend_name()
 
 
-def GxB_Engine_set(enabled=None, **kwargs) -> Info:
-    """``GxB_Global_Option_set``-style performance-engine control.
+def _option_pair(group, owner, apply, live, doc):
+    """Build ``GxB_<Group>_set`` / ``GxB_<Group>_get`` from the option table.
 
-    ``GxB_Engine_set(False)`` disables every engine mechanism (kernel
-    specialization, dual-format twins, parallel blocks) so results can be
-    cross-checked bit for bit against the generic paths; keyword arguments
-    (``kernel_cache``, ``dual_format``, ``parallel``, ``workers``,
-    ``cache_size``) toggle individual mechanisms — see
-    :func:`repro.graphblas.engine.set_engine`.
+    The one place option errors become ``GrB_Info`` codes.  ``owner`` is
+    the module that consumes the group, imported on first call (``serve``
+    and ``obs`` must not load with the C API); ``apply(module, **options)``
+    is its setter, and ``live(module)`` is the run-time state the getter
+    layers over the table's values (the owner's snapshot, where it has one).
     """
-    from . import engine as _engine
+    names = tuple(_options.GROUPS[group])
 
-    try:
-        _engine.set_engine(enabled, **kwargs)
-    except (GraphBLASError, TypeError, ValueError) as exc:
-        if isinstance(exc, GraphBLASError):
-            return exc.info
-        _tls.last_error = str(exc)
-        return Info.INVALID_VALUE
-    return GrB_SUCCESS
+    def _set(value=None, /, **options) -> Info:
+        if value is not None:
+            options[names[0]] = value
+        try:
+            apply(importlib.import_module(owner, __package__), **options)
+        except (GraphBLASError, TypeError, ValueError) as exc:
+            info = _record(exc)
+            return info if isinstance(exc, GraphBLASError) else Info.INVALID_VALUE
+        return GrB_SUCCESS
 
+    def _get() -> dict:
+        module = importlib.import_module(owner, __package__)
+        return {**_options.get(group), **live(module)}
 
-def GxB_Engine_get() -> dict:
-    """``GxB_Global_Option_get``-style: the engine configuration and the
-    kernel-cache counters, as one plain dict."""
-    from . import engine as _engine
-
-    cfg = _engine.get_config()
-    out = {
-        "enabled": cfg.enabled,
-        "kernel_cache": cfg.kernel_cache,
-        "dual_format": cfg.dual_format,
-        "parallel": cfg.parallel,
-        "workers": cfg.workers,
-        "cache_size": cfg.cache_size,
-    }
-    out["cache"] = _engine.kernel_cache_stats()
-    return out
+    _set.__name__ = _set.__qualname__ = f"GxB_{group.capitalize()}_set"
+    _get.__name__ = _get.__qualname__ = f"GxB_{group.capitalize()}_get"
+    _set.__doc__ = (
+        f"``GxB_Global_Option_set``-style {doc}\n\nSets the ``{group}`` "
+        f"options ({', '.join(names)}; the first may be positional).  ``None`` "
+        "keeps a value; a bad name or value returns ``GrB_INVALID_VALUE``.")
+    _get.__doc__ = (
+        f"``GxB_Global_Option_get``-style: every ``{group}`` option's "
+        "effective value plus the owner's run-time state, as one plain dict.")
+    return _set, _get
 
 
-def GxB_Compiled_set(toolchain=None, *, cache_size=None) -> Info:
-    """``GxB_COMPILED_*`` option set: JIT kernel-tier control.
-
-    ``toolchain`` selects the compiler preference (``"auto"``,
-    ``"numba"``, ``"cc"``, ``"python"``, or ``"off"`` to disable the
-    tier); ``cache_size`` resizes the compiled-kernel LRU — see
-    :func:`repro.graphblas.compiled.set_config`.  Arguments left
-    ``None`` keep their current (environment-derived) values.
-    """
-    from . import compiled as _compiled
-
-    try:
-        _compiled.set_config(toolchain=toolchain, capacity=cache_size)
-    except (GraphBLASError, TypeError, ValueError) as exc:
-        if isinstance(exc, GraphBLASError):
-            return exc.info
-        _tls.last_error = str(exc)
-        return Info.INVALID_VALUE
-    return GrB_SUCCESS
-
-
-def GxB_Compiled_get() -> dict:
-    """``GxB_COMPILED_*`` option get: the effective tier state — the
-    configured preference, the resolved toolchain (None when unusable),
-    and the kernel-cache counters, as one plain dict."""
-    from . import compiled as _compiled
-
-    cfg = _compiled.get_config()
-    return {
-        "preference": cfg["preference"],
-        "toolchain": _compiled.toolchain_name(),
-        "available": _compiled.available(),
-        "cache": _compiled.cache_stats(),
-    }
-
-
-def GxB_Spill_set(enabled=None, *, directory=None, budget=None) -> Info:
-    """``GxB_SPILL_*`` option set: process-wide spill-to-disk control.
-
-    ``enabled`` turns transparent tiled spill execution on/off for
-    over-budget operations, ``directory`` relocates the pools' scratch
-    space, and ``budget`` bounds the bytes of tiles kept resident — see
-    :func:`repro.graphblas.governor.set_spill_config`.  Arguments left
-    ``None`` keep their current (environment-derived) values.
-    """
-    from . import governor as _governor
-
-    try:
-        _governor.set_spill_config(
-            enabled=enabled, directory=directory, budget=budget
-        )
-    except (GraphBLASError, TypeError, ValueError) as exc:
-        if isinstance(exc, GraphBLASError):
-            return exc.info
-        _tls.last_error = str(exc)
-        return Info.INVALID_VALUE
-    return GrB_SUCCESS
-
-
-def GxB_Spill_get() -> dict:
-    """``GxB_SPILL_*`` option get: the effective spill configuration."""
-    from . import governor as _governor
-
-    enabled, directory, budget = _governor.spill_config()
-    return {"enabled": enabled, "directory": directory, "budget": budget}
-
-
-def GxB_Serve_set(**options) -> Info:
-    """``GxB_SERVE_*`` option set: process-wide serving-layer defaults.
-
-    Installs defaults inherited by every subsequently constructed
-    :class:`repro.serve.GraphServer` — worker count, admission queue
-    depth, default per-request deadline/budget, circuit-breaker tuning,
-    and the primary backend (see
-    :func:`repro.serve.config.set_serve_config` for the settable names).
-    Overrides layer above the ``GRAPHBLAS_SERVE_*`` environment;
-    arguments left ``None`` keep their current values.
-    """
-    from ..serve import config as _serve_config
-
-    try:
-        _serve_config.set_serve_config(**options)
-    except (GraphBLASError, TypeError, ValueError) as exc:
-        if isinstance(exc, GraphBLASError):
-            return exc.info
-        _tls.last_error = str(exc)
-        return Info.INVALID_VALUE
-    return GrB_SUCCESS
-
-
-def GxB_Serve_get() -> dict:
-    """``GxB_SERVE_*`` option get: the effective serving defaults."""
-    from ..serve import config as _serve_config
-
-    return _serve_config.serve_config().as_dict()
-
-
-def GxB_Obs_set(flag, *, slow_ms=None, slow_capacity=None) -> Info:
-    """``GxB_Global_Option_set``-style observability switch.
-
-    ``GxB_Obs_set(True)`` turns on process-wide metrics collection
-    (:func:`repro.obs.enable`): every instrumented site feeds the
-    cumulative registry behind :func:`GxB_Metrics_get`, from all threads,
-    independent of any per-thread telemetry collector.  ``slow_ms`` /
-    ``slow_capacity`` retune the slow-op log.  ``GxB_Obs_set(False)``
-    stops collection; accumulated totals stay readable.
-    """
-    from .. import obs as _obs
-
-    try:
-        if flag:
-            kwargs = {}
-            if slow_ms is not None:
-                kwargs["slow_ms"] = slow_ms
-            if slow_capacity is not None:
-                kwargs["slow_capacity"] = slow_capacity
-            _obs.enable(**kwargs)
-        else:
-            _obs.disable()
-    except (TypeError, ValueError) as exc:
-        _tls.last_error = str(exc)
-        return Info.INVALID_VALUE
-    return GrB_SUCCESS
-
-
-def GxB_Obs_get() -> bool:
-    """``GxB_Global_Option_get``-style: is metrics collection on?"""
-    from .. import obs as _obs
-
-    return _obs.enabled()
+GxB_Engine_set, GxB_Engine_get = _option_pair(
+    "engine", ".engine", lambda m, **kw: m.set_engine(**kw),
+    lambda m: {**dataclasses.asdict(m.get_config()),
+               "cache": m.kernel_cache_stats()},
+    "performance-engine control: ``GxB_Engine_set(False)`` disables kernel "
+    "specialization, dual-format twins and parallel blocks, so results can "
+    "be cross-checked bit for bit against the generic paths.",
+)
+GxB_Compiled_set, GxB_Compiled_get = _option_pair(
+    "compiled", ".compiled", lambda m, **kw: m.set_config(**kw),
+    lambda m: {**m.get_config(), "resolved": m.toolchain_name(),
+               "available": m.available(), "cache": m.cache_stats()},
+    "JIT kernel-tier control (the getter's ``resolved`` is the toolchain "
+    "actually in use, None when unusable).",
+)
+GxB_Spill_set, GxB_Spill_get = _option_pair(
+    "spill", ".governor", lambda m, **kw: m.set_spill_config(**kw),
+    lambda m: {},
+    "spill-to-disk control for over-budget operations.",
+)
+GxB_Serve_set, GxB_Serve_get = _option_pair(
+    "serve", "..serve.config", lambda m, **kw: m.set_serve_config(**kw),
+    lambda m: m.serve_config().as_dict(),
+    "serving defaults, inherited by every subsequently constructed "
+    "``GraphServer`` (the getter adds the per-server-only fields).",
+)
+GxB_Obs_set, GxB_Obs_get = _option_pair(
+    "obs", "..obs",
+    lambda m, enabled, **kw: m.enable(**kw) if enabled else m.disable(),
+    lambda m: {"enabled": m.enabled()},
+    "observability switch: ``GxB_Obs_set(True)`` installs the process-wide "
+    "metrics sink behind ``GxB_Metrics_get``; ``False`` stops collection "
+    "(totals stay readable).  The getter's ``enabled`` is the live state.",
+)
 
 
 def GxB_Metrics_get(format="snapshot"):

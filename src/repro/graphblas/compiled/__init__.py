@@ -18,9 +18,9 @@ Layout mirrors :mod:`repro.graphblas.engine`'s kernel cache:
   histogram.
 * :func:`cache_stats` — hits/misses/evictions/size/capacity plus
   cumulative compile seconds, surfaced as obs gauges.
-* Env knobs: ``GRAPHBLAS_COMPILED_TOOLCHAIN`` (``auto``/``numba``/
-  ``cc``/``python``/``off``), ``GRAPHBLAS_COMPILED_CACHE`` (LRU
-  capacity), ``GRAPHBLAS_COMPILED_DIR`` (cc artifact directory).
+* Tunables are the ``compiled`` rows of :mod:`repro.graphblas.options`
+  (``toolchain``, ``directory``); the toolchain preference is
+  snapshotted at first use, :func:`set_config`/:func:`reset` refresh it.
 
 Selecting ``GRAPHBLAS_BACKEND=compiled`` when no toolchain is usable
 never raises: :func:`warn_unavailable` warns once (the
@@ -34,7 +34,7 @@ import threading
 import time
 from collections import OrderedDict
 
-from .. import envutil, telemetry
+from .. import envutil, options, telemetry
 from . import templates, toolchain as _toolchain
 from .templates import KernelSpec, spec_for, spec_supported
 
@@ -54,7 +54,8 @@ __all__ = [
     "spec_supported",
 ]
 
-DEFAULT_CACHE_SIZE = 128
+#: Capacity of the built-kernel LRU (:func:`kernel_for`).
+CACHE_SIZE = 128
 
 _lock = threading.RLock()
 _cache: "OrderedDict[tuple, _toolchain.KernelSet]" = OrderedDict()
@@ -65,61 +66,39 @@ _stats = {
     "unsupported": 0,
     "compile_seconds": 0.0,
 }
-_config: dict | None = None
+#: toolchain preference, snapshotted from the option table at first use
+#: (kernel_for runs per op; options.get() parses the environment).
+_preference: str | None = None
 
 
-def _load_config() -> dict:
-    global _config
-    with _lock:
-        if _config is None:
-            _config = {
-                "preference": envutil.env_choice(
-                    "GRAPHBLAS_COMPILED_TOOLCHAIN", "auto",
-                    ("auto", "numba", "cc", "python", "off")),
-                "capacity": max(1, envutil.env_int(
-                    "GRAPHBLAS_COMPILED_CACHE", DEFAULT_CACHE_SIZE)),
-            }
-        return _config
+def _load_preference() -> str:
+    global _preference
+    if _preference is None:
+        _preference = options.get("compiled")["toolchain"]
+    return _preference
 
 
-def set_config(*, toolchain=None, capacity=None) -> None:
-    """Override the env-derived tier config (the ``GxB_Compiled_set``
-    path).  ``toolchain`` picks the preference (``auto``/``numba``/
-    ``cc``/``python``/``off``); ``capacity`` resizes the kernel LRU,
-    evicting immediately when shrunk.  Arguments left ``None`` keep
-    their current values.  Cached kernels survive a toolchain switch —
-    the cache key includes the toolchain, so stale sets are never
+def set_config(**overrides) -> None:
+    """Override the ``compiled`` options (the ``GxB_Compiled_set`` core):
+    ``toolchain`` picks the preference (``auto``/``numba``/``cc``/
+    ``python``/``off``), ``directory`` relocates cc artifacts.  ``None``
+    keeps the current value.  Cached kernels survive a toolchain switch
+    — the cache key includes the toolchain, so stale sets are never
     served, only retained until evicted.
     """
-    global _config
-    cfg = dict(_load_config())
-    if toolchain is not None:
-        choices = ("auto", "numba", "cc", "python", "off")
-        if toolchain not in choices:
-            raise ValueError(
-                f"toolchain must be one of {choices}, got {toolchain!r}"
-            )
-        cfg["preference"] = toolchain
-    if capacity is not None:
-        capacity = int(capacity)
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        cfg["capacity"] = capacity
-    with _lock:
-        _config = cfg
-        while len(_cache) > cfg["capacity"]:
-            _cache.popitem(last=False)
-            _stats["evictions"] += 1
+    global _preference
+    options.set("compiled", **overrides)
+    _preference = None
 
 
 def get_config() -> dict:
-    """The effective tier config (preference + cache capacity)."""
-    return dict(_load_config())
+    """The effective ``compiled`` options."""
+    return {**options.get("compiled"), "toolchain": _load_preference()}
 
 
 def toolchain_name() -> str | None:
     """The resolved toolchain (``numba``/``cc``/``python``) or None."""
-    return _toolchain.probe_toolchain(_load_config()["preference"])
+    return _toolchain.probe_toolchain(_load_preference())
 
 
 def available() -> bool:
@@ -169,8 +148,7 @@ def kernel_for(semiring, out_type) -> "_toolchain.KernelSet | None":
             _cache[key] = kern
             _stats["misses"] += 1
             _stats["compile_seconds"] += dt
-            cap = _load_config()["capacity"]
-            while len(_cache) > cap:
+            while len(_cache) > CACHE_SIZE:
                 _cache.popitem(last=False)
                 _stats["evictions"] += 1
         else:  # lost a build race; keep the cached one
@@ -188,7 +166,7 @@ def cache_stats() -> dict:
     with _lock:
         out = dict(_stats)
         out["size"] = len(_cache)
-        out["capacity"] = _load_config()["capacity"]
+        out["capacity"] = CACHE_SIZE
         return out
 
 
@@ -198,10 +176,12 @@ def clear_cache() -> None:
 
 
 def reset() -> None:
-    """Re-read env config and drop all cached kernels (test hook)."""
-    global _config
+    """Drop overrides, re-read the environment at next use and drop all
+    cached kernels (test hook)."""
+    global _preference
+    options.reset("compiled")
     with _lock:
-        _config = None
+        _preference = None
         _cache.clear()
         for k in _stats:
             _stats[k] = 0.0 if k == "compile_seconds" else 0
@@ -209,10 +189,10 @@ def reset() -> None:
 
 def warn_unavailable() -> None:
     """Warn once that the compiled backend was requested but unusable."""
-    pref = _load_config()["preference"]
-    if pref == "off":
-        why = "GRAPHBLAS_COMPILED_TOOLCHAIN=off disables the tier"
+    rows = options.GROUPS
+    if _load_preference() == "off":
+        why = f"{rows['compiled']['toolchain'].env}=off disables the tier"
     else:
         why = ("no toolchain available (numba not installed and no C "
                "compiler on PATH)")
-    envutil.warn_once("GRAPHBLAS_BACKEND", "compiled", why, "optimized")
+    envutil.warn_once(rows["backend"]["name"].env, "compiled", why, "optimized")

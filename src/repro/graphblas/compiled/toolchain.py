@@ -36,6 +36,7 @@ import threading
 
 import numpy as np
 
+from .. import options
 from . import templates
 
 __all__ = ["KernelSet", "build", "probe_toolchain", "TOOLCHAINS"]
@@ -265,8 +266,8 @@ def _build_numba(spec) -> KernelSet:
 
 def build_dir() -> str:
     """Directory for cc artifacts (content-addressed .so files)."""
-    root = os.environ.get("GRAPHBLAS_COMPILED_DIR")
-    if not root:
+    root = options.get("compiled")["directory"]
+    if root is None:
         root = os.path.join(tempfile.gettempdir(),
                             f"graphblas-compiled-{os.getuid()}")
     os.makedirs(root, exist_ok=True)

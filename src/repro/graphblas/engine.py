@@ -28,12 +28,10 @@ Everything is disableable: set ``GRAPHBLAS_ENGINE=off`` (or call
 ``set_engine(False)``) and every kernel falls back to the generic path,
 so engine-on vs engine-off results can be compared bit for bit.
 
-Env knobs (read once at import; :func:`reset` re-reads them):
-
-* ``GRAPHBLAS_ENGINE`` — ``on`` (default) / ``off``.
-* ``GRAPHBLAS_ENGINE_WORKERS`` — thread pool size for row-blocked
-  kernels (default 4, minimum 1).
-* ``GRAPHBLAS_ENGINE_CACHE`` — kernel LRU capacity (default 64).
+The tunables are the ``engine`` rows of :mod:`repro.graphblas.options`
+(``enabled``, ``parallel``, ``workers``), snapshotted into module
+attributes at import so hot paths pay one attribute load;
+:func:`set_engine` and :func:`reset` refresh the snapshot.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import telemetry
-from .envutil import env_int, env_on_off
+from . import options, telemetry
 
 __all__ = [
     "EngineConfig",
@@ -65,8 +62,8 @@ __all__ = [
     "MIN_PARALLEL_TILES",
 ]
 
-DEFAULT_WORKERS = 4
-DEFAULT_CACHE_SIZE = 64
+#: Capacity of the specialized-kernel LRU (:func:`kernel_for`).
+CACHE_SIZE = 64
 
 # Below these work sizes the thread-pool handoff costs more than it saves.
 MIN_PARALLEL_FLOPS = 1 << 18
@@ -81,99 +78,50 @@ KEY_LIMIT = 2**62
 
 @dataclass
 class EngineConfig:
-    """Snapshot of the engine's tunables (see module docstring)."""
+    """Snapshot of the ``engine`` option rows."""
 
     enabled: bool
-    kernel_cache: bool
-    dual_format: bool
-    twin_patch: bool
     parallel: bool
     workers: int
-    cache_size: int
 
 
-def _config_from_env() -> EngineConfig:
-    on = env_on_off("GRAPHBLAS_ENGINE", True)
-    workers = env_int("GRAPHBLAS_ENGINE_WORKERS", DEFAULT_WORKERS, minimum=1)
-    cache_size = env_int("GRAPHBLAS_ENGINE_CACHE", DEFAULT_CACHE_SIZE, minimum=1)
-    return EngineConfig(
-        enabled=on,
-        kernel_cache=on,
-        dual_format=on,
-        twin_patch=env_on_off("GRAPHBLAS_ENGINE_TWIN_PATCH", True),
-        parallel=on,
-        workers=workers,
-        cache_size=cache_size,
-    )
-
-
-_config = _config_from_env()
-
-# Module-level fast flags mirrored from _config so hot paths pay one
-# attribute load, not a config-object traversal.
-ENABLED = _config.enabled
-KERNEL_CACHE = _config.kernel_cache
-DUAL_FORMAT = _config.dual_format
-TWIN_PATCH = _config.twin_patch
-PARALLEL = _config.parallel
-WORKERS = _config.workers
-
-
-def _apply_config() -> None:
-    global ENABLED, KERNEL_CACHE, DUAL_FORMAT, TWIN_PATCH, PARALLEL, WORKERS
-    ENABLED = _config.enabled
-    KERNEL_CACHE = _config.enabled and _config.kernel_cache
-    DUAL_FORMAT = _config.enabled and _config.dual_format
-    TWIN_PATCH = _config.enabled and _config.twin_patch
+def _refresh() -> None:
+    """Snapshot the option table into ``_config`` and the fast flags hot
+    paths read (one attribute load, not a table lookup)."""
+    global _config, ENABLED, DUAL_FORMAT, PARALLEL, WORKERS
+    _config = EngineConfig(**options.get("engine"))
+    ENABLED = DUAL_FORMAT = _config.enabled
     PARALLEL = _config.enabled and _config.parallel
     WORKERS = _config.workers
 
 
+_refresh()
+
+
 def get_config() -> EngineConfig:
-    """The live engine configuration (mutate via :func:`set_engine`)."""
+    """The live engine configuration (change it via :func:`set_engine`)."""
     return _config
 
 
-def set_engine(
-    enabled: bool | None = None,
-    *,
-    kernel_cache: bool | None = None,
-    dual_format: bool | None = None,
-    twin_patch: bool | None = None,
-    parallel: bool | None = None,
-    workers: int | None = None,
-    cache_size: int | None = None,
-) -> EngineConfig:
-    """Reconfigure the engine; ``None`` leaves a field unchanged.
+def set_engine(enabled: bool | None = None, **overrides) -> EngineConfig:
+    """Reconfigure the engine; ``None`` leaves an option unchanged.
 
     ``set_engine(False)`` turns every mechanism off (the generic code
-    paths run); ``set_engine(True)`` turns them back on.  Individual
-    mechanisms can be toggled while the engine stays on.
+    paths run); ``set_engine(True)`` turns them back on.  ``parallel=``
+    and ``workers=`` tune the row-blocked kernels while the engine stays
+    on.  Unknown or out-of-range options raise
+    :class:`~repro.graphblas.errors.InvalidValue`.
     """
-    if enabled is not None:
-        _config.enabled = bool(enabled)
-    if kernel_cache is not None:
-        _config.kernel_cache = bool(kernel_cache)
-    if dual_format is not None:
-        _config.dual_format = bool(dual_format)
-    if twin_patch is not None:
-        _config.twin_patch = bool(twin_patch)
-    if parallel is not None:
-        _config.parallel = bool(parallel)
-    if workers is not None:
-        _config.workers = max(1, int(workers))
-    if cache_size is not None:
-        _config.cache_size = max(1, int(cache_size))
-        _trim_cache()
-    _apply_config()
+    options.set("engine", enabled=enabled, **overrides)
+    _refresh()
     return _config
 
 
 def reset() -> None:
-    """Re-read the environment and drop all cached state (for tests)."""
-    global _config
-    _config = _config_from_env()
-    _apply_config()
+    """Drop overrides, re-read the environment and drop all cached state
+    (for tests)."""
+    options.reset("engine")
+    _refresh()
     clear_kernel_cache()
     _shutdown_executor()
 
@@ -269,7 +217,7 @@ def kernel_for(semiring, out_type, mask_kind="none", accum=None, method="gustavs
     names are unique, so they key the cache; user-defined ops are never
     cached.
     """
-    if not KERNEL_CACHE:
+    if not ENABLED:
         return None
     if not _specializable(semiring, out_type):
         _cache_stats["unspecializable"] += 1
@@ -292,7 +240,7 @@ def kernel_for(semiring, out_type, mask_kind="none", accum=None, method="gustavs
         _kernel_cache[key] = kern
         _cache_stats["misses"] += 1
         evicted = 0
-        while len(_kernel_cache) > _config.cache_size:
+        while len(_kernel_cache) > CACHE_SIZE:
             _kernel_cache.popitem(last=False)
             evicted += 1
         _cache_stats["evictions"] += evicted
@@ -314,7 +262,7 @@ def kernel_cache_stats() -> dict:
     with _cache_lock:
         stats = dict(_cache_stats)
         stats["size"] = len(_kernel_cache)
-        stats["capacity"] = _config.cache_size
+        stats["capacity"] = CACHE_SIZE
     return stats
 
 
@@ -323,13 +271,6 @@ def clear_kernel_cache() -> None:
         _kernel_cache.clear()
         for k in _cache_stats:
             _cache_stats[k] = 0
-
-
-def _trim_cache() -> None:
-    with _cache_lock:
-        while len(_kernel_cache) > _config.cache_size:
-            _kernel_cache.popitem(last=False)
-            _cache_stats["evictions"] += 1
 
 
 # -- shared thread pool -------------------------------------------------------

@@ -17,8 +17,8 @@ import os
 import warnings
 
 __all__ = [
-    "env_int", "env_float", "env_bytes", "env_choice", "env_path",
-    "env_on_off", "warn_once", "reset_warned",
+    "parse", "env", "env_int", "env_float", "env_bytes", "env_choice",
+    "warn_once", "reset_warned",
 ]
 
 _warned: set[tuple[str, str]] = set()
@@ -26,7 +26,13 @@ _warned: set[tuple[str, str]] = set()
 _SUFFIX = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
 
-def _warn_once(var: str, raw: str, why: str, default) -> None:
+def warn_once(var: str, raw: str, why: str, default) -> None:
+    """Warn once per (variable, value) for a config that cannot be honored.
+
+    Used by the parsers below, and by consumers whose value is
+    *well-formed* but unusable in this environment — e.g.
+    ``GRAPHBLAS_BACKEND=compiled`` with no JIT toolchain installed.
+    """
     key = (var, raw)
     if key in _warned:
         return
@@ -43,108 +49,81 @@ def reset_warned() -> None:
     _warned.clear()
 
 
-def warn_once(var: str, value: str, why: str, fallback) -> None:
-    """Warn once per (variable, value) for a config that cannot be honored.
+def _bytes(value) -> int:
+    if isinstance(value, str):
+        scale = _SUFFIX.get(value[-1:].lower(), 1)
+        return int(value[:-1] if scale > 1 else value) * scale
+    return int(value)
 
-    Same dedup set and wording as the parsers above, for consumers whose
-    value is *well-formed* but unusable in this environment — e.g.
-    ``GRAPHBLAS_BACKEND=compiled`` with no JIT toolchain installed.
+
+_NUMERIC = {"int": (int, "not an integer"), "float": (float, "not a number"),
+            "bytes": (_bytes, "not a byte count")}
+
+
+def parse(kind: str, value, *, minimum=None, choices=None):
+    """One value under the rules of ``kind`` (``on_off``/``int``/``float``/
+    ``bytes``/``choice``/``path``); raises ``ValueError(why)``.
+
+    The single statement of those rules: the ``env_*`` readers below apply
+    it to environment text, :func:`repro.graphblas.options.set` to Python
+    values.
     """
-    _warn_once(var, value, why, fallback)
+    if isinstance(value, str):
+        value = value.strip()
+    if kind == "on_off":
+        if isinstance(value, str):
+            return parse("choice", value, choices=("on", "off")) == "on"
+        return bool(value)
+    if kind == "choice":
+        if value not in choices:
+            raise ValueError(f"not one of {', '.join(sorted(choices))}")
+        return value
+    if kind == "path":
+        # blank would silently resolve to the current directory
+        if not value or not isinstance(value, (str, os.PathLike)):
+            raise ValueError("empty path")
+        return os.fspath(value)
+    convert, why = _NUMERIC[kind]
+    try:
+        number = convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(why) from None
+    if number != number:  # NaN
+        raise ValueError(why)
+    if minimum is not None and number < minimum:
+        raise ValueError(f"below minimum {minimum}")
+    return number
+
+
+def env(var: str, default, kind: str, **rules):
+    """Read ``var`` as ``kind``; unset or blank means ``default``, and a
+    malformed value warns once and falls back to it.  A set-but-blank
+    *path* is malformed rather than unset."""
+    raw = os.environ.get(var)
+    if raw is None or (kind != "path" and not raw.strip()):
+        return default
+    try:
+        return parse(kind, raw, **rules)
+    except ValueError as exc:
+        warn_once(var, raw, str(exc), default)
+        return default
 
 
 def env_int(var: str, default, *, minimum=None):
     """Read an integer env var, warning and falling back on bad input."""
-    raw = os.environ.get(var)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        _warn_once(var, raw, "not an integer", default)
-        return default
-    if minimum is not None and value < minimum:
-        _warn_once(var, raw, f"below minimum {minimum}", default)
-        return default
-    return value
+    return env(var, default, "int", minimum=minimum)
 
 
 def env_float(var: str, default, *, minimum=None):
     """Read a float env var, warning and falling back on bad input."""
-    raw = os.environ.get(var)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw.strip())
-    except ValueError:
-        _warn_once(var, raw, "not a number", default)
-        return default
-    if value != value:  # NaN
-        _warn_once(var, raw, "not a number", default)
-        return default
-    if minimum is not None and value < minimum:
-        _warn_once(var, raw, f"below minimum {minimum}", default)
-        return default
-    return value
+    return env(var, default, "float", minimum=minimum)
 
 
 def env_bytes(var: str, default, *, minimum=None):
     """Read a byte count; accepts ``k``/``m``/``g`` binary suffixes."""
-    raw = os.environ.get(var)
-    if raw is None or not raw.strip():
-        return default
-    text = raw.strip().lower()
-    scale = 1
-    if text and text[-1] in _SUFFIX:
-        scale = _SUFFIX[text[-1]]
-        text = text[:-1]
-    try:
-        value = int(text) * scale
-    except ValueError:
-        _warn_once(var, raw, "not a byte count", default)
-        return default
-    if minimum is not None and value < minimum:
-        _warn_once(var, raw, f"below minimum {minimum}", default)
-        return default
-    return value
-
-
-def env_path(var: str, default=None):
-    """Read a filesystem path env var.
-
-    Unset means the default; a set-but-blank value is malformed (it would
-    silently resolve to the current directory) and warns once.  Existence
-    is *not* checked here — consumers create spill/checkpoint directories
-    on demand.
-    """
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    value = raw.strip()
-    if not value:
-        _warn_once(var, raw, "empty path", default)
-        return default
-    return value
-
-
-def env_on_off(var: str, default: bool) -> bool:
-    """Read an ``on``/``off`` switch env var as a bool.
-
-    The common pattern behind ``GRAPHBLAS_ENGINE`` / ``GRAPHBLAS_SPILL``
-    / ``GRAPHBLAS_OBS``: unset or malformed values warn once and fall
-    back to ``default``.
-    """
-    fallback = "on" if default else "off"
-    return env_choice(var, fallback, ("on", "off")) == "on"
+    return env(var, default, "bytes", minimum=minimum)
 
 
 def env_choice(var: str, default, choices):
     """Read an enumerated env var, warning and falling back on bad input."""
-    raw = os.environ.get(var)
-    if raw is None or not raw.strip():
-        return default
-    value = raw.strip()
-    if value not in choices:
-        _warn_once(var, raw, f"not one of {', '.join(sorted(choices))}", default)
-        return default
-    return value
+    return env(var, default, "choice", choices=choices)

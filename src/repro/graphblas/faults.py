@@ -41,12 +41,11 @@ Typical use::
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
-import warnings
 
 import numpy as np
 
+from . import options
 from .errors import OutOfMemory
 
 __all__ = [
@@ -130,18 +129,10 @@ def run_seed() -> int:
     """The recorded per-run fault-injection seed (created on first use)."""
     global _run_seed
     if _run_seed is None:
-        raw = os.environ.get("GRAPHBLAS_FAULT_SEED")
-        if raw is not None:
-            try:
-                _run_seed = int(raw) & 0xFFFFFFFF
-            except ValueError:
-                warnings.warn(
-                    f"ignoring GRAPHBLAS_FAULT_SEED={raw!r} (not an integer); "
-                    f"using fresh entropy",
-                    RuntimeWarning,
-                )
-        if _run_seed is None:
-            _run_seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
+        seed = options.get("faults")["seed"]
+        if seed is None:
+            seed = int(np.random.SeedSequence().entropy)
+        _run_seed = seed & 0xFFFFFFFF
     return _run_seed
 
 

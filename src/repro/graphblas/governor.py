@@ -56,7 +56,7 @@ import time
 
 import numpy as np
 
-from . import envutil, telemetry
+from . import options, telemetry
 from .errors import (
     BudgetExceeded,
     Cancelled,
@@ -82,11 +82,9 @@ __all__ = [
     "save_hook",
     "load_checkpoint",
     "env_limits",
-    "env_spill",
     "spill_config",
     "set_spill_config",
     "reset_spill_config",
-    "DEFAULT_SPILL_BUDGET",
 ]
 
 #: True iff any thread has an ExecutionContext open.  Mirrors
@@ -561,16 +559,13 @@ def admit_workers(requested: int, per_block_bytes: int, op: str = "mxm") -> int:
 
 
 def env_limits() -> tuple[int | None, float | None]:
-    """(memory_budget, deadline) from the environment, hardened.
+    """(memory_budget, deadline) from the ``governor`` option rows.
 
-    Reads ``GRAPHBLAS_GOVERNOR_BUDGET`` (bytes; ``k``/``m``/``g``
-    suffixes accepted) and ``GRAPHBLAS_GOVERNOR_DEADLINE`` (seconds).
     Used by the CI governor leg to wrap each resilience test in a
     budgeted, deadlined context.
     """
-    budget = envutil.env_bytes("GRAPHBLAS_GOVERNOR_BUDGET", None, minimum=0)
-    deadline = envutil.env_float("GRAPHBLAS_GOVERNOR_DEADLINE", None, minimum=0.0)
-    return budget, deadline
+    cfg = options.get("governor")
+    return cfg["budget"], cfg["deadline"]
 
 
 # --------------------------------------------------------------------------
@@ -580,64 +575,24 @@ def env_limits() -> tuple[int | None, float | None]:
 #: Ops the tiled planner can serve; everything else still degrades/rejects.
 _TILEABLE = ("mxm", "mxv", "vxm")
 
-#: Default resident-tile byte budget for spill pools.
-DEFAULT_SPILL_BUDGET = 256 << 20
-
-# Process-wide overrides installed by set_spill_config (the GxB_Spill_*
-# C-API surface); None means "defer to the environment".
-_spill_override: dict = {"enabled": None, "directory": None, "budget": None}
-
-
-def env_spill() -> tuple[bool, str | None, int]:
-    """(enabled, directory, byte budget) from the environment, hardened.
-
-    Reads ``GRAPHBLAS_SPILL`` (``on``/``off``), ``GRAPHBLAS_SPILL_DIR``
-    (base directory for pool scratch space) and
-    ``GRAPHBLAS_SPILL_BUDGET`` (bytes; ``k``/``m``/``g`` suffixes).
-    Malformed values warn once and fall back to the defaults: spilling
-    on, the system temp dir, :data:`DEFAULT_SPILL_BUDGET`.
-    """
-    enabled = envutil.env_on_off("GRAPHBLAS_SPILL", True)
-    directory = envutil.env_path("GRAPHBLAS_SPILL_DIR", None)
-    budget = envutil.env_bytes(
-        "GRAPHBLAS_SPILL_BUDGET", DEFAULT_SPILL_BUDGET, minimum=0
-    )
-    return enabled, directory, budget
-
 
 def spill_config() -> tuple[bool, str | None, int]:
-    """Effective (enabled, directory, budget): overrides, then environment."""
-    enabled, directory, budget = env_spill()
-    if _spill_override["enabled"] is not None:
-        enabled = _spill_override["enabled"]
-    if _spill_override["directory"] is not None:
-        directory = _spill_override["directory"]
-    if _spill_override["budget"] is not None:
-        budget = _spill_override["budget"]
-    return enabled, directory, budget
+    """Effective (enabled, directory, budget) from the ``spill`` option
+    rows: overrides, then environment, then defaults."""
+    cfg = options.get("spill")
+    return cfg["enabled"], cfg["directory"], cfg["budget"]
 
 
-def set_spill_config(*, enabled: bool | None = None, directory=None,
-                     budget: int | None = None) -> None:
-    """Install process-wide spill overrides (the ``GxB_Spill_set`` core).
-
-    Only the arguments given change; pass :func:`reset_spill_config` to
-    drop all overrides and return to environment control.
-    """
-    if budget is not None:
-        budget = int(budget)
-        if budget < 0:
-            raise InvalidValue(f"spill budget must be >= 0, got {budget}")
-        _spill_override["budget"] = budget
-    if enabled is not None:
-        _spill_override["enabled"] = bool(enabled)
-    if directory is not None:
-        _spill_override["directory"] = str(directory)
+def set_spill_config(**overrides) -> None:
+    """Install process-wide spill overrides (the ``GxB_Spill_set`` core):
+    ``enabled``, ``directory``, ``budget``.  Only the arguments given
+    change; :func:`reset_spill_config` drops them all."""
+    options.set("spill", **overrides)
 
 
 def reset_spill_config() -> None:
     """Drop all spill overrides (back to environment defaults)."""
-    _spill_override.update(enabled=None, directory=None, budget=None)
+    options.reset("spill")
 
 
 # --------------------------------------------------------------------------

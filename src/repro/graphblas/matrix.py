@@ -505,15 +505,11 @@ class Matrix:
                 )
 
         # Patch the cached twin from the same delta instead of dropping it
-        # (engine.TWIN_PATCH): the alt store flips the pre-window epoch, so
+        # (engine on only): the alt store flips the pre-window epoch, so
         # killing the same coordinates and merging the same insertions in
         # its orientation re-synchronizes it without an O(e log e) rebuild.
         new_alt = None
-        if (
-            self._alt is not None
-            and (self._keep_both or engine.DUAL_FORMAT)
-            and engine.TWIN_PATCH
-        ):
+        if self._alt is not None and engine.DUAL_FORMAT:
             new_alt = self._patched_alt(li, lj, ins, lv)
 
         # atomic commit: nothing is touched until assembly fully succeeded,

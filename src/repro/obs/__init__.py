@@ -20,15 +20,11 @@ and per-plan profiles:
   activity — and :func:`slow_ops` returns the N slowest plans seen
   since enable (ring-buffered with their full EXPLAIN records).
 
-Environment (read at import through :mod:`repro.graphblas.envutil`):
-
-* ``GRAPHBLAS_OBS`` — ``on`` auto-enables observability at import
-  (default ``off``; :func:`enable` always works regardless).
-* ``GRAPHBLAS_OBS_SLOW_MS`` — slow-op log threshold in milliseconds
-  (default 100).
-* ``GRAPHBLAS_OBS_SLOW_N`` — slow-op log capacity (default 32).
-* ``GRAPHBLAS_OBS_EMIT_S`` — when > 0, :func:`enable` also starts the
-  periodic emitter at this interval.
+The tunables are the ``obs`` rows of
+:mod:`repro.graphblas.options` — ``enabled`` (``GRAPHBLAS_OBS=on``
+auto-enables at import; :func:`enable` always works regardless),
+``slow_ms`` / ``slow_capacity`` (the slow-op log) and ``emit_s`` (when
+> 0, :func:`enable` also starts the periodic emitter).
 
 Typical service setup::
 
@@ -48,12 +44,12 @@ from __future__ import annotations
 
 import threading
 
+from ..graphblas import options as _options
 from ..graphblas import telemetry as _telemetry
-from ..graphblas.envutil import env_float, env_int, env_on_off
 from . import exposition as _exposition
 from .explain import ExplainReport, explain
 from .registry import MetricsRegistry
-from .sink import DEFAULT_SLOW_CAPACITY, MetricsSink, SlowOpLog
+from .sink import MetricsSink, SlowOpLog
 
 __all__ = [
     "enable",
@@ -83,19 +79,21 @@ __all__ = [
     "SlowOpLog",
 ]
 
-DEFAULT_SLOW_MS = 100.0
-
 _lock = threading.Lock()
 _registry = MetricsRegistry()
-_slow_log = SlowOpLog(
-    threshold_s=env_float("GRAPHBLAS_OBS_SLOW_MS", DEFAULT_SLOW_MS, minimum=0.0)
-    / 1e3,
-    capacity=env_int("GRAPHBLAS_OBS_SLOW_N", DEFAULT_SLOW_CAPACITY, minimum=0),
-)
+_slow_log = SlowOpLog()
 _sink: MetricsSink | None = None
 _emitter: _exposition.Emitter | None = None
 
 check_prometheus_text = _exposition.check_prometheus_text
+
+
+def _apply_options() -> dict:
+    """Retune the slow-op log from the ``obs`` option rows."""
+    cfg = _options.get("obs")
+    _slow_log.threshold_s = cfg["slow_ms"] / 1e3
+    _slow_log.capacity = cfg["slow_capacity"]
+    return cfg
 
 
 def registry() -> MetricsRegistry:
@@ -172,19 +170,17 @@ def _engine_gauges() -> list[tuple[str, object, dict]]:
     return gauges
 
 
-def enable(*, slow_ms: float | None = None,
-           slow_capacity: int | None = None) -> MetricsRegistry:
+def enable(**overrides) -> MetricsRegistry:
     """Turn on process-wide metrics collection (idempotent).
 
     Installs the telemetry fan-out sink, registers the engine's
     collect-on-read gauges (kernel cache, thread pool, resolver cache),
-    and optionally retunes the slow-op log.  Returns the registry.
+    and applies the ``obs`` options — ``slow_ms=`` / ``slow_capacity=``
+    given here override them first.  Returns the registry.
     """
     global _sink
-    if slow_ms is not None:
-        _slow_log.threshold_s = float(slow_ms) / 1e3
-    if slow_capacity is not None:
-        _slow_log.capacity = int(slow_capacity)
+    _options.set("obs", enabled=True, **overrides)
+    cfg = _apply_options()
     with _lock:
         if _sink is None:
             _sink = MetricsSink(_registry, _slow_log)
@@ -209,15 +205,15 @@ def enable(*, slow_ms: float | None = None,
 
             updatelog.enable_depth_tracking(True)
             _telemetry.set_sink(_sink)
-    emit_s = env_float("GRAPHBLAS_OBS_EMIT_S", 0.0, minimum=0.0)
-    if emit_s > 0 and _emitter is None:
-        start_emitter(emit_s)
+    if cfg["emit_s"] > 0 and _emitter is None:
+        start_emitter(cfg["emit_s"])
     return _registry
 
 
 def disable() -> None:
     """Stop feeding the registry (its accumulated totals remain readable)."""
     global _sink
+    _options.set("obs", enabled=False)
     stop_emitter()
     with _lock:
         if _sink is not None:
@@ -284,7 +280,8 @@ def clear_slow_ops() -> None:
 
 def set_slow_op_threshold(slow_ms: float) -> None:
     """Plans at or above this duration enter the slow-op log."""
-    _slow_log.threshold_s = float(slow_ms) / 1e3
+    _options.set("obs", slow_ms=slow_ms)
+    _apply_options()
 
 
 def slow_op_threshold() -> float:
@@ -293,11 +290,14 @@ def slow_op_threshold() -> float:
 
 
 def reset() -> None:
-    """Disable, drop all metrics and slow-op records (tests only)."""
+    """Disable, drop all metrics, slow-op records and ``obs`` option
+    overrides (tests only)."""
     disable()
     _registry.reset()
     _slow_log.clear()
+    _options.reset("obs")
+    _apply_options()
 
 
-if env_on_off("GRAPHBLAS_OBS", False):
+if _apply_options()["enabled"]:
     enable()

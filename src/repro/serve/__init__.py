@@ -24,7 +24,6 @@ from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .admission import AdmissionQueue
 from .config import (
     ServeConfig,
-    env_config,
     reset_serve_config,
     serve_config,
     set_serve_config,
@@ -50,7 +49,6 @@ __all__ = [
     # config
     "ServeConfig",
     "serve_config",
-    "env_config",
     "set_serve_config",
     "reset_serve_config",
     # building blocks

@@ -6,14 +6,21 @@ against serial) on identical inputs and asserts exact array equality,
 dtypes included.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.generators import random_matrix, random_vector
-from repro.graphblas import Descriptor, Matrix, Vector, capi, engine, telemetry
+from repro.generators import random_matrix, random_vector, rmat_graph
+from repro.graphblas import (
+    Descriptor, Matrix, Vector, backend, backends, capi, engine, governor,
+    options, telemetry,
+)
 from repro.graphblas import operations as ops
 from repro.graphblas import plan as planning
-from repro.graphblas.errors import Info
+from repro.graphblas.errors import Info, InvalidValue
 from repro.graphblas.matrix import Matrix as _Matrix
 from repro.graphblas.types import lookup_type
 
@@ -45,40 +52,36 @@ def _same(p, q):
 class TestConfig:
     def test_defaults_on(self):
         cfg = engine.get_config()
-        assert cfg.enabled and cfg.kernel_cache and cfg.dual_format
-        assert cfg.workers == engine.DEFAULT_WORKERS
-        assert engine.ENABLED and engine.KERNEL_CACHE and engine.DUAL_FORMAT
+        assert cfg.enabled and cfg.parallel
+        assert cfg.workers == options.defaults("engine")["workers"]
+        assert engine.ENABLED and engine.DUAL_FORMAT and engine.PARALLEL
 
     def test_master_switch_disables_all_mechanisms(self):
         engine.set_engine(False)
         assert not engine.ENABLED
-        assert not engine.KERNEL_CACHE
         assert not engine.DUAL_FORMAT
         assert not engine.PARALLEL
         engine.set_engine(True)
-        assert engine.ENABLED and engine.KERNEL_CACHE
+        assert engine.ENABLED and engine.DUAL_FORMAT and engine.PARALLEL
 
     def test_individual_toggles(self):
-        engine.set_engine(dual_format=False)
-        assert engine.ENABLED and not engine.DUAL_FORMAT
         engine.set_engine(parallel=False)
-        assert not engine.PARALLEL and engine.KERNEL_CACHE
+        assert engine.ENABLED and engine.DUAL_FORMAT and not engine.PARALLEL
 
     def test_env_off(self, monkeypatch):
         monkeypatch.setenv("GRAPHBLAS_ENGINE", "off")
         engine.reset()
         assert not engine.ENABLED and not engine.DUAL_FORMAT
 
-    def test_env_workers_and_cache(self, monkeypatch):
+    def test_env_workers(self, monkeypatch):
         monkeypatch.setenv("GRAPHBLAS_ENGINE_WORKERS", "7")
-        monkeypatch.setenv("GRAPHBLAS_ENGINE_CACHE", "3")
         engine.reset()
-        cfg = engine.get_config()
-        assert cfg.workers == 7 and cfg.cache_size == 3
+        assert engine.get_config().workers == 7 and engine.WORKERS == 7
 
     def test_workers_floor_is_one(self):
-        cfg = engine.set_engine(workers=0)
-        assert cfg.workers == 1
+        with pytest.raises(InvalidValue):
+            engine.set_engine(workers=0)
+        assert engine.get_config().workers >= 1
 
 
 # -- kernel specialization cache ---------------------------------------------
@@ -109,11 +112,11 @@ class TestKernelCache:
         assert a is not b and a is not c
         assert engine.kernel_cache_stats()["size"] == 3
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, monkeypatch):
         from repro.graphblas.semiring import semiring
         from repro.graphblas.types import FP64
 
-        engine.set_engine(cache_size=2)
+        monkeypatch.setattr(engine, "CACHE_SIZE", 2)
         engine.clear_kernel_cache()
         for name in ("PLUS_TIMES", "MIN_PLUS", "MAX_PLUS"):
             engine.kernel_for(semiring(name), FP64)
@@ -505,14 +508,6 @@ class TestResolverMemo:
 
 
 class TestCapi:
-    def test_engine_set_get_roundtrip(self):
-        assert capi.GxB_Engine_set(False) == Info.SUCCESS
-        assert capi.GxB_Engine_get()["enabled"] is False
-        assert capi.GxB_Engine_set(True, workers=2) == Info.SUCCESS
-        got = capi.GxB_Engine_get()
-        assert got["enabled"] is True and got["workers"] == 2
-        assert "cache" in got
-
     def test_engine_set_invalid_kwarg(self):
         assert capi.GxB_Engine_set(True, bogus=1) == Info.INVALID_VALUE
 
@@ -543,6 +538,95 @@ class TestCapi:
         engine.set_engine(parallel=False)
         ops.mxm(C2, A, B, "PLUS_TIMES", method="gustavson")
         _same(C1.extract_tuples(), C2.extract_tuples())
+
+
+# -- process-global switches under threads -----------------------------------
+
+
+class TestSwitchesUnderThreads:
+    def test_flipping_switches_never_changes_a_result(self, monkeypatch):
+        """ROADMAP aim 3: ``engine.set_engine`` and ``set_spill_config``
+        are process-global and the serve layer flips them under a worker
+        pool.  Every kernel must read each switch once and stay coherent:
+        whatever the main thread does, each op equals its serial answer
+        bit for bit and the differential backend never diverges."""
+        monkeypatch.setattr(engine, "MIN_PARALLEL_FLOPS", 1)
+        monkeypatch.setattr(engine, "MIN_PARALLEL_ENTRIES", 1)
+        n = 1 << 9
+        A = rmat_graph(9, 8, weighted=True, seed=20190520).A
+        A.wait()
+        rows = np.arange(16)
+        L = Matrix(A.dtype, 16, n)     # 16 x n and n x 16 slabs keep the
+        R = Matrix(A.dtype, n, 16)     # dense mxm replay cheap
+        ops.extract(L, A, rows, ops.ALL)
+        ops.extract(R, A, ops.ALL, rows)
+        dense = random_vector(n, 0.9, seed=3)    # pull-side frontier
+        sparse = random_vector(n, 0.01, seed=4)  # push-side frontier
+
+        def mxm():
+            C = Matrix(A.dtype, 16, 16)
+            ops.mxm(C, L, R, "PLUS_TIMES", method="gustavson")
+            return C.extract_tuples()
+
+        def pull():
+            w = Vector(A.dtype, n)
+            ops.mxv(w, A, dense, "PLUS_TIMES", method="pull")
+            return w.extract_tuples()
+
+        def push():
+            w = Vector(A.dtype, n)
+            ops.mxv(w, A, sparse, "PLUS_TIMES", method="push")
+            return w.extract_tuples()
+
+        kernels = (mxm, pull, push)
+        engine.set_engine(True, parallel=False)
+        with backend("optimized"):  # the engine differential checks
+            serial = [k() for k in kernels]
+        engine.set_engine(True, parallel=True, workers=4)
+
+        backends._instances.pop("differential", None)  # first use races too
+        stop = threading.Event()
+        errors: list = []
+        rounds = [0] * 4
+        instances = set()
+
+        def worker(slot):
+            try:
+                with backend("differential") as be:
+                    instances.add(be)
+                    while not stop.is_set():
+                        for k, want in zip(kernels, serial):
+                            _same(k(), want)
+                        enabled, _, budget = governor.spill_config()
+                        assert isinstance(enabled, bool) and budget >= 0
+                        rounds[slot] += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                stop.set()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for flip in range(200):
+                engine.set_engine(flip % 2 == 1)
+                engine.set_engine(parallel=flip % 3 != 0)
+                governor.set_spill_config(enabled=flip % 2 == 0)
+                time.sleep(0.008)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+            governor.reset_spill_config()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(r >= 1 for r in rounds), rounds
+        (be,) = instances  # one shared instance, so one stats dict
+        assert be.stats["divergences"] == 0 and be.stats["skipped"] == 0
+        assert be.stats["verified"] > 0
 
 
 def test_lookup_type_roundtrip_for_engine_dtypes():

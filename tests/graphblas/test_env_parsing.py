@@ -5,12 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.graphblas import envutil, faults
+from repro.graphblas import envutil, faults, options
 from repro.graphblas.backends import current_backend
-from repro.graphblas.backends.differential import (
-    DEFAULT_BUDGET,
-    DifferentialBackend,
-)
+from repro.graphblas.backends.differential import DifferentialBackend
+
+DEFAULT_BUDGET = options.defaults("diff")["budget"]
 
 
 @pytest.fixture(autouse=True)
@@ -132,6 +131,17 @@ class TestFaultRunSeed:
             seed = faults.run_seed()
         assert 0 <= seed <= 0xFFFFFFFF
 
+    def test_garbage_env_seed_warns_once(self, monkeypatch):
+        """Routed through the option table, the warning is de-duplicated
+        like every other knob's (it used to repeat on every first use)."""
+        monkeypatch.setenv("GRAPHBLAS_FAULT_SEED", "dice")
+        with pytest.warns(RuntimeWarning, match="not an integer"):
+            faults.run_seed()
+        faults.set_run_seed(None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            faults.run_seed()
+
     def test_probabilistic_plan_seeds_reproducible(self, monkeypatch):
         monkeypatch.delenv("GRAPHBLAS_FAULT_SEED", raising=False)
 
@@ -159,3 +169,25 @@ class TestFaultRunSeed:
     def test_deterministic_plan_has_no_seed(self):
         with faults.inject("ewise", nth=2) as plan:
             assert plan.seed is None
+
+
+class TestCompiledBuildDir:
+    def test_env_dir_honoured_when_set_after_import(self, monkeypatch, tmp_path):
+        from repro.graphblas.compiled import toolchain
+
+        monkeypatch.setenv("GRAPHBLAS_COMPILED_DIR", str(tmp_path / "kernels"))
+        assert toolchain.build_dir() == str(tmp_path / "kernels")
+        assert (tmp_path / "kernels").is_dir()
+
+    def test_blank_dir_warns_once_and_falls_back(self, monkeypatch):
+        """A whitespace-only value used to reach os.makedirs verbatim."""
+        from repro.graphblas.compiled import toolchain
+
+        monkeypatch.delenv("GRAPHBLAS_COMPILED_DIR", raising=False)
+        default = toolchain.build_dir()
+        monkeypatch.setenv("GRAPHBLAS_COMPILED_DIR", "   ")
+        with pytest.warns(RuntimeWarning, match="GRAPHBLAS_COMPILED_DIR"):
+            assert toolchain.build_dir() == default
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert toolchain.build_dir() == default

@@ -142,11 +142,11 @@ class TestSlowOps:
 
 class TestCapi:
     def test_obs_set_get(self):
-        assert capi.GxB_Obs_get() is False
+        assert capi.GxB_Obs_get()["enabled"] is False
         assert capi.GxB_Obs_set(True) == capi.GrB_SUCCESS
-        assert capi.GxB_Obs_get() is True
+        assert capi.GxB_Obs_get()["enabled"] is True
         assert capi.GxB_Obs_set(False) == capi.GrB_SUCCESS
-        assert capi.GxB_Obs_get() is False
+        assert capi.GxB_Obs_get()["enabled"] is False
 
     def test_metrics_get_formats(self):
         capi.GxB_Obs_set(True)

@@ -17,8 +17,8 @@ from repro.graphblas import (
     BudgetExceeded,
     Matrix,
     Vector,
-    capi,
     governor,
+    options,
     telemetry,
     tiled,
 )
@@ -347,7 +347,7 @@ class TestConfig:
         monkeypatch.setenv("GRAPHBLAS_SPILL", "off")
         monkeypatch.setenv("GRAPHBLAS_SPILL_DIR", "/tmp/spill-here")
         monkeypatch.setenv("GRAPHBLAS_SPILL_BUDGET", "64m")
-        assert governor.env_spill() == (False, "/tmp/spill-here", 64 << 20)
+        assert governor.spill_config() == (False, "/tmp/spill-here", 64 << 20)
 
     def test_env_spill_malformed_warns_once_falls_back(self, monkeypatch):
         from repro.graphblas import envutil
@@ -357,15 +357,15 @@ class TestConfig:
         monkeypatch.setenv("GRAPHBLAS_SPILL_DIR", "   ")
         monkeypatch.setenv("GRAPHBLAS_SPILL_BUDGET", "lots")
         with pytest.warns(RuntimeWarning):
-            enabled, directory, budget = governor.env_spill()
+            enabled, directory, budget = governor.spill_config()
         assert enabled is True
         assert directory is None
-        assert budget == governor.DEFAULT_SPILL_BUDGET
+        assert budget == options.defaults("spill")["budget"]
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # second read: already warned
-            governor.env_spill()
+            governor.spill_config()
         envutil.reset_warned()
 
     def test_spill_off_env_rejects_over_budget(self, monkeypatch, AB):
@@ -375,21 +375,6 @@ class TestConfig:
         with governor.ExecutionContext(memory_budget=1, degrade=False):
             with pytest.raises(BudgetExceeded):
                 ops.mxm(C, A, B, "PLUS_TIMES")
-
-    def test_gxb_spill_roundtrip(self):
-        try:
-            assert capi.GxB_Spill_set(
-                False, directory="/tmp/gxb-spill", budget=1 << 20
-            ) == capi.GrB_SUCCESS
-            cfg = capi.GxB_Spill_get()
-            assert cfg == {
-                "enabled": False, "directory": "/tmp/gxb-spill",
-                "budget": 1 << 20,
-            }
-            assert capi.GxB_Spill_set(budget=-1) == capi.Info.INVALID_VALUE
-        finally:
-            governor.reset_spill_config()
-        assert capi.GxB_Spill_get()["enabled"] is True
 
     def test_budget_exceeded_message_is_actionable(self, AB):
         A, B = AB

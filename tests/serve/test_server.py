@@ -19,7 +19,7 @@ from repro.serve import (
     TenantPolicy,
     register_algorithm,
 )
-from repro.serve.config import env_config
+from repro.serve.config import serve_config
 from repro.stream import GraphStream
 
 
@@ -242,7 +242,7 @@ class TestConfiguration:
         monkeypatch.setenv("GRAPHBLAS_SERVE_QUEUE_DEPTH", "33")
         monkeypatch.setenv("GRAPHBLAS_SERVE_DEADLINE_S", "0")
         monkeypatch.setenv("GRAPHBLAS_SERVE_BUDGET", "64m")
-        cfg = env_config()
+        cfg = serve_config()
         assert cfg.workers == 7
         assert cfg.queue_depth == 33
         assert cfg.deadline_s is None  # 0 disables
@@ -250,7 +250,7 @@ class TestConfiguration:
 
     def test_malformed_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("GRAPHBLAS_SERVE_WORKERS", "banana")
-        assert env_config().workers == ServeConfig().workers
+        assert serve_config().workers == ServeConfig().workers
 
     def test_gxb_serve_set_get_roundtrip(self):
         assert capi.GxB_Serve_set(
@@ -269,7 +269,7 @@ class TestConfiguration:
         assert capi.GxB_Serve_set(bogus=1) == capi.Info.INVALID_VALUE
         # a failed set never leaves a partial override behind
         assert capi.GxB_Serve_get()["queue_depth"] == \
-            env_config().queue_depth
+            ServeConfig().queue_depth
 
     def test_constructor_overrides_win(self):
         srv = GraphServer(workers=3, queue_depth=5, start=False)
