@@ -59,7 +59,6 @@ __all__ = [
     "requested_workers",
     "MIN_PARALLEL_FLOPS",
     "MIN_PARALLEL_ENTRIES",
-    "MIN_PARALLEL_TILES",
 ]
 
 #: Capacity of the specialized-kernel LRU (:func:`kernel_for`).
@@ -68,9 +67,6 @@ CACHE_SIZE = 64
 # Below these work sizes the thread-pool handoff costs more than it saves.
 MIN_PARALLEL_FLOPS = 1 << 18
 MIN_PARALLEL_ENTRIES = 1 << 16
-#: Fewest tile-pair expansions per inner step worth fanning out to the
-#: shared pool (tiled execution; see repro.graphblas.tiled).
-MIN_PARALLEL_TILES = 2
 
 # Composite sort keys (major * n_minor + minor) must stay inside int64.
 KEY_LIMIT = 2**62

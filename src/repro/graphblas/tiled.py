@@ -4,7 +4,7 @@ The governor's admission control (PR 4) answered an oversized operation
 with "fail or degrade".  This module turns that into "run anyway, bounded
 memory": a :class:`TiledMatrix` partitions a matrix into a 2D grid of
 hypersparse blocks, SpGEMM/mxv are scheduled tile by tile, and cold tiles
-are spilled to disk as atomic ``.npz`` files and reloaded on demand under
+are spilled to disk as atomic raw-array files and reloaded on demand under
 an LRU byte budget (:class:`SpillPool`).  The dispatcher routes a plan
 here when the governor tagged it over-budget (see
 :meth:`~repro.graphblas.governor.ExecutionContext.admit`) or when the
@@ -32,6 +32,23 @@ also treats ``OSError`` as transient).  A crash mid-spill leaves only a
 :meth:`SpillPool.close` removes every tile file, so a failed operation
 leaves operands bit-identical and no orphaned tiles on disk.
 Cancellation and deadlines are polled at every tile boundary.
+
+**Tile files.**  A store *is* its three or four arrays (the paper's
+O(1) import/export argument), so a spilled tile is those arrays and
+nothing else: one fixed int64 header (:data:`_HEADER_FIELDS`) followed by
+``h``, ``indptr``, ``minor`` and ``values`` as they sit in memory.  A
+reload is one ``readinto`` a preallocated buffer and four views on it;
+the file length must equal what the header implies, so a short or torn
+file is an ``OSError`` for the retry policy, never a garbage tile.
+Checkpoints keep compressed ``.npz`` (written once, kept, read by other
+processes); tile files live for one operation and are re-read many times.
+
+**Write-behind.**  Everything :func:`mxm_tiled` produces enters the pool
+at the *eviction* end: output streams to disk as it is made instead of
+flushing the operand tiles the very next chunk reads again.  A chunked
+stripe's row-run pieces stay pieces — a grid cell holds an ordered list
+of them — so nothing is reloaded to be concatenated and spilled a second
+time, and a bounded drain touches only the pieces its rows overlap.
 """
 
 from __future__ import annotations
@@ -72,25 +89,84 @@ DEFAULT_TILE_DIM = 4096
 #: Smallest tile edge the budget heuristic will choose.
 MIN_TILE_DIM = 64
 
-# Lazily bound to repro.io.checkpoint.atomic_write_npz (the import is
-# deferred because repro.io imports this package back at load time).
-_atomic_write_npz = None
+#: Tile-file header: eight int64 words, then the arrays in this order —
+#: ``h`` (absent when ``h_len`` is -1), ``indptr``, ``minor``, ``values``.
+_HEADER_FIELDS = ("magic", "n_major", "n_minor", "is_row", "h_len",
+                  "indptr_len", "nvals", "value_dtype")
+_HEADER_BYTES = 8 * len(_HEADER_FIELDS)
+_MAGIC = int.from_bytes(b"GBTILE01", "little")
 
 
-def _atomic_writer():
-    global _atomic_write_npz
-    if _atomic_write_npz is None:
-        from ..io.checkpoint import atomic_write_npz
+def _write_tile(f, store: SparseStore) -> None:
+    """Write ``store`` to ``f`` as header + raw arrays (no re-encoding)."""
+    dt = store.values.dtype
+    code = dt.str.encode("ascii")
+    if len(code) > 8 or np.dtype(dt.str) != dt:
+        raise InvalidValue(f"cannot spill values of dtype {dt}")
+    header = np.array(
+        [_MAGIC, store.n_major, store.n_minor,
+         store.orientation is Orientation.ROW,
+         -1 if store.h is None else store.h.size,
+         store.indptr.size, store.minor.size,
+         int.from_bytes(code.ljust(8, b"\0"), "little")],
+        dtype=_INDEX,
+    )
+    f.write(header.data)
+    for arr in (store.h, store.indptr, store.minor):
+        if arr is not None:
+            f.write(np.ascontiguousarray(arr, dtype=_INDEX).data)
+    # not every dtype exports a buffer (datetime64); its bytes always do
+    f.write(np.ascontiguousarray(store.values).view(np.uint8).data)
 
-        _atomic_write_npz = atomic_write_npz
-    return _atomic_write_npz
+
+def _read_tile(path: str) -> SparseStore:
+    """Load a tile file: one ``readinto``, then views on that buffer.
+
+    The arrays of the returned store are writable views of one private
+    buffer.  Any disagreement between the header and the file length
+    raises ``OSError`` (transient for the pool's retry policy).
+    """
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        buf = np.empty(size, dtype=np.uint8)
+        got = f.readinto(buf) if size else 0
+    if got != size or size < _HEADER_BYTES:
+        raise OSError(f"tile file {path!r} is torn: read {got} of {size} B")
+    head = buf[:_HEADER_BYTES].view(_INDEX)
+    magic, n_major, n_minor, is_row, h_len, indptr_len, nvals, code = (
+        int(x) for x in head
+    )
+    try:
+        if magic != _MAGIC or min(h_len + 1, indptr_len, nvals) < 0:
+            raise ValueError("bad header")
+        dt = np.dtype(code.to_bytes(8, "little").rstrip(b"\0").decode("ascii"))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise OSError(f"tile file {path!r} has a corrupt header") from exc
+    h_words = max(h_len, 0)
+    values_at = _HEADER_BYTES + 8 * (h_words + indptr_len + nvals)
+    if size != values_at + nvals * dt.itemsize:
+        raise OSError(
+            f"tile file {path!r} is torn: {size} B on disk, header implies "
+            f"{values_at + nvals * dt.itemsize} B"
+        )
+    index = buf[_HEADER_BYTES:values_at].view(_INDEX)
+    indptr_end = h_words + indptr_len
+    return SparseStore(
+        Orientation.ROW if is_row else Orientation.COL,
+        n_major,
+        n_minor,
+        index[:h_words] if h_len >= 0 else None,
+        index[h_words:indptr_end],
+        index[indptr_end:],
+        buf[values_at:].view(dt),
+    )
 
 
 def rollback_partial_spills(directory) -> list:
     """Remove leftover ``*.tmp.*`` files from interrupted spill writes.
 
     An atomic spill that crashed between opening its temp file and the
-    rename leaves a ``<tile>.npz.tmp.<pid>`` file behind; completed tile
+    rename leaves a ``<tile>.tile.tmp.<pid>`` file behind; completed tile
     files never have that infix.  Returns the paths removed.
     """
     removed = []
@@ -117,7 +193,10 @@ class SpillPool:
 
     Tiles are immutable once :meth:`put`: a tile is written to disk at
     most once (first eviction) and later evictions merely drop the
-    in-memory copy.  All spill I/O runs on the coordinating thread —
+    in-memory copy.  ``put(..., behind=True)`` is the write-behind door
+    for produced output: the tile enters at the eviction end, so it goes
+    to disk before any tile a consumer is still re-reading.  All spill
+    I/O runs on the coordinating thread —
     worker threads of the parallel engine never touch the pool — so the
     thread-local fault/telemetry/governor machinery observes every
     spill and reload.
@@ -162,18 +241,26 @@ class SpillPool:
             return f"{prefix}{self._names}"
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.dir, key.replace("/", "_") + ".npz")
+        return os.path.join(self.dir, key.replace("/", "_") + ".tile")
 
     # -- tile lifecycle -----------------------------------------------------
 
-    def put(self, key: str, store: SparseStore) -> None:
-        """Register an immutable tile; may spill LRU tiles to stay in budget."""
+    def put(self, key: str, store: SparseStore, *,
+            behind: bool = False) -> None:
+        """Register an immutable tile; may spill LRU tiles to stay in budget.
+
+        With ``behind`` the new tile is itself the first eviction
+        candidate (write-behind) instead of the last.
+        """
         with self._lock:
+            self._check_open()
             if key in self._nbytes:
                 raise InvalidValue(f"tile {key!r} already in the pool")
             nbytes = int(store.nbytes)
             self._nbytes[key] = nbytes
             self._resident[key] = store
+            if behind:
+                self._resident.move_to_end(key, last=False)
             self._resident_bytes += nbytes
             self.stats["tiles"] += 1
             self._evict()
@@ -181,6 +268,7 @@ class SpillPool:
     def get(self, key: str) -> SparseStore:
         """Fetch a tile, reloading from disk (with retry) if it was spilled."""
         with self._lock:
+            self._check_open()
             store = self._resident.get(key)
             if store is not None:
                 self._resident.move_to_end(key)
@@ -192,6 +280,10 @@ class SpillPool:
             self._resident_bytes += self._nbytes[key]
             self._evict(keep=key)
             return store
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise InvalidValue("spill pool is closed")
 
     @property
     def resident_bytes(self) -> int:
@@ -220,22 +312,14 @@ class SpillPool:
     # -- disk I/O (fault-injected, retried) ---------------------------------
 
     def _spill(self, key: str, store: SparseStore) -> None:
+        # deferred: repro.io imports this package back at load time
+        from ..io.checkpoint import atomic_write
+
         path = self._path(key)
-        meta = np.array(
-            [store.n_major, store.n_minor,
-             1 if store.orientation is Orientation.ROW else 0],
-            dtype=_INDEX,
+        nbytes = self._retry.call(
+            lambda: atomic_write(path, lambda f: _write_tile(f, store)),
+            op="tile.spill",
         )
-        payload = {
-            "meta": meta,
-            "indptr": store.indptr,
-            "minor": store.minor,
-            "values": store.values,
-        }
-        if store.h is not None:
-            payload["h"] = store.h
-        write = _atomic_writer()
-        nbytes = self._retry.call(lambda: write(path, payload), op="tile.spill")
         self._on_disk.add(key)
         self.stats["spills"] += 1
         self.stats["spilled_bytes"] += int(nbytes)
@@ -249,18 +333,7 @@ class SpillPool:
         def _read() -> SparseStore:
             if faults.ENABLED:
                 faults.trip("io.read")
-            with np.load(path, allow_pickle=False) as z:
-                meta = z["meta"]
-                h = z["h"] if "h" in z.files else None
-                return SparseStore(
-                    Orientation.ROW if int(meta[2]) else Orientation.COL,
-                    int(meta[0]),
-                    int(meta[1]),
-                    h,
-                    z["indptr"],
-                    z["minor"],
-                    z["values"],
-                )
+            return _read_tile(path)
 
         store = self._retry.call(_read, op="tile.reload")
         self.stats["reloads"] += 1
@@ -272,27 +345,6 @@ class SpillPool:
                             bytes_moved=int(store.nbytes))
         return store
 
-    def drop(self, key: str) -> None:
-        """Forget a tile entirely — memory and disk file.
-
-        Used for transient intermediates (chunk pieces of an output
-        stripe) so they don't outlive the stripe that produced them.
-        Unknown keys are ignored.
-        """
-        with self._lock:
-            if key not in self._nbytes:
-                return
-            if key in self._resident:
-                self._resident.pop(key)
-                self._resident_bytes -= self._nbytes[key]
-            if key in self._on_disk:
-                self._on_disk.discard(key)
-                try:
-                    os.unlink(self._path(key))
-                except OSError:  # pragma: no cover - already gone is fine
-                    pass
-            del self._nbytes[key]
-
     # -- teardown -----------------------------------------------------------
 
     def close(self) -> None:
@@ -302,6 +354,8 @@ class SpillPool:
                 return
             self._closed = True
             self._resident.clear()
+            self._nbytes.clear()
+            self._on_disk.clear()
             self._resident_bytes = 0
             shutil.rmtree(self.dir, ignore_errors=True)
 
@@ -353,11 +407,14 @@ class TiledMatrix:
     """A matrix as a 2D grid of hypersparse tiles registered in a pool.
 
     The grid lives in the major/minor space of the store it was built
-    from: ``nrows`` is the store's major dimension.  Only non-empty tiles
-    exist; each is a row-oriented hypersparse
+    from: ``nrows`` is the store's major dimension.  Only non-empty cells
+    exist.  A cell is an ordered list of row-run *pieces* (one piece
+    unless a chunked :func:`mxm_tiled` stripe produced it); each piece is
+    a row-oriented hypersparse
     :class:`~repro.graphblas.formats.SparseStore` with tile-local
-    coordinates, held by a :class:`SpillPool` that spills cold tiles to
-    disk under its byte budget.
+    coordinates, held by a :class:`SpillPool` that spills cold ones to
+    disk under its byte budget.  Per-row entry counts and ``nvals`` are
+    recorded as pieces are put, so neither ever reads a tile back.
     """
 
     def __init__(self, nrows: int, ncols: int, tile_dim: int, dtype,
@@ -372,7 +429,11 @@ class TiledMatrix:
         self.name = name if name is not None else pool.unique_name("M")
         self.grid_rows = -(-self.nrows // self.tile_dim) if self.nrows else 0
         self.grid_cols = -(-self.ncols // self.tile_dim) if self.ncols else 0
-        self._keys: dict[tuple[int, int], str] = {}
+        # (bi, bj) -> [(pool key, row_lo, row_hi), ...] in ascending rows;
+        # rows are tile-local and a piece holds entries of [row_lo, row_hi)
+        self._cells: dict[tuple[int, int], list[tuple[str, int, int]]] = {}
+        self._lens = np.zeros(self.nrows, dtype=np.int64)
+        self._nvals = 0
 
     # -- construction -------------------------------------------------------
 
@@ -408,45 +469,63 @@ class TiledMatrix:
         td = self.tile_dim
         return (min(td, self.nrows - bi * td), min(td, self.ncols - bj * td))
 
-    def _put_tile(self, bi: int, bj: int, maj_loc, min_loc, vals) -> None:
+    def _put_tile(self, bi: int, bj: int, maj_loc, min_loc, vals, *,
+                  rows: tuple[int, int] | None = None,
+                  behind: bool = False) -> None:
+        """Append a piece to cell (bi, bj): the whole tile, or the entries
+        of tile-local ``rows`` = [lo, hi) after the pieces already there."""
         nmaj, nmin = self._tile_shape(bi, bj)
         store = SparseStore.from_coo(
             Orientation.ROW, nmaj, nmin, maj_loc, min_loc, vals, self.dtype,
             hyper=True, assume_sorted_unique=True,
         )
-        key = f"{self.name}/{bi}.{bj}"
-        self.pool.put(key, store)
-        self._keys[(bi, bj)] = key
+        lo, hi = rows if rows is not None else (0, nmaj)
+        pieces = self._cells.setdefault((bi, bj), [])
+        key = f"{self.name}/{bi}.{bj}.{len(pieces)}"
+        self.pool.put(key, store, behind=behind)
+        pieces.append((key, lo, hi))
+        # h is unique within a piece, so the fancy += counts every entry
+        self._lens[store.h + bi * self.tile_dim] += np.diff(store.indptr)
+        self._nvals += store.nvals
 
     # -- access -------------------------------------------------------------
 
     def tile(self, bi: int, bj: int) -> SparseStore | None:
-        """The (bi, bj) tile store, or None when that tile is empty."""
-        key = self._keys.get((bi, bj))
-        return None if key is None else self.pool.get(key)
+        """The (bi, bj) tile store, or None when that tile is empty.
+
+        A cell of several pieces is concatenated on demand (the result is
+        not cached: operand use of a chunked product is the rare case).
+        """
+        pieces = self._cells.get((bi, bj))
+        if pieces is None:
+            return None
+        stores = [self.pool.get(key) for key, _, _ in pieces]
+        if len(stores) == 1:
+            return stores[0]
+        # ascending disjoint row runs: concatenation is sorted-unique
+        offsets = np.cumsum([0] + [s.nvals for s in stores])
+        indptr = [s.indptr[:-1] + off for s, off in zip(stores, offsets)]
+        indptr.append(offsets[-1:])
+        return SparseStore(
+            Orientation.ROW, stores[0].n_major, stores[0].n_minor,
+            np.concatenate([s.h for s in stores]),
+            np.concatenate(indptr),
+            np.concatenate([s.minor for s in stores]),
+            np.concatenate([s.values for s in stores]),
+        )
 
     def major_lengths(self) -> np.ndarray:
-        """Entries per global major index, in one pass over the grid.
+        """Entries per global major index (metadata; reads no tile).
 
         The tiled SpGEMM uses this to predict each output row's expansion
         size (``sum of B-row lengths over A's row entries``) so stripes
         can be folded in bounded-memory row chunks.
         """
-        lens = np.zeros(self.nrows, dtype=np.int64)
-        td = self.tile_dim
-        for (bi, bj) in sorted(self._keys):
-            governor.poll()
-            t = self.tile(bi, bj)
-            d = np.diff(t.indptr)
-            if t.h is not None:
-                lens[t.h + bi * td] += d  # h is unique within one tile
-            else:
-                lens[bi * td:bi * td + d.size] += d
-        return lens
+        return self._lens.copy()
 
     @property
     def nvals(self) -> int:
-        return sum(self.tile(bi, bj).nvals for (bi, bj) in self._keys)
+        return self._nvals
 
     def iter_stripes(self, max_bytes: int | None = None):
         """Yield ``(rows, cols, values)`` blocks, ascending rows.
@@ -456,52 +535,40 @@ class TiledMatrix:
         stripe (far more entries than its siblings) is further split into
         row runs of roughly that many coordinate bytes, sized from the
         exact per-row counts, so streaming consumers (checksums, exports)
-        hold a bounded block no matter how lopsided the matrix is.
+        hold a bounded block no matter how lopsided the matrix is.  A row
+        run loads only the pieces whose rows it overlaps.
         """
-        if max_bytes is None:
-            for bi in range(self.grid_rows):
-                stripe = self._stripe_coo(bi)
-                if stripe is not None:
-                    yield stripe
-            return
-        lens = self.major_lengths()
-        target = max(int(max_bytes), 1 << 16) // 24
         td = self.tile_dim
+        target = None
+        if max_bytes is not None:
+            target = max(int(max_bytes), 1 << 16) // 24
         for bi in range(self.grid_rows):
             rows_here = min(td, self.nrows - bi * td)
-            row_lens = lens[bi * td:bi * td + rows_here]
-            for lo, hi in _chunk_bounds(row_lens, target):
+            bounds = [(0, rows_here)]
+            if target is not None:
+                bounds = _chunk_bounds(
+                    self._lens[bi * td:bi * td + rows_here], target
+                )
+            for lo, hi in bounds:
                 governor.poll()
-                parts_i, parts_j, parts_v = [], [], []
-                for bj in range(self.grid_cols):
-                    tile = self.tile(bi, bj)
-                    if tile is None:
-                        continue
-                    maj, minr, v = tile.major_slab(lo, hi)
-                    if maj.size == 0:
-                        continue
-                    parts_i.append(maj + bi * td)
-                    parts_j.append(minr + bj * td)
-                    parts_v.append(v)
-                if not parts_i:
-                    continue
-                i = np.concatenate(parts_i)
-                j = np.concatenate(parts_j)
-                v = np.concatenate(parts_v)
-                order = np.lexsort((j, i))
-                yield i[order], j[order], v[order]
+                block = self._stripe_coo(bi, lo, hi)
+                if block is not None:
+                    yield block
 
-    def _stripe_coo(self, bi: int):
+    def _stripe_coo(self, bi: int, lo: int, hi: int):
+        """Stripe ``bi``'s entries of tile-local rows [lo, hi), sorted."""
         td = self.tile_dim
         parts_i, parts_j, parts_v = [], [], []
         for bj in range(self.grid_cols):
-            tile = self.tile(bi, bj)
-            if tile is None or tile.nvals == 0:
-                continue
-            il, jl, v = tile.to_coo()
-            parts_i.append(il + bi * td)
-            parts_j.append(jl + bj * td)
-            parts_v.append(v)
+            for key, p_lo, p_hi in self._cells.get((bi, bj), ()):
+                if p_hi <= lo or p_lo >= hi:
+                    continue
+                maj, minr, v = self.pool.get(key).major_slab(lo, hi)
+                if maj.size == 0:
+                    continue
+                parts_i.append(maj + bi * td)
+                parts_j.append(minr + bj * td)
+                parts_v.append(v)
         if not parts_i:
             return None
         i = np.concatenate(parts_i)
@@ -536,7 +603,7 @@ class TiledMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<TiledMatrix {self.nrows}x{self.ncols} tile_dim={self.tile_dim}"
-            f" tiles={len(self._keys)}>"
+            f" tiles={len(self._cells)}>"
         )
 
 
@@ -632,14 +699,15 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
     Per output stripe I, partial products are collected unreduced across
     inner tiles K in ascending order and folded once (see the module
     docstring for why this is bit-identical to the in-memory kernel).
-    Output tiles are registered in ``pool`` as they are produced, so an
-    over-budget product streams to disk instead of accumulating in RAM.
+    Output is registered in ``pool`` write-behind as it is produced, so
+    an over-budget product streams to disk instead of accumulating in
+    RAM or displacing the operand tiles the next chunk reads again.
     Cancellation/deadline tokens are polled at every (I, K) boundary.
 
     ``chunk_bytes`` bounds the unreduced expansion held in memory at
     once: skewed stripes (RMAT hubs) are folded in row chunks sized from
     a per-row flop prediction (``B.major_lengths()``), and each chunk's
-    output goes through the pool as a transient piece so not even one
+    output becomes one row-run piece of its grid cells, so not even one
     output stripe needs to be fully resident.  The fold decomposes
     exactly per output row — a row's partials never mix with another
     row's in the segment reduction — so any row partition yields bit
@@ -669,11 +737,10 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
         if ctx is not None and ctx.memory_budget is not None:
             chunk_bytes = ctx.memory_budget // 6
     chunk_target = None
-    b_rowlen = None
     if chunk_bytes is not None and chunk_bytes > 0:
         # ~24 B per unreduced partial (two int64 coords + a value)
         chunk_target = max(int(chunk_bytes), 1 << 20) // 24
-        b_rowlen = B.major_lengths()
+    b_rowlen = B.major_lengths()
 
     for bi in range(A.grid_rows):
         rows_here = min(td, A.nrows - bi * td)
@@ -688,9 +755,10 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
             if a_tile is None or a_tile.nvals == 0:
                 continue
             ar, ac, av = a_tile.to_coo()
-            a_data.append((bk, ar, ac, av))
+            flops = b_rowlen[ac + bk * td]  # partials each A entry expands to
+            a_data.append((bk, ar, ac, av, flops))
             if counts is not None:
-                np.add.at(counts, ar, b_rowlen[ac + bk * td])
+                np.add.at(counts, ar, flops)
         if not a_data:
             continue
         if counts is None:
@@ -698,10 +766,9 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
         else:
             bounds = _chunk_bounds(counts, chunk_target)
 
-        piece_keys: dict[int, list[str]] = {}
-        for ci, (lo, hi) in enumerate(bounds):
+        for lo, hi in bounds:
             parts = []
-            for bk, ar, ac, av in a_data:
+            for bk, ar, ac, av, flops in a_data:
                 governor.poll()  # tile boundary: cancellation/deadline point
                 s = int(np.searchsorted(ar, lo))
                 e = int(np.searchsorted(ar, hi))
@@ -715,13 +782,12 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
                         continue
                     tasks.append((a_coo, b_tile, bi * td, bk * td, bj * td,
                                   mult, kern))
-                if not tasks:
-                    continue
                 workers = 1
                 if (
                     engine.PARALLEL
                     and kern is not None
-                    and len(tasks) >= engine.MIN_PARALLEL_TILES
+                    and len(tasks) > 1
+                    and int(flops[s:e].sum()) >= engine.MIN_PARALLEL_FLOPS
                 ):
                     requested = engine.requested_workers(None)
                     if requested > 1:
@@ -748,41 +814,11 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
             del parts
             i, j, vals = _reduce_stripe(i, j, vals, sr, out_type, kern,
                                         key_mult)
-            if i.size == 0:
-                continue
             i_loc = i - bi * td
-            if len(bounds) == 1:
-                for bj, idx in _group_by_tile(j, td):
-                    C._put_tile(bi, bj, i_loc[idx], j[idx] - bj * td,
-                                vals[idx])
-                continue
-            # chunked stripe: stash each chunk's slice of every output
-            # tile in the pool so the stripe never fully materializes
+            # each chunk is one row-run piece of the cells it touches
             for bj, idx in _group_by_tile(j, td):
-                nmin = min(td, C.ncols - bj * td)
-                piece = SparseStore.from_coo(
-                    Orientation.ROW, rows_here, nmin, i_loc[idx],
-                    j[idx] - bj * td, vals[idx], out_type,
-                    hyper=True, assume_sorted_unique=True,
-                )
-                pkey = f"{C.name}/p{bi}.{bj}.{ci}"
-                pool.put(pkey, piece)
-                piece_keys.setdefault(bj, []).append(pkey)
-        # assemble grid tiles from their chunk pieces (row-ascending
-        # chunks, so concatenation is already sorted-unique)
-        for bj in sorted(piece_keys):
-            keys = piece_keys[bj]
-            coos = [pool.get(k).to_coo() for k in keys]
-            if len(coos) == 1:
-                i_loc, j_loc, v = coos[0]
-            else:
-                i_loc = np.concatenate([c[0] for c in coos])
-                j_loc = np.concatenate([c[1] for c in coos])
-                v = np.concatenate([c[2] for c in coos])
-            del coos
-            C._put_tile(bi, bj, i_loc, j_loc, v)
-            for k in keys:
-                pool.drop(k)
+                C._put_tile(bi, bj, i_loc[idx], j[idx] - bj * td, vals[idx],
+                            rows=(lo, hi), behind=True)
     return C
 
 
@@ -922,7 +958,10 @@ def _execute_mxm(plan):
     pool = _spill_pool_for(plan)
     try:
         A_t = TiledMatrix.from_store(a_rows, td, pool, dtype=A.dtype)
-        B_t = TiledMatrix.from_store(b_rows, td, pool, dtype=B.dtype)
+        if B is A and d.transpose_b == d.transpose_a:
+            B_t = A_t  # A*A: one set of operand tiles serves both sides
+        else:
+            B_t = TiledMatrix.from_store(b_rows, td, pool, dtype=B.dtype)
         C_t = mxm_tiled(A_t, B_t, sr, plan.out_type, pool=pool)
         tr, tc, tv = C_t.to_coo()
     finally:

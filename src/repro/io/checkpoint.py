@@ -26,7 +26,7 @@ from ..graphblas.errors import InvalidValue
 from ..graphblas.io_move import export_matrix, import_matrix
 from ..graphblas.types import lookup_type
 
-__all__ = ["save_state", "load_state", "atomic_write_npz", "FORMAT_VERSION"]
+__all__ = ["save_state", "load_state", "atomic_write", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 1
 
@@ -34,15 +34,16 @@ FORMAT_VERSION = 1
 _SEP = "::"
 
 
-def atomic_write_npz(path, arrays: dict) -> int:
-    """Write ``arrays`` to ``path`` as one compressed npz, atomically.
+def atomic_write(path, write_payload) -> int:
+    """Write a file atomically; ``write_payload(f)`` produces its bytes.
 
     The payload goes to a temp file in the same directory and is moved
     into place with ``os.replace``, so a crash (or an injected
     ``io.write`` fault, tripped here) mid-save leaves either the previous
-    file or nothing — never a torn write.  Shared by checkpoints and the
-    tile spill pools (:class:`repro.graphblas.tiled.SpillPool`).  Returns
-    the final file size in bytes.
+    file or nothing — never a torn write.  The one atomic writer behind
+    checkpoints (compressed ``.npz`` payload) and the tile spill pools
+    (raw arrays, :class:`repro.graphblas.tiled.SpillPool`).  Returns the
+    final file size in bytes.
     """
     if faults.ENABLED:
         faults.trip("io.write")
@@ -50,7 +51,7 @@ def atomic_write_npz(path, arrays: dict) -> int:
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
-            np.savez_compressed(f, **arrays)
+            write_payload(f)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # pragma: no cover - only on write failure
@@ -110,7 +111,7 @@ def save_state(path, state: dict) -> None:
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8
     ).copy()
 
-    nbytes = atomic_write_npz(path, payload)
+    nbytes = atomic_write(path, lambda f: np.savez_compressed(f, **payload))
     if telemetry.ENABLED:
         telemetry.tally("io.write", calls=1, bytes_moved=nbytes)
 

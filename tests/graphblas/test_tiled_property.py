@@ -107,3 +107,48 @@ def _run_example(fmt, actions, base):
             _bits_equal(C.extract_tuples(), expected.extract_tuples())
             # pools clean up completely even inside the example loop
             assert not os.path.exists(spill_dir) or not os.listdir(spill_dir)
+
+
+# --------------------------------------------------------------------------
+# a chunked product as an operand: cells made of several row-run pieces
+# --------------------------------------------------------------------------
+
+M = 96  # large enough that a 32-row stripe of A*A exceeds the chunk floor
+
+
+@settings(max_examples=8, deadline=None)
+@given(fmt=st.sampled_from(FORMATS), seed=st.integers(0, 2**16))
+def test_multi_piece_operand_bit_identical(fmt, seed):
+    """``(A*A)*A`` and ``A*(A*A)`` with the inner product chunked, so an
+    operand of the outer product (left, then right) has multi-piece
+    cells, equal the in-memory results bit for bit from every source
+    format."""
+    from repro.graphblas import tiled
+
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(-5, 6, (M, M)).astype(np.float64)
+    dense[rng.random((M, M)) < 0.5] = 0.0
+    r, c = np.nonzero(dense)
+    A = Matrix.from_coo(r, c, dense[r, c], nrows=M, ncols=M, dtype="FP64")
+    A.set_format(fmt)
+
+    AA = Matrix("FP64", M, M)
+    ops.mxm(AA, A, A, "PLUS_TIMES")
+    expected_left = Matrix("FP64", M, M)
+    ops.mxm(expected_left, AA, A, "PLUS_TIMES")
+    expected_right = Matrix("FP64", M, M)
+    ops.mxm(expected_right, A, AA, "PLUS_TIMES")
+
+    base = tempfile.mkdtemp(prefix="tiled-prop-")
+    try:
+        with tiled.SpillPool(budget=0, directory=base) as pool:
+            A_t = tiled.TiledMatrix.from_matrix(A, 32, pool)
+            AA_t = tiled.mxm_tiled(A_t, A_t, "PLUS_TIMES", chunk_bytes=1)
+            assert any(len(p) > 1 for p in AA_t._cells.values())
+            left = tiled.mxm_tiled(AA_t, A_t, "PLUS_TIMES").to_matrix()
+            right = tiled.mxm_tiled(A_t, AA_t, "PLUS_TIMES").to_matrix()
+        assert not os.listdir(base)
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
+    _bits_equal(left.extract_tuples(), expected_left.extract_tuples())
+    _bits_equal(right.extract_tuples(), expected_right.extract_tuples())

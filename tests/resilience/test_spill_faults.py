@@ -7,6 +7,8 @@ operands stay bit-identical, the output is untouched, and no tile or
 temp file is left behind.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,96 @@ class TestExhaustedRetry:
             assert pool.stats["spills"] == 0
         finally:
             pool.close()
+        assert not any(tmp_path.iterdir())
+
+
+class TestTornTileFiles:
+    """A tile file that disagrees with its own header is an I/O error for
+    the retry policy — never a garbage tile, never a leaked file."""
+
+    @staticmethod
+    def _truncate(path):
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) - 8)
+
+    @staticmethod
+    def _truncate_into_header(path):
+        with open(path, "r+b") as f:
+            f.truncate(tiled._HEADER_BYTES - 8)
+
+    @staticmethod
+    def _corrupt_length(path):
+        with open(path, "r+b") as f:
+            f.seek(8 * tiled._HEADER_FIELDS.index("nvals"))
+            f.write(np.int64(1 << 40).tobytes())
+
+    @staticmethod
+    def _corrupt_magic(path):
+        with open(path, "r+b") as f:
+            f.write(b"\0" * 8)
+
+    @staticmethod
+    def _corrupt_dtype(path):
+        with open(path, "r+b") as f:
+            f.seek(8 * tiled._HEADER_FIELDS.index("value_dtype"))
+            f.write(b"\xff" * 8)
+
+    @pytest.mark.parametrize("damage", [
+        "_truncate", "_truncate_into_header", "_corrupt_length",
+        "_corrupt_magic", "_corrupt_dtype",
+    ])
+    def test_damaged_tile_fails_after_retry_schedule(self, damage, tmp_path):
+        from tests.resilience.test_tiled_spill import _decisions, _store
+
+        attempts = 3
+        pool = tiled.SpillPool(
+            budget=0, directory=tmp_path,
+            retry=governor.RetryPolicy(
+                attempts=attempts, base_delay=0.0, jitter=0.0,
+                transient=(OSError, OutOfMemory),
+            ),
+        )
+        try:
+            good, bad = _store(seed=1), _store(seed=2)
+            pool.put("good", good)
+            pool.put("bad", bad)   # budget 0: both on disk now
+            getattr(self, damage)(os.path.join(pool.dir, "bad.tile"))
+            with telemetry.collect() as col:
+                with pytest.raises(OSError, match="torn|corrupt"):
+                    pool.get("bad")
+            # the whole schedule ran
+            assert len(_decisions(col, "governor.retry")) == attempts - 1
+            assert pool.stats["reloads"] == 0     # nothing was accepted
+            # the pool is still consistent: its other tile reads back
+            back = pool.get("good")
+            assert back.values.tobytes() == good.values.tobytes()
+            assert np.array_equal(back.minor, good.minor)
+        finally:
+            pool.close()
+        assert not any(tmp_path.iterdir())
+
+    def test_torn_tile_mid_mxm_operands_intact_no_orphans(self, AB, tmp_path,
+                                                          monkeypatch):
+        # every reload sees a file two words short, as after a torn write
+        A, B = AB
+        C = Matrix("FP64", 40, 40)
+        snaps = [deep_state(o) for o in (C, A, B)]
+        real_read = tiled._read_tile
+
+        def torn_read(path):
+            self._truncate(path)
+            return real_read(path)
+
+        monkeypatch.setattr(tiled, "_read_tile", torn_read)
+        with governor.ExecutionContext(
+            memory_budget=1, spill_dir=tmp_path, spill_budget=0,
+        ) as ctx:
+            with pytest.raises(OSError, match="torn"):
+                ops.mxm(C, A, B, "PLUS_TIMES")
+        assert ctx.stats["retries"] >= 1  # the pool's default policy ran
+        for obj, snap in zip((C, A, B), snaps):
+            assert_same_state(obj, snap)
+        assert C.nvals == 0
         assert not any(tmp_path.iterdir())
 
 

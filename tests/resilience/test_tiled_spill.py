@@ -34,6 +34,12 @@ def _bits_equal(got, want) -> None:
         assert g.tobytes() == w.tobytes()
 
 
+def _decisions(col, name: str) -> list[dict]:
+    """Detail dicts of every ``name`` decision a collector recorded."""
+    return [ev["args"] for ev in col.events
+            if ev["type"] == "decision" and ev["name"] == name]
+
+
 def _weighted_rmat(scale: int, edge_factor: int, seed: int) -> Matrix:
     A = rmat_graph(scale, edge_factor, seed=seed).A
     r, c, _ = A.extract_tuples()
@@ -172,10 +178,48 @@ class TestChunkedFold:
             C_t = tiled.mxm_tiled(A_t, B_t, "PLUS_TIMES",
                                   chunk_bytes=1 << 20)
             got = C_t.to_matrix()
-            # chunk pieces (keys like "<name>/p<bi>.<bj>.<ci>") are
-            # dropped at stripe end: no piece files linger in the pool
+            # no transient piece files (the old "<name>/p<bi>.<bj>.<ci>"
+            # keys) linger in the pool ...
             assert not any("_p" in f for f in os.listdir(pool.dir))
+            # ... because there are none any more: each chunk's row run
+            # *is* a piece of its grid cell, written once, never
+            # reassembled, so every file belongs to a live cell
+            live = {
+                key.replace("/", "_") + ".tile"
+                for T in (A_t, B_t, C_t)
+                for pieces in T._cells.values() for key, _, _ in pieces
+            }
+            assert set(os.listdir(pool.dir)) <= live
+            assert any(len(p) > 1 for p in C_t._cells.values())
+            assert pool.stats["spills"] <= pool.stats["tiles"]
         _bits_equal(got.extract_tuples(), expected.extract_tuples())
+
+    def test_multi_piece_cell_serves_as_operand_and_metadata(self, tmp_path):
+        # a chunked product has cells of several row-run pieces; tile()
+        # concatenates them on demand and the metadata never reads disk
+        rng = np.random.default_rng(16)
+        A, _, _ = random_matrix_np(rng, 200, 200, 0.4)
+        AA = Matrix("FP64", 200, 200)
+        ops.mxm(AA, A, A, "PLUS_TIMES")
+        with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
+            A_t = tiled.TiledMatrix.from_matrix(A, 64, pool)
+            C_t = tiled.mxm_tiled(A_t, A_t, "PLUS_TIMES",
+                                  chunk_bytes=1 << 20)
+            assert any(len(p) > 1 for p in C_t._cells.values())
+            before = dict(pool.stats)
+            r, _, _ = AA.extract_tuples()
+            assert np.array_equal(C_t.major_lengths(),
+                                  np.bincount(r, minlength=200))
+            assert C_t.nvals == AA.nvals
+            assert pool.stats == before  # metadata: no reload, no spill
+            for (bi, bj), pieces in C_t._cells.items():
+                whole = C_t.tile(bi, bj)
+                whole.check_valid()
+                assert whole.nvals == sum(
+                    pool.get(k).nvals for k, _, _ in pieces
+                )
+            _bits_equal(C_t.to_matrix().extract_tuples(),
+                        AA.extract_tuples())
 
     def test_bounded_stream_matches_full_stripes(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -327,6 +371,35 @@ class TestSpillPool:
         assert complete.exists()  # completed files are never touched
         pool.close()
 
+    def test_use_after_close_rejected_immediately(self, tmp_path):
+        from repro.graphblas import InvalidValue
+
+        pool = tiled.SpillPool(budget=0, directory=tmp_path)
+        pool.put("a", _store(seed=5))
+        pool.close()
+        assert not pool._nbytes and not pool._on_disk
+        with telemetry.collect() as col:
+            with pytest.raises(InvalidValue, match="spill pool is closed"):
+                pool.get("a")
+            with pytest.raises(InvalidValue, match="spill pool is closed"):
+                pool.put("b", _store(seed=6))
+        # no FileNotFoundError retried with back-off first
+        assert not _decisions(col, "governor.retry")
+
+    def test_put_behind_is_first_eviction_candidate(self, tmp_path):
+        s1, s2, s3 = _store(seed=1), _store(seed=2), _store(seed=3)
+        budget = s1.nbytes + s2.nbytes
+        with tiled.SpillPool(budget=budget, directory=tmp_path) as pool:
+            pool.put("a", s1)
+            pool.put("b", s2)
+            pool.put("out", s3, behind=True)  # over budget: "out" goes
+            assert pool.stats["spills"] == 1
+            assert os.listdir(pool.dir) == ["out.tile"]
+            pool.get("a"), pool.get("b")      # operands never left
+            assert pool.stats["reloads"] == 0
+            back = pool.get("out")
+            assert back.values.tobytes() == s3.values.tobytes()
+
     def test_unknown_tile_rejected(self, tmp_path):
         from repro.graphblas import InvalidValue
 
@@ -336,6 +409,207 @@ class TestSpillPool:
             pool.put("a", _store(seed=6))
             with pytest.raises(InvalidValue):
                 pool.put("a", _store(seed=7))
+
+
+# --------------------------------------------------------------------------
+# raw tile files
+# --------------------------------------------------------------------------
+
+def _typed_store(type_name: str, hyper: bool, empty: bool) -> SparseStore:
+    dt = _dtype(type_name)
+    if empty:
+        return SparseStore.empty(Orientation.ROW, 9, 7, dt, hyper=hyper)
+    rng = np.random.default_rng(len(type_name) + hyper)
+    maj = np.array([0, 0, 3, 3, 3, 8], dtype=np.int64)
+    minr = np.array([1, 6, 0, 2, 5, 4], dtype=np.int64)
+    if dt.np_dtype.kind == "b":
+        vals = rng.integers(0, 2, maj.size).astype(bool)
+    elif dt.np_dtype.kind == "f":
+        vals = rng.uniform(-1, 1, maj.size).astype(dt.np_dtype)
+    else:
+        info = np.iinfo(dt.np_dtype)
+        vals = rng.integers(info.min, info.max, maj.size,
+                            dtype=dt.np_dtype, endpoint=True)
+    return SparseStore.from_coo(
+        Orientation.ROW, 9, 7, maj, minr, vals, dt, hyper=hyper,
+        assume_sorted_unique=True,
+    )
+
+
+class TestTileFormat:
+    """A spilled tile is a fixed header plus the store's arrays as-is."""
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["full", "empty"])
+    @pytest.mark.parametrize("hyper", [True, False], ids=["hyper", "csr"])
+    @pytest.mark.parametrize("type_name", [
+        "BOOL", "INT8", "INT16", "INT32", "INT64",
+        "UINT8", "UINT16", "UINT32", "UINT64", "FP32", "FP64",
+    ])
+    def test_raw_round_trip_bit_identical(self, type_name, hyper, empty,
+                                          tmp_path):
+        s = _typed_store(type_name, hyper, empty)
+        with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
+            pool.put("t", s)  # budget 0: on disk at once
+            path = os.path.join(pool.dir, "t.tile")
+            # the file is the header and the arrays, nothing else
+            assert os.path.getsize(path) == tiled._HEADER_BYTES + s.nbytes
+            assert pool.stats["spilled_bytes"] == os.path.getsize(path)
+            back = pool.get("t")
+            assert pool.stats["reloads"] == 1
+            assert pool.stats["reloaded_bytes"] == s.nbytes
+        assert back is not s
+        assert (back.orientation, back.n_major, back.n_minor) == \
+            (s.orientation, s.n_major, s.n_minor)
+        assert (back.h is None) == (s.h is None)
+        for name in ("h", "indptr", "minor", "values"):
+            got, want = getattr(back, name), getattr(s, name)
+            if want is None:
+                continue
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and got.flags.aligned
+        back.check_valid()
+
+    def test_column_orientation_survives(self, tmp_path):
+        s = _typed_store("FP64", True, False).transposed()
+        with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
+            pool.put("t", s)
+            assert pool.get("t").orientation is Orientation.COL
+
+    def test_unrepresentable_value_dtype_rejected(self, tmp_path):
+        from repro.graphblas import InvalidValue
+
+        rec = np.dtype([("a", np.int32), ("b", np.float32)])
+        s = _typed_store("FP64", True, False)
+        s.values = np.zeros(s.nvals, dtype=rec)
+        with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
+            with pytest.raises(InvalidValue, match="cannot spill"):
+                pool.put("t", s)
+            assert not os.listdir(pool.dir)  # no torn temp file either
+
+
+# --------------------------------------------------------------------------
+# spill traffic: counts pinned on a seeded RMAT-10
+# --------------------------------------------------------------------------
+
+class TestSpillTraffic:
+    def test_rmat10_operands_stay_outputs_stream(self, tmp_path):
+        """Operands that fit the pool are never reloaded during the
+        product; output is written behind them, once, and a bounded
+        drain reads each piece at most twice.
+
+        Twice, not once: drain blocks are maximal row runs, so a piece
+        no larger than a block straddles at most one block boundary (at
+        this seed 86 pieces are read once, 9 twice).  The assemble-and-
+        respill path read every grid tile once per drain block.
+        """
+        A = _weighted_rmat(10, 8, seed=7)
+        expected = Matrix("FP64", A.nrows, A.ncols)
+        ops.mxm(expected, A, A, "PLUS_TIMES")
+        budget = 1 << 20
+        reloads_of: dict[str, int] = {}
+        with tiled.SpillPool(budget=budget // 4, directory=tmp_path) as pool:
+            A_t = tiled.TiledMatrix.from_store(A.by_row(), 128, pool,
+                                               dtype=A.dtype)
+            operand_bytes = pool.resident_bytes
+            assert operand_bytes <= pool.budget  # the premise: they fit
+            C_t = tiled.mxm_tiled(A_t, A_t, "PLUS_TIMES", pool=pool,
+                                  chunk_bytes=budget)
+            assert any(len(p) > 1 for p in C_t._cells.values())
+            after_mxm = dict(pool.stats)
+            assert after_mxm["reloads"] == 0       # zero operand reloads
+            assert after_mxm["spills"] > 0         # output did stream out
+            assert not any(k.startswith(A_t.name) for k in pool._on_disk)
+
+            with telemetry.collect() as col:
+                blocks = list(C_t.iter_stripes(max_bytes=budget // 2))
+            for d in _decisions(col, "governor.reload"):
+                reloads_of[d["tile"]] = reloads_of.get(d["tile"], 0) + 1
+            stats = dict(pool.stats)
+        assert len(blocks) > C_t.grid_rows  # the drain really was bounded
+        assert reloads_of and max(reloads_of.values()) <= 2
+        assert not any(k.startswith(A_t.name) for k in reloads_of)
+        assert stats["reloaded_bytes"] <= 3 * stats["spilled_bytes"]
+        assert stats["spills"] <= stats["tiles"]   # one write per tile
+        got = (
+            np.concatenate([b[0] for b in blocks]),
+            np.concatenate([b[1] for b in blocks]),
+            np.concatenate([b[2] for b in blocks]),
+        )
+        _bits_equal(got, expected.extract_tuples())
+
+    def test_governed_square_tiles_operand_once(self, tmp_path):
+        """``A*A`` under the governor tiles ``A`` once, not twice."""
+        A = _weighted_rmat(8, 8, seed=3)
+        B = A.dup()
+        expected = Matrix("FP64", A.nrows, A.ncols)
+        ops.mxm(expected, A, A, "PLUS_TIMES")
+
+        def governed(X, Y, desc=None):
+            C = Matrix("FP64", A.nrows, A.ncols)
+            with telemetry.collect() as col:
+                with governor.ExecutionContext(
+                    memory_budget=1, spill_dir=tmp_path, spill_budget=0
+                ):
+                    ops.mxm(C, X, Y, "PLUS_TIMES", desc=desc)
+            (plan_rec,) = _decisions(col, "governor.tile_plan")
+            (pool_rec,) = _decisions(col, "governor.pool")
+            return C, pool_rec["tiles"], plan_rec["tile_dim"]
+
+        C_same, tiles_same, td = governed(A, A)
+        C_dup, tiles_dup, td_dup = governed(A, B)
+        assert td == td_dup
+        _bits_equal(C_same.extract_tuples(), expected.extract_tuples())
+        _bits_equal(C_dup.extract_tuples(), expected.extract_tuples())
+        with tiled.SpillPool(budget=1 << 30, directory=tmp_path) as pool:
+            tiled.TiledMatrix.from_store(A.by_row(), td, pool, dtype=A.dtype)
+            operand_tiles = pool.stats["tiles"]
+        # same product, same output tiles: the difference is B's copy
+        assert operand_tiles > 0
+        assert tiles_dup - tiles_same == operand_tiles
+        # A * A' shares the matrix but not the orientation: not shared
+        want_t = Matrix("FP64", A.nrows, A.ncols)
+        ops.mxm(want_t, A, A, "PLUS_TIMES", desc="T1")
+        C_t, _, _ = governed(A, A, desc="T1")
+        _bits_equal(C_t.extract_tuples(), want_t.extract_tuples())
+
+
+class TestParallelFanOut:
+    def test_heavy_unchunked_step_fans_out_bit_identical(self, tmp_path,
+                                                         monkeypatch):
+        """Fan-out is gated on a step's predicted flops: a dense
+        unchunked stripe still takes the thread pool, a light one (any
+        number of tile pairs) does not; both match in-memory bits."""
+        from repro.graphblas import engine
+
+        rng = np.random.default_rng(12)
+        heavy, _, _ = random_matrix_np(rng, 256, 256, 0.5)
+        light, _, _ = random_matrix_np(rng, 256, 256, 0.01)
+        calls = []
+        real = engine.run_blocks
+
+        def counting(fn, tasks, workers):
+            calls.append(len(tasks))
+            return real(fn, tasks, workers)
+
+        engine.reset()
+        try:
+            engine.set_engine(True, parallel=True, workers=2)
+            monkeypatch.setattr(engine, "run_blocks", counting)
+            for M, fans_out in ((heavy, True), (light, False)):
+                expected = Matrix("FP64", 256, 256)
+                ops.mxm(expected, M, M, "PLUS_TIMES")
+                calls.clear()
+                with tiled.SpillPool(budget=1 << 30,
+                                     directory=tmp_path) as pool:
+                    M_t = tiled.TiledMatrix.from_matrix(M, 64, pool)
+                    got = tiled.mxm_tiled(M_t, M_t, "PLUS_TIMES").to_matrix()
+                assert bool(calls) is fans_out
+                _bits_equal(got.extract_tuples(), expected.extract_tuples())
+        finally:
+            monkeypatch.undo()
+            engine.reset()
 
 
 # --------------------------------------------------------------------------
