@@ -24,7 +24,9 @@ Four phases over one published RMAT snapshot:
 * **overload** — an open-loop burst far past queue capacity onto a
   throttled server; the bounded admission queue must shed with
   ``Overloaded`` (never hang or grow unboundedly) while every admitted
-  request still returns the exact answer.
+  request still returns the exact answer — and runs no slower for the
+  queue being full (``overload.exec_p50_ms`` against the fault-free
+  ``exec_p50_ms``).
 * **breaker** — a deliberately broken primary backend: queries must
   transparently fail over (correct answers throughout), the breaker
   must trip open, and after the backend heals half-open probes must
@@ -217,6 +219,8 @@ def merge_rounds(parts) -> dict:
 def run_overload(n, src, dst, expected, sources, queries, budget) -> dict:
     """Open-loop burst onto a deliberately throttled server: the bounded
     queue must shed rather than hang, and the survivors stay exact."""
+    from statistics import median
+
     from repro.serve import GraphServer, Overloaded
 
     with GraphServer(workers=2, queue_depth=32, deadline_s=None,
@@ -247,6 +251,8 @@ def run_overload(n, src, dst, expected, sources, queries, budget) -> dict:
             "shed_reasons": shed_reasons,
             "wrong": wrong,
             "submit_elapsed_s": submit_elapsed,
+            "exec_p50_ms": median(t.exec_s * 1e3 for t in tickets)
+            if tickets else 0.0,
             "max_depth_bound": 64,  # soft cap: < 2 * queue_depth
             "queue_bounded": bool(shed > 0),
         }

@@ -355,11 +355,20 @@ with ctx:
   tile, and at the top of `wait()` — all positions where every object is
   fully consistent, so a cancelled computation leaves valid operands.
 * **Retry** — `RetryPolicy(attempts, base_delay, max_delay, jitter,
-  seed, transient=...)` re-runs a failed kernel with exponential backoff
-  and seeded jitter; only exceptions listed in `transient` (default
-  `OutOfMemory`) are retried, and the context's deadline is re-checked
-  between attempts.  `governor.with_retry(fn, policy=...)` applies the
-  same policy to arbitrary callables.
+  seed, transient=...)` (`repro.graphblas.retry`, re-exported as
+  `governor.RetryPolicy`) is the library's one retry loop: capped
+  exponential backoff with seeded jitter (the RNG is built on the first
+  failure), only exceptions listed in `transient` (default
+  `OutOfMemory`) are retried.  A context's `retry=` policy re-runs a
+  failed *kernel* at dispatch — one op, not the algorithm around it.
+  `governor.with_retry(fn, policy=..., op=...)` runs any callable
+  under the loop as governed work: each retry polls the context's
+  deadline/cancellation first, counts in `ctx.stats["retries"]` and
+  emits `governor.retry`.  **One owner per failure:** the loops nest
+  (a served query runs kernels that spill tiles), so an exception that
+  exhausts one loop is marked `retries_exhausted` and every enclosing
+  loop re-raises it at once — a persistent fault costs `attempts`
+  runs, never the product of the nesting.
 * **Checkpoint/resume** — `bfs`, `bellman_ford_sssp`, `pagerank`,
   `connected_components`, `betweenness_centrality`, and `dnn_inference`
   accept `checkpoint=` (a path, a `governor.Checkpoint(path, every=k)`,
@@ -455,8 +464,10 @@ assert ctx.stats["tiled"] == 1
   temp-file + rename writer shared with checkpointing
   (`repro.io.checkpoint.atomic_write`, which takes the payload-writing
   callable), trip the
-  `io.write`/`io.read` fault points, and retry transient failures with
-  the governing context's seeded `RetryPolicy`.  A crash mid-spill
+  `io.write`/`io.read` fault points, and the pool itself retries
+  `OSError`/`OutOfMemory` on that I/O — on the governing context's
+  `RetryPolicy` schedule and seed when it has one, whatever error
+  classes that policy names for kernels.  A crash mid-spill
   leaves only a stale temp file, never a torn tile;
   `rollback_partial_spills` (invoked when a pool opens its directory and
   by the fault-injection suite) removes every artifact of an aborted
@@ -716,10 +727,10 @@ over all four storage formats, plus real writer/reader threads).
 queueing unboundedly: at capacity each tenant is held to its fair share
 (`capacity // active_tenants`), and `register_tenant` attaches a
 `TenantPolicy` (per-request `memory_budget`, `deadline_s`, retry
-`attempts`, a hard `max_queue` cap, `degrade=False` to opt out of
-degraded tiers).  Rejection raises `Overloaded` with a machine-readable
-`reason` (`queue_full` / `tenant_quota` / `tenant_limit` /
-`deadline_watermark`).  Every request executes under its own governor
+`attempts`, a hard `max_queue` cap, `degrade=False` to opt out of the
+governor's degrade/spill routes).  Rejection raises `Overloaded` with
+a machine-readable `reason` (`queue_full` / `tenant_quota` /
+`tenant_limit` / `deadline_watermark`).  Every request executes under its own governor
 `ExecutionContext` built from the tenant policy, so budgets, deadlines,
 and cancellation compose with the whole engine stack (tiling, spill,
 checkpoint).
@@ -728,17 +739,24 @@ checkpoint).
 error model: *caller errors* (`InvalidValue` for an unknown algorithm
 or graph, `DeadlineExceeded`, `Cancelled`) are terminal and re-raised
 from `ticket.result()` as-is; *execution faults* (`OutOfMemory`,
-`BudgetExceeded`, backend exceptions) are absorbed by the resilience
-ladder below and only surface — wrapped in `QueryFailed`, with the
-original exception as `__cause__` — when every rung is exhausted.
+`BudgetExceeded`, backend exceptions) are absorbed by the mechanisms
+below and only surface — wrapped in `QueryFailed`, with the original
+exception as `__cause__` — when every one is exhausted.
 
-**The resilience ladder**, outermost to innermost:
+**Resilience**, each mechanism handling an error a call returned:
 
-1. **retry with seeded backoff** — transient faults re-run on the same
-   backend under `serve.backoff.Backoff` (capped exponential, seeded
-   jitter; the same class drives the governor's kernel-level
-   `RetryPolicy`); a `BudgetExceeded` retry re-runs with the governor's
-   spill path forced on.
+1. **retry, one owner per failure** — all three retry sites run the one
+   loop (`repro.graphblas.retry.RetryPolicy`), each on the failures it
+   alone can handle: the spill pool on tile I/O
+   (`OSError`/`OutOfMemory`), backend dispatch on a kernel's transient
+   `OutOfMemory` (one op is re-run, not the query), and the serve loop
+   on what happens outside any op — a `serve.exec` fault, or a
+   `BudgetExceeded`, whose re-attempt forces the governor's spill path
+   on.  What exhausts an inner loop arrives marked and is not
+   re-attempted: a persistently failing kernel runs `attempts` times
+   per backend (it was `attempts`² — 9 — and ×3 again through a spill
+   pool).  `ticket.retries` and `serve_retries_total` count every
+   re-run, op-level ones included.
 2. **per-backend circuit breakers** — a backend whose retries exhaust
    repeatedly trips open after `breaker_threshold` consecutive
    failures and is skipped outright; after `breaker_reset_s` a single
@@ -746,20 +764,41 @@ original exception as `__cause__` — when every rung is exhausted.
    successes close it again.
 3. **failover** — the query falls through the backend chain
    (`backend="optimized"`, then `fallbacks=("reference", "scipy")`),
-   still returning the exact answer.
-4. **degradation tiers** — queue pressure walks `full` → `lite`
-   (performance engine off) → `reference` (reference backend first) at
-   the `lite_watermark` / `reference_watermark` load fractions;
-   results stay bit-identical because every tier runs the same
-   validated kernels.  Past that, admission sheds (`Overloaded`).
+   still returning the exact answer; `ticket.tier` is `"full"` when the
+   primary answered and `"fallback"` when a breaker or failover moved
+   the query down the chain.
+4. **shedding** — past the queue depth, a tenant's share, or the
+   deadline watermark, admission refuses with `Overloaded`.
+
+Queue load changes nothing about how an *admitted* query runs.  Earlier
+revisions walked a load ladder — `full` → `lite` (performance engine
+switched off process-wide, refcounted) → `reference` (dense backend
+first) at 0.60 / 0.85 queue load.  It degraded toward *slower* engines
+exactly when the queue was full, and flipped a process-global under
+every concurrent query.  Measured before removal (workers 2, queue
+depth 16, 16 tickets in flight closed-loop, RMAT-12 seed 7, 100 mixed
+queries, every answer checked, alternating runs):
+
+| three alternating rounds | wall s | queries/s | e2e p95 s | wrong |
+|---|---|---|---|---|
+| ladder on (0.60 / 0.85) | 238 / 262 / 286 | 0.42 / 0.38 / 0.35 | 39.0 / 41.6 / 42.1 | 0 |
+| ladder off (both watermarks 2.0) | 1.90 / 1.75 / 1.72 | 52.5 / 57.2 / 58.2 | 0.96 / 0.92 / 0.91 | 0 |
+| ladder removed | 1.22 / 1.18 / 1.70 | 81.7 / 85.1 / 58.7 | 0.23 / 0.23 / 0.90 | 0 |
+
+(40 of the 100 queries ran `lite` or `reference`; four further off /
+removed pairs read 1.9–2.2 s and 1.6–2.0 s — the two are the same
+within run-to-run spread.)
+
+It never raised goodput, so it was deleted with its watermarks, the
+`serve_tier` gauge, `serve_degrade_total` and `health()["tier"]`.
 
 **Operations.**  `health()` / `ready()` / `stats()` report liveness,
-tier, breaker states, and outcome counts; `drain()` finishes queued
+breaker states, and outcome counts; `drain()` finishes queued
 work and refuses new submits (`ServerClosed`); serve metrics
 (`serve_requests_total`, `serve_request_seconds`, `serve_shed_total`,
 `serve_retries_total`, `serve_breaker_transitions_total`,
-`serve_queue_depth`, `serve_inflight`, `serve_breaker_state`,
-`serve_tier`, ...) land in the `repro.obs` registry for Prometheus
+`serve_queue_depth`, `serve_inflight`, `serve_breaker_state`, ...)
+land in the `repro.obs` registry for Prometheus
 exposition.  Defaults come from `ServeConfig`, overridable per server
 (constructor) or process-wide: the `serve.*` rows of
 [Configuration](#configuration) (`capi.GxB_Serve_set` / `GxB_Serve_get`).

@@ -242,11 +242,11 @@ def dispatch(plan: OpPlan, backend=None):
       context allows it, or to the degraded backend it chose (the
       degraded backend's own fallback chain is not walked — falling back
       to the heavy engine would defeat the budget);
-    - the context's :class:`~repro.graphblas.governor.RetryPolicy`, if
-      any, wraps the kernel call so transient failures are retried with
-      seeded exponential backoff.  Tiled execution is deliberately *not*
-      wrapped: its spill I/O carries its own seeded retry, and an outer
-      retry would multiply the attempts.
+    - the context's :class:`~repro.graphblas.retry.RetryPolicy`, if
+      any, wraps the kernel call: dispatch owns a kernel's transient
+      ``OutOfMemory``, so one failed op is re-run, not the algorithm
+      around it.  Tiled execution is *not* wrapped — its spill pool owns
+      tile-I/O failures.
     """
     degraded_to = plan.params.pop("governor_degrade_to", None)
     tiled_route = plan.params.pop("governor_tiled", False) or (
@@ -312,7 +312,7 @@ def _execute(plan: OpPlan, route: str, backend_name: str, run, retry=None):
     """Run the chosen kernel, emitting a ``plan.done`` record when wanted.
 
     ``retry`` is the governing context's
-    :class:`~repro.graphblas.governor.RetryPolicy` (or None); applying
+    :class:`~repro.graphblas.retry.RetryPolicy` (or None); applying
     the wrap here lets the ``plan.done`` record carry the number of
     retries this specific plan consumed, not just the context total.
 
@@ -325,7 +325,8 @@ def _execute(plan: OpPlan, route: str, backend_name: str, run, retry=None):
     """
     if retry is not None:
         inner = run
-        run = lambda: retry.call(inner, op=plan.op)  # noqa: E731
+        run = lambda: governor.with_retry(  # noqa: E731
+            inner, retry, op=plan.op)
     if not (telemetry.ENABLED and telemetry.PLAN_EVENTS):
         return run()
     from .. import compiled as _compiled

@@ -35,9 +35,10 @@ loop state atomically via :mod:`repro.io.checkpoint`; the iterative
 algorithms accept ``checkpoint=`` / ``resume=`` and restart mid-loop,
 bit-identically for deterministic algorithms.
 
-**Retry & degradation.**  :class:`RetryPolicy` re-runs transient kernel
-failures with bounded exponential backoff (jitter from a seeded RNG, so
-schedules reproduce).  When admission would reject a plan but a lighter
+**Retry & degradation.**  A context's :class:`RetryPolicy` (the one
+retry loop, :mod:`repro.graphblas.retry`) re-runs a transient kernel
+failure at dispatch; :func:`with_retry` is how that loop runs as
+governed work.  When admission would reject a plan but a lighter
 engine can serve it, the governor *degrades* instead: it tags the plan
 and the dispatcher routes it to the context's ``degrade_backends`` chain
 (reference/scipy) rather than failing outright.
@@ -62,8 +63,8 @@ from .errors import (
     Cancelled,
     DeadlineExceeded,
     InvalidValue,
-    OutOfMemory,
 )
+from .retry import RetryPolicy
 
 __all__ = [
     "ACTIVE",
@@ -127,78 +128,26 @@ class CancellationToken:
             raise Cancelled(self.reason or "cancelled")
 
 
-class RetryPolicy:
-    """Bounded retry with exponential backoff and seeded jitter.
+def with_retry(fn, policy: RetryPolicy, *, op: str = "call"):
+    """Run ``fn()`` under ``policy`` as governed work.
 
-    Wraps *transient* failures only — by default
-    :class:`~repro.graphblas.errors.OutOfMemory`, the class raised by the
-    fault-injection harness for alloc faults.  Governor rejections
-    (budget/deadline/cancel) and API errors are never retried.
-
-    The backoff schedule is the shared :class:`repro.serve.backoff.Backoff`
-    (capped exponential with seeded jitter), so the governor, the backend
-    dispatch retry, and the serving layer replay identical schedules from
-    a recorded seed.
+    Each retry first polls the governing context (a cancelled or expired
+    context aborts instead of sleeping), counts in its
+    ``stats["retries"]`` and emits a ``governor.retry`` decision.
     """
+    ctx = current()
 
-    def __init__(self, attempts: int = 3, *, base_delay: float = 0.01,
-                 max_delay: float = 2.0, jitter: float = 0.5, seed: int = 0,
-                 transient=(OutOfMemory,)) -> None:
-        if attempts < 1:
-            raise InvalidValue(f"attempts must be >= 1, got {attempts}")
-        if not 0.0 <= jitter <= 1.0:
-            raise InvalidValue(f"jitter must be in [0, 1], got {jitter}")
-        self.attempts = int(attempts)
-        self.base_delay = float(base_delay)
-        self.max_delay = float(max_delay)
-        self.jitter = float(jitter)
-        self.seed = int(seed)
-        self.transient = tuple(transient)
-        # lazy import: serve.backoff is a numpy-only leaf, but keeping the
-        # import out of module scope avoids a package cycle at import time
-        from ..serve.backoff import Backoff
-        self._backoff = Backoff(
-            base=self.base_delay, cap=self.max_delay,
-            jitter=self.jitter, seed=self.seed,
-        )
+    def on_retry(failures, d, exc):
+        if ctx is not None:
+            ctx.check()
+            ctx.stats["retries"] += 1
+        if telemetry.ENABLED:
+            telemetry.decision(
+                "governor.retry", op=op, attempt=failures,
+                delay_s=round(d, 6), error=type(exc).__name__,
+            )
 
-    def delay(self, failures: int) -> float:
-        """Backoff before the next attempt after ``failures`` failures."""
-        return self._backoff.delay(failures)
-
-    def call(self, fn, *, op: str = "call"):
-        """Run ``fn()``, retrying transient failures per the policy."""
-        from ..serve.backoff import retry_call
-
-        def on_retry(failures, d, exc):
-            ctx = current()
-            if ctx is not None:
-                ctx.check()
-                ctx.stats["retries"] += 1
-            if telemetry.ENABLED:
-                telemetry.decision(
-                    "governor.retry", op=op, attempt=failures,
-                    delay_s=round(d, 6), error=type(exc).__name__,
-                )
-
-        return retry_call(
-            fn, attempts=self.attempts, backoff=self._backoff,
-            transient=self.transient, on_retry=on_retry,
-        )
-
-
-def with_retry(fn, *args, policy: RetryPolicy | None = None, **kwargs):
-    """Call ``fn(*args, **kwargs)`` under a retry policy.
-
-    Uses ``policy``, else the active context's policy, else a default
-    :class:`RetryPolicy`.
-    """
-    if policy is None:
-        ctx = current()
-        policy = ctx.retry if ctx is not None and ctx.retry is not None \
-            else RetryPolicy()
-    name = getattr(fn, "__name__", "call")
-    return policy.call(lambda: fn(*args, **kwargs), op=name)
+    return policy.call(fn, on_retry=on_retry)
 
 
 # --------------------------------------------------------------------------

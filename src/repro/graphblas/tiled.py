@@ -24,10 +24,10 @@ output index, and so does the tiled expansion.
 
 **Fault hardening.**  Spill writes go through the atomic temp-file +
 rename writer shared with :mod:`repro.io.checkpoint`, tripping the
-``io.write`` / ``io.read`` fault points; transient failures are retried
-with the governing context's seeded
-:class:`~repro.graphblas.governor.RetryPolicy` (or a default policy that
-also treats ``OSError`` as transient).  A crash mid-spill leaves only a
+``io.write`` / ``io.read`` fault points; the pool retries ``OSError``
+and ``OutOfMemory`` on that I/O itself, on the governing context's
+:class:`~repro.graphblas.retry.RetryPolicy` schedule and seed when it
+has one (a default schedule otherwise).  A crash mid-spill leaves only a
 ``*.tmp.*`` file, rolled back by :func:`rollback_partial_spills`;
 :meth:`SpillPool.close` removes every tile file, so a failed operation
 leaves operands bit-identical and no orphaned tiles on disk.
@@ -217,10 +217,11 @@ class SpillPool:
         # renames completed tiles); remove them before reusing the space.
         self.rolled_back = rollback_partial_spills(base)
         self.dir = tempfile.mkdtemp(prefix="gbspill-", dir=base)
-        self._retry = retry if retry is not None else governor.RetryPolicy(
-            attempts=3, base_delay=0.005, jitter=0.5, seed=0,
-            transient=(OSError, OutOfMemory),
-        )
+        # tile I/O failures are the pool's to retry, whatever classes the
+        # caller's policy names: only its schedule and seed are taken
+        if retry is None:
+            retry = governor.RetryPolicy(attempts=3, base_delay=0.005)
+        self._retry = retry.retrying(OSError, OutOfMemory)
         self._lock = threading.RLock()
         self._resident: OrderedDict[str, SparseStore] = OrderedDict()
         self._nbytes: dict[str, int] = {}
@@ -316,9 +317,9 @@ class SpillPool:
         from ..io.checkpoint import atomic_write
 
         path = self._path(key)
-        nbytes = self._retry.call(
+        nbytes = governor.with_retry(
             lambda: atomic_write(path, lambda f: _write_tile(f, store)),
-            op="tile.spill",
+            self._retry, op="tile.spill",
         )
         self._on_disk.add(key)
         self.stats["spills"] += 1
@@ -335,7 +336,7 @@ class SpillPool:
                 faults.trip("io.read")
             return _read_tile(path)
 
-        store = self._retry.call(_read, op="tile.reload")
+        store = governor.with_retry(_read, self._retry, op="tile.reload")
         self.stats["reloads"] += 1
         self.stats["reloaded_bytes"] += int(store.nbytes)
         if telemetry.ENABLED:

@@ -4,7 +4,7 @@ The subsystem turns the library into a long-lived service: writers
 ingest edges through :class:`~repro.stream.GraphStream`, publication
 swaps in immutable copy-on-write snapshots, and many tenants run
 concurrent algorithm queries over a governed worker pool with admission
-control, retries, circuit breakers, and graceful degradation.  See
+control, retries, circuit breakers, and backend failover.  See
 :mod:`repro.serve.server` for the full design and ``docs/API.md``
 ("Serving") for the user-facing guide.
 
@@ -19,7 +19,6 @@ Quick start::
         ranks = srv.query("pagerank", graph="web", tenant="alice")
 """
 
-from .backoff import Backoff, retry_call
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .admission import AdmissionQueue
 from .config import (
@@ -31,7 +30,6 @@ from .config import (
 from .errors import Overloaded, QueryFailed, ServeError, ServerClosed
 from .server import (
     ALGORITHMS,
-    TIERS,
     GraphServer,
     QueryTicket,
     TenantPolicy,
@@ -45,15 +43,12 @@ __all__ = [
     "QueryTicket",
     "ALGORITHMS",
     "register_algorithm",
-    "TIERS",
     # config
     "ServeConfig",
     "serve_config",
     "set_serve_config",
     "reset_serve_config",
     # building blocks
-    "Backoff",
-    "retry_call",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",

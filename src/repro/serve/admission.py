@@ -132,10 +132,6 @@ class AdmissionQueue:
             q = self._queues.get(tenant)
             return len(q) if q is not None else 0
 
-    def load(self) -> float:
-        """Queue depth as a fraction of (soft) capacity."""
-        return self._depth / self.capacity
-
     def tenants(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(self._queues)

@@ -41,16 +41,12 @@ class ServeConfig:
     breaker_reset_s: float = _DEFAULTS["breaker_reset_s"]
     #: consecutive half-open probe successes that close a breaker.
     breaker_probes: int = _DEFAULTS["breaker_probes"]
-    #: primary kernel backend and the degradation chain behind it.
+    #: primary kernel backend and the failover chain behind it.
     backend: str = _DEFAULTS["backend"]
     fallbacks: tuple = ("reference", "scipy")
-    #: queue-load fractions at which the degradation ladder advances:
-    #: >= lite -> engine off; >= reference -> reference backend.
-    lite_watermark: float = 0.60
-    reference_watermark: float = 0.85
     #: base seed for per-request retry backoff schedules.
     seed: int = 0
-    #: serve-level retry attempts / backoff for retryable failures.
+    #: attempts per retry owner (serve loop, dispatch, spill pool), backoff.
     attempts: int = 3
     base_delay_s: float = 0.002
     max_delay_s: float = 0.25

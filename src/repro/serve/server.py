@@ -21,18 +21,21 @@ a worker thread pool.  The robustness spine:
   :class:`~repro.graphblas.governor.ExecutionContext` carrying the
   tenant's memory budget, the request deadline (queue wait included),
   and a cancellation token.
-* **Retries** — retryable failures (fault-injected ``OutOfMemory``,
-  transient ``BudgetExceeded``) re-run with the shared seeded
-  exponential backoff (:mod:`repro.serve.backoff`); a ``BudgetExceeded``
-  retry forces the governor's tiled spill path on, so the query runs
-  bounded-memory instead of failing.
-* **Circuit breakers** — repeated kernel failures/divergences on a
-  backend trip its :class:`~repro.serve.breaker.CircuitBreaker`; queries
-  transparently fail over to the reference/scipy chain, and half-open
-  probes restore the optimized backend once it recovers.
-* **Graceful degradation** — queue load selects an execution tier:
-  ``full`` -> ``lite`` (performance engine off) -> ``reference``
-  (spec-literal backend) -> shed at admission.
+* **Retries, one owner per failure** — the serve loop re-attempts only
+  what no inner layer can: a fault outside any op (``serve.exec``) and a
+  ``BudgetExceeded``, whose re-attempt forces the governor's tiled spill
+  path on.  A kernel's transient ``OutOfMemory`` is re-run at dispatch
+  (one op, not the query) and tile I/O by the spill pool; what exhausts
+  an inner loop arrives marked and goes straight to failover
+  (:mod:`repro.graphblas.retry`).
+* **Circuit breakers and failover** — repeated kernel failures or
+  divergences on a backend trip its
+  :class:`~repro.serve.breaker.CircuitBreaker`; queries fail over down
+  ``config.fallbacks`` (``ticket.tier == "fallback"``), and half-open
+  probes restore the primary once it recovers.
+
+Queue load never changes how an admitted query runs (primary backend,
+the process's engine configuration); overload is shed at admission.
 
 Health/readiness probes, cooperative drain/shutdown, and serve-level
 metrics (``serve_requests_total{tenant,algo,outcome}``, queue-depth and
@@ -45,11 +48,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 from .. import obs
-from ..graphblas import backends, engine, faults, governor, telemetry
+from ..graphblas import backends, faults, governor, telemetry
 from ..graphblas.errors import (
     ApiError,
     BudgetExceeded,
@@ -59,6 +61,7 @@ from ..graphblas.errors import (
     InvalidValue,
     OutOfMemory,
 )
+from ..graphblas.retry import RetryPolicy
 from ..lagraph import (
     Graph,
     GraphKind,
@@ -70,7 +73,6 @@ from ..lagraph import (
 )
 from ..stream import GraphStream
 from .admission import AdmissionQueue
-from .backoff import Backoff, retry_call
 from .breaker import CircuitBreaker, STATE_CODES
 from .config import ServeConfig, serve_config
 from .errors import Overloaded, QueryFailed, ServerClosed
@@ -81,12 +83,7 @@ __all__ = [
     "QueryTicket",
     "ALGORITHMS",
     "register_algorithm",
-    "TIERS",
 ]
-
-#: Degradation ladder, mildest first; ``shed`` happens at admission.
-TIERS = ("full", "lite", "reference", "shed")
-_TIER_CODES = {t: i for i, t in enumerate(TIERS)}
 
 #: Fault-injection point fired once per query attempt (chaos harness).
 _SERVE_POINT = "serve.exec"
@@ -169,11 +166,11 @@ class QueryTicket:
         "seq", "tenant", "algo", "params", "snapshot", "policy",
         "deadline_at", "token", "tier", "backend", "retries", "failovers",
         "outcome", "error", "value", "t_submit", "t_start", "t_done",
-        "kernel_seed", "serve_seed", "_event",
+        "_event",
     )
 
     def __init__(self, seq, tenant, algo, params, snapshot, policy,
-                 deadline_at, kernel_seed, serve_seed):
+                 deadline_at):
         self.seq = seq
         self.tenant = tenant
         self.algo = algo
@@ -192,8 +189,6 @@ class QueryTicket:
         self.t_submit = time.monotonic()
         self.t_start = None
         self.t_done = None
-        self.kernel_seed = kernel_seed
-        self.serve_seed = serve_seed
         self._event = threading.Event()
 
     # -- client side -------------------------------------------------------
@@ -249,41 +244,6 @@ class QueryTicket:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = self.outcome or ("queued" if self.t_start is None else "running")
         return f"<QueryTicket #{self.seq} {self.algo} {self.tenant!r} {state}>"
-
-
-# --------------------------------------------------------------------------
-# engine-off degradation (process-wide, refcounted)
-# --------------------------------------------------------------------------
-
-_engine_lock = threading.Lock()
-_engine_off_depth = 0
-_engine_was_on = False
-
-
-@contextmanager
-def _engine_off():
-    """Run the enclosed query with the performance engine disabled.
-
-    The engine switch is process-global, so concurrent tiers refcount it:
-    the first degraded query turns the engine off, the last one back on.
-    Results are bit-identical either way (PR 5's guarantee); the tier
-    sheds the engine's transient working sets (parallel block buffers,
-    twin materialization) under load.
-    """
-    global _engine_off_depth, _engine_was_on
-    with _engine_lock:
-        if _engine_off_depth == 0:
-            _engine_was_on = engine.get_config().enabled
-            if _engine_was_on:
-                engine.set_engine(False)
-        _engine_off_depth += 1
-    try:
-        yield
-    finally:
-        with _engine_lock:
-            _engine_off_depth -= 1
-            if _engine_off_depth == 0 and _engine_was_on:
-                engine.set_engine(True)
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +313,6 @@ class GraphServer:
         self._ema_exec_s = 0.005  # seeds the deadline-watermark estimate
         self._counts: dict[str, int] = {}
         self._counts_lock = threading.Lock()
-        self._tier = "full"
         self._workers: list[threading.Thread] = []
         self._declare_metrics()
         if start:
@@ -568,11 +527,8 @@ class GraphServer:
             else self.config.deadline_s
         now = time.monotonic()
         deadline_at = None if not deadline_s else now + float(deadline_s)
-        seq = next(self._seq)
-        base = (self.config.seed * 0x9E3779B9 + seq * 0x85EBCA6B) & 0xFFFFFFFF
-        req = QueryTicket(seq, tenant, algo, params, snap, policy,
-                          deadline_at, kernel_seed=base,
-                          serve_seed=base ^ 0x5BF03635)
+        req = QueryTicket(next(self._seq), tenant, algo, params, snap,
+                          policy, deadline_at)
         # deadline watermark: shed work that cannot survive the queue wait
         depth = self._queue.depth
         if deadline_at is not None and depth >= self.config.workers:
@@ -614,36 +570,6 @@ class GraphServer:
                                reason=exc.reason, depth=self._queue.depth)
         raise exc
 
-    # -- degradation ladder ------------------------------------------------
-
-    def current_tier(self) -> str:
-        """The load tier new requests execute under (queue-depth driven)."""
-        load = self._queue.load()
-        if load >= self.config.reference_watermark:
-            tier = "reference"
-        elif load >= self.config.lite_watermark:
-            tier = "lite"
-        else:
-            tier = "full"
-        if tier != self._tier:
-            self._tier = tier
-            obs.counter_inc("serve_degrade_total", tier=tier)
-            obs.gauge_set("serve_tier", float(_TIER_CODES[tier]),
-                          server=self.name)
-            if telemetry.ENABLED:
-                telemetry.decision("serve.degrade", server=self.name,
-                                   tier=tier, load=round(load, 3))
-        return tier
-
-    def _chain(self, tier: str) -> list[str]:
-        if tier == "reference" and "reference" in self._breakers:
-            primary = "reference"
-        else:
-            primary = self.config.backend
-        chain = [primary]
-        chain += [b for b in self._breakers if b != primary]
-        return chain
-
     # -- execution ---------------------------------------------------------
 
     def _worker_loop(self) -> None:
@@ -676,20 +602,15 @@ class GraphServer:
                     "deadline passed while queued"
                 ))
                 return
-            tier = self.current_tier()
-            req.tier = tier
             last_exc: BaseException | None = None
-            for be_name in self._chain(tier):
-                breaker = self._breakers[be_name]
+            # primary first, then config.fallbacks in order
+            for be_name, breaker in self._breakers.items():
                 if not breaker.allow():
                     continue
-                degraded = be_name != self.config.backend or tier != "full"
-                if degraded and telemetry.ENABLED:
-                    telemetry.decision("serve.degrade", server=self.name,
-                                       tenant=req.tenant, algo=req.algo,
-                                       tier=tier, backend=be_name)
+                req.tier = ("full" if be_name == self.config.backend
+                            else "fallback")
                 try:
-                    value = self._run_on_backend(req, be_name, tier)
+                    value = self._run_on_backend(req, be_name)
                 except (DeadlineExceeded, Cancelled) as exc:
                     breaker.release_probe()
                     outcome = ("deadline" if isinstance(exc, DeadlineExceeded)
@@ -720,19 +641,20 @@ class GraphServer:
         except BaseException as exc:  # the worker itself must survive
             self._finish(req, "failed", exc)
 
-    def _run_on_backend(self, req: QueryTicket, be_name: str, tier: str):
-        """One backend's serve-level retry loop around a governed attempt."""
-        policy = req.policy
-        attempts = policy.attempts if policy.attempts is not None \
+    def _run_on_backend(self, req: QueryTicket, be_name: str):
+        """One backend's serve-level retry loop around governed attempts
+        (what it owns, and what arrives marked: see the module doc)."""
+        attempts = req.policy.attempts if req.policy.attempts is not None \
             else self.config.attempts
-        backoff = Backoff(
-            base=self.config.base_delay_s, cap=self.config.max_delay_s,
-            jitter=1.0, seed=req.serve_seed,
+        # one seeded schedule per request; each owner names its own classes
+        retry = RetryPolicy(
+            attempts, base_delay=self.config.base_delay_s,
+            max_delay=self.config.max_delay_s, jitter=1.0,
+            seed=(self.config.seed * 0x9E3779B9 + req.seq * 0x85EBCA6B)
+            & 0xFFFFFFFF,
+            transient=(OutOfMemory, BudgetExceeded),
         )
         state = {"spill": None}
-
-        def attempt():
-            return self._attempt(req, be_name, tier, state["spill"])
 
         def on_retry(failures, delay, exc):
             # a BudgetExceeded that escaped the governor means spilling
@@ -741,7 +663,6 @@ class GraphServer:
                 state["spill"] = True
             req.token.raise_if_cancelled()
             req.retries += 1
-            obs.counter_inc("serve_retries_total", algo=req.algo)
             if telemetry.ENABLED:
                 telemetry.decision(
                     "serve.retry", server=self.name, algo=req.algo,
@@ -750,12 +671,13 @@ class GraphServer:
                     spill=bool(state["spill"]),
                 )
 
-        return retry_call(
-            attempt, attempts=attempts, backoff=backoff,
-            transient=(OutOfMemory, BudgetExceeded), on_retry=on_retry,
+        return retry.call(
+            lambda: self._attempt(
+                req, be_name, retry.retrying(OutOfMemory), state["spill"]),
+            on_retry=on_retry,
         )
 
-    def _attempt(self, req: QueryTicket, be_name: str, tier: str, spill):
+    def _attempt(self, req: QueryTicket, be_name: str, kernel_retry, spill):
         remaining = None
         if req.deadline_at is not None:
             remaining = req.deadline_at - time.monotonic()
@@ -766,20 +688,18 @@ class GraphServer:
         policy = req.policy
         budget = policy.memory_budget if policy.memory_budget is not None \
             else self.config.memory_budget
-        kernel_retry = governor.RetryPolicy(
-            attempts=3, base_delay=self.config.base_delay_s,
-            max_delay=self.config.max_delay_s, jitter=1.0,
-            seed=req.kernel_seed,
-        )
-        engine_cm = _engine_off() if tier in ("lite", "reference") \
-            else nullcontext()
-        with engine_cm, backends.backend(be_name), governor.ExecutionContext(
+        ctx = governor.ExecutionContext(
             memory_budget=budget, deadline=remaining, cancel=req.token,
             retry=kernel_retry, degrade=policy.degrade, spill=spill,
-        ):
-            if faults.ENABLED:
-                faults.trip(_SERVE_POINT)
-            return ALGORITHMS[req.algo](req.snapshot, **req.params)
+        )
+        try:
+            with backends.backend(be_name), ctx:
+                if faults.ENABLED:
+                    faults.trip(_SERVE_POINT)
+                return ALGORITHMS[req.algo](req.snapshot, **req.params)
+        finally:
+            # op re-runs inside the attempt are this query's retries too
+            req.retries += ctx.stats["retries"]
 
     # -- completion --------------------------------------------------------
 
@@ -803,6 +723,8 @@ class GraphServer:
             obs.observe("serve_request_seconds", exec_s, algo=req.algo)
         if req.queue_wait_s is not None:
             obs.observe("serve_queue_wait_seconds", req.queue_wait_s)
+        if req.retries:
+            obs.counter_inc("serve_retries_total", req.retries, algo=req.algo)
         if telemetry.ENABLED:
             telemetry.decision(
                 "serve.request", server=self.name, tenant=req.tenant,
@@ -831,9 +753,8 @@ class GraphServer:
         reg.declare("serve_shed_total", "counter",
                     "Requests shed at admission, by tenant and reason")
         reg.declare("serve_retries_total", "counter",
-                    "Serve-level retries, by algorithm")
-        reg.declare("serve_degrade_total", "counter",
-                    "Degradation-tier transitions, by tier entered")
+                    "Re-runs of a query attempt or of one op inside it, "
+                    "by algorithm")
         reg.declare("serve_breaker_transitions_total", "counter",
                     "Circuit-breaker state transitions, by backend")
         reg.declare("serve_publish_total", "counter",
@@ -842,8 +763,6 @@ class GraphServer:
                     "Admitted requests waiting for a worker")
         reg.declare("serve_inflight", "gauge",
                     "Requests currently executing")
-        reg.declare("serve_tier", "gauge",
-                    "Degradation tier (0 full, 1 lite, 2 reference)")
         reg.declare("serve_breaker_state", "gauge",
                     "Breaker state (0 closed, 1 half-open, 2 open)")
         reg.declare("serve_published_epoch", "gauge",
@@ -864,7 +783,6 @@ class GraphServer:
                                server=self.name, backend=be)
             obs.gauge_set("serve_breaker_state", 0.0,
                           server=self.name, backend=be)
-        obs.gauge_set("serve_tier", 0.0, server=self.name)
 
     def _release_metrics(self) -> None:
         obs.unregister_gauge("serve_queue_depth", server=self.name)
@@ -886,9 +804,7 @@ class GraphServer:
     def health(self) -> dict:
         """Liveness/health probe: one structured dict for the supervisor."""
         breakers = {be: br.snapshot() for be, br in self._breakers.items()}
-        degraded = self._tier != "full" or any(
-            b["state"] != "closed" for b in breakers.values()
-        )
+        degraded = any(b["state"] != "closed" for b in breakers.values())
         status = self._state
         if status == "running" and degraded:
             status = "degraded"
@@ -898,7 +814,6 @@ class GraphServer:
             "server": self.name,
             "status": status,
             "ready": self.ready(),
-            "tier": self._tier,
             "workers": sum(t.is_alive() for t in self._workers),
             "queue_depth": self._queue.depth,
             "inflight": len(self._inflight),

@@ -73,6 +73,30 @@ class TestTransientFaults:
         assert C.isequal(expected)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("point", ["io.write", "io.read"])
+    def test_context_policy_does_not_cost_the_pool_its_oserror_retry(
+            self, point, AB, tmp_path):
+        # the context's policy names the *kernel's* transient classes
+        # (OutOfMemory); tile I/O failures stay the pool's to retry
+        A, B = AB
+        expected = Matrix("FP64", 40, 40)
+        ops.mxm(expected, A, B, "PLUS_TIMES")
+        C = Matrix("FP64", 40, 40)
+        snaps = [deep_state(o) for o in (A, B)]
+        with governor.ExecutionContext(
+            memory_budget=1, retry=_policy(),
+            spill_dir=tmp_path, spill_budget=0,
+        ) as ctx:
+            with faults.inject(point, OSError, nth=1):
+                ops.mxm(C, A, B, "PLUS_TIMES")
+        assert ctx.stats["retries"] == 1
+        assert C.isequal(expected)
+        ev, cv = expected.extract_tuples()[2], C.extract_tuples()[2]
+        assert ev.tobytes() == cv.tobytes()
+        for obj, snap in zip((A, B), snaps):
+            assert_same_state(obj, snap)
+        assert not any(tmp_path.iterdir())
+
     def test_default_pool_policy_retries_oserror(self, tmp_path):
         # without a context retry policy the pool's own seeded default
         # applies, and OSError (real disk trouble) counts as transient

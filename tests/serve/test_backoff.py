@@ -1,150 +1,12 @@
-"""The shared backoff schedule and its adoption by the governor."""
+"""The retry unit tests live with the code in ``tests/graphblas/test_retry.py``.
 
-import pytest
+They are re-collected here, under the names the test floor still lists,
+because a PR may rename only a few floor tests; delete this file once
+the floor is re-recorded.
+"""
 
-from repro.graphblas import governor
-from repro.graphblas.errors import InvalidValue, OutOfMemory
-from repro.serve.backoff import Backoff, retry_call
-
-
-class TestBackoff:
-    def test_raw_is_capped_exponential(self):
-        b = Backoff(base=0.01, cap=0.05, factor=2.0, jitter=0.0)
-        assert b.raw(1) == pytest.approx(0.01)
-        assert b.raw(2) == pytest.approx(0.02)
-        assert b.raw(3) == pytest.approx(0.04)
-        assert b.raw(4) == pytest.approx(0.05)  # capped
-        assert b.raw(10) == pytest.approx(0.05)
-
-    def test_zero_jitter_is_deterministic_ladder(self):
-        b = Backoff(base=0.01, cap=1.0, jitter=0.0)
-        assert b.delays(3) == [b.raw(1), b.raw(2), b.raw(3)]
-
-    def test_jitter_bounds(self):
-        b = Backoff(base=0.01, cap=1.0, jitter=1.0, seed=3)
-        for k in range(1, 8):
-            d = b.delay(k)
-            assert 0.0 <= d <= b.raw(k)
-        half = Backoff(base=0.01, cap=1.0, jitter=0.5, seed=3)
-        for k in range(1, 8):
-            d = half.delay(k)
-            assert half.raw(k) * 0.5 <= d <= half.raw(k)
-
-    def test_seeded_replay(self):
-        a = Backoff(base=0.01, cap=1.0, jitter=1.0, seed=42)
-        b = Backoff(base=0.01, cap=1.0, jitter=1.0, seed=42)
-        assert a.delays(6) == b.delays(6)
-        c = Backoff(base=0.01, cap=1.0, jitter=1.0, seed=43)
-        assert a.delays(6) != c.delays(6)
-
-    def test_reset_rewinds_the_stream(self):
-        b = Backoff(base=0.01, cap=1.0, jitter=1.0, seed=9)
-        first = b.delays(4)
-        b.reset()
-        assert b.delays(4) == first
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Backoff(base=-1)
-        with pytest.raises(ValueError):
-            Backoff(jitter=1.5)
-        with pytest.raises(ValueError):
-            Backoff(factor=0.5)
-        with pytest.raises(ValueError):
-            Backoff().raw(0)
-
-
-class TestRetryCall:
-    def test_success_needs_no_backoff(self):
-        calls = []
-        out = retry_call(lambda: calls.append(1) or "ok", attempts=3,
-                         backoff=Backoff(jitter=0.0), transient=ValueError,
-                         sleep=lambda d: None)
-        assert out == "ok" and len(calls) == 1
-
-    def test_transient_retried_then_succeeds(self):
-        state = {"n": 0}
-        slept = []
-
-        def flaky():
-            state["n"] += 1
-            if state["n"] < 3:
-                raise ValueError("transient")
-            return state["n"]
-
-        out = retry_call(flaky, attempts=5,
-                         backoff=Backoff(base=0.01, jitter=0.0),
-                         transient=ValueError, sleep=slept.append)
-        assert out == 3
-        assert slept == [pytest.approx(0.01), pytest.approx(0.02)]
-
-    def test_attempts_exhausted_raises_last(self):
-        def always():
-            raise ValueError("still broken")
-
-        with pytest.raises(ValueError, match="still broken"):
-            retry_call(always, attempts=3, backoff=Backoff(jitter=0.0),
-                       transient=ValueError, sleep=lambda d: None)
-
-    def test_non_transient_propagates_immediately(self):
-        calls = []
-
-        def wrong():
-            calls.append(1)
-            raise KeyError("not transient")
-
-        with pytest.raises(KeyError):
-            retry_call(wrong, attempts=5, backoff=Backoff(jitter=0.0),
-                       transient=ValueError, sleep=lambda d: None)
-        assert len(calls) == 1
-
-    def test_on_retry_runs_before_sleep_and_can_abort(self):
-        order = []
-
-        def failing():
-            raise ValueError("x")
-
-        def on_retry(failures, delay, exc):
-            order.append(("retry", failures))
-            if failures == 2:
-                raise RuntimeError("cancelled mid-backoff")
-
-        with pytest.raises(RuntimeError):
-            retry_call(failing, attempts=5,
-                       backoff=Backoff(base=0.01, jitter=0.0),
-                       transient=ValueError,
-                       on_retry=on_retry,
-                       sleep=lambda d: order.append(("sleep", d)))
-        # the abort in on_retry fired before its sleep
-        assert order == [("retry", 1), ("sleep", 0.01), ("retry", 2)]
-
-
-class TestGovernorAdoption:
-    """RetryPolicy now delegates to the shared Backoff schedule."""
-
-    def test_delay_matches_shared_backoff(self):
-        policy = governor.RetryPolicy(
-            3, base_delay=0.01, max_delay=0.3, jitter=0.7, seed=11
-        )
-        mirror = Backoff(base=0.01, cap=0.3, jitter=0.7, seed=11)
-        assert [policy.delay(k) for k in (1, 2, 3)] == mirror.delays(3)
-
-    def test_policy_retries_transient_and_counts(self):
-        policy = governor.RetryPolicy(
-            3, base_delay=0.0, max_delay=0.0, seed=0
-        )
-        state = {"n": 0}
-
-        def flaky():
-            state["n"] += 1
-            if state["n"] < 2:
-                raise OutOfMemory("injected")
-            return "served"
-
-        with governor.ExecutionContext() as ctx:
-            assert policy.call(flaky, op="test") == "served"
-        assert ctx.stats["retries"] == 1
-
-    def test_policy_rejects_bad_jitter(self):
-        with pytest.raises(InvalidValue):
-            governor.RetryPolicy(3, jitter=2.0)
+from tests.graphblas.test_retry import (  # noqa: F401
+    TestBackoff,
+    TestGovernorAdoption,
+    TestRetryCall,
+)

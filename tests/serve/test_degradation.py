@@ -1,5 +1,6 @@
 """Failure handling under load: breaker trips and transparent fallback,
-half-open recovery, the degradation ladder, and serve-level retries."""
+half-open recovery, load that degrades nothing, and one retry owner per
+failure."""
 
 import threading
 import time
@@ -10,8 +11,12 @@ from repro import obs
 from repro.graphblas import backends, engine, faults, governor
 from repro.graphblas.errors import BudgetExceeded, OutOfMemory
 from repro.lagraph import bfs
-from repro.serve import ALGORITHMS, GraphServer, register_algorithm
-from repro.serve.server import _engine_off
+from repro.serve import (
+    ALGORITHMS,
+    GraphServer,
+    QueryFailed,
+    register_algorithm,
+)
 
 
 def counter_total(name: str, **labels) -> float:
@@ -115,69 +120,52 @@ class TestBreakerFallback:
                              backend="flaky") > before
 
 
-class TestDegradationLadder:
-    @pytest.fixture
-    def gated(self, edges):
+class TestLoadChangesNothing:
+    """Queue load is handled by shedding alone: an admitted query runs on
+    the primary backend with the process's engine configuration."""
+
+    def test_full_queue_flips_no_process_global(self, edges):
         n, src, dst = edges
         gate = threading.Event()
+        seen = {}
+
+        def probe(g):
+            seen["engine"] = engine.get_config()
+            seen["backend"] = backends.current_backend_name()
+            seen["load"] = srv._queue.depth / srv.config.queue_depth
+            return bfs(0, g)[0]
+
         register_algorithm("gate", lambda g: gate.wait(10))
+        register_algorithm("probe", probe)
         srv = GraphServer(workers=1, deadline_s=None, queue_depth=10)
-        srv.add_graph("g", n=n)
-        srv.ingest("g", src, dst)
-        srv.publish("g")
-        yield srv, gate
-        gate.set()
-        srv.close()
-        ALGORITHMS.pop("gate", None)
-
-    def test_queue_load_walks_the_tiers(self, gated):
-        srv, gate = gated
-        assert srv.current_tier() == "full"
-        blocker = srv.submit("gate", graph="g")
-        # wait until the worker picked the blocker up (it leaves the queue)
-        for _ in range(100):
-            if srv._queue.depth == 0 and blocker.t_start is not None:
-                break
-            time.sleep(0.01)
-        before = counter_total("serve_degrade_total")
-        queued = [srv.submit("gate", graph="g") for _ in range(6)]
-        assert srv.current_tier() == "lite"       # 6/10 >= 0.60
-        queued += [srv.submit("gate", graph="g") for _ in range(3)]
-        assert srv.current_tier() == "reference"  # 9/10 >= 0.85
-        assert counter_total("serve_degrade_total") >= before + 2
-        gate.set()
-        for t in [blocker, *queued]:
-            t.result(30)
-        assert srv.current_tier() == "full"
-
-    def test_degraded_tiers_still_answer_correctly(self, gated):
-        srv, gate = gated
-        blocker = srv.submit("gate", graph="g")
-        for _ in range(100):  # let the worker pick the blocker up
-            if blocker.t_start is not None:
-                break
-            time.sleep(0.01)
-        # FIFO within a tenant: the probe runs right after the blocker,
-        # while the six gated requests still stuff the queue (load 0.6)
-        probe = srv.submit("bfs", graph="g", source=0)
-        queued = [srv.submit("gate", graph="g") for _ in range(6)]
-        gate.set()
-        expected = bfs(0, srv.snapshot("g"))[0]
-        assert probe.result(30).isequal(expected)
-        assert probe.tier in ("lite", "reference")
-        for t in [blocker, *queued]:
-            t.result(30)
-
-
-class TestEngineOffTier:
-    def test_refcounted_toggle_restores_engine(self):
-        assert engine.get_config().enabled
-        with _engine_off():
-            assert not engine.get_config().enabled
-            with _engine_off():  # nested: refcounted, stays off
-                assert not engine.get_config().enabled
-            assert not engine.get_config().enabled
-        assert engine.get_config().enabled
+        try:
+            srv.add_graph("g", n=n)
+            srv.ingest("g", src, dst)
+            srv.publish("g")
+            before = engine.get_config()
+            blocker = srv.submit("gate", graph="g")
+            for _ in range(100):  # let the worker pick the blocker up
+                if blocker.t_start is not None:
+                    break
+                time.sleep(0.01)
+            # FIFO within a tenant: the probe runs right after the blocker,
+            # while nine gated requests still stuff the queue (load 0.9)
+            ticket = srv.submit("probe", graph="g")
+            queued = [srv.submit("gate", graph="g") for _ in range(9)]
+            gate.set()
+            assert ticket.result(30).isequal(bfs(0, srv.snapshot("g"))[0])
+            assert seen["load"] >= 0.85
+            assert seen["engine"] == before == engine.get_config()
+            assert seen["backend"] == srv.config.backend
+            assert ticket.tier == "full"
+            assert ticket.backend == srv.config.backend
+            for t in [blocker, *queued]:
+                t.result(30)
+        finally:
+            gate.set()
+            srv.close()
+            ALGORITHMS.pop("gate", None)
+            ALGORITHMS.pop("probe", None)
 
 
 class TestServeRetries:
@@ -223,3 +211,67 @@ class TestServeRetries:
             assert seen["spill"] == [None, True]
         finally:
             ALGORITHMS.pop("budgety", None)
+
+    @pytest.fixture
+    def served(self, edges):
+        n, src, dst = edges
+        servers = []
+
+        def make(**config):
+            srv = GraphServer(workers=1, deadline_s=None, base_delay_s=0.0,
+                              max_delay_s=0.0, **config)
+            srv.add_graph("g", n=n)
+            srv.ingest("g", src, dst)
+            srv.publish("g")
+            servers.append(srv)
+            return srv
+
+        yield make
+        for srv in servers:
+            srv.close()
+
+    def test_persistent_kernel_fault_costs_attempts_not_the_product(
+            self, served):
+        srv = served(fallbacks=())
+        attempts = srv.config.attempts
+        before = counter_total("serve_retries_total")
+        with faults.inject("mxv.push", OutOfMemory, probability=1.0,
+                           max_fires=None):
+            t = srv.submit("bfs", graph="g", source=0)
+            with pytest.raises(QueryFailed):
+                t.result(30)
+            # dispatch owned the failure and exhausted on it; the serve
+            # loop did not run the query (and the kernel) again
+            assert faults.call_count("mxv.push") == attempts
+        assert t.outcome == "failed" and t.failovers == 1
+        assert t.retries == attempts - 1  # every re-run is on the ticket
+        assert counter_total("serve_retries_total") == before + attempts - 1
+
+    def test_persistent_kernel_fault_fails_over_to_the_chain(self, served):
+        srv = served()
+        expected = bfs(0, srv.snapshot("g"))[0]
+        with faults.inject("mxv.push", OutOfMemory, probability=1.0,
+                           max_fires=None):
+            t = srv.submit("bfs", graph="g", source=0)
+            assert t.result(30).isequal(expected)
+        assert t.backend == "reference" and t.tier == "fallback"
+        assert t.failovers == 1
+
+    def test_transient_kernel_fault_reruns_one_op_not_the_query(self, served):
+        entered = []
+
+        def counted(g):
+            entered.append(1)
+            return bfs(0, g)[0]
+
+        register_algorithm("counted", counted)
+        try:
+            srv = served()
+            expected = bfs(0, srv.snapshot("g"))[0]
+            with faults.inject("mxv.push", OutOfMemory, nth=1):
+                t = srv.submit("counted", graph="g")
+                assert t.result(30).isequal(expected)
+            assert t.retries == 1 and len(entered) == 1
+            assert t.tier == "full" and t.failovers == 0
+        finally:
+            ALGORITHMS.pop("counted", None)

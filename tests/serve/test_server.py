@@ -199,7 +199,6 @@ class TestLifecycle:
         h = server.health()
         assert h["status"] == "running"
         assert h["ready"] is True
-        assert h["tier"] == "full"
         assert h["workers"] == 2
         assert h["requests"].get("ok", 0) >= 1
         assert h["graphs"]["g"]["published_epoch"] is not None
