@@ -1,4 +1,9 @@
-"""PR10 — the compiled kernel tier vs the vectorized optimized engine.
+"""The compiled kernel tier vs the vectorized NumPy kernels.
+
+The default ``optimized`` backend runs the compiled kernels whenever a
+toolchain resolves, so the baseline side of every comparison here is the
+same backend with the tier switched off (``compiled.set_config(
+toolchain="off")``), not ``backend="optimized"``.
 
 Claims measured (the BENCH_PR10.json acceptance gates):
 
@@ -14,8 +19,8 @@ Claims measured (the BENCH_PR10.json acceptance gates):
   build; the LRU makes every later call warm.
 * **Correctness riders**: the differential engine with
   ``primary="compiled"`` reports zero divergences, and disabling the
-  tier (``GRAPHBLAS_COMPILED_TOOLCHAIN=off``) reproduces the optimized
-  engine's results bit for bit.
+  tier (``GRAPHBLAS_COMPILED_TOOLCHAIN=off``) makes ``backend="compiled"``
+  reproduce the NumPy kernels' results bit for bit.
 
 Runs two ways: under pytest (small scale, asserts structure not speed)
 and as a script — ``python benchmarks/bench_compiled_kernels.py
@@ -72,43 +77,45 @@ def _mxv_inputs(scale, mask_frac=0.25, edge_factor=64):
 
 
 def _bench_mxm(A, repeat=3):
-    def run(backend):
+    def run():
         C = Matrix(FP64, A.nrows, A.ncols)
-        ops.mxm(C, A, A, "PLUS_TIMES", method="gustavson", backend=backend)
+        ops.mxm(C, A, A, "PLUS_TIMES", method="gustavson", backend="compiled")
         return C
 
-    t_opt = wall(lambda: run("optimized"), repeat=repeat)
+    with compiled.toolchain_off():
+        t_np = wall(run, repeat=repeat)
     compiled.clear_cache()
-    t_cold = wall(lambda: run("compiled"), repeat=1)  # includes the JIT build
-    t_warm = wall(lambda: run("compiled"), repeat=repeat)
+    t_cold = wall(run, repeat=1)  # includes the JIT build
+    t_warm = wall(run, repeat=repeat)
     return {
-        "optimized_s": t_opt,
+        "numpy_s": t_np,
         "compiled_cold_s": t_cold,
         "compiled_warm_s": t_warm,
-        "warm_speedup": t_opt / t_warm,
+        "warm_speedup": t_np / t_warm,
     }
 
 
 def _bench_mxv(A, u, mask, repeat=3):
-    def run(backend):
+    def run():
         w = Vector(BOOL, A.nrows)
-        ops.mxv(w, A, u, "LOR_LAND", mask=mask, backend=backend)
+        ops.mxv(w, A, u, "LOR_LAND", mask=mask, backend="compiled")
         return w
 
-    t_opt = wall(lambda: run("optimized"), repeat=repeat)
-    run("compiled")  # absorb the compile
-    t_cmp = wall(lambda: run("compiled"), repeat=repeat)
+    with compiled.toolchain_off():
+        t_np = wall(run, repeat=repeat)
+    run()  # absorb the compile
+    t_cmp = wall(run, repeat=repeat)
     with telemetry.collect() as col:
-        run("compiled")
+        run()
     exits = [e["args"] for e in col.events
-             if e["type"] == "decision" and e["name"] == "compiled.early_exit"]
+             if e["type"] == "decision" and e["name"] == "mxv.early_exit"]
     ex = exits[-1] if exits else {}
     terminated = int(ex.get("terminated", 0))
     depth = (ex.get("depth_sum", 0) / terminated) if terminated else None
     return {
-        "optimized_s": t_opt,
+        "numpy_s": t_np,
         "compiled_s": t_cmp,
-        "speedup": t_opt / t_cmp,
+        "speedup": t_np / t_cmp,
         "dots": int(ex.get("dots", 0)),
         "terminated": terminated,
         "mean_hit_depth": depth,
@@ -134,7 +141,8 @@ def _check_tier_disabled(A):
     import warnings
 
     C_opt = Matrix(FP64, A.nrows, A.ncols)
-    ops.mxm(C_opt, A, A, "PLUS_TIMES", backend="optimized")
+    with compiled.toolchain_off():
+        ops.mxm(C_opt, A, A, "PLUS_TIMES")
     prior = os.environ.get("GRAPHBLAS_COMPILED_TOOLCHAIN")
     os.environ["GRAPHBLAS_COMPILED_TOOLCHAIN"] = "off"
     compiled.reset()
@@ -178,7 +186,7 @@ def validate(results: dict, *, strict: bool) -> list[str]:
     if results["differential"]["divergences"] != 0:
         problems.append("differential divergences != 0")
     if not results["tier_disabled_bit_identical"]:
-        problems.append("tier-off results not bit-identical to optimized")
+        problems.append("tier-off results not bit-identical to NumPy")
     if results["mxv_early_exit"]["terminated"] == 0:
         problems.append("no early exits taken on the selective-mask mxv")
     if strict:
@@ -193,17 +201,17 @@ def validate(results: dict, *, strict: bool) -> list[str]:
 
 def _emit_table(results: dict) -> None:
     t = Table(
-        f"PR10: compiled kernel tier vs optimized engine "
+        f"Compiled kernel tier vs NumPy kernels "
         f"(RMAT-{results['scale']}, {results['toolchain']} toolchain)",
-        ["kernel", "optimized s", "compiled s", "speedup"],
+        ["kernel", "numpy s", "compiled s", "speedup"],
     )
     g = results["mxm_gustavson"]
-    t.add("mxm gustavson (warm)", g["optimized_s"], g["compiled_warm_s"],
+    t.add("mxm gustavson (warm)", g["numpy_s"], g["compiled_warm_s"],
           f"{g['warm_speedup']:.2f}x")
-    t.add("mxm gustavson (cold, incl. JIT)", g["optimized_s"],
-          g["compiled_cold_s"], f"{g['optimized_s'] / g['compiled_cold_s']:.2f}x")
+    t.add("mxm gustavson (cold, incl. JIT)", g["numpy_s"],
+          g["compiled_cold_s"], f"{g['numpy_s'] / g['compiled_cold_s']:.2f}x")
     e = results["mxv_early_exit"]
-    t.add("mxv LOR_LAND pull, selective mask", e["optimized_s"],
+    t.add("mxv LOR_LAND pull, selective mask", e["numpy_s"],
           e["compiled_s"], f"{e['speedup']:.2f}x")
     d = results["differential"]
     t.note(f"early exit: {e['terminated']}/{e['dots']} dots terminated, "

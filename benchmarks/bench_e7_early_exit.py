@@ -100,14 +100,18 @@ def test_bench_e7(benchmark, kernel):
 
 # -- PR10: the compiled tier's per-element exit vs the vectorized one ---------
 
-def _dot_builtin(A, B, mask, backend):
+def _dot_builtin(A, B, mask):
     """Same adversarial workload over the *builtin* LOR_LAND (the
     compiled tier declines user-defined monoids, so the with/without-
     terminal pair above stays on the vectorized engine)."""
     C = Matrix("BOOL", A.nrows, B.ncols)
-    ops.mxm(C, A, B, "LOR_LAND", mask=mask, desc="RS", method="dot",
-            backend=backend)
+    ops.mxm(C, A, B, "LOR_LAND", mask=mask, desc="RS", method="dot")
     return C
+
+
+def _dot_vectorized(A, B, mask):
+    with compiled.toolchain_off():
+        return _dot_builtin(A, B, mask)
 
 
 @pytest.mark.skipif(not compiled.available(),
@@ -117,7 +121,7 @@ def test_e7_compiled_table(benchmark):
     scalar loop that bails on the exact terminal term, with the measured
     mean hit depth from the kernel's exit statistics."""
     A, B, mask = _adversarial()
-    _dot_builtin(A, B, mask, "compiled")  # absorb the JIT build
+    _dot_builtin(A, B, mask)  # absorb the JIT build
 
     def run():
         t = Table(
@@ -125,13 +129,13 @@ def test_e7_compiled_table(benchmark):
             f"({A.nrows} rows x {A.ncols} terms, first term hits)",
             ["kernel", "seconds"],
         )
-        t_vec = wall(lambda: _dot_builtin(A, B, mask, "optimized"), repeat=3)
-        t_cmp = wall(lambda: _dot_builtin(A, B, mask, "compiled"), repeat=3)
+        t_vec = wall(lambda: _dot_vectorized(A, B, mask), repeat=3)
+        t_cmp = wall(lambda: _dot_builtin(A, B, mask), repeat=3)
         with telemetry.collect() as col:
-            _dot_builtin(A, B, mask, "compiled")
+            _dot_builtin(A, B, mask)
         exits = [e["args"] for e in col.events
                  if e["type"] == "decision"
-                 and e["name"] == "compiled.early_exit"]
+                 and e["name"] == "mxm.early_exit"]
         ex = exits[-1] if exits else {}
         terminated = int(ex.get("terminated", 0))
         t.add("vectorized dot, block early exit", t_vec)

@@ -162,8 +162,11 @@ gb.set_default_backend("differential")            # process-wide
 
 Built-in engines:
 
-* **`optimized`** (default) — the vectorized NumPy engine: SpGEMM method
-  selection, push/pull mxv direction switching, masked kernels.
+* **`optimized`** (default) — the production engine: SpGEMM method
+  selection, push/pull mxv direction switching, masked kernels.  Its
+  mxm/mxv/vxm run the compiled kernels (below) whenever a toolchain
+  resolved and the plan's class has a template, and vectorized NumPy
+  kernels otherwise; `plan.done` records which (`kernel`).
 * **`reference`** — the dense spec-literal mimic promoted to a full
   engine; every op is a loop written line-by-line from the spec.  Slow,
   but an oracle: the whole `tests/graphblas` suite passes under it.
@@ -172,13 +175,11 @@ Built-in engines:
   computation so cancellation zeros stay structural.  Declines anything
   else and falls back to `optimized`; declines everything when scipy is
   not installed.
-* **`compiled`** — the JIT tier: monomorphic scalar kernels generated
-  per `(add monoid, multiply op, value type)` and compiled with numba
-  (`pip install .[compiled]`) or, failing that, the system C compiler.
-  Serves mxm/mxv/vxm over built-in semirings with **true terminal early
-  exit** (LOR/LAND/MIN/MAX/TIMES dots stop at the first annihilator,
-  per element, not per 64-wide block); declines everything else down to
-  `optimized`.  See "Compiled kernels" below.
+* **`compiled`** — "compiled or decline": the same engine, serving only
+  the plans the JIT tier runs (mxm/mxv/vxm over built-in semirings, with
+  **true terminal early exit**) and declining everything else — every
+  plan, when no toolchain resolved — down to `optimized`.  See
+  "Compiled kernels" below.
 * **`differential`** — runs a *primary* engine (`optimized` by default;
   `primary="compiled"` puts the JIT tier under test), then re-executes
   every operation whose dense replay fits the verification budget on
@@ -193,9 +194,9 @@ The dispatch chain each plan walks (every decline emits a
 
 | selected backend | serves | declines to |
 |---|---|---|
-| `optimized` | everything | — (terminal) |
+| `optimized` | everything (mxm/mxv/vxm on compiled kernels when `compiled.select` accepts the plan) | — (terminal) |
 | `reference` | everything | — (terminal) |
-| `compiled` | mxm/mxv/vxm, built-in semirings, uniform dtypes | `optimized` |
+| `compiled` | exactly the plans `compiled.select` accepts (compiled or decline) | `optimized` |
 | `scipy` | mxm/mxv/vxm (PLUS_TIMES), eWiseAdd/Mult (PLUS/TIMES) | `optimized` |
 | `differential` | everything (via its primary's chain) | — (terminal) |
 
@@ -212,13 +213,14 @@ COMPILED_SECTION = """
 ## Compiled kernels
 
 `repro.graphblas.compiled` is the code-generation analogue of
-SuiteSparse's ~960 pre-compiled semiring built-ins.  Where the
-performance engine specializes *NumPy closures* (vectorized, but
-structurally unable to stop mid-row), this tier renders one monomorphic
-scalar kernel set per `(add, mult, type)` from a template library —
-Gustavson SpGEMM (two-phase count/fill with a sparse accumulator),
-sorted-intersection dot products for fused-mask mxm, and push/pull
-mxv/vxm — and compiles it with the first usable toolchain:
+SuiteSparse's ~960 pre-compiled semiring built-ins, and the kernel tier
+the default backend runs for mxm/mxv/vxm.  Where the performance engine
+specializes *NumPy closures* (vectorized, but structurally unable to
+stop mid-row), this tier renders one monomorphic scalar kernel set per
+`(add, mult, type)` from a template library — Gustavson SpGEMM
+(two-phase count/fill with a sparse accumulator), sorted-intersection
+dot products for fused-mask mxm, push/pull mxv/vxm, and a sequential
+segmented fold — and compiles it with the first usable toolchain:
 
 1. **numba** — `@njit(nogil=True)` over the generated Python source
    (`pip install .[compiled]`);
@@ -231,43 +233,65 @@ mxv/vxm — and compiles it with the first usable toolchain:
    auto-select, but an oracle for parity-testing the template logic
    (`GRAPHBLAS_COMPILED_TOOLCHAIN=python`).
 
+**Selection.** `compiled.select(plan)` is the one kernel choice: a
+memoised function of the plan *class* — add, mult, operand and output
+types, heap method, resolved toolchain — not of a backend name or a
+size; `compiled.select_class` is the same function for the tiled
+kernels, which have operands but no plan.  It returns a kernel set
+(compiled runs) or None (NumPy runs), caches declines as well as
+kernels in one 128-class LRU (`compiled.CACHE_SIZE`, counters in
+`compiled.cache_stats()`), builds each class's kernels once however
+many threads race to first use, and costs a dictionary hit per call.
+It declines: user-defined or positional ops, add monoids other than
+PLUS/TIMES/MIN/MAX (LOR/LAND on BOOL), operand types that differ from
+the output type, the heap method, any dimension above `1<<24`, and
+everything when no toolchain resolved — silently: only an explicit
+`GRAPHBLAS_BACKEND=compiled` warns, once.  A kernel build that fails
+(an unwritable artifact directory, a broken compiler) warns once and
+declines its class, so NumPy runs.  `with compiled.toolchain_off():`
+runs a block on the NumPy kernels.
+Accumulators and masks are applied by the shared write step either way.
+The compiled kernels trip the same fault points (`spgemm.flop`,
+`mxv.push`, `mxv.pull`) and governor polls as the NumPy ones.
+
 The headline semantic upgrade is **true terminal early exit**: for
 monoids with an annihilator (LOR's `true`, LAND's `false`, MIN/MAX
 extrema, TIMES' 0) the dot and pull loops break on the exact term that
 reaches it — the vectorized engine can only skip 64-wide blocks.  Exit
-behavior is reported per op in `compiled.early_exit` telemetry
-(terminated/eligible counts, scanned terms, summed hit depth).
+behavior is reported in `mxm.early_exit` / `mxv.early_exit` telemetry
+(terminated/eligible counts, scanned terms, summed hit depth) and the
+`graphblas_early_exit_total` counter.
 
-Built kernel sets live in an LRU mirroring `engine.kernel_for`
-(`compiled.kernel_for`, `compiled.cache_stats()`); cache traffic shows
-up as `compiled.kernel` telemetry (`event="compile"` with wall seconds,
-`event="hit"`), the `graphblas_compile_seconds` histogram and
-`graphblas_compiled_kernel_cache` gauges in the obs registry, the
-`compiled_hits`/`compiled_compiles` fields of `plan.done`, and the
-`cmp` column of `obs.explain` reports.
+Cache traffic shows up as `compiled.kernel` telemetry
+(`event="compile"` with wall seconds, `event="hit"`), the
+`graphblas_compile_seconds` histogram and
+`graphblas_compiled_kernel_cache` gauges in the obs registry.  Each
+`plan.done` record carries the tier that ran (`kernel`: `compiled` or
+`numpy`) and that plan's own memo outcome (`kernel_cache`: `hit` or
+`built`) — read off the plan, so concurrent plans never absorb each
+other's compiles — shown in the `kernel` and `cmp` columns of
+`obs.explain` reports.
 
-Numeric contract: integer and order-insensitive (MIN/MAX/logical)
-results are bit-identical to the optimized engine; float PLUS/TIMES
-reductions can differ in the last ulp (numpy's `reduceat` unrolls long
-segments 8-wide, the scalar SPA folds strictly left-to-right).  With
-the tier disabled every result is byte-for-byte the optimized engine's.
-
-Scope guards: built-in semirings only (no user-defined or positional
-ops), all argument dtypes equal to the output dtype, no accumulator on
-the compiled path, dimensions under `1<<24`.  Everything else declines
-to `optimized`; `GRAPHBLAS_BACKEND=compiled` with no toolchain at all
-warns once and falls back — never raises.
+**Numerics.** Float PLUS/TIMES reductions are a strict ascending-k left
+fold on every default path: the Gustavson SPA, push, pull and dot
+kernels, and — through the same kernel set's segmented fold, chosen by
+the same `select` — the tiled spill kernels, so a governed tiled product
+is byte-for-byte its in-memory twin.  Integer and order-insensitive
+(MIN/MAX/logical) results are bit-identical to the NumPy kernels; boxes
+with the toolchain off run NumPy, whose `reduceat` unrolls long float
+segments and may differ from the strict fold in the last ulp (tiled and
+in-memory still agree with each other there).
 
 Tunables are the `compiled.*` rows of [Configuration](#configuration)
 (`capi.GxB_Compiled_set` / `GxB_Compiled_get`; the getter adds the
-resolved toolchain and the kernel-cache counters).  The kernel LRU holds
-`compiled.CACHE_SIZE` (128) built kernel sets.
+resolved toolchain and the memo counters).
 
 `benchmarks/bench_compiled_kernels.py --scale 14` checks the tier's
-margins (warm compiled Gustavson >= 1.5x over optimized, early-exit
-LOR_LAND pull >= 3x on selective masks, zero differential divergences);
-the committed trajectory is `perfbench/results/baseline.json`
-(`kernel.mxm_compiled_s` against `kernel.mxm_engine_s`).
+margins against the same backend with the toolchain off (warm compiled
+Gustavson >= 1.5x, early-exit LOR_LAND pull >= 3x on selective masks,
+zero differential divergences, tier-off bit-identity); the committed
+trajectory is `perfbench/results/baseline.json` (`kernel.mxm_compiled_s`
+against `kernel.mxm_engine_s`).
 """
 
 
@@ -513,10 +537,12 @@ engine.set_engine(False)                # bit-identical baseline
   out_type, ...)` compiles a `SpecializedKernel` binding the add/mult
   ufuncs, output cast, and terminal condition as closures, keyed on
   `(add, mult, out_type, mask kind, accum, method)` in an LRU cache
-  (`engine.CACHE_SIZE`, 64 entries).  The Gustavson
-  expansion, the dot-product loop, and push/pull mxv all consult the
-  cache; non-builtin or positional operators fall back to the generic
-  path (`unspecializable` in the stats).
+  (`engine.CACHE_SIZE`, 64 entries).  The NumPy Gustavson
+  expansion, dot-product loop and push/pull mxv — what runs when
+  `compiled.select` declines a plan (mixed operand types, templates
+  that do not exist, no toolchain) — and the tiled expansion all consult
+  the cache; non-builtin or positional operators fall back to the
+  generic path (`unspecializable` in the stats).
 * **Dual-format storage** — a Matrix lazily caches its opposite
   orientation (CSR↔CSC twin) with mutation-epoch invalidation, so
   pull-phase `mxv`/`vxm` and transposed reads after the first

@@ -6,12 +6,16 @@ and a kernel half served by a :class:`KernelBackend`.  Five backends ship:
 
 ``optimized``
     The sparse production engine (CSR/CSC/hypersparse kernels, push/pull
-    mxv, masked SpGEMM).  The default.
+    mxv, masked SpGEMM).  The default.  Its mxm/mxv/vxm run the
+    JIT-compiled monomorphic semiring kernels of
+    :mod:`repro.graphblas.compiled` (true terminal-monoid early exit)
+    whenever a toolchain resolved and the plan's class has a template —
+    one memoised :func:`~repro.graphblas.compiled.select` per class —
+    and vectorized NumPy kernels otherwise.
 ``compiled``
-    JIT-compiled monomorphic semiring kernels
-    (:mod:`repro.graphblas.compiled`) for mxm/mxv/vxm with true
-    terminal-monoid early exit; everything else — and any op without a
-    generated template or usable toolchain — falls back to ``optimized``.
+    "Compiled or decline": the same engine, serving only the plans the
+    compiled tier runs; everything else — and every plan when no
+    toolchain is usable — falls back to ``optimized``.
 ``reference``
     The dense spec-literal mimic from :mod:`repro.graphblas.reference`,
     promoted from test helper to a first-class engine.  Slow but written
@@ -46,7 +50,6 @@ import threading
 
 import time
 
-from .. import engine as _engine
 from .. import governor, options, telemetry
 from ..errors import InvalidValue
 from ..plan import TABLE1_OPS, OpPlan
@@ -316,12 +319,15 @@ def _execute(plan: OpPlan, route: str, backend_name: str, run, retry=None):
     the wrap here lets the ``plan.done`` record carry the number of
     retries this specific plan consumed, not just the context total.
 
-    The record — kernel wall time, dispatch route, estimated vs actual
-    result bytes, kernel-cache hit/compile deltas — feeds the process
-    metrics (``graphblas_plan_seconds``, slow-op log) and
-    :func:`repro.obs.explain`.  It is only produced while observability
-    or an EXPLAIN capture is active (``telemetry.PLAN_EVENTS``), so a
-    plain collector-only telemetry stream is byte-identical to before.
+    The record — kernel wall time, dispatch route, the kernel tier that
+    ran and this plan's own compiled-kernel cache outcome (read off the
+    plan, never a difference of process-global counters, so concurrent
+    plans cannot absorb each other's compiles), estimated vs actual
+    result bytes — feeds the process metrics (``graphblas_plan_seconds``,
+    slow-op log) and :func:`repro.obs.explain`.  It is only produced
+    while observability or an EXPLAIN capture is active
+    (``telemetry.PLAN_EVENTS``), so a plain collector-only telemetry
+    stream is byte-identical to before.
     """
     if retry is not None:
         inner = run
@@ -329,30 +335,21 @@ def _execute(plan: OpPlan, route: str, backend_name: str, run, retry=None):
             inner, retry, op=plan.op)
     if not (telemetry.ENABLED and telemetry.PLAN_EVENTS):
         return run()
-    from .. import compiled as _compiled
-
     ctx = governor.current() if governor.ACTIVE else None
     r0 = ctx.stats.get("retries", 0) if ctx is not None else 0
-    k0 = _engine.kernel_cache_stats()
-    c0 = _compiled.cache_stats()
     t0 = time.perf_counter()
     out = run()
     seconds = time.perf_counter() - t0
-    k1 = _engine.kernel_cache_stats()
-    c1 = _compiled.cache_stats()
     detail = {
         "op": plan.op,
         "backend": backend_name,
         "route": route,
         "seconds": seconds,
-        "kernel_hits": k1["hits"] - k0["hits"],
-        "kernel_compiles": k1["misses"] - k0["misses"],
     }
-    compiled_hits = c1["hits"] - c0["hits"]
-    compiled_compiles = c1["misses"] - c0["misses"]
-    if compiled_hits or compiled_compiles:
-        detail["compiled_hits"] = compiled_hits
-        detail["compiled_compiles"] = compiled_compiles
+    if plan.kernel is not None:
+        detail["kernel"] = plan.kernel
+        if plan.kernel == "compiled":
+            detail["kernel_cache"] = plan.selection[1]
     if ctx is not None and retry is not None:
         replays = ctx.stats.get("retries", 0) - r0
         if replays:

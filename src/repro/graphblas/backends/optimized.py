@@ -3,9 +3,12 @@
 This is the kernel half of what used to be the monolithic
 ``operations.py``: CSR/CSC/hypersparse SpGEMM with masked Gustavson/dot
 selection, push/pull direction-optimized mxv, vectorized eWise merges via
-sorted-coordinate matching, and segment-folded reductions.  Every method
-consumes a resolved :class:`~repro.graphblas.plan.OpPlan` and finishes
-through the shared accum-then-mask write step in
+sorted-coordinate matching, and segment-folded reductions.  ``mxm``,
+``mxv`` and ``vxm`` run the compiled kernels whenever
+:func:`repro.graphblas.compiled.select` returns a kernel set for the
+plan, and the NumPy kernels otherwise; ``plan.kernel`` records which.
+Every method consumes a resolved :class:`~repro.graphblas.plan.OpPlan`
+and finishes through the shared accum-then-mask write step in
 :mod:`repro.graphblas.mask`.
 """
 
@@ -19,7 +22,7 @@ import numpy as np
 # attribute — fetch the module itself so monkeypatched thresholds are seen
 _mxv_mod = importlib.import_module(".mxv", __package__.rsplit(".", 1)[0])
 
-from .. import engine, governor, telemetry
+from .. import compiled, engine, governor, telemetry
 from ..coords import coords_in, idx_in, match_coo, match_idx
 from ..descriptor import Descriptor
 from ..mask import mask_true_coords, mask_true_idx, write_matrix, write_vector
@@ -106,6 +109,8 @@ class OptimizedBackend(KernelBackend):
         mask_hint = None
         if plan.mask is not None and not d.complement_mask:
             mask_hint = mask_true_coords(plan.mask, d)
+        kernels = compiled.select(plan)
+        plan.kernel = "numpy" if kernels is None else "compiled"
         tr, tc, tv = mxm_coo(
             a_rows,
             b_rows,
@@ -115,6 +120,7 @@ class OptimizedBackend(KernelBackend):
             mask_coords=mask_hint,
             mask_complement=False,
             nthreads=d.nthreads,
+            kernels=kernels,
         )
         return write_matrix(
             C,
@@ -124,9 +130,10 @@ class OptimizedBackend(KernelBackend):
             mask=plan.mask,
             accum=plan.accum,
             desc=d,
-            # mxm_coo's contract is sorted-unique COO output; with the
-            # engine on, the rebuild may trust that and skip its sort pass
-            sorted_unique=engine.ENABLED,
+            # mxm_coo's contract is sorted-unique COO output; the compiled
+            # kernels always honour it, NumPy's with the engine on, so the
+            # rebuild may trust it and skip its sort pass
+            sorted_unique=engine.ENABLED or kernels is not None,
         )
 
     def _matvec(self, plan):
@@ -144,11 +151,14 @@ class OptimizedBackend(KernelBackend):
         if governor.ACTIVE:
             # direction boundary: poll before the push/pull kernel runs
             governor.poll()
+        kernels = compiled.select(plan)
+        plan.kernel = "numpy" if kernels is None else "compiled"
         if method == "push":
             store = A.by_row() if transposed else A.by_col()
             u_idx, u_vals = u.extract_tuples()
             ti, tv = spmspv_push(
-                store, u_idx, u_vals, sr, plan.out_type, matrix_first=is_mxv
+                store, u_idx, u_vals, sr, plan.out_type, matrix_first=is_mxv,
+                kernels=kernels,
             )
         else:
             store = A.by_col().transposed() if transposed else A.by_row()
@@ -164,6 +174,7 @@ class OptimizedBackend(KernelBackend):
                 matrix_first=is_mxv,
                 outer_hint=hint,
                 nthreads=d.nthreads,
+                kernels=kernels,
             )
         return write_vector(w, ti, tv, mask=plan.mask, accum=plan.accum, desc=d)
 

@@ -5,7 +5,7 @@ kernels: 960 monomorphic inner loops, one per (monoid, multiply, type)
 combination, with terminal-monoid early exit compiled into the hot loop.
 This module is the template half of our analogue: given a
 :class:`KernelSpec` — ``(add monoid, multiply op, value type)`` — it
-renders the same five kernels in two source languages:
+renders the same six kernels in two source languages:
 
 * **C** (:func:`c_source`) — compiled by the ``cc`` toolchain into a
   shared library and called through ctypes (the call releases the GIL,
@@ -16,17 +16,17 @@ renders the same five kernels in two source languages:
   ``python`` toolchain: slow, but it lets the template logic be parity-
   tested in environments with neither numba nor a C compiler).
 
-The five kernels per spec:
+The six kernels per spec:
 
 ``spgemm_count`` / ``spgemm_fill``
     Gustavson SpGEMM over a row block, two-phase (symbolic count, then
-    numeric fill) with a sparse-accumulator (SPA) per output row.  The
-    accumulation order — A-row entries ascending by inner index — is
-    the order the vectorized engine folds duplicates in, so integer and
-    order-insensitive (MIN/MAX/logical) results match the NumPy path
-    bit for bit; float PLUS/TIMES can differ in the last ulp because
-    numpy's ``reduceat`` unrolls long segments 8-wide while the SPA
-    folds strictly left to right.
+    numeric fill) with a sparse-accumulator (SPA) per output row.  Each
+    output entry is a strict left fold of its partial products in
+    ascending inner index — the order the vectorized engine sorts them
+    into, so integer and order-insensitive (MIN/MAX/logical) results
+    match the NumPy path bit for bit; float PLUS/TIMES can differ from
+    it in the last ulp because numpy's ``reduceat`` unrolls long
+    segments 8-wide.
 ``dot``
     Sorted-intersection dot products for an explicit output-coordinate
     list (the fused-mask mxm path), with **true terminal early exit**:
@@ -36,6 +36,10 @@ The five kernels per spec:
 ``push`` / ``pull``
     SpMSpV scatter and masked SpMV dot kernels for mxv/vxm, sharing the
     SPA and early-exit machinery.
+``segfold``
+    The same strict left fold over pre-sorted segments: the tiled
+    kernels fold their stripes with it, so a tiled product and its
+    in-memory twin are bit-identical floats included.
 
 Semantics notes (all mirrored from the NumPy operator tables in
 :mod:`repro.graphblas.ops` / :mod:`repro.graphblas.monoid`):
@@ -439,6 +443,25 @@ int64_t gb_pull(
     }
     return nz;
 }
+
+/* sequential segmented fold: out[s] = x[starts[s]] + ... + x[end - 1],
+   strictly left to right — the order the SPA kernels accumulate in, so
+   partial products folded here in ascending inner index are bit-
+   identical to the same product computed by gb_spgemm_fill/push/pull. */
+void gb_segfold(
+    int64_t nseg, const int64_t *starts, int64_t n,
+    const VT *x, VT *out)
+{
+    for (int64_t s = 0; s < nseg; s++) {
+        const int64_t end = s + 1 < nseg ? starts[s + 1] : n;
+        VT acc = x[starts[s]];
+        for (int64_t p = starts[s] + 1; p < end; p++) {
+            VT prod = x[p];
+            acc = ${ADD_ACC_PROD};
+        }
+        out[s] = acc;
+    }
+}
 """)
 
 
@@ -626,6 +649,16 @@ def gb_pull(nr, rows, ap, aj, ax, ud, up, matrix_first,
             ov[nz] = acc
             nz += 1
     return nz
+
+
+def gb_segfold(nseg, starts, n, x, out):
+    for s in range(nseg):
+        end = starts[s + 1] if s + 1 < nseg else n
+        acc = x[starts[s]]
+        for p in range(starts[s] + 1, end):
+            prod = x[p]
+            acc = ${ADD_ACC_PROD}
+        out[s] = acc
 ''')
 
 

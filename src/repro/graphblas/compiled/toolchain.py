@@ -20,8 +20,8 @@ Three toolchains, probed in order of preference:
     environments with neither numba nor a compiler.
 
 All three expose the same :class:`KernelSet` interface over NumPy
-arrays; the orchestration in :mod:`repro.graphblas.backends.compiled`
-is toolchain-agnostic.
+arrays; the orchestration in :mod:`repro.graphblas.mxm` and
+:mod:`repro.graphblas.mxv` is toolchain-agnostic.
 """
 
 from __future__ import annotations
@@ -39,13 +39,16 @@ import numpy as np
 from .. import options
 from . import templates
 
-__all__ = ["KernelSet", "build", "probe_toolchain", "TOOLCHAINS"]
+__all__ = ["KernelSet", "StoreArgs", "store_args", "build",
+           "probe_toolchain", "TOOLCHAINS"]
 
 TOOLCHAINS = ("numba", "cc", "python")
 
 _I8 = ctypes.c_int64
 _P = ctypes.c_void_p
 _INT = ctypes.c_int
+_addressof = ctypes.addressof
+_from_buffer = ctypes.c_char.from_buffer
 
 _lock = threading.Lock()
 _cc_path: str | None | bool = None  # None = unprobed, False = absent
@@ -101,11 +104,66 @@ def probe_toolchain(preference: str = "auto") -> str | None:
     return None
 
 
+def _buf(arr: np.ndarray) -> int:
+    """Data address of a C-contiguous array.  Writable arrays (every
+    scratch and input buffer) go through the buffer protocol, about a
+    third of the cost of numpy's ``arr.ctypes`` adapter, which read-only
+    and empty arrays still take."""
+    try:
+        return _addressof(_from_buffer(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
+
+
+class StoreArgs:
+    """A sparse store's arrays as every kernel takes them.
+
+    ``indptr`` spans all ``n_major`` vectors (a hypersparse pointer is
+    expanded), indices are int64 and values the kernel type, all
+    C-contiguous; ``addrs`` holds their data addresses for the cc
+    toolchain.  Stores are immutable, so :func:`store_args` builds this
+    once per store and a call pays no per-array conversion for it.
+    """
+
+    __slots__ = ("indptr", "minor", "values", "addrs", "_rows")
+
+    def __init__(self, indptr, minor, values):
+        self.indptr, self.minor, self.values = indptr, minor, values
+        self.addrs = (_buf(indptr), _buf(minor), _buf(values))
+        self._rows = None
+
+    def rows(self) -> np.ndarray:
+        """``arange(n_major)``: the pull kernel's every-row list."""
+        if self._rows is None:
+            self._rows = np.arange(self.indptr.size - 1, dtype=np.int64)
+        return self._rows
+
+
+def store_args(store, dtype) -> StoreArgs:
+    """``store`` in kernel form with values of ``dtype``, cached on the
+    store (shared with its transposed views, which hold the same
+    arrays).  A hypersparse store is not cached: its expanded pointer is
+    O(n_major), which a long-lived store should not keep."""
+    cache = store.kernel_args
+    if cache and cache[0].values.dtype == dtype:
+        return cache[0]
+    full = store.to_full_pointer()
+    args = StoreArgs(
+        np.ascontiguousarray(full.indptr, dtype=np.int64),
+        np.ascontiguousarray(full.minor, dtype=np.int64),
+        np.ascontiguousarray(full.values, dtype=dtype),
+    )
+    if not store.hyper:
+        cache[:] = [args]
+    return args
+
+
 class KernelSet:
     """Uniform interface to one compiled (add, mult, type) kernel set.
 
-    All methods take C-contiguous NumPy arrays of the right dtypes
-    (int64 indices, the spec's value type); the caller normalizes.
+    Matrix operands arrive as :class:`StoreArgs`; every other array must
+    be C-contiguous with the right dtype (int64 indices, the spec's
+    value type) — the caller normalizes.
     """
 
     toolchain = "abstract"
@@ -119,29 +177,26 @@ class KernelSet:
         # terminal exists; zero is never compared in that case
         self._term = dt.type(term) if term is not None else dt.type(0)
 
-    def spgemm_count(self, row_lo, row_hi, ap, aj, bp, bj, mark) -> int:
+    def spgemm_count(self, row_lo, row_hi, a, b, mark) -> int:
         raise NotImplementedError
 
-    def spgemm_fill(self, row_lo, row_hi, ap, aj, ax, bp, bj, bx,
-                    mark, slot, ci, cj, cx) -> int:
+    def spgemm_fill(self, row_lo, row_hi, a, b, mark, slot, ci, cj,
+                    cx) -> int:
         raise NotImplementedError
 
     def dot(self, a_s, ae, bs, be, aj, ax, bj, bx, keep, out, stats) -> None:
         raise NotImplementedError
 
-    def push(self, ui, ux, ap, aj, ax, matrix_first, mark, oi, ov) -> int:
+    def push(self, ui, ux, a, matrix_first, mark, oi, ov) -> int:
         raise NotImplementedError
 
-    def pull(self, rows, ap, aj, ax, ud, up, matrix_first,
-             oi, ov, stats) -> int:
+    def pull(self, rows, a, ud, up, matrix_first, oi, ov, stats) -> int:
         raise NotImplementedError
 
-
-def _buf(arr: np.ndarray):
-    """ctypes-ready data pointer; bool arrays pass as their byte view."""
-    if arr.dtype == np.bool_:
-        arr = arr.view(np.uint8)
-    return arr.ctypes.data
+    def segfold(self, x, starts) -> np.ndarray:
+        """Strict left fold of each segment of ``x`` (``starts`` sorted,
+        in-bounds, no empty segment)."""
+        raise NotImplementedError
 
 
 class _CKernelSet(KernelSet):
@@ -170,15 +225,15 @@ class _CKernelSet(KernelSet):
         self._pull = proto("gb_pull", _I8,
                            _I8, _P, _P, _P, _P, _P, _P, _INT,
                            _P, _P, _P)
+        self._segfold = proto("gb_segfold", None, _I8, _P, _I8, _P, _P)
 
-    def spgemm_count(self, row_lo, row_hi, ap, aj, bp, bj, mark):
-        return self._count(row_lo, row_hi, _buf(ap), _buf(aj),
-                           _buf(bp), _buf(bj), _buf(mark))
+    def spgemm_count(self, row_lo, row_hi, a, b, mark):
+        ap, aj, _ = a.addrs
+        bp, bj, _ = b.addrs
+        return self._count(row_lo, row_hi, ap, aj, bp, bj, _buf(mark))
 
-    def spgemm_fill(self, row_lo, row_hi, ap, aj, ax, bp, bj, bx,
-                    mark, slot, ci, cj, cx):
-        return self._fill(row_lo, row_hi, _buf(ap), _buf(aj), _buf(ax),
-                          _buf(bp), _buf(bj), _buf(bx),
+    def spgemm_fill(self, row_lo, row_hi, a, b, mark, slot, ci, cj, cx):
+        return self._fill(row_lo, row_hi, *a.addrs, *b.addrs,
                           _buf(mark), _buf(slot),
                           _buf(ci), _buf(cj), _buf(cx))
 
@@ -187,18 +242,21 @@ class _CKernelSet(KernelSet):
                   _buf(aj), _buf(ax), _buf(bj), _buf(bx),
                   _buf(keep), _buf(out), _buf(stats))
 
-    def push(self, ui, ux, ap, aj, ax, matrix_first, mark, oi, ov):
-        return self._push(ui.size, _buf(ui), _buf(ux),
-                          _buf(ap), _buf(aj), _buf(ax),
+    def push(self, ui, ux, a, matrix_first, mark, oi, ov):
+        return self._push(ui.size, _buf(ui), _buf(ux), *a.addrs,
                           1 if matrix_first else 0,
                           _buf(mark), _buf(oi), _buf(ov))
 
-    def pull(self, rows, ap, aj, ax, ud, up, matrix_first, oi, ov, stats):
-        return self._pull(rows.size, _buf(rows),
-                          _buf(ap), _buf(aj), _buf(ax),
+    def pull(self, rows, a, ud, up, matrix_first, oi, ov, stats):
+        return self._pull(rows.size, _buf(rows), *a.addrs,
                           _buf(ud), _buf(up),
                           1 if matrix_first else 0,
                           _buf(oi), _buf(ov), _buf(stats))
+
+    def segfold(self, x, starts):
+        out = np.empty(starts.size, dtype=x.dtype)
+        self._segfold(starts.size, _buf(starts), x.size, _buf(x), _buf(out))
+        return out
 
 
 class _PyKernelSet(KernelSet):
@@ -211,27 +269,34 @@ class _PyKernelSet(KernelSet):
         self._dot = ns["gb_dot"]
         self._push = ns["gb_push"]
         self._pull = ns["gb_pull"]
+        self._segfold = ns["gb_segfold"]
 
-    def spgemm_count(self, row_lo, row_hi, ap, aj, bp, bj, mark):
-        return int(self._count(row_lo, row_hi, ap, aj, bp, bj, mark))
+    def spgemm_count(self, row_lo, row_hi, a, b, mark):
+        return int(self._count(row_lo, row_hi, a.indptr, a.minor,
+                               b.indptr, b.minor, mark))
 
-    def spgemm_fill(self, row_lo, row_hi, ap, aj, ax, bp, bj, bx,
-                    mark, slot, ci, cj, cx):
-        return int(self._fill(row_lo, row_hi, ap, aj, ax, bp, bj, bx,
+    def spgemm_fill(self, row_lo, row_hi, a, b, mark, slot, ci, cj, cx):
+        return int(self._fill(row_lo, row_hi, a.indptr, a.minor, a.values,
+                              b.indptr, b.minor, b.values,
                               mark, slot, ci, cj, cx))
 
     def dot(self, a_s, ae, bs, be, aj, ax, bj, bx, keep, out, stats):
         self._dot(a_s.size, a_s, ae, bs, be, aj, ax, bj, bx, keep, out,
                   self.has_terminal, self._term, stats)
 
-    def push(self, ui, ux, ap, aj, ax, matrix_first, mark, oi, ov):
-        return int(self._push(ui.size, ui, ux, ap, aj, ax,
+    def push(self, ui, ux, a, matrix_first, mark, oi, ov):
+        return int(self._push(ui.size, ui, ux, a.indptr, a.minor, a.values,
                               matrix_first, mark, oi, ov))
 
-    def pull(self, rows, ap, aj, ax, ud, up, matrix_first, oi, ov, stats):
-        return int(self._pull(rows.size, rows, ap, aj, ax, ud, up,
-                              matrix_first, oi, ov,
+    def pull(self, rows, a, ud, up, matrix_first, oi, ov, stats):
+        return int(self._pull(rows.size, rows, a.indptr, a.minor, a.values,
+                              ud, up, matrix_first, oi, ov,
                               self.has_terminal, self._term, stats))
+
+    def segfold(self, x, starts):
+        out = np.empty(starts.size, dtype=x.dtype)
+        self._segfold(starts.size, starts, x.size, x, out)
+        return out
 
 
 class _NumbaKernelSet(_PyKernelSet):
@@ -257,7 +322,7 @@ def _build_numba(spec) -> KernelSet:
     ns["sortpairs"] = sortpairs = jit(ns["sortpairs"])
     out: dict = {}
     for name in ("gb_spgemm_count", "gb_spgemm_fill", "gb_dot",
-                 "gb_push", "gb_pull"):
+                 "gb_push", "gb_pull", "gb_segfold"):
         fn = ns[name]
         fn.__globals__["sortpairs"] = sortpairs
         out[name] = jit(fn)

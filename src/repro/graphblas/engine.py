@@ -12,7 +12,9 @@ all three mechanisms for the optimized backend:
    a :class:`SpecializedKernel` for a ``(semiring, dtype, mask kind,
    accum, method)`` combination and memoizes it in an LRU, so hot
    semirings get pre-bound numpy ufuncs instead of generic ``Op.apply``
-   dispatch.  Specialized kernels replicate the generic numerics
+   dispatch on the NumPy path (plans :func:`repro.graphblas.compiled.
+   select` declines, and the tiled expansion).  Specialized kernels
+   replicate the generic numerics
    *bit for bit* (same cast points, same reduction ufuncs), which the
    differential backend cross-checks.
 2. **Dual-orientation storage** — when :data:`DUAL_FORMAT` is on,

@@ -20,7 +20,7 @@ methods can operate on all four matrix formats in any combination").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -244,6 +244,11 @@ class SparseStore:
         Minor indices of entries, sorted within each major vector.
     values:
         Entry values, parallel to ``minor``.
+    kernel_args:
+        At most one ``StoreArgs`` (:mod:`repro.graphblas.compiled.toolchain`):
+        a full-pointer store's arrays in compiled-kernel form, built on
+        first use.  Stores are immutable, so it never goes stale;
+        transposed views share it.
     """
 
     orientation: Orientation
@@ -253,6 +258,7 @@ class SparseStore:
     indptr: np.ndarray
     minor: np.ndarray
     values: np.ndarray
+    kernel_args: list = field(default_factory=list, repr=False, compare=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -486,6 +492,7 @@ class SparseStore:
             self.indptr,
             self.minor,
             self.values,
+            self.kernel_args,
         )
 
     def to_hyper(self) -> "SparseStore":

@@ -24,6 +24,12 @@ each other (and the dense reference) by the test suite.  Method choice:
 
 Positional multiply operators (FIRSTI/SECONDJ/...) are served by the
 Gustavson path, substituting coordinates for values.
+
+Gustavson and dot each have two kernels behind the same method policy,
+fault point and governor polls: the vectorized NumPy one, and the
+compiled scalar loops of :mod:`repro.graphblas.compiled` (a SPA per
+output row; per-element terminal early exit), which run whenever the
+plan's :func:`~repro.graphblas.compiled.select` returned a kernel set.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import time
 import numpy as np
 
 from . import engine, faults, governor, telemetry
+from .compiled import store_args
 from .errors import InvalidValue
 from .formats import SparseStore
 from .ops import BinaryOp
@@ -139,6 +146,7 @@ def mxm_coo(
     mask_coords: tuple[np.ndarray, np.ndarray] | None = None,
     mask_complement: bool = False,
     nthreads: int | None = None,
+    kernels=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C = A (+).(x) B on row-oriented stores; returns sorted COO arrays.
 
@@ -151,6 +159,10 @@ def mxm_coo(
 
     ``nthreads`` — the descriptor's ``GxB_NTHREADS`` request; caps the
     engine's row-blocked parallelism for this call.
+
+    ``kernels`` — the plan's compiled kernel set, when
+    :func:`~repro.graphblas.compiled.select` chose one: Gustavson and dot
+    then run its scalar loops (operand dtypes must equal ``out_type``).
     """
     if a_rows.n_minor != b_rows.n_major:
         raise InvalidValue(
@@ -165,7 +177,12 @@ def mxm_coo(
     )
 
     if method == "gustavson":
-        r, c, v = _mxm_gustavson(a_rows, b_rows, semiring, out_type, nthreads)
+        if kernels is not None:
+            r, c, v = _compiled_gustavson(kernels, a_rows, b_rows, out_type,
+                                          nthreads)
+        else:
+            r, c, v = _mxm_gustavson(a_rows, b_rows, semiring, out_type,
+                                     nthreads)
         if mask_coords is not None:
             from .coords import coords_in
 
@@ -175,8 +192,16 @@ def mxm_coo(
             r, c, v = r[sel], c[sel], v[sel]
         return r, c, v
     if method == "dot":
+        if kernels is not None:
+            return _compiled_dot(kernels, a_rows, b_rows, out_type,
+                                 mask_coords, mask_complement)
         return _mxm_dot(a_rows, b_rows, semiring, out_type, mask_coords, mask_complement)
     return _mxm_heap(a_rows, b_rows, semiring, out_type, mask_coords, mask_complement)
+
+
+def _empty_coo(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (np.empty(0, dtype=_INDEX), np.empty(0, dtype=_INDEX),
+            np.empty(0, dtype=dtype))
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +382,79 @@ def _pair_group_starts(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change).astype(_INDEX)
 
 
+def _compiled_gustavson(kern, a_rows, b_rows, out_type, nthreads):
+    """Gustavson on the compiled two-phase SPA kernels, in flop-balanced
+    row blocks on the engine pool (the foreign call releases the GIL)."""
+    dt = out_type.np_dtype
+    a = store_args(a_rows, dt)
+    b = store_args(b_rows, dt)
+    if a.minor.size == 0 or b.minor.size == 0:
+        return _empty_coo(dt)
+    ent_flops = b.indptr[a.minor + 1] - b.indptr[a.minor]
+    total = int(ent_flops.sum())
+    if telemetry.ENABLED:
+        telemetry.tally("mxm", flops=total)
+    if total == 0:
+        return _empty_coo(dt)
+    n_rows, n_minor = a.indptr.size - 1, int(b_rows.n_minor)
+
+    workers = 1
+    if engine.PARALLEL and total >= engine.MIN_PARALLEL_FLOPS:
+        requested = engine.requested_workers(nthreads)
+        if requested > 1:
+            # per block: SPA mark+slot, plus its share of the output
+            per_block = n_minor * 16 + (total // requested + 1) * (
+                16 + dt.itemsize
+            )
+            workers = governor.admit_workers(requested, per_block, op="mxm")
+    blocks = [(0, n_rows)]
+    if workers > 1:
+        cum = np.zeros(a.minor.size + 1, dtype=_INDEX)
+        np.cumsum(ent_flops, out=cum[1:])
+        blocks = _flop_row_blocks(cum[a.indptr], workers)
+
+    def run_block(lo, hi):
+        t0 = time.perf_counter()
+        mark = np.full(n_minor, -1, dtype=_INDEX)
+        n = kern.spgemm_count(lo, hi, a, b, mark)
+        mark.fill(-1)
+        slot = np.empty(n_minor, dtype=_INDEX)
+        ci = np.empty(n, dtype=_INDEX)
+        cj = np.empty(n, dtype=_INDEX)
+        cx = np.empty(n, dtype=dt)
+        kern.spgemm_fill(lo, hi, a, b, mark, slot, ci, cj, cx)
+        return (ci, cj, cx), t0, time.perf_counter()
+
+    if len(blocks) == 1:
+        return run_block(*blocks[0])[0]
+    results = engine.run_blocks(run_block, blocks, len(blocks))
+    if telemetry.ENABLED:
+        for idx, ((lo, hi), (_, t0, t1)) in enumerate(zip(blocks, results)):
+            telemetry.span_at(
+                "engine.block", t0, t1, op="mxm", block=idx, rows=hi - lo
+            )
+    return tuple(
+        np.concatenate([r[0][k] for r in results]) for k in range(3)
+    )
+
+
+def _flop_row_blocks(row_cum: np.ndarray, workers: int) -> list[tuple[int, int]]:
+    """Cut rows into ≤ ``workers`` spans of roughly equal flops.
+
+    ``row_cum[i]`` is the flop count of all rows before ``i`` (length
+    n_rows + 1, monotone).  Cuts land on row boundaries, so each block's
+    SPA is self-contained and concatenated results equal serial output.
+    """
+    n = row_cum.size - 1
+    total = int(row_cum[-1])
+    if n <= 1 or total == 0:
+        return [(0, n)]
+    targets = (np.arange(1, workers) * total) // workers
+    cuts = np.searchsorted(row_cum, targets, side="left")
+    bounds = sorted({0, n, *(int(c) for c in cuts if 0 <= c <= n)})
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 # --------------------------------------------------------------------------
 # Dot-product method (masked / unmasked / complemented-mask variants)
 # --------------------------------------------------------------------------
@@ -509,6 +607,47 @@ def _mxm_dot(
     out_i, out_j, out_vals = out_i[keep], out_j[keep], out_vals[keep]
     order = np.lexsort((out_j, out_i))
     return out_i[order], out_j[order], out_vals[order]
+
+
+def _compiled_dot(kern, a_rows, b_rows, out_type, mask_coords,
+                  mask_complement):
+    """The dot method on the compiled sorted-intersection kernel, which
+    stops each dot at the first annihilator (per element, not per
+    block)."""
+    dt = out_type.np_dtype
+    b_cols = b_rows.with_orientation(b_rows.orientation.flipped)
+    out_i, out_j = dot_candidates(a_rows, b_cols, mask_coords, mask_complement)
+    if out_i.size == 0:
+        return _empty_coo(dt)
+    a_start, a_end = a_rows.major_ranges(out_i)
+    b_start, b_end = b_cols.major_ranges(out_j)
+    if telemetry.ENABLED:
+        telemetry.tally(
+            "mxm", flops=int((a_end - a_start).sum() + (b_end - b_start).sum())
+        )
+    keep = np.zeros(out_i.size, dtype=np.uint8)
+    out = np.zeros(out_i.size, dtype=dt)
+    stats = np.zeros(4, dtype=_INDEX)
+    idx = np.ascontiguousarray
+    kern.dot(
+        idx(a_start, dtype=_INDEX), idx(a_end, dtype=_INDEX),
+        idx(b_start, dtype=_INDEX), idx(b_end, dtype=_INDEX),
+        idx(a_rows.minor, dtype=_INDEX), idx(a_rows.values, dtype=dt),
+        idx(b_cols.minor, dtype=_INDEX), idx(b_cols.values, dtype=dt),
+        keep, out, stats,
+    )
+    if telemetry.ENABLED and kern.has_terminal:
+        telemetry.decision(
+            "mxm.early_exit",
+            terminated=int(stats[0]),
+            eligible=int(stats[1]),
+            dots=int(out_i.size),
+            scanned=int(stats[2]),
+            depth_sum=int(stats[3]),
+        )
+    kb = keep.view(np.bool_)
+    # candidates are row-major sorted, so the filtered result is too
+    return out_i[kb], out_j[kb], out[kb]
 
 
 # --------------------------------------------------------------------------

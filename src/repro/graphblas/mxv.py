@@ -20,6 +20,10 @@ direction-optimized traversal (Beamer et al.'s push-pull), implemented
 The same two kernels serve both ``mxv`` (A's columns indexed by u) and
 ``vxm`` (A's rows indexed by u) — the caller passes the appropriately
 oriented store and sets ``matrix_first`` for the multiply argument order.
+Each direction runs either vectorized NumPy or, when the plan's
+:func:`~repro.graphblas.compiled.select` chose a kernel set, its compiled
+scalar loop (pull with per-row terminal early exit) — behind the same
+fault point.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import time
 import numpy as np
 
 from . import engine, faults, governor, telemetry
+from .compiled import store_args
 from .errors import InvalidValue
 from .formats import SparseStore
 from .mxm import _gather_ranges
@@ -108,17 +113,22 @@ def spmspv_push(
     semiring: Semiring,
     out_type: Type,
     matrix_first: bool = True,
+    kernels=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Push traversal: scatter from each entry of the sparse vector.
 
     ``a_by_inner`` must be oriented with the vector's dimension as its major
     axis (CSC for mxv, CSR for vxm).  Returns (indices, values) sorted.
+    ``kernels`` is the plan's compiled kernel set, if one was selected.
     """
     if faults.ENABLED:
         faults.trip("mxv.push")
     if a_by_inner.n_major != 0 and u_idx.size:
         if int(u_idx.max()) >= a_by_inner.n_major:
             raise InvalidValue("vector index outside matrix inner dimension")
+    if kernels is not None:
+        return _compiled_push(kernels, a_by_inner, u_idx, u_vals, out_type,
+                              matrix_first)
     starts, ends = a_by_inner.major_ranges(u_idx)
     lens = ends - starts
     gather = _gather_ranges(starts, ends)
@@ -156,6 +166,76 @@ def spmspv_push(
     else:
         vals = out_type.cast_array(vals)
     return out_idx, vals
+
+
+def _empty_vec(dtype) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, dtype=_INDEX), np.empty(0, dtype=dtype)
+
+
+def _trimmed(oi, ov, nz):
+    """The first ``nz`` outputs, copied only when the buffers are larger
+    (so an over-allocated scratch buffer is not kept alive)."""
+    if nz == oi.size:
+        return oi, ov
+    return oi[:nz].copy(), ov[:nz].copy()
+
+
+def _compiled_push(kern, store, u_idx, u_vals, out_type, matrix_first):
+    dt = out_type.np_dtype
+    if u_idx.size == 0 or store.nvals == 0:
+        if telemetry.ENABLED:
+            telemetry.tally("mxv", flops=0)
+        return _empty_vec(dt)
+    a = store_args(store, dt)
+    ui = np.ascontiguousarray(u_idx, dtype=_INDEX)
+    ux = np.ascontiguousarray(u_vals, dtype=dt)
+    flops = int((a.indptr[ui + 1] - a.indptr[ui]).sum())
+    if telemetry.ENABLED:
+        telemetry.tally("mxv", flops=flops)
+    if flops == 0:
+        return _empty_vec(dt)
+    n_out = int(store.n_minor)
+    cap = min(n_out, flops)
+    mark = np.full(n_out, -1, dtype=_INDEX)
+    oi = np.empty(cap, dtype=_INDEX)
+    ov = np.empty(cap, dtype=dt)
+    nz = kern.push(ui, ux, a, matrix_first, mark, oi, ov)
+    return _trimmed(oi, ov, nz)
+
+
+def _compiled_pull(kern, store, u_dense, u_present, out_type, matrix_first,
+                   outer_hint):
+    dt = out_type.np_dtype
+    if store.nvals == 0:
+        if telemetry.ENABLED:
+            telemetry.tally("mxv", flops=0)
+        return _empty_vec(dt)
+    a = store_args(store, dt)
+    rows = (
+        a.rows() if outer_hint is None
+        else np.ascontiguousarray(outer_hint, dtype=_INDEX)
+    )
+    if rows.size == 0:
+        return _empty_vec(dt)
+    if telemetry.ENABLED:
+        telemetry.tally(
+            "mxv", flops=int((a.indptr[rows + 1] - a.indptr[rows]).sum()))
+    oi = np.empty(rows.size, dtype=_INDEX)
+    ov = np.empty(rows.size, dtype=dt)
+    stats = np.zeros(4, dtype=_INDEX)
+    nz = kern.pull(rows, a, np.ascontiguousarray(u_dense, dtype=dt),
+                   np.ascontiguousarray(u_present, dtype=np.bool_),
+                   matrix_first, oi, ov, stats)
+    if telemetry.ENABLED and kern.has_terminal:
+        telemetry.decision(
+            "mxv.early_exit",
+            terminated=int(stats[0]),
+            eligible=int(stats[1]),
+            dots=int(rows.size),
+            scanned=int(stats[2]),
+            depth_sum=int(stats[3]),
+        )
+    return _trimmed(oi, ov, nz)
 
 
 def _major_blocks(major: np.ndarray, nblocks: int) -> list[tuple[int, int]]:
@@ -196,16 +276,21 @@ def spmv_pull(
     matrix_first: bool = True,
     outer_hint: np.ndarray | None = None,
     nthreads: int | None = None,
+    kernels=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull traversal: per-output-position dot against the densified vector.
 
     ``a_by_outer`` is oriented with the *output* dimension major (CSR for
     mxv, CSC for vxm).  ``outer_hint`` (sorted) restricts computation to
     those output positions — the pull-side payoff of an output mask.
-    Returns (indices, values) sorted.
+    Returns (indices, values) sorted.  ``kernels`` is the plan's compiled
+    kernel set, if one was selected.
     """
     if faults.ENABLED:
         faults.trip("mxv.pull")
+    if kernels is not None:
+        return _compiled_pull(kernels, a_by_outer, u_dense, u_present,
+                              out_type, matrix_first, outer_hint)
     mult = semiring.mult
     if outer_hint is not None:
         starts, ends = a_by_outer.major_ranges(outer_hint)

@@ -275,6 +275,13 @@ class OpPlan:
         Engine-independent op-specific extras (resolved index sets, mxv
         method, apply binding, ...).  Backends read what they need and are
         free to ignore hints (e.g. the reference engine ignores ``method``).
+    selection:
+        This plan's compiled-tier choice, ``(kernel set | None, outcome)``
+        with outcome ``"hit"``, ``"built"`` or ``"declined"``; set by
+        :func:`repro.graphblas.compiled.select` on first use.
+    kernel:
+        The kernel tier that ran the plan, ``"compiled"`` or ``"numpy"``
+        (None for ops without a tier choice).
     """
 
     op: str
@@ -286,15 +293,16 @@ class OpPlan:
     operator: object | None = None
     out_type: Type | None = None
     params: dict = field(default_factory=dict)
+    selection: tuple | None = None
+    kernel: str | None = None
 
     def kernel_signature(self) -> tuple:
         """The tuple both kernel tiers specialize on.
 
         ``(add, mult, arg type names, out type, mask kind, accum)`` —
-        the engine's closure cache and the compiled tier's JIT cache key
-        off (subsets of) this, and backend ``supports()`` checks read it
-        instead of re-deriving the fields from the operator objects.
-        Non-semiring operators yield None add/mult.
+        the engine's closure cache and the compiled tier's plan-class
+        memo (:func:`repro.graphblas.compiled.select`) key off (subsets
+        of) this.  Non-semiring operators yield None add/mult.
         """
         op = self.operator
         add = getattr(getattr(op, "add", None), "name", None)

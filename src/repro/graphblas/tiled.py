@@ -11,16 +11,19 @@ here when the governor tagged it over-budget (see
 caller asked for ``method="tiled"`` explicitly.
 
 **Bit-identity.**  Tiled results are bit-identical to the in-memory
-kernels, floats included.  The in-memory Gustavson path folds each output
-entry's partial products in ascending-``k`` order with one sequential
-segment reduction; the tiled path reproduces that fold exactly by keeping
-partial products *unreduced* across inner tiles, concatenating them in
-ascending ``k``-tile order (within-tile expansion is already
-``k``-ascending per row), stable-sorting by output coordinate, and
-reducing once per output stripe.  Reducing per tile and folding across
-tiles would regroup floating-point sums; collecting first does not.  The
-same argument covers mxv: push and pull both fold ascending-``k`` per
-output index, and so does the tiled expansion.
+kernels, floats included.  The in-memory path folds each output entry's
+partial products in ascending-``k`` order; the tiled path reproduces that
+order exactly by keeping partial products *unreduced* across inner
+tiles, concatenating them in ascending ``k``-tile order (within-tile
+expansion is already ``k``-ascending per row), stable-sorting by output
+coordinate, and reducing once per output stripe.  Reducing per tile and
+folding across tiles would regroup floating-point sums; collecting first
+does not.  The same argument covers mxv: push and pull both fold
+ascending-``k`` per output index, and so does the tiled expansion.  The
+reduction itself is the one the in-memory kernel uses for the same
+product: the compiled strict left fold (``KernelSet.segfold``, the
+SPA's order) exactly when :func:`repro.graphblas.compiled.select_class`
+picks the compiled tier, NumPy's segment reduction otherwise.
 
 **Fault hardening.**  Spill writes go through the atomic temp-file +
 rename writer shared with :mod:`repro.io.checkpoint`, tripping the
@@ -61,7 +64,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from . import engine, faults, governor, telemetry
+from . import compiled, engine, faults, governor, telemetry
 from .errors import InvalidValue, OutOfMemory
 from .formats import Orientation, SparseStore, group_starts
 from .mxm import _gather_ranges, _pair_group_starts, _positional_values
@@ -640,9 +643,21 @@ def _expand_pair(a_coo, b_tile, i0, k0, j0, mult, kern):
     return i, j, vals
 
 
-def _reduce_stripe(i, j, vals, semiring, out_type, kern, key_mult):
+def _fold(vals, seg, semiring, out_type, kern, kernels):
+    """Reduce each segment of ``vals`` with the in-memory kernel's own
+    reduction: the compiled strict left fold when ``kernels`` (the
+    product's compiled selection) is set, NumPy's otherwise."""
+    if kernels is not None:
+        return kernels.segfold(
+            np.ascontiguousarray(out_type.cast_array(vals)), seg)
+    if kern is not None:
+        return kern.segment_reduce(vals, seg)
+    return semiring.add.reduce_segments(vals, seg, out_type)
+
+
+def _reduce_stripe(i, j, vals, semiring, out_type, kern, key_mult, kernels):
     """Fold one output stripe's partial products, bit-identical to the
-    in-memory Gustavson chunk fold (same sort, same segment reduction)."""
+    in-memory kernel for the same product (same order, same fold)."""
     if key_mult is not None and i.size:
         key = i * key_mult + j
         order = np.argsort(key, kind="stable")
@@ -657,10 +672,7 @@ def _reduce_stripe(i, j, vals, semiring, out_type, kern, key_mult):
         i, j, vals = i[order], j[order], vals[order]
         seg = _pair_group_starts(i, j)
     if seg.size != i.size:
-        if kern is not None:
-            vals = kern.segment_reduce(vals, seg)
-        else:
-            vals = semiring.add.reduce_segments(vals, seg, out_type)
+        vals = _fold(vals, seg, semiring, out_type, kern, kernels)
         i, j = i[seg], j[seg]
     else:
         vals = out_type.cast_array(vals)
@@ -728,6 +740,9 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
     C = TiledMatrix(A.nrows, B.ncols, A.tile_dim, out_type, pool, name=name)
     mult = sr.mult
     kern = engine.kernel_for(sr, out_type, method="gustavson")
+    kernels = compiled.select_class(
+        sr, A.dtype, B.dtype, out_type,
+        max(A.nrows, A.ncols, B.nrows, B.ncols))[0]
     key_mult = None
     if engine.ENABLED and 0 < C.ncols and C.nrows <= engine.KEY_LIMIT // max(C.ncols, 1):
         key_mult = np.int64(C.ncols)
@@ -814,7 +829,7 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
             vals = np.concatenate([p[2] for p in parts])
             del parts
             i, j, vals = _reduce_stripe(i, j, vals, sr, out_type, kern,
-                                        key_mult)
+                                        key_mult, kernels)
             i_loc = i - bi * td
             # each chunk is one row-run piece of the cells it touches
             for bj, idx in _group_by_tile(j, td):
@@ -832,11 +847,16 @@ def mxv_tiled(A: TiledMatrix, u_dense: np.ndarray, u_present: np.ndarray,
     dimension (the pull orientation).  Per output stripe, partial
     products stream in ascending inner-tile order and are folded once —
     bit-identical to both the push and pull in-memory kernels, which fold
-    ascending-``k`` per output index.
+    ascending-``k`` per output index.  ``u_dense`` carries the vector's
+    type (it picks the fold, like the in-memory plan's operand types).
     """
     sr = resolve_semiring(semiring)
     mult = sr.mult
     kern = engine.kernel_for(sr, out_type, method="push")
+    u_type = lookup_type(u_dense.dtype)
+    args = (A.dtype, u_type) if matrix_first else (u_type, A.dtype)
+    kernels = compiled.select_class(sr, *args, out_type,
+                                    max(A.nrows, A.ncols))[0]
     td = A.tile_dim
     out_i, out_v = [], []
     for bi in range(A.grid_rows):
@@ -876,10 +896,7 @@ def mxv_tiled(A: TiledMatrix, u_dense: np.ndarray, u_present: np.ndarray,
         np.not_equal(m[1:], m[:-1], out=change[1:])
         seg = np.flatnonzero(change).astype(_INDEX)
         if seg.size != m.size:
-            if kern is not None:
-                vals = kern.segment_reduce(vals, seg)
-            else:
-                vals = sr.add.reduce_segments(vals, seg, out_type)
+            vals = _fold(vals, seg, sr, out_type, kern, kernels)
             m = m[seg]
         else:
             vals = out_type.cast_array(vals)

@@ -145,7 +145,7 @@ def _engine_gauges() -> list[tuple[str, object, dict]]:
             {"stat": stat},
         ))
     for stat in ("hits", "misses", "evictions", "size", "capacity",
-                 "unsupported", "compile_seconds"):
+                 "declined", "compile_seconds"):
         gauges.append((
             "graphblas_compiled_kernel_cache",
             lambda s=stat: compiled.cache_stats()[s],

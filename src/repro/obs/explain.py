@@ -8,9 +8,10 @@ record per executed :class:`~repro.graphblas.plan.OpPlan`:
   re-plan (``tiled`` spill execution, ``degraded`` to a lighter engine);
 * the **admission verdict** with estimated vs actual result bytes, so
   the governor's footprint model is auditable against reality;
-* **engine activity** — kernel-cache hits vs compiles, SpGEMM method,
-  push/pull direction, and compiled-tier JIT cache traffic (the ``cmp``
-  column);
+* **engine activity** — the kernel tier that ran (``compiled`` or
+  ``numpy``), SpGEMM method, push/pull direction, and the plan's own
+  compiled-kernel cache outcome (the ``cmp`` column: ``hit`` or
+  ``built``, with the toolchain);
 * **spill traffic** — tiles, spills, reloads, and bytes through the
   plan's :class:`~repro.graphblas.tiled.SpillPool`;
 * **wall time**, kernel-only (the dispatcher's measurement).
@@ -155,27 +156,18 @@ class ExplainReport:
         parts = []
         if self.records:
             headers = ["#", "op", "route", "backend", "method", "ms",
-                       "est", "actual", "admission", "kcache", "cmp",
+                       "est", "actual", "admission", "kernel", "cmp",
                        "spills", "reloads"]
             windowed = any("window" in r for r in self.records)
             if windowed:
                 headers.append("win")
             rows = []
             for i, r in enumerate(self.records):
-                hits = r.get("kernel_hits", 0)
-                compiles = r.get("kernel_compiles", 0)
-                if hits or compiles:
-                    kcache = f"{hits}h/{compiles}c"
-                else:
-                    kcache = "-"
-                chits = r.get("compiled_hits", 0)
-                ccompiles = r.get("compiled_compiles", 0)
-                if chits or ccompiles:
-                    cmp_cell = f"{chits}h/{ccompiles}c"
-                elif r.get("compiled_toolchain"):
-                    cmp_cell = str(r["compiled_toolchain"])
-                else:
-                    cmp_cell = "-"
+                cmp_cell = "-"
+                if "kernel_cache" in r:
+                    cmp_cell = r["kernel_cache"]
+                    if r.get("compiled_toolchain"):
+                        cmp_cell += f"/{r['compiled_toolchain']}"
                 rows.append([
                     str(i),
                     str(r.get("op", "?")),
@@ -186,7 +178,7 @@ class ExplainReport:
                     _fmt_bytes(r.get("est_bytes")),
                     _fmt_bytes(r.get("actual_bytes")),
                     str(r.get("admission", "-")),
-                    kcache,
+                    str(r.get("kernel", "-")),
                     cmp_cell,
                     str(r.get("spills", 0) or "-"),
                     str(r.get("reloads", 0) or "-"),

@@ -138,8 +138,8 @@ class MetricsSink:
           "Wall time of compiled-tier kernel JIT builds, by toolchain")
         d("graphblas_compiled_kernel_events_total", "counter",
           "Compiled-kernel cache activity (compile/hit) by toolchain")
-        d("graphblas_compiled_early_exit_total", "counter",
-          "Terminal-monoid early exits taken by compiled kernels, by op")
+        d("graphblas_early_exit_total", "counter",
+          "Dot products stopped at a terminal-monoid annihilator, by op")
         d("graphblas_spgemm_method_total", "counter",
           "SpGEMM method selections")
         d("graphblas_mxv_direction_total", "counter",
@@ -230,11 +230,11 @@ class MetricsSink:
                     "graphblas_compile_seconds", float(detail["seconds"]),
                     _labels1("toolchain", toolchain))
             return
-        if kind == "compiled.early_exit":
+        if kind in ("mxm.early_exit", "mxv.early_exit"):
             terminated = int(detail.get("terminated", 0))
             if terminated:
-                inc("graphblas_compiled_early_exit_total", terminated,
-                    _labels1("op", detail.get("op")))
+                inc("graphblas_early_exit_total", terminated,
+                    _labels1("op", kind.split(".", 1)[0]))
             return
         if kind == "spgemm.method":
             inc("graphblas_spgemm_method_total", 1,

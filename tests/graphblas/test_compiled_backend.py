@@ -1,21 +1,27 @@
-"""The compiled kernel tier: backend wiring, cache, telemetry, parity.
+"""The compiled kernel tier: selection, backend wiring, cache, telemetry.
 
-Covers the fifth backend end to end — registry and fallback-chain
-behavior (including the never-raise warn-once path when no toolchain is
-usable), the compiled-kernel LRU and its warm reuse across calls, the
-``compiled.kernel`` / ``compiled.early_exit`` telemetry and their obs
-metrics, the ``cmp`` column in EXPLAIN, the ``GxB_Compiled_set/get``
-C-API option, terminal early exit, and value parity against the
-optimized engine (bit-identical for order-insensitive add monoids and
-integer types, tolerance-checked for float PLUS where numpy's unrolled
-reduceat and the scalar SPA legitimately differ in the last ulp).
+Covers the tier end to end — the default ``optimized`` backend running
+the compiled kernels for every class :func:`compiled.select` accepts,
+the ``compiled`` backend's "compiled or decline" contract (including the
+never-raise warn-once path when no toolchain is usable), the plan-class
+memo (warm reuse, LRU bound, one build per class under racing threads,
+a failed build declining its class),
+the ``compiled.kernel`` / ``mxm.early_exit`` / ``mxv.early_exit``
+telemetry and their obs metrics, the plan-owned ``kernel`` /
+``kernel_cache`` fields of ``plan.done`` and EXPLAIN's ``kernel``/``cmp``
+columns, the ``GxB_Compiled_set/get`` C-API option, terminal early exit,
+and value parity against the NumPy kernels (the toolchain-off side):
+bit-identical for order-insensitive add monoids and integer types,
+tolerance-checked for float PLUS where numpy's unrolled reduceat and the
+strict left fold legitimately differ in the last ulp.
 
 The whole module runs on whatever toolchain ``auto`` resolves to — cc
 in a bare container, numba when the ``[compiled]`` extra is installed —
-and parity classes are skipped when neither exists.
+and tier classes are skipped when neither exists.
 """
 
-import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -25,6 +31,7 @@ from repro import obs
 from repro.graphblas import Matrix, Vector, backends, capi, envutil, telemetry
 from repro.graphblas import compiled
 from repro.graphblas import operations as ops
+from repro.graphblas import plan as gplan
 from repro.graphblas.backends import get_backend, set_default_backend
 from repro.graphblas.backends.differential import DifferentialBackend
 from repro.graphblas.types import BOOL, FP64, INT64
@@ -59,6 +66,26 @@ def rand_vec(seed=1, n=40, density=0.3):
     return Vector.from_dense(dense, missing=0.0)
 
 
+def _decisions(col, name):
+    return [e["args"] for e in col.events
+            if e["type"] == "decision" and e["name"] == name]
+
+
+def _run_threads(threads, timeout=120.0):
+    """Start and join ``threads`` with a short switch interval, so the
+    interpreter interleaves them finely; every thread must finish."""
+    prev = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout)
+    finally:
+        sys.setswitchinterval(prev)
+    assert not any(th.is_alive() for th in threads)
+
+
 class TestRegistryAndFallback:
     def test_compiled_registered(self):
         assert "compiled" in backends.available_backends()
@@ -82,6 +109,17 @@ class TestRegistryAndFallback:
             warnings.simplefilter("error")
             ops.mxm(Matrix(FP64, A.nrows, B.ncols), A, B, "PLUS_TIMES")
 
+    def test_default_backend_silent_without_toolchain(self, monkeypatch):
+        monkeypatch.setenv("GRAPHBLAS_COMPILED_TOOLCHAIN", "off")
+        compiled.reset()
+        envutil.reset_warned()
+        A, B = rand_pair()
+        u = rand_vec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ops.mxm(Matrix(FP64, A.nrows, B.ncols), A, B, "PLUS_TIMES")
+            ops.mxv(Vector(FP64, A.nrows), A, u, "PLUS_TIMES")
+
     def test_fallback_telemetry_emitted(self, monkeypatch):
         monkeypatch.setenv("GRAPHBLAS_COMPILED_TOOLCHAIN", "off")
         compiled.reset()
@@ -91,23 +129,134 @@ class TestRegistryAndFallback:
             warnings.simplefilter("ignore")
             with telemetry.collect() as col:
                 ops.mxm(C, A, B, "PLUS_TIMES", backend="compiled")
-        falls = [e for e in col.events
-                 if e["type"] == "decision" and e["name"] == "backend.fallback"]
-        assert any(e["args"]["declined"] == "compiled"
-                   and e["args"]["fallback"] == "optimized" for e in falls)
+        falls = _decisions(col, "backend.fallback")
+        assert any(e["declined"] == "compiled"
+                   and e["fallback"] == "optimized" for e in falls)
 
     @needs_tier
     def test_unsupported_semiring_declined(self):
-        # user-defined ops have no template: the plan must fall through
+        # the heap method has no compiled kernel: the plan falls through
         A, B = rand_pair()
         C = Matrix(FP64, A.nrows, B.ncols)
         with telemetry.collect() as col:
             ops.mxm(C, A, B, "PLUS_TIMES", backend="compiled",
-                    method="heap")  # heap method is not compiled
-        falls = [e for e in col.events
-                 if e["type"] == "decision" and e["name"] == "backend.fallback"]
-        assert any(e["args"]["declined"] == "compiled" for e in falls)
+                    method="heap")
+        falls = _decisions(col, "backend.fallback")
+        assert any(e["declined"] == "compiled" for e in falls)
         assert C.nvals > 0
+
+
+@needs_tier
+class TestSelect:
+    """``compiled.select``: one memoised decision per plan class."""
+
+    def _plan(self, sr, dtype=FP64, seed=0, **kw):
+        A, B = rand_pair(seed=seed, n=12)
+        if dtype is not FP64:
+            A = Matrix.from_coo(*A.extract_tuples()[:2],
+                                np.ones(A.nvals, dtype=dtype.np_dtype),
+                                nrows=12, ncols=12, dtype=dtype)
+            B = A
+        return gplan.plan_mxm(Matrix(dtype, 12, 12), A, B, sr, **kw)
+
+    def test_default_backend_runs_compiled(self):
+        A, B = rand_pair(seed=2)
+        got, want = Matrix(FP64, 40, 40), Matrix(FP64, 40, 40)
+        rep = obs.explain(lambda: ops.mxm(got, A, B, "PLUS_TIMES"))
+        assert rep.records[0]["backend"] == "optimized"
+        assert rep.records[0]["kernel"] == "compiled"
+        ops.mxm(want, A, B, "PLUS_TIMES", backend="compiled")
+        for g, w in zip(got.extract_tuples(), want.extract_tuples()):
+            assert g.tobytes() == w.tobytes()
+
+    def test_declines_are_memoised_too(self):
+        p1 = self._plan("MIN_SECONDI", dtype=INT64)  # positional: NumPy
+        p2 = self._plan("MIN_SECONDI", dtype=INT64)
+        assert compiled.select(p1) is None and compiled.select(p2) is None
+        st = compiled.cache_stats()
+        assert st["declined"] == 1 and st["hits"] == 1 and st["misses"] == 0
+        assert p1.selection[1] == p2.selection[1] == "declined"
+
+    def test_heap_method_and_mixed_types_decline(self):
+        assert compiled.select(self._plan("PLUS_TIMES", method="heap")) is None
+        A, _ = rand_pair(n=12)
+        Bi = Matrix.from_coo([0], [0], [1], nrows=12, ncols=12, dtype=INT64)
+        mixed = gplan.plan_mxm(Matrix(FP64, 12, 12), A, Bi, "PLUS_TIMES")
+        assert compiled.select(mixed) is None
+
+    def test_oversized_dimension_declines_outside_memo(self, monkeypatch):
+        monkeypatch.setattr(compiled, "MAX_DIMENSION", 8)
+        assert compiled.select(self._plan("PLUS_TIMES")) is None
+        assert compiled.cache_stats()["size"] == 0
+
+    def test_one_plan_one_outcome(self):
+        p = self._plan("PLUS_TIMES")
+        kern = compiled.select(p)
+        assert p.selection == (kern, "built")
+        assert compiled.select(p) is kern  # resolved once per plan
+        assert compiled.cache_stats()["hits"] == 0
+        q = self._plan("PLUS_TIMES", seed=1)
+        assert compiled.select(q) is kern and q.selection[1] == "hit"
+
+    def test_failed_build_declines_and_numpy_runs(self, monkeypatch):
+        # e.g. an artifact directory that cannot be written or loaded from
+        calls = []
+
+        def broken(spec, tc):
+            calls.append(spec)
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr(compiled._toolchain, "build", broken)
+        A, B = rand_pair(seed=3)
+        u = rand_vec()
+        want_c, want_y = Matrix(FP64, 40, 40), Vector(FP64, 40)
+        with compiled.toolchain_off():
+            ops.mxm(want_c, A, B, "PLUS_TIMES")
+            ops.mxv(want_y, A, u, "PLUS_TIMES")
+        got_c, got_y = Matrix(FP64, 40, 40), Vector(FP64, 40)
+        with pytest.warns(RuntimeWarning, match="kernel build failed"):
+            ops.mxm(got_c, A, B, "PLUS_TIMES")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the failure warns once
+            ops.mxv(got_y, A, u, "PLUS_TIMES")
+            ops.vxm(Vector(FP64, 40), u, A, "PLUS_TIMES")
+            ops.mxm(Matrix(FP64, 40, 40), A, B, "PLUS_TIMES")
+        assert len(calls) == 1  # the decline is memoised: no rebuild
+        st = compiled.cache_stats()
+        assert st["misses"] == 0 and st["declined"] == 1
+        for got, want in ((got_c, want_c), (got_y, want_y)):
+            for g, w in zip(got.extract_tuples(), want.extract_tuples()):
+                assert g.tobytes() == w.tobytes()
+
+    def test_first_use_under_threads_builds_once_per_class(self, tmp_path):
+        # a fresh artifact directory makes every cc build a real compile,
+        # widening the window in which the threads race
+        compiled.set_config(directory=str(tmp_path))
+        classes = [("PLUS_TIMES", FP64), ("MIN_PLUS", FP64),
+                   ("MAX_MIN", INT64), ("MIN_SECONDI", INT64)]
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+        errors = []
+
+        def worker(t):
+            try:
+                plans = [self._plan(sr, dtype, seed=t) for sr, dtype in classes]
+                barrier.wait()
+                got[t] = [compiled.select(p) for p in plans]
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        _run_threads([threading.Thread(target=worker, args=(t,))
+                      for t in range(4)])
+        assert not errors, errors
+        st = compiled.cache_stats()
+        assert st["misses"] == 3          # one build per compiled class
+        assert st["declined"] == 1        # the positional class, once
+        for k in range(3):
+            first = got[0][k]
+            assert first is not None
+            assert all(g[k] is first for g in got)
+        assert all(g[3] is None for g in got)
 
 
 @needs_tier
@@ -141,8 +290,7 @@ class TestKernelCache:
                     backend="compiled")
             ops.mxm(Matrix(FP64, A.nrows, B.ncols), A, B, "PLUS_TIMES",
                     backend="compiled")
-        evs = [e["args"] for e in col.events
-               if e["type"] == "decision" and e["name"] == "compiled.kernel"]
+        evs = _decisions(col, "compiled.kernel")
         events = [e["event"] for e in evs]
         assert "compile" in events and "hit" in events
         first_compile = next(e for e in evs if e["event"] == "compile")
@@ -153,16 +301,77 @@ class TestKernelCache:
 @needs_tier
 class TestObservability:
     def test_plan_done_carries_cache_deltas_and_cmp_column(self):
+        """``plan.done`` names the tier and this plan's own cache outcome;
+        EXPLAIN renders them in the ``kernel`` and ``cmp`` columns."""
         A, B = rand_pair()
         C = Matrix(FP64, A.nrows, B.ncols)
         rep = obs.explain(
             lambda: ops.mxm(C, A, B, "PLUS_TIMES", backend="compiled"))
         rec = rep.records[0]
         assert rec["backend"] == "compiled"
-        assert rec.get("compiled_compiles", 0) + rec.get("compiled_hits", 0) >= 1
-        text = rep.text()
-        assert "cmp" in text.splitlines()[1]
-        assert "h/" in text and "c" in text  # the Nh/Mc cell rendered
+        assert rec["kernel"] == "compiled"
+        assert rec["kernel_cache"] == "built"
+        header = rep.text().splitlines()[1]
+        assert "cmp" in header and "kernel" in header
+        assert f"built/{compiled.toolchain_name()}" in rep.text()
+        rep2 = obs.explain(
+            lambda: ops.mxm(Matrix(FP64, 40, 40), A, B, "PLUS_TIMES"))
+        assert rep2.records[0]["kernel_cache"] == "hit"
+
+    def test_plan_done_attribution_under_threads(self, tmp_path):
+        """Two threads, obs on: a compiled-class plan compiling while a
+        NumPy-only class (a positional semiring) runs beside it.  Each
+        ``plan.done`` names its own tier; neither reports the other's
+        compile."""
+        compiled.set_config(directory=str(tmp_path))  # a real cc compile
+        A, B = rand_pair(seed=3)
+        Ai = Matrix.from_coo(*A.extract_tuples()[:2],
+                             np.ones(A.nvals, dtype=np.int64),
+                             nrows=40, ncols=40, dtype=INT64)
+        done = threading.Event()
+        barrier = threading.Barrier(2)
+        records = {"compiled": [], "numpy": []}
+        errors = []
+
+        def plans(col):
+            return _decisions(col, "plan.done")
+
+        def compiled_side():
+            try:
+                with telemetry.collect() as col:
+                    barrier.wait()
+                    ops.mxm(Matrix(FP64, 40, 40), A, B, "PLUS_TIMES")
+                records["compiled"] = plans(col)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def numpy_side():
+            try:
+                with telemetry.collect() as col:
+                    barrier.wait()
+                    while not done.is_set():
+                        ops.mxm(Matrix(INT64, 40, 40), Ai, Ai, "MIN_SECONDI")
+                records["numpy"] = plans(col)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        obs.reset()
+        try:
+            obs.enable()
+            _run_threads([threading.Thread(target=compiled_side),
+                          threading.Thread(target=numpy_side)])
+        finally:
+            obs.reset()
+        assert not errors, errors
+        (rec,) = records["compiled"]
+        assert rec["kernel"] == "compiled" and rec["kernel_cache"] == "built"
+        assert records["numpy"]
+        for rec in records["numpy"]:
+            assert rec["kernel"] == "numpy"
+            assert "kernel_cache" not in rec
+            assert not any("compile" in key for key in rec)
 
     def test_metrics_registry_series(self):
         obs.reset()
@@ -178,6 +387,7 @@ class TestObservability:
             assert 'event="compile"' in text and 'event="hit"' in text
             assert "graphblas_compile_seconds" in text
             assert 'graphblas_compiled_kernel_cache{stat="hits"}' in text
+            assert 'graphblas_compiled_kernel_cache{stat="declined"}' in text
             obs.check_prometheus_text(text)
         finally:
             obs.reset()
@@ -202,6 +412,8 @@ class TestCapi:
 
 @needs_tier
 class TestParity:
+    """Compiled kernels vs the NumPy kernels (toolchain off)."""
+
     SEMIRINGS = ["PLUS_TIMES", "MIN_PLUS", "MAX_MIN"]
 
     @pytest.mark.parametrize("sr", SEMIRINGS)
@@ -210,15 +422,16 @@ class TestParity:
         C1 = Matrix(FP64, A.nrows, B.ncols)
         C2 = Matrix(FP64, A.nrows, B.ncols)
         ops.mxm(C1, A, B, sr, backend="compiled")
-        ops.mxm(C2, A, B, sr, backend="optimized")
+        with compiled.toolchain_off():
+            ops.mxm(C2, A, B, sr)
         r1, c1, v1 = C1.extract_tuples()
         r2, c2, v2 = C2.extract_tuples()
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(c1, c2)
         if sr == "PLUS_TIMES":
             # float PLUS is order-sensitive and numpy's reduceat unrolls
-            # long segments 8-wide, so the scalar SPA can differ in the
-            # last ulp — tolerance-checked, same as the differential tier
+            # long segments 8-wide, so the strict left fold can differ
+            # in the last ulp — tolerance-checked
             np.testing.assert_allclose(v1, v2, rtol=1e-9, atol=1e-12)
         else:
             # MIN/MAX monoids are order-insensitive: bit-identical
@@ -233,10 +446,9 @@ class TestParity:
         C2 = Matrix(FP64, A.nrows, B.ncols)
         with telemetry.collect() as col:
             ops.mxm(C1, A, B, "PLUS_TIMES", mask=M, backend="compiled")
-        methods = [e["args"]["method"] for e in col.events
-                   if e["type"] == "decision" and e["name"] == "spgemm.method"]
-        assert "dot" in methods
-        ops.mxm(C2, A, B, "PLUS_TIMES", mask=M, backend="optimized")
+        assert "dot" in [e["method"] for e in _decisions(col, "spgemm.method")]
+        with compiled.toolchain_off():
+            ops.mxm(C2, A, B, "PLUS_TIMES", mask=M)
         r1, c1, v1 = C1.extract_tuples()
         r2, c2, v2 = C2.extract_tuples()
         np.testing.assert_array_equal(r1, r2)
@@ -250,10 +462,10 @@ class TestParity:
             for op in (ops.mxv, ops.vxm):
                 w1 = Vector(FP64, A.nrows)
                 w2 = Vector(FP64, A.nrows)
-                op(w1, A, u, sr, backend="compiled") if op is ops.mxv \
-                    else op(w1, u, A, sr, backend="compiled")
-                op(w2, A, u, sr, backend="optimized") if op is ops.mxv \
-                    else op(w2, u, A, sr, backend="optimized")
+                args = (A, u) if op is ops.mxv else (u, A)
+                op(w1, *args, sr, backend="compiled")
+                with compiled.toolchain_off():
+                    op(w2, *args, sr)
                 i1, v1 = w1.extract_tuples()
                 i2, v2 = w2.extract_tuples()
                 np.testing.assert_array_equal(i1, i2)
@@ -308,19 +520,17 @@ class TestEarlyExit:
         w1 = Vector(BOOL, A.nrows)
         w2 = Vector(BOOL, A.nrows)
         with telemetry.collect() as col:
-            ops.mxv(w1, A, u, "LOR_LAND", backend="compiled")
-        ops.mxv(w2, A, u, "LOR_LAND", backend="optimized")
+            ops.mxv(w1, A, u, "LOR_LAND", method="pull")
+        with compiled.toolchain_off():
+            ops.mxv(w2, A, u, "LOR_LAND", method="pull")
         i1, v1 = w1.extract_tuples()
         i2, v2 = w2.extract_tuples()
         np.testing.assert_array_equal(i1, i2)
         np.testing.assert_array_equal(v1, v2)
-        exits = [e["args"] for e in col.events
-                 if e["type"] == "decision"
-                 and e["name"] == "compiled.early_exit"]
+        exits = _decisions(col, "mxv.early_exit")
         assert exits and exits[0]["terminated"] > 0
-        # early exit means rows stopped before scanning every candidate
-        assert exits[0]["scanned"] < exits[0].get("possible", float("inf")) \
-            if "possible" in exits[0] else True
+        # early exit: rows stopped before scanning every stored entry
+        assert exits[0]["scanned"] < A.nvals
 
     def test_max_min_terminal_fp64(self):
         # MAX over FP64 terminates at +inf: the first column's product
@@ -333,16 +543,25 @@ class TestEarlyExit:
         w1 = Vector(FP64, n)
         w2 = Vector(FP64, n)
         with telemetry.collect() as col:
-            ops.mxv(w1, A, u, "MAX_MIN", backend="compiled")
-        ops.mxv(w2, A, u, "MAX_MIN", backend="optimized")
+            ops.mxv(w1, A, u, "MAX_MIN")
+        with compiled.toolchain_off():
+            ops.mxv(w2, A, u, "MAX_MIN")
         i1, v1 = w1.extract_tuples()
         i2, v2 = w2.extract_tuples()
         np.testing.assert_array_equal(i1, i2)
         np.testing.assert_array_equal(v1, v2)
-        exits = [e["args"] for e in col.events
-                 if e["type"] == "decision"
-                 and e["name"] == "compiled.early_exit"]
+        exits = _decisions(col, "mxv.early_exit")
         assert any(e["terminated"] > 0 for e in exits)
+
+    def test_mxm_dot_reports_engine_decision(self):
+        n = 80
+        A = Matrix.from_dense(np.ones((n, n), dtype=bool))
+        with telemetry.collect() as col:
+            ops.mxm(Matrix(BOOL, n, n), A, A, "LOR_LAND", mask=A, desc="RS",
+                    method="dot")
+        assert not _decisions(col, "compiled.early_exit")
+        (ev,) = _decisions(col, "mxm.early_exit")
+        assert 0 < ev["terminated"] <= ev["eligible"] <= ev["dots"]
 
 
 @needs_tier
@@ -376,7 +595,8 @@ class TestPythonOracle:
             C1 = Matrix(INT64, n, n)
             C2 = Matrix(INT64, n, n)
             ops.mxm(C1, A, B, sr, backend="compiled")
-            ops.mxm(C2, A, B, sr, backend="optimized")
+            with compiled.toolchain_off():
+                ops.mxm(C2, A, B, sr)
             r1, c1, v1 = C1.extract_tuples()
             r2, c2, v2 = C2.extract_tuples()
             np.testing.assert_array_equal(r1, r2)

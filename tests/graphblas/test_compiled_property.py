@@ -12,18 +12,26 @@ tier compiles most often — ``PLUS_TIMES``, ``MIN_PLUS``, ``MAX_MIN``
 over FP64/INT64 and ``LOR_LAND`` over BOOL — masked and unmasked, and
 the edge shapes the generators are nudged toward: empty operands and
 iso (single-valued) inputs.
+
+``TestOneFoldOrder`` pins the numerics contract on an RMAT hub graph
+whose output entries fold hundreds of partial products: the default
+``mxm`` is a strict ascending-k left fold (byte-equal to a Python
+oracle), and the tiled kernels, the governed tiled route and
+``mxv_tiled`` are byte-equal to the in-memory default — with the
+compiled tier and, toolchain off, with NumPy on both sides.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphblas import Matrix, Vector, compiled
+from repro.generators import rmat_graph
+from repro.graphblas import Matrix, Vector, compiled, governor, tiled
 from repro.graphblas import operations as ops
 from repro.graphblas.backends.differential import DifferentialBackend
 from repro.graphblas.types import BOOL, FP64, INT64
 
-pytestmark = pytest.mark.skipif(
+needs_tier = pytest.mark.skipif(
     not compiled.available(),
     reason="no compiled toolchain (numba or cc) available",
 )
@@ -108,6 +116,7 @@ def _fresh_backend():
     return be
 
 
+@needs_tier
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("sr,dtype", SEMIRINGS, ids=lambda v: str(v))
 @settings(max_examples=25, deadline=None)
@@ -123,6 +132,7 @@ def test_mxm_matches_reference(fmt, sr, dtype, data):
     assert be.stats["divergences"] == 0
 
 
+@needs_tier
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("sr,dtype", SEMIRINGS, ids=lambda v: str(v))
 @settings(max_examples=25, deadline=None)
@@ -141,6 +151,7 @@ def test_mxv_vxm_match_reference(fmt, sr, dtype, data):
     assert be.stats["divergences"] == 0
 
 
+@needs_tier
 @pytest.mark.parametrize("sr,dtype", SEMIRINGS, ids=lambda v: str(v))
 def test_empty_times_empty(sr, dtype):
     be = _fresh_backend()
@@ -150,3 +161,116 @@ def test_empty_times_empty(sr, dtype):
     ops.mxm(C, A, B, sr, backend=be)
     assert C.nvals == 0
     assert be.stats["divergences"] == 0
+
+
+# --------------------------------------------------------------------------
+# one fold order: in-memory, tiled and governed routes agree byte for byte
+# --------------------------------------------------------------------------
+
+def _bytes_equal(got, want) -> None:
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def _left_fold_oracle(A: Matrix, second: bool):
+    """C = A*A as strict ascending-k left folds of IEEE partial products,
+    one Python float addition at a time."""
+    r, c, v = A.extract_tuples()  # row-major: row x is starts[x]:starts[x+1]
+    starts = np.searchsorted(r, np.arange(A.nrows + 1))
+    lens = starts[c + 1] - starts[c]  # each A(i,k) meets row k of A
+    gather = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in c])
+    i, k, j = np.repeat(r, lens), np.repeat(c, lens), c[gather]
+    prods = v[gather] if second else np.repeat(v, lens) * v[gather]
+    order = np.lexsort((k, j, i))
+    i, j, prods = i[order], j[order], prods[order]
+    head = np.ones(i.size, dtype=bool)
+    head[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+    seg = np.flatnonzero(head)
+    out = np.empty(seg.size)
+    bounds = np.append(seg, i.size).tolist()
+    p = prods.tolist()
+    for s in range(seg.size):
+        acc = p[bounds[s]]
+        for q in range(bounds[s] + 1, bounds[s + 1]):
+            acc = acc + p[q]
+        out[s] = acc
+    return i[seg], j[seg], out
+
+
+@pytest.fixture(scope="module")
+def hub_graph():
+    """RMAT with hubs: A*A folds hundreds of partials into some entries."""
+    G = rmat_graph(8, 16, seed=5)
+    r, c, _ = G.A.extract_tuples()
+    vals = np.random.default_rng(5).uniform(-1.0, 1.0, r.size)
+    A = Matrix.from_coo(r, c, vals, nrows=G.A.nrows, ncols=G.A.ncols,
+                        dtype=FP64)
+    counts = Matrix(INT64, A.nrows, A.ncols)
+    ops.mxm(counts, A, A, "PLUS_PAIR")
+    assert counts.extract_tuples()[2].max() > 64  # segments >> 8 long
+    return A
+
+
+@pytest.fixture(params=["auto", "off"])
+def tier(request):
+    """The default backend with the compiled tier (``auto``, skipped when
+    no toolchain resolves) and without it (``off``: NumPy both sides)."""
+    if request.param == "auto":
+        compiled.reset()
+        if not compiled.available():
+            pytest.skip("no compiled toolchain (numba or cc) available")
+    else:
+        compiled.set_config(toolchain="off")
+    yield request.param
+    compiled.reset()
+
+
+@pytest.mark.parametrize("sr", ["PLUS_TIMES", "PLUS_SECOND"])
+class TestOneFoldOrder:
+    def test_default_mxm_is_ascending_k_left_fold(self, hub_graph, tier, sr):
+        if tier == "off":
+            pytest.skip("NumPy's reduceat may differ in the last ulp")
+        C = Matrix(FP64, hub_graph.nrows, hub_graph.ncols)
+        ops.mxm(C, hub_graph, hub_graph, sr)
+        _bytes_equal(C.extract_tuples(),
+                     _left_fold_oracle(hub_graph, sr == "PLUS_SECOND"))
+
+    def test_tiled_routes_match_in_memory(self, hub_graph, tier, sr,
+                                          tmp_path):
+        A, n = hub_graph, hub_graph.nrows
+        want = Matrix(FP64, n, n)
+        ops.mxm(want, A, A, sr)
+        with tiled.SpillPool(budget=1 << 16, directory=tmp_path) as pool:
+            A_t = tiled.TiledMatrix.from_matrix(A, 64, pool)
+            got = tiled.mxm_tiled(A_t, A_t, sr).to_matrix()
+        _bytes_equal(got.extract_tuples(), want.extract_tuples())
+        governed = Matrix(FP64, n, n)
+        with governor.ExecutionContext(memory_budget=1, spill_dir=tmp_path,
+                                       spill_budget=1 << 16) as ctx:
+            ops.mxm(governed, A, A, sr)
+        assert ctx.stats["tiled"] == 1
+        _bytes_equal(governed.extract_tuples(), want.extract_tuples())
+
+    def test_mxv_tiled_matches_in_memory(self, hub_graph, tier, sr,
+                                         tmp_path):
+        A, n = hub_graph, hub_graph.nrows
+        u = Vector.from_dense(np.random.default_rng(9).uniform(-1, 1, n))
+        for op in ("mxv", "vxm"):
+            want = Vector(FP64, n)
+            args = (A, u) if op == "mxv" else (u, A)
+            getattr(ops, op)(want, *args, sr)
+            store = A.by_row() if op == "mxv" else A.by_col()
+            with tiled.SpillPool(budget=1 << 16, directory=tmp_path) as pool:
+                A_t = tiled.TiledMatrix.from_store(store, 64, pool,
+                                                   dtype=A.dtype)
+                got = tiled.mxv_tiled(A_t, u.to_dense(), u.pattern(), sr,
+                                      FP64, matrix_first=op == "mxv")
+            _bytes_equal(got, want.extract_tuples())
+            governed = Vector(FP64, n)
+            with governor.ExecutionContext(memory_budget=1,
+                                           spill_dir=tmp_path,
+                                           spill_budget=1 << 16) as ctx:
+                getattr(ops, op)(governed, *args, sr)
+            assert ctx.stats["tiled"] == 1
+            _bytes_equal(governed.extract_tuples(), want.extract_tuples())

@@ -204,40 +204,53 @@ class TestDeadlineCancel:
 # --------------------------------------------------------------------------
 
 class TestRetry:
+    """Dispatch-level retry of a kernel's transient ``OutOfMemory``, on the
+    default backend and on the compiled one (whose kernels trip the same
+    ``spgemm.flop`` point)."""
+
+    BACKENDS = ("optimized", "compiled")
+
     def test_transient_fault_retried_at_dispatch(self, AB):
         A, B = AB
         expected = Matrix("FP64", 20, 20)
         ops.mxm(expected, A, B, "PLUS_TIMES")
-        C = Matrix("FP64", 20, 20)
-        policy = governor.RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0)
-        with governor.ExecutionContext(retry=policy) as ctx:
-            with faults.inject("spgemm.flop", OutOfMemory, nth=1):
-                ops.mxm(C, A, B, "PLUS_TIMES")  # fails once, retried inside
-        assert ctx.stats["retries"] == 1
-        assert C.isequal(expected)
+        for name in self.BACKENDS:
+            C = Matrix("FP64", 20, 20)
+            policy = governor.RetryPolicy(attempts=3, base_delay=0.0,
+                                          jitter=0.0)
+            with governor.ExecutionContext(retry=policy) as ctx:
+                with faults.inject("spgemm.flop", OutOfMemory, nth=1):
+                    # fails once, retried inside
+                    ops.mxm(C, A, B, "PLUS_TIMES", backend=name)
+            assert ctx.stats["retries"] == 1, name
+            assert C.isequal(expected), name
 
     def test_persistent_fault_exhausts_attempts(self, AB):
         A, B = AB
-        C = Matrix("FP64", 20, 20)
-        policy = governor.RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0)
-        with governor.ExecutionContext(retry=policy) as ctx:
-            with faults.inject(
-                "spgemm.flop", OutOfMemory, probability=1.0, seed=1,
-                max_fires=None,
-            ):
-                with pytest.raises(OutOfMemory):
-                    ops.mxm(C, A, B, "PLUS_TIMES")
-        assert ctx.stats["retries"] == 2  # 3 attempts = 2 retries
+        for name in self.BACKENDS:
+            C = Matrix("FP64", 20, 20)
+            policy = governor.RetryPolicy(attempts=3, base_delay=0.0,
+                                          jitter=0.0)
+            with governor.ExecutionContext(retry=policy) as ctx:
+                with faults.inject(
+                    "spgemm.flop", OutOfMemory, probability=1.0, seed=1,
+                    max_fires=None,
+                ):
+                    with pytest.raises(OutOfMemory):
+                        ops.mxm(C, A, B, "PLUS_TIMES", backend=name)
+            assert ctx.stats["retries"] == 2, name  # 3 attempts = 2 retries
 
     def test_nontransient_error_not_retried(self, AB):
         A, B = AB
-        C = Matrix("FP64", 20, 20)
-        policy = governor.RetryPolicy(attempts=5, base_delay=0.0, jitter=0.0)
-        with governor.ExecutionContext(retry=policy) as ctx:
-            with faults.inject("spgemm.flop", ValueError, nth=1):
-                with pytest.raises(ValueError):
-                    ops.mxm(C, A, B, "PLUS_TIMES")
-        assert ctx.stats["retries"] == 0
+        for name in self.BACKENDS:
+            C = Matrix("FP64", 20, 20)
+            policy = governor.RetryPolicy(attempts=5, base_delay=0.0,
+                                          jitter=0.0)
+            with governor.ExecutionContext(retry=policy) as ctx:
+                with faults.inject("spgemm.flop", ValueError, nth=1):
+                    with pytest.raises(ValueError):
+                        ops.mxm(C, A, B, "PLUS_TIMES", backend=name)
+            assert ctx.stats["retries"] == 0, name
 
     def test_with_retry_plain_callable(self):
         calls = []
