@@ -16,7 +16,7 @@ from repro.graphblas import Vector
 from repro.graphblas import capi as grb
 from repro.graphblas import operations as ops
 from repro.harness import Table, count_function_loc
-from repro.lagraph.compact import bfs_levels_compact
+from repro.lagraph import bfs_level
 
 
 def bfs_pygb(graph, frontier, levels):
@@ -92,7 +92,7 @@ def test_all_styles_agree(rmat_small):
     assert lv_pygb.isequal(lv_core)
     assert lv_core.isequal(lv_capi)
     # and they match the library BFS (depth offset: Fig 2 roots at 1)
-    lib = bfs_levels_compact(0, rmat_small)
+    lib = bfs_level(0, rmat_small)
     i1, v1 = lv_core.extract_tuples()
     i2, v2 = lib.extract_tuples()
     assert i1.tolist() == i2.tolist()

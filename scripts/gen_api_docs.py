@@ -374,10 +374,11 @@ with ctx:
   still pass `graphblas.validate`.
 * **Deadline & cancellation** — `ctx.cancel()` (any thread) or an
   expired deadline makes the next *poll* raise `Cancelled` /
-  `DeadlineExceeded`.  Poll points sit between algorithm iterations, at
-  SpGEMM method boundaries, at mxv direction switches, per concat/split
-  tile, and at the top of `wait()` — all positions where every object is
-  fully consistent, so a cancelled computation leaves valid operands.
+  `DeadlineExceeded`.  Every op polls at admission, so an iterative
+  algorithm stops at its next op; kernels also poll at SpGEMM method
+  boundaries, at mxv direction switches, per concat/split tile, and at
+  the top of `wait()` — all positions where every object is fully
+  consistent, so a cancelled computation leaves valid operands.
 * **Retry** — `RetryPolicy(attempts, base_delay, max_delay, jitter,
   seed, transient=...)` (`repro.graphblas.retry`, re-exported as
   `governor.RetryPolicy`) is the library's one retry loop: capped
@@ -396,9 +397,15 @@ with ctx:
 * **Checkpoint/resume** — `bfs`, `bellman_ford_sssp`, `pagerank`,
   `connected_components`, `betweenness_centrality`, and `dnn_inference`
   accept `checkpoint=` (a path, a `governor.Checkpoint(path, every=k)`,
-  or a callable) and `resume=`.  Snapshots serialize the loop-carried
-  state through `repro.io.checkpoint.save_state` — a single `.npz`
-  written to a temp file and atomically renamed, so a crash mid-save
+  or a callable) and `resume=`.  All of them run their loops through
+  `governor.iterate(algorithm, state, step)`, the one iteration driver:
+  it opens the algorithm's span, emits the record each `step` returns,
+  saves a checkpoint after each completed step (so `every=k` fires
+  after steps k, 2k, … for every algorithm) and restores `resume=` with
+  one check that the snapshot fits the run.  Snapshots serialize the
+  loop-carried state through `repro.io.checkpoint.save_state` — a
+  single `.npz` written to a temp file and atomically renamed, so a
+  crash mid-save
   preserves the previous snapshot.  Resume restores containers
   bit-identically (`load_checkpoint` rejects a snapshot written by a
   different algorithm), and because each loop body depends only on the

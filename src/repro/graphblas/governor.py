@@ -24,16 +24,18 @@ clock from context entry) is checked at the same point and at every poll,
 raising :class:`~repro.graphblas.errors.DeadlineExceeded`.
 
 **Cooperative cancellation.**  :meth:`ExecutionContext.cancel` (from any
-thread) trips a :class:`CancellationToken`; kernels and the iterative
-LAGraph algorithms call :func:`poll` between iterations and at SpGEMM
-method boundaries, raising :class:`~repro.graphblas.errors.Cancelled` at
-the next poll point.  Poll points sit *before* mutation (and the C-API
-boundary is transactional), so interrupted objects stay valid.
+thread) trips a :class:`CancellationToken`; every op checks it at
+admission and kernels call :func:`poll` at SpGEMM method and tile
+boundaries, raising :class:`~repro.graphblas.errors.Cancelled` at the
+next such point — so an iterative algorithm stops at its next op.  These
+points sit *before* mutation (and the C-API boundary is transactional),
+so interrupted objects stay valid.
 
 **Checkpoint/resume.**  :class:`Checkpoint` serializes an algorithm's
 loop state atomically via :mod:`repro.io.checkpoint`; the iterative
-algorithms accept ``checkpoint=`` / ``resume=`` and restart mid-loop,
-bit-identically for deterministic algorithms.
+algorithms run their loops through :func:`iterate`, which owns the span,
+the per-iteration records, ``checkpoint=`` and ``resume=``, so they
+restart mid-loop, bit-identically for deterministic algorithms.
 
 **Retry & degradation.**  A context's :class:`RetryPolicy` (the one
 retry loop, :mod:`repro.graphblas.retry`) re-runs a transient kernel
@@ -82,6 +84,7 @@ __all__ = [
     "as_checkpoint",
     "save_hook",
     "load_checkpoint",
+    "iterate",
     "env_limits",
     "spill_config",
     "set_spill_config",
@@ -624,3 +627,69 @@ def load_checkpoint(spec, *, algorithm: str | None = None) -> dict:
                            iteration=int(state.get("__iteration__", -1)),
                            path=path)
     return state
+
+
+def _fits(fresh, got) -> bool:
+    """Whether a restored container can stand in for a fresh one: same
+    kind, element type and leading dimension (vector size, matrix rows —
+    the vertices, sources or samples a loop iterates over)."""
+    if _is_vector(fresh):
+        return _is_vector(got) and got.dtype == fresh.dtype and got.size == fresh.size
+    if _is_matrix(fresh):
+        return _is_matrix(got) and got.dtype == fresh.dtype and got.nrows == fresh.nrows
+    return True
+
+
+def iterate(algorithm: str, state: dict, step, checkpoint=None, resume=None, *,
+            span: str | None = None, event: str | None = None,
+            steps: int | None = None, until=None, start: int = 0,
+            **span_attrs) -> int:
+    """The one iteration driver of the iterative LAGraph algorithms.
+
+    Calls ``step(iteration, state)`` with ``iteration`` = the number of
+    steps completed so far.  A step returns the fields of its record, or
+    None when nothing is left to do (the loop ends without a record).
+    After each completed step the driver emits ``event`` (if given) as a
+    telemetry instant with those fields, hands ``state`` to the
+    ``checkpoint`` hook (see :func:`as_checkpoint`) under the
+    completed-step count, and ends the loop once ``until(record)`` holds
+    or ``steps`` steps are done.  The loop runs inside the telemetry span
+    ``span`` (default: ``algorithm``); the returned value is the number
+    of completed steps.
+
+    ``resume`` restores ``state`` in place from a snapshot of the same
+    algorithm.  The snapshot must hold every container of the fresh
+    ``state`` with the same kind, element type and leading dimension,
+    and at most ``steps`` completed steps; otherwise
+    :class:`~repro.graphblas.errors.InvalidValue`.  The driver polls
+    nothing: every op a step runs is admitted by the governing context,
+    so cancellation and deadlines land between (and inside) iterations.
+    """
+    cp = as_checkpoint(checkpoint)
+    it = start
+    if resume is not None:
+        snap = load_checkpoint(resume, algorithm=algorithm)
+        it = int(snap["__iteration__"])
+        for key, fresh in state.items():
+            if key not in snap or not _fits(fresh, snap[key]):
+                raise InvalidValue(
+                    f"checkpoint entry {key!r} does not fit this {algorithm} run"
+                )
+        if steps is not None and it > steps:
+            raise InvalidValue(
+                f"checkpoint records {it} steps, this {algorithm} run has {steps}"
+            )
+        state.update((k, v) for k, v in snap.items() if not k.startswith("__"))
+    with telemetry.span(span or algorithm, **span_attrs):
+        while steps is None or it < steps:
+            record = step(it, state)
+            if record is None:
+                break
+            it += 1
+            if event is not None and telemetry.ENABLED:
+                telemetry.instant(event, **record)
+            if cp is not None:
+                save_hook(cp, algorithm, it, state)
+            if until is not None and until(record):
+                break
+    return it

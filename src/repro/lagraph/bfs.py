@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphblas import Matrix, Vector, governor, telemetry
+from ..graphblas import Matrix, Vector, governor
 from ..graphblas import operations as ops
 from ..graphblas.descriptor import Descriptor
 from ..graphblas.errors import InvalidValue
@@ -62,52 +62,9 @@ def bfs_parent(
     return parent
 
 
-def _bfs_start(source, n, level, parent, resume):
-    """Fresh (or checkpoint-restored) BFS loop state.
-
-    Returns ``(levels, parents, frontier, depth)``; the restore path
-    rejects a snapshot taken with different level/parent outputs.
-    """
-    if resume is not None:
-        st = governor.load_checkpoint(resume, algorithm="bfs")
-        if level != ("levels" in st) or parent != ("parents" in st):
-            raise InvalidValue(
-                "checkpoint was taken with different level/parent outputs"
-            )
-        return (st.get("levels"), st.get("parents"), st["frontier"],
-                int(st["__iteration__"]))
-    levels = Vector("INT64", n) if level else None
-    parents = Vector("INT64", n) if parent else None
-    if parent:
-        frontier = Vector("INT64", n)
-        frontier.set_element(source, source)
-    else:
-        frontier = Vector("BOOL", n)
-        frontier.set_element(source, True)
-    return levels, parents, frontier, 0
-
-
-def _bfs_state(levels, parents, frontier) -> dict:
-    """The loop-carried containers a BFS checkpoint must capture."""
-    state = {"frontier": frontier}
-    if levels is not None:
-        state["levels"] = levels
-    if parents is not None:
-        state["parents"] = parents
-    return state
-
-
-def bfs(
-    source: int,
-    graph: Graph,
-    *,
-    level: bool = True,
-    parent: bool = False,
-    method: str = "auto",
-    optimizer: DirectionOptimizer | None = None,
-    checkpoint=None,
-    resume=None,
-) -> tuple[Vector | None, Vector | None]:
+def bfs(source: int, graph: Graph, *, level: bool = True, parent: bool = False,
+        method: str = "auto", optimizer: DirectionOptimizer | None = None,
+        checkpoint=None, resume=None) -> tuple[Vector | None, Vector | None]:
     """Combined level/parent BFS over out-edges of ``graph``.
 
     Returns ``(level_vector, parent_vector)`` with None for outputs not
@@ -117,52 +74,36 @@ def bfs(
 
     ``checkpoint`` (a path, :class:`~repro.graphblas.governor.Checkpoint`,
     or callable) snapshots the loop state after each completed level;
-    ``resume`` restarts from such a snapshot.  The governor's cancellation
-    token is polled once per level.
+    ``resume`` restarts from such a snapshot (see
+    :func:`~repro.graphblas.governor.iterate`).
     """
     n = graph.n
     if not 0 <= int(source) < n:
         raise InvalidValue(f"source {source} outside [0,{n})")
     if not (level or parent):
         raise InvalidValue("request at least one of level/parent")
-    AT = graph.AT
-    cp = governor.as_checkpoint(checkpoint)
-    levels, parents, frontier, depth = _bfs_start(source, n, level, parent, resume)
-    # visited mask: any vector that has an entry exactly at visited vertices
-    visited = levels if levels is not None else parents
+    state = {"frontier": Vector("INT64" if parent else "BOOL", n)}
+    state["frontier"].set_element(source, source if parent else True)
+    outputs = [key for key, on in (("levels", level), ("parents", parent)) if on]
+    state.update((key, Vector("INT64", n)) for key in outputs)
     # product value = the frontier vertex id for parent BFS
     semiring = "ANY_SECONDI" if parent else "LOR_LAND"
 
-    with telemetry.span("bfs", source=int(source), n=n, parent=parent):
-        while frontier.nvals > 0:
-            if governor.ACTIVE:
-                governor.poll()
-            if telemetry.ENABLED:
-                telemetry.instant(
-                    "bfs.level",
-                    level=depth,
-                    frontier_nvals=int(frontier.nvals),
-                    frontier_density=frontier.nvals / n,
-                )
-            if levels is not None:
-                ops.assign(levels, depth, ops.ALL, mask=frontier, desc=_S)
-            if parents is not None:
-                ops.assign(parents, frontier, ops.ALL, mask=frontier, desc=_S)
-            ops.mxv(
-                frontier,
-                AT,
-                frontier,
-                semiring,
-                mask=visited,
-                desc=_RSC,
-                method=method,
-                optimizer=optimizer,
-            )
-            depth += 1
-            if cp is not None:
-                governor.save_hook(cp, "bfs", depth,
-                                   _bfs_state(levels, parents, frontier))
-    return levels, parents
+    def step(depth, s):
+        frontier, nvals = s["frontier"], s["frontier"].nvals
+        if nvals == 0:
+            return None
+        if level:
+            ops.assign(s["levels"], depth, ops.ALL, mask=frontier, desc=_S)
+        if parent:
+            ops.assign(s["parents"], frontier, ops.ALL, mask=frontier, desc=_S)
+        ops.mxv(frontier, graph.AT, frontier, semiring, mask=s[outputs[0]],
+                desc=_RSC, method=method, optimizer=optimizer)
+        return {"level": depth, "frontier_nvals": nvals, "frontier_density": nvals / n}
+
+    governor.iterate("bfs", state, step, checkpoint, resume, event="bfs.level",
+                     source=int(source), n=n, parent=parent)
+    return state.get("levels"), state.get("parents")
 
 
 def bfs_levels_batch(sources, graph: Graph) -> Matrix:
@@ -177,16 +118,14 @@ def bfs_levels_batch(sources, graph: Graph) -> Matrix:
     frontier = Matrix.from_coo(
         np.arange(ns), sources, np.ones(ns, dtype=bool), nrows=ns, ncols=n
     )
-    depth = 0
-    with telemetry.span("bfs_batch", sources=int(ns), n=n):
-        while frontier.nvals > 0:
-            if governor.ACTIVE:
-                governor.poll()
-            if telemetry.ENABLED:
-                telemetry.instant(
-                    "bfs.level", level=depth, frontier_nvals=int(frontier.nvals)
-                )
-            ops.assign(levels, depth, ops.ALL, ops.ALL, mask=frontier, desc=_S)
-            ops.mxm(frontier, frontier, graph.A, "LOR_LAND", mask=levels, desc=_RSC)
-            depth += 1
+
+    def step(depth, _):
+        nvals = frontier.nvals
+        if nvals == 0:
+            return None
+        ops.assign(levels, depth, ops.ALL, ops.ALL, mask=frontier, desc=_S)
+        ops.mxm(frontier, frontier, graph.A, "LOR_LAND", mask=levels, desc=_RSC)
+        return {"level": depth, "frontier_nvals": nvals}
+
+    governor.iterate("bfs_batch", {}, step, event="bfs.level", sources=int(ns), n=n)
     return levels

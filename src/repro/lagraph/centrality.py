@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphblas import Matrix, Vector, governor, telemetry
+from ..graphblas import Matrix, Vector, governor
 from ..graphblas import operations as ops
 from ..graphblas.descriptor import Descriptor
 from ..graphblas.errors import InvalidValue
@@ -27,7 +27,6 @@ __all__ = [
     "hits",
 ]
 
-_S = Descriptor(structural_mask=True)
 _RSC = Descriptor(replace=True, complement_mask=True, structural_mask=True)
 _RS = Descriptor(replace=True, structural_mask=True)
 
@@ -51,70 +50,53 @@ def pagerank(
     ``checkpoint`` snapshots the rank vector after each completed
     iteration; ``resume`` restarts from such a snapshot.  The iteration
     body depends only on the loop-carried rank vector, so a resumed run
-    is bit-identical to an uninterrupted one.  The governor's
-    cancellation token is polled once per iteration.
+    is bit-identical to an uninterrupted one.
     """
     n = graph.n
     AT = graph.AT
     deg = graph.out_degree  # entries only at non-dangling vertices
 
     teleport = (1.0 - damping) / n
-    cp = governor.as_checkpoint(checkpoint)
-    if resume is not None:
-        st = governor.load_checkpoint(resume, algorithm="pagerank")
-        r = st["r"]
-        start = int(st["__iteration__"]) + 1
-        if r.size != n:
-            raise InvalidValue(
-                f"checkpoint rank vector has size {r.size}, graph has {n}"
-            )
-    elif init is not None:
-        if init.size != n:
-            raise InvalidValue(
-                f"init rank vector has size {init.size}, graph has {n}"
-            )
+    if init is None:
+        r = Vector.full(1.0 / n, n, dtype="FP64")
+    elif init.size != n:
+        raise InvalidValue(f"init rank vector has size {init.size}, graph has {n}")
+    else:
         r = Vector("FP64", n)
         ops.apply(r, init, "identity")
-        start = 1
-    else:
-        r = Vector.full(1.0 / n, n, dtype="FP64")
-        start = 1
     deg_f = Vector("FP64", n)
     ops.apply(deg_f, deg, "identity")  # cast INT64 degrees to FP64
     inv_deg = Vector("FP64", n)
     ops.apply(inv_deg, deg_f, "minv")  # 1/deg at non-dangling vertices
 
-    iters = start - 1
-    with telemetry.span("pagerank", n=n, damping=damping, tol=tol):
-        for iters in range(start, max_iters + 1):
-            if governor.ACTIVE:
-                governor.poll()
-            prev = r.dup()
-            # per-edge contribution of each vertex: r / out-degree
-            w = Vector("FP64", n)
-            ops.ewise_mult(w, r, inv_deg, "times")
-            # rank mass parked on dangling vertices, redistributed uniformly
-            dangling = float(ops.reduce_scalar(r, "plus")) - float(
-                ops.reduce_scalar(w_times_deg(w, deg), "plus")
-            )
-            t = Vector("FP64", n)
-            ops.mxv(t, AT, w, "PLUS_SECOND", method="pull")
-            base = teleport + damping * dangling / n
-            r = Vector.full(base, n, dtype="FP64")
-            ops.apply(t, t, "times", right=damping)
-            ops.ewise_add(r, r, t, "plus")
-            # L1 convergence check
-            diff = Vector("FP64", n)
-            ops.ewise_add(diff, r, prev, "minus")
-            ops.apply(diff, diff, "abs")
-            resid = float(ops.reduce_scalar(diff, "plus"))
-            if telemetry.ENABLED:
-                telemetry.instant("pagerank.iteration", iteration=iters, residual=resid)
-            if cp is not None:
-                governor.save_hook(cp, "pagerank", iters, {"r": r})
-            if resid < tol:
-                break
-    return r, iters
+    def power_step(it, s):
+        prev = s["r"]
+        # per-edge contribution of each vertex: r / out-degree
+        w = Vector("FP64", n)
+        ops.ewise_mult(w, prev, inv_deg, "times")
+        # rank mass parked on dangling vertices, redistributed uniformly
+        dangling = float(ops.reduce_scalar(prev, "plus")) - float(
+            ops.reduce_scalar(w_times_deg(w, deg), "plus")
+        )
+        t = Vector("FP64", n)
+        ops.mxv(t, AT, w, "PLUS_SECOND", method="pull")
+        base = teleport + damping * dangling / n
+        r = s["r"] = Vector.full(base, n, dtype="FP64")
+        ops.apply(t, t, "times", right=damping)
+        ops.ewise_add(r, r, t, "plus")
+        # L1 convergence check
+        diff = Vector("FP64", n)
+        ops.ewise_add(diff, r, prev, "minus")
+        ops.apply(diff, diff, "abs")
+        return {"iteration": it + 1,
+                "residual": float(ops.reduce_scalar(diff, "plus"))}
+
+    state = {"r": r}
+    iters = governor.iterate("pagerank", state, power_step, checkpoint, resume,
+                             event="pagerank.iteration", steps=max_iters,
+                             until=lambda rec: rec["residual"] < tol,
+                             n=n, damping=damping, tol=tol)
+    return state["r"], iters
 
 
 def w_times_deg(w: Vector, deg: Vector) -> Vector:
@@ -122,19 +104,6 @@ def w_times_deg(w: Vector, deg: Vector) -> Vector:
     out = Vector("FP64", w.size)
     ops.ewise_mult(out, w, deg, "times")
     return out
-
-
-def _bc_state(phase, paths, frontier, stack, bcu, ns):
-    """Loop state snapshotted by betweenness checkpoints (both phases)."""
-    state = {"phase": phase, "ns": int(ns), "paths": paths,
-             "depth": len(stack)}
-    if frontier is not None:
-        state["frontier"] = frontier
-    if bcu is not None:
-        state["bcu"] = bcu
-    for i, s in enumerate(stack):
-        state[f"stack_{i}"] = s
-    return state
 
 
 def betweenness_centrality(graph: Graph, sources=None, *,
@@ -146,8 +115,7 @@ def betweenness_centrality(graph: Graph, sources=None, *,
 
     ``checkpoint``/``resume`` snapshot the loop state after each level of
     either phase (the snapshot records which phase it was taken in); a
-    resumed run must pass the same ``sources``.  The governor's
-    cancellation token is polled once per level in both phases.
+    resumed run must pass the same ``sources``.
     """
     n = graph.n
     if sources is None:
@@ -156,88 +124,54 @@ def betweenness_centrality(graph: Graph, sources=None, *,
         sources = np.asarray(sources, dtype=np.int64)
     ns = sources.size
     A = graph.A
-    cp = governor.as_checkpoint(checkpoint)
+    # paths(s, v) counts shortest s-v paths; stack_d is the depth-d frontier
+    paths = Matrix.from_coo(
+        np.arange(ns), sources, np.ones(ns, dtype=np.float64),
+        nrows=ns, ncols=n, dtype="FP64",
+    )
+    state = {"phase": "forward", "paths": paths, "depth": 1, "stack_0": paths.dup()}
 
-    st = None
-    if resume is not None:
-        st = governor.load_checkpoint(resume, algorithm="betweenness")
-        if int(st["ns"]) != ns:
-            raise InvalidValue(
-                f"checkpoint was taken with {st['ns']} sources, got {ns}"
-            )
+    def forward(_, s):
+        if s["phase"] != "forward":  # resumed into the backward phase
+            return None
+        depth, frontier = s["depth"], Matrix("FP64", ns, n)
+        # advance one level, counting paths: (+, first) carries path counts
+        ops.mxm(frontier, s[f"stack_{depth - 1}"], A, "PLUS_FIRST",
+                mask=s["paths"], desc=_RSC)
+        if frontier.nvals == 0:
+            s["phase"] = "backward"
+            s["bcu"] = Matrix.from_dense(np.ones((ns, n)), dtype="FP64")
+            return None
+        ops.ewise_add(s["paths"], s["paths"], frontier, "plus")
+        s[f"stack_{depth}"], s["depth"] = frontier, depth + 1
+        return {"depth": depth, "frontier_nvals": frontier.nvals}
 
-    if st is not None:
-        paths = st["paths"]
-        stack = [st[f"stack_{i}"] for i in range(int(st["depth"]))]
-    else:
-        # forward phase: count shortest paths level by level
-        paths = Matrix.from_coo(
-            np.arange(ns),
-            sources,
-            np.ones(ns, dtype=np.float64),
-            nrows=ns,
-            ncols=n,
-            dtype="FP64",
-        )
-        stack = [paths.dup()]  # stack[d] = the depth-d frontier
-    if st is None or st["phase"] == "forward":
-        frontier = st["frontier"] if st is not None else stack[0].dup()
-        with telemetry.span("betweenness.forward", sources=int(ns), n=n):
-            while True:
-                if governor.ACTIVE:
-                    governor.poll()
-                next_frontier = Matrix("FP64", ns, n)
-                # advance one level, counting paths: (+, first) carries path counts
-                ops.mxm(next_frontier, frontier, A, "PLUS_FIRST", mask=paths, desc=_RSC)
-                if next_frontier.nvals == 0:
-                    break
-                if telemetry.ENABLED:
-                    telemetry.instant(
-                        "betweenness.level",
-                        depth=len(stack),
-                        frontier_nvals=int(next_frontier.nvals),
-                    )
-                ops.ewise_add(paths, paths, next_frontier, "plus")
-                stack.append(next_frontier)
-                frontier = next_frontier
-                if cp is not None:
-                    governor.save_hook(
-                        cp, "betweenness", len(stack) - 1,
-                        _bc_state("forward", paths, frontier, stack, None, ns),
-                    )
+    def backward(_, s):
+        # dependency accumulation, deepest level first; the stack shrinks
+        d, bcu = s["depth"] - 1, s["bcu"]
+        if d == 0:
+            return None
+        w = Matrix("FP64", ns, n)
+        # w = (1 + delta) ./ sigma, restricted to this level's frontier
+        ops.ewise_mult(w, bcu, inv(s["paths"]), "times", mask=s[f"stack_{d}"],
+                       desc=_RS)
+        back = Matrix("FP64", ns, n)
+        # pull dependencies one level up: back(s, v) = sum_{(v,u) in E} w(s, u)
+        ops.mxm(back, w, A, "PLUS_FIRST", mask=s[f"stack_{d - 1}"],
+                desc=_RS & Descriptor(transpose_b=True))
+        update = Matrix("FP64", ns, n)
+        ops.ewise_mult(update, back, s["paths"], "times")
+        ops.ewise_add(bcu, bcu, update, "plus")
+        del s[f"stack_{d}"]
+        s["depth"] = d
+        return {}
 
-    # backward phase: dependency accumulation, deepest level first
-    if st is not None and st["phase"] == "backward":
-        bcu = st["bcu"]
-        start_d = int(st["__iteration__"]) - 1
-    else:
-        bcu = Matrix.from_dense(np.ones((ns, n)), dtype="FP64")
-        start_d = len(stack) - 1
-    with telemetry.span("betweenness.backward", sources=int(ns), n=n):
-        for d in range(start_d, 0, -1):
-            if governor.ACTIVE:
-                governor.poll()
-            w = Matrix("FP64", ns, n)
-            # w = (1 + delta) ./ sigma, restricted to this level's frontier
-            ops.ewise_mult(w, bcu, inv(paths), "times", mask=stack[d], desc=_RS)
-            back = Matrix("FP64", ns, n)
-            # pull dependencies one level up: back(s, v) = sum_{(v,u) in E} w(s, u)
-            ops.mxm(
-                back,
-                w,
-                A,
-                "PLUS_FIRST",
-                mask=stack[d - 1],
-                desc=_RS & Descriptor(transpose_b=True),
-            )
-            update = Matrix("FP64", ns, n)
-            ops.ewise_mult(update, back, paths, "times")
-            ops.ewise_add(bcu, bcu, update, "plus")
-            if cp is not None:
-                governor.save_hook(
-                    cp, "betweenness", d,
-                    _bc_state("backward", paths, None, stack, bcu, ns),
-                )
+    done = governor.iterate("betweenness", state, forward, checkpoint, resume,
+                            span="betweenness.forward", event="betweenness.level",
+                            sources=int(ns), n=n)
+    governor.iterate("betweenness", state, backward, checkpoint, start=done,
+                     span="betweenness.backward", sources=int(ns), n=n)
+    bcu, paths = state["bcu"], state["paths"]
 
     # centrality(v) = sum_s delta_s(v), excluding each source's own
     # self-dependency: bcu(s, v) = 1 + delta_s(v), so subtract the ns

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphblas import Matrix, Vector, governor, telemetry
+from ..graphblas import Matrix, Vector, governor
 from ..graphblas import operations as ops
-from ..graphblas.errors import InvalidValue
 from .graph import Graph, GraphKind
 
 __all__ = [
@@ -89,72 +88,55 @@ def connected_components(graph: Graph, *, checkpoint=None, resume=None) -> Vecto
     ``checkpoint`` snapshots the parent-pointer vector after each completed
     hooking/shortcutting round; ``resume`` restarts from such a snapshot.
     Each round depends only on the loop-carried parent vector, so a resumed
-    run is bit-identical.  The governor's token is polled once per round.
+    run is bit-identical.
     """
     n = graph.n
     S = _symmetric_structure(graph)
-    cp = governor.as_checkpoint(checkpoint)
-    if resume is not None:
-        st = governor.load_checkpoint(resume, algorithm="components")
-        f = st["f"]
-        rounds = int(st["__iteration__"])
-        if f.size != n:
-            raise InvalidValue(
-                f"checkpoint parent vector has size {f.size}, graph has {n}"
-            )
-    else:
-        f = Vector.from_dense(np.arange(n, dtype=np.int64))  # parent pointers
-        rounds = 0
-    with telemetry.span("components.fastsv", n=n):
-        while True:
-            if governor.ACTIVE:
-                governor.poll()
-            changed = False
-            fd = f.to_dense()
-            # grandparents: gp = f[f]  (a gather, i.e. GrB extract with I = f)
-            gp = Vector("INT64", n)
-            ops.extract(gp, f, fd)
-            gpd = gp.to_dense()
 
-            # hooking: mngp(i) = min over neighbours j of gp(j)
-            mngp = Vector("INT64", n)
-            ops.mxv(mngp, S, gp, "MIN_SECOND")
-            mi, mv = mngp.extract_tuples()
-            # hook the *parent* of i to the min neighbouring grandparent:
-            # f[f[i]] = min(f[f[i]], mngp(i)) — a scatter-min, i.e. a
-            # GrB_Vector_build with dup = MIN folded into f with eWise MIN
-            if mi.size:
-                scatter = Vector("INT64", n)
-                scatter.build(fd[mi], mv, dup="MIN")
-                before = f.dup()
-                ops.ewise_add(f, f, scatter, "MIN")
-                changed |= not f.isequal(before)
-                # hook also directly: f[i] = min(f[i], mngp(i))
-                before = f.dup()
-                ops.ewise_add(f, f, mngp, "MIN")
-                changed |= not f.isequal(before)
+    def fastsv_round(it, s):
+        f = s["f"]
+        changed = False
+        fd = f.to_dense()
+        # grandparents: gp = f[f]  (a gather, i.e. GrB extract with I = f)
+        gp = Vector("INT64", n)
+        ops.extract(gp, f, fd)
 
-            # shortcutting: f = min(f, f[f])
+        # hooking: mngp(i) = min over neighbours j of gp(j)
+        mngp = Vector("INT64", n)
+        ops.mxv(mngp, S, gp, "MIN_SECOND")
+        mi, mv = mngp.extract_tuples()
+        # hook the *parent* of i to the min neighbouring grandparent:
+        # f[f[i]] = min(f[f[i]], mngp(i)) — a scatter-min, i.e. a
+        # GrB_Vector_build with dup = MIN folded into f with eWise MIN
+        if mi.size:
+            scatter = Vector("INT64", n)
+            scatter.build(fd[mi], mv, dup="MIN")
             before = f.dup()
-            ops.ewise_add(f, f, gp, "MIN")
+            ops.ewise_add(f, f, scatter, "MIN")
+            changed |= not f.isequal(before)
+            # hook also directly: f[i] = min(f[i], mngp(i))
+            before = f.dup()
+            ops.ewise_add(f, f, mngp, "MIN")
             changed |= not f.isequal(before)
 
-            rounds += 1
-            if telemetry.ENABLED:
-                telemetry.instant(
-                    "components.round", round=rounds, changed=changed
-                )
-            if cp is not None:
-                governor.save_hook(cp, "components", rounds, {"f": f})
-            if not changed:
-                # fully path-compress before returning
-                fd = f.to_dense()
-                while True:
-                    nxt = fd[fd]
-                    if np.array_equal(nxt, fd):
-                        break
-                    fd = nxt
-                return Vector.from_dense(fd)
+        # shortcutting: f = min(f, f[f])
+        before = f.dup()
+        ops.ewise_add(f, f, gp, "MIN")
+        changed |= not f.isequal(before)
+        return {"round": it + 1, "changed": changed}
+
+    state = {"f": Vector.from_dense(np.arange(n, dtype=np.int64))}  # parents
+    governor.iterate("components", state, fastsv_round, checkpoint, resume,
+                     span="components.fastsv", event="components.round",
+                     until=lambda rec: not rec["changed"], n=n)
+    # fully path-compress before returning
+    fd = state["f"].to_dense()
+    while True:
+        nxt = fd[fd]
+        if np.array_equal(nxt, fd):
+            break
+        fd = nxt
+    return Vector.from_dense(fd)
 
 
 def cc_label_propagation(graph: Graph, max_iters: int | None = None) -> Vector:

@@ -42,27 +42,13 @@ def dnn_inference(
     ``checkpoint`` snapshots the activation matrix after each completed
     layer; ``resume`` restarts at the first unapplied layer.  Each layer
     depends only on the previous activations, so a resumed run is
-    bit-identical.  The governor's token is polled once per layer.
+    bit-identical.
     """
     if len(weights) != len(biases):
         raise InvalidValue("one bias per layer required")
-    cp = governor.as_checkpoint(checkpoint)
-    if resume is not None:
-        st = governor.load_checkpoint(resume, algorithm="dnn")
-        Y = st["Y"]
-        done = int(st["__iteration__"])  # layers already applied
-        if done > len(weights):
-            raise InvalidValue(
-                f"checkpoint records {done} layers, network has {len(weights)}"
-            )
-    else:
-        Y = Y0
-        done = 0
-    for layer, (W, b) in enumerate(zip(weights, biases), start=1):
-        if layer <= done:
-            continue
-        if governor.ACTIVE:
-            governor.poll()
+
+    def layer(i, s):
+        Y, W, b = s["Y"], weights[i], biases[i]
         if Y.ncols != W.nrows:
             raise InvalidValue(
                 f"layer mismatch: activations {Y.shape} x weights {W.shape}"
@@ -84,10 +70,12 @@ def dnn_inference(
             clipped = Matrix("FP64", Yn.nrows, Yn.ncols)
             ops.apply(clipped, Yn, "min", right=float(relu_clip))
             Yn = clipped
-        Y = Yn
-        if cp is not None:
-            governor.save_hook(cp, "dnn", layer, {"Y": Y})
-    return Y
+        s["Y"] = Yn
+        return {"layer": i + 1}
+
+    state = {"Y": Y0}
+    governor.iterate("dnn", state, layer, checkpoint, resume, steps=len(weights))
+    return state["Y"]
 
 
 def pattern_ones(M: Matrix) -> Matrix:

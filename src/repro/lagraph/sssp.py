@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphblas import Vector, governor, telemetry
+from ..graphblas import Matrix, Vector, governor
 from ..graphblas import operations as ops
-from ..graphblas.descriptor import Descriptor
 from ..graphblas.errors import InvalidValue
 from .graph import Graph
 
 __all__ = ["bellman_ford_sssp", "delta_stepping_sssp", "sssp"]
-
-_S = Descriptor(structural_mask=True)
 
 
 def bellman_ford_sssp(
@@ -37,46 +34,29 @@ def bellman_ford_sssp(
     ``checkpoint`` snapshots the distance vector after each completed
     relaxation round; ``resume`` restarts from such a snapshot.  Each
     round depends only on the loop-carried distances, so a resumed run is
-    bit-identical.  The governor's cancellation token is polled per round.
+    bit-identical.
     """
     n = graph.n
     if not 0 <= int(source) < n:
         raise InvalidValue(f"source {source} outside [0,{n})")
-    cp = governor.as_checkpoint(checkpoint)
-    if resume is not None:
-        st = governor.load_checkpoint(resume, algorithm="sssp")
-        d = st["d"]
-        start = int(st["__iteration__"]) + 1
-        if d.size != n:
-            raise InvalidValue(
-                f"checkpoint distance vector has size {d.size}, graph has {n}"
-            )
-    else:
-        d = Vector("FP64", n)
-        d.set_element(source, 0.0)
-        start = 0
+    d = Vector("FP64", n)
+    d.set_element(source, 0.0)
     limit = n if max_iters is None else max_iters
-    with telemetry.span("sssp.bellman_ford", source=int(source), n=n):
-        for it in range(start, limit):
-            if governor.ACTIVE:
-                governor.poll()
-            prev = d.dup()
-            # d<-- min over incoming relaxations, folded in with the MIN accum
-            ops.vxm(d, d, graph.A, "MIN_PLUS", accum="MIN")
-            if telemetry.ENABLED:
-                telemetry.instant(
-                    "sssp.iteration", iteration=it, reached=int(d.nvals)
-                )
-            if cp is not None:
-                governor.save_hook(cp, "sssp", it, {"d": d})
-            if d.isequal(prev):
-                return d
-    # one more relaxation still improving => negative cycle
-    prev = d.dup()
-    ops.vxm(d, d, graph.A, "MIN_PLUS", accum="MIN")
-    if not d.isequal(prev):
-        raise InvalidValue("graph contains a negative-weight cycle")
-    return d
+
+    def relax(it, s):
+        d, prev = s["d"], s["d"].dup()
+        # d<-- min over incoming relaxations, folded in with the MIN accum
+        ops.vxm(d, d, graph.A, "MIN_PLUS", accum="MIN")
+        changed = not d.isequal(prev)
+        if changed and it >= limit:  # still improving after `limit` rounds
+            raise InvalidValue("graph contains a negative-weight cycle")
+        return {"iteration": it, "reached": d.nvals, "changed": changed}
+
+    state = {"d": d}
+    governor.iterate("sssp", state, relax, checkpoint, resume,
+                     span="sssp.bellman_ford", event="sssp.iteration",
+                     until=lambda rec: not rec["changed"], source=int(source), n=n)
+    return state["d"]
 
 
 def delta_stepping_sssp(source: int, graph: Graph, delta: float | None = None) -> Vector:
@@ -97,57 +77,37 @@ def delta_stepping_sssp(source: int, graph: Graph, delta: float | None = None) -
         delta = float(weights.mean()) if weights.size else 1.0
     if delta <= 0:
         raise InvalidValue("delta must be positive")
-
-    from ..graphblas import Matrix
-
     AL = Matrix("FP64", n, n)
     ops.select(AL, graph.A, "VALUELE", delta)
     AH = Matrix("FP64", n, n)
     ops.select(AH, graph.A, "VALUEGT", delta)
-
     t = Vector("FP64", n)
     t.set_element(source, 0.0)
+    state = {"settled": 0.0}  # every distance below it is final
 
-    settled_below = 0.0  # everything with distance < settled_below is final
-    span = telemetry.span("sssp.delta_stepping", source=int(source), n=n, delta=delta)
-    with span:
-        bucket_no = 0
-        while True:
-            if governor.ACTIVE:
-                governor.poll()  # bucket boundary: distances stay valid
-            # find the next non-empty bucket
-            frontier_all = Vector("FP64", n)
-            ops.select(frontier_all, t, "VALUEGE", settled_below)
-            if frontier_all.nvals == 0:
-                break
-            bucket_lo = float(ops.reduce_scalar(frontier_all, "MIN"))
-            step = int(np.floor(bucket_lo / delta))
-            lo, hi = step * delta, (step + 1) * delta
-            if telemetry.ENABLED:
-                telemetry.instant(
-                    "sssp.bucket",
-                    bucket=bucket_no,
-                    lo=lo,
-                    hi=hi,
-                    candidates=int(frontier_all.nvals),
-                )
-            bucket_no += 1
-
-            # light-edge fixpoint within the bucket
-            while True:
-                tB = Vector("FP64", n)
-                ops.select(tB, t, "VALUEGE", lo)
-                ops.select(tB, tB, "VALUELT", hi)
-                before = t.dup()
-                ops.vxm(t, tB, AL, "MIN_PLUS", accum="MIN")
-                if t.isequal(before):
-                    break
-            # one heavy-edge relaxation out of the settled bucket
+    def bucket(i, s):
+        rest = Vector("FP64", n)
+        ops.select(rest, t, "VALUEGE", s["settled"])
+        if rest.nvals == 0:
+            return None
+        k = int(np.floor(float(ops.reduce_scalar(rest, "MIN")) / delta))
+        lo, hi = k * delta, (k + 1) * delta
+        while True:  # light-edge fixpoint within the bucket
             tB = Vector("FP64", n)
             ops.select(tB, t, "VALUEGE", lo)
             ops.select(tB, tB, "VALUELT", hi)
-            ops.vxm(t, tB, AH, "MIN_PLUS", accum="MIN")
-            settled_below = hi
+            before = t.dup()
+            ops.vxm(t, tB, AL, "MIN_PLUS", accum="MIN")
+            if t.isequal(before):
+                break
+        # one heavy-edge relaxation out of the settled bucket (t is final
+        # in [lo, hi), so the last tB is still the bucket)
+        ops.vxm(t, tB, AH, "MIN_PLUS", accum="MIN")
+        s["settled"] = hi
+        return {"bucket": i, "lo": lo, "hi": hi, "candidates": rest.nvals}
+
+    governor.iterate("sssp", state, bucket, span="sssp.delta_stepping",
+                     event="sssp.bucket", source=int(source), n=n, delta=delta)
     return t
 
 
