@@ -217,10 +217,11 @@ SuiteSparse's ~960 pre-compiled semiring built-ins, and the kernel tier
 the default backend runs for mxm/mxv/vxm.  Where the performance engine
 specializes *NumPy closures* (vectorized, but structurally unable to
 stop mid-row), this tier renders one monomorphic scalar kernel set per
-`(add, mult, type)` from a template library — Gustavson SpGEMM
-(two-phase count/fill with a sparse accumulator), sorted-intersection
-dot products for fused-mask mxm, push/pull mxv/vxm, and a sequential
-segmented fold — and compiles it with the first usable toolchain:
+`(add, mult, A type, B type, output type)` from a template library —
+Gustavson SpGEMM (two-phase count/fill with a sparse accumulator),
+sorted-intersection dot products for fused-mask mxm, push/pull
+mxv/vxm, and a sequential segmented fold — and compiles it with the
+first usable toolchain:
 
 1. **numba** — `@njit(nogil=True)` over the generated Python source
    (`pip install .[compiled]`);
@@ -234,7 +235,7 @@ segmented fold — and compiles it with the first usable toolchain:
    (`GRAPHBLAS_COMPILED_TOOLCHAIN=python`).
 
 **Selection.** `compiled.select(plan)` is the one kernel choice: a
-memoised function of the plan *class* — add, mult, operand and output
+memoised function of the plan *class* — add, mult, A, B and output
 types, heap method, resolved toolchain — not of a backend name or a
 size; `compiled.select_class` is the same function for the tiled
 kernels, which have operands but no plan.  It returns a kernel set
@@ -242,10 +243,22 @@ kernels, which have operands but no plan.  It returns a kernel set
 kernels in one 128-class LRU (`compiled.CACHE_SIZE`, counters in
 `compiled.cache_stats()`), builds each class's kernels once however
 many threads race to first use, and costs a dictionary hit per call.
-It declines: user-defined or positional ops, add monoids other than
-PLUS/TIMES/MIN/MAX (LOR/LAND on BOOL), operand types that differ from
-the output type, the heap method, any dimension above `1<<24`, and
-everything when no toolchain resolved — silently: only an explicit
+The templates cover the semirings the section-V algorithms issue:
+add monoids PLUS/TIMES/MIN/MAX/LOR/LAND/ANY; multiplies FIRST, SECOND,
+PLUS, MINUS, TIMES, MIN, MAX, LAND, LOR, ONEB and the positional
+FIRSTI/FIRSTI1/FIRSTJ/SECONDI/SECONDJ/SECONDJ1, which write the loop's
+i, k or j as the product.  **Typed operand slots**: each operand is
+loaded in its own type and cast to the domain NumPy's multiply computes
+in (*Mathematical Foundations of the GraphBLAS*' domain rules); the
+product is cast to the output type and folded there, so `LOR_LAND` on
+FP64 x BOOL (BFS over a weighted graph) yields FP64 0/1.  **`ANY`** is a
+keep-first fold that stops at its first term, byte-equal to
+`Monoid.reduce_segments`' first-of-segment rule.  It declines:
+user-defined ops or types, multiplies without a template (DIV, the
+comparisons, ...), LOR/LAND folds into a non-BOOL output over products
+that are not 0/1, a float product cast into an integer output, the heap
+method, any dimension above `1<<24`, and everything when no toolchain
+resolved — silently: only an explicit
 `GRAPHBLAS_BACKEND=compiled` warns, once.  A kernel build that fails
 (an unwritable artifact directory, a broken compiler) warns once and
 declines its class, so NumPy runs.  `with compiled.toolchain_off():`
@@ -257,7 +270,10 @@ The compiled kernels trip the same fault points (`spgemm.flop`,
 The headline semantic upgrade is **true terminal early exit**: for
 monoids with an annihilator (LOR's `true`, LAND's `false`, MIN/MAX
 extrema, TIMES' 0) the dot and pull loops break on the exact term that
-reaches it — the vectorized engine can only skip 64-wide blocks.  Exit
+reaches it, and an `ANY` fold on its first term — the vectorized engine
+can only skip 64-wide blocks.  A pull under a complemented mask visits
+only the rows the mask admits (BFS's pull skips the visited set), on
+both tiers; the write step still applies the mask.  Exit
 behavior is reported in `mxm.early_exit` / `mxv.early_exit` telemetry
 (terminated/eligible counts, scanned terms, summed hit depth) and the
 `graphblas_early_exit_total` counter.
@@ -546,8 +562,8 @@ engine.set_engine(False)                # bit-identical baseline
   `(add, mult, out_type, mask kind, accum, method)` in an LRU cache
   (`engine.CACHE_SIZE`, 64 entries).  The NumPy Gustavson
   expansion, dot-product loop and push/pull mxv — what runs when
-  `compiled.select` declines a plan (mixed operand types, templates
-  that do not exist, no toolchain) — and the tiled expansion all consult
+  `compiled.select` declines a plan (templates that do not exist,
+  user-defined ops, no toolchain) — and the tiled expansion all consult
   the cache; non-builtin or positional operators fall back to the
   generic path (`unspecializable` in the stats).
 * **Dual-format storage** — a Matrix lazily caches its opposite

@@ -5,7 +5,7 @@ The default ``optimized`` backend already runs the JIT kernels of
 plan class :func:`~repro.graphblas.compiled.select` accepts.  This
 backend is the same engine with a stricter promise: it serves exactly
 those plans and declines everything else — ops without a template,
-mixed operand types, the heap method, dimensions above
+user-defined ops or types, the heap method, dimensions above
 ``compiled.MAX_DIMENSION``, or no usable toolchain (the first decline
 then warns once via ``envutil``) — so the dispatcher walks its fallback
 chain to ``optimized``.  It keeps ``GRAPHBLAS_BACKEND=compiled``,

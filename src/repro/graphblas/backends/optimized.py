@@ -162,9 +162,14 @@ class OptimizedBackend(KernelBackend):
             )
         else:
             store = A.by_col().transposed() if transposed else A.by_row()
-            hint = None
-            if plan.mask is not None and not d.complement_mask:
-                hint = mask_true_idx(plan.mask, d)
+            # only the rows the mask admits are computed: its true set,
+            # or with a complemented mask everything else (BFS's pull
+            # skips the visited set); write_vector still applies the mask
+            hint = mask_true_idx(plan.mask, d)
+            if hint is not None and d.complement_mask:
+                admitted = np.ones(store.n_major, dtype=bool)
+                admitted[hint] = False
+                hint = np.flatnonzero(admitted)
             ti, tv = spmv_pull(
                 store,
                 u.to_dense(),

@@ -4,17 +4,22 @@ This package is the code-generation analogue of SuiteSparse's 960
 pre-compiled semiring built-ins that the paper credits for its speed.
 Where the PR-5 engine specializes *NumPy closures* (vectorized, but
 structurally unable to stop mid-row), this tier generates monomorphic
-scalar loops per ``(add monoid, multiply op, value type)`` and compiles
-them — with numba when the ``[compiled]`` extra is installed, with the
-system C compiler otherwise — so terminal monoids (LOR, LAND, MIN, MAX,
-TIMES) genuinely bail out of the hot loop at the first annihilator.
+scalar loops per ``(add monoid, multiply op, A type, B type, output
+type)`` and compiles them — with numba when the ``[compiled]`` extra is
+installed, with the system C compiler otherwise — so terminal monoids
+(LOR, LAND, MIN, MAX, TIMES) genuinely bail out of the hot loop at the
+first annihilator, and ``ANY`` at its first term.
 
-The default backend runs these kernels for ``mxm``/``mxv``/``vxm``
-whenever :func:`select` returns a kernel set, and NumPy otherwise; the
-algorithms above never see which ran.
+The templates cover the semirings the section-V algorithms issue: mixed
+operand types (each operand is cast to the multiply's domain, the
+product to the output type), ``ANY`` as a keep-first fold, and the
+positional multiplies (``FIRSTI``/``SECONDI``/...).  The default backend
+runs these kernels for ``mxm``/``mxv``/``vxm`` whenever :func:`select`
+returns a kernel set, and NumPy otherwise; the algorithms above never
+see which ran.
 
 * :func:`select_class` — the one kernel choice, a memoised function of
-  the plan *class* (add, mult, operand and output types, heap method,
+  the plan *class* (add, mult, A, B and output types, heap method,
   resolved toolchain), declines included; no size cut, so a tiled and
   an in-memory run of one product always agree.  :func:`select` applies
   it to a plan, the tiled kernels to their operands.  The memo is the
@@ -191,28 +196,30 @@ def select_class(semiring, a_type, b_type, out_type, span,
 
     :func:`select` calls it with a plan's fields and the tiled kernels
     with their operands' (``[0]``), so both routes fold with the same
-    kernels.  The cheap declines come first, before the memo: the heap
-    method, mixed operand types (NumPy's promote-then-cast rules, which
-    the templates do not reproduce), a span over :data:`MAX_DIMENSION`,
-    no toolchain, user-defined ops or types (whose names need not be
-    unique).  That keeps a declined call nearly free.  The memo is keyed
-    on what a kernel set depends on — add, multiply, type and toolchain.
+    kernels.  Mixed operand types compile: each operand has its own
+    template slot and is cast to the multiply's domain (see
+    :mod:`.templates`).  The cheap declines come first, before the memo:
+    the heap method, a span over :data:`MAX_DIMENSION`, no toolchain,
+    user-defined ops or types (whose names need not be unique).  That
+    keeps a declined call nearly free.  The memo is keyed on what a
+    kernel set depends on — add, multiply, the A, B and output types,
+    and the toolchain.
     """
-    name = out_type.name
-    if heap or a_type.name != name or b_type.name != name \
-            or span > MAX_DIMENSION:
+    if heap or span > MAX_DIMENSION:
         return _DECLINED
     tc = _resolved if _resolved is not _UNRESOLVED else toolchain_name()
     if tc is None:
         return _DECLINED
     add, mult = getattr(semiring, "add", None), getattr(semiring, "mult", None)
-    if add is None or not (add.builtin and mult.builtin and out_type.builtin):
+    if add is None or not (add.builtin and mult.builtin and a_type.builtin
+                           and b_type.builtin and out_type.builtin):
         return _DECLINED
-    key = (add.name, mult.name, name, tc)
+    key = (add.name, mult.name, a_type.name, b_type.name, out_type.name, tc)
     hit = _memo_hit(key)
     if hit is None:
         with _build_lock:  # one build per class however many threads race
-            hit = _memo_hit(key) or _resolve(key, semiring, out_type, tc)
+            hit = _memo_hit(key) or _resolve(key, semiring, a_type, b_type,
+                                              out_type, tc)
     return hit
 
 
@@ -232,11 +239,11 @@ def _memo_hit(key) -> tuple | None:
     return kern, "hit"
 
 
-def _resolve(key, sr, out, tc) -> tuple:
+def _resolve(key, sr, a, b, out, tc) -> tuple:
     """First use of a class (caller holds ``_build_lock``): build its
     kernel set, or decline it (no template, or the build failed);
     memoise either."""
-    spec = spec_for(sr, out)
+    spec = spec_for(sr, a, b, out)
     kern = None if spec is None else _build(spec, tc)
     with _lock:
         _memo.entries[key] = kern

@@ -4,8 +4,8 @@ The paper credits SuiteSparse's speed to *code-generated* semiring
 kernels: 960 monomorphic inner loops, one per (monoid, multiply, type)
 combination, with terminal-monoid early exit compiled into the hot loop.
 This module is the template half of our analogue: given a
-:class:`KernelSpec` — ``(add monoid, multiply op, value type)`` — it
-renders the same six kernels in two source languages:
+:class:`KernelSpec` — ``(add monoid, multiply op, A type, B type, output
+type)`` — it renders the same six kernels in two source languages:
 
 * **C** (:func:`c_source`) — compiled by the ``cc`` toolchain into a
   shared library and called through ctypes (the call releases the GIL,
@@ -35,22 +35,40 @@ The six kernels per spec:
     per *element*, not per 64-element block like the vectorized engine.
 ``push`` / ``pull``
     SpMSpV scatter and masked SpMV dot kernels for mxv/vxm, sharing the
-    SPA and early-exit machinery.
+    SPA and early-exit machinery.  The matrix is the first operand for
+    ``mxv`` and the second for ``vxm``, so each is rendered twice, once
+    per operand order, behind one entry point.
 ``segfold``
     The same strict left fold over pre-sorted segments: the tiled
     kernels fold their stripes with it, so a tiled product and its
     in-memory twin are bit-identical floats included.
 
 Semantics notes (all mirrored from the NumPy operator tables in
-:mod:`repro.graphblas.ops` / :mod:`repro.graphblas.monoid`):
+:mod:`repro.graphblas.ops` / :mod:`repro.graphblas.monoid`, and from the
+domain rules of *Mathematical Foundations of the GraphBLAS*):
 
+* **Typed operand slots.**  Each operand is loaded in its own C type and
+  cast to the domain NumPy's multiply computes in (``np.result_type``
+  for arithmetic, the left or right type for FIRST/SECOND, BOOL for
+  LAND/LOR); the product is cast to the output type and folded there.
+  A cast to BOOL is ``!= 0`` (NumPy's ``astype(bool)``), never a
+  truncation.  A float product cast into an integer output declines:
+  that conversion is undefined in C where NumPy saturates.
 * MIN/MAX use NumPy's NaN-propagating comparison (``x if x < y or
   isnan(x) else y``); ``x != x`` is the portable isnan spelling.
 * BOOL stores as one byte of 0/1; PLUS degenerates to OR and TIMES/MIN
   to AND, exactly as ``np.add``/``np.multiply`` do on bools.
-* LOR/LAND monoids are offered for BOOL only — on wider types the
-  vectorized engine's single-product segments skip the bool
-  normalization, a corner this tier declines rather than reproduces.
+* LOR/LAND fold over any output type when the products are 0/1 (a
+  BOOL-domain multiply such as ``LAND``, or ``ONEB``): ``LOR_LAND`` on
+  FP64 x BOOL yields FP64 0/1.  Over other products NumPy's single-
+  product segments skip the bool normalization, a corner this tier
+  declines rather than reproduces.
+* ``ANY`` is a keep-first fold, terminal on the first term — byte-equal
+  to :meth:`~repro.graphblas.monoid.Monoid.reduce_segments`' first-of-
+  segment rule, and the early exit SuiteSparse has ``ANY`` for.
+* Positional multiplies (``FIRSTI``/``SECONDJ``/... and their ``1``
+  variants) write the loop's i, k or j as the INT64 product, following
+  :func:`repro.graphblas.mxv._vec_positional` for the vector kernels.
 * Signed overflow must wrap to match NumPy: the cc toolchain compiles
   with ``-fwrapv``, and ``-ffp-contract=off`` keeps float multiply-add
   sequences unfused (bit-parity with NumPy's separate ops).
@@ -64,6 +82,7 @@ from string import Template
 import numpy as np
 
 from ..monoid import monoid as _monoid
+from ..ops import BINARY_OPS, binary as _binary
 from ..types import lookup_type
 
 __all__ = [
@@ -92,7 +111,8 @@ CTYPES: dict[str, str] = {
     "FP64": "double",
 }
 
-# multiply ops: name -> (C format, Python format) over operands {x}, {y}.
+# binary ops: name -> (C format, Python format) over operands {x}, {y};
+# {T} is the C type the op yields (MT for a multiply, VT for a fold).
 # NaN-propagating MIN/MAX match np.minimum/np.maximum; the x != x test is
 # isnan and constant-folds away for integer types.
 _MULTS: dict[str, tuple[str, str]] = {
@@ -110,111 +130,211 @@ _MULTS: dict[str, tuple[str, str]] = {
         "({x} if ({x} > {y} or {x} != {x}) else {y})",
     ),
     "LAND": (
-        "((VT)(({x} != 0) && ({y} != 0)))",
+        "(({T})(({x} != 0) && ({y} != 0)))",
         "(({x} != 0) and ({y} != 0))",
     ),
     "LOR": (
-        "((VT)(({x} != 0) || ({y} != 0)))",
+        "(({T})(({x} != 0) || ({y} != 0)))",
         "(({x} != 0) or ({y} != 0))",
     ),
-    "ONEB": ("((VT)1)", "(True)"),
+    "ONEB": ("(({T})1)", "(1)"),
 }
 
 # BOOL overrides: np.add on bools is OR, np.multiply is AND.
 _BOOL_MULTS: dict[str, tuple[str, str]] = {
-    "PLUS": ("((VT)({x} || {y}))", "({x} or {y})"),
-    "TIMES": ("((VT)({x} && {y}))", "({x} and {y})"),
-    "MIN": ("((VT)({x} && {y}))", "({x} and {y})"),
-    "MAX": ("((VT)({x} || {y}))", "({x} or {y})"),
-    "ONEB": ("((VT)1)", "(True)"),
+    "PLUS": ("(({T})({x} || {y}))", "({x} or {y})"),
+    "TIMES": ("(({T})({x} && {y}))", "({x} and {y})"),
+    "MIN": ("(({T})({x} && {y}))", "({x} and {y})"),
+    "MAX": ("(({T})({x} || {y}))", "({x} or {y})"),
 }
 
-# add monoids: the scalar fold a = ADD(a, x), same format slots.
+# multiplies that are the same function over BOOL as over any domain
+_ANY_DOMAIN_MULTS = ("FIRST", "SECOND", "LAND", "LOR", "ONEB")
+
+# add monoids: the scalar fold a = ADD(a, x), same format slots.  ANY
+# keeps its first term.
 _ADDS: dict[str, tuple[str, str]] = {
     "PLUS": _MULTS["PLUS"],
     "TIMES": _MULTS["TIMES"],
     "MIN": _MULTS["MIN"],
     "MAX": _MULTS["MAX"],
+    "LOR": _MULTS["LOR"],
+    "LAND": _MULTS["LAND"],
+    "ANY": ("({x})", "({x})"),
 }
 
 _BOOL_ADDS: dict[str, tuple[str, str]] = {
-    "PLUS": _BOOL_MULTS["PLUS"],
-    "TIMES": _BOOL_MULTS["TIMES"],
-    "MIN": _BOOL_MULTS["MIN"],
-    "MAX": _BOOL_MULTS["MAX"],
-    "LOR": ("((VT)({x} || {y}))", "({x} or {y})"),
-    "LAND": ("((VT)({x} && {y}))", "({x} and {y})"),
+    **_BOOL_MULTS,
+    "LOR": ("(({T})({x} || {y}))", "({x} or {y})"),
+    "LAND": ("(({T})({x} && {y}))", "({x} and {y})"),
+    "ANY": _ADDS["ANY"],
 }
 
-SUPPORTED_ADDS = ("PLUS", "TIMES", "MIN", "MAX", "LOR", "LAND")
-SUPPORTED_MULTS = tuple(_MULTS)
+SUPPORTED_ADDS = tuple(_ADDS)
+SUPPORTED_MULTS = tuple(_MULTS) + tuple(
+    name for name, op in BINARY_OPS.items() if op.positional is not None)
 
-_BOOL_ONLY_MULTS = ("FIRST", "SECOND", "PLUS", "TIMES", "MIN", "MAX",
-                    "LAND", "LOR", "ONEB")
-
-
-def _mult_fmt(name: str, type_name: str) -> tuple[str, str] | None:
-    if type_name == "BOOL":
-        if name in _BOOL_MULTS:
-            return _BOOL_MULTS[name]
-        if name in ("FIRST", "SECOND", "LAND", "LOR"):
-            return _MULTS[name]
-        return None
-    return _MULTS.get(name)
-
-
-def _add_fmt(name: str, type_name: str) -> tuple[str, str] | None:
-    if type_name == "BOOL":
-        return _BOOL_ADDS.get(name)
-    return _ADDS.get(name)
+# positional kind (its "1" suffix stripped) -> the loop variable that
+# holds it: in mxm (i, k, j), in a matrix-first mxv (output m, inner k)
+# and in a vector-first vxm — the mapping of mxv._vec_positional
+_POSITIONAL: dict[str, tuple[str, str, str]] = {
+    "firsti": ("i", "m", "k"),
+    "firstj": ("k", "k", "0"),
+    "secondi": ("k", "k", "k"),
+    "secondj": ("j", "0", "m"),
+}
+_MXM, _MATRIX_FIRST, _VECTOR_FIRST = range(3)
 
 
-def spec_supported(add_name: str, mult_name: str, type_name: str) -> bool:
-    """Whether a (monoid, multiply, type) triple has a kernel template."""
-    if type_name not in CTYPES:
-        return False
-    if type_name == "BOOL" and mult_name not in _BOOL_ONLY_MULTS:
-        return False
-    return (
-        _add_fmt(add_name, type_name) is not None
-        and _mult_fmt(mult_name, type_name) is not None
-    )
+def _is_float(type_name: str) -> bool:
+    return type_name in ("FP32", "FP64")
+
+
+def _cast(lang: str, expr: str, src: str | None, dst: str) -> str:
+    """``expr`` (of type ``src``; None: unknown) converted to ``dst``
+    with NumPy's ``astype`` rules: to BOOL is ``!= 0``."""
+    if src == dst:
+        return expr
+    if dst == "BOOL":
+        return (f"((uint8_t)(({expr}) != 0))" if lang == "c"
+                else f"(({expr}) != 0)")
+    if lang == "c":
+        return f"(({CTYPES[dst]})({expr}))"
+    return f"np.{np.dtype(lookup_type(dst).np_dtype).name}({expr})"
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One code-generation point: (add monoid, multiply op, value type)."""
+    """One code-generation point: (add monoid, multiply op, A type,
+    B type, output type)."""
 
     add_name: str
     mult_name: str
-    type_name: str
+    a_type: str
+    b_type: str
+    out_type: str
 
     @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.add_name, self.mult_name, self.type_name)
+    def key(self) -> tuple[str, str, str, str, str]:
+        return (self.add_name, self.mult_name, self.a_type, self.b_type,
+                self.out_type)
 
     @property
     def np_dtype(self) -> np.dtype:
-        return lookup_type(self.type_name).np_dtype
+        """The output (and fold) dtype."""
+        return lookup_type(self.out_type).np_dtype
+
+    @property
+    def a_dtype(self) -> np.dtype:
+        return lookup_type(self.a_type).np_dtype
+
+    @property
+    def b_dtype(self) -> np.dtype:
+        return lookup_type(self.b_type).np_dtype
+
+    @property
+    def positional(self) -> str | None:
+        return _binary(self.mult_name).positional
+
+    @property
+    def mult_type(self) -> str:
+        """The domain NumPy's multiply computes in (INT64 for a
+        positional one): the dtype its ufunc yields for these operands."""
+        mult = _binary(self.mult_name)
+        if mult.positional is not None:
+            return "INT64"
+        z = mult.ufunc(np.empty(0, self.a_dtype), np.empty(0, self.b_dtype))
+        return lookup_type(z.dtype).name
 
     def terminal(self):
         """The annihilator as a numpy scalar, or None."""
-        return _monoid(self.add_name).terminal(lookup_type(self.type_name))
+        return _monoid(self.add_name).terminal(lookup_type(self.out_type))
+
+    @property
+    def stops_early(self) -> bool:
+        """Whether a fold can stop early: a terminal monoid, or ANY."""
+        return self.add_name == "ANY" or self.terminal() is not None
+
+    def formats(self) -> tuple | None:
+        """``(multiply format | None if positional, fold format)``, each a
+        (C, Python) pair, or None when the class has no template."""
+        if not all(t in CTYPES for t in (self.a_type, self.b_type,
+                                         self.out_type)):
+            return None
+        m, name, out = self.mult_type, self.mult_name, self.out_type
+        mult = None
+        if self.positional is None:
+            if m == "BOOL" and name not in _ANY_DOMAIN_MULTS:
+                mult = _BOOL_MULTS.get(name)
+            else:
+                mult = _MULTS.get(name)
+            if mult is None:
+                return None
+        if _is_float(m) and not (_is_float(out) or out == "BOOL"):
+            return None
+        if out == "BOOL":
+            add = _BOOL_ADDS.get(self.add_name)
+        elif self.add_name in ("LOR", "LAND") and not (
+                m == "BOOL" or name == "ONEB"):
+            return None
+        else:
+            add = _ADDS.get(self.add_name)
+        if add is None:
+            return None
+        return mult, add
+
+    def product(self, lang: str, x: str, y: str, where: int) -> str:
+        """The product of operands ``x`` (A type) and ``y`` (B type) as
+        an output-type expression; ``where`` names the loop whose index
+        variables a positional multiply reads."""
+        mult, _ = self.formats()
+        out = self.out_type
+        kind = self.positional
+        if kind is not None:
+            base = _POSITIONAL[kind.rstrip("1")][where]
+            expr = f"({base} + 1)" if kind.endswith("1") else base
+            m = "INT64"
+        else:
+            m = self.mult_type
+            expr = mult[lang == "py"].format(
+                x=_cast(lang, x, self.a_type, m),
+                y=_cast(lang, y, self.b_type, m), T="MT")
+        # numba types a variable once: the Python product is always cast
+        return _cast(lang, expr, m if lang == "c" else None, out)
+
+    def fold(self, lang: str) -> str:
+        """``ADD(acc, prod)`` in the output type."""
+        _, add = self.formats()
+        expr = add[lang == "py"].format(x="acc", y="prod", T="VT")
+        if lang == "py" and self.add_name in ("LOR", "LAND"):
+            expr = _cast(lang, expr, None, self.out_type)
+        return expr
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.add_name}.{self.mult_name}.{self.type_name}"
+        return ".".join(self.key)
 
 
-def spec_for(semiring, out_type) -> KernelSpec | None:
-    """The spec serving ``semiring`` over ``out_type``, or None."""
+def spec_supported(add_name: str, mult_name: str, a_type: str, b_type: str,
+                   out_type: str) -> bool:
+    """Whether a (monoid, multiply, A type, B type, output type) class
+    has a kernel template."""
+    if add_name not in SUPPORTED_ADDS or mult_name not in SUPPORTED_MULTS:
+        return False
+    spec = KernelSpec(add_name, mult_name, a_type, b_type, out_type)
+    return spec.formats() is not None
+
+
+def spec_for(semiring, a_type, b_type, out_type) -> KernelSpec | None:
+    """The spec serving ``semiring`` over operands typed ``a_type`` and
+    ``b_type`` into ``out_type``, or None."""
     add, mult = semiring.add, semiring.mult
-    if not (add.builtin and mult.builtin and out_type.builtin):
+    types = (a_type, b_type, out_type)
+    if not (add.builtin and mult.builtin and all(t.builtin for t in types)):
         return None
-    if mult.positional is not None:
+    names = tuple(t.name for t in types)
+    if not spec_supported(add.name, mult.name, *names):
         return None
-    if not spec_supported(add.name, mult.name, out_type.name):
-        return None
-    return KernelSpec(add.name, mult.name, out_type.name)
+    return KernelSpec(add.name, mult.name, *names)
 
 
 def _c_terminal_literal(value, type_name: str) -> str:
@@ -235,6 +355,16 @@ def _c_terminal_literal(value, type_name: str) -> str:
     return f"{v}LL"
 
 
+def _term_hit(spec: KernelSpec, lang: str) -> str:
+    """The early-exit test on ``acc``: the annihilator, or always for ANY
+    (keep-first is terminal on the first term)."""
+    if spec.add_name == "ANY":
+        return "1" if lang == "c" else "True"
+    if spec.terminal() is None:
+        return "0" if lang == "c" else "False"
+    return "(acc) == TERM" if lang == "c" else "acc == term"
+
+
 # --------------------------------------------------------------------------
 # C source
 # --------------------------------------------------------------------------
@@ -243,10 +373,14 @@ _C_TEMPLATE = Template(r"""/* generated kernel set: ${SPEC} */
 #include <stdint.h>
 #include <math.h>
 
-typedef ${CTYPE} VT;
+typedef ${A_CTYPE} AT;   /* first operand */
+typedef ${B_CTYPE} BT;   /* second operand */
+typedef ${M_CTYPE} MT;   /* the domain the multiply computes in */
+typedef ${OUT_CTYPE} VT; /* output: products are cast to it and folded in it */
 
-#define HAS_TERM ${HAS_TERM}
 #define TERM ((VT)${TERM_LIT})
+/* early exit: the fold reached its annihilator (ANY: any first term) */
+#define TERM_HIT(acc) (${TERM_HIT})
 
 /* sort (idx, val) pairs in [lo, hi] by idx: quicksort with insertion tail */
 static void sortpairs(int64_t *idx, VT *val, int64_t lo, int64_t hi)
@@ -305,8 +439,8 @@ int64_t gb_spgemm_count(
    output sorted by column within each row. */
 int64_t gb_spgemm_fill(
     int64_t row_lo, int64_t row_hi,
-    const int64_t *ap, const int64_t *aj, const VT *ax,
-    const int64_t *bp, const int64_t *bj, const VT *bx,
+    const int64_t *ap, const int64_t *aj, const AT *ax,
+    const int64_t *bp, const int64_t *bj, const BT *bx,
     int64_t *mark, int64_t *slot,
     int64_t *ci, int64_t *cj, VT *cx)
 {
@@ -315,10 +449,10 @@ int64_t gb_spgemm_fill(
         int64_t row_start = nz;
         for (int64_t p = ap[i]; p < ap[i + 1]; p++) {
             int64_t k = aj[p];
-            VT av = ax[p];
+            AT av = ax[p];
             for (int64_t q = bp[k]; q < bp[k + 1]; q++) {
                 int64_t j = bj[q];
-                VT prod = ${MULT_AV_BQ};
+                VT prod = ${PROD_GUSTAVSON};
                 if (mark[j] != i) {
                     mark[j] = i;
                     slot[j] = nz;
@@ -346,11 +480,13 @@ void gb_dot(
     int64_t n,
     const int64_t *as, const int64_t *ae,
     const int64_t *bs, const int64_t *be,
-    const int64_t *aj, const VT *ax,
-    const int64_t *bj, const VT *bx,
+    const int64_t *ci, const int64_t *cj,
+    const int64_t *aj, const AT *ax,
+    const int64_t *bj, const BT *bx,
     uint8_t *keep, VT *out, int64_t *stats)
 {
     for (int64_t p = 0; p < n; p++) {
+        const int64_t i = ci[p], j = cj[p];
         int64_t pa = as[p], pb = bs[p];
         const int64_t ea = ae[p], eb = be[p];
         VT acc = (VT)0;
@@ -361,13 +497,12 @@ void gb_dot(
             if (ka < kb) pa++;
             else if (kb < ka) pb++;
             else {
-                VT prod = ${MULT_AXPA_BXPB};
+                const int64_t k = ka;
+                VT prod = ${PROD_DOT};
                 if (have) { acc = ${ADD_ACC_PROD}; }
                 else      { acc = prod; have = 1; }
                 depth++;
-#if HAS_TERM
-                if (acc == TERM) { stats[0]++; stats[3] += depth; break; }
-#endif
+                if (TERM_HIT(acc)) { stats[0]++; stats[3] += depth; break; }
                 pa++; pb++;
             }
         }
@@ -376,72 +511,42 @@ void gb_dot(
     }
 }
 
-/* SpMSpV push: scatter each frontier entry through its matrix column
+${PUSH_MF}
+${PUSH_VF}
+/* SpMSpV push: scatter each frontier entry k through its matrix column
    (the store's major axis is the vector's dimension).  mark arrives
    filled with -1; output is sorted by index on exit. */
 int64_t gb_push(
-    int64_t nu, const int64_t *ui, const VT *ux,
-    const int64_t *ap, const int64_t *aj, const VT *ax,
+    int64_t nu, const int64_t *ui, const void *ux,
+    const int64_t *ap, const int64_t *aj, const void *ax,
     int matrix_first,
     int64_t *mark,
     int64_t *oi, VT *ov)
 {
-    int64_t nz = 0;
-    for (int64_t t = 0; t < nu; t++) {
-        int64_t k = ui[t];
-        VT uv = ux[t];
-        for (int64_t p = ap[k]; p < ap[k + 1]; p++) {
-            int64_t j = aj[p];
-            VT prod = matrix_first ? ${MULT_AXP_UV} : ${MULT_UV_AXP};
-            if (mark[j] < 0) {
-                mark[j] = nz;
-                oi[nz] = j;
-                ov[nz] = prod;
-                nz++;
-            } else {
-                int64_t s = mark[j];
-                VT acc = ov[s];
-                ov[s] = ${ADD_ACC_PROD};
-            }
-        }
-    }
-    if (nz > 1)
-        sortpairs(oi, ov, 0, nz - 1);
-    return nz;
+    if (matrix_first)
+        return push_mf(nu, ui, (const BT *)ux, ap, aj, (const AT *)ax,
+                       mark, oi, ov);
+    return push_vf(nu, ui, (const AT *)ux, ap, aj, (const BT *)ax,
+                   mark, oi, ov);
 }
 
-/* masked SpMV pull: one dot per requested output row against the dense
-   vector, skipping absent entries, terminal early exit per row.
+${PULL_MF}
+${PULL_VF}
+/* masked SpMV pull: one dot per requested output row m against the
+   dense vector, skipping absent entries, terminal early exit per row.
    stats layout matches gb_dot. */
 int64_t gb_pull(
     int64_t nr, const int64_t *rows,
-    const int64_t *ap, const int64_t *aj, const VT *ax,
-    const VT *ud, const uint8_t *up,
+    const int64_t *ap, const int64_t *aj, const void *ax,
+    const void *ud, const uint8_t *up,
     int matrix_first,
     int64_t *oi, VT *ov, int64_t *stats)
 {
-    int64_t nz = 0;
-    for (int64_t t = 0; t < nr; t++) {
-        int64_t i = rows[t];
-        VT acc = (VT)0;
-        int have = 0;
-        int64_t depth = 0;
-        for (int64_t p = ap[i]; p < ap[i + 1]; p++) {
-            int64_t j = aj[p];
-            if (!up[j]) continue;
-            VT uv = ud[j];
-            VT prod = matrix_first ? ${MULT_AXP_UV} : ${MULT_UV_AXP};
-            if (have) { acc = ${ADD_ACC_PROD}; }
-            else      { acc = prod; have = 1; }
-            depth++;
-#if HAS_TERM
-            if (acc == TERM) { stats[0]++; stats[3] += depth; break; }
-#endif
-        }
-        stats[2] += depth;
-        if (have) { stats[1]++; oi[nz] = i; ov[nz] = acc; nz++; }
-    }
-    return nz;
+    if (matrix_first)
+        return pull_mf(nr, rows, ap, aj, (const AT *)ax, (const BT *)ud, up,
+                       oi, ov, stats);
+    return pull_vf(nr, rows, ap, aj, (const BT *)ax, (const AT *)ud, up,
+                   oi, ov, stats);
 }
 
 /* sequential segmented fold: out[s] = x[starts[s]] + ... + x[end - 1],
@@ -464,22 +569,96 @@ void gb_segfold(
 }
 """)
 
+_C_PUSH = Template(r"""static int64_t push_${VARIANT}(
+    int64_t nu, const int64_t *ui, const ${VEC_T} *ux,
+    const int64_t *ap, const int64_t *aj, const ${MAT_T} *ax,
+    int64_t *mark, int64_t *oi, VT *ov)
+{
+    int64_t nz = 0;
+    for (int64_t t = 0; t < nu; t++) {
+        const int64_t k = ui[t];
+        const ${VEC_T} uv = ux[t];
+        for (int64_t p = ap[k]; p < ap[k + 1]; p++) {
+            const int64_t m = aj[p];
+            VT prod = ${PROD};
+            if (mark[m] < 0) {
+                mark[m] = nz;
+                oi[nz] = m;
+                ov[nz] = prod;
+                nz++;
+            } else {
+                int64_t s = mark[m];
+                VT acc = ov[s];
+                ov[s] = ${ADD_ACC_PROD};
+            }
+        }
+    }
+    if (nz > 1)
+        sortpairs(oi, ov, 0, nz - 1);
+    return nz;
+}
+""")
+
+_C_PULL = Template(r"""static int64_t pull_${VARIANT}(
+    int64_t nr, const int64_t *rows,
+    const int64_t *ap, const int64_t *aj, const ${MAT_T} *ax,
+    const ${VEC_T} *ud, const uint8_t *up,
+    int64_t *oi, VT *ov, int64_t *stats)
+{
+    int64_t nz = 0;
+    for (int64_t t = 0; t < nr; t++) {
+        const int64_t m = rows[t];
+        VT acc = (VT)0;
+        int have = 0;
+        int64_t depth = 0;
+        for (int64_t p = ap[m]; p < ap[m + 1]; p++) {
+            const int64_t k = aj[p];
+            if (!up[k]) continue;
+            const ${VEC_T} uv = ud[k];
+            VT prod = ${PROD};
+            if (have) { acc = ${ADD_ACC_PROD}; }
+            else      { acc = prod; have = 1; }
+            depth++;
+            if (TERM_HIT(acc)) { stats[0]++; stats[3] += depth; break; }
+        }
+        stats[2] += depth;
+        if (have) { stats[1]++; oi[nz] = m; ov[nz] = acc; nz++; }
+    }
+    return nz;
+}
+""")
+
 
 def c_source(spec: KernelSpec) -> str:
-    """Render the five C kernels for one spec."""
-    c_mult, _ = _mult_fmt(spec.mult_name, spec.type_name)
-    c_add, _ = _add_fmt(spec.add_name, spec.type_name)
-    term = spec.terminal()
+    """Render the C kernels for one spec."""
+    fold = spec.fold("c")
+
+    def vector_kernels(template):
+        # the matrix is mxv's first operand and vxm's second
+        return (
+            template.substitute(
+                VARIANT="mf", MAT_T="AT", VEC_T="BT", ADD_ACC_PROD=fold,
+                PROD=spec.product("c", "ax[p]", "uv", _MATRIX_FIRST)),
+            template.substitute(
+                VARIANT="vf", MAT_T="BT", VEC_T="AT", ADD_ACC_PROD=fold,
+                PROD=spec.product("c", "uv", "ax[p]", _VECTOR_FIRST)),
+        )
+
+    push_mf, push_vf = vector_kernels(_C_PUSH)
+    pull_mf, pull_vf = vector_kernels(_C_PULL)
     return _C_TEMPLATE.substitute(
         SPEC=str(spec),
-        CTYPE=CTYPES[spec.type_name],
-        HAS_TERM="1" if term is not None else "0",
-        TERM_LIT=_c_terminal_literal(term, spec.type_name),
-        MULT_AV_BQ=c_mult.format(x="av", y="bx[q]"),
-        MULT_AXPA_BXPB=c_mult.format(x="ax[pa]", y="bx[pb]"),
-        MULT_AXP_UV=c_mult.format(x="ax[p]", y="uv"),
-        MULT_UV_AXP=c_mult.format(x="uv", y="ax[p]"),
-        ADD_ACC_PROD=c_add.format(x="acc", y="prod"),
+        A_CTYPE=CTYPES[spec.a_type],
+        B_CTYPE=CTYPES[spec.b_type],
+        M_CTYPE=CTYPES[spec.mult_type],
+        OUT_CTYPE=CTYPES[spec.out_type],
+        TERM_LIT=_c_terminal_literal(spec.terminal(), spec.out_type),
+        TERM_HIT=_term_hit(spec, "c"),
+        PROD_GUSTAVSON=spec.product("c", "av", "bx[q]", _MXM),
+        PROD_DOT=spec.product("c", "ax[pa]", "bx[pb]", _MXM),
+        ADD_ACC_PROD=fold,
+        PUSH_MF=push_mf, PUSH_VF=push_vf,
+        PULL_MF=pull_mf, PULL_VF=pull_vf,
     )
 
 
@@ -544,7 +723,7 @@ def gb_spgemm_fill(row_lo, row_hi, ap, aj, ax, bp, bj, bx,
             av = ax[p]
             for q in range(bp[k], bp[k + 1]):
                 j = bj[q]
-                prod = ${MULT_AV_BQ}
+                prod = ${PROD_GUSTAVSON}
                 if mark[j] != i:
                     mark[j] = i
                     slot[j] = nz
@@ -562,9 +741,10 @@ def gb_spgemm_fill(row_lo, row_hi, ap, aj, ax, bp, bj, bx,
     return nz
 
 
-def gb_dot(n, a_s, ae, bs, be, aj, ax, bj, bx, keep, out,
-           has_term, term, stats):
+def gb_dot(n, a_s, ae, bs, be, ci, cj, aj, ax, bj, bx, keep, out,
+           term, stats):
     for p in range(n):
+        i = ci[p]; j = cj[p]
         pa = a_s[p]; pb = bs[p]
         ea = ae[p]; eb = be[p]
         acc = out[p]
@@ -577,14 +757,15 @@ def gb_dot(n, a_s, ae, bs, be, aj, ax, bj, bx, keep, out,
             elif kb < ka:
                 pb += 1
             else:
-                prod = ${MULT_AXPA_BXPB}
+                k = ka
+                prod = ${PROD_DOT}
                 if have:
                     acc = ${ADD_ACC_PROD}
                 else:
                     acc = prod
                     have = True
                 depth += 1
-                if has_term and acc == term:
+                if ${TERM_HIT}:
                     stats[0] += 1
                     stats[3] += depth
                     break
@@ -602,15 +783,15 @@ def gb_push(nu, ui, ux, ap, aj, ax, matrix_first, mark, oi, ov):
         k = ui[t]
         uv = ux[t]
         for p in range(ap[k], ap[k + 1]):
-            j = aj[p]
-            prod = ${MULT_AXP_UV} if matrix_first else ${MULT_UV_AXP}
-            if mark[j] < 0:
-                mark[j] = nz
-                oi[nz] = j
+            m = aj[p]
+            prod = ${PROD_MF} if matrix_first else ${PROD_VF}
+            if mark[m] < 0:
+                mark[m] = nz
+                oi[nz] = m
                 ov[nz] = prod
                 nz += 1
             else:
-                s = mark[j]
+                s = mark[m]
                 acc = ov[s]
                 ov[s] = ${ADD_ACC_PROD}
     if nz > 1:
@@ -619,33 +800,33 @@ def gb_push(nu, ui, ux, ap, aj, ax, matrix_first, mark, oi, ov):
 
 
 def gb_pull(nr, rows, ap, aj, ax, ud, up, matrix_first,
-            oi, ov, has_term, term, stats):
+            oi, ov, term, stats):
     nz = 0
     for t in range(nr):
-        i = rows[t]
+        m = rows[t]
         acc = term
         have = False
         depth = 0
-        for p in range(ap[i], ap[i + 1]):
-            j = aj[p]
-            if not up[j]:
+        for p in range(ap[m], ap[m + 1]):
+            k = aj[p]
+            if not up[k]:
                 continue
-            uv = ud[j]
-            prod = ${MULT_AXP_UV} if matrix_first else ${MULT_UV_AXP}
+            uv = ud[k]
+            prod = ${PROD_MF} if matrix_first else ${PROD_VF}
             if have:
                 acc = ${ADD_ACC_PROD}
             else:
                 acc = prod
                 have = True
             depth += 1
-            if has_term and acc == term:
+            if ${TERM_HIT}:
                 stats[0] += 1
                 stats[3] += depth
                 break
         stats[2] += depth
         if have:
             stats[1] += 1
-            oi[nz] = i
+            oi[nz] = m
             ov[nz] = acc
             nz += 1
     return nz
@@ -664,13 +845,12 @@ def gb_segfold(nseg, starts, n, x, out):
 
 def py_source(spec: KernelSpec) -> str:
     """Render the numba-jittable Python kernels for one spec."""
-    _, py_mult = _mult_fmt(spec.mult_name, spec.type_name)
-    _, py_add = _add_fmt(spec.add_name, spec.type_name)
     return _PY_TEMPLATE.substitute(
         SPEC=str(spec),
-        MULT_AV_BQ=py_mult.format(x="av", y="bx[q]"),
-        MULT_AXPA_BXPB=py_mult.format(x="ax[pa]", y="bx[pb]"),
-        MULT_AXP_UV=py_mult.format(x="ax[p]", y="uv"),
-        MULT_UV_AXP=py_mult.format(x="uv", y="ax[p]"),
-        ADD_ACC_PROD=py_add.format(x="acc", y="prod"),
+        TERM_HIT=_term_hit(spec, "py"),
+        PROD_GUSTAVSON=spec.product("py", "av", "bx[q]", _MXM),
+        PROD_DOT=spec.product("py", "ax[pa]", "bx[pb]", _MXM),
+        PROD_MF=spec.product("py", "ax[p]", "uv", _MATRIX_FIRST),
+        PROD_VF=spec.product("py", "uv", "ax[p]", _VECTOR_FIRST),
+        ADD_ACC_PROD=spec.fold("py"),
     )

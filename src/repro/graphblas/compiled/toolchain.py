@@ -119,7 +119,7 @@ class StoreArgs:
     """A sparse store's arrays as every kernel takes them.
 
     ``indptr`` spans all ``n_major`` vectors (a hypersparse pointer is
-    expanded), indices are int64 and values the kernel type, all
+    expanded), indices are int64 and values the operand's type, all
     C-contiguous; ``addrs`` holds their data addresses for the cc
     toolchain.  Stores are immutable, so :func:`store_args` builds this
     once per store and a call pays no per-array conversion for it.
@@ -159,11 +159,13 @@ def store_args(store, dtype) -> StoreArgs:
 
 
 class KernelSet:
-    """Uniform interface to one compiled (add, mult, type) kernel set.
+    """Uniform interface to one compiled (add, mult, A type, B type,
+    output type) kernel set.
 
     Matrix operands arrive as :class:`StoreArgs`; every other array must
-    be C-contiguous with the right dtype (int64 indices, the spec's
-    value type) — the caller normalizes.
+    be C-contiguous with the right dtype (int64 indices, each operand's
+    own value type, the output type for outputs) — the caller
+    normalizes.
     """
 
     toolchain = "abstract"
@@ -171,7 +173,8 @@ class KernelSet:
     def __init__(self, spec: templates.KernelSpec):
         self.spec = spec
         term = spec.terminal()
-        self.has_terminal = term is not None
+        #: folds can stop early: a terminal monoid, or ANY's first term
+        self.has_terminal = spec.stops_early
         dt = spec.np_dtype
         # the python/numba kernels need a typed scalar even when no
         # terminal exists; zero is never compared in that case
@@ -184,7 +187,8 @@ class KernelSet:
                     cx) -> int:
         raise NotImplementedError
 
-    def dot(self, a_s, ae, bs, be, aj, ax, bj, bx, keep, out, stats) -> None:
+    def dot(self, a_s, ae, bs, be, ci, cj, aj, ax, bj, bx, keep, out,
+            stats) -> None:
         raise NotImplementedError
 
     def push(self, ui, ux, a, matrix_first, mark, oi, ov) -> int:
@@ -218,7 +222,7 @@ class _CKernelSet(KernelSet):
                            _I8, _I8, _P, _P, _P, _P, _P, _P,
                            _P, _P, _P, _P, _P)
         self._dot = proto("gb_dot", None,
-                          _I8, _P, _P, _P, _P, _P, _P, _P, _P,
+                          _I8, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P,
                           _P, _P, _P)
         self._push = proto("gb_push", _I8,
                            _I8, _P, _P, _P, _P, _P, _INT, _P, _P, _P)
@@ -237,9 +241,9 @@ class _CKernelSet(KernelSet):
                           _buf(mark), _buf(slot),
                           _buf(ci), _buf(cj), _buf(cx))
 
-    def dot(self, a_s, ae, bs, be, aj, ax, bj, bx, keep, out, stats):
+    def dot(self, a_s, ae, bs, be, ci, cj, aj, ax, bj, bx, keep, out, stats):
         self._dot(a_s.size, _buf(a_s), _buf(ae), _buf(bs), _buf(be),
-                  _buf(aj), _buf(ax), _buf(bj), _buf(bx),
+                  _buf(ci), _buf(cj), _buf(aj), _buf(ax), _buf(bj), _buf(bx),
                   _buf(keep), _buf(out), _buf(stats))
 
     def push(self, ui, ux, a, matrix_first, mark, oi, ov):
@@ -280,9 +284,9 @@ class _PyKernelSet(KernelSet):
                               b.indptr, b.minor, b.values,
                               mark, slot, ci, cj, cx))
 
-    def dot(self, a_s, ae, bs, be, aj, ax, bj, bx, keep, out, stats):
-        self._dot(a_s.size, a_s, ae, bs, be, aj, ax, bj, bx, keep, out,
-                  self.has_terminal, self._term, stats)
+    def dot(self, a_s, ae, bs, be, ci, cj, aj, ax, bj, bx, keep, out, stats):
+        self._dot(a_s.size, a_s, ae, bs, be, ci, cj, aj, ax, bj, bx, keep,
+                  out, self._term, stats)
 
     def push(self, ui, ux, a, matrix_first, mark, oi, ov):
         return int(self._push(ui.size, ui, ux, a.indptr, a.minor, a.values,
@@ -291,7 +295,7 @@ class _PyKernelSet(KernelSet):
     def pull(self, rows, a, ud, up, matrix_first, oi, ov, stats):
         return int(self._pull(rows.size, rows, a.indptr, a.minor, a.values,
                               ud, up, matrix_first, oi, ov,
-                              self.has_terminal, self._term, stats))
+                              self._term, stats))
 
     def segfold(self, x, starts):
         out = np.empty(starts.size, dtype=x.dtype)

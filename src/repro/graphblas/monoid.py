@@ -59,7 +59,7 @@ class Monoid:
         values = dtype.cast_array(np.asarray(values))
         if values.size == 0:
             return self.identity(dtype)
-        if self.name == "ANY":  # pick an arbitrary member: O(1)
+        if self.name == "ANY":  # keep the first member: O(1)
             return values[0].item() if dtype.builtin else values[0]
         uf = self.reduce_ufunc
         if uf is not None:
@@ -143,7 +143,9 @@ LAND_MONOID = _def_monoid("LAND", "LAND", True, terminal=False)
 LXOR_MONOID = _def_monoid("LXOR", "LXOR", False)
 EQ_MONOID = _def_monoid("EQ", "LXNOR", True)  # a.k.a. LXNOR monoid
 MONOIDS["LXNOR"] = EQ_MONOID
-# ANY: pick an arbitrary member; any value is terminal (maximal early exit).
+# ANY: keep the first member; any value is terminal (maximal early exit),
+# which the compiled kernels exploit — they stop every fold at its first
+# term, byte-equal to reduce_segments' first-of-segment rule.
 ANY_MONOID = Monoid("ANY", binary("ANY"), 0, None)
 MONOIDS["ANY"] = ANY_MONOID
 

@@ -22,8 +22,9 @@ each other (and the dense reference) by the test suite.  Method choice:
 * ``auto`` — dot when a (non-complemented) mask is present and selective,
   else Gustavson.
 
-Positional multiply operators (FIRSTI/SECONDJ/...) are served by the
-Gustavson path, substituting coordinates for values.
+Positional multiply operators (FIRSTI/SECONDJ/...) substitute
+coordinates for values: on the NumPy path through Gustavson's
+coordinate expansion, on the compiled path in Gustavson and dot alike.
 
 Gustavson and dot each have two kernels behind the same method policy,
 fault point and governor polls: the vectorized NumPy one, and the
@@ -98,6 +99,7 @@ def resolve_method(
     mask_complement: bool,
     a_rows: SparseStore,
     b_rows: SparseStore,
+    kernels=None,
 ) -> str:
     """Resolve a requested SpGEMM method to the concrete kernel to run.
 
@@ -106,7 +108,8 @@ def resolve_method(
     ``spgemm.method`` telemetry and governor poll points are identical):
     ``tiled`` degrades to the bit-identical in-memory Gustavson, ``auto``
     picks dot exactly when a usable (non-complemented) mask hint exists,
-    positional products force Gustavson's coordinate expansion.
+    positional products force NumPy's coordinate expansion (Gustavson)
+    unless compiled ``kernels`` run them, whose dot loop holds (i, k, j).
     """
     requested = method
     if method == "tiled":
@@ -119,7 +122,7 @@ def resolve_method(
             method = "dot"
         else:
             method = "gustavson"
-    if semiring.mult.positional and method != "gustavson":
+    if semiring.mult.positional and method != "gustavson" and kernels is None:
         method = "gustavson"  # positional products need coordinate expansion
     if telemetry.ENABLED:
         telemetry.decision(
@@ -162,7 +165,8 @@ def mxm_coo(
 
     ``kernels`` — the plan's compiled kernel set, when
     :func:`~repro.graphblas.compiled.select` chose one: Gustavson and dot
-    then run its scalar loops (operand dtypes must equal ``out_type``).
+    then run its scalar loops (each operand in its own type, the result
+    in ``out_type``).
     """
     if a_rows.n_minor != b_rows.n_major:
         raise InvalidValue(
@@ -173,7 +177,8 @@ def mxm_coo(
     if faults.ENABLED:
         faults.trip("spgemm.flop")
     method = resolve_method(
-        method, semiring, mask_coords, mask_complement, a_rows, b_rows
+        method, semiring, mask_coords, mask_complement, a_rows, b_rows,
+        kernels=kernels,
     )
 
     if method == "gustavson":
@@ -384,10 +389,11 @@ def _pair_group_starts(i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _compiled_gustavson(kern, a_rows, b_rows, out_type, nthreads):
     """Gustavson on the compiled two-phase SPA kernels, in flop-balanced
-    row blocks on the engine pool (the foreign call releases the GIL)."""
+    row blocks on the engine pool (the foreign call releases the GIL).
+    Each operand is passed in its own type; the kernel casts."""
     dt = out_type.np_dtype
-    a = store_args(a_rows, dt)
-    b = store_args(b_rows, dt)
+    a = store_args(a_rows, kern.spec.a_dtype)
+    b = store_args(b_rows, kern.spec.b_dtype)
     if a.minor.size == 0 or b.minor.size == 0:
         return _empty_coo(dt)
     ent_flops = b.indptr[a.minor + 1] - b.indptr[a.minor]
@@ -613,8 +619,10 @@ def _compiled_dot(kern, a_rows, b_rows, out_type, mask_coords,
                   mask_complement):
     """The dot method on the compiled sorted-intersection kernel, which
     stops each dot at the first annihilator (per element, not per
-    block)."""
+    block).  The candidate coordinates ride along for positional
+    multiplies."""
     dt = out_type.np_dtype
+    spec = kern.spec
     b_cols = b_rows.with_orientation(b_rows.orientation.flipped)
     out_i, out_j = dot_candidates(a_rows, b_cols, mask_coords, mask_complement)
     if out_i.size == 0:
@@ -632,8 +640,11 @@ def _compiled_dot(kern, a_rows, b_rows, out_type, mask_coords,
     kern.dot(
         idx(a_start, dtype=_INDEX), idx(a_end, dtype=_INDEX),
         idx(b_start, dtype=_INDEX), idx(b_end, dtype=_INDEX),
-        idx(a_rows.minor, dtype=_INDEX), idx(a_rows.values, dtype=dt),
-        idx(b_cols.minor, dtype=_INDEX), idx(b_cols.values, dtype=dt),
+        idx(out_i, dtype=_INDEX), idx(out_j, dtype=_INDEX),
+        idx(a_rows.minor, dtype=_INDEX),
+        idx(a_rows.values, dtype=spec.a_dtype),
+        idx(b_cols.minor, dtype=_INDEX),
+        idx(b_cols.values, dtype=spec.b_dtype),
         keep, out, stats,
     )
     if telemetry.ENABLED and kern.has_terminal:

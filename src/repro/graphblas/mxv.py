@@ -180,15 +180,25 @@ def _trimmed(oi, ov, nz):
     return oi[:nz].copy(), ov[:nz].copy()
 
 
+def _operand_dtypes(kern, matrix_first):
+    """(matrix, vector) value dtypes: each operand keeps its own type,
+    and the matrix is mxv's first operand but vxm's second."""
+    spec = kern.spec
+    if matrix_first:
+        return spec.a_dtype, spec.b_dtype
+    return spec.b_dtype, spec.a_dtype
+
+
 def _compiled_push(kern, store, u_idx, u_vals, out_type, matrix_first):
     dt = out_type.np_dtype
     if u_idx.size == 0 or store.nvals == 0:
         if telemetry.ENABLED:
             telemetry.tally("mxv", flops=0)
         return _empty_vec(dt)
-    a = store_args(store, dt)
+    mat_dt, vec_dt = _operand_dtypes(kern, matrix_first)
+    a = store_args(store, mat_dt)
     ui = np.ascontiguousarray(u_idx, dtype=_INDEX)
-    ux = np.ascontiguousarray(u_vals, dtype=dt)
+    ux = np.ascontiguousarray(u_vals, dtype=vec_dt)
     flops = int((a.indptr[ui + 1] - a.indptr[ui]).sum())
     if telemetry.ENABLED:
         telemetry.tally("mxv", flops=flops)
@@ -210,7 +220,8 @@ def _compiled_pull(kern, store, u_dense, u_present, out_type, matrix_first,
         if telemetry.ENABLED:
             telemetry.tally("mxv", flops=0)
         return _empty_vec(dt)
-    a = store_args(store, dt)
+    mat_dt, vec_dt = _operand_dtypes(kern, matrix_first)
+    a = store_args(store, mat_dt)
     rows = (
         a.rows() if outer_hint is None
         else np.ascontiguousarray(outer_hint, dtype=_INDEX)
@@ -223,7 +234,7 @@ def _compiled_pull(kern, store, u_dense, u_present, out_type, matrix_first,
     oi = np.empty(rows.size, dtype=_INDEX)
     ov = np.empty(rows.size, dtype=dt)
     stats = np.zeros(4, dtype=_INDEX)
-    nz = kern.pull(rows, a, np.ascontiguousarray(u_dense, dtype=dt),
+    nz = kern.pull(rows, a, np.ascontiguousarray(u_dense, dtype=vec_dt),
                    np.ascontiguousarray(u_present, dtype=np.bool_),
                    matrix_first, oi, ov, stats)
     if telemetry.ENABLED and kern.has_terminal:

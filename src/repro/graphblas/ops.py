@@ -374,8 +374,10 @@ LXNOR = _def_binary(
     commutative=True,
 )
 
-# "ANY" — pick either input (SuiteSparse: enables fastest-possible reductions)
-ANY = _def_binary("ANY", lambda x, y: y, _np_second, commutative=True)
+# "ANY" — may pick either input (SuiteSparse: enables fastest-possible
+# reductions); here it keeps the first, so every kernel, the tiled fold
+# and the dense reference pick the same term
+ANY = _def_binary("ANY", lambda x, y: x, _np_first, commutative=True)
 
 # Positional ops (SuiteSparse extension; needed e.g. for parent BFS).
 # z = f(i, j) where (i, k) indexes A's entry and (k, j) indexes B's in mxm.
@@ -530,7 +532,7 @@ _BOOL_EQUIV = {
     "FIRST": "FIRST",
     "DIV": "FIRST",
     "SECOND": "SECOND",
-    "ANY": "SECOND",
+    "ANY": "FIRST",
     "RDIV": "SECOND",
     "MIN": "LAND",
     "TIMES": "LAND",

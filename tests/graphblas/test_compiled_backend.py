@@ -170,19 +170,23 @@ class TestSelect:
             assert g.tobytes() == w.tobytes()
 
     def test_declines_are_memoised_too(self):
-        p1 = self._plan("MIN_SECONDI", dtype=INT64)  # positional: NumPy
-        p2 = self._plan("MIN_SECONDI", dtype=INT64)
+        p1 = self._plan("PLUS_DIV", dtype=INT64)  # no template: NumPy
+        p2 = self._plan("PLUS_DIV", dtype=INT64)
         assert compiled.select(p1) is None and compiled.select(p2) is None
         st = compiled.cache_stats()
         assert st["declined"] == 1 and st["hits"] == 1 and st["misses"] == 0
         assert p1.selection[1] == p2.selection[1] == "declined"
 
-    def test_heap_method_and_mixed_types_decline(self):
+    def test_heap_method_declines_and_mixed_types_compile(self):
         assert compiled.select(self._plan("PLUS_TIMES", method="heap")) is None
         A, _ = rand_pair(n=12)
         Bi = Matrix.from_coo([0], [0], [1], nrows=12, ncols=12, dtype=INT64)
         mixed = gplan.plan_mxm(Matrix(FP64, 12, 12), A, Bi, "PLUS_TIMES")
-        assert compiled.select(mixed) is None
+        kern = compiled.select(mixed)
+        assert kern is not None
+        assert kern.spec.key == ("PLUS", "TIMES", "FP64", "INT64", "FP64")
+        # one class per operand-type pair: the uniform class is another
+        assert compiled.select(self._plan("PLUS_TIMES")) is not kern
 
     def test_oversized_dimension_declines_outside_memo(self, monkeypatch):
         monkeypatch.setattr(compiled, "MAX_DIMENSION", 8)
@@ -233,7 +237,7 @@ class TestSelect:
         # widening the window in which the threads race
         compiled.set_config(directory=str(tmp_path))
         classes = [("PLUS_TIMES", FP64), ("MIN_PLUS", FP64),
-                   ("MAX_MIN", INT64), ("MIN_SECONDI", INT64)]
+                   ("MAX_MIN", INT64), ("PLUS_DIV", INT64)]
         barrier = threading.Barrier(4)
         got = [None] * 4
         errors = []
@@ -251,7 +255,7 @@ class TestSelect:
         assert not errors, errors
         st = compiled.cache_stats()
         assert st["misses"] == 3          # one build per compiled class
-        assert st["declined"] == 1        # the positional class, once
+        assert st["declined"] == 1        # the class with no template, once
         for k in range(3):
             first = got[0][k]
             assert first is not None
@@ -320,7 +324,7 @@ class TestObservability:
 
     def test_plan_done_attribution_under_threads(self, tmp_path):
         """Two threads, obs on: a compiled-class plan compiling while a
-        NumPy-only class (a positional semiring) runs beside it.  Each
+        NumPy-only class (a multiply with no template) runs beside it.  Each
         ``plan.done`` names its own tier; neither reports the other's
         compile."""
         compiled.set_config(directory=str(tmp_path))  # a real cc compile
@@ -352,7 +356,7 @@ class TestObservability:
                 with telemetry.collect() as col:
                     barrier.wait()
                     while not done.is_set():
-                        ops.mxm(Matrix(INT64, 40, 40), Ai, Ai, "MIN_SECONDI")
+                        ops.mxm(Matrix(INT64, 40, 40), Ai, Ai, "PLUS_DIV")
                 records["numpy"] = plans(col)
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)

@@ -5,8 +5,11 @@ import pytest
 
 from repro.graphblas import DirectionOptimizer, Matrix, Vector
 from repro.graphblas import operations as ops
+from repro.graphblas import telemetry
+from repro.graphblas.descriptor import Descriptor
 from repro.graphblas.errors import InvalidValue
-from tests.helpers import random_matrix_np, random_vector_np
+from repro.graphblas.types import BOOL
+from tests.helpers import kernel_tier, random_matrix_np, random_vector_np
 
 
 class TestPushPullEquivalence:
@@ -40,6 +43,73 @@ class TestPushPullEquivalence:
         u = Vector.full(1.0, 3)
         with pytest.raises(InvalidValue):
             ops.mxv(Vector("FP64", 3), A, u, method="sideways")
+
+
+class TestComplementedMaskPull:
+    """A pull under a complemented mask computes only the rows the mask
+    admits (BFS's pull skips the visited set), yet its result is the
+    unrestricted product written through the same mask."""
+
+    N = 40
+
+    def _inputs(self):
+        rng = np.random.default_rng(11)
+        n = self.N
+        A, _, _ = random_matrix_np(rng, n, n, 0.25)
+        u, _, _ = random_vector_np(rng, n, 0.7)
+        # stored False entries: a valued mask admits them when complemented
+        idx = np.sort(rng.choice(n, n // 2, replace=False))
+        m = Vector.from_coo(idx, rng.random(idx.size) < 0.7, size=n,
+                            dtype=BOOL)
+        prior = np.arange(0, n, 3)
+        w0 = Vector.from_coo(prior, prior * 1.0, size=n)
+        return A, u, m, w0
+
+    @pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+    @pytest.mark.parametrize("op", ["mxv", "vxm"])
+    @pytest.mark.parametrize("structural", [False, True],
+                             ids=["valued", "structural"])
+    @pytest.mark.parametrize("replace", [False, True],
+                             ids=["keep", "replace"])
+    def test_equals_unrestricted(self, kernel, op, structural, replace):
+        A, u, m, w0 = self._inputs()
+        args = (A, u) if op == "mxv" else (u, A)
+        desc = Descriptor(complement_mask=True, structural_mask=structural,
+                          replace=replace)
+        with kernel_tier(kernel):
+            got = w0.dup()
+            getattr(ops, op)(got, *args, "PLUS_TIMES", mask=m, desc=desc,
+                             method="pull")
+            t = Vector("FP64", self.N)
+            getattr(ops, op)(t, *args, "PLUS_TIMES", method="pull")
+            want = w0.dup()
+            ops.assign(want, t, ops.ALL, mask=m, desc=desc)
+        gi, gv = got.extract_tuples()
+        wi, wv = want.extract_tuples()
+        assert gi.tobytes() == wi.tobytes() and gv.tobytes() == wv.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+    def test_visited_rows_are_not_scanned(self, kernel):
+        A, u, m, _ = self._inputs()
+        n = self.N
+        visited = m.extract_tuples()[0]
+        unvisited = np.setdiff1d(np.arange(n), visited)
+        admit = Vector.from_coo(unvisited, np.ones(unvisited.size, bool),
+                                size=n, dtype=BOOL)
+
+        def flops(**kw):
+            with telemetry.collect() as col:
+                ops.mxv(Vector("FP64", n), A, u, "PLUS_TIMES", method="pull",
+                        **kw)
+            return col.ops["mxv"].flops
+
+        with kernel_tier(kernel):
+            everything = flops()
+            complemented = flops(mask=m, desc=Descriptor(
+                complement_mask=True, structural_mask=True, replace=True))
+            admitted_only = flops(mask=admit, desc=Descriptor(
+                structural_mask=True, replace=True))
+        assert complemented == admitted_only < everything
 
 
 class TestDirectionOptimizer:

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
-import numpy as np
+import contextlib
 
-from repro.graphblas import Matrix, Vector
+import numpy as np
+import pytest
+
+from repro.graphblas import Matrix, Vector, compiled
+
+
+@contextlib.contextmanager
+def kernel_tier(kernel: str):
+    """Run the block on the ``compiled`` kernels (the resolved toolchain;
+    skips the test without one) or on the ``numpy`` kernels (toolchain
+    off)."""
+    if kernel == "numpy":
+        with compiled.toolchain_off():
+            yield
+        return
+    compiled.reset()
+    if not compiled.available():
+        pytest.skip("no compiled toolchain available")
+    yield
 
 
 def random_matrix_np(rng, m, n, density=0.35, dtype=np.float64, low=1, high=9):
