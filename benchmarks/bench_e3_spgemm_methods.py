@@ -69,9 +69,9 @@ def test_e3_masked_dot_beats_unmasked_when_mask_sparse(rmat_medium):
     only masked entries (dot) is faster than the full product.
 
     Measured with the performance engine off: the claim compares the two
-    *methods*, and the engine's specialized kernels accelerate the
-    vectorized Gustavson expansion far more than the per-entry dot loop,
-    which would turn this into a test of the engine rather than of the
+    *methods*, and the engine's row-blocked parallelism splits the
+    Gustavson expansion across threads but never the dot loop, which
+    would turn this into a test of the thread pool rather than of the
     masked kernel's work bound.
     """
     A = _adjacency(rmat_medium)

@@ -214,9 +214,9 @@ COMPILED_SECTION = """
 
 `repro.graphblas.compiled` is the code-generation analogue of
 SuiteSparse's ~960 pre-compiled semiring built-ins, and the kernel tier
-the default backend runs for mxm/mxv/vxm.  Where the performance engine
-specializes *NumPy closures* (vectorized, but structurally unable to
-stop mid-row), this tier renders one monomorphic scalar kernel set per
+the default backend runs for mxm/mxv/vxm.  Where the NumPy kernels
+apply a semiring's operators to whole arrays (vectorized, but
+structurally unable to stop mid-row), this tier renders one monomorphic scalar kernel set per
 `(add, mult, A type, B type, output type)` from a template library —
 Gustavson SpGEMM (two-phase count/fill with a sparse accumulator),
 sorted-intersection dot products for fused-mask mxm, push/pull
@@ -241,7 +241,7 @@ size; `compiled.select_class` is the same function for the tiled
 kernels, which have operands but no plan.  It returns a kernel set
 (compiled runs) or None (NumPy runs), caches declines as well as
 kernels in one 128-class LRU (`compiled.CACHE_SIZE`, counters in
-`compiled.cache_stats()`), builds each class's kernels once however
+`compiled.cache_stats()`) — the only kernel cache — builds each class's kernels once however
 many threads race to first use, and costs a dictionary hit per call.
 The templates cover the semirings the section-V algorithms issue:
 add monoids PLUS/TIMES/MIN/MAX/LOR/LAND/ANY; multiplies FIRST, SECOND,
@@ -270,7 +270,7 @@ The compiled kernels trip the same fault points (`spgemm.flop`,
 The headline semantic upgrade is **true terminal early exit**: for
 monoids with an annihilator (LOR's `true`, LAND's `false`, MIN/MAX
 extrema, TIMES' 0) the dot and pull loops break on the exact term that
-reaches it, and an `ANY` fold on its first term — the vectorized engine
+reaches it, and an `ANY` fold on its first term — the NumPy dot kernel
 can only skip 64-wide blocks.  A pull under a complemented mask visits
 only the rows the mask admits (BFS's pull skips the visited set), on
 both tiers; the write step still applies the mask.  Exit
@@ -542,30 +542,23 @@ an in-budget op.  Telemetry records `governor.tile_plan`,
 ENGINE_SECTION = """
 ## Performance engine
 
-`repro.graphblas.engine` is the hot-path acceleration layer: three
-orthogonal optimizations behind one switch, each bit-for-bit identical
-to the generic kernels it replaces (`GRAPHBLAS_ENGINE=off` or
-`engine.set_engine(False)` restores the baseline exactly, which is how
-the differential and parity suites cross-check it).
+`repro.graphblas.engine` is the hot-path acceleration layer: two
+orthogonal mechanisms behind one switch, each bit-for-bit identical to
+the serial, single-format run it replaces (`GRAPHBLAS_ENGINE=off` or
+`engine.set_engine(False)` restores that baseline exactly, which is how
+the differential and parity suites cross-check it).  The switch does
+not pick kernels: `compiled.select_class` chooses the compiled tier or
+the NumPy kernels, and its memo is the only kernel cache (see
+[Compiled kernels](#compiled-kernels)).
 
 ```python
 from repro.graphblas import engine
 
 engine.set_engine(True, workers=4)      # the engine.* rows of Configuration
-engine.kernel_cache_stats()             # hits / misses / evictions
+engine.pool_stats()                     # configured / started / live_threads
 engine.set_engine(False)                # bit-identical baseline
 ```
 
-* **Specialized semiring kernels** — `engine.kernel_for(semiring,
-  out_type, ...)` compiles a `SpecializedKernel` binding the add/mult
-  ufuncs, output cast, and terminal condition as closures, keyed on
-  `(add, mult, out_type, mask kind, accum, method)` in an LRU cache
-  (`engine.CACHE_SIZE`, 64 entries).  The NumPy Gustavson
-  expansion, dot-product loop and push/pull mxv — what runs when
-  `compiled.select` declines a plan (templates that do not exist,
-  user-defined ops, no toolchain) — and the tiled expansion all consult
-  the cache; non-builtin or positional operators fall back to the
-  generic path (`unspecializable` in the stats).
 * **Dual-format storage** — a Matrix lazily caches its opposite
   orientation (CSR↔CSC twin) with mutation-epoch invalidation, so
   pull-phase `mxv`/`vxm` and transposed reads after the first
@@ -575,26 +568,30 @@ engine.set_engine(False)                # bit-identical baseline
 * **Parallel row-blocked kernels** — big-enough SpGEMM expansions and
   pull mxv segment reductions are split at row boundaries (so
   concatenated block outputs equal the serial result bit for bit) and
-  run on a shared thread pool.  The requested worker count
+  run on a shared thread pool.  `engine.admit_blocks` states when a
+  call goes parallel: the `parallel` option is on, the work clears
+  `MIN_PARALLEL_FLOPS` / `MIN_PARALLEL_ENTRIES`, and, for NumPy blocks,
+  the semiring is a builtin non-positional multiply with a builtin
+  monoid.  The requested worker count
   (`Descriptor(nthreads=...)` / `GxB_NTHREADS`, else the
   `engine.workers` option) is submitted to the execution governor,
   which clamps it to what the memory budget funds — degrading to
   serial, never rejecting.  Per-block timings appear as
   `engine.block` telemetry spans.
 
-Supporting fast paths ride the same switch: `wait()` skips the sort
-and merge when the pending log is already sorted, unique, and
+Supporting fast paths run whatever the switch says: `wait()` skips the
+sort and merge when the pending log is already sorted, unique, and
 zombie-free (`fast_path` field on the `assembly` telemetry decision);
-`from_coo` detects presorted input and otherwise sorts once on a fused
-`major * n_minor + minor` key; and the planner memoizes string →
-operator resolution (`plan.resolver_cache_stats()`).
+`formats.coo_sort_fold` — the one sort-and-group step of `from_coo`,
+Gustavson's expansion and the tiled stripe fold — detects presorted
+input and otherwise sorts once on a fused `major * n_minor + minor`
+key (`np.lexsort` only when that key would overflow int64); and the
+planner memoizes string → operator resolution
+(`plan.resolver_cache_stats()`).
 
-`benchmarks/bench_parallel_engine.py` measures the engine-on vs
-engine-off ratio end to end and asserts result parity; the committed
-trajectory is `perfbench/results/baseline.json` (`kernel.mxm_engine_s`
-against `kernel.mxm_numpy_s`).  The C API exposes the engine as
-`GxB_Engine_set` / `GxB_Engine_get`; the tunables are the `engine.*`
-rows of [Configuration](#configuration).
+The C API exposes the engine as `GxB_Engine_set` / `GxB_Engine_get`
+(the getter adds the live `pool` stats); the tunables are the
+`engine.*` rows of [Configuration](#configuration).
 """
 
 

@@ -130,10 +130,9 @@ class OptimizedBackend(KernelBackend):
             mask=plan.mask,
             accum=plan.accum,
             desc=d,
-            # mxm_coo's contract is sorted-unique COO output; the compiled
-            # kernels always honour it, NumPy's with the engine on, so the
+            # mxm_coo's output is sorted-unique on every path, so the
             # rebuild may trust it and skip its sort pass
-            sorted_unique=engine.ENABLED or kernels is not None,
+            sorted_unique=True,
         )
 
     def _matvec(self, plan):

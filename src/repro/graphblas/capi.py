@@ -733,10 +733,10 @@ def _option_pair(group, owner, apply, live, doc):
 GxB_Engine_set, GxB_Engine_get = _option_pair(
     "engine", ".engine", lambda m, **kw: m.set_engine(**kw),
     lambda m: {**dataclasses.asdict(m.get_config()),
-               "cache": m.kernel_cache_stats()},
-    "performance-engine control: ``GxB_Engine_set(False)`` disables kernel "
-    "specialization, dual-format twins and parallel blocks, so results can "
-    "be cross-checked bit for bit against the generic paths.",
+               "pool": m.pool_stats()},
+    "performance-engine control: ``GxB_Engine_set(False)`` disables "
+    "dual-format twins and parallel blocks, so results can be "
+    "cross-checked bit for bit against the serial, single-format paths.",
 )
 GxB_Compiled_set, GxB_Compiled_get = _option_pair(
     "compiled", ".compiled", lambda m, **kw: m.set_config(**kw),

@@ -2,10 +2,10 @@
 
 This package is the code-generation analogue of SuiteSparse's 960
 pre-compiled semiring built-ins that the paper credits for its speed.
-Where the PR-5 engine specializes *NumPy closures* (vectorized, but
-structurally unable to stop mid-row), this tier generates monomorphic
-scalar loops per ``(add monoid, multiply op, A type, B type, output
-type)`` and compiles them — with numba when the ``[compiled]`` extra is
+Where the NumPy kernels apply a semiring's operators to whole arrays
+(vectorized, but structurally unable to stop mid-row), this tier
+generates monomorphic scalar loops per ``(add monoid, multiply op, A
+type, B type, output type)`` and compiles them — with numba when the ``[compiled]`` extra is
 installed, with the system C compiler otherwise — so terminal monoids
 (LOR, LAND, MIN, MAX, TIMES) genuinely bail out of the hot loop at the
 first annihilator, and ``ANY`` at its first term.
@@ -23,7 +23,7 @@ see which ran.
   resolved toolchain), declines included; no size cut, so a tiled and
   an in-memory run of one product always agree.  :func:`select` applies
   it to a plan, the tiled kernels to their operands.  The memo is the
-  tier's only cache (LRU of :data:`CACHE_SIZE` classes).  Builds emit
+  only kernel cache (LRU of :data:`CACHE_SIZE` classes).  Builds emit
   ``compiled.kernel`` telemetry (``event="compile"`` with wall seconds,
   ``event="hit"`` on a memo hit) that feeds the
   ``graphblas_compile_seconds`` histogram.

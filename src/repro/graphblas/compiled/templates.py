@@ -32,7 +32,7 @@ The six kernels per spec:
     list (the fused-mask mxm path), with **true terminal early exit**:
     the loop breaks the moment the accumulator reaches the monoid's
     annihilator (LOR's true, LAND's false, MIN/MAX extrema, TIMES' 0) —
-    per *element*, not per 64-element block like the vectorized engine.
+    per *element*, not per 64-element block like the NumPy kernel.
 ``push`` / ``pull``
     SpMSpV scatter and masked SpMV dot kernels for mxv/vxm, sharing the
     SPA and early-exit machinery.  The matrix is the first operand for

@@ -1,34 +1,26 @@
-"""Hot-path performance engine: specialized kernels, dual-format twins,
-and row-blocked parallelism.
+"""Dual-format twins and row-blocked parallelism for the default backend.
 
-Section II.A of the paper credits SuiteSparse:GraphBLAS's speed to
-code-generated semiring kernels (960 built-ins compiled to monomorphic
-inner loops) and early-exit terminal-monoid dot products, and section
-II.E's direction-optimizing ``mxv`` "requires both CSR and CSC copies"
-of the adjacency matrix.  This module supplies the Python analogue of
-all three mechanisms for the optimized backend:
+Section II.E of the paper notes that direction-optimizing ``mxv``
+"requires both CSR and CSC copies" of the adjacency matrix, and
+SuiteSparse runs its kernels over row slices in parallel.  This module
+supplies both mechanisms:
 
-1. **Kernel specialization cache** — :func:`kernel_for` closure-compiles
-   a :class:`SpecializedKernel` for a ``(semiring, dtype, mask kind,
-   accum, method)`` combination and memoizes it in an LRU, so hot
-   semirings get pre-bound numpy ufuncs instead of generic ``Op.apply``
-   dispatch on the NumPy path (plans :func:`repro.graphblas.compiled.
-   select` declines, and the tiled expansion).  Specialized kernels
-   replicate the generic numerics
-   *bit for bit* (same cast points, same reduction ufuncs), which the
-   differential backend cross-checks.
-2. **Dual-orientation storage** — when :data:`DUAL_FORMAT` is on,
+1. **Dual-orientation storage** — when :data:`DUAL_FORMAT` is on,
    ``Matrix._oriented`` caches the opposite-orientation twin with
    mutation-epoch invalidation, making pull-phase ``mxv``/``vxm`` and
    ``transpose`` O(1) after first use.
-3. **Row-blocked parallelism** — a shared, lazily created
+2. **Row-blocked parallelism** — a shared, lazily created
    :class:`~concurrent.futures.ThreadPoolExecutor` runs row blocks of
-   Gustavson SpGEMM / pull ``mxv``; worker counts are admitted by the
-   execution governor (:func:`repro.graphblas.governor.admit_workers`).
+   Gustavson SpGEMM / pull ``mxv``; :func:`admit_blocks` decides whether
+   a call goes parallel, and the execution governor
+   (:func:`repro.graphblas.governor.admit_workers`) funds the worker
+   count.
 
-Everything is disableable: set ``GRAPHBLAS_ENGINE=off`` (or call
-``set_engine(False)``) and every kernel falls back to the generic path,
-so engine-on vs engine-off results can be compared bit for bit.
+Which kernel runs is not decided here: :func:`repro.graphblas.compiled.
+select_class` picks the compiled tier or the NumPy kernels, and its memo
+is the only kernel cache.  ``GRAPHBLAS_ENGINE=off`` (or
+``set_engine(False)``) turns off twins and row blocks, so engine-on vs
+engine-off results can be compared bit for bit.
 
 The tunables are the ``engine`` rows of :mod:`repro.graphblas.options`
 (``enabled``, ``parallel``, ``workers``), snapshotted into module
@@ -39,39 +31,28 @@ attributes at import so hot paths pay one attribute load;
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import options, telemetry
+from . import compiled, governor, options
 
 __all__ = [
     "EngineConfig",
-    "SpecializedKernel",
     "get_config",
     "set_engine",
     "reset",
-    "kernel_for",
     "kernel_cache_stats",
-    "clear_kernel_cache",
     "pool_stats",
+    "admit_blocks",
     "run_blocks",
     "requested_workers",
     "MIN_PARALLEL_FLOPS",
     "MIN_PARALLEL_ENTRIES",
 ]
 
-#: Capacity of the specialized-kernel LRU (:func:`kernel_for`).
-CACHE_SIZE = 64
-
 # Below these work sizes the thread-pool handoff costs more than it saves.
 MIN_PARALLEL_FLOPS = 1 << 18
 MIN_PARALLEL_ENTRIES = 1 << 16
-
-# Composite sort keys (major * n_minor + minor) must stay inside int64.
-KEY_LIMIT = 2**62
 
 
 @dataclass
@@ -104,10 +85,10 @@ def get_config() -> EngineConfig:
 def set_engine(enabled: bool | None = None, **overrides) -> EngineConfig:
     """Reconfigure the engine; ``None`` leaves an option unchanged.
 
-    ``set_engine(False)`` turns every mechanism off (the generic code
-    paths run); ``set_engine(True)`` turns them back on.  ``parallel=``
-    and ``workers=`` tune the row-blocked kernels while the engine stays
-    on.  Unknown or out-of-range options raise
+    ``set_engine(False)`` turns twins and row blocks off;
+    ``set_engine(True)`` turns them back on.  ``parallel=`` and
+    ``workers=`` tune the row-blocked kernels while the engine stays on.
+    Unknown or out-of-range options raise
     :class:`~repro.graphblas.errors.InvalidValue`.
     """
     options.set("engine", enabled=enabled, **overrides)
@@ -116,159 +97,24 @@ def set_engine(enabled: bool | None = None, **overrides) -> EngineConfig:
 
 
 def reset() -> None:
-    """Drop overrides, re-read the environment and drop all cached state
-    (for tests)."""
+    """Drop overrides, re-read the environment and shut the shared pool
+    down (for tests)."""
     options.reset("engine")
     _refresh()
-    clear_kernel_cache()
     _shutdown_executor()
 
 
-# -- specialized kernels ------------------------------------------------------
-
-
-class SpecializedKernel:
-    """Monomorphic inner loops for one (semiring, out dtype) combination.
-
-    Every method replicates the corresponding generic path —
-    ``BinaryOp.apply`` / ``Monoid.reduce_segments`` /
-    ``Monoid.reduce_array`` — with the operator dispatch, identity
-    handling, and cast points resolved once at compile time instead of
-    per call.  The outputs are bit-identical to the generic path for the
-    inputs the sparse kernels produce (non-empty, in-bounds segments).
-    """
-
-    __slots__ = (
-        "semiring_name",
-        "out_type",
-        "mult_uf",
-        "add_uf",
-        "reduce_uf",
-        "is_any",
-        "cast",
-        "np_dtype",
-        "identity",
-        "terminal",
-    )
-
-    def __init__(self, semiring, out_type):
-        add = semiring.add
-        self.semiring_name = semiring.name
-        self.out_type = out_type
-        self.mult_uf = semiring.mult.ufunc
-        self.add_uf = add.op.ufunc
-        self.reduce_uf = add.reduce_ufunc
-        self.is_any = add.name == "ANY"
-        self.cast = out_type.cast_array
-        self.np_dtype = out_type.np_dtype
-        self.identity = add.identity(out_type)
-        self.terminal = add.terminal(out_type)
-
-    def combine(self, x, y):
-        """= ``mult.apply(x, y)`` for array inputs (no output cast)."""
-        return self.mult_uf(x, y)
-
-    def segment_reduce(self, values, starts):
-        """= ``add.reduce_segments(values, starts, out_type)`` for the
-        kernel case: values non-empty, every start in-bounds, no empty
-        segments."""
-        values = self.cast(np.asarray(values))
-        if self.is_any:
-            return values[starts].copy()
-        return self.cast(self.reduce_uf.reduceat(values, starts))
-
-    def reduce_all(self, values):
-        """= ``add.reduce_array(values, out_type)`` for non-empty input."""
-        values = self.cast(np.asarray(values))
-        if self.is_any:
-            return values[0].item()
-        return self.cast(np.asarray(self.reduce_uf.reduce(values))).item()
-
-    def fold2(self, acc, blk):
-        """Scalar accumulate: = ``cast(add.op.apply(acc, blk)).item()``."""
-        return self.cast(self.add_uf(np.asarray(acc), np.asarray(blk))).item()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SpecializedKernel({self.semiring_name}, {self.out_type.name})"
-
-
-_cache_lock = threading.Lock()
-_kernel_cache: OrderedDict[tuple, SpecializedKernel] = OrderedDict()
-_cache_stats = {"hits": 0, "misses": 0, "evictions": 0, "unspecializable": 0}
-
-
-def _specializable(semiring, out_type) -> bool:
-    mult, add = semiring.mult, semiring.add
-    if mult.positional is not None or mult.ufunc is None:
-        return False
-    if not (mult.builtin and add.builtin and out_type.builtin):
-        return False
-    return add.name == "ANY" or add.reduce_ufunc is not None
-
-
-def kernel_for(semiring, out_type, mask_kind="none", accum=None, method="gustavson"):
-    """Fetch (or compile) the specialized kernel for a hot combination.
-
-    Returns ``None`` when the combination cannot be specialized
-    (positional multiply ops, user-defined ops or types, monoids with no
-    reduction ufunc) — callers then take the generic path.  Builtin op
-    names are unique, so they key the cache; user-defined ops are never
-    cached.
-    """
-    if not ENABLED:
-        return None
-    if not _specializable(semiring, out_type):
-        _cache_stats["unspecializable"] += 1
-        return None
-    key = (
-        semiring.add.name,
-        semiring.mult.name,
-        out_type.name,
-        mask_kind,
-        getattr(accum, "name", accum),
-        method,
-    )
-    with _cache_lock:
-        kern = _kernel_cache.get(key)
-        if kern is not None:
-            _kernel_cache.move_to_end(key)
-            _cache_stats["hits"] += 1
-            return kern
-        kern = SpecializedKernel(semiring, out_type)
-        _kernel_cache[key] = kern
-        _cache_stats["misses"] += 1
-        evicted = 0
-        while len(_kernel_cache) > CACHE_SIZE:
-            _kernel_cache.popitem(last=False)
-            evicted += 1
-        _cache_stats["evictions"] += evicted
-    if telemetry.ENABLED:
-        telemetry.decision(
-            "engine.kernel",
-            event="compile",
-            semiring=semiring.name,
-            dtype=out_type.name,
-            mask=mask_kind,
-            method=method,
-            evicted=evicted,
-        )
-    return kern
-
-
 def kernel_cache_stats() -> dict:
-    """Counters for the kernel LRU: hits/misses/evictions/unspecializable."""
-    with _cache_lock:
-        stats = dict(_cache_stats)
-        stats["size"] = len(_kernel_cache)
-        stats["capacity"] = CACHE_SIZE
-    return stats
+    """Alias of ``compiled.cache_stats()``, kept for the frozen harness.
 
-
-def clear_kernel_cache() -> None:
-    with _cache_lock:
-        _kernel_cache.clear()
-        for k in _cache_stats:
-            _cache_stats[k] = 0
+    The compiled memo is the only kernel cache; the benchmark harness
+    (``perfbench/run.py``) still reads this name, so it stays until that
+    harness is re-baselined (ROADMAP item 6(i)).  Its
+    ``engine.cache_hit_ratio`` therefore repeats
+    ``compiled.cache_hit_ratio`` and is not comparable with baselines
+    taken before the engine's own kernel cache was deleted.
+    """
+    return compiled.cache_stats()
 
 
 # -- shared thread pool -------------------------------------------------------
@@ -322,6 +168,32 @@ def requested_workers(nthreads: int | None) -> int:
     if nthreads is not None and nthreads >= 1:
         return int(nthreads)
     return WORKERS
+
+
+def admit_blocks(op: str, work: int, threshold: int, nthreads: int | None,
+                 per_block, semiring=None, out_type=None) -> int:
+    """Workers for one row-blocked kernel call (1: run it serially).
+
+    A call goes parallel when the engine's ``parallel`` switch is on and
+    its ``work`` reaches ``threshold``; the governor then funds the
+    requested count against its budget, ``per_block(requested)`` bytes per
+    in-flight block.  NumPy blocks (``semiring`` given) must do pure
+    ufunc work, so they also need a builtin, non-positional multiply, a
+    builtin monoid with a reduction ufunc (or ``ANY``) and a builtin
+    output type.
+    """
+    if not PARALLEL or work < threshold:
+        return 1
+    if semiring is not None:
+        mult, add = semiring.mult, semiring.add
+        if (mult.positional is not None or mult.ufunc is None
+                or not (mult.builtin and add.builtin and out_type.builtin)
+                or (add.name != "ANY" and add.reduce_ufunc is None)):
+            return 1
+    requested = requested_workers(nthreads)
+    if requested <= 1:
+        return 1
+    return governor.admit_workers(requested, per_block(requested), op=op)
 
 
 def run_blocks(fn, arg_tuples, workers: int):

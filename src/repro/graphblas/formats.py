@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine
 from .errors import InvalidObject, InvalidValue
 from .monoid import Monoid
 from .types import Type
@@ -35,6 +34,7 @@ __all__ = [
     "reduce_by_segments",
     "group_starts",
     "coo_sort_order",
+    "coo_sort_fold",
     "merge_sorted_delta",
     "ragged_take",
 ]
@@ -94,6 +94,25 @@ def coo_sort_order(
     if sorted_unique:
         return None
     return np.lexsort((minor, major))
+
+
+def coo_sort_fold(major, minor, values, n_major, n_minor, dtype: Type, fold):
+    """Sort COO triples into (major, minor) order and fold duplicates.
+
+    Each run of equal pairs becomes one entry whose value is
+    ``fold(values, starts)`` over the sorted values (``starts``: where
+    each run begins); unique entries are only cast to ``dtype``.  Returns
+    sorted-unique (major, minor, values).  The one sort-and-group step of
+    ``build``, Gustavson's expansion and the tiled stripe fold, so all
+    three order ties the same way (:func:`coo_sort_order`).
+    """
+    order = coo_sort_order(major, minor, n_major, n_minor)
+    if order is not None:
+        major, minor, values = major[order], minor[order], values[order]
+        starts = group_starts(major, minor)
+        if starts.size != major.size:
+            return major[starts], minor[starts], fold(values, starts)
+    return major, minor, dtype.cast_array(values)
 
 
 def ragged_take(
@@ -214,13 +233,17 @@ def reduce_by_segments(op, values: np.ndarray, starts: np.ndarray, dtype: Type):
     return dtype.cast_array(acc)
 
 
-def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Offsets where each run of equal keys begins in a sorted key array."""
-    if sorted_keys.size == 0:
+def group_starts(*sorted_keys: np.ndarray) -> np.ndarray:
+    """Offsets where each run of equal keys begins in sorted key arrays
+    (with several arrays, a run is equal in every one)."""
+    first = sorted_keys[0]
+    if first.size == 0:
         return np.empty(0, dtype=_INDEX)
-    change = np.empty(sorted_keys.size, dtype=bool)
+    change = np.empty(first.size, dtype=bool)
     change[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:])
+    np.not_equal(first[1:], first[:-1], out=change[1:])
+    for keys in sorted_keys[1:]:
+        change[1:] |= keys[1:] != keys[:-1]
     return np.flatnonzero(change).astype(_INDEX)
 
 
@@ -315,32 +338,15 @@ class SparseStore:
         if not (major.shape == minor.shape == values.shape):
             raise InvalidValue("COO arrays must have identical length")
         if assume_sorted_unique or not major.size:
-            order = None
-        elif engine.ENABLED:
-            # engine path: presorted detection + single composite-key sort
-            order = coo_sort_order(major, minor, n_major, n_minor)
+            values = dtype.cast_array(values)
         else:
-            # baseline path: unconditional stable lexsort (pre-engine code)
-            order = np.lexsort((minor, major))
-        if order is not None:
-            major, minor, values = major[order], minor[order], values[order]
-            # duplicate pairs are adjacent after the sort
-            change = np.empty(major.size, dtype=bool)
-            change[0] = True
-            np.logical_or(
-                major[1:] != major[:-1], minor[1:] != minor[:-1], out=change[1:]
-            )
-            starts = np.flatnonzero(change).astype(_INDEX)
-            if starts.size != major.size:  # duplicates present
+            def fold(vals, starts):
                 if dup is None:
                     raise InvalidValue("duplicate indices and no dup operator")
-                values = reduce_by_segments(dup, values, starts, dtype)
-                major, minor = major[starts], minor[starts]
-            else:
-                values = dtype.cast_array(values)
-        else:
-            # already sorted-unique (or caller asserted so): nothing to fold
-            values = dtype.cast_array(values)
+                return reduce_by_segments(dup, vals, starts, dtype)
+
+            major, minor, values = coo_sort_fold(
+                major, minor, values, n_major, n_minor, dtype, fold)
 
         if hyper:
             hstarts = group_starts(major)

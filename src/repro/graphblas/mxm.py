@@ -27,10 +27,14 @@ coordinates for values: on the NumPy path through Gustavson's
 coordinate expansion, on the compiled path in Gustavson and dot alike.
 
 Gustavson and dot each have two kernels behind the same method policy,
-fault point and governor polls: the vectorized NumPy one, and the
-compiled scalar loops of :mod:`repro.graphblas.compiled` (a SPA per
-output row; per-element terminal early exit), which run whenever the
-plan's :func:`~repro.graphblas.compiled.select` returned a kernel set.
+fault point and governor polls: the compiled scalar loops of
+:mod:`repro.graphblas.compiled` (a SPA per output row; per-element
+terminal early exit), which run whenever the plan's
+:func:`~repro.graphblas.compiled.select` returned a kernel set, and
+otherwise the vectorized NumPy one, which applies the semiring's own
+operators (``mult.apply``, ``add.reduce_segments``/``reduce_array``)
+and sorts and groups partial products with
+:func:`~repro.graphblas.formats.coo_sort_fold`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 from . import engine, faults, governor, telemetry
 from .compiled import store_args
 from .errors import InvalidValue
-from .formats import SparseStore
+from .formats import SparseStore, coo_sort_fold
 from .ops import BinaryOp
 from .semiring import Semiring
 from .types import Type
@@ -103,7 +107,7 @@ def resolve_method(
 ) -> str:
     """Resolve a requested SpGEMM method to the concrete kernel to run.
 
-    The one method policy shared by every backend (the vectorized engine
+    The one method policy shared by every backend (the NumPy kernels
     and the compiled tier both route through here, so their
     ``spgemm.method`` telemetry and governor poll points are identical):
     ``tiled`` degrades to the bit-identical in-memory Gustavson, ``auto``
@@ -222,11 +226,7 @@ def _mxm_gustavson(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ar, ac, av = a_rows.to_coo()
     if ar.size == 0 or b_rows.nvals == 0:
-        return (
-            np.empty(0, dtype=_INDEX),
-            np.empty(0, dtype=_INDEX),
-            np.empty(0, dtype=out_type.np_dtype),
-        )
+        return _empty_coo(out_type.np_dtype)
     starts, ends = b_rows.major_ranges(ac)
     lens = ends - starts
     flops = np.cumsum(lens)
@@ -234,37 +234,18 @@ def _mxm_gustavson(
     if telemetry.ENABLED:
         telemetry.tally("mxm", flops=total)
     if total == 0:
-        return (
-            np.empty(0, dtype=_INDEX),
-            np.empty(0, dtype=_INDEX),
-            np.empty(0, dtype=out_type.np_dtype),
-        )
+        return _empty_coo(out_type.np_dtype)
 
-    kern = engine.kernel_for(semiring, out_type, method="gustavson")
-    # Fused (i * n_minor + j) sort key: one stable argsort instead of
-    # lexsort's two passes.  Store invariants guarantee i < n_major and
-    # j < n_minor, so the key is collision-free whenever it fits in int64.
-    key_mult = None
-    if engine.ENABLED:
-        n_minor = b_rows.n_minor
-        if 0 < n_minor and a_rows.n_major <= engine.KEY_LIMIT // n_minor:
-            key_mult = np.int64(n_minor)
-
-    # Row blocks for the shared thread pool: only specializable semirings
-    # go parallel (their inner loops are pure-numpy and thread-safe), and
-    # only when the expansion is big enough to amortize the handoff.  The
-    # governor admits the worker count against its memory budget — each
-    # in-flight block holds one chunk's expansion buffers.
-    workers = 1
-    if engine.PARALLEL and kern is not None and total >= engine.MIN_PARALLEL_FLOPS:
-        requested = engine.requested_workers(nthreads)
-        if requested > 1:
-            per_block = GUSTAVSON_CHUNK_FLOPS * (48 + out_type.np_dtype.itemsize)
-            workers = governor.admit_workers(requested, per_block, op="mxm")
-
+    # Row blocks for the shared thread pool, when the expansion is big
+    # enough to amortize the handoff; each in-flight block holds one
+    # chunk's expansion buffers.
+    workers = engine.admit_blocks(
+        "mxm", total, engine.MIN_PARALLEL_FLOPS, nthreads,
+        lambda _: GUSTAVSON_CHUNK_FLOPS * (48 + out_type.np_dtype.itemsize),
+        semiring, out_type)
     blocks = _row_blocks(ar, flops, workers) if workers > 1 else [(0, ar.size)]
     block_args = (ar, ac, av, b_rows.minor, b_rows.values, starts, ends, lens,
-                  flops, semiring, out_type, kern, key_mult)
+                  flops, semiring, out_type, (a_rows.n_major, b_rows.n_minor))
     if len(blocks) > 1:
         def timed(lo, hi):
             t0 = time.perf_counter()
@@ -297,14 +278,17 @@ def _gustavson_block(
     ar, ac, av, b_minor, b_values, starts, ends, lens, flops,
     semiring: Semiring,
     out_type: Type,
-    kern,
-    key_mult,
+    shape,
 ):
     """Expand A entries ``[lo_end, hi_end)``; both bounds lie on A-row
     boundaries, so per-block outputs concatenate sorted and deduplicated
     (each output row is produced wholly inside one block)."""
     mult = semiring.mult
     positional = mult.positional is not None
+
+    def fold(vals, seg):  # combine duplicates with the add monoid
+        return semiring.add.reduce_segments(vals, seg, out_type)
+
     out_r: list[np.ndarray] = []
     out_c: list[np.ndarray] = []
     out_v: list[np.ndarray] = []
@@ -327,32 +311,9 @@ def _gustavson_block(
         if positional:
             k = np.repeat(ac[chunk], reps)
             vals = _positional_values(mult, i, k, j)
-        elif kern is not None:
-            vals = kern.combine(np.repeat(av[chunk], reps), b_values[gather])
         else:
             vals = mult.apply(np.repeat(av[chunk], reps), b_values[gather])
-        # combine duplicates (same output coordinate) with the add monoid
-        if key_mult is not None and i.size:
-            key = i * key_mult + j
-            order = np.argsort(key, kind="stable")
-            i, j, vals = i[order], j[order], vals[order]
-            key = key[order]
-            change = np.empty(i.size, dtype=bool)
-            change[0] = True
-            np.not_equal(key[1:], key[:-1], out=change[1:])
-            seg = np.flatnonzero(change).astype(_INDEX)
-        else:
-            order = np.lexsort((j, i))
-            i, j, vals = i[order], j[order], vals[order]
-            seg = _pair_group_starts(i, j)
-        if seg.size != i.size:
-            if kern is not None:
-                vals = kern.segment_reduce(vals, seg)
-            else:
-                vals = semiring.add.reduce_segments(vals, seg, out_type)
-            i, j = i[seg], j[seg]
-        else:
-            vals = out_type.cast_array(vals)
+        i, j, vals = coo_sort_fold(i, j, vals, *shape, out_type, fold)
         out_r.append(i)
         out_c.append(j)
         out_v.append(vals)
@@ -378,15 +339,6 @@ def _row_blocks(ar: np.ndarray, flops: np.ndarray, nblocks: int):
     return [(cuts[m], cuts[m + 1]) for m in range(len(cuts) - 1)]
 
 
-def _pair_group_starts(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    if i.size == 0:
-        return np.empty(0, dtype=_INDEX)
-    change = np.empty(i.size, dtype=bool)
-    change[0] = True
-    np.logical_or(i[1:] != i[:-1], j[1:] != j[:-1], out=change[1:])
-    return np.flatnonzero(change).astype(_INDEX)
-
-
 def _compiled_gustavson(kern, a_rows, b_rows, out_type, nthreads):
     """Gustavson on the compiled two-phase SPA kernels, in flop-balanced
     row blocks on the engine pool (the foreign call releases the GIL).
@@ -404,15 +356,10 @@ def _compiled_gustavson(kern, a_rows, b_rows, out_type, nthreads):
         return _empty_coo(dt)
     n_rows, n_minor = a.indptr.size - 1, int(b_rows.n_minor)
 
-    workers = 1
-    if engine.PARALLEL and total >= engine.MIN_PARALLEL_FLOPS:
-        requested = engine.requested_workers(nthreads)
-        if requested > 1:
-            # per block: SPA mark+slot, plus its share of the output
-            per_block = n_minor * 16 + (total // requested + 1) * (
-                16 + dt.itemsize
-            )
-            workers = governor.admit_workers(requested, per_block, op="mxm")
+    # per block: SPA mark+slot, plus its share of the output
+    workers = engine.admit_blocks(
+        "mxm", total, engine.MIN_PARALLEL_FLOPS, nthreads,
+        lambda req: n_minor * 16 + (total // req + 1) * (16 + dt.itemsize))
     blocks = [(0, n_rows)]
     if workers > 1:
         cum = np.zeros(a.minor.size + 1, dtype=_INDEX)
@@ -482,7 +429,7 @@ def dot_candidates(
     payoff); otherwise every (nonempty A row) x (nonempty B col) pair is
     a candidate, minus the masked-out set when the mask is complemented.
     Row-major sorted, like the mask coordinate contract.  Shared by the
-    vectorized engine and the compiled tier so both enumerate (and
+    NumPy kernel and the compiled tier so both enumerate (and
     therefore early-exit over) exactly the same dots.
     """
     if mask_coords is None or mask_complement:
@@ -518,11 +465,7 @@ def _mxm_dot(
     b_cols = b_rows.with_orientation(b_rows.orientation.flipped)
     out_i, out_j = dot_candidates(a_rows, b_cols, mask_coords, mask_complement)
     if out_i.size == 0:
-        return (
-            np.empty(0, dtype=_INDEX),
-            np.empty(0, dtype=_INDEX),
-            np.empty(0, dtype=out_type.np_dtype),
-        )
+        return _empty_coo(out_type.np_dtype)
 
     a_start, a_end = a_rows.major_ranges(out_i)
     b_start, b_end = b_cols.major_ranges(out_j)
@@ -539,27 +482,6 @@ def _mxm_dot(
     a_vals = a_rows.values
     b_minor = b_cols.minor
     b_vals = b_cols.values
-
-    # Specialized bindings hoist the operator dispatch out of the per-dot
-    # loop; each replicates its generic counterpart bit for bit.
-    mask_kind = "none" if mask_coords is None else (
-        "comp" if mask_complement else "mask"
-    )
-    kern = engine.kernel_for(semiring, out_type, mask_kind=mask_kind, method="dot")
-    if kern is not None:
-        _mult = kern.combine
-        _reduce = kern.reduce_all
-        _fold = kern.fold2
-    else:
-        _mult = mult.apply
-
-        def _reduce(v):
-            return add.reduce_array(v, out_type)
-
-        def _fold(acc, blk_red):
-            return out_type.cast_array(
-                add.op.apply(np.asarray(acc), np.asarray(blk_red))
-            ).item()
 
     keep = np.zeros(out_i.size, dtype=bool)
     out_vals = np.empty(out_i.size, dtype=out_type.np_dtype)
@@ -586,12 +508,13 @@ def _mxm_dot(
             acc = None
             done = False
             for lo in range(0, av.size, _EARLY_EXIT_BLOCK):
-                blk = _mult(
+                blk = mult.apply(
                     av[lo : lo + _EARLY_EXIT_BLOCK],
                     bv[lo : lo + _EARLY_EXIT_BLOCK],
                 )
-                blk_red = _reduce(blk)
-                acc = blk_red if acc is None else _fold(acc, blk_red)
+                blk_red = add.reduce_array(blk, out_type)
+                acc = blk_red if acc is None else out_type.cast_array(
+                    add.op.apply(acc, blk_red)).item()
                 if acc == terminal:  # early exit: annihilator reached
                     done = True
                     break
@@ -599,8 +522,7 @@ def _mxm_dot(
             keep[p] = True
             early_exits += done
         else:
-            prods = _mult(av, bv)
-            out_vals[p] = _reduce(prods)
+            out_vals[p] = add.reduce_array(mult.apply(av, bv), out_type)
             keep[p] = True
 
     if telemetry.ENABLED and early_eligible:

@@ -32,10 +32,10 @@ import time
 
 import numpy as np
 
-from . import engine, faults, governor, telemetry
+from . import engine, faults, telemetry
 from .compiled import store_args
 from .errors import InvalidValue
-from .formats import SparseStore
+from .formats import SparseStore, group_starts
 from .mxm import _gather_ranges
 from .semiring import Semiring
 from .types import Type
@@ -138,14 +138,9 @@ def spmspv_push(
         return np.empty(0, dtype=_INDEX), np.empty(0, dtype=out_type.np_dtype)
     out_idx = a_by_inner.minor[gather]
     mult = semiring.mult
-    kern = engine.kernel_for(semiring, out_type, method="push")
     if mult.positional is not None:
         k = np.repeat(u_idx, lens)
         vals = _vec_positional(mult.positional, k, out_idx, matrix_first)
-    elif kern is not None:
-        a_v = a_by_inner.values[gather]
-        u_v = np.repeat(u_vals, lens)
-        vals = kern.combine(a_v, u_v) if matrix_first else kern.combine(u_v, a_v)
     else:
         a_v = a_by_inner.values[gather]
         u_v = np.repeat(u_vals, lens)
@@ -153,15 +148,9 @@ def spmspv_push(
 
     order = np.argsort(out_idx, kind="stable")
     out_idx, vals = out_idx[order], vals[order]
-    change = np.empty(out_idx.size, dtype=bool)
-    change[0] = True
-    np.not_equal(out_idx[1:], out_idx[:-1], out=change[1:])
-    seg = np.flatnonzero(change).astype(_INDEX)
+    seg = group_starts(out_idx)
     if seg.size != out_idx.size:
-        if kern is not None:
-            vals = kern.segment_reduce(vals, seg)
-        else:
-            vals = semiring.add.reduce_segments(vals, seg, out_type)
+        vals = semiring.add.reduce_segments(vals, seg, out_type)
         out_idx = out_idx[seg]
     else:
         vals = out_type.cast_array(vals)
@@ -267,15 +256,11 @@ def _major_blocks(major: np.ndarray, nblocks: int) -> list[tuple[int, int]]:
     return [(cuts[t], cuts[t + 1]) for t in range(len(cuts) - 1)]
 
 
-def _pull_block(lo: int, hi: int, major, vals, kern):
+def _pull_block(lo: int, hi: int, major, vals, add, out_type):
     """Segment-reduce one major-aligned span of pull partial products."""
     m = major[lo:hi]
-    v = vals[lo:hi]
-    change = np.empty(m.size, dtype=bool)
-    change[0] = True
-    np.not_equal(m[1:], m[:-1], out=change[1:])
-    seg = np.flatnonzero(change).astype(_INDEX)
-    return m[seg], kern.segment_reduce(v, seg)
+    seg = group_starts(m)
+    return m[seg], add.reduce_segments(vals[lo:hi], seg, out_type)
 
 
 def spmv_pull(
@@ -322,54 +307,34 @@ def spmv_pull(
     if major.size == 0:
         return np.empty(0, dtype=_INDEX), np.empty(0, dtype=out_type.np_dtype)
 
-    mask_kind = "none" if outer_hint is None else "mask"
-    kern = engine.kernel_for(semiring, out_type, mask_kind=mask_kind, method="pull")
     if mult.positional is not None:
         vals = _vec_positional(mult.positional, minor, major, matrix_first)
-        kern = None
-    elif kern is not None:
-        u_v = u_dense[minor]
-        vals = kern.combine(a_vals, u_v) if matrix_first else kern.combine(u_v, a_vals)
     else:
         u_v = u_dense[minor]
         vals = mult.apply(a_vals, u_v) if matrix_first else mult.apply(u_v, a_vals)
 
-    if (
-        engine.PARALLEL
-        and kern is not None
-        and major.size >= engine.MIN_PARALLEL_ENTRIES
-    ):
-        requested = engine.requested_workers(nthreads)
-        if requested > 1:
-            per_block = (major.size // requested + 1) * (16 + out_type.np_dtype.itemsize)
-            workers = governor.admit_workers(requested, per_block, op="mxv")
-            blocks = _major_blocks(major, workers) if workers > 1 else []
-            if len(blocks) > 1:
-                def timed(lo, hi):
-                    t0 = time.perf_counter()
-                    res = _pull_block(lo, hi, major, vals, kern)
-                    return res, t0, time.perf_counter()
+    add = semiring.add
+    workers = engine.admit_blocks(
+        "mxv", major.size, engine.MIN_PARALLEL_ENTRIES, nthreads,
+        lambda req: (major.size // req + 1) * (16 + out_type.np_dtype.itemsize),
+        semiring, out_type)
+    blocks = _major_blocks(major, workers) if workers > 1 else []
+    if len(blocks) > 1:
+        def timed(lo, hi):
+            t0 = time.perf_counter()
+            res = _pull_block(lo, hi, major, vals, add, out_type)
+            return res, t0, time.perf_counter()
 
-                results = engine.run_blocks(timed, blocks, len(blocks))
-                if telemetry.ENABLED:
-                    for idx, ((lo, hi), (_, t0, t1)) in enumerate(zip(blocks, results)):
-                        telemetry.span_at(
-                            "engine.block", t0, t1, op="mxv", block=idx, entries=hi - lo
-                        )
-                out_idx = np.concatenate([r[0] for r, _, _ in results])
-                out_vals = np.concatenate([r[1] for r, _, _ in results])
-                return out_idx, out_vals
-
-    change = np.empty(major.size, dtype=bool)
-    change[0] = True
-    np.not_equal(major[1:], major[:-1], out=change[1:])
-    seg = np.flatnonzero(change).astype(_INDEX)
-    out_idx = major[seg]
-    if kern is not None:
-        vals = kern.segment_reduce(vals, seg)
-    else:
-        vals = semiring.add.reduce_segments(vals, seg, out_type)
-    return out_idx, vals
+        results = engine.run_blocks(timed, blocks, len(blocks))
+        if telemetry.ENABLED:
+            for idx, ((lo, hi), (_, t0, t1)) in enumerate(zip(blocks, results)):
+                telemetry.span_at(
+                    "engine.block", t0, t1, op="mxv", block=idx, entries=hi - lo
+                )
+        out_idx = np.concatenate([r[0] for r, _, _ in results])
+        out_vals = np.concatenate([r[1] for r, _, _ in results])
+        return out_idx, out_vals
+    return _pull_block(0, major.size, major, vals, add, out_type)
 
 
 def choose_direction(method: str, u, optimizer, *, op_name: str) -> str:

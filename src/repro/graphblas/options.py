@@ -65,8 +65,8 @@ def _backend_names():
 
 TABLE: tuple[Option, ...] = (
     Option("engine", "enabled", "GRAPHBLAS_ENGINE", "on_off", True,
-           "specialised kernels, dual-format twins and parallel blocks; "
-           "off runs the generic paths"),
+           "dual-format twins and (with parallel) row blocks; off runs "
+           "serial kernels on one stored orientation"),
     Option("engine", "parallel", None, "on_off", True,
            "row-blocked kernels on the shared pool (while the engine is on)"),
     Option("engine", "workers", "GRAPHBLAS_ENGINE_WORKERS", "int", 4,

@@ -296,34 +296,6 @@ class OpPlan:
     selection: tuple | None = None
     kernel: str | None = None
 
-    def kernel_signature(self) -> tuple:
-        """The tuple both kernel tiers specialize on.
-
-        ``(add, mult, arg type names, out type, mask kind, accum)`` —
-        the engine's closure cache and the compiled tier's plan-class
-        memo (:func:`repro.graphblas.compiled.select`) key off (subsets
-        of) this.  Non-semiring operators yield None add/mult.
-        """
-        op = self.operator
-        add = getattr(getattr(op, "add", None), "name", None)
-        mult = getattr(getattr(op, "mult", None), "name", None)
-        arg_types = tuple(
-            a.dtype.name if hasattr(a, "dtype") else type(a).__name__
-            for a in self.args
-        )
-        if self.mask is None:
-            mask_kind = "none"
-        else:
-            mask_kind = "comp" if self.desc.complement_mask else "mask"
-        return (
-            add,
-            mult,
-            arg_types,
-            self.out_type.name if self.out_type is not None else None,
-            mask_kind,
-            self.accum.name if self.accum is not None else None,
-        )
-
 
 def _admitted(*args, **kwargs) -> OpPlan:
     """Build an OpPlan and submit it to the execution governor.

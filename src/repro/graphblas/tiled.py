@@ -66,8 +66,8 @@ import numpy as np
 
 from . import compiled, engine, faults, governor, telemetry
 from .errors import InvalidValue, OutOfMemory
-from .formats import Orientation, SparseStore, group_starts
-from .mxm import _gather_ranges, _pair_group_starts, _positional_values
+from .formats import Orientation, SparseStore, coo_sort_fold, group_starts
+from .mxm import _gather_ranges, _positional_values
 from .mxv import _vec_positional
 from .plan import resolve_semiring
 from .types import lookup_type
@@ -615,7 +615,7 @@ class TiledMatrix:
 # tiled kernels
 # --------------------------------------------------------------------------
 
-def _expand_pair(a_coo, b_tile, i0, k0, j0, mult, kern):
+def _expand_pair(a_coo, b_tile, i0, k0, j0, mult):
     """Unreduced partial products of one (I,K) x (K,J) tile pair.
 
     ``a_coo`` is the A-tile's (rows, cols, values) COO triple — possibly a
@@ -636,47 +636,19 @@ def _expand_pair(a_coo, b_tile, i0, k0, j0, mult, kern):
     if mult.positional is not None:
         k = np.repeat(ac, lens) + k0
         vals = _positional_values(mult, i, k, j)
-    elif kern is not None:
-        vals = kern.combine(np.repeat(av, lens), b_tile.values[gather])
     else:
         vals = mult.apply(np.repeat(av, lens), b_tile.values[gather])
     return i, j, vals
 
 
-def _fold(vals, seg, semiring, out_type, kern, kernels):
-    """Reduce each segment of ``vals`` with the in-memory kernel's own
-    reduction: the compiled strict left fold when ``kernels`` (the
-    product's compiled selection) is set, NumPy's otherwise."""
+def _folder(semiring, out_type, kernels):
+    """``fold(vals, seg)`` with the in-memory kernel's own reduction: the
+    compiled strict left fold when ``kernels`` (the product's compiled
+    selection) is set, NumPy's otherwise."""
     if kernels is not None:
-        return kernels.segfold(
+        return lambda vals, seg: kernels.segfold(
             np.ascontiguousarray(out_type.cast_array(vals)), seg)
-    if kern is not None:
-        return kern.segment_reduce(vals, seg)
-    return semiring.add.reduce_segments(vals, seg, out_type)
-
-
-def _reduce_stripe(i, j, vals, semiring, out_type, kern, key_mult, kernels):
-    """Fold one output stripe's partial products, bit-identical to the
-    in-memory kernel for the same product (same order, same fold)."""
-    if key_mult is not None and i.size:
-        key = i * key_mult + j
-        order = np.argsort(key, kind="stable")
-        i, j, vals = i[order], j[order], vals[order]
-        key = key[order]
-        change = np.empty(i.size, dtype=bool)
-        change[0] = True
-        np.not_equal(key[1:], key[:-1], out=change[1:])
-        seg = np.flatnonzero(change).astype(_INDEX)
-    else:
-        order = np.lexsort((j, i))
-        i, j, vals = i[order], j[order], vals[order]
-        seg = _pair_group_starts(i, j)
-    if seg.size != i.size:
-        vals = _fold(vals, seg, semiring, out_type, kern, kernels)
-        i, j = i[seg], j[seg]
-    else:
-        vals = out_type.cast_array(vals)
-    return i, j, vals
+    return lambda vals, seg: semiring.add.reduce_segments(vals, seg, out_type)
 
 
 def _chunk_bounds(counts: np.ndarray, target: int) -> list[tuple[int, int]]:
@@ -739,13 +711,9 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
     pool = pool if pool is not None else A.pool
     C = TiledMatrix(A.nrows, B.ncols, A.tile_dim, out_type, pool, name=name)
     mult = sr.mult
-    kern = engine.kernel_for(sr, out_type, method="gustavson")
-    kernels = compiled.select_class(
+    fold = _folder(sr, out_type, compiled.select_class(
         sr, A.dtype, B.dtype, out_type,
-        max(A.nrows, A.ncols, B.nrows, B.ncols))[0]
-    key_mult = None
-    if engine.ENABLED and 0 < C.ncols and C.nrows <= engine.KEY_LIMIT // max(C.ncols, 1):
-        key_mult = np.int64(C.ncols)
+        max(A.nrows, A.ncols, B.nrows, B.ncols))[0])
     td = A.tile_dim
 
     if chunk_bytes is None:
@@ -797,24 +765,15 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
                     if b_tile is None or b_tile.nvals == 0:
                         continue
                     tasks.append((a_coo, b_tile, bi * td, bk * td, bj * td,
-                                  mult, kern))
+                                  mult))
                 workers = 1
-                if (
-                    engine.PARALLEL
-                    and kern is not None
-                    and len(tasks) > 1
-                    and int(flops[s:e].sum()) >= engine.MIN_PARALLEL_FLOPS
-                ):
-                    requested = engine.requested_workers(None)
-                    if requested > 1:
-                        per_block = max(
-                            a_coo[2].nbytes * 3
-                            + max(t[1].nbytes for t in tasks),
-                            1,
-                        )
-                        workers = governor.admit_workers(
-                            requested, per_block, op="mxm.tiled"
-                        )
+                if len(tasks) > 1:
+                    workers = engine.admit_blocks(
+                        "mxm.tiled", int(flops[s:e].sum()),
+                        engine.MIN_PARALLEL_FLOPS, None,
+                        lambda _: max(a_coo[2].nbytes * 3
+                                      + max(t[1].nbytes for t in tasks), 1),
+                        sr, out_type)
                 if workers > 1:
                     results = engine.run_blocks(
                         _expand_pair, tasks, min(workers, len(tasks))
@@ -828,8 +787,9 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
             j = np.concatenate([p[1] for p in parts])
             vals = np.concatenate([p[2] for p in parts])
             del parts
-            i, j, vals = _reduce_stripe(i, j, vals, sr, out_type, kern,
-                                        key_mult, kernels)
+            # fold once per stripe, in the in-memory kernel's order
+            i, j, vals = coo_sort_fold(i, j, vals, C.nrows, C.ncols,
+                                       out_type, fold)
             i_loc = i - bi * td
             # each chunk is one row-run piece of the cells it touches
             for bj, idx in _group_by_tile(j, td):
@@ -852,11 +812,10 @@ def mxv_tiled(A: TiledMatrix, u_dense: np.ndarray, u_present: np.ndarray,
     """
     sr = resolve_semiring(semiring)
     mult = sr.mult
-    kern = engine.kernel_for(sr, out_type, method="push")
     u_type = lookup_type(u_dense.dtype)
     args = (A.dtype, u_type) if matrix_first else (u_type, A.dtype)
-    kernels = compiled.select_class(sr, *args, out_type,
-                                    max(A.nrows, A.ncols))[0]
+    fold = _folder(sr, out_type, compiled.select_class(
+        sr, *args, out_type, max(A.nrows, A.ncols))[0])
     td = A.tile_dim
     out_i, out_v = [], []
     for bi in range(A.grid_rows):
@@ -876,10 +835,6 @@ def mxv_tiled(A: TiledMatrix, u_dense: np.ndarray, u_present: np.ndarray,
             av = av[sel]
             if mult.positional is not None:
                 vals = _vec_positional(mult.positional, k, m, matrix_first)
-            elif kern is not None:
-                u_v = u_dense[k]
-                vals = kern.combine(av, u_v) if matrix_first \
-                    else kern.combine(u_v, av)
             else:
                 u_v = u_dense[k]
                 vals = mult.apply(av, u_v) if matrix_first \
@@ -891,12 +846,9 @@ def mxv_tiled(A: TiledMatrix, u_dense: np.ndarray, u_present: np.ndarray,
         vals = np.concatenate([p[1] for p in parts])
         order = np.argsort(m, kind="stable")
         m, vals = m[order], vals[order]
-        change = np.empty(m.size, dtype=bool)
-        change[0] = True
-        np.not_equal(m[1:], m[:-1], out=change[1:])
-        seg = np.flatnonzero(change).astype(_INDEX)
+        seg = group_starts(m)
         if seg.size != m.size:
-            vals = _fold(vals, seg, sr, out_type, kern, kernels)
+            vals = fold(vals, seg)
             m = m[seg]
         else:
             vals = out_type.cast_array(vals)

@@ -138,13 +138,6 @@ def _engine_gauges() -> list[tuple[str, object, dict]]:
 
     gauges: list[tuple[str, object, dict]] = []
     for stat in ("hits", "misses", "evictions", "size", "capacity",
-                 "unspecializable"):
-        gauges.append((
-            "graphblas_engine_kernel_cache",
-            lambda s=stat: engine.kernel_cache_stats()[s],
-            {"stat": stat},
-        ))
-    for stat in ("hits", "misses", "evictions", "size", "capacity",
                  "declined", "compile_seconds"):
         gauges.append((
             "graphblas_compiled_kernel_cache",
@@ -174,7 +167,7 @@ def enable(**overrides) -> MetricsRegistry:
     """Turn on process-wide metrics collection (idempotent).
 
     Installs the telemetry fan-out sink, registers the engine's
-    collect-on-read gauges (kernel cache, thread pool, resolver cache),
+    collect-on-read gauges (compiled kernels, thread pool, resolver cache),
     and applies the ``obs`` options — ``slow_ms=`` / ``slow_capacity=``
     given here override them first.  Returns the registry.
     """
@@ -184,8 +177,6 @@ def enable(**overrides) -> MetricsRegistry:
     with _lock:
         if _sink is None:
             _sink = MetricsSink(_registry, _slow_log)
-            _registry.declare("graphblas_engine_kernel_cache", "gauge",
-                              "Kernel LRU stats, by stat label")
             _registry.declare("graphblas_compiled_kernel_cache", "gauge",
                               "Compiled-tier JIT kernel LRU stats, by "
                               "stat label")

@@ -1,9 +1,10 @@
-"""The hot-path performance engine: specialization, twins, parallel blocks.
+"""The hot-path performance engine: dual-format twins, parallel blocks.
 
-The engine's contract is *bit-for-bit* equality with the generic paths:
-every test here compares engine-on against engine-off (or parallel
-against serial) on identical inputs and asserts exact array equality,
-dtypes included.
+The engine's contract is *bit-for-bit* equality with the serial,
+single-format paths: every test here compares engine-on against
+engine-off (or parallel against serial) on identical inputs and asserts
+exact array equality, dtypes included — the kernel parity tests on both
+kernel tiers.
 """
 
 import sys
@@ -15,20 +16,21 @@ import pytest
 
 from repro.generators import random_matrix, random_vector, rmat_graph
 from repro.graphblas import (
-    Descriptor, Matrix, Vector, backend, backends, capi, engine, governor,
-    options, telemetry,
+    Descriptor, Matrix, Vector, backend, backends, capi, compiled, engine,
+    governor, options, telemetry,
 )
 from repro.graphblas import operations as ops
 from repro.graphblas import plan as planning
 from repro.graphblas.errors import Info, InvalidValue
 from repro.graphblas.matrix import Matrix as _Matrix
 from repro.graphblas.types import lookup_type
+from tests.helpers import kernel_tier
 
 
 @pytest.fixture(autouse=True)
 def _fresh_engine():
     """Every test starts from the env-default engine state and leaves no
-    configuration, cache contents, or executor behind."""
+    configuration or executor behind."""
     engine.reset()
     yield
     engine.reset()
@@ -84,71 +86,29 @@ class TestConfig:
         assert engine.get_config().workers >= 1
 
 
-# -- kernel specialization cache ---------------------------------------------
-
-
-class TestKernelCache:
-    def test_hit_miss_counting(self):
+class TestAdmitBlocks:
+    def test_numpy_blocks_need_a_builtin_ufunc_semiring(self):
         from repro.graphblas.semiring import semiring
-        from repro.graphblas.types import FP64
+        from repro.graphblas.types import FP64, INT64
 
-        sr = semiring("PLUS_TIMES")
-        engine.clear_kernel_cache()
-        k1 = engine.kernel_for(sr, FP64)
-        k2 = engine.kernel_for(sr, FP64)
-        assert k1 is k2 and k1 is not None
-        st = engine.kernel_cache_stats()
-        assert st["misses"] == 1 and st["hits"] == 1
+        engine.set_engine(True, workers=4)
 
-    def test_distinct_keys_per_dtype_and_method(self):
-        from repro.graphblas.semiring import semiring
-        from repro.graphblas.types import FP32, FP64
+        def admit(*numpy_semiring):
+            return engine.admit_blocks("mxm", 1, 1, None, lambda _: 1,
+                                       *numpy_semiring)
 
-        sr = semiring("PLUS_TIMES")
-        engine.clear_kernel_cache()
-        a = engine.kernel_for(sr, FP64)
-        b = engine.kernel_for(sr, FP32)
-        c = engine.kernel_for(sr, FP64, method="dot")
-        assert a is not b and a is not c
-        assert engine.kernel_cache_stats()["size"] == 3
+        assert admit(semiring("PLUS_TIMES"), FP64) == 4
+        assert admit(semiring("ANY_SECONDI"), INT64) == 1  # positional
+        assert admit() == 4  # compiled blocks pass no semiring
 
-    def test_lru_eviction(self, monkeypatch):
-        from repro.graphblas.semiring import semiring
-        from repro.graphblas.types import FP64
-
-        monkeypatch.setattr(engine, "CACHE_SIZE", 2)
-        engine.clear_kernel_cache()
-        for name in ("PLUS_TIMES", "MIN_PLUS", "MAX_PLUS"):
-            engine.kernel_for(semiring(name), FP64)
-        st = engine.kernel_cache_stats()
-        assert st["size"] == 2 and st["evictions"] == 1
-
-    def test_positional_semiring_not_specialized(self):
-        from repro.graphblas.semiring import semiring
-        from repro.graphblas.types import INT64
-
-        assert engine.kernel_for(semiring("ANY_SECONDI"), INT64) is None
-        assert engine.kernel_cache_stats()["unspecializable"] >= 1
-
-    def test_disabled_engine_returns_none(self):
-        from repro.graphblas.semiring import semiring
-        from repro.graphblas.types import FP64
-
-        engine.set_engine(False)
-        assert engine.kernel_for(semiring("PLUS_TIMES"), FP64) is None
-
-    def test_compile_emits_telemetry_decision(self):
-        from repro.graphblas.semiring import semiring
-        from repro.graphblas.types import FP64
-
-        engine.clear_kernel_cache()
-        with telemetry.collect() as col:
-            engine.kernel_for(semiring("PLUS_TIMES"), FP64)
-        names = [e["name"] for e in col.snapshot(include_events=True)["events"]]
-        assert "engine.kernel" in names
+    def test_serial_below_threshold_or_when_switched_off(self):
+        engine.set_engine(True, workers=4)
+        assert engine.admit_blocks("mxm", 0, 1, None, lambda _: 1) == 1
+        engine.set_engine(parallel=False)
+        assert engine.admit_blocks("mxm", 1, 1, None, lambda _: 1) == 1
 
 
-# -- bit-for-bit parity: engine on vs off ------------------------------------
+# -- bit-for-bit parity: engine on vs off, on both kernel tiers --------------
 
 
 SEMIRING_DTYPES = [
@@ -159,6 +119,24 @@ SEMIRING_DTYPES = [
     ("LOR_LAND", bool),
     ("PLUS_PAIR", np.int64),
 ]
+
+ON, OFF = {"enabled": True}, {"enabled": False}
+PARALLEL = {"enabled": True, "parallel": True, "workers": 4}
+SERIAL = {"parallel": False}
+
+
+def _same_on_each_tier(run, first, second):
+    """``run()`` under engine settings ``first`` and ``second`` agrees bit
+    for bit on the NumPy kernels and, when a toolchain resolves, on the
+    compiled ones.  ``set_engine`` does not choose the tier, so the tiers
+    loop here (keeping the test ids tier-free)."""
+    for tier in ("numpy", "compiled") if compiled.available() else ("numpy",):
+        with kernel_tier(tier):
+            engine.set_engine(**first)
+            a = run()
+            engine.set_engine(**second)
+            b = run()
+        _same(a, b)
 
 
 class TestParity:
@@ -172,11 +150,7 @@ class TestParity:
             ops.mxm(C, A, B, sr, method="gustavson")
             return C.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same_on_each_tier(run, ON, OFF)
 
     @pytest.mark.parametrize("sr,dtype", SEMIRING_DTYPES)
     def test_mxm_dot(self, sr, dtype):
@@ -188,11 +162,7 @@ class TestParity:
             ops.mxm(C, A, B, sr, method="dot")
             return C.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same_on_each_tier(run, ON, OFF)
 
     @pytest.mark.parametrize("method", ["push", "pull"])
     @pytest.mark.parametrize("sr,dtype", SEMIRING_DTYPES)
@@ -206,11 +176,7 @@ class TestParity:
             ops.mxv(w, A, u, sr, method=method)
             return w.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same_on_each_tier(run, ON, OFF)
 
     def test_vxm_pull_transposed(self):
         A, _ = _mats()
@@ -221,11 +187,7 @@ class TestParity:
             ops.vxm(w, u, A, "PLUS_TIMES", method="pull")
             return w.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same_on_each_tier(run, ON, OFF)
 
     def test_dot_early_exit_terminal_monoid(self):
         A, B = _mats(dtype=bool, density=0.3)
@@ -235,11 +197,7 @@ class TestParity:
             ops.mxm(C, A, B, "LOR_LAND", method="dot")
             return C.extract_tuples()
 
-        engine.set_engine(True)
-        on = run()
-        engine.set_engine(False)
-        off = run()
-        _same(on, off)
+        _same_on_each_tier(run, ON, OFF)
 
 
 class TestParallelParity:
@@ -252,11 +210,7 @@ class TestParallelParity:
             ops.mxm(C, A, B, "PLUS_TIMES", method="gustavson")
             return C.extract_tuples()
 
-        engine.set_engine(True, workers=4)
-        par = run()
-        engine.set_engine(parallel=False)
-        ser = run()
-        _same(par, ser)
+        _same_on_each_tier(run, PARALLEL, SERIAL)
 
     def test_parallel_pull_mxv_bit_identical(self, monkeypatch):
         A, _ = _mats(n=150, density=0.15)
@@ -268,11 +222,7 @@ class TestParallelParity:
             ops.mxv(w, A, u, "PLUS_TIMES", method="pull")
             return w.extract_tuples()
 
-        engine.set_engine(True, workers=4)
-        par = run()
-        engine.set_engine(parallel=False)
-        ser = run()
-        _same(par, ser)
+        _same_on_each_tier(run, PARALLEL, SERIAL)
 
     def test_parallel_blocks_recorded_in_telemetry(self, monkeypatch):
         from repro.graphblas.backends import current_backend_name

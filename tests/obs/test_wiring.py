@@ -83,7 +83,7 @@ class TestEnableDisable:
         obs.enable()
         do_work()
         snap = obs.snapshot()
-        kc = snap["gauges"]["graphblas_engine_kernel_cache"]
+        kc = snap["gauges"]["graphblas_compiled_kernel_cache"]
         stats = {s["labels"]["stat"] for s in kc}
         assert {"hits", "misses", "size", "capacity"} <= stats
 
