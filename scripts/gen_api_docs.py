@@ -380,14 +380,21 @@ with ctx:
   result footprint (an nnz-based bound per op; flops-based for `mxm`)
   is compared against the budget: within budget → admitted; over budget
   → `mxm`/`mxv`/`vxm` are **re-planned as tiled spill execution** (see
-  "Bounded-memory execution" below) when spilling is enabled; other
-  ops — or a context with spilling off — are **degraded** to the first
-  of `degrade_backends` (default `("reference", "scipy")`) that
-  supports it, skipping that backend's own fallback chain; no route →
-  `BudgetExceeded`, whose message reports the estimated vs available
-  bytes and why each recovery route (spill, degrade) was unavailable.
-  Because rejection happens at plan time, the inputs are untouched and
-  still pass `graphblas.validate`.
+  "Bounded-memory execution" below) when spilling is enabled (the
+  context's `spill=`, else the `GRAPHBLAS_SPILL` switch); every other
+  op, and any op with spilling off, raises `BudgetExceeded`, whose
+  message reports the estimated vs available bytes and why tiling was
+  unavailable (`not tileable` / `tiled spill disabled`).  Over budget
+  has exactly these two answers.  Because rejection happens at plan
+  time, the inputs are untouched and still pass `graphblas.validate`.
+  Earlier revisions had a third, routing the plan to the dense
+  `reference` backend — the §II.A test oracle, which allocates an m×n
+  value and pattern array per operand.  Measured on RMAT-12 (n = 4096,
+  53k entries per operand; 2-core machine, cc toolchain, `tracemalloc`),
+  an `ewise_add` one byte over its 2.44 MiB estimate took 64.9 s and
+  864 MiB there (44 ms and 10.2 MiB unbudgeted), and an `apply` at half
+  its estimate 60.9 s and 720 MiB; refused, each takes under 1 ms and
+  0.04 MiB.  The route was deleted.
 * **Deadline & cancellation** — `ctx.cancel()` (any thread) or an
   expired deadline makes the next *poll* raise `Cancelled` /
   `DeadlineExceeded`.  Every op polls at admission, so an iterative
@@ -431,7 +438,7 @@ with ctx:
 New `GrB_Info` codes cross the C-API boundary: `GxB_BUDGET_EXCEEDED`,
 `GxB_DEADLINE_EXCEEDED`, `GxB_CANCELLED`; `capi.GxB_Context_new()`
 constructs a context from C-API code.  Every governor decision —
-`governor.admit` / `governor.degrade` / `governor.reject` /
+`governor.admit` / `governor.tiled` / `governor.reject` /
 `governor.cancel` / `governor.retry` / `governor.checkpoint` /
 `governor.resume` — is a telemetry decision event, aggregated under the
 `"governor"` key of `telemetry.snapshot()`.
@@ -445,15 +452,15 @@ governor leg runs the whole suite under `64m` / `60`.
 TILED_SECTION = """
 ## Bounded-memory execution
 
-`repro.graphblas.tiled` turns the governor's "fail or degrade" answer to
-an oversized operation into "run anyway, bounded memory".  A
+`repro.graphblas.tiled` turns the governor's refusal of an oversized
+`mxm`/`mxv`/`vxm` into "run anyway, bounded memory".  A
 `TiledMatrix` partitions a matrix into a 2D grid of hypersparse blocks;
 `mxm_tiled` / `mxv_tiled` schedule work stripe by stripe; and cold tiles
 are spilled to disk as atomic raw-array files and reloaded on demand
 under an LRU resident-byte budget (`SpillPool`).  The route is transparent:
 when an admitted plan's estimated footprint exceeds the context budget
 and spilling is enabled, the dispatcher re-plans `mxm`/`mxv`/`vxm` as
-tiled execution instead of degrading or rejecting —
+tiled execution instead of rejecting —
 
 ```python
 from repro.graphblas import governor
@@ -624,7 +631,7 @@ verdicts, spill traffic, engine events — feeds a process-wide
   `capi.GxB_Metrics_get(format="snapshot"|"json"|"prometheus")`.
 * **EXPLAIN** — `obs.explain(fn, *args)` runs one call under per-plan
   event capture and returns an `ExplainReport`: one row per executed
-  `OpPlan` with route (direct/tiled/degraded), backend, SpGEMM
+  `OpPlan` with route (direct/tiled), backend, SpGEMM
   method / mxv direction, estimated vs actual result bytes,
   kernel-cache delta, tile/spill counts, and wall time — so "why was
   this op slow" is answerable without a trace viewer.  The same
@@ -773,8 +780,7 @@ over all four storage formats, plus real writer/reader threads).
 queueing unboundedly: at capacity each tenant is held to its fair share
 (`capacity // active_tenants`), and `register_tenant` attaches a
 `TenantPolicy` (per-request `memory_budget`, `deadline_s`, retry
-`attempts`, a hard `max_queue` cap, `degrade=False` to opt out of the
-governor's degrade/spill routes).  Rejection raises `Overloaded` with
+`attempts` and a hard `max_queue` cap).  Rejection raises `Overloaded` with
 a machine-readable `reason` (`queue_full` / `tenant_quota` /
 `tenant_limit` / `deadline_watermark`).  Every request executes under its own governor
 `ExecutionContext` built from the tenant policy, so budgets, deadlines,
@@ -783,9 +789,13 @@ checkpoint).
 
 **Failure taxonomy.**  Serving failures map onto the engine's two-tier
 error model: *caller errors* (`InvalidValue` for an unknown algorithm
-or graph, `DeadlineExceeded`, `Cancelled`) are terminal and re-raised
-from `ticket.result()` as-is; *execution faults* (`OutOfMemory`,
-`BudgetExceeded`, backend exceptions) are absorbed by the mechanisms
+or graph, and every governor refusal — `BudgetExceeded`,
+`DeadlineExceeded`, `Cancelled`) are terminal and re-raised from
+`ticket.result()` as-is, with outcome `invalid` / `budget` /
+`deadline` / `cancelled`; they are never retried, never fail over and
+never count against a backend's breaker, so one tenant's tight budget
+cannot open the breakers every tenant shares.  *Execution faults*
+(`OutOfMemory`, backend exceptions) are absorbed by the mechanisms
 below and only surface — wrapped in `QueryFailed`, with the original
 exception as `__cause__` — when every one is exhausted.
 
@@ -796,9 +806,8 @@ exception as `__cause__` — when every one is exhausted.
    alone can handle: the spill pool on tile I/O
    (`OSError`/`OutOfMemory`), backend dispatch on a kernel's transient
    `OutOfMemory` (one op is re-run, not the query), and the serve loop
-   on what happens outside any op — a `serve.exec` fault, or a
-   `BudgetExceeded`, whose re-attempt forces the governor's spill path
-   on.  What exhausts an inner loop arrives marked and is not
+   on an `OutOfMemory` outside any op (a `serve.exec` fault).  What
+   exhausts an inner loop arrives marked and is not
    re-attempted: a persistently failing kernel runs `attempts` times
    per backend (it was `attempts`² — 9 — and ×3 again through a spill
    pool).  `ticket.retries` and `serve_retries_total` count every

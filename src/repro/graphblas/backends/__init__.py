@@ -241,17 +241,13 @@ def dispatch(plan: OpPlan, backend=None):
 
     - cancellation/deadline are polled before the kernel runs;
     - a plan the governor marked over-budget is routed to tiled
-      spill-to-disk execution (:mod:`repro.graphblas.tiled`) when the
-      context allows it, or to the degraded backend it chose (the
-      degraded backend's own fallback chain is not walked — falling back
-      to the heavy engine would defeat the budget);
+      spill-to-disk execution (:mod:`repro.graphblas.tiled`);
     - the context's :class:`~repro.graphblas.retry.RetryPolicy`, if
       any, wraps the kernel call: dispatch owns a kernel's transient
       ``OutOfMemory``, so one failed op is re-run, not the algorithm
       around it.  Tiled execution is *not* wrapped — its spill pool owns
       tile-I/O failures.
     """
-    degraded_to = plan.params.pop("governor_degrade_to", None)
     tiled_route = plan.params.pop("governor_tiled", False) or (
         plan.params.get("method") == "tiled"
         and plan.op in ("mxm", "mxv", "vxm")
@@ -267,28 +263,18 @@ def dispatch(plan: OpPlan, backend=None):
                 est_bytes=plan.params.get("est_bytes"),
             )
         return _execute(plan, "tiled", "tiled", lambda: _tiled.execute(plan))
-    if degraded_to is not None:
-        be = get_backend(degraded_to)
-        route = "degraded"
+    be = get_backend(backend) if backend is not None else current_backend()
+    while not be.supports(plan):
+        fb = be.fallback
+        if fb is None or fb == be.name:
+            raise NotImplementedError(
+                f"backend {be.name!r} cannot serve {plan.op} and has no fallback"
+            )
         if telemetry.ENABLED:
             telemetry.decision(
-                "governor.degrade", op=plan.op, backend=be.name,
-                est_bytes=plan.params.get("est_bytes"),
+                "backend.fallback", op=plan.op, declined=be.name, fallback=fb
             )
-    else:
-        route = "direct"
-        be = get_backend(backend) if backend is not None else current_backend()
-        while not be.supports(plan):
-            fb = be.fallback
-            if fb is None or fb == be.name:
-                raise NotImplementedError(
-                    f"backend {be.name!r} cannot serve {plan.op} and has no fallback"
-                )
-            if telemetry.ENABLED:
-                telemetry.decision(
-                    "backend.fallback", op=plan.op, declined=be.name, fallback=fb
-                )
-            be = get_backend(fb)
+        be = get_backend(fb)
     if telemetry.ENABLED:
         telemetry.decision("backend.dispatch", op=plan.op, backend=be.name)
     kernel = getattr(be, plan.op)
@@ -297,7 +283,7 @@ def dispatch(plan: OpPlan, backend=None):
         ctx = governor.current()
         if ctx is not None and ctx.retry is not None:
             retry = ctx.retry
-    return _execute(plan, route, be.name, lambda: kernel(plan), retry=retry)
+    return _execute(plan, "direct", be.name, lambda: kernel(plan), retry=retry)
 
 
 def _actual_bytes(plan, out) -> int | None:
@@ -366,9 +352,8 @@ def _execute(plan: OpPlan, route: str, backend_name: str, run, retry=None):
     if ctx is not None:
         if ctx.memory_budget is not None:
             detail["budget_bytes"] = ctx.memory_budget
-        detail["admission"] = {"tiled": "tiled", "degraded": "degraded"}.get(
-            route, "admitted" if ctx.memory_budget is not None else "unbudgeted"
-        )
+        detail["admission"] = "tiled" if route == "tiled" else (
+            "admitted" if ctx.memory_budget is not None else "unbudgeted")
     else:
         detail["admission"] = "ungoverned"
     telemetry.decision("plan.done", **detail)

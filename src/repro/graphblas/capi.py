@@ -790,8 +790,7 @@ def GxB_Metrics_get(format="snapshot"):
 
 
 def GxB_Context_new(*, memory_budget=None, deadline=None, retry=None,
-                    degrade=True, spill=None, spill_dir=None,
-                    spill_budget=None):
+                    spill=None, spill_dir=None, spill_budget=None):
     """``GxB_Context``-style handle over the execution governor.
 
     Returns an un-entered
@@ -801,18 +800,17 @@ def GxB_Context_new(*, memory_budget=None, deadline=None, retry=None,
     :data:`GxB_DEADLINE_EXCEEDED`, or :data:`GxB_CANCELLED` through the
     usual transactional boundary — operands are rolled back and
     :func:`GrB_error` carries the governor's message.  An over-budget
-    mxm/mxv/vxm is first re-planned as tiled spill-to-disk execution
+    mxm/mxv/vxm is re-planned as tiled spill-to-disk execution
     (``spill``/``spill_dir``/``spill_budget`` override the
-    ``GxB_Spill_set`` / environment defaults), then routed to a lighter
-    backend with ``degrade`` (the default); pass ``degrade=False`` to
-    make every over-budget call fail.
+    ``GxB_Spill_set`` / environment defaults); every other over-budget
+    call, and any with ``spill=False``, returns
+    :data:`GxB_BUDGET_EXCEEDED` before its output is allocated.
     """
     from . import governor as _governor
 
     return _governor.ExecutionContext(
         memory_budget=memory_budget, deadline=deadline, retry=retry,
-        degrade=degrade, spill=spill, spill_dir=spill_dir,
-        spill_budget=spill_budget,
+        spill=spill, spill_dir=spill_dir, spill_budget=spill_budget,
     )
 
 

@@ -177,19 +177,15 @@ def admit_blocks(op: str, work: int, threshold: int, nthreads: int | None,
     A call goes parallel when the engine's ``parallel`` switch is on and
     its ``work`` reaches ``threshold``; the governor then funds the
     requested count against its budget, ``per_block(requested)`` bytes per
-    in-flight block.  NumPy blocks (``semiring`` given) must do pure
-    ufunc work, so they also need a builtin, non-positional multiply, a
-    builtin monoid with a reduction ufunc (or ``ANY``) and a builtin
-    output type.
+    in-flight block.  NumPy blocks (``semiring`` given) also need a
+    builtin multiply, monoid and output type: a user's Python callback
+    or type is not known to be thread-safe.
     """
     if not PARALLEL or work < threshold:
         return 1
-    if semiring is not None:
-        mult, add = semiring.mult, semiring.add
-        if (mult.positional is not None or mult.ufunc is None
-                or not (mult.builtin and add.builtin and out_type.builtin)
-                or (add.name != "ANY" and add.reduce_ufunc is None)):
-            return 1
+    if semiring is not None and not (
+            semiring.mult.builtin and semiring.add.builtin and out_type.builtin):
+        return 1
     requested = requested_workers(nthreads)
     if requested <= 1:
         return 1

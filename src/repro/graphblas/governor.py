@@ -37,15 +37,15 @@ algorithms run their loops through :func:`iterate`, which owns the span,
 the per-iteration records, ``checkpoint=`` and ``resume=``, so they
 restart mid-loop, bit-identically for deterministic algorithms.
 
-**Retry & degradation.**  A context's :class:`RetryPolicy` (the one
+**Retry & over budget.**  A context's :class:`RetryPolicy` (the one
 retry loop, :mod:`repro.graphblas.retry`) re-runs a transient kernel
 failure at dispatch; :func:`with_retry` is how that loop runs as
-governed work.  When admission would reject a plan but a lighter
-engine can serve it, the governor *degrades* instead: it tags the plan
-and the dispatcher routes it to the context's ``degrade_backends`` chain
-(reference/scipy) rather than failing outright.
+governed work.  Over budget has two answers: a tileable op re-plans as
+tiled spill when :meth:`ExecutionContext.spill_enabled`, and anything
+else raises ``BudgetExceeded`` — the caller's answer, not a transient
+failure to retry.
 
-Every decision (admit/reject/cancel/retry/degrade/checkpoint/resume)
+Every decision (admit/reject/tiled/cancel/retry/checkpoint/resume)
 emits a ``governor.*`` telemetry decision event, so traces show why an
 op was throttled.  Like :mod:`~repro.graphblas.faults` and
 :mod:`~repro.graphblas.telemetry`, the module-level :data:`ACTIVE` flag
@@ -269,8 +269,8 @@ class ExecutionContext:
     ----------
     memory_budget:
         Per-operation result budget in bytes (None = unlimited).  Plans
-        whose estimated footprint exceeds it are degraded to a lighter
-        backend when possible, else rejected with
+        whose estimated footprint exceeds it run as tiled spill when
+        tileable and spilling is on, else raise
         :class:`~repro.graphblas.errors.BudgetExceeded`.
     deadline:
         Wall-clock seconds from ``__enter__``; once passed, every
@@ -281,13 +281,9 @@ class ExecutionContext:
     retry:
         A :class:`RetryPolicy` applied around kernel execution at
         dispatch (None = no retry).
-    degrade:
-        Allow budget-exceeded plans to fall back to ``degrade_backends``
-        instead of failing (default True).
-    degrade_backends:
-        Backend names tried, in order, for degraded plans; a backend must
-        ``supports()`` the plan to be chosen (its own fallback chain is
-        *not* honored for degraded plans — that would defeat the budget).
+    spill, spill_dir, spill_budget:
+        Tiled spill for over-budget tileable plans: on/off (None = the
+        ``GRAPHBLAS_SPILL`` switch), pool directory and byte budget.
 
     Contexts nest (a thread-local stack; the innermost governs) and are
     single-use: re-entering a context raises.
@@ -297,8 +293,6 @@ class ExecutionContext:
                  deadline: float | None = None,
                  cancel: CancellationToken | None = None,
                  retry: RetryPolicy | None = None,
-                 degrade: bool = True,
-                 degrade_backends=("reference", "scipy"),
                  spill: bool | None = None,
                  spill_dir=None,
                  spill_budget: int | None = None) -> None:
@@ -312,14 +306,12 @@ class ExecutionContext:
         self.deadline = None if deadline is None else float(deadline)
         self.token = cancel if cancel is not None else CancellationToken()
         self.retry = retry
-        self.degrade = bool(degrade)
-        self.degrade_backends = tuple(degrade_backends)
         self.spill = None if spill is None else bool(spill)
         self.spill_dir = spill_dir
         self.spill_budget = None if spill_budget is None else int(spill_budget)
         self.deadline_at: float | None = None
         self.stats = {
-            "admitted": 0, "rejected": 0, "degraded": 0, "tiled": 0,
+            "admitted": 0, "rejected": 0, "tiled": 0,
             "cancelled": 0, "retries": 0,
         }
         self._entered = False
@@ -385,7 +377,7 @@ class ExecutionContext:
         Raises :class:`~repro.graphblas.errors.Cancelled` /
         :class:`~repro.graphblas.errors.DeadlineExceeded` /
         :class:`~repro.graphblas.errors.BudgetExceeded` before any output
-        allocation, or tags the plan for degraded dispatch.
+        allocation, or tags an over-budget tileable plan for tiled spill.
         """
         self.check()
         if self.memory_budget is None:
@@ -402,41 +394,23 @@ class ExecutionContext:
             plan.params["governor_tiled"] = True
             self.stats["tiled"] += 1
             return  # the dispatcher records the governor.tiled decision
-        route = self._degrade_route(plan)
-        if route is not None:
-            plan.params["governor_degrade_to"] = route
-            self.stats["degraded"] += 1
-            return  # the dispatcher records the governor.degrade decision
         self.stats["rejected"] += 1
         if telemetry.ENABLED:
             telemetry.decision("governor.reject", op=plan.op, reason="budget",
                                est_bytes=est, budget=self.memory_budget)
-        if plan.op not in _TILEABLE:
-            spill_why = "tiled spill unavailable for this op"
-        else:
-            spill_why = "tiled spill disabled"
-        if not self.degrade:
-            degrade_why = "degrade disabled"
-        else:
-            degrade_why = (
-                f"no degrade backend in {self.degrade_backends!r} supports it"
-            )
+        why = "not tileable" if plan.op not in _TILEABLE else "tiled spill disabled"
         raise BudgetExceeded(
             f"{plan.op}: estimated result footprint {est} B exceeds the "
             f"context memory budget of {self.memory_budget} B by "
-            f"{est - self.memory_budget} B ({spill_why}; {degrade_why})"
+            f"{est - self.memory_budget} B ({why})"
         )
 
     def spill_enabled(self) -> bool:
-        """Whether over-budget tileable ops re-plan as tiled spill.
-
-        An explicit ``spill=`` on the context wins; otherwise spilling
-        follows ``degrade`` (a context that asked for hard rejection gets
-        it) gated by the ``GRAPHBLAS_SPILL`` environment switch.
-        """
+        """Whether over-budget tileable ops re-plan as tiled spill: the
+        context's ``spill=`` if set, else the ``GRAPHBLAS_SPILL`` switch."""
         if self.spill is not None:
             return self.spill
-        return self.degrade and spill_config()[0]
+        return spill_config()[0]
 
     def spill_settings(self) -> tuple:
         """(directory, byte budget) for this context's spill pools."""
@@ -444,19 +418,6 @@ class ExecutionContext:
         directory = self.spill_dir if self.spill_dir is not None else env_dir
         budget = self.spill_budget if self.spill_budget is not None else env_budget
         return directory, budget
-
-    def _degrade_route(self, plan) -> str | None:
-        if not self.degrade:
-            return None
-        from . import backends as _backends
-        for name in self.degrade_backends:
-            try:
-                be = _backends.get_backend(name)
-            except InvalidValue:
-                continue
-            if be.supports(plan):
-                return name
-        return None
 
 
 def current() -> ExecutionContext | None:
@@ -524,7 +485,7 @@ def env_limits() -> tuple[int | None, float | None]:
 # spill configuration
 # --------------------------------------------------------------------------
 
-#: Ops the tiled planner can serve; everything else still degrades/rejects.
+#: Ops the tiled planner can serve; everything else over budget is rejected.
 _TILEABLE = ("mxm", "mxv", "vxm")
 
 

@@ -118,8 +118,8 @@ def resolve_method(
     requested = method
     if method == "tiled":
         # the dispatcher serves "tiled" via repro.graphblas.tiled; when a
-        # plan reaches the in-memory kernel anyway (direct call, degraded
-        # backend) Gustavson is the bit-identical equivalent
+        # plan reaches the in-memory kernel anyway (a direct kernel call)
+        # Gustavson is the bit-identical equivalent
         method = "gustavson"
     if method == "auto":
         if mask_coords is not None and not mask_complement:

@@ -4,7 +4,7 @@ The only retry loop in the library.  Three layers run it, each for the
 failures it alone can handle: the spill pool (``OSError`` /
 ``OutOfMemory`` on tile I/O), backend dispatch (``OutOfMemory`` from a
 kernel, when the governing context carries a policy) and the serving
-layer (faults outside any op, and ``BudgetExceeded``).  The loops nest —
+layer (``OutOfMemory`` outside any op).  The loops nest —
 a served query runs kernels that spill tiles — so an exception that has
 exhausted one loop is marked and every enclosing loop re-raises it at
 once: a persistently failing kernel costs ``attempts`` runs, not the

@@ -1,7 +1,7 @@
 """Tiled, spill-to-disk execution: bounded-memory SpGEMM and mxv.
 
-The governor's admission control (PR 4) answered an oversized operation
-with "fail or degrade".  This module turns that into "run anyway, bounded
+The governor's admission control refuses an oversized operation.  For
+the tileable ops this module turns that into "run anyway, bounded
 memory": a :class:`TiledMatrix` partitions a matrix into a 2D grid of
 hypersparse blocks, SpGEMM/mxv are scheduled tile by tile, and cold tiles
 are spilled to disk as atomic raw-array files and reloaded on demand under

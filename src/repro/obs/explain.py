@@ -5,7 +5,7 @@ dispatch events forced on, then correlates the event stream into one
 record per executed :class:`~repro.graphblas.plan.OpPlan`:
 
 * the **dispatch route** — which backend served it, or the governor's
-  re-plan (``tiled`` spill execution, ``degraded`` to a lighter engine);
+  ``tiled`` spill re-plan of an over-budget plan;
 * the **admission verdict** with estimated vs actual result bytes, so
   the governor's footprint model is auditable against reality;
 * **engine activity** — the kernel tier that ran (``compiled`` or

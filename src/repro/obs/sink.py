@@ -3,7 +3,7 @@
 :mod:`repro.graphblas.telemetry` already has every interesting site
 instrumented — Table-I op timers, engine decisions (SpGEMM method,
 push/pull direction, kernel compiles, twin reuse), governor verdicts
-(admit/reject/degrade/tiled/retry/cancel), spill pool traffic, backend
+(admit/reject/tiled/retry/cancel), spill pool traffic, backend
 dispatch — but it only delivers those records to a per-thread collector.
 
 :class:`MetricsSink` is the second consumer: installed into the telemetry
@@ -123,7 +123,7 @@ class MetricsSink:
         d("graphblas_plan_bytes", "histogram",
           "Estimated and actual result bytes per executed OpPlan")
         d("graphblas_plan_route_total", "counter",
-          "Executed OpPlans by dispatch route (direct/tiled/degraded)")
+          "Executed OpPlans by dispatch route (direct/tiled)")
         d("graphblas_backend_dispatch_total", "counter",
           "OpPlans served, by backend and op")
         d("graphblas_backend_fallback_total", "counter",

@@ -22,12 +22,14 @@ a worker thread pool.  The robustness spine:
   tenant's memory budget, the request deadline (queue wait included),
   and a cancellation token.
 * **Retries, one owner per failure** — the serve loop re-attempts only
-  what no inner layer can: a fault outside any op (``serve.exec``) and a
-  ``BudgetExceeded``, whose re-attempt forces the governor's tiled spill
-  path on.  A kernel's transient ``OutOfMemory`` is re-run at dispatch
-  (one op, not the query) and tile I/O by the spill pool; what exhausts
-  an inner loop arrives marked and goes straight to failover
-  (:mod:`repro.graphblas.retry`).
+  what no inner layer can: an ``OutOfMemory`` outside any op
+  (``serve.exec``).  A kernel's transient ``OutOfMemory`` is re-run at
+  dispatch (one op, not the query) and tile I/O by the spill pool; what
+  exhausts an inner loop arrives marked and goes straight to failover
+  (:mod:`repro.graphblas.retry`).  A governor refusal
+  (``BudgetExceeded``, ``DeadlineExceeded``, ``Cancelled``) is the
+  caller's answer: it ends the query with no retry, no failover and no
+  breaker failure.
 * **Circuit breakers and failover** — repeated kernel failures or
   divergences on a backend trip its
   :class:`~repro.serve.breaker.CircuitBreaker`; queries fail over down
@@ -54,10 +56,9 @@ from .. import obs
 from ..graphblas import backends, faults, governor, telemetry
 from ..graphblas.errors import (
     ApiError,
-    BudgetExceeded,
     Cancelled,
     DeadlineExceeded,
-    GraphBLASError,
+    GovernorError,
     InvalidValue,
     OutOfMemory,
 )
@@ -149,8 +150,6 @@ class TenantPolicy:
     deadline_s: float | None = None
     #: serve-level retry attempts for retryable failures.
     attempts: int | None = None
-    #: allow the governor to degrade/spill over-budget plans.
-    degrade: bool = True
     #: hard per-tenant queue cap (None = fair share only).
     max_queue: int | None = None
 
@@ -207,10 +206,11 @@ class QueryTicket:
     def result(self, timeout: float | None = None):
         """The query result; raises the terminal error for failed queries.
 
-        Governor interruptions (``DeadlineExceeded``, ``Cancelled``) and
-        API errors propagate unwrapped; terminal execution failures are
-        wrapped in :class:`~repro.serve.errors.QueryFailed` with the
-        underlying error as ``__cause__``.
+        Governor refusals (``BudgetExceeded``, ``DeadlineExceeded``,
+        ``Cancelled``) and API errors propagate unwrapped; terminal
+        execution failures are wrapped in
+        :class:`~repro.serve.errors.QueryFailed` with the underlying
+        error as ``__cause__``.
         """
         if not self._event.wait(timeout):
             raise TimeoutError(
@@ -218,7 +218,7 @@ class QueryTicket:
             )
         if self.outcome == "ok":
             return self.value
-        if isinstance(self.error, (DeadlineExceeded, Cancelled, ApiError)):
+        if isinstance(self.error, (GovernorError, ApiError)):
             raise self.error
         raise QueryFailed(
             f"{self.algo} for tenant {self.tenant!r} failed terminally "
@@ -611,10 +611,11 @@ class GraphServer:
                             else "fallback")
                 try:
                     value = self._run_on_backend(req, be_name)
-                except (DeadlineExceeded, Cancelled) as exc:
-                    breaker.release_probe()
+                except GovernorError as exc:
+                    breaker.release_probe()  # the caller's limit, not the backend's
                     outcome = ("deadline" if isinstance(exc, DeadlineExceeded)
-                               else "cancelled")
+                               else "cancelled" if isinstance(exc, Cancelled)
+                               else "budget")
                     self._finish(req, outcome, exc)
                     return
                 except ApiError as exc:
@@ -652,15 +653,10 @@ class GraphServer:
             max_delay=self.config.max_delay_s, jitter=1.0,
             seed=(self.config.seed * 0x9E3779B9 + req.seq * 0x85EBCA6B)
             & 0xFFFFFFFF,
-            transient=(OutOfMemory, BudgetExceeded),
+            transient=(OutOfMemory,),
         )
-        state = {"spill": None}
 
         def on_retry(failures, delay, exc):
-            # a BudgetExceeded that escaped the governor means spilling
-            # was unavailable/off: force the tiled spill path on retry
-            if isinstance(exc, BudgetExceeded):
-                state["spill"] = True
             req.token.raise_if_cancelled()
             req.retries += 1
             if telemetry.ENABLED:
@@ -668,16 +664,14 @@ class GraphServer:
                     "serve.retry", server=self.name, algo=req.algo,
                     backend=be_name, attempt=failures,
                     delay_s=round(delay, 6), error=type(exc).__name__,
-                    spill=bool(state["spill"]),
                 )
 
         return retry.call(
-            lambda: self._attempt(
-                req, be_name, retry.retrying(OutOfMemory), state["spill"]),
+            lambda: self._attempt(req, be_name, retry.retrying(OutOfMemory)),
             on_retry=on_retry,
         )
 
-    def _attempt(self, req: QueryTicket, be_name: str, kernel_retry, spill):
+    def _attempt(self, req: QueryTicket, be_name: str, kernel_retry):
         remaining = None
         if req.deadline_at is not None:
             remaining = req.deadline_at - time.monotonic()
@@ -690,7 +684,7 @@ class GraphServer:
             else self.config.memory_budget
         ctx = governor.ExecutionContext(
             memory_budget=budget, deadline=remaining, cancel=req.token,
-            retry=kernel_retry, degrade=policy.degrade, spill=spill,
+            retry=kernel_retry,
         )
         try:
             with backends.backend(be_name), ctx:

@@ -88,7 +88,8 @@ class TestConfig:
 
 class TestAdmitBlocks:
     def test_numpy_blocks_need_a_builtin_ufunc_semiring(self):
-        from repro.graphblas.semiring import semiring
+        from repro.graphblas.monoid import monoid
+        from repro.graphblas.semiring import make_semiring, semiring
         from repro.graphblas.types import FP64, INT64
 
         engine.set_engine(True, workers=4)
@@ -98,8 +99,11 @@ class TestAdmitBlocks:
                                        *numpy_semiring)
 
         assert admit(semiring("PLUS_TIMES"), FP64) == 4
-        assert admit(semiring("ANY_SECONDI"), INT64) == 1  # positional
+        assert admit(semiring("ANY_SECONDI"), INT64) == 4  # positional
         assert admit() == 4  # compiled blocks pass no semiring
+        _, times = capi.GrB_BinaryOp_new(lambda x, y: x * y)
+        user = make_semiring(monoid("PLUS"), times)
+        assert admit(user, FP64) == 1  # a Python callback stays serial
 
     def test_serial_below_threshold_or_when_switched_off(self):
         engine.set_engine(True, workers=4)
@@ -222,6 +226,36 @@ class TestParallelParity:
             ops.mxv(w, A, u, "PLUS_TIMES", method="pull")
             return w.extract_tuples()
 
+        _same_on_each_tier(run, PARALLEL, SERIAL)
+
+    @pytest.mark.parametrize("sr,dtype", [
+        ("PLUS_FIRSTI", np.float64),  # positional multiplies
+        ("MIN_SECONDI", np.float64),
+        ("LXOR_LAND", bool),          # builtin ops with no NumPy ufunc
+    ])
+    def test_numpy_blocks_bit_identical_for_builtin_classes(
+            self, sr, dtype, monkeypatch):
+        A, B = _mats(n=150, density=0.15, dtype=dtype)
+        u = random_vector(150, 0.6, dtype=dtype, seed=6)
+        out_t = planning.resolve_semiring(sr).out_type(A.dtype, B.dtype)
+        monkeypatch.setattr(engine, "MIN_PARALLEL_FLOPS", 1)
+        monkeypatch.setattr(engine, "MIN_PARALLEL_ENTRIES", 1)
+
+        def run():
+            C = Matrix(out_t, 150, 150)
+            ops.mxm(C, A, B, sr, method="gustavson")
+            w = Vector(out_t, 150)
+            ops.mxv(w, A, u, sr, method="pull")
+            return (*C.extract_tuples(), *w.extract_tuples())
+
+        blocks = []
+        real = engine.run_blocks
+        monkeypatch.setattr(engine, "run_blocks", lambda fn, tasks, workers: (
+            blocks.append(len(tasks)) or real(fn, tasks, workers)))
+        with kernel_tier("numpy"):
+            engine.set_engine(**PARALLEL)
+            run()
+        assert len(blocks) == 2 and min(blocks) > 1  # mxm and mxv fanned out
         _same_on_each_tier(run, PARALLEL, SERIAL)
 
     def test_parallel_blocks_recorded_in_telemetry(self, monkeypatch):

@@ -130,18 +130,3 @@ class TestExplainOverBudget:
         text = str(rep)
         assert "tiled" in text
         assert rep.result.nvals > 0
-
-    def test_degraded_route_visible(self):
-        A, B = small_mats()
-
-        def run():
-            C = Matrix(FP64, 3, 3)
-            with capi.GxB_Context_new(memory_budget=1, spill=False,
-                                      degrade=True):
-                ops.mxm(C, A, B, "plus_times")
-            return C
-
-        rep = obs.explain(run)
-        (r0,) = [r for r in rep.records if r["op"] == "mxm"]
-        assert r0["route"] == "degraded"
-        assert r0["admission"] == "degraded"

@@ -68,7 +68,7 @@ class TestEngineUnderBudget:
         A, B = AB
         C = Matrix("FP64", 30, 30)
         snaps = [deep_state(o) for o in (A, B, C)]
-        with governor.ExecutionContext(memory_budget=1, degrade=False) as ctx:
+        with governor.ExecutionContext(memory_budget=1, spill=False) as ctx:
             with pytest.raises(BudgetExceeded):
                 ops.mxm(C, A, B, "PLUS_TIMES")
         assert ctx.stats["rejected"] == 1
@@ -99,7 +99,7 @@ class TestEngineUnderBudget:
         A, B = AB
         engine.set_engine(False)
         C = Matrix("FP64", 30, 30)
-        with governor.ExecutionContext(memory_budget=1, degrade=False):
+        with governor.ExecutionContext(memory_budget=1, spill=False):
             with pytest.raises(BudgetExceeded):
                 ops.mxm(C, A, B, "PLUS_TIMES")
 
@@ -114,7 +114,7 @@ class TestEngineUnderBudget:
         u.wait()
         snap = deep_state(A)
         w = Vector("FP64", 30)
-        with governor.ExecutionContext(memory_budget=1, degrade=False):
+        with governor.ExecutionContext(memory_budget=1, spill=False):
             with pytest.raises(BudgetExceeded):
                 ops.mxv(w, A, u, "PLUS_TIMES", method="pull")
         assert_same_state(A, snap)

@@ -1,4 +1,4 @@
-"""Execution governor: budgets, deadlines, cancellation, retry, degrade.
+"""Execution governor: budgets, deadlines, cancellation, retry.
 
 The acceptance property under test: a budget-rejected operation raises a
 *typed* error (and the matching ``GxB_*`` code at the C-API boundary)
@@ -50,7 +50,7 @@ class TestBudget:
         A, B = AB
         C = Matrix("FP64", 20, 20)
         snaps = [deep_state(o) for o in (C, A, B)]
-        with governor.ExecutionContext(memory_budget=1, degrade=False) as ctx:
+        with governor.ExecutionContext(memory_budget=1, spill=False) as ctx:
             with pytest.raises(BudgetExceeded):
                 ops.mxm(C, A, B, "PLUS_TIMES")
         assert ctx.stats["rejected"] == 1
@@ -62,7 +62,7 @@ class TestBudget:
     def test_rejected_mxm_capi_code(self, AB):
         A, B = AB
         C = Matrix("FP64", 20, 20)
-        with capi.GxB_Context_new(memory_budget=1, degrade=False):
+        with capi.GxB_Context_new(memory_budget=1, spill=False):
             info = capi.GrB_mxm(C, None, None, "PLUS_TIMES", A, B)
         assert info == capi.GxB_BUDGET_EXCEEDED == Info.BUDGET_EXCEEDED
         assert "budget" in capi.GrB_error()
@@ -85,29 +85,21 @@ class TestBudget:
             ops.mxm(C, A, B, "PLUS_TIMES")
         assert ctx.stats["admitted"] >= 1
 
-    def test_degrades_to_reference_backend(self, AB):
-        from repro.graphblas.backends import backend as backend_scope
-
+    def test_non_tileable_over_budget_rejects_even_with_spill(self, AB):
+        """Over budget has two answers, tiled or refused: an ewise_add
+        cannot tile, so it is refused before any output allocation."""
         A, B = AB
-        expected = Matrix("FP64", 20, 20)
-        with backend_scope("reference"):
-            ops.mxm(expected, A, B, "PLUS_TIMES")
         C = Matrix("FP64", 20, 20)
-        with telemetry.collect() as col:
-            with governor.ExecutionContext(
-                memory_budget=1, degrade_backends=("reference",),
-                spill=False,  # force the degrade route, not tiled spill
-            ) as ctx:
-                ops.mxm(C, A, B, "PLUS_TIMES")
-        assert ctx.stats["degraded"] >= 1
-        assert C.isequal(expected)
-        snap = col.snapshot()
-        assert snap["governor"]["degrade"] >= 1
+        with governor.ExecutionContext(memory_budget=1, spill=True) as ctx:
+            with pytest.raises(BudgetExceeded, match="not tileable"):
+                ops.ewise_add(C, A, B, "PLUS")
+        assert (ctx.stats["rejected"], ctx.stats["tiled"]) == (1, 0)
+        assert C.nvals == 0
 
     def test_degrade_disabled_rejects(self, AB):
         A, B = AB
         C = Matrix("FP64", 20, 20)
-        with governor.ExecutionContext(memory_budget=1, degrade=False):
+        with governor.ExecutionContext(memory_budget=1, spill=False):
             with pytest.raises(BudgetExceeded):
                 ops.mxm(C, A, B, "PLUS_TIMES")
 
@@ -298,7 +290,7 @@ class TestContext:
     def test_innermost_context_governs(self, AB):
         A, B = AB
         C = Matrix("FP64", 20, 20)
-        with governor.ExecutionContext(memory_budget=1, degrade=False):
+        with governor.ExecutionContext(memory_budget=1, spill=False):
             with governor.ExecutionContext() as inner:  # unlimited
                 ops.mxm(C, A, B, "PLUS_TIMES")
             assert inner.stats["admitted"] >= 1

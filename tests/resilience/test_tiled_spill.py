@@ -604,7 +604,10 @@ class TestParallelFanOut:
                 with tiled.SpillPool(budget=1 << 30,
                                      directory=tmp_path) as pool:
                     M_t = tiled.TiledMatrix.from_matrix(M, 64, pool)
-                    got = tiled.mxm_tiled(M_t, M_t, "PLUS_TIMES").to_matrix()
+                    # unchunked: a governing context's budget must not
+                    # split the heavy stripe below the fan-out threshold
+                    got = tiled.mxm_tiled(M_t, M_t, "PLUS_TIMES",
+                                          chunk_bytes=1 << 30).to_matrix()
                 assert bool(calls) is fans_out
                 _bits_equal(got.extract_tuples(), expected.extract_tuples())
         finally:
@@ -646,28 +649,25 @@ class TestConfig:
         monkeypatch.setenv("GRAPHBLAS_SPILL", "off")
         A, B = AB
         C = Matrix("FP64", 20, 20)
-        with governor.ExecutionContext(memory_budget=1, degrade=False):
-            with pytest.raises(BudgetExceeded):
+        with governor.ExecutionContext(memory_budget=1):  # the switch decides
+            with pytest.raises(BudgetExceeded, match="tiled spill disabled"):
                 ops.mxm(C, A, B, "PLUS_TIMES")
 
     def test_budget_exceeded_message_is_actionable(self, AB):
         A, B = AB
         C = Matrix("FP64", 20, 20)
-        with governor.ExecutionContext(memory_budget=1, degrade=False):
+        with governor.ExecutionContext(memory_budget=1, spill=False):
             with pytest.raises(BudgetExceeded) as exc:
                 ops.mxm(C, A, B, "PLUS_TIMES")
         msg = str(exc.value)
         assert "budget" in msg and "1 B" in msg
         assert "exceeds" in msg and " by " in msg  # estimated vs available
         assert "tiled spill disabled" in msg
-        assert "degrade disabled" in msg
 
     def test_context_spill_false_without_degrade_backends_rejects(self, AB):
         A, B = AB
         C = Matrix("FP64", 20, 20)
-        with governor.ExecutionContext(
-            memory_budget=1, spill=False, degrade_backends=()
-        ) as ctx:
+        with governor.ExecutionContext(memory_budget=1, spill=False) as ctx:
             with pytest.raises(BudgetExceeded):
                 ops.mxm(C, A, B, "PLUS_TIMES")
         assert ctx.stats["rejected"] == 1

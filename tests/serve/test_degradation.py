@@ -8,7 +8,8 @@ import time
 import pytest
 
 from repro import obs
-from repro.graphblas import backends, engine, faults, governor
+from repro.graphblas import Matrix, backends, engine, faults
+from repro.graphblas import operations as ops
 from repro.graphblas.errors import BudgetExceeded, OutOfMemory
 from repro.lagraph import bfs
 from repro.serve import (
@@ -185,32 +186,45 @@ class TestServeRetries:
             assert t.outcome == "ok"
             assert counter_total("serve_retries_total") > before
 
-    def test_budget_exceeded_retries_with_spill_forced(self, edges):
+    def test_budget_refusals_are_the_callers_not_the_backends(self, edges):
+        """An over-budget op is refused once per query: no re-run, no
+        failover, no breaker failure, so one tenant's refusals leave the
+        server healthy for everyone else."""
         n, src, dst = edges
-        seen = {"spill": [], "calls": 0}
+        entered = []
 
-        def budgety(g):
-            ctx = governor.current()
-            seen["spill"].append(None if ctx is None else ctx.spill)
-            seen["calls"] += 1
-            if seen["calls"] == 1:
-                raise BudgetExceeded("estimated over budget")
-            return "served"
+        def one_ewise_add(g):
+            entered.append(1)
+            C = Matrix(g.A.dtype, g.A.nrows, g.A.ncols)
+            ops.ewise_add(C, g.A, g.A, "PLUS")
+            return C
 
-        register_algorithm("budgety", budgety)
+        register_algorithm("one_ewise_add", one_ewise_add)
         try:
             with GraphServer(workers=1, deadline_s=None,
                              base_delay_s=0.0, max_delay_s=0.0) as srv:
                 srv.add_graph("g", n=n)
                 srv.ingest("g", src, dst)
                 srv.publish("g")
-                t = srv.submit("budgety", graph="g")
-                assert t.result(30) == "served"
-                assert t.retries == 1
-            # the retry forced the governor's tiled spill path on
-            assert seen["spill"] == [None, True]
+                srv.register_tenant("tight", memory_budget=1024)
+                for _ in range(6):
+                    entered.clear()
+                    t = srv.submit("one_ewise_add", graph="g", tenant="tight")
+                    with pytest.raises(BudgetExceeded):
+                        t.result(30)
+                    assert t.outcome == "budget"
+                    assert len(entered) == 1
+                    assert (t.retries, t.failovers) == (0, 0)
+                breakers = srv.stats()["breakers"]
+                assert {b["state"] for b in breakers.values()} == {"closed"}
+                assert all(b["failures_total"] == 0 for b in breakers.values())
+                expected = bfs(0, srv.snapshot("g"))[0]
+                t = srv.submit("bfs", graph="g", source=0)
+                assert t.result(30).isequal(expected)
+                assert t.tier == "full"
+                assert srv.health()["status"] == "running"
         finally:
-            ALGORITHMS.pop("budgety", None)
+            ALGORITHMS.pop("one_ewise_add", None)
 
     @pytest.fixture
     def served(self, edges):
