@@ -145,6 +145,7 @@ def run_speedup(scale: int, edge_factor: int, windows: int, batch: int,
     stream = GraphStream(n, kind=GraphKind.UNDIRECTED, window="tumbling",
                          width=1.0)
     pr = DynamicPageRank(stream.graph, tol=pr_tol)
+    max_gap = 2 * pr_tol / (1 - pr.damping)  # the parity contract
     cc = IncrementalComponents(stream.graph)
     tri = IncrementalTriangles(stream.graph)
     per_window = []
@@ -168,7 +169,8 @@ def run_speedup(scale: int, edge_factor: int, windows: int, batch: int,
 
         oracle = Graph(stream.graph.A.dup(), stream.graph.kind)
         t0 = time.perf_counter()
-        full_pr, _ = pagerank(oracle, tol=pr_tol)
+        # converged oracle: the default 100 iterations stop near 0.85**100
+        full_pr, _ = pagerank(oracle, tol=pr_tol, max_iters=1000)
         f_pr = time.perf_counter() - t0
         t0 = time.perf_counter()
         full_cc = connected_components(oracle)
@@ -178,7 +180,7 @@ def run_speedup(scale: int, edge_factor: int, windows: int, batch: int,
         f_tri = time.perf_counter() - t0
 
         gap = float(np.abs(full_pr.to_dense(0.0) - ranks).sum())
-        assert gap < 1e-6, f"window {win.index}: pagerank gap {gap}"
+        assert gap < max_gap, f"window {win.index}: pagerank gap {gap}"
         assert np.array_equal(labels, full_cc.to_dense()), (
             f"window {win.index}: component labels diverge"
         )
@@ -225,6 +227,7 @@ def run_speedup(scale: int, edge_factor: int, windows: int, batch: int,
                            ("pagerank", "components", "triangles",
                             "combined")},
         "max_pr_gap_l1": max(w["pr_gap_l1"] for w in per_window),
+        "pr_sweeps": sum(w["pr_sweeps"] for w in per_window),
         "parity_windows": len(per_window),
     }
     return {"summary": summary, "per_window": per_window}
@@ -260,6 +263,7 @@ def main(argv=None) -> dict:
         "budget_bytes": budget,
         "chunk_budget": args.chunk_budget,
         "chunk_budget_bytes": chunk_budget,
+        "pr_tol": args.pr_tol,
     }
 
     results["bounded"] = b = run_bounded(
@@ -290,7 +294,8 @@ def main(argv=None) -> dict:
         f"median speedup pagerank {med['pagerank']:.1f}x, components "
         f"{med['components']:.1f}x, triangles {med['triangles']:.1f}x, "
         f"combined {med['combined']:.1f}x "
-        f"(max PR L1 gap {summary['max_pr_gap_l1']:.2e})"
+        f"(max PR L1 gap {summary['max_pr_gap_l1']:.2e}, "
+        f"{summary['pr_sweeps']} PR sweeps)"
     )
     assert med["combined"] >= args.min_speedup, (
         f"median combined speedup {med['combined']:.2f}x below "

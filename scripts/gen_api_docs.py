@@ -699,11 +699,14 @@ matrix via `as_matrix()`.
   oracle) when the chain is broken or the delta violates its
   assumptions, counting `recomputes`:
   * `DynamicPageRank(graph, damping=, tol=)` — carries ranks *and* the
-    L1 residual across windows; a window adjusts the residual only at
-    vertices whose out-links changed, then runs batched
-    Gauss–Southwell push sweeps until `‖r‖₁ ≤ tol`.  Parity contract:
-    `‖p − p*‖₁ ≤ 2·tol/(1−damping)` against the from-scratch
-    `pagerank` (which also accepts `init=` for plain warm restarts).
+    residual across windows; a window adjusts the residual only at
+    vertices whose out-links changed, then, while `‖r‖₁ > tol`, runs
+    Jacobi sweeps — each one gather + `bincount` over the graph's
+    edge list (built only if a sweep is needed), with dangling mass
+    as one scalar — so a window costs O(delta) plus O(e) per sweep.
+    Parity contract: `‖p − p*‖₁ ≤ 2·tol/(1−damping)` against a
+    converged from-scratch `pagerank` (which also accepts `init=` for
+    plain warm restarts).
   * `IncrementalComponents(graph)` — insertions can only merge
     components, so labels advance via a min-label union-find
     (`components.merge_labels`); windows with physical deletions
@@ -728,7 +731,7 @@ from repro.stream import (GraphStream, DynamicPageRank,
 st = GraphStream(n, window="sliding", width=60.0)
 pr, cc = DynamicPageRank(st.graph), IncrementalComponents(st.graph)
 for win in st.ingest(src, dst, timestamps):
-    ranks, sweeps = pr.update()          # O(delta) residual push
+    ranks, sweeps = pr.update()          # residual adjust + sweeps
     labels = cc.update()                 # union-find or FastSV fallback
     print(win.index, win.edges_per_s, len(win.deltas))
 ```

@@ -120,9 +120,9 @@ def ragged_take(
 ) -> np.ndarray:
     """Concatenate ``arr[starts[k] : starts[k] + counts[k]]`` for every k.
 
-    The vectorized gather behind delta-restricted kernels (push sweeps,
-    per-window wedge counting): one arange plus one repeat instead of a
-    Python loop over slices.
+    The vectorized gather behind delta-restricted kernels (PageRank
+    residual adjustment, per-window wedge counting): one arange plus one
+    repeat instead of a Python loop over slices.
     """
     counts = np.asarray(counts, dtype=_INDEX)
     total = int(counts.sum())

@@ -38,7 +38,10 @@ def merge_labels(labels: np.ndarray, us, vs) -> np.ndarray:
     merge components, so instead of re-running the O(e) hooking rounds we
     union the touched labels (min label becomes the root, preserving the
     min-vertex-id invariant) and relabel through the union-find roots.
-    O(delta * alpha + L) where L is the number of distinct labels.
+    ``labels`` must be such a labeling: every label is a vertex id in
+    ``[0, labels.size)``.  Only the labels the union-find touched change,
+    so the Python work is O(delta * alpha) and the relabel is one
+    vectorised gather through an identity lookup table patched at them.
     Deletions can split components and are not handled here — callers
     fall back to :func:`connected_components`.
     """
@@ -56,7 +59,6 @@ def merge_labels(labels: np.ndarray, us, vs) -> np.ndarray:
             parent[x], x = root, parent[x]
         return root
 
-    changed = False
     for a, b in zip(labels[us].tolist(), labels[vs].tolist()):
         ra, rb = find(a), find(b)
         if ra != rb:
@@ -64,15 +66,12 @@ def merge_labels(labels: np.ndarray, us, vs) -> np.ndarray:
                 parent[rb] = ra
             else:
                 parent[ra] = rb
-            changed = True
-    if not changed:
+    if not parent:
         return labels
-    # vectorized relabel: map each distinct label through its union root
-    uniq, inv = np.unique(labels, return_inverse=True)
-    roots = np.fromiter(
-        (find(int(x)) for x in uniq), dtype=labels.dtype, count=uniq.size
-    )
-    return roots[inv]
+    lut = np.arange(labels.size, dtype=labels.dtype)
+    merged = list(parent)
+    lut[merged] = [find(x) for x in merged]
+    return lut[labels]
 
 
 def _symmetric_structure(graph: Graph) -> Matrix:

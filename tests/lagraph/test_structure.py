@@ -21,6 +21,7 @@ from repro.lagraph import (
     triangle_counts_per_vertex,
     trussness,
 )
+from repro.lagraph.components import merge_labels
 
 
 def und_pair(n=40, p=0.12, seed=1):
@@ -144,6 +145,22 @@ class TestComponents:
     def test_path_is_one_component(self):
         g = path_graph(30)
         assert component_sizes(connected_components(g)) == {0: 30}
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_merge_labels_matches_recompute_on_union_graph(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        us = rng.integers(0, n, 40)
+        vs = rng.integers(0, n, 40)
+        labels = connected_components(
+            Graph.from_edges(us, vs, n=n, kind="undirected")
+        ).to_dense()
+        for size in (0, 1, 5, 30):
+            bu, bv = rng.integers(0, n, size), rng.integers(0, n, size)
+            labels = merge_labels(labels, bu, bv)
+            us, vs = np.concatenate([us, bu]), np.concatenate([vs, bv])
+            union = Graph.from_edges(us, vs, n=n, kind="undirected")
+            assert np.array_equal(labels, connected_components(union).to_dense())
 
 
 def brute_noninduced(G_nx):

@@ -20,7 +20,9 @@ from repro.stream import (
 )
 
 PR_TOL = 1e-10
-PR_GAP = 1e-6  # >> 2 * tol / (1 - damping)
+DAMPING = 0.85
+PR_GAP = 2 * PR_TOL / (1 - DAMPING)  # the parity contract
+CERT_SLACK = 1e-13  # fp rounding when re-deriving the residual
 
 
 def _stream(window, seed=7, n=120, m=1500, t_hi=8.0, width=1.0):
@@ -46,6 +48,24 @@ def _oracle(graph):
     return Graph(graph.A.dup(), graph.kind)
 
 
+def _full_pagerank(g):
+    """From-scratch ranks converged to PR_TOL (0.85**100 cannot reach it)."""
+    full, _ = pagerank(g, tol=PR_TOL, max_iters=1000)
+    return full.to_dense(0.0)
+
+
+def _residual_l1(g, p, damping=DAMPING):
+    """||b + d * P^T p - p||_1 re-derived from the graph's tuples."""
+    n = g.n
+    rows, cols, _ = g.A.extract_tuples()
+    deg = np.bincount(rows, minlength=n).astype(np.float64)
+    pod = np.where(deg > 0, p / np.maximum(deg, 1), 0.0)
+    pushed = np.bincount(cols, weights=pod[rows], minlength=n)
+    dangling = float(p[deg == 0].sum())
+    r = (1 - damping) / n + damping * (pushed + dangling / n) - p
+    return float(np.abs(r).sum())
+
+
 @pytest.mark.parametrize("window", ["tumbling", "sliding"])
 def test_all_maintainers_parity_every_window(window):
     st, src, dst, ts, m = _stream(window)
@@ -59,8 +79,7 @@ def test_all_maintainers_parity_every_window(window):
         labels = cc.update()
         count = tri.update()
         g = _oracle(st.graph)
-        full, _ = pagerank(g, tol=PR_TOL)
-        gap = float(np.abs(full.to_dense(0.0) - ranks).sum())
+        gap = float(np.abs(_full_pagerank(g) - ranks).sum())
         assert gap < PR_GAP, (win.index, gap)
         assert np.array_equal(labels, connected_components(g).to_dense())
         assert count == triangle_count(g)
@@ -117,8 +136,7 @@ def test_bulk_mutation_breaks_chain_and_recomputes():
         b + 1 for b in before
     )
     g = _oracle(st.graph)
-    full, _ = pagerank(g, tol=PR_TOL)
-    assert float(np.abs(full.to_dense(0.0) - ranks).sum()) < PR_GAP
+    assert float(np.abs(_full_pagerank(g) - ranks).sum()) < PR_GAP
     assert np.array_equal(labels, connected_components(g).to_dense())
     assert count == triangle_count(g)
 
@@ -140,8 +158,7 @@ def test_pagerank_handles_danglings_and_isolates():
     win = st.flush()
     assert win is not None
     ranks, _ = pr.update()
-    full, _ = pagerank(_oracle(st.graph), tol=PR_TOL)
-    assert float(np.abs(full.to_dense(0.0) - ranks).sum()) < PR_GAP
+    assert float(np.abs(_full_pagerank(_oracle(st.graph)) - ranks).sum()) < PR_GAP
 
 
 def test_maintainers_survive_multi_window_chains():
@@ -157,9 +174,47 @@ def test_maintainers_survive_multi_window_chains():
             ranks, _ = pr.update()
             count = tri.update()
             g = _oracle(st.graph)
-            full, _ = pagerank(g, tol=PR_TOL)
-            assert float(np.abs(full.to_dense(0.0) - ranks).sum()) < PR_GAP
+            assert float(np.abs(_full_pagerank(g) - ranks).sum()) < PR_GAP
             assert count == triangle_count(g)
 
     _drive(st, src, dst, ts, m, on_window)
     assert pr.windows >= 2
+
+
+@pytest.mark.parametrize("window,every", [("tumbling", 1), ("sliding", 1),
+                                          ("sliding", 3)])
+def test_pagerank_residual_certificate_every_update(window, every):
+    """The carried residual is the true one: no oracle, just b + dP^T p - p
+    re-derived on a fresh copy of the graph after every update."""
+    st, src, dst, ts, m = _stream(window, width=1.5)
+    pr = DynamicPageRank(st.graph, tol=PR_TOL)
+    seen = []
+
+    def on_window(win):
+        seen.append(win)
+        if len(seen) % every == 0:
+            ranks, _ = pr.update()
+            cert = _residual_l1(_oracle(st.graph), ranks)
+            assert cert <= PR_TOL + CERT_SLACK, (win.index, cert)
+
+    _drive(st, src, dst, ts, m, on_window)
+    assert pr.windows >= 2
+
+
+def test_pagerank_failure_path_restarts_once_then_recovers():
+    st, src, dst, ts, m = _stream("tumbling")
+    pr = DynamicPageRank(st.graph, tol=PR_TOL)
+    _drive(st, src[:750], dst[:750], ts[:750], 750, lambda w: pr.update())
+    assert pr.recomputes == 0
+    st.ingest(src[750:], dst[750:], ts[750:])
+    st.flush()
+    pr.max_sweeps = 2
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        pr.update()
+    assert pr.recomputes == 1  # exactly one from-scratch restart
+    pr.max_sweeps = 1000
+    ranks, sweeps = pr.update()
+    assert sweeps > 0
+    g = _oracle(st.graph)
+    assert float(np.abs(_full_pagerank(g) - ranks).sum()) < PR_GAP
+    assert _residual_l1(g, ranks) <= PR_TOL + CERT_SLACK
