@@ -9,7 +9,7 @@ This bench quantifies that layer two ways:
   the difference is the plan+dispatch cost per call;
 * **macro** — a realistic Table-I workload per backend, demonstrating
   that the optimized engine's end-to-end timings are unchanged and
-  showing what the reference/scipy/differential engines cost instead.
+  showing what the reference/differential engines cost instead.
 """
 
 import numpy as np
@@ -91,9 +91,9 @@ def test_backend_macro_comparison(workload):
         "Table-I workload per backend",
         ["backend", "n=128 (all engines) s", "n=1500 s"],
     )
-    for name in ("optimized", "scipy", "differential", "reference"):
+    for name in ("optimized", "differential", "reference"):
         t_small = wall(suite, name, small_A, small_B, small_u, repeat=3)
-        if name in ("optimized", "scipy"):
+        if name == "optimized":
             t_big = f"{wall(suite, name, A, B, u, repeat=3):.4f}"
         else:
             t_big = "(dense replay: small shapes only)"

@@ -1,5 +1,5 @@
 """Serving-layer chaos benchmark: goodput, latency, and zero wrong
-results under fault injection, overload, and backend failure.
+results under fault injection, overload, and a persistent kernel fault.
 
 Standalone (argparse, not pytest) so CI and developers can run it at any
 scale and get a machine-readable JSON verdict:
@@ -27,19 +27,15 @@ Four phases over one published RMAT snapshot:
   request still returns the exact answer — and runs no slower for the
   queue being full (``overload.exec_p50_ms`` against the fault-free
   ``exec_p50_ms``).
-* **breaker** — a deliberately broken primary backend: queries must
-  transparently fail over (correct answers throughout), the breaker
-  must trip open, and after the backend heals half-open probes must
-  restore it.
+* **persistent fault** — every ``mxv.push`` kernel raises
+  ``OutOfMemory``: each bfs must end ``failed`` after exactly
+  ``attempts`` kernel runs, in milliseconds, and once the fault lifts
+  the next queries must be exact again (nothing outlives a failure).
 
 Peak RSS (VmHWM delta over the fault-free + chaos serving phases) must
 stay within ``--budget * --rss-factor``; every request runs under a
-per-request governor context carrying that budget.  The serving fallback
-chain is ``("scipy", "reference")`` — sparse first — because the dense
-reference backend materializes n-squared intermediates (512 MiB at
-scale 13), which is exactly what a production large-graph deployment
-would avoid; the overload and breaker phases that deliberately drive
-the server into degraded regimes run after the RSS envelope is read.
+per-request governor context carrying that budget.  The overload and
+persistent-fault phases run after the RSS envelope is read.
 """
 
 from __future__ import annotations
@@ -138,7 +134,7 @@ def run_phase(server, draw, expected, queries, tenants, clients):
     import numpy as np
 
     lock = threading.Lock()
-    stats = {"ok": 0, "wrong": 0, "failed": 0, "retries": 0, "failovers": 0}
+    stats = {"ok": 0, "wrong": 0, "failed": 0, "retries": 0}
     exec_ms, e2e_ms, wait_ms = [], [], []
     remaining = [queries]  # shared work counter: no per-client stragglers
 
@@ -161,7 +157,6 @@ def run_phase(server, draw, expected, queries, tenants, clients):
             with lock:
                 stats["ok" if ok else "wrong"] += 1
                 stats["retries"] += t.retries
-                stats["failovers"] += t.failovers
                 exec_ms.append(t.exec_s * 1e3)
                 e2e_ms.append((t.t_done - t.t_submit) * 1e3)
                 wait_ms.append(t.queue_wait_s * 1e3)
@@ -224,8 +219,7 @@ def run_overload(n, src, dst, expected, sources, queries, budget) -> dict:
     from repro.serve import GraphServer, Overloaded
 
     with GraphServer(workers=2, queue_depth=32, deadline_s=None,
-                     memory_budget=budget,
-                     fallbacks=("scipy", "reference")) as srv:
+                     memory_budget=budget) as srv:
         _serve_graph(srv, n, src, dst)
         tickets, shed_reasons = [], {}
         t0 = time.perf_counter()
@@ -258,67 +252,40 @@ def run_overload(n, src, dst, expected, sources, queries, budget) -> dict:
         }
 
 
-def run_breaker(n, src, dst, expected, sources, budget) -> dict:
-    """A broken primary backend: transparent fallback, breaker trip,
-    half-open recovery once it heals."""
-    from repro.graphblas import backends
+def run_persistent_fault(n, src, dst, expected, sources, budget) -> dict:
+    """Every ``mxv.push`` raises: each bfs fails after ``attempts`` kernel
+    runs, and the first queries after the fault lifts are exact."""
+    from repro.graphblas import faults
     from repro.graphblas.errors import OutOfMemory
-    from repro.graphblas.plan import TABLE1_OPS
     from repro.serve import GraphServer
 
-    state = {"broken": True}
-
-    class ChaosBackend(backends.KernelBackend):
-        name = "chaos"
-        fallback = None
-
-        def __init__(self):
-            inner = backends.get_backend("optimized")
-            for op in TABLE1_OPS:
-                setattr(self, op, self._wrap(getattr(inner, op)))
-
-        @staticmethod
-        def _wrap(inner_op):
-            def call(plan):
-                if state["broken"]:
-                    raise OutOfMemory("chaos backend down")
-                return inner_op(plan)
-            return call
-
-    backends.register_backend("chaos", ChaosBackend, replace=True)
-    with GraphServer(workers=2, deadline_s=None, memory_budget=budget,
-                     backend="chaos", fallbacks=("scipy", "reference"),
-                     attempts=1, breaker_threshold=3, breaker_reset_s=0.2,
-                     breaker_probes=2) as srv:
+    with GraphServer(workers=2, deadline_s=None,
+                     memory_budget=budget) as srv:
         _serve_graph(srv, n, src, dst)
-        wrong = fell_back = 0
-        for i in range(10):  # broken phase: every query fails over
-            t = srv.submit("bfs", graph="g",
-                           source=int(sources[i % len(sources)]))
-            if not check(t.result(300), expected[("bfs", t.params["source"])]):
-                wrong += 1
-            if t.backend != "chaos":
-                fell_back += 1
-        tripped = srv.stats()["breakers"]["chaos"]["state"] == "open"
-        state["broken"] = False
-        time.sleep(0.3)  # past the reset timeout: half-open probing
-        restored = 0
+        failed, runs, fail_ms = 0, [], []
+        for i in range(10):
+            with faults.inject("mxv.push", OutOfMemory, probability=1.0,
+                               max_fires=None) as plan:
+                t = srv.submit("bfs", graph="g",
+                               source=int(sources[i % len(sources)]))
+                t.wait(300)
+            failed += t.outcome == "failed"
+            runs.append(plan.calls)
+            fail_ms.append((t.t_done - t.t_submit) * 1e3)
+        wrong = 0
         for i in range(8):
             t = srv.submit("bfs", graph="g",
                            source=int(sources[i % len(sources)]))
             if not check(t.result(300), expected[("bfs", t.params["source"])]):
                 wrong += 1
-            if t.backend == "chaos":
-                restored += 1
-        snap = srv.stats()["breakers"]["chaos"]
         return {
+            "queries": len(runs),
+            "failed": failed,
+            "attempts": srv.config.attempts,
+            "max_kernel_runs": max(runs),
+            "fail_p50_ms": float(sorted(fail_ms)[len(fail_ms) // 2]),
+            "fail_max_ms": max(fail_ms),
             "wrong": wrong,
-            "fell_back": fell_back,
-            "tripped": bool(tripped),
-            "opened_total": snap["opened_total"],
-            "probes_total": snap["probes_total"],
-            "restored_queries": restored,
-            "closed_after_recovery": snap["state"] == "closed",
         }
 
 
@@ -386,8 +353,7 @@ def main(argv=None) -> dict:
     }
 
     with GraphServer(workers=args.workers, queue_depth=256,
-                     deadline_s=None, memory_budget=budget,
-                     fallbacks=("scipy", "reference")) as srv:
+                     deadline_s=None, memory_budget=budget) as srv:
         _serve_graph(srv, n, src, dst)
         snapshot = srv.snapshot("g")
         rng = np.random.default_rng(17)
@@ -438,11 +404,10 @@ def main(argv=None) -> dict:
         results["server"] = {
             "outcomes": serve_stats["outcomes"],
             "admitted": serve_stats["admitted"],
-            "breakers": serve_stats["breakers"],
         }
         # the RSS envelope covers the 10k-query goodput phases; the
-        # overload/breaker phases below intentionally enter degraded
-        # regimes (VmHWM is monotonic, so read it here)
+        # overload/persistent-fault phases below intentionally enter
+        # degraded regimes (VmHWM is monotonic, so read it here)
         goodput_peak_rss = peak_rss_bytes()
 
     results["overload"] = ov = run_overload(
@@ -451,11 +416,12 @@ def main(argv=None) -> dict:
           f"{ov['submitted']} burst-submitted ({ov['shed_reasons']}), "
           f"{ov['wrong']} wrong")
 
-    results["breaker"] = br = run_breaker(
+    results["persistent_fault"] = pf = run_persistent_fault(
         n, src, dst, expected, sources, budget)
-    print(f"breaker: tripped={br['tripped']}, {br['fell_back']} fallbacks, "
-          f"{br['probes_total']} probes, "
-          f"recovered={br['closed_after_recovery']}, {br['wrong']} wrong")
+    print(f"persistent fault: {pf['failed']}/{pf['queries']} failed after "
+          f"<= {pf['max_kernel_runs']} kernel runs "
+          f"(p50 {pf['fail_p50_ms']:.1f} ms, max {pf['fail_max_ms']:.1f} ms), "
+          f"{pf['wrong']} wrong once lifted")
 
     rss_delta = goodput_peak_rss - baseline_rss
     results["rss"] = {
@@ -469,7 +435,7 @@ def main(argv=None) -> dict:
           f"{budget * args.rss_factor / (1 << 20):.0f} MiB: "
           f"{'WITHIN' if results['rss']['within'] else 'OVER'}")
 
-    wrong_total = ff["wrong"] + ch["wrong"] + ov["wrong"] + br["wrong"]
+    wrong_total = ff["wrong"] + ch["wrong"] + ov["wrong"] + pf["wrong"]
     results["wrong_total"] = wrong_total
 
     # the artifact is written before the verdict so a failing run still
@@ -484,8 +450,9 @@ def main(argv=None) -> dict:
         f"chaos goodput {ratio:.1%} below {args.min_goodput:.0%} floor"
     )
     assert ov["queue_bounded"], "overload burst never shed"
-    assert br["tripped"] and br["closed_after_recovery"], (
-        "breaker did not trip and recover"
+    assert pf["failed"] == pf["queries"], "a persistent fault was answered"
+    assert pf["max_kernel_runs"] <= pf["attempts"], (
+        f"{pf['max_kernel_runs']} kernel runs for {pf['attempts']} attempts"
     )
     assert results["rss"]["within"], "peak RSS exceeded the envelope"
     return results

@@ -126,13 +126,10 @@ Two supporting subsystems make this testable:
 Above the C-API boundary, the serving layer (`repro.serve`) extends the
 same taxonomy to multi-tenant operation: admission **shedding** raises
 `Overloaded` (a typed rejection with a machine-readable `reason`, never
-an unbounded queue), repeated backend failures trip a per-backend
-**circuit breaker** that routes queries to the reference/scipy fallback
-chain (half-open probes restore the primary), and a query that exhausts
-retries and every fallback surfaces as `QueryFailed` with the last
-execution error as `__cause__`.  Caller errors (`InvalidValue`,
-`DeadlineExceeded`, `Cancelled`) stay terminal and are never retried.
-See the "Serving" section below.
+an unbounded queue), and a query that exhausts its retries surfaces as
+`QueryFailed` with the last execution error as `__cause__`.  Caller
+errors (`InvalidValue`, `DeadlineExceeded`, `Cancelled`) stay terminal
+and are never retried.  See the "Serving" section below.
 
 Run the fault-injection suite with `scripts/run_resilience.sh`
 (equivalently `pytest -m resilience`).
@@ -153,10 +150,10 @@ they are interchangeable per call, per block, or process-wide:
 ```python
 import repro.graphblas as gb
 
-gb.mxm(C, A, B, "PLUS_TIMES", backend="scipy")   # per call
-with gb.backend("reference"):                     # per block (thread-local)
+gb.mxm(C, A, B, "PLUS_TIMES", backend="compiled")  # per call
+with gb.backend("reference"):                      # per block (thread-local)
     bfs_level(0, graph)
-gb.set_default_backend("differential")            # process-wide
+gb.set_default_backend("differential")             # process-wide
 # or: GRAPHBLAS_BACKEND=reference pytest tests/graphblas
 ```
 
@@ -170,11 +167,6 @@ Built-in engines:
 * **`reference`** — the dense spec-literal mimic promoted to a full
   engine; every op is a loop written line-by-line from the spec.  Slow,
   but an oracle: the whole `tests/graphblas` suite passes under it.
-* **`scipy`** — bridges mxm/mxv/vxm (PLUS_TIMES) and eWiseAdd/eWiseMult
-  (PLUS/TIMES) to `scipy.sparse` CSR kernels, with a dual pattern/value
-  computation so cancellation zeros stay structural.  Declines anything
-  else and falls back to `optimized`; declines everything when scipy is
-  not installed.
 * **`compiled`** — "compiled or decline": the same engine, serving only
   the plans the JIT tier runs (mxm/mxv/vxm over built-in semirings, with
   **true terminal early exit**) and declining everything else — every
@@ -197,7 +189,6 @@ The dispatch chain each plan walks (every decline emits a
 | `optimized` | everything (mxm/mxv/vxm on compiled kernels when `compiled.select` accepts the plan) | — (terminal) |
 | `reference` | everything | — (terminal) |
 | `compiled` | exactly the plans `compiled.select` accepts (compiled or decline) | `optimized` |
-| `scipy` | mxm/mxv/vxm (PLUS_TIMES), eWiseAdd/Mult (PLUS/TIMES) | `optimized` |
 | `differential` | everything (via its primary's chain) | — (terminal) |
 
 Selection is observable (`backend.dispatch` / `backend.fallback`
@@ -795,12 +786,10 @@ error model: *caller errors* (`InvalidValue` for an unknown algorithm
 or graph, and every governor refusal — `BudgetExceeded`,
 `DeadlineExceeded`, `Cancelled`) are terminal and re-raised from
 `ticket.result()` as-is, with outcome `invalid` / `budget` /
-`deadline` / `cancelled`; they are never retried, never fail over and
-never count against a backend's breaker, so one tenant's tight budget
-cannot open the breakers every tenant shares.  *Execution faults*
-(`OutOfMemory`, backend exceptions) are absorbed by the mechanisms
-below and only surface — wrapped in `QueryFailed`, with the original
-exception as `__cause__` — when every one is exhausted.
+`deadline` / `cancelled`; they are never retried.  *Execution faults*
+(`OutOfMemory`, backend exceptions) are retried by their one owner
+(below) and surface — wrapped in `QueryFailed`, with the original
+exception as `__cause__`, outcome `failed` — once it is exhausted.
 
 **Resilience**, each mechanism handling an error a call returned:
 
@@ -812,21 +801,36 @@ exception as `__cause__` — when every one is exhausted.
    on an `OutOfMemory` outside any op (a `serve.exec` fault).  What
    exhausts an inner loop arrives marked and is not
    re-attempted: a persistently failing kernel runs `attempts` times
-   per backend (it was `attempts`² — 9 — and ×3 again through a spill
-   pool).  `ticket.retries` and `serve_retries_total` count every
-   re-run, op-level ones included.
-2. **per-backend circuit breakers** — a backend whose retries exhaust
-   repeatedly trips open after `breaker_threshold` consecutive
-   failures and is skipped outright; after `breaker_reset_s` a single
-   half-open probe slot re-admits it, and `breaker_probes` probe
-   successes close it again.
-3. **failover** — the query falls through the backend chain
-   (`backend="optimized"`, then `fallbacks=("reference", "scipy")`),
-   still returning the exact answer; `ticket.tier` is `"full"` when the
-   primary answered and `"fallback"` when a breaker or failover moved
-   the query down the chain.
-4. **shedding** — past the queue depth, a tenant's share, or the
+   and the query ends `failed` (it was `attempts`² — 9 — and ×3 again
+   through a spill pool).  `ticket.retries` and `serve_retries_total`
+   count every re-run, op-level ones included.
+2. **shedding** — past the queue depth, a tenant's share, or the
    deadline watermark, admission refuses with `Overloaded`.
+
+Every query runs on one backend, `ServeConfig.backend`.  Earlier
+revisions failed over down `fallbacks=("reference", "scipy")` behind
+per-backend circuit breakers.  The chain could not help: one call of
+each served algorithm at RMAT-12 took 600–1 500× longer on `reference`
+(bfs 8.4 s against 13 ms), and the `scipy` bridge served only
+PLUS_TIMES products, which it ran slower than the default (`A*A` 935
+against 154 ms), declining the rest back to the backend that had just
+failed.  Under a persistent `mxv.push` fault a served RMAT-12 bfs
+answered from `reference` after 13.6–14.9 s; it now ends `failed` after
+3 kernel runs in 5–11 ms (2-core x86 box).  With one backend left, the
+breakers were measured on (threshold 5) against off, RMAT-12, 2 workers,
+4 closed-loop clients, 300 mixed queries per run, three seeds:
+
+| `serve.exec` fault rate | breakers | answered of 300 | goodput q/s | e2e p99 ms |
+|---|---|---|---|---|
+| 0.05 | on | 300 / 300 / 300 | 87 / 127 / 118 | 96 / 61 / 67 |
+| 0.05 | off | 300 / 300 / 300 | 102 / 113 / 134 | 80 / 65 / 56 |
+| 0.9 | on | 6 / 2 / 3 | 64 / 22 / 39 | 18 / 11 / 11 |
+| 0.9 | off | 87 / 82 / 69 | 82 / 76 / 73 | 46 / 50 / 43 |
+
+At 0.05 they never tripped.  At 0.9 they cut p99 only by refusing
+queries that would have been answered, so they were deleted with the
+`breaker_*` options, the `serve_breaker_*` metrics and the
+`health()["breakers"]` field.
 
 Queue load changes nothing about how an *admitted* query runs.  Earlier
 revisions walked a load ladder — `full` → `lite` (performance engine
@@ -851,11 +855,10 @@ It never raised goodput, so it was deleted with its watermarks, the
 `serve_tier` gauge, `serve_degrade_total` and `health()["tier"]`.
 
 **Operations.**  `health()` / `ready()` / `stats()` report liveness,
-breaker states, and outcome counts; `drain()` finishes queued
+queue state and outcome counts; `drain()` finishes queued
 work and refuses new submits (`ServerClosed`); serve metrics
 (`serve_requests_total`, `serve_request_seconds`, `serve_shed_total`,
-`serve_retries_total`, `serve_breaker_transitions_total`,
-`serve_queue_depth`, `serve_inflight`, `serve_breaker_state`, ...)
+`serve_retries_total`, `serve_queue_depth`, `serve_inflight`, ...)
 land in the `repro.obs` registry for Prometheus
 exposition.  Defaults come from `ServeConfig`, overridable per server
 (constructor) or process-wide: the `serve.*` rows of
@@ -865,7 +868,8 @@ exposition.  Defaults come from `ServeConfig`, overridable per server
 mixed-tenant queries over an RMAT snapshot where every answer is
 checked against a direct call, interleaving fault-free and
 fault-injected rounds (it reports the chaos goodput ratio, p50/p99
-latencies, shed/retry/breaker counts, and the peak-RSS delta under the
+latencies, shed/retry counts, the persistent-fault time to failure,
+and the peak-RSS delta under the
 governor envelope; the committed trajectory is the `serve_rw_r12`
 workload of `perfbench/results/baseline.json`); the CI `serve-smoke`
 leg replays it at scale 11 plus the `tests/serve` suite under a 64 MB

@@ -2,7 +2,7 @@
 
 The operation layer splits every GraphBLAS call into an engine-independent
 :class:`~repro.graphblas.plan.OpPlan` (built by :mod:`repro.graphblas.plan`)
-and a kernel half served by a :class:`KernelBackend`.  Five backends ship:
+and a kernel half served by a :class:`KernelBackend`.  Four backends ship:
 
 ``optimized``
     The sparse production engine (CSR/CSC/hypersparse kernels, push/pull
@@ -20,10 +20,6 @@ and a kernel half served by a :class:`KernelBackend`.  Five backends ship:
     The dense spec-literal mimic from :mod:`repro.graphblas.reference`,
     promoted from test helper to a first-class engine.  Slow but written
     directly from the spec's math.
-``scipy``
-    mxm/mxv/vxm/eWise hot paths bridged through scipy.sparse, with
-    graceful fallback to ``optimized`` for everything else (or when scipy
-    is not installed).
 ``differential``
     The paper's testing methodology (section II.A) as a runtime mode:
     every call runs on both ``optimized`` and ``reference`` and raises
@@ -122,7 +118,7 @@ def register_backend(name: str, factory, *, replace: bool = False) -> None:
     """Register a backend under ``name``; ``factory()`` builds the instance.
 
     Registration is lazy: the factory runs on first :func:`get_backend`
-    lookup, so optional dependencies (scipy) are only imported on use.
+    lookup, so a backend's module is only imported on use.
     """
     if name in _factories and not replace:
         raise InvalidValue(f"backend {name!r} already registered")
@@ -164,7 +160,6 @@ def _builtin(module: str, cls: str):
 register_backend("optimized", _builtin("optimized", "OptimizedBackend"))
 register_backend("compiled", _builtin("compiled", "CompiledBackend"))
 register_backend("reference", _builtin("reference", "ReferenceBackend"))
-register_backend("scipy", _builtin("scipy_backend", "SciPyBackend"))
 register_backend("differential", _builtin("differential", "DifferentialBackend"))
 
 

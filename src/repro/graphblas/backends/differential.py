@@ -87,7 +87,7 @@ class DifferentialBackend(KernelBackend):
     def _primary_for(self, plan: OpPlan) -> KernelBackend:
         """The engine under test for this plan, honoring declinations.
 
-        A partial primary (``compiled``, ``scipy``) declines plans it
+        A partial primary (``compiled``) declines plans it
         cannot serve; walking its fallback chain here mirrors what the
         dispatcher would do, so the differential engine verifies exactly
         the kernel that production dispatch would have run.

@@ -677,7 +677,7 @@ def GxB_Backend_set(name) -> Info:
     """``GxB_Global_Option_set``-style kernel backend selection.
 
     Sets the process-default :class:`~repro.graphblas.backends.KernelBackend`
-    (``"optimized"``, ``"reference"``, ``"scipy"``, ``"differential"``);
+    (``"optimized"``, ``"compiled"``, ``"reference"``, ``"differential"``);
     an unknown name returns ``GrB_INVALID_VALUE`` like any other bad
     global option.
     """

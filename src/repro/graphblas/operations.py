@@ -8,7 +8,7 @@ explicit halves:
    into a typed :class:`~repro.graphblas.plan.OpPlan`;
 2. :mod:`repro.graphblas.backends` routes the plan to the active
    :class:`~repro.graphblas.backends.KernelBackend` (``optimized`` by
-   default; ``reference``, ``scipy``, or ``differential`` by selection).
+   default; ``compiled``, ``reference`` or ``differential`` by selection).
 
 This module is the thin shim tying the halves together.  It owns the
 cross-cutting concerns that must fire exactly once per call, whichever

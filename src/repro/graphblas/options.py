@@ -97,17 +97,9 @@ TABLE: tuple[Option, ...] = (
     Option("serve", "memory_budget", "GRAPHBLAS_SERVE_BUDGET", "bytes", None,
            "default per-request governor budget (unset or 0: unlimited)",
            minimum=0),
-    Option("serve", "breaker_threshold", "GRAPHBLAS_SERVE_BREAKER_THRESHOLD",
-           "int", 5, "consecutive backend failures that open its breaker",
-           minimum=1),
-    Option("serve", "breaker_reset_s", "GRAPHBLAS_SERVE_BREAKER_RESET_S",
-           "float", 5.0, "seconds an open breaker waits before probing",
-           minimum=0.0),
-    Option("serve", "breaker_probes", None, "int", 2,
-           "consecutive half-open probe successes that close a breaker",
-           minimum=1),
     Option("serve", "backend", None, "choice", "optimized",
-           "primary kernel backend of a server", choices=_backend_names),
+           "kernel backend every query of a server runs on",
+           choices=_backend_names),
     Option("obs", "enabled", "GRAPHBLAS_OBS", "on_off", False,
            "process-wide metrics sink; on in the environment installs it at "
            "import, enable()/disable() keep the value current"),
@@ -125,7 +117,7 @@ TABLE: tuple[Option, ...] = (
            minimum=0),
     Option("diff", "primary", "GRAPHBLAS_DIFF_PRIMARY", "choice", "optimized",
            "engine the differential backend puts under test",
-           choices=("optimized", "compiled", "scipy")),
+           choices=("optimized", "compiled")),
     Option("faults", "seed", "GRAPHBLAS_FAULT_SEED", "int", None,
            "per-run seed for probabilistic fault plans (unset: OS entropy)"),
 )

@@ -7,8 +7,8 @@ Each GraphBLAS operation splits cleanly into two halves:
    semirings, accumulators), apply descriptor flags, validate shapes,
    domains and index sets, and compute the output type; and
 2. a *kernel* half that actually computes — the optimized sparse engine,
-   the dense spec-literal mimic, a scipy.sparse bridge, or any future
-   backend (GPU, distributed).
+   the dense spec-literal mimic, or any future backend (GPU,
+   distributed).
 
 This module is half 1.  Every planner returns a typed :class:`OpPlan`
 carrying the resolved pieces; :mod:`repro.graphblas.backends` routes the

@@ -4,7 +4,7 @@ The subsystem turns the library into a long-lived service: writers
 ingest edges through :class:`~repro.stream.GraphStream`, publication
 swaps in immutable copy-on-write snapshots, and many tenants run
 concurrent algorithm queries over a governed worker pool with admission
-control, retries, circuit breakers, and backend failover.  See
+control and retries.  See
 :mod:`repro.serve.server` for the full design and ``docs/API.md``
 ("Serving") for the user-facing guide.
 
@@ -19,7 +19,6 @@ Quick start::
         ranks = srv.query("pagerank", graph="web", tenant="alice")
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .admission import AdmissionQueue
 from .config import (
     ServeConfig,
@@ -49,10 +48,6 @@ __all__ = [
     "set_serve_config",
     "reset_serve_config",
     # building blocks
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "AdmissionQueue",
     # errors
     "ServeError",

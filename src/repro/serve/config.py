@@ -27,7 +27,7 @@ _DEFAULTS = options.defaults("serve")
 
 @dataclass
 class ServeConfig:
-    """One server's tunables; the first eight mirror the ``serve`` option
+    """One server's tunables; the first five mirror the ``serve`` option
     rows and are validated by them."""
 
     workers: int = _DEFAULTS["workers"]
@@ -37,13 +37,8 @@ class ServeConfig:
     deadline_s: float | None = _DEFAULTS["deadline_s"]
     #: default per-request governor memory budget (bytes); None/0 = none.
     memory_budget: int | None = _DEFAULTS["memory_budget"]
-    breaker_threshold: int = _DEFAULTS["breaker_threshold"]
-    breaker_reset_s: float = _DEFAULTS["breaker_reset_s"]
-    #: consecutive half-open probe successes that close a breaker.
-    breaker_probes: int = _DEFAULTS["breaker_probes"]
-    #: primary kernel backend and the failover chain behind it.
+    #: the kernel backend every query runs on.
     backend: str = _DEFAULTS["backend"]
-    fallbacks: tuple = ("reference", "scipy")
     #: base seed for per-request retry backoff schedules.
     seed: int = 0
     #: attempts per retry owner (serve loop, dispatch, spill pool), backoff.
@@ -60,7 +55,6 @@ class ServeConfig:
         self.memory_budget = self.memory_budget or None
         if self.attempts < 1:
             raise InvalidValue(f"attempts must be >= 1, got {self.attempts}")
-        self.fallbacks = tuple(self.fallbacks)
 
     def as_dict(self) -> dict:
         return asdict(self)

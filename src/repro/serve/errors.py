@@ -2,7 +2,7 @@
 
 The serving layer separates *admission* failures (the request never ran:
 the server shed it or is shutting down) from *execution* failures (the
-request ran and terminally failed after retries and fallbacks).  Clients
+request ran and terminally failed after its retries).  Clients
 can retry ``Overloaded`` elsewhere or later; ``QueryFailed`` carries the
 terminal underlying error and the request's execution record.
 
@@ -43,7 +43,7 @@ class ServerClosed(ServeError):
 
 
 class QueryFailed(ServeError):
-    """A served query terminally failed after retries and backend fallbacks.
+    """A served query terminally failed after its retries.
 
     ``__cause__`` holds the final underlying exception; ``outcome`` the
     recorded terminal outcome label.

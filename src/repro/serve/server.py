@@ -25,24 +25,22 @@ a worker thread pool.  The robustness spine:
   what no inner layer can: an ``OutOfMemory`` outside any op
   (``serve.exec``).  A kernel's transient ``OutOfMemory`` is re-run at
   dispatch (one op, not the query) and tile I/O by the spill pool; what
-  exhausts an inner loop arrives marked and goes straight to failover
+  exhausts an inner loop arrives marked and ends the query ``failed``
   (:mod:`repro.graphblas.retry`).  A governor refusal
   (``BudgetExceeded``, ``DeadlineExceeded``, ``Cancelled``) is the
-  caller's answer: it ends the query with no retry, no failover and no
-  breaker failure.
-* **Circuit breakers and failover** — repeated kernel failures or
-  divergences on a backend trip its
-  :class:`~repro.serve.breaker.CircuitBreaker`; queries fail over down
-  ``config.fallbacks`` (``ticket.tier == "fallback"``), and half-open
-  probes restore the primary once it recovers.
+  caller's answer: it ends the query with no retry.
 
-Queue load never changes how an admitted query runs (primary backend,
-the process's engine configuration); overload is shed at admission.
+Every query runs on one backend, ``config.backend``.  There is no
+failover chain: the other engines are either the same kernels or the
+dense reference, hundreds of times slower on a served graph, so a
+persistent kernel fault ends the query after ``attempts`` runs instead.
+Queue load never changes how an admitted query runs either; overload is
+shed at admission.
 
 Health/readiness probes, cooperative drain/shutdown, and serve-level
-metrics (``serve_requests_total{tenant,algo,outcome}``, queue-depth and
-breaker-state gauges, latency histograms) ride along; see
-``docs/API.md`` ("Serving").
+metrics (``serve_requests_total{tenant,algo,outcome}``, queue-depth
+gauges, latency histograms) ride along; see ``docs/API.md``
+("Serving").
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ from ..lagraph import (
 )
 from ..stream import GraphStream
 from .admission import AdmissionQueue
-from .breaker import CircuitBreaker, STATE_CODES
 from .config import ServeConfig, serve_config
 from .errors import Overloaded, QueryFailed, ServerClosed
 
@@ -163,10 +160,14 @@ class QueryTicket:
 
     __slots__ = (
         "seq", "tenant", "algo", "params", "snapshot", "policy",
-        "deadline_at", "token", "tier", "backend", "retries", "failovers",
+        "deadline_at", "token", "tier", "backend", "retries",
         "outcome", "error", "value", "t_submit", "t_start", "t_done",
         "_event",
     )
+
+    #: always 0: a query runs on one backend.  Kept so ticket consumers
+    #: that total it keep working.
+    failovers = 0
 
     def __init__(self, seq, tenant, algo, params, snapshot, policy,
                  deadline_at):
@@ -181,7 +182,6 @@ class QueryTicket:
         self.tier = None
         self.backend = None
         self.retries = 0
-        self.failovers = 0
         self.outcome = None
         self.error = None
         self.value = None
@@ -222,8 +222,7 @@ class QueryTicket:
             raise self.error
         raise QueryFailed(
             f"{self.algo} for tenant {self.tenant!r} failed terminally "
-            f"({type(self.error).__name__ if self.error else 'no backend'}: "
-            f"{self.error})",
+            f"({type(self.error).__name__}: {self.error})",
             outcome=self.outcome or "failed",
         ) from self.error
 
@@ -294,15 +293,6 @@ class GraphServer:
         self._graphs_lock = threading.Lock()
         self._tenants: dict[str, TenantPolicy] = {"default": TenantPolicy()}
         self._queue = AdmissionQueue(self.config.queue_depth)
-        self._breakers: dict[str, CircuitBreaker] = {}
-        for be in (self.config.backend, *self.config.fallbacks):
-            self._breakers.setdefault(be, CircuitBreaker(
-                be,
-                failure_threshold=self.config.breaker_threshold,
-                reset_timeout_s=self.config.breaker_reset_s,
-                probe_successes=self.config.breaker_probes,
-                on_transition=self._on_breaker_transition,
-            ))
         self._seq = itertools.count(1)
         self._state = "created"
         self._state_lock = threading.Lock()
@@ -602,49 +592,23 @@ class GraphServer:
                     "deadline passed while queued"
                 ))
                 return
-            last_exc: BaseException | None = None
-            # primary first, then config.fallbacks in order
-            for be_name, breaker in self._breakers.items():
-                if not breaker.allow():
-                    continue
-                req.tier = ("full" if be_name == self.config.backend
-                            else "fallback")
-                try:
-                    value = self._run_on_backend(req, be_name)
-                except GovernorError as exc:
-                    breaker.release_probe()  # the caller's limit, not the backend's
-                    outcome = ("deadline" if isinstance(exc, DeadlineExceeded)
-                               else "cancelled" if isinstance(exc, Cancelled)
-                               else "budget")
-                    self._finish(req, outcome, exc)
-                    return
-                except ApiError as exc:
-                    breaker.release_probe()  # caller error, not the backend's
-                    self._finish(req, "invalid", exc)
-                    return
-                except BaseException as exc:  # kernel failure / divergence
-                    breaker.record_failure()
-                    req.failovers += 1
-                    last_exc = exc
-                    if telemetry.ENABLED:
-                        telemetry.decision(
-                            "serve.failover", server=self.name,
-                            algo=req.algo, backend=be_name,
-                            error=type(exc).__name__,
-                            breaker=breaker.state,
-                        )
-                    continue
-                breaker.record_success()
-                req.backend = be_name
-                self._finish(req, "ok", result=value)
-                return
-            self._finish(req, "failed", last_exc)
-        except BaseException as exc:  # the worker itself must survive
+            req.tier = "full"
+            value = self._run(req)
+            req.backend = self.config.backend
+            self._finish(req, "ok", result=value)
+        except GovernorError as exc:  # the caller's limit, not a fault
+            outcome = ("deadline" if isinstance(exc, DeadlineExceeded)
+                       else "cancelled" if isinstance(exc, Cancelled)
+                       else "budget")
+            self._finish(req, outcome, exc)
+        except ApiError as exc:
+            self._finish(req, "invalid", exc)
+        except BaseException as exc:  # kernel failure; the worker survives
             self._finish(req, "failed", exc)
 
-    def _run_on_backend(self, req: QueryTicket, be_name: str):
-        """One backend's serve-level retry loop around governed attempts
-        (what it owns, and what arrives marked: see the module doc)."""
+    def _run(self, req: QueryTicket):
+        """The serve-level retry loop around governed attempts (what it
+        owns, and what arrives marked: see the module doc)."""
         attempts = req.policy.attempts if req.policy.attempts is not None \
             else self.config.attempts
         # one seeded schedule per request; each owner names its own classes
@@ -662,16 +626,16 @@ class GraphServer:
             if telemetry.ENABLED:
                 telemetry.decision(
                     "serve.retry", server=self.name, algo=req.algo,
-                    backend=be_name, attempt=failures,
+                    backend=self.config.backend, attempt=failures,
                     delay_s=round(delay, 6), error=type(exc).__name__,
                 )
 
         return retry.call(
-            lambda: self._attempt(req, be_name, retry.retrying(OutOfMemory)),
+            lambda: self._attempt(req, retry.retrying(OutOfMemory)),
             on_retry=on_retry,
         )
 
-    def _attempt(self, req: QueryTicket, be_name: str, kernel_retry):
+    def _attempt(self, req: QueryTicket, kernel_retry):
         remaining = None
         if req.deadline_at is not None:
             remaining = req.deadline_at - time.monotonic()
@@ -687,7 +651,7 @@ class GraphServer:
             retry=kernel_retry,
         )
         try:
-            with backends.backend(be_name), ctx:
+            with backends.backend(self.config.backend), ctx:
                 if faults.ENABLED:
                     faults.trip(_SERVE_POINT)
                 return ALGORITHMS[req.algo](req.snapshot, **req.params)
@@ -724,19 +688,9 @@ class GraphServer:
                 "serve.request", server=self.name, tenant=req.tenant,
                 algo=req.algo, outcome=outcome, tier=req.tier,
                 backend=req.backend, retries=req.retries,
-                failovers=req.failovers,
                 seconds=round(exec_s, 6) if exec_s is not None else None,
             )
         req._event.set()
-
-    def _on_breaker_transition(self, backend: str, old: str, new: str) -> None:
-        obs.counter_inc("serve_breaker_transitions_total",
-                        backend=backend, state=new)
-        obs.gauge_set("serve_breaker_state", float(STATE_CODES[new]),
-                      server=self.name, backend=backend)
-        if telemetry.ENABLED:
-            telemetry.decision("serve.breaker", server=self.name,
-                               backend=backend, old=old, new=new)
 
     # -- observability -----------------------------------------------------
 
@@ -749,16 +703,12 @@ class GraphServer:
         reg.declare("serve_retries_total", "counter",
                     "Re-runs of a query attempt or of one op inside it, "
                     "by algorithm")
-        reg.declare("serve_breaker_transitions_total", "counter",
-                    "Circuit-breaker state transitions, by backend")
         reg.declare("serve_publish_total", "counter",
                     "Snapshot publications, by graph")
         reg.declare("serve_queue_depth", "gauge",
                     "Admitted requests waiting for a worker")
         reg.declare("serve_inflight", "gauge",
                     "Requests currently executing")
-        reg.declare("serve_breaker_state", "gauge",
-                    "Breaker state (0 closed, 1 half-open, 2 open)")
         reg.declare("serve_published_epoch", "gauge",
                     "Published snapshot epoch, by graph")
         reg.declare("serve_request_seconds", "histogram",
@@ -771,19 +721,10 @@ class GraphServer:
         obs.register_gauge("serve_inflight",
                            lambda: float(len(self._inflight)),
                            server=self.name)
-        for be, br in self._breakers.items():
-            obs.register_gauge("serve_breaker_state",
-                               (lambda b=br: float(b.state_code)),
-                               server=self.name, backend=be)
-            obs.gauge_set("serve_breaker_state", 0.0,
-                          server=self.name, backend=be)
 
     def _release_metrics(self) -> None:
         obs.unregister_gauge("serve_queue_depth", server=self.name)
         obs.unregister_gauge("serve_inflight", server=self.name)
-        for be in self._breakers:
-            obs.unregister_gauge("serve_breaker_state",
-                                 server=self.name, backend=be)
 
     # -- health ------------------------------------------------------------
 
@@ -797,16 +738,11 @@ class GraphServer:
 
     def health(self) -> dict:
         """Liveness/health probe: one structured dict for the supervisor."""
-        breakers = {be: br.snapshot() for be, br in self._breakers.items()}
-        degraded = any(b["state"] != "closed" for b in breakers.values())
-        status = self._state
-        if status == "running" and degraded:
-            status = "degraded"
         with self._counts_lock:
             counts = dict(self._counts)
         return {
             "server": self.name,
-            "status": status,
+            "status": self._state,
             "ready": self.ready(),
             "workers": sum(t.is_alive() for t in self._workers),
             "queue_depth": self._queue.depth,
@@ -821,20 +757,17 @@ class GraphServer:
                 }
                 for name, sg in self._graphs.items()
             },
-            "breakers": breakers,
             "requests": counts,
             "shed_total": self._queue.shed_total,
         }
 
     def stats(self) -> dict:
-        """Cumulative outcome counts plus queue/breaker counters."""
+        """Cumulative outcome counts plus queue counters."""
         with self._counts_lock:
             counts = dict(self._counts)
         return {
             "outcomes": counts,
             "admitted": self._queue.admitted_total,
             "shed": self._queue.shed_total,
-            "breakers": {be: br.snapshot()
-                         for be, br in self._breakers.items()},
             "ema_exec_s": self._ema_exec_s,
         }

@@ -1,6 +1,6 @@
-"""Failure handling under load: breaker trips and transparent fallback,
-half-open recovery, load that degrades nothing, and one retry owner per
-failure."""
+"""Failure handling under load: load that degrades nothing, one retry
+owner per failure, and a persistent kernel fault that ends the query
+after its attempts and leaves nothing behind once it lifts."""
 
 import threading
 import time
@@ -29,101 +29,9 @@ def counter_total(name: str, **labels) -> float:
     )
 
 
-class FlakyBackend(backends.KernelBackend):
-    """Delegates to the optimized backend; raises while ``broken``."""
-
-    name = "flaky"
-    fallback = None
-    broken = True
-
-    def __init__(self):
-        from repro.graphblas.plan import TABLE1_OPS
-
-        inner = backends.get_backend("optimized")
-        for op in TABLE1_OPS:
-            setattr(self, op, self._wrap(getattr(inner, op)))
-
-    @staticmethod
-    def _wrap(inner_op):
-        def call(plan):
-            if FlakyBackend.broken:
-                raise OutOfMemory("flaky backend down")
-            return inner_op(plan)
-
-        return call
-
-
-@pytest.fixture
-def flaky():
-    backends.register_backend("flaky", FlakyBackend, replace=True)
-    FlakyBackend.broken = True
-    yield FlakyBackend
-    FlakyBackend.broken = False
-
-
-class TestBreakerFallback:
-    def test_trip_fallback_and_half_open_recovery(self, edges, flaky):
-        n, src, dst = edges
-        with GraphServer(
-            workers=1, deadline_s=None, backend="flaky",
-            fallbacks=("reference", "scipy"), attempts=1,
-            breaker_threshold=2, breaker_reset_s=0.15, breaker_probes=2,
-        ) as srv:
-            srv.add_graph("g", n=n)
-            srv.ingest("g", src, dst)
-            srv.publish("g")
-            expected = bfs(0, srv.snapshot("g"))[0]
-
-            # the broken primary fails over transparently: correct results
-            t1 = srv.submit("bfs", graph="g", source=0)
-            assert t1.result(30).isequal(expected)
-            assert t1.backend == "reference"
-            assert t1.failovers >= 1
-            t2 = srv.submit("bfs", graph="g", source=0)
-            assert t2.result(30).isequal(expected)
-            br = srv.stats()["breakers"]["flaky"]
-            assert br["state"] == "open"          # threshold 2 reached
-            assert br["failures_total"] >= 2
-
-            # while open, the primary is skipped outright (no failovers)
-            t3 = srv.submit("bfs", graph="g", source=0)
-            assert t3.result(30).isequal(expected)
-            assert t3.backend == "reference"
-            assert t3.failovers == 0
-
-            # backend heals; after the reset timeout, half-open probes
-            # restore the primary
-            flaky.broken = False
-            time.sleep(0.2)
-            restored = None
-            for _ in range(4):  # probe_successes=2 probes close it
-                t = srv.submit("bfs", graph="g", source=0)
-                assert t.result(30).isequal(expected)
-                if t.backend == "flaky":
-                    restored = t
-            assert restored is not None, "primary never restored"
-            assert srv.stats()["breakers"]["flaky"]["state"] == "closed"
-
-    def test_breaker_transition_metrics(self, edges, flaky):
-        n, src, dst = edges
-        before = counter_total("serve_breaker_transitions_total",
-                               backend="flaky")
-        with GraphServer(
-            workers=1, deadline_s=None, backend="flaky",
-            fallbacks=("reference",), attempts=1,
-            breaker_threshold=1, breaker_reset_s=60.0,
-        ) as srv:
-            srv.add_graph("g", n=n)
-            srv.ingest("g", src, dst)
-            srv.publish("g")
-            srv.query("triangles", graph="g")
-        assert counter_total("serve_breaker_transitions_total",
-                             backend="flaky") > before
-
-
 class TestLoadChangesNothing:
     """Queue load is handled by shedding alone: an admitted query runs on
-    the primary backend with the process's engine configuration."""
+    the server's backend with the process's engine configuration."""
 
     def test_full_queue_flips_no_process_global(self, edges):
         n, src, dst = edges
@@ -187,9 +95,9 @@ class TestServeRetries:
             assert counter_total("serve_retries_total") > before
 
     def test_budget_refusals_are_the_callers_not_the_backends(self, edges):
-        """An over-budget op is refused once per query: no re-run, no
-        failover, no breaker failure, so one tenant's refusals leave the
-        server healthy for everyone else."""
+        """An over-budget op is refused once per query, with no re-run,
+        so one tenant's refusals leave the server healthy for everyone
+        else."""
         n, src, dst = edges
         entered = []
 
@@ -214,10 +122,8 @@ class TestServeRetries:
                         t.result(30)
                     assert t.outcome == "budget"
                     assert len(entered) == 1
-                    assert (t.retries, t.failovers) == (0, 0)
-                breakers = srv.stats()["breakers"]
-                assert {b["state"] for b in breakers.values()} == {"closed"}
-                assert all(b["failures_total"] == 0 for b in breakers.values())
+                    assert t.retries == 0
+                assert srv.stats()["outcomes"] == {"budget": 6}
                 expected = bfs(0, srv.snapshot("g"))[0]
                 t = srv.submit("bfs", graph="g", source=0)
                 assert t.result(30).isequal(expected)
@@ -246,7 +152,7 @@ class TestServeRetries:
 
     def test_persistent_kernel_fault_costs_attempts_not_the_product(
             self, served):
-        srv = served(fallbacks=())
+        srv = served()
         attempts = srv.config.attempts
         before = counter_total("serve_retries_total")
         with faults.inject("mxv.push", OutOfMemory, probability=1.0,
@@ -257,19 +163,26 @@ class TestServeRetries:
             # dispatch owned the failure and exhausted on it; the serve
             # loop did not run the query (and the kernel) again
             assert faults.call_count("mxv.push") == attempts
-        assert t.outcome == "failed" and t.failovers == 1
+        assert t.outcome == "failed" and t.backend is None
         assert t.retries == attempts - 1  # every re-run is on the ticket
         assert counter_total("serve_retries_total") == before + attempts - 1
 
-    def test_persistent_kernel_fault_fails_over_to_the_chain(self, served):
+    def test_next_query_is_served_once_the_fault_lifts(self, served):
+        """Nothing outlives a failed query: with the fault gone, the very
+        next query runs on the server's backend and is exact."""
         srv = served()
         expected = bfs(0, srv.snapshot("g"))[0]
         with faults.inject("mxv.push", OutOfMemory, probability=1.0,
                            max_fires=None):
-            t = srv.submit("bfs", graph="g", source=0)
-            assert t.result(30).isequal(expected)
-        assert t.backend == "reference" and t.tier == "fallback"
-        assert t.failovers == 1
+            for _ in range(4):
+                t = srv.submit("bfs", graph="g", source=0)
+                with pytest.raises(QueryFailed):
+                    t.result(30)
+        t = srv.submit("bfs", graph="g", source=0)
+        assert t.result(30).isequal(expected)
+        assert t.backend == srv.config.backend and t.tier == "full"
+        assert srv.health()["status"] == "running"
+        assert srv.stats()["outcomes"] == {"failed": 4, "ok": 1}
 
     def test_transient_kernel_fault_reruns_one_op_not_the_query(self, served):
         entered = []
@@ -286,6 +199,6 @@ class TestServeRetries:
                 t = srv.submit("counted", graph="g")
                 assert t.result(30).isequal(expected)
             assert t.retries == 1 and len(entered) == 1
-            assert t.tier == "full" and t.failovers == 0
+            assert t.tier == "full"
         finally:
             ALGORITHMS.pop("counted", None)
