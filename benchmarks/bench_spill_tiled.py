@@ -96,8 +96,8 @@ def run_bounded(scale: int, edge_factor: int, budget: int,
     rowlen = np.diff(a_rows.indptr)
     flops = int(rowlen[a_rows.minor].sum())
     est_bytes = flops * 24
-    # the chunked fold (chunk_bytes) bounds the expansion regardless of
-    # tile size, so the grid only needs enough tiles for spill locality
+    # chunk_bytes bounds each chunk's working set regardless of tile
+    # size, so the grid only needs enough tiles for spill locality
     # — a ~32x32 grid keeps per-stripe scheduling overhead low
     td = tile_dim if tile_dim else max(tiled.MIN_TILE_DIM, n // 32)
     pool_budget = max(1 << 16, budget // 6)

@@ -210,8 +210,8 @@ apply a semiring's operators to whole arrays (vectorized, but
 structurally unable to stop mid-row), this tier renders one monomorphic scalar kernel set per
 `(add, mult, A type, B type, output type)` from a template library —
 Gustavson SpGEMM (two-phase count/fill with a sparse accumulator),
-sorted-intersection dot products for fused-mask mxm, push/pull
-mxv/vxm, and a sequential segmented fold — and compiles it with the
+sorted-intersection dot products for fused-mask mxm and push/pull
+mxv/vxm — and compiles it with the
 first usable toolchain:
 
 1. **numba** — `@njit(nogil=True)` over the generated Python source
@@ -228,8 +228,9 @@ first usable toolchain:
 **Selection.** `compiled.select(plan)` is the one kernel choice: a
 memoised function of the plan *class* — add, mult, A, B and output
 types, heap method, resolved toolchain — not of a backend name or a
-size; `compiled.select_class` is the same function for the tiled
-kernels, which have operands but no plan.  It returns a kernel set
+size; `compiled.select_class` is the same function for direct
+`mxm_tiled`/`mxv_tiled` calls, which have operands but no plan (the
+tiled route itself runs on its plan's `select`).  It returns a kernel set
 (compiled runs) or None (NumPy runs), caches declines as well as
 kernels in one 128-class LRU (`compiled.CACHE_SIZE`, counters in
 `compiled.cache_stats()`) — the only kernel cache — builds each class's kernels once however
@@ -281,9 +282,9 @@ other's compiles — shown in the `kernel` and `cmp` columns of
 
 **Numerics.** Float PLUS/TIMES reductions are a strict ascending-k left
 fold on every default path: the Gustavson SPA, push, pull and dot
-kernels, and — through the same kernel set's segmented fold, chosen by
-the same `select` — the tiled spill kernels, so a governed tiled product
-is byte-for-byte its in-memory twin.  Integer and order-insensitive
+kernels.  A governed tiled product runs its chunks on those same
+kernels, chosen by the same `select`, so it is byte-for-byte its
+in-memory twin.  Integer and order-insensitive
 (MIN/MAX/logical) results are bit-identical to the NumPy kernels; boxes
 with the toolchain off run NumPy, whose `reduceat` unrolls long float
 segments and may differ from the strict fold in the last ulp (tiled and
@@ -463,17 +464,24 @@ with governor.ExecutionContext(
 assert ctx.stats["tiled"] == 1
 ```
 
-* **Bit-identical results** — the tiled path reproduces the in-memory
-  Gustavson fold exactly (floats included): partial products stay
-  unreduced across inner tiles, are concatenated in ascending `k`-tile
-  order, stable-sorted by output coordinate, and reduced once per output
-  stripe.  When a stripe's expansion would itself exceed the budget (RMAT
-  hub rows), `mxm_tiled(..., chunk_bytes=...)` partitions the stripe's
-  *rows* by predicted flops (`TiledMatrix.major_lengths()`) and folds
-  each chunk independently — sound because the fold never mixes partials
-  from different output rows.  The hypothesis suite proves parity across
-  all four `(by_row/by_col) x (standard/hyper)` formats, including a
-  chunked product used as an operand.
+* **Bit-identical results** — each chunk of the tiled path *is* the
+  in-memory kernel call (floats included): a row chunk of output stripe
+  I runs as one `mxm_coo` Gustavson product of its A rows (every inner
+  tile, global `(i, k)`) against the B rows they reference (gathered
+  from every column tile, global `(k, j)`), on the kernels
+  `compiled.select` picked for the plan; an `mxv`/`vxm` stripe is one
+  `spmv_pull`.  The rows are whole, so each output entry folds in the
+  same ascending-`k` order as in memory, and positional multiplies see
+  the in-memory `(i, k, j)`.  Stripes run in row chunks sized by
+  predicted flops (`TiledMatrix.major_lengths()`; `chunk_bytes`,
+  default `memory_budget / 6`, floor 1 MiB), and a chunk's gathered B
+  entries never outnumber its flops, so the working set stays bounded
+  on RMAT hub rows.  The kernel's own fault points (`spgemm.flop`,
+  `mxv.pull`), row blocks (`GxB_NTHREADS`) and `plan.kernel` /
+  EXPLAIN `kernel` apply unchanged, and the context's retry policy
+  replays a transient kernel fault.  The hypothesis suite proves parity
+  across all four `(by_row/by_col) x (standard/hyper)` formats,
+  including a chunked product used as an operand.
 * **Tile files are the arrays** — a store *is* its three or four arrays
   (the paper's §IV O(1) import/export argument), so a spilled tile is
   one fixed header of eight int64 words (magic, `n_major`, `n_minor`,
@@ -580,8 +588,8 @@ engine.set_engine(False)                # bit-identical baseline
 Supporting fast paths run whatever the switch says: `wait()` skips the
 sort and merge when the pending log is already sorted, unique, and
 zombie-free (`fast_path` field on the `assembly` telemetry decision);
-`formats.coo_sort_fold` — the one sort-and-group step of `from_coo`,
-Gustavson's expansion and the tiled stripe fold — detects presorted
+`formats.coo_sort_fold` — the one sort-and-group step of `from_coo`
+and Gustavson's expansion — detects presorted
 input and otherwise sorts once on a fused `major * n_minor + minor`
 key (`np.lexsort` only when that key would overflow int64); and the
 planner memoizes string → operator resolution

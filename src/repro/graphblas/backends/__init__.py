@@ -240,15 +240,20 @@ def dispatch(plan: OpPlan, backend=None):
     - the context's :class:`~repro.graphblas.retry.RetryPolicy`, if
       any, wraps the kernel call: dispatch owns a kernel's transient
       ``OutOfMemory``, so one failed op is re-run, not the algorithm
-      around it.  Tiled execution is *not* wrapped — its spill pool owns
-      tile-I/O failures.
+      around it.  Tiled execution is wrapped the same way, since its
+      chunks are kernel calls; a tile-I/O failure its spill pool already
+      retried arrives marked exhausted and is not replayed.
     """
     tiled_route = plan.params.pop("governor_tiled", False) or (
         plan.params.get("method") == "tiled"
         and plan.op in ("mxm", "mxv", "vxm")
     )
+    retry = None
     if governor.ACTIVE:
         governor.poll()
+        ctx = governor.current()
+        if ctx is not None:
+            retry = ctx.retry
     if tiled_route:
         from .. import tiled as _tiled
 
@@ -257,7 +262,8 @@ def dispatch(plan: OpPlan, backend=None):
                 "governor.tiled", op=plan.op,
                 est_bytes=plan.params.get("est_bytes"),
             )
-        return _execute(plan, "tiled", "tiled", lambda: _tiled.execute(plan))
+        return _execute(plan, "tiled", "tiled", lambda: _tiled.execute(plan),
+                        retry=retry)
     be = get_backend(backend) if backend is not None else current_backend()
     while not be.supports(plan):
         fb = be.fallback
@@ -273,11 +279,6 @@ def dispatch(plan: OpPlan, backend=None):
     if telemetry.ENABLED:
         telemetry.decision("backend.dispatch", op=plan.op, backend=be.name)
     kernel = getattr(be, plan.op)
-    retry = None
-    if governor.ACTIVE:
-        ctx = governor.current()
-        if ctx is not None and ctx.retry is not None:
-            retry = ctx.retry
     return _execute(plan, "direct", be.name, lambda: kernel(plan), retry=retry)
 
 

@@ -22,7 +22,7 @@ see which ran.
   the plan *class* (add, mult, A, B and output types, heap method,
   resolved toolchain), declines included; no size cut, so a tiled and
   an in-memory run of one product always agree.  :func:`select` applies
-  it to a plan, the tiled kernels to their operands.  The memo is the
+  it to a plan, a direct tiled call to its operands.  The memo is the
   only kernel cache (LRU of :data:`CACHE_SIZE` classes).  Builds emit
   ``compiled.kernel`` telemetry (``event="compile"`` with wall seconds,
   ``event="hit"`` on a memo hit) that feeds the
@@ -194,9 +194,9 @@ def select_class(semiring, a_type, b_type, out_type, span,
     into ``out_type``, whose largest operand dimension is ``span``
     (``heap``: the mxm heap method was asked for).
 
-    :func:`select` calls it with a plan's fields and the tiled kernels
-    with their operands' (``[0]``), so both routes fold with the same
-    kernels.  Mixed operand types compile: each operand has its own
+    :func:`select` calls it with a plan's fields, and a direct
+    ``tiled.mxm_tiled``/``mxv_tiled`` call with its operands', so a
+    tiled chunk runs the kernels an in-memory plan of its class would.  Mixed operand types compile: each operand has its own
     template slot and is cast to the multiply's domain (see
     :mod:`.templates`).  The cheap declines come first, before the memo:
     the heap method, a span over :data:`MAX_DIMENSION`, no toolchain,

@@ -5,7 +5,7 @@ kernels: 960 monomorphic inner loops, one per (monoid, multiply, type)
 combination, with terminal-monoid early exit compiled into the hot loop.
 This module is the template half of our analogue: given a
 :class:`KernelSpec` — ``(add monoid, multiply op, A type, B type, output
-type)`` — it renders the same six kernels in two source languages:
+type)`` — it renders the same five kernels in two source languages:
 
 * **C** (:func:`c_source`) — compiled by the ``cc`` toolchain into a
   shared library and called through ctypes (the call releases the GIL,
@@ -16,7 +16,7 @@ type)`` — it renders the same six kernels in two source languages:
   ``python`` toolchain: slow, but it lets the template logic be parity-
   tested in environments with neither numba nor a C compiler).
 
-The six kernels per spec:
+The five kernels per spec:
 
 ``spgemm_count`` / ``spgemm_fill``
     Gustavson SpGEMM over a row block, two-phase (symbolic count, then
@@ -38,10 +38,6 @@ The six kernels per spec:
     SPA and early-exit machinery.  The matrix is the first operand for
     ``mxv`` and the second for ``vxm``, so each is rendered twice, once
     per operand order, behind one entry point.
-``segfold``
-    The same strict left fold over pre-sorted segments: the tiled
-    kernels fold their stripes with it, so a tiled product and its
-    in-memory twin are bit-identical floats included.
 
 Semantics notes (all mirrored from the NumPy operator tables in
 :mod:`repro.graphblas.ops` / :mod:`repro.graphblas.monoid`, and from the
@@ -548,25 +544,6 @@ int64_t gb_pull(
     return pull_vf(nr, rows, ap, aj, (const BT *)ax, (const AT *)ud, up,
                    oi, ov, stats);
 }
-
-/* sequential segmented fold: out[s] = x[starts[s]] + ... + x[end - 1],
-   strictly left to right — the order the SPA kernels accumulate in, so
-   partial products folded here in ascending inner index are bit-
-   identical to the same product computed by gb_spgemm_fill/push/pull. */
-void gb_segfold(
-    int64_t nseg, const int64_t *starts, int64_t n,
-    const VT *x, VT *out)
-{
-    for (int64_t s = 0; s < nseg; s++) {
-        const int64_t end = s + 1 < nseg ? starts[s + 1] : n;
-        VT acc = x[starts[s]];
-        for (int64_t p = starts[s] + 1; p < end; p++) {
-            VT prod = x[p];
-            acc = ${ADD_ACC_PROD};
-        }
-        out[s] = acc;
-    }
-}
 """)
 
 _C_PUSH = Template(r"""static int64_t push_${VARIANT}(
@@ -830,16 +807,6 @@ def gb_pull(nr, rows, ap, aj, ax, ud, up, matrix_first,
             ov[nz] = acc
             nz += 1
     return nz
-
-
-def gb_segfold(nseg, starts, n, x, out):
-    for s in range(nseg):
-        end = starts[s + 1] if s + 1 < nseg else n
-        acc = x[starts[s]]
-        for p in range(starts[s] + 1, end):
-            prod = x[p]
-            acc = ${ADD_ACC_PROD}
-        out[s] = acc
 ''')
 
 

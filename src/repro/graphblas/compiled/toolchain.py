@@ -197,11 +197,6 @@ class KernelSet:
     def pull(self, rows, a, ud, up, matrix_first, oi, ov, stats) -> int:
         raise NotImplementedError
 
-    def segfold(self, x, starts) -> np.ndarray:
-        """Strict left fold of each segment of ``x`` (``starts`` sorted,
-        in-bounds, no empty segment)."""
-        raise NotImplementedError
-
 
 class _CKernelSet(KernelSet):
     toolchain = "cc"
@@ -229,7 +224,6 @@ class _CKernelSet(KernelSet):
         self._pull = proto("gb_pull", _I8,
                            _I8, _P, _P, _P, _P, _P, _P, _INT,
                            _P, _P, _P)
-        self._segfold = proto("gb_segfold", None, _I8, _P, _I8, _P, _P)
 
     def spgemm_count(self, row_lo, row_hi, a, b, mark):
         ap, aj, _ = a.addrs
@@ -257,11 +251,6 @@ class _CKernelSet(KernelSet):
                           1 if matrix_first else 0,
                           _buf(oi), _buf(ov), _buf(stats))
 
-    def segfold(self, x, starts):
-        out = np.empty(starts.size, dtype=x.dtype)
-        self._segfold(starts.size, _buf(starts), x.size, _buf(x), _buf(out))
-        return out
-
 
 class _PyKernelSet(KernelSet):
     toolchain = "python"
@@ -273,7 +262,6 @@ class _PyKernelSet(KernelSet):
         self._dot = ns["gb_dot"]
         self._push = ns["gb_push"]
         self._pull = ns["gb_pull"]
-        self._segfold = ns["gb_segfold"]
 
     def spgemm_count(self, row_lo, row_hi, a, b, mark):
         return int(self._count(row_lo, row_hi, a.indptr, a.minor,
@@ -296,11 +284,6 @@ class _PyKernelSet(KernelSet):
         return int(self._pull(rows.size, rows, a.indptr, a.minor, a.values,
                               ud, up, matrix_first, oi, ov,
                               self._term, stats))
-
-    def segfold(self, x, starts):
-        out = np.empty(starts.size, dtype=x.dtype)
-        self._segfold(starts.size, starts, x.size, x, out)
-        return out
 
 
 class _NumbaKernelSet(_PyKernelSet):
@@ -326,7 +309,7 @@ def _build_numba(spec) -> KernelSet:
     ns["sortpairs"] = sortpairs = jit(ns["sortpairs"])
     out: dict = {}
     for name in ("gb_spgemm_count", "gb_spgemm_fill", "gb_dot",
-                 "gb_push", "gb_pull", "gb_segfold"):
+                 "gb_push", "gb_pull"):
         fn = ns[name]
         fn.__globals__["sortpairs"] = sortpairs
         out[name] = jit(fn)

@@ -103,8 +103,8 @@ def coo_sort_fold(major, minor, values, n_major, n_minor, dtype: Type, fold):
     ``fold(values, starts)`` over the sorted values (``starts``: where
     each run begins); unique entries are only cast to ``dtype``.  Returns
     sorted-unique (major, minor, values).  The one sort-and-group step of
-    ``build``, Gustavson's expansion and the tiled stripe fold, so all
-    three order ties the same way (:func:`coo_sort_order`).
+    ``build`` and Gustavson's expansion, so both order ties the same way
+    (:func:`coo_sort_order`).
     """
     order = coo_sort_order(major, minor, n_major, n_minor)
     if order is not None:

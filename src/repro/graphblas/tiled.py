@@ -11,19 +11,11 @@ here when the governor tagged it over-budget (see
 caller asked for ``method="tiled"`` explicitly.
 
 **Bit-identity.**  Tiled results are bit-identical to the in-memory
-kernels, floats included.  The in-memory path folds each output entry's
-partial products in ascending-``k`` order; the tiled path reproduces that
-order exactly by keeping partial products *unreduced* across inner
-tiles, concatenating them in ascending ``k``-tile order (within-tile
-expansion is already ``k``-ascending per row), stable-sorting by output
-coordinate, and reducing once per output stripe.  Reducing per tile and
-folding across tiles would regroup floating-point sums; collecting first
-does not.  The same argument covers mxv: push and pull both fold
-ascending-``k`` per output index, and so does the tiled expansion.  The
-reduction itself is the one the in-memory kernel uses for the same
-product: the compiled strict left fold (``KernelSet.segfold``, the
-SPA's order) exactly when :func:`repro.graphblas.compiled.select_class`
-picks the compiled tier, NumPy's segment reduction otherwise.
+kernels, floats included, because each chunk is the in-memory kernel's
+call: :func:`~repro.graphblas.mxm.mxm_coo` (Gustavson) or
+:func:`~repro.graphblas.mxv.spmv_pull` on the chunk's whole rows in
+global coordinates, with the kernels
+:func:`repro.graphblas.compiled.select_class` picks for the product.
 
 **Fault hardening.**  Spill writes go through the atomic temp-file +
 rename writer shared with :mod:`repro.io.checkpoint`, tripping the
@@ -64,11 +56,11 @@ from collections import OrderedDict
 
 import numpy as np
 
-from . import compiled, engine, faults, governor, telemetry
+from . import compiled, faults, governor, telemetry
 from .errors import InvalidValue, OutOfMemory
-from .formats import Orientation, SparseStore, coo_sort_fold, group_starts
-from .mxm import _gather_ranges, _positional_values
-from .mxv import _vec_positional
+from .formats import Orientation, SparseStore, group_starts
+from .mxm import _gather_ranges, mxm_coo
+from .mxv import spmv_pull
 from .plan import resolve_semiring
 from .types import lookup_type
 
@@ -376,11 +368,11 @@ class SpillPool:
 
 def choose_tile_dim(n_major: int, n_minor: int, est_bytes: int | None = None,
                     budget: int | None = None) -> int:
-    """Pick a tile edge so one output stripe's expansion fits the budget.
+    """Pick a tile edge so one output stripe's estimate fits a chunk.
 
-    Targets roughly ``budget / 6`` bytes of expanded partial products per
-    stripe (the sort and reduce passes hold a small constant multiple of
-    the expansion), clamped to ``[MIN_TILE_DIM, max(n_major, n_minor)]``.
+    Targets roughly ``budget / 6`` estimated bytes per stripe, the share
+    :func:`mxm_tiled` gives one chunk by default, so a typical stripe is
+    one kernel call; clamped to ``[MIN_TILE_DIM, max(n_major, n_minor)]``.
     """
     n = max(int(n_major), int(n_minor), 1)
     if budget is None or not est_bytes or est_bytes <= 0:
@@ -521,9 +513,9 @@ class TiledMatrix:
     def major_lengths(self) -> np.ndarray:
         """Entries per global major index (metadata; reads no tile).
 
-        The tiled SpGEMM uses this to predict each output row's expansion
-        size (``sum of B-row lengths over A's row entries``) so stripes
-        can be folded in bounded-memory row chunks.
+        The tiled SpGEMM uses this to predict each output row's flops
+        (``sum of B-row lengths over A's row entries``) so stripes run in
+        bounded-memory row chunks.
         """
         return self._lens.copy()
 
@@ -576,10 +568,11 @@ class TiledMatrix:
         if not parts_i:
             return None
         i = np.concatenate(parts_i)
-        j = np.concatenate(parts_j)
-        v = np.concatenate(parts_v)
-        order = np.lexsort((j, i))  # entries are unique: canonical order
-        return i[order], j[order], v[order]
+        # parts arrive in ascending tile column, so a stable sort on the
+        # row alone leaves each row's entries in ascending column
+        order = np.argsort(i, kind="stable")
+        return (i[order], np.concatenate(parts_j)[order],
+                np.concatenate(parts_v)[order])
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All entries as globally indexed, sorted-unique COO arrays."""
@@ -615,47 +608,46 @@ class TiledMatrix:
 # tiled kernels
 # --------------------------------------------------------------------------
 
-def _expand_pair(a_coo, b_tile, i0, k0, j0, mult):
-    """Unreduced partial products of one (I,K) x (K,J) tile pair.
+def _row_store(T: TiledMatrix, i, k, v) -> SparseStore:
+    """Sorted-unique global (i, k, v) of ``T`` as a hypersparse row store
+    over ``T``'s whole index space: what the in-memory kernel reads."""
+    return SparseStore.from_coo(Orientation.ROW, T.nrows, T.ncols, i, k, v,
+                                T.dtype, hyper=True, assume_sorted_unique=True)
 
-    ``a_coo`` is the A-tile's (rows, cols, values) COO triple — possibly a
-    row-restricted slice of it, when the stripe is folded in chunks.
-    Pure numpy, thread-safe: no telemetry, faults, or governor access, so
-    the engine may run several pairs on its shared pool.  Globalizes the
-    coordinates with the tile origins so positional semirings see the same
-    (i, k, j) the in-memory kernel would.
-    """
-    ar, ac, av = a_coo
-    starts, ends = b_tile.major_ranges(ac)
-    lens = ends - starts
-    gather = _gather_ranges(starts, ends)
-    if gather.size == 0:
+
+def _gather_rows(T: TiledMatrix, ks: np.ndarray) -> SparseStore | None:
+    """Rows ``ks`` (global, sorted unique) of ``T`` across every tile
+    column, as one row store; None when none of them has an entry."""
+    td = T.tile_dim
+    parts_k, parts_j, parts_v = [], [], []
+    cuts = np.searchsorted(ks, np.arange(T.grid_rows + 1) * td)
+    for bk in np.flatnonzero(np.diff(cuts)):
+        governor.poll()  # tile boundary: cancellation/deadline point
+        k_loc = ks[cuts[bk]:cuts[bk + 1]] - bk * td
+        for bj in range(T.grid_cols):
+            tile = T.tile(bk, bj)
+            if tile is None:
+                continue
+            starts, ends = tile.major_ranges(k_loc)
+            gather = _gather_ranges(starts, ends)
+            if gather.size == 0:
+                continue
+            parts_k.append(np.repeat(k_loc + bk * td, ends - starts))
+            parts_j.append(tile.minor[gather] + bj * td)
+            parts_v.append(tile.values[gather])
+    if not parts_k:
         return None
-    i = np.repeat(ar, lens) + i0
-    j = b_tile.minor[gather] + j0
-    if mult.positional is not None:
-        k = np.repeat(ac, lens) + k0
-        vals = _positional_values(mult, i, k, j)
-    else:
-        vals = mult.apply(np.repeat(av, lens), b_tile.values[gather])
-    return i, j, vals
-
-
-def _folder(semiring, out_type, kernels):
-    """``fold(vals, seg)`` with the in-memory kernel's own reduction: the
-    compiled strict left fold when ``kernels`` (the product's compiled
-    selection) is set, NumPy's otherwise."""
-    if kernels is not None:
-        return lambda vals, seg: kernels.segfold(
-            np.ascontiguousarray(out_type.cast_array(vals)), seg)
-    return lambda vals, seg: semiring.add.reduce_segments(vals, seg, out_type)
+    k = np.concatenate(parts_k)
+    order = np.argsort(k, kind="stable")  # as in TiledMatrix._stripe_coo
+    return _row_store(T, k[order], np.concatenate(parts_j)[order],
+                      np.concatenate(parts_v)[order])
 
 
 def _chunk_bounds(counts: np.ndarray, target: int) -> list[tuple[int, int]]:
     """Partition rows into maximal runs whose summed counts fit ``target``.
 
-    A single row over the target still forms its own chunk (the fold
-    cannot split a row without changing the reduction order).
+    A single row over the target still forms its own chunk (the kernel
+    folds a row in one piece).
     """
     if counts.size == 0:
         return [(0, 0)]
@@ -677,27 +669,34 @@ def _chunk_bounds(counts: np.ndarray, target: int) -> list[tuple[int, int]]:
 
 def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
               out_type=None, *, pool: SpillPool | None = None,
-              name: str | None = None,
-              chunk_bytes: int | None = None) -> TiledMatrix:
+              name: str | None = None, chunk_bytes: int | None = None,
+              nthreads: int | None = None,
+              selection: tuple | None = None) -> TiledMatrix:
     """C = A (+).(x) B over tile grids; returns a tiled C.
 
-    Per output stripe I, partial products are collected unreduced across
-    inner tiles K in ascending order and folded once (see the module
-    docstring for why this is bit-identical to the in-memory kernel).
-    Output is registered in ``pool`` write-behind as it is produced, so
-    an over-budget product streams to disk instead of accumulating in
-    RAM or displacing the operand tiles the next chunk reads again.
-    Cancellation/deadline tokens are polled at every (I, K) boundary.
+    Each row chunk of an output stripe is one in-memory Gustavson
+    product (:func:`~repro.graphblas.mxm.mxm_coo`): the chunk's A rows
+    from every inner tile against the B rows they reference, gathered
+    from every column tile, both in global coordinates.  Output is
+    registered in ``pool`` write-behind as it is produced, so an
+    over-budget product streams to disk instead of accumulating in RAM
+    or displacing the operand tiles the next chunk reads again.
+    Cancellation/deadline tokens are polled at every tile boundary.
 
-    ``chunk_bytes`` bounds the unreduced expansion held in memory at
-    once: skewed stripes (RMAT hubs) are folded in row chunks sized from
-    a per-row flop prediction (``B.major_lengths()``), and each chunk's
-    output becomes one row-run piece of its grid cells, so not even one
-    output stripe needs to be fully resident.  The fold decomposes
-    exactly per output row — a row's partials never mix with another
-    row's in the segment reduction — so any row partition yields bit
-    for bit the same values.  Defaults to ``memory_budget / 6`` of the
-    active governor context; with no budget the stripe is one chunk.
+    ``chunk_bytes`` bounds a chunk's working set: rows are grouped by a
+    per-row flop prediction (``B.major_lengths()``, ~24 B per partial
+    product) so skewed stripes (RMAT hubs) run in several chunks, and
+    each chunk's output becomes one row-run piece of its grid cells.  A
+    chunk's gathered B entries never outnumber its predicted flops.
+    Values below 1 MiB are raised to 1 MiB; the default is
+    ``memory_budget / 6`` of the active governor context, and with no
+    budget a stripe is one chunk.
+
+    ``nthreads`` caps the kernel's row-blocked parallelism
+    (``GxB_NTHREADS``).  ``selection`` is the
+    :func:`~repro.graphblas.compiled.select_class` result the chunks
+    run on; by default it is chosen for the operand and output types,
+    as the in-memory plan would.
     """
     sr = resolve_semiring(semiring)
     if A.ncols != B.nrows:
@@ -708,12 +707,13 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
         )
     if out_type is None:
         out_type = sr.out_type(A.dtype, B.dtype)
+    if selection is None:
+        selection = compiled.select_class(
+            sr, A.dtype, B.dtype, out_type,
+            max(A.nrows, A.ncols, B.nrows, B.ncols))
+    kernels = selection[0]
     pool = pool if pool is not None else A.pool
     C = TiledMatrix(A.nrows, B.ncols, A.tile_dim, out_type, pool, name=name)
-    mult = sr.mult
-    fold = _folder(sr, out_type, compiled.select_class(
-        sr, A.dtype, B.dtype, out_type,
-        max(A.nrows, A.ncols, B.nrows, B.ncols))[0])
     td = A.tile_dim
 
     if chunk_bytes is None:
@@ -722,137 +722,78 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
             chunk_bytes = ctx.memory_budget // 6
     chunk_target = None
     if chunk_bytes is not None and chunk_bytes > 0:
-        # ~24 B per unreduced partial (two int64 coords + a value)
+        # ~24 B per partial product (two int64 coords + a value)
         chunk_target = max(int(chunk_bytes), 1 << 20) // 24
     b_rowlen = B.major_lengths()
 
     for bi in range(A.grid_rows):
+        governor.poll()  # tile boundary: cancellation/deadline point
         rows_here = min(td, A.nrows - bi * td)
-        # load this stripe's A entries once; predict per-row expansion
-        a_data = []
-        counts = None
-        if chunk_target is not None:
-            counts = np.zeros(rows_here, dtype=np.int64)
-        for bk in range(A.grid_cols):
-            governor.poll()  # tile boundary: cancellation/deadline point
-            a_tile = A.tile(bi, bk)
-            if a_tile is None or a_tile.nvals == 0:
-                continue
-            ar, ac, av = a_tile.to_coo()
-            flops = b_rowlen[ac + bk * td]  # partials each A entry expands to
-            a_data.append((bk, ar, ac, av, flops))
-            if counts is not None:
-                np.add.at(counts, ar, flops)
-        if not a_data:
+        stripe = A._stripe_coo(bi, 0, rows_here)
+        if stripe is None:
             continue
-        if counts is None:
-            bounds = [(0, rows_here)]
-        else:
+        ai, ak, av = stripe
+        bounds = [(0, rows_here)]
+        if chunk_target is not None:
+            # predicted partial products per row of the stripe
+            counts = np.bincount(ai - bi * td, weights=b_rowlen[ak],
+                                 minlength=rows_here).astype(np.int64)
             bounds = _chunk_bounds(counts, chunk_target)
-
-        for lo, hi in bounds:
-            parts = []
-            for bk, ar, ac, av, flops in a_data:
-                governor.poll()  # tile boundary: cancellation/deadline point
-                s = int(np.searchsorted(ar, lo))
-                e = int(np.searchsorted(ar, hi))
-                if s == e:
-                    continue
-                a_coo = (ar[s:e], ac[s:e], av[s:e])
-                tasks = []
-                for bj in range(B.grid_cols):
-                    b_tile = B.tile(bk, bj)
-                    if b_tile is None or b_tile.nvals == 0:
-                        continue
-                    tasks.append((a_coo, b_tile, bi * td, bk * td, bj * td,
-                                  mult))
-                workers = 1
-                if len(tasks) > 1:
-                    workers = engine.admit_blocks(
-                        "mxm.tiled", int(flops[s:e].sum()),
-                        engine.MIN_PARALLEL_FLOPS, None,
-                        lambda _: max(a_coo[2].nbytes * 3
-                                      + max(t[1].nbytes for t in tasks), 1),
-                        sr, out_type)
-                if workers > 1:
-                    results = engine.run_blocks(
-                        _expand_pair, tasks, min(workers, len(tasks))
-                    )
-                else:
-                    results = [_expand_pair(*t) for t in tasks]
-                parts.extend(r for r in results if r is not None)
-            if not parts:
+        cuts = np.searchsorted(ai, [bi * td + lo for lo, _ in bounds]
+                               + [bi * td + rows_here])
+        for (lo, hi), s, e in zip(bounds, cuts, cuts[1:]):
+            if s == e:
                 continue
-            i = np.concatenate([p[0] for p in parts])
-            j = np.concatenate([p[1] for p in parts])
-            vals = np.concatenate([p[2] for p in parts])
-            del parts
-            # fold once per stripe, in the in-memory kernel's order
-            i, j, vals = coo_sort_fold(i, j, vals, C.nrows, C.ncols,
-                                       out_type, fold)
-            i_loc = i - bi * td
+            b_rows = _gather_rows(B, np.unique(ak[s:e]))
+            if b_rows is None:
+                continue
+            r, c, v = mxm_coo(
+                _row_store(A, ai[s:e], ak[s:e], av[s:e]), b_rows, sr,
+                out_type, method="gustavson", nthreads=nthreads,
+                kernels=kernels,
+            )
+            del b_rows
+            r_loc = r - bi * td
             # each chunk is one row-run piece of the cells it touches
-            for bj, idx in _group_by_tile(j, td):
-                C._put_tile(bi, bj, i_loc[idx], j[idx] - bj * td, vals[idx],
+            for bj, idx in _group_by_tile(c, td):
+                C._put_tile(bi, bj, r_loc[idx], c[idx] - bj * td, v[idx],
                             rows=(lo, hi), behind=True)
     return C
 
 
 def mxv_tiled(A: TiledMatrix, u_dense: np.ndarray, u_present: np.ndarray,
-              semiring, out_type, matrix_first: bool = True
+              semiring, out_type, matrix_first: bool = True, *,
+              nthreads: int | None = None,
+              selection: tuple | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
     """y = A (+).(x) u over an outer-major tile grid; sorted (idx, vals).
 
     ``A`` must be tiled from the store whose *major* axis is the output
-    dimension (the pull orientation).  Per output stripe, partial
-    products stream in ascending inner-tile order and are folded once —
-    bit-identical to both the push and pull in-memory kernels, which fold
-    ascending-``k`` per output index.  ``u_dense`` carries the vector's
-    type (it picks the fold, like the in-memory plan's operand types).
+    dimension (the pull orientation).  Each stripe is one in-memory pull
+    (:func:`~repro.graphblas.mxv.spmv_pull`) over the stripe's rows in
+    global coordinates.  ``u_dense`` carries the vector's type, which
+    like the in-memory plan's operand types picks the kernels;
+    ``nthreads`` and ``selection`` are as for :func:`mxm_tiled`.
     """
     sr = resolve_semiring(semiring)
-    mult = sr.mult
-    u_type = lookup_type(u_dense.dtype)
-    args = (A.dtype, u_type) if matrix_first else (u_type, A.dtype)
-    fold = _folder(sr, out_type, compiled.select_class(
-        sr, *args, out_type, max(A.nrows, A.ncols))[0])
+    if selection is None:
+        u_type = lookup_type(u_dense.dtype)
+        args = (A.dtype, u_type) if matrix_first else (u_type, A.dtype)
+        selection = compiled.select_class(sr, *args, out_type,
+                                          max(A.nrows, A.ncols))
     td = A.tile_dim
     out_i, out_v = [], []
     for bi in range(A.grid_rows):
-        parts = []
-        for bj in range(A.grid_cols):
-            governor.poll()  # tile boundary: cancellation/deadline point
-            tile = A.tile(bi, bj)
-            if tile is None or tile.nvals == 0:
-                continue
-            il, kl, av = tile.to_coo()
-            k = kl + bj * td
-            sel = u_present[k]
-            if not sel.any():
-                continue
-            m = il[sel] + bi * td
-            k = k[sel]
-            av = av[sel]
-            if mult.positional is not None:
-                vals = _vec_positional(mult.positional, k, m, matrix_first)
-            else:
-                u_v = u_dense[k]
-                vals = mult.apply(av, u_v) if matrix_first \
-                    else mult.apply(u_v, av)
-            parts.append((m, vals))
-        if not parts:
+        governor.poll()  # tile boundary: cancellation/deadline point
+        stripe = A._stripe_coo(bi, 0, min(td, A.nrows - bi * td))
+        if stripe is None:
             continue
-        m = np.concatenate([p[0] for p in parts])
-        vals = np.concatenate([p[1] for p in parts])
-        order = np.argsort(m, kind="stable")
-        m, vals = m[order], vals[order]
-        seg = group_starts(m)
-        if seg.size != m.size:
-            vals = fold(vals, seg)
-            m = m[seg]
-        else:
-            vals = out_type.cast_array(vals)
-        out_i.append(m)
+        idx, vals = spmv_pull(
+            _row_store(A, *stripe), u_dense, u_present, sr, out_type,
+            matrix_first=matrix_first, nthreads=nthreads,
+            kernels=selection[0],
+        )
+        out_i.append(idx)
         out_v.append(vals)
     if not out_i:
         return np.empty(0, dtype=_INDEX), np.empty(0, dtype=out_type.np_dtype)
@@ -882,6 +823,12 @@ def _plan_tile_dim(plan, n_major, n_minor) -> int:
     budget = ctx.memory_budget if ctx is not None else None
     return choose_tile_dim(n_major, n_minor, plan.params.get("est_bytes"),
                            budget)
+
+
+def _select(plan) -> None:
+    """Choose the plan's kernels once, as the in-memory backend does, so
+    ``plan.done`` and EXPLAIN report the tier every chunk ran on."""
+    plan.kernel = "numpy" if compiled.select(plan) is None else "compiled"
 
 
 def _report_pool(pool: SpillPool, op: str) -> None:
@@ -925,6 +872,7 @@ def _execute_mxm(plan):
             "governor.tile_plan", op="mxm", tile_dim=td,
             est_bytes=plan.params.get("est_bytes"),
         )
+    _select(plan)
     pool = _spill_pool_for(plan)
     try:
         A_t = TiledMatrix.from_store(a_rows, td, pool, dtype=A.dtype)
@@ -932,7 +880,8 @@ def _execute_mxm(plan):
             B_t = A_t  # A*A: one set of operand tiles serves both sides
         else:
             B_t = TiledMatrix.from_store(b_rows, td, pool, dtype=B.dtype)
-        C_t = mxm_tiled(A_t, B_t, sr, plan.out_type, pool=pool)
+        C_t = mxm_tiled(A_t, B_t, sr, plan.out_type, pool=pool,
+                        nthreads=d.nthreads, selection=plan.selection)
         tr, tc, tv = C_t.to_coo()
     finally:
         _report_pool(pool, "mxm")
@@ -958,11 +907,13 @@ def _execute_matvec(plan):
             "governor.tile_plan", op="mxv" if is_mxv else "vxm", tile_dim=td,
             est_bytes=p.get("est_bytes"),
         )
+    _select(plan)
     pool = _spill_pool_for(plan)
     try:
         A_t = TiledMatrix.from_store(store, td, pool, dtype=A.dtype)
         ti, tv = mxv_tiled(A_t, u.to_dense(), u.pattern(), sr, plan.out_type,
-                           matrix_first=is_mxv)
+                           matrix_first=is_mxv, nthreads=d.nthreads,
+                           selection=plan.selection)
     finally:
         _report_pool(pool, "mxv" if is_mxv else "vxm")
         pool.close()

@@ -6,6 +6,7 @@ import pytest
 from repro import obs
 from repro.graphblas import FP64, Matrix, Vector, capi, operations as ops
 from repro.graphblas import telemetry
+from tests.helpers import kernel_tier, random_matrix_np
 
 
 def small_mats():
@@ -130,3 +131,22 @@ class TestExplainOverBudget:
         text = str(rep)
         assert "tiled" in text
         assert rep.result.nvals > 0
+
+    @pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+    def test_tiled_plan_reports_its_kernel_tier(self, kernel, tmp_path):
+        """A tiled plan records the tier its chunks ran on, like an
+        in-memory one: ``kernel``, and ``kernel_cache`` when compiled."""
+        rng = np.random.default_rng(8)
+        A, _, _ = random_matrix_np(rng, 60, 60, 0.2)
+
+        def run():
+            with capi.GxB_Context_new(memory_budget=1, spill=True,
+                                      spill_dir=str(tmp_path)):
+                ops.mxm(Matrix(FP64, 60, 60), A, A, "plus_times")
+
+        with kernel_tier(kernel):
+            rep = obs.explain(run)
+        (r0,) = [r for r in rep.records if r["op"] == "mxm"]
+        assert r0["route"] == "tiled"
+        assert r0["kernel"] == kernel
+        assert ("kernel_cache" in r0) is (kernel == "compiled")

@@ -15,6 +15,7 @@ import pytest
 from repro.graphblas import (
     Matrix,
     OutOfMemory,
+    Vector,
     faults,
     governor,
     telemetry,
@@ -174,6 +175,65 @@ class TestExhaustedRetry:
             assert pool.stats["spills"] == 0
         finally:
             pool.close()
+        assert not any(tmp_path.iterdir())
+
+
+class TestKernelFaults:
+    """A tiled chunk is one in-memory kernel call, so the kernels' own
+    fault points fire on the tiled route: a transient fault is replayed
+    by the context's retry policy, a persistent one fails cleanly."""
+
+    KERNEL_POINTS = [("mxm", "spgemm.flop"), ("mxv", "mxv.pull")]
+
+    @staticmethod
+    def _output(op):
+        return Matrix("FP64", 40, 40) if op == "mxm" else Vector("FP64", 40)
+
+    @staticmethod
+    def _run(op, out, A, B):
+        if op == "mxm":
+            ops.mxm(out, A, B, "PLUS_TIMES")
+        else:
+            ops.mxv(out, A, Vector.from_dense(np.linspace(-1.0, 1.0, 40)),
+                    "PLUS_TIMES")
+
+    @pytest.mark.parametrize("op,point", KERNEL_POINTS)
+    def test_transient_kernel_fault_replayed_bit_identical(self, op, point,
+                                                           AB, tmp_path):
+        A, B = AB
+        expected = self._output(op)
+        self._run(op, expected, A, B)
+        got = self._output(op)
+        with governor.ExecutionContext(
+            memory_budget=1, retry=_policy(),
+            spill_dir=tmp_path, spill_budget=0,
+        ) as ctx:
+            with faults.inject(point, OutOfMemory, nth=1) as plan:
+                self._run(op, got, A, B)
+        assert plan.fires == 1
+        assert ctx.stats["tiled"] == 1 and ctx.stats["retries"] == 1
+        for g, w in zip(got.extract_tuples(), expected.extract_tuples()):
+            assert g.tobytes() == w.tobytes()
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("op,point", KERNEL_POINTS)
+    def test_persistent_kernel_fault_operands_intact_no_orphans(
+            self, op, point, AB, tmp_path):
+        A, B = AB
+        out = self._output(op)
+        snaps = [deep_state(o) for o in (out, A, B)]
+        with governor.ExecutionContext(
+            memory_budget=1, retry=_policy(),
+            spill_dir=tmp_path, spill_budget=0,
+        ) as ctx:
+            with faults.inject(point, OutOfMemory, probability=1.0, seed=6,
+                               max_fires=None):
+                with pytest.raises(OutOfMemory):
+                    self._run(op, out, A, B)
+        assert ctx.stats["tiled"] >= 1
+        for obj, snap in zip((out, A, B), snaps):
+            assert_same_state(obj, snap)
+        assert out.nvals == 0
         assert not any(tmp_path.iterdir())
 
 

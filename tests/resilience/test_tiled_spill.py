@@ -15,6 +15,7 @@ import pytest
 from repro.generators import rmat_graph
 from repro.graphblas import (
     BudgetExceeded,
+    Descriptor,
     Matrix,
     Vector,
     governor,
@@ -24,7 +25,7 @@ from repro.graphblas import (
 )
 from repro.graphblas import operations as ops
 from repro.graphblas.formats import Orientation, SparseStore
-from tests.helpers import random_matrix_np, random_vector_np
+from tests.helpers import kernel_tier, random_matrix_np, random_vector_np
 
 
 def _bits_equal(got, want) -> None:
@@ -127,18 +128,28 @@ class TestParity:
             ops.mxm(C, A, B, "PLUS_TIMES", mask=M, method="gustavson")
         _bits_equal(C.extract_tuples(), expected.extract_tuples())
 
-    def test_positional_semiring_sees_global_coords(self, tmp_path):
+    @pytest.mark.parametrize("kernel", ["numpy", "compiled"])
+    @pytest.mark.parametrize("sr", ["MIN_SECONDI", "PLUS_FIRSTI",
+                                    "MIN_SECONDJ"])
+    def test_positional_semiring_sees_global_coords(self, sr, kernel,
+                                                    tmp_path):
+        # positional k, i and j across a 13x13 grid of 16-wide tiles,
+        # with stripes split into several chunks (the 1 MiB chunk floor
+        # holds ~44k partial products; a 16-row stripe here has ~160k)
         rng = np.random.default_rng(5)
-        A, _, _ = random_matrix_np(rng, 50, 50, 0.2)
-        B, _, _ = random_matrix_np(rng, 50, 50, 0.2)
-        expected = Matrix("INT64", 50, 50)
-        ops.mxm(expected, A, B, "MIN_SECONDI")
-        C = Matrix("INT64", 50, 50)
-        with governor.ExecutionContext(
-            memory_budget=1, spill_dir=tmp_path, spill_budget=0
-        ):
-            ops.mxm(C, A, B, "MIN_SECONDI")
-        _bits_equal(C.extract_tuples(), expected.extract_tuples())
+        A, _, _ = random_matrix_np(rng, 200, 200, 0.5)
+        B, _, _ = random_matrix_np(rng, 200, 200, 0.5)
+        with kernel_tier(kernel):
+            expected = Matrix("INT64", 200, 200)
+            ops.mxm(expected, A, B, sr)
+            with tiled.SpillPool(budget=1 << 16, directory=tmp_path) as pool:
+                A_t = tiled.TiledMatrix.from_matrix(A, 16, pool)
+                B_t = tiled.TiledMatrix.from_matrix(B, 16, pool)
+                C_t = tiled.mxm_tiled(A_t, B_t, sr, chunk_bytes=1)
+                assert any(len(p) > 1 for p in C_t._cells.values())
+                got = C_t.to_matrix()
+        assert got.dtype == expected.dtype
+        _bits_equal(got.extract_tuples(), expected.extract_tuples())
 
     def test_explicit_tiled_method_without_budget(self):
         rng = np.random.default_rng(9)
@@ -156,11 +167,11 @@ class TestParity:
 # --------------------------------------------------------------------------
 
 class TestChunkedFold:
-    """Skewed stripes fold in row chunks without changing a single bit.
+    """Skewed stripes run in row chunks without changing a single bit.
 
-    The fold decomposes exactly per output row, so partitioning a stripe
-    by rows (``chunk_bytes``) must reproduce the in-memory result bit for
-    bit while keeping the unreduced expansion bounded; chunk pieces are
+    A chunk holds whole output rows, so partitioning a stripe by rows
+    (``chunk_bytes``) must reproduce the in-memory result bit for bit
+    while keeping each chunk's working set bounded; chunk pieces are
     transient and must not survive the stripe that made them.
     """
 
@@ -578,9 +589,10 @@ class TestSpillTraffic:
 class TestParallelFanOut:
     def test_heavy_unchunked_step_fans_out_bit_identical(self, tmp_path,
                                                          monkeypatch):
-        """Fan-out is gated on a step's predicted flops: a dense
-        unchunked stripe still takes the thread pool, a light one (any
-        number of tile pairs) does not; both match in-memory bits."""
+        """A tiled chunk is one in-memory kernel call, so the kernel's
+        own row blocks apply, gated on the chunk's flops: a dense
+        unchunked stripe takes the thread pool, a light one does not;
+        both match in-memory bits."""
         from repro.graphblas import engine
 
         rng = np.random.default_rng(12)
@@ -613,6 +625,45 @@ class TestParallelFanOut:
         finally:
             monkeypatch.undo()
             engine.reset()
+
+    @pytest.mark.parametrize("op", ["mxm", "mxv"])
+    def test_nthreads_reaches_tiled_kernels(self, op, monkeypatch):
+        """``GxB_NTHREADS`` is honoured on the tiled route as in memory:
+        ``nthreads=1`` runs no row blocks, the default does."""
+        from repro.graphblas import engine
+
+        rng = np.random.default_rng(12)
+        # mxv: the pull fans out on the NumPy kernels only, above 64k
+        # products per stripe (one stripe here: no budget, n < 4096)
+        n = 256 if op == "mxm" else 400
+        M, _, _ = random_matrix_np(rng, n, n, 0.5)
+        u, _, _ = random_vector_np(rng, n, density=1.0)
+        calls = []
+        real = engine.run_blocks
+
+        def counting(fn, tasks, workers):
+            calls.append(len(tasks))
+            return real(fn, tasks, workers)
+
+        def run(nthreads):
+            out = Matrix("FP64", n, n) if op == "mxm" else Vector("FP64", n)
+            getattr(ops, op)(out, M, M if op == "mxm" else u, "PLUS_TIMES",
+                             method="tiled", desc=Descriptor(nthreads=nthreads))
+            return out
+
+        engine.reset()
+        try:
+            engine.set_engine(True, parallel=True, workers=2)
+            monkeypatch.setattr(engine, "run_blocks", counting)
+            with kernel_tier("compiled" if op == "mxm" else "numpy"):
+                serial = run(1)
+                assert calls == []
+                parallel = run(None)
+                assert len(calls) > 0
+        finally:
+            monkeypatch.undo()
+            engine.reset()
+        _bits_equal(serial.extract_tuples(), parallel.extract_tuples())
 
 
 # --------------------------------------------------------------------------
