@@ -568,9 +568,12 @@ engine.set_engine(False)                # bit-identical baseline
 * **Dual-format storage** — a Matrix lazily caches its opposite
   orientation (CSR↔CSC twin) with mutation-epoch invalidation, so
   pull-phase `mxv`/`vxm` and transposed reads after the first
-  conversion are O(1); `transpose` into a fresh matrix becomes a
-  pointer swap that also hands the output a warm twin.  Every serve and
-  fill is a `engine.twin` / `engine.transpose` telemetry decision.
+  conversion are O(1); the masked dot `mxm` reads B's columns from
+  that twin (or, with `transpose_b`, from B's own rows for free)
+  instead of re-sorting B per call; `transpose` into a fresh matrix
+  becomes a pointer swap that also hands the output a warm twin.  Every
+  serve and fill is a `engine.twin` / `engine.transpose` telemetry
+  decision.
 * **Parallel row-blocked kernels** — big-enough SpGEMM expansions and
   pull mxv segment reductions are split at row boundaries (so
   concatenated block outputs equal the serial result bit for bit) and
@@ -591,9 +594,11 @@ zombie-free (`fast_path` field on the `assembly` telemetry decision);
 `formats.coo_sort_fold` — the one sort-and-group step of `from_coo`
 and Gustavson's expansion — detects presorted
 input and otherwise sorts once on a fused `major * n_minor + minor`
-key (`np.lexsort` only when that key would overflow int64); and the
-planner memoizes string → operator resolution
-(`plan.resolver_cache_stats()`).
+key (`np.lexsort` only when that key would overflow int64);
+`coords.match_coo` — the matcher behind eWise ops, mask writes and
+`coords_in` — merges its two presorted operands with one stable
+argsort of the same kind of key; and the planner memoizes string →
+operator resolution (`plan.resolver_cache_stats()`).
 
 The C API exposes the engine as `GxB_Engine_set` / `GxB_Engine_get`
 (the getter adds the live `pool` stats); the tunables are the
@@ -710,9 +715,14 @@ matrix via `as_matrix()`.
     components, so labels advance via a min-label union-find
     (`components.merge_labels`); windows with physical deletions
     recompute with FastSV.  **Exact** parity.
-  * `IncrementalTriangles(graph)` — per-delta wedge counting
-    (`triangles.triangle_count_delta`, reverse-undo on the final
-    adjacency, so the sum telescopes to the exact count difference).
+  * `IncrementalTriangles(graph)` — the count advances by
+    `triangles.triangle_count_delta`: with A′ the final adjacency and
+    Δ the chain's net ±1 delta (`updatelog.chain_net_edges`, loops
+    dropped), ΔT = ½Σ(Δ∘A′A′ᵀ⟨Δ⟩) − ½Σ(Δ∘A′Δᵀ⟨Δ⟩) + ⅙Σ(Δ∘ΔΔᵀ⟨Δ⟩),
+    three Δ-masked dot products (PLUS_PAIR, PLUS_SECOND, PLUS_TIMES)
+    with A′'s self-loops subtracted at Δ's rows.  Value-only
+    overwrites and edges that net out over a catch-up leave Δ empty; a
+    chain whose net delta cannot be keyed (n > 2³¹) recounts.
     **Exact** parity.
 * **Graph cache patching** — `lagraph.Graph` cached properties
   (`out_degree`, `in_degree`, `AT`, `nself`) are epoch-checked and

@@ -27,7 +27,7 @@ from ..coords import coords_in, idx_in, match_coo, match_idx
 from ..descriptor import Descriptor
 from ..mask import mask_true_coords, mask_true_idx, write_matrix, write_vector
 from ..matrix import Matrix
-from ..mxm import _gather_ranges, mxm_coo
+from ..mxm import _gather_ranges, mxm_coo, pick_method
 from ..mxv import spmspv_push, spmv_pull
 from ..types import BOOL
 from ..vector import Vector
@@ -105,18 +105,24 @@ class OptimizedBackend(KernelBackend):
         A, B = plan.args
         C, d, sr = plan.out, plan.desc, plan.operator
         a_rows = A.by_col().transposed() if d.transpose_a else A.by_row()
-        b_rows = B.by_col().transposed() if d.transpose_b else B.by_row()
         mask_hint = None
         if plan.mask is not None and not d.complement_mask:
             mask_hint = mask_true_coords(plan.mask, d)
         kernels = compiled.select(plan)
         plan.kernel = "numpy" if kernels is None else "compiled"
+        method = plan.params["method"]
+        # build only the view of B the method reads: its columns for dot
+        # (free for a transposed B), its rows otherwise
+        if pick_method(method, sr, mask_hint is not None, False, kernels) == "dot":
+            b = B.by_row().transposed() if d.transpose_b else B.by_col()
+        else:
+            b = B.by_col().transposed() if d.transpose_b else B.by_row()
         tr, tc, tv = mxm_coo(
             a_rows,
-            b_rows,
+            b,
             sr,
             plan.out_type,
-            method=plan.params["method"],
+            method=method,
             mask_coords=mask_hint,
             mask_complement=False,
             nthreads=d.nthreads,

@@ -3,18 +3,23 @@
 Every GraphBLAS operation ultimately manipulates sets of (row, col) entry
 coordinates: eWiseMult is set intersection, eWiseAdd is set union, masking
 is membership selection, accumulation is a value-merging union.  This module
-implements those primitives on COO arrays with NumPy merges — no composite
-integer keys, so coordinates may come from hypersparse matrices with
-enormous dimensions without overflow.
+implements those primitives on COO arrays with NumPy merges.
 
 Within each input the coordinate pairs must be unique (GraphBLAS objects
 never hold duplicates once assembled); matches across two inputs are then
-exactly the adjacent duplicates after a stable lexsort of the concatenation.
+exactly the adjacent duplicates after a stable sort of the concatenation.
+The sort runs on one int64 key ``r * width + c`` per coordinate; two
+inputs that are each already sorted form two presorted runs, which the
+stable (run-merging) argsort combines in linear time.  Coordinates from
+hypersparse matrices so large that the key would overflow fall back to a
+lexsort of the index pair, with the same result and order.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .formats import _composite_key
 
 __all__ = ["match_coo", "match_idx", "coords_in", "idx_in"]
 
@@ -39,14 +44,18 @@ def match_coo(
     na, nb = ra.size, rb.size
     if na == 0 or nb == 0:
         empty = np.empty(0, dtype=_INDEX)
-        only_a = _coord_order(ra, ca)
-        only_b = _coord_order(rb, cb)
-        return empty, empty, only_a, only_b
+        return empty, empty, _coord_order(ra, ca), _coord_order(rb, cb)
     r = np.concatenate([ra, rb])
     c = np.concatenate([ca, cb])
-    order = np.lexsort((c, r))  # stable: A entries precede matching B entries
-    rs, cs = r[order], c[order]
-    dup = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
+    key = _coord_key(r, c)
+    if key is None:
+        order = np.lexsort((c, r))  # stable: A entries precede matching B entries
+        rs, cs = r[order], c[order]
+        dup = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
+    else:
+        order = np.argsort(key, kind="stable")
+        ks = key[order]
+        dup = ks[1:] == ks[:-1]
     ia = order[:-1][dup]  # the A side of each matched pair
     ib = order[1:][dup] - na  # the B side
     matched = np.zeros(na + nb, dtype=bool)
@@ -58,10 +67,19 @@ def match_coo(
     return ia.astype(_INDEX), ib.astype(_INDEX), only_a.astype(_INDEX), only_b.astype(_INDEX)
 
 
+def _coord_key(r: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """``r * width + c`` (``width`` = largest column + 1) as one int64 key
+    ordered like (r, c), or None when it could overflow int64."""
+    return _composite_key(r, c, int(r.max()) + 1, int(c.max()) + 1)
+
+
 def _coord_order(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     if r.size == 0:
         return np.empty(0, dtype=_INDEX)
-    return np.lexsort((c, r)).astype(_INDEX)
+    key = _coord_key(r, c)
+    if key is None:
+        return np.lexsort((c, r)).astype(_INDEX)
+    return np.argsort(key, kind="stable").astype(_INDEX)
 
 
 def match_idx(

@@ -121,8 +121,8 @@ def ragged_take(
     """Concatenate ``arr[starts[k] : starts[k] + counts[k]]`` for every k.
 
     The vectorized gather behind delta-restricted kernels (PageRank
-    residual adjustment, per-window wedge counting): one arange plus one
-    repeat instead of a Python loop over slices.
+    residual adjustment): one arange plus one repeat instead of a Python
+    loop over slices.
     """
     counts = np.asarray(counts, dtype=_INDEX)
     total = int(counts.sum())

@@ -77,9 +77,10 @@ def write_matrix(
     """Merge an operation result ``T`` (COO form) into ``C`` in place.
 
     ``sorted_unique`` — caller asserts ``T`` is row-major sorted with no
-    duplicate coordinates; lets the plain ``C = T`` overwrite skip the
-    rebuild's sort/dedup pass.  Ignored whenever an accumulator or mask
-    merge could disturb the ordering.
+    duplicate coordinates; lets a ``C = T`` overwrite, masked with
+    REPLACE or not masked at all, skip the rebuild's sort/dedup pass.
+    Ignored whenever an accumulator or a kept-C merge could disturb the
+    ordering.
     """
     if mask is not None and mask.shape != C.shape:
         raise DimensionMismatch(
@@ -106,9 +107,6 @@ def write_matrix(
     mt = mask_true_coords(mask, desc)
     if mt is None:
         out_r, out_c, out_v = zr, zc, zv
-        if not desc.replace and accum is None and mask is None:
-            # plain C = T: full overwrite per spec
-            pass
     else:
         mr, mc = mt
         admit_z = coords_in(zr, zc, mr, mc)
@@ -132,10 +130,11 @@ def write_matrix(
         out_c,
         out_v,
         dup=None,
-        # the hint survives only the paths that leave T's ordering intact:
-        # no accum merge and no mask (mask filtering would preserve order,
-        # but the no-replace keep-concat does not — keep the guard simple)
-        assume_sorted_unique=sorted_unique and accum is None and mt is None,
+        # the hint survives the paths that leave T's ordering intact: no
+        # accum merge, and no mask or a REPLACE one (filtering a sorted
+        # list keeps it sorted; only the keep-C concat breaks the order)
+        assume_sorted_unique=(sorted_unique and accum is None
+                              and (mt is None or desc.replace)),
     )
     # adopt the rebuilt store in place, preserving C's format preference
     fmt = C.format

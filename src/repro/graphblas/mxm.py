@@ -47,12 +47,13 @@ import numpy as np
 from . import engine, faults, governor, telemetry
 from .compiled import store_args
 from .errors import InvalidValue
-from .formats import SparseStore, coo_sort_fold
+from .formats import Orientation, SparseStore, coo_sort_fold
 from .ops import BinaryOp
 from .semiring import Semiring
 from .types import Type
 
-__all__ = ["mxm_coo", "resolve_method", "dot_candidates", "MXM_METHODS"]
+__all__ = ["mxm_coo", "pick_method", "resolve_method", "dot_candidates",
+           "MXM_METHODS"]
 
 _INDEX = np.int64
 
@@ -96,38 +97,51 @@ def _positional_values(
     raise InvalidValue(f"unknown positional kind {kind!r}")
 
 
-def resolve_method(
+def pick_method(
     method: str,
     semiring: Semiring,
-    mask_coords,
+    masked: bool,
     mask_complement: bool,
-    a_rows: SparseStore,
-    b_rows: SparseStore,
     kernels=None,
 ) -> str:
-    """Resolve a requested SpGEMM method to the concrete kernel to run.
+    """The concrete kernel a requested SpGEMM method resolves to.
 
     The one method policy shared by every backend (the NumPy kernels
-    and the compiled tier both route through here, so their
-    ``spgemm.method`` telemetry and governor poll points are identical):
+    and the compiled tier both route through here):
     ``tiled`` degrades to the bit-identical in-memory Gustavson, ``auto``
     picks dot exactly when a usable (non-complemented) mask hint exists,
     positional products force NumPy's coordinate expansion (Gustavson)
     unless compiled ``kernels`` run them, whose dot loop holds (i, k, j).
+    Free of side effects, so a caller can ask which view of B the
+    method reads (by column for dot, by row otherwise) before
+    :func:`mxm_coo` runs it.
     """
-    requested = method
     if method == "tiled":
         # the dispatcher serves "tiled" via repro.graphblas.tiled; when a
         # plan reaches the in-memory kernel anyway (a direct kernel call)
         # Gustavson is the bit-identical equivalent
         method = "gustavson"
     if method == "auto":
-        if mask_coords is not None and not mask_complement:
-            method = "dot"
-        else:
-            method = "gustavson"
+        method = "dot" if masked and not mask_complement else "gustavson"
     if semiring.mult.positional and method != "gustavson" and kernels is None:
         method = "gustavson"  # positional products need coordinate expansion
+    return method
+
+
+def resolve_method(
+    method: str,
+    semiring: Semiring,
+    mask_coords,
+    mask_complement: bool,
+    a_rows: SparseStore,
+    b: SparseStore,
+    kernels=None,
+) -> str:
+    """:func:`pick_method`, recorded: the ``spgemm.method`` telemetry
+    decision and the governor poll every backend's SpGEMM passes."""
+    requested = method
+    method = pick_method(method, semiring, mask_coords is not None,
+                         mask_complement, kernels)
     if telemetry.ENABLED:
         telemetry.decision(
             "spgemm.method",
@@ -135,7 +149,7 @@ def resolve_method(
             requested=requested,
             masked=mask_coords is not None,
             a_nvals=a_rows.nvals,
-            b_nvals=b_rows.nvals,
+            b_nvals=b.nvals,
         )
     if governor.ACTIVE:
         # SpGEMM method boundary: last cooperative cancellation point
@@ -146,7 +160,7 @@ def resolve_method(
 
 def mxm_coo(
     a_rows: SparseStore,
-    b_rows: SparseStore,
+    b: SparseStore,
     semiring: Semiring,
     out_type: Type,
     method: str = "auto",
@@ -155,7 +169,14 @@ def mxm_coo(
     nthreads: int | None = None,
     kernels=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C = A (+).(x) B on row-oriented stores; returns sorted COO arrays.
+    """C = A (+).(x) B on stores; returns sorted COO arrays.
+
+    ``a_rows`` holds A by row.  ``b`` holds B in the orientation the
+    resolved method reads (:func:`pick_method`): by column for dot, by
+    row for Gustavson and heap.  The caller supplies it, so a column
+    view it already has (a Matrix's twin, or the free
+    ``B.by_row().transposed()`` when B is used transposed) is never
+    re-sorted here.
 
     ``mask_coords`` — when given, only those output coordinates need be
     computed (the structural part of the output mask); the caller still
@@ -172,26 +193,33 @@ def mxm_coo(
     then run its scalar loops (each operand in its own type, the result
     in ``out_type``).
     """
-    if a_rows.n_minor != b_rows.n_major:
+    b_by_col = b.orientation is Orientation.COL
+    inner = b.n_minor if b_by_col else b.n_major
+    if a_rows.n_minor != inner:
         raise InvalidValue(
-            f"inner dimensions differ: {a_rows.n_minor} vs {b_rows.n_major}"
+            f"inner dimensions differ: {a_rows.n_minor} vs {inner}"
         )
     if method not in MXM_METHODS:
         raise InvalidValue(f"unknown mxm method {method!r}")
     if faults.ENABLED:
         faults.trip("spgemm.flop")
     method = resolve_method(
-        method, semiring, mask_coords, mask_complement, a_rows, b_rows,
+        method, semiring, mask_coords, mask_complement, a_rows, b,
         kernels=kernels,
     )
+    if b_by_col != (method == "dot"):
+        raise InvalidValue(
+            f"the {method} method reads B by "
+            f"{'column' if method == 'dot' else 'row'}, got a "
+            f"{b.orientation.value} store"
+        )
 
     if method == "gustavson":
         if kernels is not None:
-            r, c, v = _compiled_gustavson(kernels, a_rows, b_rows, out_type,
+            r, c, v = _compiled_gustavson(kernels, a_rows, b, out_type,
                                           nthreads)
         else:
-            r, c, v = _mxm_gustavson(a_rows, b_rows, semiring, out_type,
-                                     nthreads)
+            r, c, v = _mxm_gustavson(a_rows, b, semiring, out_type, nthreads)
         if mask_coords is not None:
             from .coords import coords_in
 
@@ -202,10 +230,10 @@ def mxm_coo(
         return r, c, v
     if method == "dot":
         if kernels is not None:
-            return _compiled_dot(kernels, a_rows, b_rows, out_type,
+            return _compiled_dot(kernels, a_rows, b, out_type,
                                  mask_coords, mask_complement)
-        return _mxm_dot(a_rows, b_rows, semiring, out_type, mask_coords, mask_complement)
-    return _mxm_heap(a_rows, b_rows, semiring, out_type, mask_coords, mask_complement)
+        return _mxm_dot(a_rows, b, semiring, out_type, mask_coords, mask_complement)
+    return _mxm_heap(a_rows, b, semiring, out_type, mask_coords, mask_complement)
 
 
 def _empty_coo(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,13 +484,12 @@ def dot_candidates(
 
 def _mxm_dot(
     a_rows: SparseStore,
-    b_rows: SparseStore,
+    b_cols: SparseStore,
     semiring: Semiring,
     out_type: Type,
     mask_coords,
     mask_complement: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    b_cols = b_rows.with_orientation(b_rows.orientation.flipped)
     out_i, out_j = dot_candidates(a_rows, b_cols, mask_coords, mask_complement)
     if out_i.size == 0:
         return _empty_coo(out_type.np_dtype)
@@ -537,7 +564,7 @@ def _mxm_dot(
     return out_i[order], out_j[order], out_vals[order]
 
 
-def _compiled_dot(kern, a_rows, b_rows, out_type, mask_coords,
+def _compiled_dot(kern, a_rows, b_cols, out_type, mask_coords,
                   mask_complement):
     """The dot method on the compiled sorted-intersection kernel, which
     stops each dot at the first annihilator (per element, not per
@@ -545,7 +572,6 @@ def _compiled_dot(kern, a_rows, b_rows, out_type, mask_coords,
     multiplies."""
     dt = out_type.np_dtype
     spec = kern.spec
-    b_cols = b_rows.with_orientation(b_rows.orientation.flipped)
     out_i, out_j = dot_candidates(a_rows, b_cols, mask_coords, mask_complement)
     if out_i.size == 0:
         return _empty_coo(dt)

@@ -38,6 +38,7 @@ __all__ = [
     "UpdateLog",
     "ResolvedLog",
     "DeltaBatch",
+    "chain_net_edges",
     "coords_isin",
     "enable_depth_tracking",
     "depth_tracking_enabled",
@@ -282,6 +283,7 @@ class DeltaBatch:
         "epoch_from",
         "epoch_to",
         "_ins_existed",
+        "_prev_killed",
     )
 
     def __init__(
@@ -314,6 +316,7 @@ class DeltaBatch:
         self.epoch_from = epoch_from
         self.epoch_to = epoch_to
         self._ins_existed = None
+        self._prev_killed = None
 
     def __len__(self) -> int:
         return int(self.ins_rows.size + self.del_rows.size)
@@ -345,10 +348,12 @@ class DeltaBatch:
         """
         if self.prev_rows.size == 0:
             return _EMPTY_I, _EMPTY_I, self.prev_values
-        killed = ~coords_isin(
-            self.prev_rows, self.prev_cols,
-            self.ins_rows, self.ins_cols, self.ncols,
-        )
+        if self._prev_killed is None:  # every maintainer of a window asks
+            self._prev_killed = ~coords_isin(
+                self.prev_rows, self.prev_cols,
+                self.ins_rows, self.ins_cols, self.ncols,
+            )
+        killed = self._prev_killed
         return (
             self.prev_rows[killed],
             self.prev_cols[killed],
@@ -387,6 +392,58 @@ class DeltaBatch:
             f"DeltaBatch({self.nrows}x{self.ncols}, +{self.ins_rows.size}"
             f" -{self.del_rows.size}, epochs {self.epoch_from}->{self.epoch_to})"
         )
+
+
+def chain_net_edges(chain, n: int):
+    """Net structural effect of a window chain on each touched coordinate.
+
+    ``chain`` is a contiguous run of :class:`DeltaBatch` windows of an
+    ``n x n`` matrix (``Matrix.deltas_since``).  Compares each
+    coordinate's presence *before the first batch that touched it* with
+    its presence *after the last*: returns
+    ``(add_u, add_v, rem_u, rem_v)`` — coordinates that net-appeared and
+    net-vanished.  Value-only overwrites cancel out.  Returns None when
+    the composite key would overflow (callers recompute).
+    """
+    if n > 2**31:
+        return None
+    keys, existed, isins = [], [], []
+    for d in chain:
+        ikey = d.ins_rows * np.int64(n) + d.ins_cols
+        dkey = d.del_rows * np.int64(n) + d.del_cols
+        pkey = d.prev_rows * np.int64(n) + d.prev_cols
+        k = np.concatenate([ikey, dkey])
+        if k.size == 0:
+            continue
+        keys.append(k)
+        existed.append(np.isin(k, pkey))
+        isins.append(
+            np.concatenate(
+                [np.ones(ikey.size, dtype=bool), np.zeros(dkey.size, dtype=bool)]
+            )
+        )
+    empty = np.empty(0, dtype=_INDEX)
+    if not keys:
+        return empty, empty, empty, empty
+    keys = np.concatenate(keys)
+    existed = np.concatenate(existed)
+    isins = np.concatenate(isins)
+    order = np.argsort(keys, kind="stable")  # keys were appended in batch order
+    ks = keys[order]
+    first = np.empty(ks.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ks[1:], ks[:-1], out=first[1:])
+    last = np.empty(ks.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(ks[1:], ks[:-1], out=last[:-1])
+    uniq = ks[first]
+    init_present = existed[order][first]
+    final_present = isins[order][last]
+    added = final_present & ~init_present
+    removed = init_present & ~final_present
+    au, av = uniq[added] // n, uniq[added] % n
+    ru, rv = uniq[removed] // n, uniq[removed] % n
+    return au, av, ru, rv
 
 
 # -- pending-work depth registry (observability) ------------------------------

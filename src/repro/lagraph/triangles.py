@@ -19,6 +19,8 @@ from ..graphblas import Matrix, telemetry
 from ..graphblas import operations as ops
 from ..graphblas.descriptor import Descriptor
 from ..graphblas.errors import InvalidValue
+from ..graphblas.types import FP64
+from ..graphblas.updatelog import chain_net_edges
 from .graph import Graph
 
 __all__ = [
@@ -30,63 +32,60 @@ __all__ = [
 ]
 
 
-def _canonical_pairs(rows: np.ndarray, cols: np.ndarray):
-    """Distinct undirected non-loop pairs (u, v) with u < v."""
-    keep = rows != cols
-    if not keep.any():
-        return []
-    u = np.minimum(rows[keep], cols[keep])
-    v = np.maximum(rows[keep], cols[keep])
-    uv = np.unique(np.stack([u, v], axis=1), axis=0)
-    return list(zip(uv[:, 0].tolist(), uv[:, 1].tolist()))
-
-
-def triangle_count_delta(graph: Graph, deltas, prev_count: int) -> int:
+def triangle_count_delta(graph: Graph, deltas, prev_count: int) -> int | None:
     """Advance an undirected triangle count across assembled windows.
 
-    Reverse-undo wedge counting: starting from the *final* adjacency (the
-    pre-window state no longer exists after assembly), the windows are
-    walked backwards and every edge toggle is undone while counting the
-    wedges it closes in the evolving neighbor sets.  Each step is the
-    exact triangle-count difference of one single-edge change, so the sum
-    telescopes to ``T_new - T_old`` regardless of event order.  Cost is
-    O(delta x avg-degree) instead of the masked SpGEMM of a recount.
+    With A' the adjacency after the windows and D = A' - A the chain's
+    net +1/-1 delta, loops dropped (:func:`~repro.graphblas.updatelog.
+    chain_net_edges`), the cyclic trace of T = tr(X^3)/6 gives
 
-    The graph must be undirected with both directions stored (the
-    :class:`~repro.lagraph.Graph` UNDIRECTED contract); value overwrites
-    and self-loops close no wedges and are ignored.
+        T' - T = 1/2 sum(D .* A'A'<D>) - 1/2 sum(D .* A'D<D>)
+                 + 1/6 sum(D .* DD<D>)
+
+    arXiv 2509.18984's matrix streaming of section-V counting: each term
+    is a D-masked dot product, an eWiseMult and a reduce, O(|D| x
+    degree).  A loop s_i = [A'(i,i)] over-counts the first two terms'
+    difference by s_i D(i,j), subtracted at D's rows.
+
+    A must store both directions (UNDIRECTED).  Value-only overwrites and
+    edges that net out over the chain give no D.  None means the net
+    delta could not be keyed (``n > 2**31``): the caller recounts.
     """
-    A = graph.A
-    A.wait()
-    store = A.by_row()
-    adj: dict[int, set] = {}
+    A, n = graph.A.wait(), graph.n
+    net = chain_net_edges(deltas, n)
+    if net is None:
+        return None
+    au, av, ru, rv = net
+    rows, cols = np.concatenate([au, ru]), np.concatenate([av, rv])
+    sign = np.repeat([1.0, -1.0], [au.size, ru.size])
+    off = rows != cols
+    rows, cols, sign = rows[off], cols[off], sign[off]
+    if rows.size == 0:
+        return prev_count
+    D = Matrix.from_coo(rows, cols, sign, nrows=n, ncols=n, dtype="FP64")
+    # PAIR's sum runs in A's own type, so a narrow one would saturate
+    X = A if A.dtype == FP64 else graph.structure("FP64")
+    wedges = _delta_sum(X, X, "PLUS_PAIR", D)
+    wedges -= _delta_sum(A, D, "PLUS_SECOND", D)
+    if graph.nself_edges:
+        # W = diag(row sums of D); (A'W')(i,i) = s_i
+        U, inv = np.unique(rows, return_inverse=True)
+        W = Matrix.from_coo(U, U, np.bincount(inv, weights=sign),
+                            nrows=n, ncols=n)
+        wedges -= _delta_sum(X, W, "PLUS_PAIR", W)
+    return prev_count + (3 * wedges + _delta_sum(D, D, "PLUS_TIMES", D)) // 6
 
-    def nbrs(u: int) -> set:
-        s = adj.get(u)
-        if s is None:
-            start, end = store.major_ranges(np.array([u], dtype=np.int64))
-            s = set(store.minor[int(start[0]):int(end[0])].tolist())
-            s.discard(u)
-            adj[u] = s
-        return s
 
-    change = 0
-    for delta in reversed(list(deltas)):
-        nr, nc, _ = delta.new_edges()
-        rr, rc, _ = delta.removed_edges()
-        for u, v in _canonical_pairs(nr, nc):
-            su, sv = nbrs(u), nbrs(v)
-            su.discard(v)
-            sv.discard(u)
-            change += len(su & sv)
-        for u, v in _canonical_pairs(rr, rc):
-            su, sv = nbrs(u), nbrs(v)
-            change -= len(su & sv)
-            su.add(v)
-            sv.add(u)
-    return prev_count + change
+def _delta_sum(X: Matrix, Y: Matrix, semiring: str, D: Matrix) -> int:
+    """sum(D .* X*Y'<D>): one D-masked dot product, eWiseMult, reduce."""
+    C = Matrix("FP64", D.nrows, D.ncols)
+    ops.mxm(C, X, Y, semiring, mask=D, desc=_RST, method="dot")
+    ops.ewise_mult(C, C, D, "TIMES")
+    return int(round(ops.reduce_scalar(C, "PLUS")))
+
 
 _RS = Descriptor(replace=True, structural_mask=True)
+_RST = Descriptor(replace=True, structural_mask=True, transpose_b=True)
 
 
 def _prepared(graph: Graph) -> Matrix:

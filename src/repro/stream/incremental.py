@@ -21,8 +21,16 @@ the parity oracle it is tested against.
   delta's endpoints (:func:`repro.lagraph.components.merge_labels`);
   windows containing physical deletions trigger a FastSV recompute.
   Exact parity.
-* :class:`IncrementalTriangles` — per-delta wedge counting
-  (:func:`repro.lagraph.triangles.triangle_count_delta`).  Exact parity.
+* :class:`IncrementalTriangles` — the count advanced by three masked
+  dot products over the chain's net ±1 delta
+  (:func:`repro.lagraph.triangles.triangle_count_delta`); a chain whose
+  net delta is unavailable (coordinate-key overflow) recounts.  Exact
+  parity.
+
+:class:`DynamicPageRank` and :class:`IncrementalTriangles` read a chain
+through :func:`repro.graphblas.updatelog.chain_net_edges`: each touched
+coordinate's presence before the chain against after it, so value-only
+overwrites and edges that come and go inside one catch-up cancel.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import numpy as np
 
 from ..graphblas import Vector, telemetry
 from ..graphblas.formats import ragged_take
+from ..graphblas.updatelog import chain_net_edges
 from ..lagraph.centrality import pagerank
 from ..lagraph.components import connected_components, merge_labels
 from ..lagraph.graph import Graph
@@ -41,58 +50,6 @@ from ..lagraph.triangles import triangle_count, triangle_count_delta
 __all__ = ["DynamicPageRank", "IncrementalComponents", "IncrementalTriangles"]
 
 _INDEX = np.int64
-
-
-def _chain_net_edges(chain, n: int):
-    """Net structural effect of a window chain on each touched coordinate.
-
-    Compares each coordinate's presence *before the first batch that
-    touched it* with its presence *after the last*: returns
-    ``(add_u, add_v, rem_u, rem_v)`` — coordinates that net-appeared and
-    net-vanished.  Value-only overwrites cancel out.  Returns None when
-    the composite key would overflow (callers recompute).
-    """
-    if n > 2**31:
-        return None
-    keys, batches, existed, isins = [], [], [], []
-    for bi, d in enumerate(chain):
-        ikey = d.ins_rows * np.int64(n) + d.ins_cols
-        dkey = d.del_rows * np.int64(n) + d.del_cols
-        pkey = d.prev_rows * np.int64(n) + d.prev_cols
-        k = np.concatenate([ikey, dkey])
-        if k.size == 0:
-            continue
-        keys.append(k)
-        batches.append(np.full(k.size, bi, dtype=_INDEX))
-        existed.append(np.isin(k, pkey))
-        isins.append(
-            np.concatenate(
-                [np.ones(ikey.size, dtype=bool), np.zeros(dkey.size, dtype=bool)]
-            )
-        )
-    empty = np.empty(0, dtype=_INDEX)
-    if not keys:
-        return empty, empty, empty, empty
-    keys = np.concatenate(keys)
-    batches = np.concatenate(batches)
-    existed = np.concatenate(existed)
-    isins = np.concatenate(isins)
-    order = np.lexsort((batches, keys))
-    ks = keys[order]
-    first = np.empty(ks.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ks[1:], ks[:-1], out=first[1:])
-    last = np.empty(ks.size, dtype=bool)
-    last[-1] = True
-    np.not_equal(ks[1:], ks[:-1], out=last[:-1])
-    uniq = ks[first]
-    init_present = existed[order][first]
-    final_present = isins[order][last]
-    added = final_present & ~init_present
-    removed = init_present & ~final_present
-    au, av = uniq[added] // n, uniq[added] % n
-    ru, rv = uniq[removed] // n, uniq[removed] % n
-    return au, av, ru, rv
 
 
 class DynamicPageRank:
@@ -138,7 +95,7 @@ class DynamicPageRank:
     def _adjust_residual(self, chain, store, deg_new: np.ndarray, n: int) -> bool:
         """Advance the carried residual by the chain's net edge changes;
         touches only the changed sources' adjacency.  False → recompute."""
-        net = _chain_net_edges(chain, n)
+        net = chain_net_edges(chain, n)
         if net is None:
             return False
         au, av, ru, rv = net
@@ -291,7 +248,15 @@ class IncrementalComponents:
 
 
 class IncrementalTriangles:
-    """Global triangle count maintained by per-delta wedge updates."""
+    """Global triangle count maintained across windows.
+
+    ``update()`` advances the cached count by
+    :func:`~repro.lagraph.triangles.triangle_count_delta` over the delta
+    chain since the cached epoch: three dot products masked by the net
+    ±1 delta, each O(|delta| x degree).  With no chain, or when the
+    chain's net delta cannot be keyed (``n > 2**31``), it recounts with
+    ``method`` and adds one to ``recomputes``.
+    """
 
     def __init__(self, graph: Graph, *, method: str = "sandia_ll"):
         self.graph = graph
@@ -310,12 +275,14 @@ class IncrementalTriangles:
         A.wait()
         chain = None if self._count is None else A.deltas_since(self._epoch)
         with telemetry.span("stream.triangles", windows=self.windows):
+            count = None
             if chain is not None:
-                self._count = triangle_count_delta(self.graph, chain, self._count)
-            else:
+                count = triangle_count_delta(self.graph, chain, self._count)
+            if count is None:
                 if self._count is not None:
                     self.recomputes += 1
-                self._count = triangle_count(self.graph, self.method)
+                count = triangle_count(self.graph, self.method)
+            self._count = count
         self._epoch = A._epoch
         self.windows += 1
         return self._count

@@ -5,6 +5,7 @@ sliding = insertions + deletions)."""
 import numpy as np
 import pytest
 
+from repro.graphblas import Matrix
 from repro.lagraph import (
     Graph,
     GraphKind,
@@ -218,3 +219,96 @@ def test_pagerank_failure_path_restarts_once_then_recovers():
     g = _oracle(st.graph)
     assert float(np.abs(_full_pagerank(g) - ranks).sum()) < PR_GAP
     assert _residual_l1(g, ranks) <= PR_TOL + CERT_SLACK
+
+
+# -- IncrementalTriangles edge cases: each window checked against a recount --
+
+def _sym(rows, cols):
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    return np.r_[rows, cols], np.r_[cols, rows]
+
+
+def _tracked_graph(n=24, m=90, seed=11):
+    """A symmetric graph with a few self-loops, delta tracking on."""
+    rng = np.random.default_rng(seed)
+    r, c = _sym(rng.integers(0, n, m), rng.integers(0, n, m))
+    r, c = np.r_[r, [0, 5, 9]], np.r_[c, [0, 5, 9]]
+    A = Matrix.from_coo(r, c, 1.0, nrows=n, ncols=n, dup="SECOND")
+    A.track_deltas(True)
+    g = Graph(A, GraphKind.UNDIRECTED)
+    tri = IncrementalTriangles(g)
+    assert tri.update() == triangle_count(_oracle(g))
+    return g, tri
+
+
+def _window(A, rows, cols, values=1.0, deleted=None):
+    A.update_batch(rows, cols, values, deleted=deleted)
+    A.wait()
+
+
+def _check(g, tri, recomputes=0):
+    assert tri.update() == triangle_count(_oracle(g))
+    assert tri.recomputes == recomputes
+
+
+def _absent_pairs(A, k):
+    """k vertex pairs (u < v) with no stored edge between them."""
+    absent = np.argwhere(~A.pattern())
+    absent = absent[absent[:, 0] < absent[:, 1]]
+    return absent[:: max(1, absent.shape[0] // k)][:k]
+
+
+def test_triangles_self_loops_toggled_in_one_chain():
+    g, tri = _tracked_graph()
+    A = g.A
+    pairs = _absent_pairs(A, 4)
+    ends = np.unique(pairs)
+    _window(A, ends, ends)  # loops on both ends of every new edge
+    _window(A, *_sym(pairs[:2, 0], pairs[:2, 1]))
+    _window(A, ends[::2], ends[::2], deleted=True)  # some loops go again
+    _window(A, [0, 5], [0, 5], deleted=True)
+    assert g.nself_edges > 0
+    _check(g, tri)
+    _window(A, *_sym(pairs[2:, 0], pairs[2:, 1]))
+    _check(g, tri)
+
+
+def test_triangles_insert_then_delete_in_one_catch_up():
+    g, tri = _tracked_graph()
+    A = g.A
+    before = tri.count
+    pairs = _absent_pairs(A, 6)
+    u, v = _sym(pairs[:, 0], pairs[:, 1])
+    _window(A, u, v)
+    _window(A, u, v, deleted=True)  # net delta: nothing
+    assert len(A.deltas_since(tri._epoch)) == 2
+    _check(g, tri)
+    assert tri.count == before
+
+
+def test_triangles_value_only_overwrites():
+    g, tri = _tracked_graph()
+    A = g.A
+    before = tri.count
+    rows, cols, vals = A.extract_tuples()
+    _window(A, rows[::3], cols[::3], vals[::3] * 7.0 + 2.0)
+    _check(g, tri)
+    assert tri.count == before
+
+
+def test_triangles_deletions_only_window():
+    g, tri = _tracked_graph()
+    A = g.A
+    rows, cols, _ = A.extract_tuples()
+    off = rows < cols
+    _window(A, *_sym(rows[off][::2], cols[off][::2]), deleted=True)
+    _check(g, tri)
+
+
+def test_triangles_unkeyable_chain_recounts(monkeypatch):
+    from repro.lagraph import triangles as tri_mod
+
+    g, tri = _tracked_graph()
+    _window(g.A, *_sym([2, 4], [6, 6]))
+    monkeypatch.setattr(tri_mod, "chain_net_edges", lambda chain, n: None)
+    _check(g, tri, recomputes=1)
