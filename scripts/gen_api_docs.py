@@ -728,7 +728,9 @@ matrix via `as_matrix()`.
   (`out_degree`, `in_degree`, `AT`, `nself`) are epoch-checked and
   *patched forward* through the delta chain instead of recomputed; the
   old staleness footgun (mutating `A` without `delete_cached()`) is
-  gone.
+  gone.  `weight_summary` (min, mean, max) and `delta_split(delta)`
+  (delta-stepping's light/heavy pair, one entry kept) have no patcher
+  and are recomputed when stale.
 * **Log-depth gauges** — with `obs.enable()`,
   `graphblas_pending_tuples` / `graphblas_zombies` report unassembled
   log depth across live matrices and vectors.

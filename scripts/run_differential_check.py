@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Differential cross-check: run LAGraph algorithms with runtime verification.
 
-Executes BFS, SSSP (Bellman-Ford), and triangle counting on an RMAT graph
-under the ``differential`` kernel backend: every Table-I operation whose
-dense replay fits the verification budget is re-executed on the
-spec-literal reference engine and compared; oversized operations are
-executed on the optimized engine only and reported as skipped.
+Executes BFS, SSSP (Bellman-Ford, and delta-stepping on a weighted graph
+with a mixed light/heavy split and on a unit-weight one whose split is A
+itself), and triangle counting on RMAT graphs under the ``differential``
+kernel backend: every Table-I operation whose dense replay fits the
+verification budget is re-executed on the spec-literal reference engine
+and compared; oversized operations are executed on the optimized engine
+only and reported as skipped.
 
 The exit code is non-zero iff any divergence was observed (a divergence
 also raises immediately, pinpointing the first diverging operation).
@@ -61,6 +63,8 @@ def main(argv=None) -> int:
     workloads = [
         ("bfs_level", lambda: bfs_level(0, directed)),
         ("sssp (bellman-ford)", lambda: sssp(0, weighted, method="bellman-ford")),
+        ("sssp (delta, weighted)", lambda: sssp(0, weighted, method="delta")),
+        ("sssp (delta, unweighted)", lambda: sssp(0, directed, method="delta")),
         ("triangle_count", lambda: triangle_count(undirected)),
     ]
     failed = False

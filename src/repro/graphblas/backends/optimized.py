@@ -25,6 +25,7 @@ _mxv_mod = importlib.import_module(".mxv", __package__.rsplit(".", 1)[0])
 from .. import compiled, engine, governor, telemetry
 from ..coords import coords_in, idx_in, match_coo, match_idx
 from ..descriptor import Descriptor
+from ..formats import Orientation
 from ..mask import mask_true_coords, mask_true_idx, write_matrix, write_vector
 from ..matrix import Matrix
 from ..mxm import _gather_ranges, mxm_coo, pick_method
@@ -41,6 +42,13 @@ def _matrix_coo(A: Matrix, transposed: bool):
     if transposed:
         rows, cols = cols, rows
     return rows, cols, vals
+
+
+def _coo_sorted(A: Matrix, transposed: bool) -> bool:
+    """Whether ``_matrix_coo(A, transposed)`` came out row-major sorted
+    and unique: the store read in its own orientation (a ROW store as
+    is, a COL store transposed)."""
+    return (A._store.orientation is Orientation.ROW) != transposed
 
 
 def _expand_selection(sel: np.ndarray, entry_ids: np.ndarray):
@@ -270,7 +278,10 @@ class OptimizedBackend(KernelBackend):
 
         if p["is_vector"]:
             return write_vector(C, rows, tv, mask=plan.mask, accum=plan.accum, desc=d)
-        return write_matrix(C, rows, cols, tv, mask=plan.mask, accum=plan.accum, desc=d)
+        return write_matrix(
+            C, rows, cols, tv, mask=plan.mask, accum=plan.accum, desc=d,
+            sorted_unique=_coo_sorted(A, d.transpose_a),
+        )
 
     def select(self, plan):
         (A,) = plan.args
@@ -286,6 +297,7 @@ class OptimizedBackend(KernelBackend):
         return write_matrix(
             C, rows[keep], cols[keep], vals[keep],
             mask=plan.mask, accum=plan.accum, desc=d,
+            sorted_unique=_coo_sorted(A, d.transpose_a),
         )
 
     # -- reduce -------------------------------------------------------------

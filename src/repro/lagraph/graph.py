@@ -17,6 +17,7 @@ import numpy as np
 from ..graphblas import Matrix, Vector, telemetry
 from ..graphblas import operations as ops
 from ..graphblas.errors import InvalidValue
+from ..graphblas.types import FP64
 
 __all__ = ["Graph", "GraphKind"]
 
@@ -234,6 +235,50 @@ class Graph:
             r, c, _ = self.A.extract_tuples()
             nself = self._cache_put("nself", int(np.count_nonzero(r == c)))
         return nself
+
+    @property
+    def weight_summary(self) -> tuple[float, float, float]:
+        """Cached ``(min, mean, max)`` of A's entries as floats
+        (LAGraph_Cached_EMin / EMax); NaNs when A has no entries.
+        Recomputed when stale."""
+        self.A.wait()
+        summary = self._cache_get("weight_summary")
+        if summary is None:
+            w = self.A._store.values
+            summary = self._cache_put(
+                "weight_summary",
+                (float(w.min()), float(w.mean()), float(w.max()))
+                if w.size else (np.nan, np.nan, np.nan),
+            )
+        return summary
+
+    def delta_split(self, delta: float) -> tuple[Matrix, Matrix]:
+        """Cached FP64 light/heavy split ``(A<=delta, A>delta)`` for
+        delta-stepping SSSP.  One entry, replaced when ``delta`` changes
+        and recomputed when stale.  A one-sided split of an FP64 graph
+        aliases A itself instead of copying it."""
+        self.A.wait()
+        cached = self._cache_get("delta_split")
+        if cached is not None and cached[0] == delta:
+            return cached[1], cached[2]
+        n, A = self.n, self.A
+        wmin, _, wmax = self.weight_summary
+        if A.dtype == FP64 and wmax <= delta:
+            AL, AH = A, Matrix("FP64", n, n)
+        elif A.dtype == FP64 and wmin > delta:
+            AL, AH = Matrix("FP64", n, n), A
+        else:
+            AL, AH = Matrix("FP64", n, n), Matrix("FP64", n, n)
+            ops.select(AL, A, "VALUELE", delta)
+            ops.select(AH, A, "VALUEGT", delta)
+            # both orientations built before publication: concurrent
+            # readers of a served snapshot only ever read the split
+            for M in (AL, AH):
+                M.keep_both_orientations(True)
+                M.by_row()
+                M.by_col()
+        self._cache_put("delta_split", (delta, AL, AH))
+        return AL, AH
 
     def without_self_edges(self) -> "Graph":
         """A copy with the diagonal removed (LAGraph_DeleteSelfEdges)."""

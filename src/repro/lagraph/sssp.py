@@ -8,9 +8,7 @@ the textbook baseline both for testing and for the Table II comparison.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..graphblas import Matrix, Vector, governor
+from ..graphblas import Vector, governor
 from ..graphblas import operations as ops
 from ..graphblas.errors import InvalidValue
 from .graph import Graph
@@ -62,25 +60,24 @@ def bellman_ford_sssp(
 def delta_stepping_sssp(source: int, graph: Graph, delta: float | None = None) -> Vector:
     """Delta-stepping SSSP (Sridhar et al. [32]) for non-negative weights.
 
-    Edges are split into light (w <= delta) and heavy (w > delta); vertices
-    settle bucket by bucket, with a light-edge relaxation loop inside each
-    bucket followed by one heavy-edge relaxation out of it.
+    Edges are split into light (w <= delta) and heavy (w > delta), a split
+    the graph caches; vertices settle bucket by bucket, with a light-edge
+    relaxation loop inside each bucket that re-relaxes only the entries
+    that are new or improved, followed by one heavy-edge relaxation out
+    of it.
     """
     n = graph.n
     if not 0 <= int(source) < n:
         raise InvalidValue(f"source {source} outside [0,{n})")
-    _, _, weights = graph.A.extract_tuples()
-    if weights.size and weights.min() < 0:
+    wmin, wmean, _ = graph.weight_summary
+    if wmin < 0:
         raise InvalidValue("delta-stepping requires non-negative weights")
     if delta is None:
         # common heuristic: average edge weight (falls back to 1)
-        delta = float(weights.mean()) if weights.size else 1.0
+        delta = wmean if graph.nvals else 1.0
     if delta <= 0:
         raise InvalidValue("delta must be positive")
-    AL = Matrix("FP64", n, n)
-    ops.select(AL, graph.A, "VALUELE", delta)
-    AH = Matrix("FP64", n, n)
-    ops.select(AH, graph.A, "VALUEGT", delta)
+    AL, AH = graph.delta_split(delta)
     t = Vector("FP64", n)
     t.set_element(source, 0.0)
     state = {"settled": 0.0}  # every distance below it is final
@@ -90,19 +87,31 @@ def delta_stepping_sssp(source: int, graph: Graph, delta: float | None = None) -
         ops.select(rest, t, "VALUEGE", s["settled"])
         if rest.nvals == 0:
             return None
-        k = int(np.floor(float(ops.reduce_scalar(rest, "MIN")) / delta))
+        m = float(ops.reduce_scalar(rest, "MIN"))
+        k = m // delta  # the exact floor; m / delta can round up to k + 1
+        if (k + 1) * delta <= m:  # the product rounded down onto m
+            k += 1
         lo, hi = k * delta, (k + 1) * delta
-        while True:  # light-edge fixpoint within the bucket
-            tB = Vector("FP64", n)
+        tB = Vector("FP64", n)  # the bucket as last relaxed
+        while True:  # light-edge loop: relax only what is new or improved
+            prev, tB = tB, Vector("FP64", n)
             ops.select(tB, t, "VALUEGE", lo)
             ops.select(tB, tB, "VALUELT", hi)
-            before = t.dup()
-            ops.vxm(t, tB, AL, "MIN_PLUS", accum="MIN")
-            if t.isequal(before):
+            same = Vector("BOOL", n)
+            ops.ewise_mult(same, tB, prev, "EQ")
+            frontier = Vector("FP64", n)
+            ops.apply(frontier, tB, mask=same, desc="RC")
+            if frontier.nvals == 0:
+                break
+            ops.vxm(t, frontier, AL, "MIN_PLUS", accum="MIN")
+            if lo + wmin >= hi:
+                # every relaxed value is >= lo + wmin (rounding is
+                # monotone), so none lands back inside [lo, hi)
                 break
         # one heavy-edge relaxation out of the settled bucket (t is final
-        # in [lo, hi), so the last tB is still the bucket)
-        ops.vxm(t, tB, AH, "MIN_PLUS", accum="MIN")
+        # in [lo, hi), so the last tB is the whole bucket)
+        if AH.nvals:
+            ops.vxm(t, tB, AH, "MIN_PLUS", accum="MIN")
         s["settled"] = hi
         return {"bucket": i, "lo": lo, "hi": hi, "candidates": rest.nvals}
 

@@ -212,3 +212,53 @@ def test_property_coo_roundtrip(entries, hyper):
     assert s.nbytes == s.indptr.nbytes + s.minor.nbytes + s.values.nbytes + (
         s.h.nbytes if hyper else 0
     )
+
+
+class TestSortedHint:
+    """Matrix select/apply hand ``write_matrix`` the sorted-unique hint
+    when they read a store in its own orientation; the store that comes
+    out must be the one a full sort would have built."""
+
+    @staticmethod
+    def _random(fmt):
+        rng = np.random.default_rng(5)
+        r = rng.integers(0, 30, 200)
+        c = rng.integers(0, 30, 200)
+        A = Matrix.from_coo(r, c, rng.uniform(-1, 1, 200), nrows=30, ncols=30,
+                            dup="FIRST")
+        return A.set_format(fmt)
+
+    @staticmethod
+    def _same_store(C):
+        r, c, v = C.extract_tuples()
+        ref = Matrix.from_coo(r, c, v, nrows=C.nrows, ncols=C.ncols,
+                              dtype=C.dtype)
+        a, b = C._store, ref._store
+        assert (a.orientation, a.hyper) == (b.orientation, b.hyper)
+        for f in ("indptr", "minor", "values"):
+            np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+        a.check_valid()
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "hypercsr"])
+    @pytest.mark.parametrize("desc", [None, "T0"])
+    def test_select_apply_match_from_coo(self, fmt, desc, monkeypatch):
+        from repro.graphblas import operations as ops
+
+        hints = []
+        build = Matrix.build
+
+        def spy(self, *a, assume_sorted_unique=False, **kw):
+            hints.append(assume_sorted_unique)
+            return build(self, *a, assume_sorted_unique=assume_sorted_unique, **kw)
+
+        A = self._random(fmt)
+        sel, app = Matrix(FP64, 30, 30), Matrix(FP64, 30, 30)
+        monkeypatch.setattr(Matrix, "build", spy)
+        ops.select(sel, A, "VALUEGT", 0.0, desc=desc)
+        ops.apply(app, A, "AINV", desc=desc)
+        monkeypatch.undo()
+        # the hint is given exactly when the read was row-major already
+        expect = (fmt != "csc") == (desc is None)
+        assert hints == [expect, expect]
+        self._same_store(sel)
+        self._same_store(app)
