@@ -17,9 +17,10 @@ Claims measured (the BENCH_PR10.json acceptance gates):
   vectorized path can only skip per 64-wide block.  Gate: >= 3x.
 * **Cold-start amortization**: the first compiled call pays the JIT
   build; the LRU makes every later call warm.
-* **Correctness riders**: the differential engine with
-  ``primary="compiled"`` reports zero divergences, and disabling the
-  tier (``GRAPHBLAS_COMPILED_TOOLCHAIN=off``) makes ``backend="compiled"``
+* **Correctness riders**: the differential engine, which runs the
+  optimized engine and so the compiled kernels wherever production picks
+  them, reports zero divergences, and disabling the tier
+  (``GRAPHBLAS_COMPILED_TOOLCHAIN=off``) makes ``backend="compiled"``
   reproduce the NumPy kernels' results bit for bit.
 
 Runs two ways: under pytest (small scale, asserts structure not speed)
@@ -130,7 +131,7 @@ def _check_differential(A):
     keep = (rs < sub_n) & (cs < sub_n)
     S = Matrix.from_coo(rs[keep], cs[keep], vs[keep],
                         nrows=sub_n, ncols=sub_n, dtype=FP64)
-    be = DifferentialBackend(primary="compiled")
+    be = DifferentialBackend()
     for sr in ("PLUS_TIMES", "MIN_PLUS", "MAX_MIN"):
         ops.mxm(Matrix(FP64, sub_n, sub_n), S, S, sr, backend=be)
     return dict(be.stats)
@@ -217,7 +218,7 @@ def _emit_table(results: dict) -> None:
     t.note(f"early exit: {e['terminated']}/{e['dots']} dots terminated, "
            f"mean hit depth {e['mean_hit_depth']:.1f} terms"
            if e["terminated"] else "early exit: none taken")
-    t.note(f"differential (primary=compiled): {d['verified']} verified, "
+    t.note(f"differential: {d['verified']} verified, "
            f"{d['divergences']} divergences")
     t.note("tier disabled: bit-identical = "
            f"{results['tier_disabled_bit_identical']}")

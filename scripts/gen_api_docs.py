@@ -126,10 +126,12 @@ Two supporting subsystems make this testable:
 Above the C-API boundary, the serving layer (`repro.serve`) extends the
 same taxonomy to multi-tenant operation: admission **shedding** raises
 `Overloaded` (a typed rejection with a machine-readable `reason`, never
-an unbounded queue), and a query that exhausts its retries surfaces as
-`QueryFailed` with the last execution error as `__cause__`.  Caller
-errors (`InvalidValue`, `DeadlineExceeded`, `Cancelled`) stay terminal
-and are never retried.  See the "Serving" section below.
+an unbounded queue), and a query that fails while it runs surfaces as
+`QueryFailed` with the execution error as `__cause__`.  Nothing replays
+a failed call or query: it raises once and leaves its operands (and the
+served snapshot) unchanged.  Caller errors (`InvalidValue`,
+`DeadlineExceeded`, `Cancelled`) pass through unwrapped.  See the
+"Serving" section below.
 
 Run the fault-injection suite with `scripts/run_resilience.sh`
 (equivalently `pytest -m resilience`).
@@ -150,10 +152,10 @@ they are interchangeable per call, per block, or process-wide:
 ```python
 import repro.graphblas as gb
 
-gb.mxm(C, A, B, "PLUS_TIMES", backend="compiled")  # per call
-with gb.backend("reference"):                      # per block (thread-local)
+gb.mxm(C, A, B, "PLUS_TIMES", backend="optimized")  # per call
+with gb.backend("reference"):                       # per block (thread-local)
     bfs_level(0, graph)
-gb.set_default_backend("differential")             # process-wide
+gb.set_default_backend("differential")              # process-wide
 # or: GRAPHBLAS_BACKEND=reference pytest tests/graphblas
 ```
 
@@ -163,17 +165,15 @@ Built-in engines:
   selection, push/pull mxv direction switching, masked kernels.  Its
   mxm/mxv/vxm run the compiled kernels (below) whenever a toolchain
   resolved and the plan's class has a template, and vectorized NumPy
-  kernels otherwise; `plan.done` records which (`kernel`).
+  kernels otherwise; `plan.done` records which (`kernel`).  The name
+  `compiled` resolves to this same engine (it warns once when no
+  toolchain is usable); it is kept for callers that select the tier by
+  name.
 * **`reference`** — the dense spec-literal mimic promoted to a full
   engine; every op is a loop written line-by-line from the spec.  Slow,
   but an oracle: the whole `tests/graphblas` suite passes under it.
-* **`compiled`** — "compiled or decline": the same engine, serving only
-  the plans the JIT tier runs (mxm/mxv/vxm over built-in semirings, with
-  **true terminal early exit**) and declining everything else — every
-  plan, when no toolchain resolved — down to `optimized`.  See
-  "Compiled kernels" below.
-* **`differential`** — runs a *primary* engine (`optimized` by default;
-  `primary="compiled"` puts the JIT tier under test), then re-executes
+* **`differential`** — runs `optimized`, so the kernel tier production
+  runs (compiled or NumPy, the same `plan.kernel`), then re-executes
   every operation whose dense replay fits the verification budget on
   `reference` (the `diff.*` rows of [Configuration](#configuration)) and
   compares pattern + values, raising `BackendDivergence` on mismatch;
@@ -181,21 +181,13 @@ Built-in engines:
   (`get_backend("differential").stats`).  CLI:
   `scripts/run_differential_check.py --scale 14`.
 
-The dispatch chain each plan walks (every decline emits a
-`backend.fallback` telemetry decision):
-
-| selected backend | serves | declines to |
-|---|---|---|
-| `optimized` | everything (mxm/mxv/vxm on compiled kernels when `compiled.select` accepts the plan) | — (terminal) |
-| `reference` | everything | — (terminal) |
-| `compiled` | exactly the plans `compiled.select` accepts (compiled or decline) | `optimized` |
-| `differential` | everything (via its primary's chain) | — (terminal) |
-
-Selection is observable (`backend.dispatch` / `backend.fallback`
-telemetry decisions), settable at the C-API level
+Dispatch is one call: the selected backend runs the plan or raises.
+No backend declines a plan and nothing walks to another engine; which
+kernel tier ran is `plan.kernel`.  Selection is observable (the
+`backend.dispatch` telemetry decision), settable at the C-API level
 (`capi.GxB_Backend_set/get`), and extensible: `register_backend(name,
-factory)` adds an engine; a backend implements only what it supports and
-declares a `fallback` for the rest.  `Matrix.to_scipy/from_scipy` and
+factory)` adds an engine, which must serve every op it is asked to run
+(a missing one raises `NotImplementedError`).  `Matrix.to_scipy/from_scipy` and
 `Vector.to_scipy/from_scipy` convert at the boundary.
 """
 
@@ -250,8 +242,8 @@ user-defined ops or types, multiplies without a template (DIV, the
 comparisons, ...), LOR/LAND folds into a non-BOOL output over products
 that are not 0/1, a float product cast into an integer output, the heap
 method, any dimension above `1<<24`, and everything when no toolchain
-resolved — silently: only an explicit
-`GRAPHBLAS_BACKEND=compiled` warns, once.  A kernel build that fails
+resolved — silently: only selecting the `compiled` name
+(`GRAPHBLAS_BACKEND=compiled`, `backend="compiled"`) warns, once.  A kernel build that fails
 (an unwritable artifact directory, a broken compiler) warns once and
 declines its class, so NumPy runs.  `with compiled.toolchain_off():`
 runs a block on the NumPy kernels.
@@ -350,8 +342,7 @@ GOVERNOR_SECTION = """
 `repro.graphblas.governor` puts long-running graph work under an
 **execution governor**: a thread-local `ExecutionContext` that enforces a
 memory budget and a wall-clock deadline, carries a cooperative
-`CancellationToken`, applies a `RetryPolicy` around kernel execution, and
-drives checkpoint/resume for the iterative LAGraph algorithms.  Like
+`CancellationToken`, and drives checkpoint/resume for the iterative LAGraph algorithms.  Like
 faults and telemetry, the disabled path costs one module-attribute read
 (`governor.ACTIVE`); with no context entered nothing changes.
 
@@ -361,7 +352,6 @@ from repro.graphblas import governor
 ctx = governor.ExecutionContext(
     memory_budget=64 << 20,            # bytes, estimated per operation
     deadline=60.0,                     # seconds from __enter__
-    retry=governor.RetryPolicy(attempts=3, seed=7),
 )
 with ctx:
     pagerank(graph, checkpoint="/tmp/pr.npz")
@@ -394,21 +384,15 @@ with ctx:
   boundaries, at mxv direction switches, per concat/split tile, and at
   the top of `wait()` — all positions where every object is fully
   consistent, so a cancelled computation leaves valid operands.
-* **Retry** — `RetryPolicy(attempts, base_delay, max_delay, jitter,
-  seed, transient=...)` (`repro.graphblas.retry`, re-exported as
-  `governor.RetryPolicy`) is the library's one retry loop: capped
-  exponential backoff with seeded jitter (the RNG is built on the first
-  failure), only exceptions listed in `transient` (default
-  `OutOfMemory`) are retried.  A context's `retry=` policy re-runs a
-  failed *kernel* at dispatch — one op, not the algorithm around it.
-  `governor.with_retry(fn, policy=..., op=...)` runs any callable
-  under the loop as governed work: each retry polls the context's
-  deadline/cancellation first, counts in `ctx.stats["retries"]` and
-  emits `governor.retry`.  **One owner per failure:** the loops nest
-  (a served query runs kernels that spill tiles), so an exception that
-  exhausts one loop is marked `retries_exhausted` and every enclosing
-  loop re-raises it at once — a persistent fault costs `attempts`
-  runs, never the product of the nesting.
+* **A failed op fails once** — an op whose kernel raises (an injected
+  fault, a real `MemoryError`) is not replayed: the error propagates at
+  once and, as the LAGraph follow-up's error-handling rule asks, leaves
+  every operand unchanged and valid.  Re-running a deterministic kernel
+  after a simulated out-of-memory cannot help, so no layer does it.  The
+  one retry in the library is the spill pool's re-run of an `OSError` on
+  its own tile I/O ("Bounded-memory execution" below): each re-run polls
+  the context's deadline/cancellation first, counts in
+  `ctx.stats["retries"]` and emits `governor.retry`.
 * **Checkpoint/resume** — `bfs`, `bellman_ford_sssp`, `pagerank`,
   `connected_components`, `betweenness_centrality`, and `dnn_inference`
   accept `checkpoint=` (a path, a `governor.Checkpoint(path, every=k)`,
@@ -478,8 +462,8 @@ assert ctx.stats["tiled"] == 1
   entries never outnumber its flops, so the working set stays bounded
   on RMAT hub rows.  The kernel's own fault points (`spgemm.flop`,
   `mxv.pull`), row blocks (`GxB_NTHREADS`) and `plan.kernel` /
-  EXPLAIN `kernel` apply unchanged, and the context's retry policy
-  replays a transient kernel fault.  The hypothesis suite proves parity
+  EXPLAIN `kernel` apply unchanged; a kernel fault fails the op once,
+  operands untouched and no tile left behind.  The hypothesis suite proves parity
   across all four `(by_row/by_col) x (standard/hyper)` formats,
   including a chunked product used as an operand.
 * **Tile files are the arrays** — a store *is* its three or four arrays
@@ -491,7 +475,7 @@ assert ctx.stats["tiled"] == 1
   compression, no per-array header to parse.  A reload is one `readinto`
   a preallocated buffer plus four writable views on it; the file length
   must equal what the header implies, so a short or torn file is an
-  `OSError` that goes through the retry policy, never a garbage tile.
+  `OSError` for the pool's retry loop, never a garbage tile.
   Checkpoints keep compressed `.npz`: they are written once, kept, and
   read by other processes, where a self-describing compressed container
   earns its cost; a tile file lives for one operation and is re-read
@@ -517,10 +501,11 @@ assert ctx.stats["tiled"] == 1
   temp-file + rename writer shared with checkpointing
   (`repro.io.checkpoint.atomic_write`, which takes the payload-writing
   callable), trip the
-  `io.write`/`io.read` fault points, and the pool itself retries
-  `OSError`/`OutOfMemory` on that I/O — on the governing context's
-  `RetryPolicy` schedule and seed when it has one, whatever error
-  classes that policy names for kernels.  A crash mid-spill
+  `io.write`/`io.read` fault points, and the pool re-runs a tile read or
+  write that raised `OSError` — three tries, 5 ms then 10 ms apart,
+  constants with no option — the library's one retry, for the one
+  transient that really happens (a disk briefly full, a torn file).
+  Anything else, `OutOfMemory` included, fails the op at once.  A crash mid-spill
   leaves only a stale temp file, never a torn tile;
   `rollback_partial_spills` (invoked when a pool opens its directory and
   by the fault-injection suite) removes every artifact of an aborted
@@ -793,8 +778,8 @@ over all four storage formats, plus real writer/reader threads).
 **Tenancy and admission.** The bounded admission queue sheds instead of
 queueing unboundedly: at capacity each tenant is held to its fair share
 (`capacity // active_tenants`), and `register_tenant` attaches a
-`TenantPolicy` (per-request `memory_budget`, `deadline_s`, retry
-`attempts` and a hard `max_queue` cap).  Rejection raises `Overloaded` with
+`TenantPolicy` (per-request `memory_budget`, `deadline_s` and a hard
+`max_queue` cap).  Rejection raises `Overloaded` with
 a machine-readable `reason` (`queue_full` / `tenant_quota` /
 `tenant_limit` / `deadline_watermark`).  Every request executes under its own governor
 `ExecutionContext` built from the tenant policy, so budgets, deadlines,
@@ -806,24 +791,27 @@ error model: *caller errors* (`InvalidValue` for an unknown algorithm
 or graph, and every governor refusal — `BudgetExceeded`,
 `DeadlineExceeded`, `Cancelled`) are terminal and re-raised from
 `ticket.result()` as-is, with outcome `invalid` / `budget` /
-`deadline` / `cancelled`; they are never retried.  *Execution faults*
-(`OutOfMemory`, backend exceptions) are retried by their one owner
-(below) and surface — wrapped in `QueryFailed`, with the original
-exception as `__cause__`, outcome `failed` — once it is exhausted.
+`deadline` / `cancelled`.  *Execution faults* (`OutOfMemory`, backend
+exceptions) surface at once, wrapped in `QueryFailed` with the original
+exception as `__cause__`, outcome `failed`.  Nothing replays either
+kind: a query runs once.
 
 **Resilience**, each mechanism handling an error a call returned:
 
-1. **retry, one owner per failure** — all three retry sites run the one
-   loop (`repro.graphblas.retry.RetryPolicy`), each on the failures it
-   alone can handle: the spill pool on tile I/O
-   (`OSError`/`OutOfMemory`), backend dispatch on a kernel's transient
-   `OutOfMemory` (one op is re-run, not the query), and the serve loop
-   on an `OutOfMemory` outside any op (a `serve.exec` fault).  What
-   exhausts an inner loop arrives marked and is not
-   re-attempted: a persistently failing kernel runs `attempts` times
-   and the query ends `failed` (it was `attempts`² — 9 — and ×3 again
-   through a spill pool).  `ticket.retries` and `serve_retries_total`
-   count every re-run, op-level ones included.
+1. **one run per query** — a fault inside a query (an injected
+   `serve.exec` or kernel fault, a real `MemoryError`) ends exactly
+   that ticket `failed` after one run and leaves the pinned snapshot
+   untouched, so the next query on it is answered exactly.  Earlier
+   revisions nested three retry loops here — the serve loop, a
+   dispatch-level re-run of the failing kernel, and the spill pool —
+   around an `OutOfMemory` that only the fault injector ever raised
+   (`serve.retries` read 0 on `serve_rw_r12`); re-running a
+   deterministic kernel after a simulated out-of-memory cannot help, so
+   the two outer loops, their options (`ServeConfig.seed` / `attempts` /
+   `base_delay_s` / `max_delay_s`, `TenantPolicy.attempts`,
+   `ExecutionContext(retry=)`) and `serve_retries_total` were deleted.
+   `ticket.retries` is a constant 0.  The spill pool still re-runs an
+   `OSError` on its own tile I/O.
 2. **shedding** — past the queue depth, a tenant's share, or the
    deadline watermark, admission refuses with `Overloaded`.
 
@@ -835,8 +823,8 @@ each served algorithm at RMAT-12 took 600–1 500× longer on `reference`
 PLUS_TIMES products, which it ran slower than the default (`A*A` 935
 against 154 ms), declining the rest back to the backend that had just
 failed.  Under a persistent `mxv.push` fault a served RMAT-12 bfs
-answered from `reference` after 13.6–14.9 s; it now ends `failed` after
-3 kernel runs in 5–11 ms (2-core x86 box).  With one backend left, the
+answered from `reference` after 13.6–14.9 s; it ended `failed` after 3
+kernel runs in 5–11 ms (2-core x86 box), and now after one.  With one backend left, the
 breakers were measured on (threshold 5) against off, RMAT-12, 2 workers,
 4 closed-loop clients, 300 mixed queries per run, three seeds:
 
@@ -878,7 +866,7 @@ It never raised goodput, so it was deleted with its watermarks, the
 queue state and outcome counts; `drain()` finishes queued
 work and refuses new submits (`ServerClosed`); serve metrics
 (`serve_requests_total`, `serve_request_seconds`, `serve_shed_total`,
-`serve_retries_total`, `serve_queue_depth`, `serve_inflight`, ...)
+`serve_queue_depth`, `serve_inflight`, ...)
 land in the `repro.obs` registry for Prometheus
 exposition.  Defaults come from `ServeConfig`, overridable per server
 (constructor) or process-wide: the `serve.*` rows of
@@ -887,8 +875,10 @@ exposition.  Defaults come from `ServeConfig`, overridable per server
 `benchmarks/bench_serve.py` is the acceptance harness: 10k
 mixed-tenant queries over an RMAT snapshot where every answer is
 checked against a direct call, interleaving fault-free and
-fault-injected rounds (it reports the chaos goodput ratio, p50/p99
-latencies, shed/retry counts, the persistent-fault time to failure,
+fault-injected rounds (it reports the chaos goodput ratio over the
+queries no fault hit, checks that each injected fault failed exactly
+its own query, p50/p99 latencies, shed counts, the persistent-fault
+time to failure after one kernel run,
 and the peak-RSS delta under the
 governor envelope; the committed trajectory is the `serve_rw_r12`
 workload of `perfbench/results/baseline.json`); the CI `serve-smoke`

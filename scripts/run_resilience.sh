@@ -5,8 +5,9 @@
 # pytest marker (applied automatically by their conftest).  They inject
 # faults at every registered point (see repro.graphblas.faults.POINTS)
 # into the Table-I operations and the LAGraph algorithm suite, then prove
-# that operands are bit-identical, still validate, and that a retry
-# matches the dense reference oracle.
+# that the failed call raised once (nothing replays it), that operands are
+# bit-identical and still validate, and that the same call outside the
+# fault matches the dense reference oracle.
 #
 # Usage:  scripts/run_resilience.sh [extra pytest args]
 set -eu

@@ -2,7 +2,7 @@
 
 The operation layer splits every GraphBLAS call into an engine-independent
 :class:`~repro.graphblas.plan.OpPlan` (built by :mod:`repro.graphblas.plan`)
-and a kernel half served by a :class:`KernelBackend`.  Four backends ship:
+and a kernel half served by a :class:`KernelBackend`.  Three engines ship:
 
 ``optimized``
     The sparse production engine (CSR/CSC/hypersparse kernels, push/pull
@@ -11,11 +11,9 @@ and a kernel half served by a :class:`KernelBackend`.  Four backends ship:
     :mod:`repro.graphblas.compiled` (true terminal-monoid early exit)
     whenever a toolchain resolved and the plan's class has a template —
     one memoised :func:`~repro.graphblas.compiled.select` per class —
-    and vectorized NumPy kernels otherwise.
-``compiled``
-    "Compiled or decline": the same engine, serving only the plans the
-    compiled tier runs; everything else — and every plan when no
-    toolchain is usable — falls back to ``optimized``.
+    and vectorized NumPy kernels otherwise.  ``plan.kernel`` records
+    which tier ran.  The name ``compiled`` resolves to this engine too
+    (warning once when no toolchain is usable).
 ``reference``
     The dense spec-literal mimic from :mod:`repro.graphblas.reference`,
     promoted from test helper to a first-class engine.  Slow but written
@@ -34,9 +32,9 @@ Selection, outermost wins:
    ``set_default_backend`` changes it at runtime);
 4. the ``optimized`` default.
 
+Dispatch is one call: the selected backend runs the plan or raises.
 Every dispatch records a ``backend.dispatch`` telemetry decision naming
-the backend that served the op, and a ``backend.fallback`` decision
-whenever a backend declines a plan via :meth:`KernelBackend.supports`.
+the backend that served the op.
 """
 
 from __future__ import annotations
@@ -71,18 +69,9 @@ class KernelBackend:
     resolved :class:`OpPlan`, performs the kernel work, and finishes the
     result through the shared accum-then-mask write step so all engines
     share identical mask/accumulator/replace semantics.
-
-    ``supports`` lets a partial backend decline plans it cannot serve;
-    the dispatcher then walks the ``fallback`` chain (recording a
-    ``backend.fallback`` telemetry decision at each hop).
     """
 
     name = "abstract"
-    #: backend name to try when ``supports`` returns False (None = error).
-    fallback: str | None = "optimized"
-
-    def supports(self, plan: OpPlan) -> bool:
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -137,6 +126,8 @@ def get_backend(spec) -> KernelBackend:
         return spec
     inst = _instances.get(spec)
     if inst is None:
+        if spec == "compiled":
+            return _compiled_engine()
         factory = _factories.get(spec)
         if factory is None:
             raise InvalidValue(
@@ -157,8 +148,20 @@ def _builtin(module: str, cls: str):
     return factory
 
 
+def _compiled_engine() -> KernelBackend:
+    """``"compiled"``: the optimized engine, which already runs the
+    compiled kernels for every plan class that has them.  Resolved anew
+    each time, so a request made with no usable toolchain warns (once).
+    """
+    from .. import compiled
+
+    if not compiled.available():
+        compiled.warn_unavailable()
+    return get_backend("optimized")
+
+
 register_backend("optimized", _builtin("optimized", "OptimizedBackend"))
-register_backend("compiled", _builtin("compiled", "CompiledBackend"))
+register_backend("compiled", _compiled_engine)
 register_backend("reference", _builtin("reference", "ReferenceBackend"))
 register_backend("differential", _builtin("differential", "DifferentialBackend"))
 
@@ -229,31 +232,20 @@ class backend:
 # --------------------------------------------------------------------------
 
 def dispatch(plan: OpPlan, backend=None):
-    """Route a plan to the active backend, walking fallbacks as needed.
+    """Run a plan on the active backend: one kernel call.
 
     Under an active :class:`~repro.graphblas.governor.ExecutionContext`
-    three extra steps apply:
-
-    - cancellation/deadline are polled before the kernel runs;
-    - a plan the governor marked over-budget is routed to tiled
-      spill-to-disk execution (:mod:`repro.graphblas.tiled`);
-    - the context's :class:`~repro.graphblas.retry.RetryPolicy`, if
-      any, wraps the kernel call: dispatch owns a kernel's transient
-      ``OutOfMemory``, so one failed op is re-run, not the algorithm
-      around it.  Tiled execution is wrapped the same way, since its
-      chunks are kernel calls; a tile-I/O failure its spill pool already
-      retried arrives marked exhausted and is not replayed.
+    cancellation/deadline are polled before the kernel runs, and a plan
+    the governor marked over-budget is routed to tiled spill-to-disk
+    execution (:mod:`repro.graphblas.tiled`).  A failing kernel raises
+    once; nothing here re-runs it.
     """
     tiled_route = plan.params.pop("governor_tiled", False) or (
         plan.params.get("method") == "tiled"
         and plan.op in ("mxm", "mxv", "vxm")
     )
-    retry = None
     if governor.ACTIVE:
         governor.poll()
-        ctx = governor.current()
-        if ctx is not None:
-            retry = ctx.retry
     if tiled_route:
         from .. import tiled as _tiled
 
@@ -262,24 +254,11 @@ def dispatch(plan: OpPlan, backend=None):
                 "governor.tiled", op=plan.op,
                 est_bytes=plan.params.get("est_bytes"),
             )
-        return _execute(plan, "tiled", "tiled", lambda: _tiled.execute(plan),
-                        retry=retry)
+        return _execute(plan, "tiled", "tiled", _tiled.execute)
     be = get_backend(backend) if backend is not None else current_backend()
-    while not be.supports(plan):
-        fb = be.fallback
-        if fb is None or fb == be.name:
-            raise NotImplementedError(
-                f"backend {be.name!r} cannot serve {plan.op} and has no fallback"
-            )
-        if telemetry.ENABLED:
-            telemetry.decision(
-                "backend.fallback", op=plan.op, declined=be.name, fallback=fb
-            )
-        be = get_backend(fb)
     if telemetry.ENABLED:
         telemetry.decision("backend.dispatch", op=plan.op, backend=be.name)
-    kernel = getattr(be, plan.op)
-    return _execute(plan, "direct", be.name, lambda: kernel(plan), retry=retry)
+    return _execute(plan, "direct", be.name, getattr(be, plan.op))
 
 
 def _actual_bytes(plan, out) -> int | None:
@@ -293,13 +272,8 @@ def _actual_bytes(plan, out) -> int | None:
         return None
 
 
-def _execute(plan: OpPlan, route: str, backend_name: str, run, retry=None):
-    """Run the chosen kernel, emitting a ``plan.done`` record when wanted.
-
-    ``retry`` is the governing context's
-    :class:`~repro.graphblas.retry.RetryPolicy` (or None); applying
-    the wrap here lets the ``plan.done`` record carry the number of
-    retries this specific plan consumed, not just the context total.
+def _execute(plan: OpPlan, route: str, backend_name: str, kernel):
+    """Run ``kernel(plan)``, emitting a ``plan.done`` record when wanted.
 
     The record — kernel wall time, dispatch route, the kernel tier that
     ran and this plan's own compiled-kernel cache outcome (read off the
@@ -311,16 +285,11 @@ def _execute(plan: OpPlan, route: str, backend_name: str, run, retry=None):
     (``telemetry.PLAN_EVENTS``), so a plain collector-only telemetry
     stream is byte-identical to before.
     """
-    if retry is not None:
-        inner = run
-        run = lambda: governor.with_retry(  # noqa: E731
-            inner, retry, op=plan.op)
     if not (telemetry.ENABLED and telemetry.PLAN_EVENTS):
-        return run()
+        return kernel(plan)
     ctx = governor.current() if governor.ACTIVE else None
-    r0 = ctx.stats.get("retries", 0) if ctx is not None else 0
     t0 = time.perf_counter()
-    out = run()
+    out = kernel(plan)
     seconds = time.perf_counter() - t0
     detail = {
         "op": plan.op,
@@ -332,10 +301,6 @@ def _execute(plan: OpPlan, route: str, backend_name: str, run, retry=None):
         detail["kernel"] = plan.kernel
         if plan.kernel == "compiled":
             detail["kernel_cache"] = plan.selection[1]
-    if ctx is not None and retry is not None:
-        replays = ctx.stats.get("retries", 0) - r0
-        if replays:
-            detail["retries"] = replays
     method = plan.params.get("method")
     if method is not None:
         detail["method"] = method

@@ -4,14 +4,14 @@ The paper's testing methodology (section II.A) pairs every optimized
 kernel with a spec-literal MATLAB-style implementation and compares the
 two on random inputs.  This backend turns that offline methodology into
 a runtime engine: every dispatched :class:`~repro.graphblas.plan.OpPlan`
-executes on the *primary* backend — ``optimized`` by default; pass
-``primary="compiled"`` (or set ``GRAPHBLAS_DIFF_PRIMARY``) to put the
-JIT tier under test, with plans it declines walked down its fallback
-chain exactly as the dispatcher would — and, when the operation is small
-enough to afford a dense replay, the same plan is re-run through the
-``reference`` kernels on snapshots of the inputs taken *before* the
-primary engine mutated the output.  Any disagreement in pattern or
-values raises :class:`~repro.graphblas.errors.BackendDivergence`.
+executes on the ``optimized`` engine — the one production dispatch
+runs, so its compiled kernels wherever ``compiled.select`` picks them
+and NumPy elsewhere (``plan.kernel`` says which) — and, when the
+operation is small enough to afford a dense replay, the same plan is
+re-run through the ``reference`` kernels on snapshots of the inputs
+taken *before* the optimized engine mutated the output.  Any
+disagreement in pattern or values raises
+:class:`~repro.graphblas.errors.BackendDivergence`.
 
 Dense replay of an m x n matrix op costs Theta(m*n) (Theta(m*n*k) for
 mxm), so verification is budgeted: plans whose estimated dense cost
@@ -67,45 +67,13 @@ class DifferentialBackend(KernelBackend):
     """Optimized engine with budgeted spec-literal cross-checking."""
 
     name = "differential"
-    fallback = None
 
-    def __init__(
-        self,
-        budget: int | None = None,
-        *,
-        strict: bool = False,
-        primary: str | None = None,
-    ):
-        cfg = options.get("diff")
-        self.budget = cfg["budget"] if budget is None else budget
+    def __init__(self, budget: int | None = None, *, strict: bool = False):
+        if budget is None:
+            budget = options.get("diff")["budget"]
+        self.budget = budget
         self.strict = bool(strict)
-        #: engine under test: each plan runs here (walking its own
-        #: ``supports``/fallback chain) and is checked against reference.
-        self.primary = cfg["primary"] if primary is None else primary
         self.stats = {"verified": 0, "skipped": 0, "divergences": 0}
-
-    def _primary_for(self, plan: OpPlan) -> KernelBackend:
-        """The engine under test for this plan, honoring declinations.
-
-        A partial primary (``compiled``) declines plans it
-        cannot serve; walking its fallback chain here mirrors what the
-        dispatcher would do, so the differential engine verifies exactly
-        the kernel that production dispatch would have run.
-        """
-        be = get_backend(self.primary)
-        seen = {be.name}
-        while not be.supports(plan):
-            fb = be.fallback
-            if fb is None or fb in seen:
-                return get_backend("optimized")
-            if telemetry.ENABLED:
-                telemetry.decision(
-                    "backend.fallback", op=plan.op, declined=be.name,
-                    fallback=fb,
-                )
-            be = get_backend(fb)
-            seen.add(be.name)
-        return be
 
     def reset_stats(self) -> None:
         self.stats = {"verified": 0, "skipped": 0, "divergences": 0}
@@ -113,7 +81,7 @@ class DifferentialBackend(KernelBackend):
     def _run(self, plan: OpPlan):
         if governor.ACTIVE:
             governor.poll()
-        opt = self._primary_for(plan)
+        opt = get_backend("optimized")
         cost = plan_cost(plan)
         if cost > self.budget:
             self.stats["skipped"] += 1

@@ -105,7 +105,6 @@ class OptimizedBackend(KernelBackend):
     """The default sparse engine."""
 
     name = "optimized"
-    fallback = None
 
     # -- mxm / mxv / vxm ----------------------------------------------------
 

@@ -141,7 +141,6 @@ class ReferenceBackend(KernelBackend):
     """Spec-literal dense engine (the conformance oracle, promoted)."""
 
     name = "reference"
-    fallback = None
 
     def _run(self, plan: OpPlan):
         if governor.ACTIVE:

@@ -789,8 +789,8 @@ def GxB_Metrics_get(format="snapshot"):
     )
 
 
-def GxB_Context_new(*, memory_budget=None, deadline=None, retry=None,
-                    spill=None, spill_dir=None, spill_budget=None):
+def GxB_Context_new(*, memory_budget=None, deadline=None, spill=None,
+                    spill_dir=None, spill_budget=None):
     """``GxB_Context``-style handle over the execution governor.
 
     Returns an un-entered
@@ -809,8 +809,8 @@ def GxB_Context_new(*, memory_budget=None, deadline=None, retry=None,
     from . import governor as _governor
 
     return _governor.ExecutionContext(
-        memory_budget=memory_budget, deadline=deadline, retry=retry,
-        spill=spill, spill_dir=spill_dir, spill_budget=spill_budget,
+        memory_budget=memory_budget, deadline=deadline, spill=spill,
+        spill_dir=spill_dir, spill_budget=spill_budget,
     )
 
 

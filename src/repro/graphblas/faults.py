@@ -13,9 +13,11 @@ any internal step fail on demand:
   trigger (fail on the nth call) or a **seeded-probabilistic** one (fail
   each call with probability p under a fixed seed);
 * the armed site raises the configured exception exactly as a real failure
-  would, and the resilience suite then asserts that every operand is
-  unchanged, still passes :mod:`repro.graphblas.validate`, and that the
-  retried call completes correctly.
+  would, once: nothing in the library replays the failed call (only the
+  spill pool re-runs its own tile I/O on ``OSError``).  The resilience
+  suite then asserts that every operand is unchanged, still passes
+  :mod:`repro.graphblas.validate`, and that the caller's next call,
+  outside the fault, completes correctly.
 
 Zero overhead when disabled
 ---------------------------
@@ -35,7 +37,7 @@ Typical use::
 
     with faults.inject("spgemm.flop", OutOfMemory, nth=1):
         ops.mxm(C, A, B)          # raises OutOfMemory from inside SpGEMM
-    ops.mxm(C, A, B)              # retry outside the context: succeeds
+    ops.mxm(C, A, B)              # the next call, outside the fault: succeeds
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ POINTS = {
     "io.read",        # Matrix Market / edge list / npz reading
     "io.write",       # Matrix Market / edge list / npz writing
     # serving
-    "serve.exec",     # repro.serve query attempt (chaos harness)
+    "serve.exec",     # repro.serve query run (chaos harness)
 }
 
 _lock = threading.Lock()
@@ -176,7 +178,7 @@ class FaultPlan:
       replayed with ``GRAPHBLAS_FAULT_SEED=<run seed>``.
 
     ``max_fires`` bounds how many times the plan raises (default 1, so a
-    retried call outside the deterministic window succeeds); pass ``None``
+    later call outside the deterministic window succeeds); pass ``None``
     for unlimited.
     """
 

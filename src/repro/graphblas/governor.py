@@ -1,4 +1,4 @@
-"""Execution governor: budgets, deadlines, cancellation, checkpoint, retry.
+"""Execution governor: budgets, deadlines, cancellation, checkpoint.
 
 LAGraph is the production-facing layer over the GraphBLAS kernels, and in
 a long-lived analytic service the *library* — not each caller — must own
@@ -37,13 +37,13 @@ algorithms run their loops through :func:`iterate`, which owns the span,
 the per-iteration records, ``checkpoint=`` and ``resume=``, so they
 restart mid-loop, bit-identically for deterministic algorithms.
 
-**Retry & over budget.**  A context's :class:`RetryPolicy` (the one
-retry loop, :mod:`repro.graphblas.retry`) re-runs a transient kernel
-failure at dispatch; :func:`with_retry` is how that loop runs as
-governed work.  Over budget has two answers: a tileable op re-plans as
-tiled spill when :meth:`ExecutionContext.spill_enabled`, and anything
-else raises ``BudgetExceeded`` — the caller's answer, not a transient
-failure to retry.
+**Failure & over budget.**  A failed op is not replayed: it raises
+once and, as arXiv 2104.01661 asks, leaves its operands unchanged.  The
+one retry in the library is the spill pool's re-run of ``OSError`` on
+its own tile I/O (:mod:`repro.graphblas.tiled`), which counts in the
+context's ``stats["retries"]``.  Over budget has two answers: a tileable
+op re-plans as tiled spill when :meth:`ExecutionContext.spill_enabled`,
+and anything else raises ``BudgetExceeded`` — the caller's answer.
 
 Every decision (admit/reject/tiled/cancel/retry/checkpoint/resume)
 emits a ``governor.*`` telemetry decision event, so traces show why an
@@ -66,19 +66,16 @@ from .errors import (
     DeadlineExceeded,
     InvalidValue,
 )
-from .retry import RetryPolicy
 
 __all__ = [
     "ACTIVE",
     "CancellationToken",
-    "RetryPolicy",
     "ExecutionContext",
     "Checkpoint",
     "current",
     "poll",
     "admit",
     "admit_workers",
-    "with_retry",
     "estimate_result_entries",
     "estimate_plan_bytes",
     "as_checkpoint",
@@ -129,28 +126,6 @@ class CancellationToken:
     def raise_if_cancelled(self) -> None:
         if self._event.is_set():
             raise Cancelled(self.reason or "cancelled")
-
-
-def with_retry(fn, policy: RetryPolicy, *, op: str = "call"):
-    """Run ``fn()`` under ``policy`` as governed work.
-
-    Each retry first polls the governing context (a cancelled or expired
-    context aborts instead of sleeping), counts in its
-    ``stats["retries"]`` and emits a ``governor.retry`` decision.
-    """
-    ctx = current()
-
-    def on_retry(failures, d, exc):
-        if ctx is not None:
-            ctx.check()
-            ctx.stats["retries"] += 1
-        if telemetry.ENABLED:
-            telemetry.decision(
-                "governor.retry", op=op, attempt=failures,
-                delay_s=round(d, 6), error=type(exc).__name__,
-            )
-
-    return policy.call(fn, on_retry=on_retry)
 
 
 # --------------------------------------------------------------------------
@@ -278,9 +253,6 @@ class ExecutionContext:
         :class:`~repro.graphblas.errors.DeadlineExceeded`.
     cancel:
         A shared :class:`CancellationToken` (one is created if omitted).
-    retry:
-        A :class:`RetryPolicy` applied around kernel execution at
-        dispatch (None = no retry).
     spill, spill_dir, spill_budget:
         Tiled spill for over-budget tileable plans: on/off (None = the
         ``GRAPHBLAS_SPILL`` switch), pool directory and byte budget.
@@ -292,7 +264,6 @@ class ExecutionContext:
     def __init__(self, *, memory_budget: int | None = None,
                  deadline: float | None = None,
                  cancel: CancellationToken | None = None,
-                 retry: RetryPolicy | None = None,
                  spill: bool | None = None,
                  spill_dir=None,
                  spill_budget: int | None = None) -> None:
@@ -305,7 +276,6 @@ class ExecutionContext:
         self.memory_budget = None if memory_budget is None else int(memory_budget)
         self.deadline = None if deadline is None else float(deadline)
         self.token = cancel if cancel is not None else CancellationToken()
-        self.retry = retry
         self.spill = None if spill is None else bool(spill)
         self.spill_dir = spill_dir
         self.spill_budget = None if spill_budget is None else int(spill_budget)

@@ -115,9 +115,6 @@ TABLE: tuple[Option, ...] = (
     Option("diff", "budget", "GRAPHBLAS_DIFF_BUDGET", "int", 1 << 22,
            "dense cells a differential replay may cost before it is skipped",
            minimum=0),
-    Option("diff", "primary", "GRAPHBLAS_DIFF_PRIMARY", "choice", "optimized",
-           "engine the differential backend puts under test",
-           choices=("optimized", "compiled")),
     Option("faults", "seed", "GRAPHBLAS_FAULT_SEED", "int", None,
            "per-run seed for probabilistic fault plans (unset: OS entropy)"),
 )

@@ -14,9 +14,9 @@ and ``GxB_Global`` diagnostics, makes every one of them observable:
   SpGEMM method (Gustavson/dot/heap), push vs pull with the frontier
   density behind the switch, early-exit dot-product terminations, format
   (CSR/CSC/hypersparse) selections, zombie/pending-tuple assemblies
-  with counts, and kernel-backend routing (``backend.dispatch`` /
-  ``backend.fallback`` per dispatched op plan, plus the ``differential``
-  engine's verify/skip/divergence events);
+  with counts, and kernel-backend routing (``backend.dispatch`` per
+  dispatched op plan, plus the ``differential`` engine's
+  verify/skip/divergence events);
 * **spans** — LAGraph algorithms wrap themselves in named spans and emit
   per-iteration records (e.g. BFS frontier size per level);
 * **sinks** — a human-readable burble stream, a structured

@@ -19,10 +19,10 @@ global coordinates, with the kernels
 
 **Fault hardening.**  Spill writes go through the atomic temp-file +
 rename writer shared with :mod:`repro.io.checkpoint`, tripping the
-``io.write`` / ``io.read`` fault points; the pool retries ``OSError``
-and ``OutOfMemory`` on that I/O itself, on the governing context's
-:class:`~repro.graphblas.retry.RetryPolicy` schedule and seed when it
-has one (a default schedule otherwise).  A crash mid-spill leaves only a
+``io.write`` / ``io.read`` fault points; the pool re-runs a tile read or
+write that raised ``OSError`` (:data:`_IO_ATTEMPTS` tries, a delay of
+:data:`_IO_DELAY_S` doubling between them) — the library's one retry,
+for the one failure that really passes.  A crash mid-spill leaves only a
 ``*.tmp.*`` file, rolled back by :func:`rollback_partial_spills`;
 :meth:`SpillPool.close` removes every tile file, so a failed operation
 leaves operands bit-identical and no orphaned tiles on disk.
@@ -34,7 +34,7 @@ nothing else: one fixed int64 header (:data:`_HEADER_FIELDS`) followed by
 ``h``, ``indptr``, ``minor`` and ``values`` as they sit in memory.  A
 reload is one ``readinto`` a preallocated buffer and four views on it;
 the file length must equal what the header implies, so a short or torn
-file is an ``OSError`` for the retry policy, never a garbage tile.
+file is an ``OSError`` for that retry, never a garbage tile.
 Checkpoints keep compressed ``.npz`` (written once, kept, read by other
 processes); tile files live for one operation and are re-read many times.
 
@@ -52,12 +52,13 @@ import os
 import shutil
 import tempfile
 import threading
+import time
 from collections import OrderedDict
 
 import numpy as np
 
 from . import compiled, faults, governor, telemetry
-from .errors import InvalidValue, OutOfMemory
+from .errors import InvalidValue
 from .formats import Orientation, SparseStore, group_starts
 from .mxm import _gather_ranges, mxm_coo
 from .mxv import spmv_pull
@@ -91,6 +92,39 @@ _HEADER_FIELDS = ("magic", "n_major", "n_minor", "is_row", "h_len",
 _HEADER_BYTES = 8 * len(_HEADER_FIELDS)
 _MAGIC = int.from_bytes(b"GBTILE01", "little")
 
+#: Tile I/O tries per read or write (the first included), and the delay
+#: before the second, doubling after each further failure.
+_IO_ATTEMPTS = 3
+_IO_DELAY_S = 0.005
+
+
+def _retry_io(fn, op: str):
+    """Run the tile read or write ``fn()``, re-running it on ``OSError``.
+
+    Before each re-run it polls the governing context (a cancelled or
+    expired one aborts instead of sleeping), counts the re-run in its
+    ``stats["retries"]`` and emits a ``governor.retry`` decision.  The
+    last failure propagates.
+    """
+    ctx = governor.current()
+    delay = _IO_DELAY_S
+    for attempt in range(1, _IO_ATTEMPTS + 1):
+        try:
+            return fn()
+        except OSError as exc:
+            if attempt == _IO_ATTEMPTS:
+                raise
+            if ctx is not None:
+                ctx.check()
+                ctx.stats["retries"] += 1
+            if telemetry.ENABLED:
+                telemetry.decision(
+                    "governor.retry", op=op, attempt=attempt,
+                    delay_s=delay, error=type(exc).__name__,
+                )
+            time.sleep(delay)
+            delay *= 2
+
 
 def _write_tile(f, store: SparseStore) -> None:
     """Write ``store`` to ``f`` as header + raw arrays (no re-encoding)."""
@@ -119,7 +153,7 @@ def _read_tile(path: str) -> SparseStore:
 
     The arrays of the returned store are writable views of one private
     buffer.  Any disagreement between the header and the file length
-    raises ``OSError`` (transient for the pool's retry policy).
+    raises ``OSError`` (transient: the pool re-runs the read).
     """
     with open(path, "rb", buffering=0) as f:
         size = os.fstat(f.fileno()).st_size
@@ -197,8 +231,7 @@ class SpillPool:
     spill and reload.
     """
 
-    def __init__(self, budget: int | None = None, directory=None,
-                 retry=None) -> None:
+    def __init__(self, budget: int | None = None, directory=None) -> None:
         if budget is None:
             budget = governor.spill_config()[2]
         self.budget = max(0, int(budget))
@@ -212,11 +245,6 @@ class SpillPool:
         # renames completed tiles); remove them before reusing the space.
         self.rolled_back = rollback_partial_spills(base)
         self.dir = tempfile.mkdtemp(prefix="gbspill-", dir=base)
-        # tile I/O failures are the pool's to retry, whatever classes the
-        # caller's policy names: only its schedule and seed are taken
-        if retry is None:
-            retry = governor.RetryPolicy(attempts=3, base_delay=0.005)
-        self._retry = retry.retrying(OSError, OutOfMemory)
         self._lock = threading.RLock()
         self._resident: OrderedDict[str, SparseStore] = OrderedDict()
         self._nbytes: dict[str, int] = {}
@@ -312,9 +340,9 @@ class SpillPool:
         from ..io.checkpoint import atomic_write
 
         path = self._path(key)
-        nbytes = governor.with_retry(
+        nbytes = _retry_io(
             lambda: atomic_write(path, lambda f: _write_tile(f, store)),
-            self._retry, op="tile.spill",
+            "tile.spill",
         )
         self._on_disk.add(key)
         self.stats["spills"] += 1
@@ -331,7 +359,7 @@ class SpillPool:
                 faults.trip("io.read")
             return _read_tile(path)
 
-        store = governor.with_retry(_read, self._retry, op="tile.reload")
+        store = _retry_io(_read, "tile.reload")
         self.stats["reloads"] += 1
         self.stats["reloaded_bytes"] += int(store.nbytes)
         if telemetry.ENABLED:
@@ -808,11 +836,9 @@ def _spill_pool_for(plan) -> SpillPool:
     ctx = governor.current()
     if ctx is not None:
         sdir, sbudget = ctx.spill_settings()
-        retry = ctx.retry
     else:
         _, sdir, sbudget = governor.spill_config()
-        retry = None
-    return SpillPool(budget=sbudget, directory=sdir, retry=retry)
+    return SpillPool(budget=sbudget, directory=sdir)
 
 
 def _plan_tile_dim(plan, n_major, n_minor) -> int:

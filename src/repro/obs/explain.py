@@ -39,13 +39,9 @@ _POOL_FIELDS = ("tiles", "spills", "reloads", "evictions",
                 "spilled_bytes", "reloaded_bytes")
 
 
-def _new_pending() -> dict:
-    return {"decisions": [], "fallbacks": []}
-
-
-def _fold(record: dict, pending: dict) -> dict:
+def _fold(record: dict, pending: list) -> dict:
     """Attach the pending pre-dispatch decisions to one plan record."""
-    for kind, args in pending["decisions"]:
+    for kind, args in pending:
         if kind == "governor.pool":
             for f in _POOL_FIELDS:
                 if f in args:
@@ -62,14 +58,12 @@ def _fold(record: dict, pending: dict) -> dict:
             record["workers"] = args.get("admitted")
         elif kind == "compiled.kernel":
             record["compiled_toolchain"] = args.get("toolchain")
-    if pending["fallbacks"]:
-        record["fallbacks"] = list(pending["fallbacks"])
     return record
 
 
 def _build_records(events: list[dict]) -> tuple[list[dict], dict, dict]:
     plans: list[dict] = []
-    pending = _new_pending()
+    pending: list = []
     ops: dict[str, dict] = {}
     spans: dict[str, dict] = {}
     # plan.done events that fall inside a stream.window span's time range
@@ -84,13 +78,9 @@ def _build_records(events: list[dict]) -> tuple[list[dict], dict, dict]:
             if name == "plan.done":
                 plans.append(_fold(dict(args), pending))
                 plan_ts.append(ev.get("ts", 0.0))
-                pending = _new_pending()
-            elif name == "backend.fallback":
-                pending["fallbacks"].append(
-                    f"{args.get('declined')}->{args.get('fallback')}"
-                )
+                pending = []
             else:
-                pending["decisions"].append((name, args))
+                pending.append((name, args))
         elif etype == "op":
             agg = ops.setdefault(name, {"calls": 0, "seconds": 0.0})
             agg["calls"] += 1

@@ -126,8 +126,6 @@ class MetricsSink:
           "Executed OpPlans by dispatch route (direct/tiled)")
         d("graphblas_backend_dispatch_total", "counter",
           "OpPlans served, by backend and op")
-        d("graphblas_backend_fallback_total", "counter",
-          "Backend fallback hops (declined -> fallback)")
         d("graphblas_governor_events_total", "counter",
           "Execution-governor verdicts and actions by event kind")
         d("graphblas_spill_bytes_total", "counter",
@@ -199,11 +197,6 @@ class MetricsSink:
             inc("graphblas_backend_dispatch_total", 1,
                 _labels2("backend", detail.get("backend"),
                          "op", detail.get("op")))
-            return
-        if kind == "backend.fallback":
-            inc("graphblas_backend_fallback_total", 1,
-                _labels2("declined", detail.get("declined"),
-                         "fallback", detail.get("fallback")))
             return
         if kind.startswith("governor."):
             event = kind.split(".", 1)[1]

@@ -4,7 +4,7 @@ The subsystem turns the library into a long-lived service: writers
 ingest edges through :class:`~repro.stream.GraphStream`, publication
 swaps in immutable copy-on-write snapshots, and many tenants run
 concurrent algorithm queries over a governed worker pool with admission
-control and retries.  See
+control; a failed query fails alone.  See
 :mod:`repro.serve.server` for the full design and ``docs/API.md``
 ("Serving") for the user-facing guide.
 

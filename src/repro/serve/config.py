@@ -4,8 +4,7 @@ Process-wide defaults are the ``serve`` rows of
 :mod:`repro.graphblas.options` (``GRAPHBLAS_SERVE_*`` environment,
 overridden by :func:`set_serve_config` / ``capi.GxB_Serve_set``);
 :func:`serve_config` snapshots them into the :class:`ServeConfig` every
-new :class:`~repro.serve.GraphServer` starts from.  The remaining
-fields are per-server only (constructor arguments).
+new :class:`~repro.serve.GraphServer` starts from.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..graphblas import options
-from ..graphblas.errors import InvalidValue
 
 __all__ = [
     "ServeConfig",
@@ -27,8 +25,8 @@ _DEFAULTS = options.defaults("serve")
 
 @dataclass
 class ServeConfig:
-    """One server's tunables; the first five mirror the ``serve`` option
-    rows and are validated by them."""
+    """One server's tunables: the ``serve`` option rows, validated by
+    them."""
 
     workers: int = _DEFAULTS["workers"]
     queue_depth: int = _DEFAULTS["queue_depth"]
@@ -39,12 +37,6 @@ class ServeConfig:
     memory_budget: int | None = _DEFAULTS["memory_budget"]
     #: the kernel backend every query runs on.
     backend: str = _DEFAULTS["backend"]
-    #: base seed for per-request retry backoff schedules.
-    seed: int = 0
-    #: attempts per retry owner (serve loop, dispatch, spill pool), backoff.
-    attempts: int = 3
-    base_delay_s: float = 0.002
-    max_delay_s: float = 0.25
 
     def __post_init__(self) -> None:
         options.validate(
@@ -53,8 +45,6 @@ class ServeConfig:
         # 0 means "none" for both; the governor would read it as a limit
         self.deadline_s = self.deadline_s or None
         self.memory_budget = self.memory_budget or None
-        if self.attempts < 1:
-            raise InvalidValue(f"attempts must be >= 1, got {self.attempts}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -2,9 +2,9 @@
 
 The serving layer separates *admission* failures (the request never ran:
 the server shed it or is shutting down) from *execution* failures (the
-request ran and terminally failed after its retries).  Clients
-can retry ``Overloaded`` elsewhere or later; ``QueryFailed`` carries the
-terminal underlying error and the request's execution record.
+request ran once and failed; nothing re-runs it).  Clients can retry
+``Overloaded`` elsewhere or later; ``QueryFailed`` carries the
+underlying error and the request's outcome label.
 
 Governor interruptions (:class:`~repro.graphblas.errors.DeadlineExceeded`,
 :class:`~repro.graphblas.errors.Cancelled`) propagate unwrapped from
@@ -43,10 +43,10 @@ class ServerClosed(ServeError):
 
 
 class QueryFailed(ServeError):
-    """A served query terminally failed after its retries.
+    """A served query failed while it ran.
 
-    ``__cause__`` holds the final underlying exception; ``outcome`` the
-    recorded terminal outcome label.
+    ``__cause__`` holds the underlying exception; ``outcome`` the
+    recorded outcome label.
     """
 
     def __init__(self, message: str, *, outcome: str = "failed") -> None:

@@ -21,21 +21,20 @@ a worker thread pool.  The robustness spine:
   :class:`~repro.graphblas.governor.ExecutionContext` carrying the
   tenant's memory budget, the request deadline (queue wait included),
   and a cancellation token.
-* **Retries, one owner per failure** — the serve loop re-attempts only
-  what no inner layer can: an ``OutOfMemory`` outside any op
-  (``serve.exec``).  A kernel's transient ``OutOfMemory`` is re-run at
-  dispatch (one op, not the query) and tile I/O by the spill pool; what
-  exhausts an inner loop arrives marked and ends the query ``failed``
-  (:mod:`repro.graphblas.retry`).  A governor refusal
-  (``BudgetExceeded``, ``DeadlineExceeded``, ``Cancelled``) is the
-  caller's answer: it ends the query with no retry.
+* **One run per query** — a query runs its algorithm once.  A failure
+  inside it (an injected ``serve.exec`` or kernel fault, a real
+  ``MemoryError``) ends that query ``failed`` and leaves the pinned
+  snapshot untouched, so the next query on it is answered normally.  A
+  governor refusal (``BudgetExceeded``, ``DeadlineExceeded``,
+  ``Cancelled``) is the caller's answer and ends the query with its own
+  outcome.  Only the spill pool re-runs anything: its own tile I/O
+  (:mod:`repro.graphblas.tiled`).
 
 Every query runs on one backend, ``config.backend``.  There is no
 failover chain: the other engines are either the same kernels or the
-dense reference, hundreds of times slower on a served graph, so a
-persistent kernel fault ends the query after ``attempts`` runs instead.
-Queue load never changes how an admitted query runs either; overload is
-shed at admission.
+dense reference, hundreds of times slower on a served graph.  Queue
+load never changes how an admitted query runs either; overload is shed
+at admission.
 
 Health/readiness probes, cooperative drain/shutdown, and serve-level
 metrics (``serve_requests_total{tenant,algo,outcome}``, queue-depth
@@ -58,9 +57,7 @@ from ..graphblas.errors import (
     DeadlineExceeded,
     GovernorError,
     InvalidValue,
-    OutOfMemory,
 )
-from ..graphblas.retry import RetryPolicy
 from ..lagraph import (
     Graph,
     GraphKind,
@@ -83,7 +80,7 @@ __all__ = [
     "register_algorithm",
 ]
 
-#: Fault-injection point fired once per query attempt (chaos harness).
+#: Fault-injection point fired once per query run (chaos harness).
 _SERVE_POINT = "serve.exec"
 
 
@@ -145,8 +142,6 @@ class TenantPolicy:
     memory_budget: int | None = None
     #: per-request deadline in seconds, queue wait included.
     deadline_s: float | None = None
-    #: serve-level retry attempts for retryable failures.
-    attempts: int | None = None
     #: hard per-tenant queue cap (None = fair share only).
     max_queue: int | None = None
 
@@ -160,14 +155,15 @@ class QueryTicket:
 
     __slots__ = (
         "seq", "tenant", "algo", "params", "snapshot", "policy",
-        "deadline_at", "token", "tier", "backend", "retries",
+        "deadline_at", "token", "tier", "backend",
         "outcome", "error", "value", "t_submit", "t_start", "t_done",
         "_event",
     )
 
-    #: always 0: a query runs on one backend.  Kept so ticket consumers
-    #: that total it keep working.
+    #: always 0: a query runs once, on one backend.  Kept so ticket
+    #: consumers that total them keep working.
     failovers = 0
+    retries = 0
 
     def __init__(self, seq, tenant, algo, params, snapshot, policy,
                  deadline_at):
@@ -181,7 +177,6 @@ class QueryTicket:
         self.token = governor.CancellationToken()
         self.tier = None
         self.backend = None
-        self.retries = 0
         self.outcome = None
         self.error = None
         self.value = None
@@ -587,13 +582,8 @@ class GraphServer:
                 self._finish(req, "cancelled",
                              Cancelled(req.token.reason or "cancelled"))
                 return
-            if req.deadline_at is not None and req.t_start >= req.deadline_at:
-                self._finish(req, "deadline", DeadlineExceeded(
-                    "deadline passed while queued"
-                ))
-                return
             req.tier = "full"
-            value = self._run(req)
+            value = self._attempt(req)
             req.backend = self.config.backend
             self._finish(req, "ok", result=value)
         except GovernorError as exc:  # the caller's limit, not a fault
@@ -606,58 +596,23 @@ class GraphServer:
         except BaseException as exc:  # kernel failure; the worker survives
             self._finish(req, "failed", exc)
 
-    def _run(self, req: QueryTicket):
-        """The serve-level retry loop around governed attempts (what it
-        owns, and what arrives marked: see the module doc)."""
-        attempts = req.policy.attempts if req.policy.attempts is not None \
-            else self.config.attempts
-        # one seeded schedule per request; each owner names its own classes
-        retry = RetryPolicy(
-            attempts, base_delay=self.config.base_delay_s,
-            max_delay=self.config.max_delay_s, jitter=1.0,
-            seed=(self.config.seed * 0x9E3779B9 + req.seq * 0x85EBCA6B)
-            & 0xFFFFFFFF,
-            transient=(OutOfMemory,),
-        )
-
-        def on_retry(failures, delay, exc):
-            req.token.raise_if_cancelled()
-            req.retries += 1
-            if telemetry.ENABLED:
-                telemetry.decision(
-                    "serve.retry", server=self.name, algo=req.algo,
-                    backend=self.config.backend, attempt=failures,
-                    delay_s=round(delay, 6), error=type(exc).__name__,
-                )
-
-        return retry.call(
-            lambda: self._attempt(req, retry.retrying(OutOfMemory)),
-            on_retry=on_retry,
-        )
-
-    def _attempt(self, req: QueryTicket, kernel_retry):
+    def _attempt(self, req: QueryTicket):
+        """Run the query once, governed by its budget, deadline and token."""
         remaining = None
         if req.deadline_at is not None:
             remaining = req.deadline_at - time.monotonic()
             if remaining <= 0:
-                raise DeadlineExceeded(
-                    f"deadline passed after {req.retries} retries"
-                )
+                raise DeadlineExceeded("deadline passed while queued")
         policy = req.policy
         budget = policy.memory_budget if policy.memory_budget is not None \
             else self.config.memory_budget
         ctx = governor.ExecutionContext(
             memory_budget=budget, deadline=remaining, cancel=req.token,
-            retry=kernel_retry,
         )
-        try:
-            with backends.backend(self.config.backend), ctx:
-                if faults.ENABLED:
-                    faults.trip(_SERVE_POINT)
-                return ALGORITHMS[req.algo](req.snapshot, **req.params)
-        finally:
-            # op re-runs inside the attempt are this query's retries too
-            req.retries += ctx.stats["retries"]
+        with backends.backend(self.config.backend), ctx:
+            if faults.ENABLED:
+                faults.trip(_SERVE_POINT)
+            return ALGORITHMS[req.algo](req.snapshot, **req.params)
 
     # -- completion --------------------------------------------------------
 
@@ -681,13 +636,11 @@ class GraphServer:
             obs.observe("serve_request_seconds", exec_s, algo=req.algo)
         if req.queue_wait_s is not None:
             obs.observe("serve_queue_wait_seconds", req.queue_wait_s)
-        if req.retries:
-            obs.counter_inc("serve_retries_total", req.retries, algo=req.algo)
         if telemetry.ENABLED:
             telemetry.decision(
                 "serve.request", server=self.name, tenant=req.tenant,
                 algo=req.algo, outcome=outcome, tier=req.tier,
-                backend=req.backend, retries=req.retries,
+                backend=req.backend,
                 seconds=round(exec_s, 6) if exec_s is not None else None,
             )
         req._event.set()
@@ -700,9 +653,6 @@ class GraphServer:
                     "Served queries by tenant, algorithm, and outcome")
         reg.declare("serve_shed_total", "counter",
                     "Requests shed at admission, by tenant and reason")
-        reg.declare("serve_retries_total", "counter",
-                    "Re-runs of a query attempt or of one op inside it, "
-                    "by algorithm")
         reg.declare("serve_publish_total", "counter",
                     "Snapshot publications, by graph")
         reg.declare("serve_queue_depth", "gauge",

@@ -142,23 +142,22 @@ class TestDispatchTelemetry:
             telemetry.disable()
         assert snap["decisions"].get("backend.dispatch", 0) >= 1
 
-    def test_fallback_decision_recorded(self):
-        class Declining(KernelBackend):
-            name = "declining"
-
-            def supports(self, plan):
-                return False
+    def test_dispatch_is_one_call(self):
+        # a backend without the op raises; dispatch walks to no other engine
+        class Partial(KernelBackend):
+            name = "partial"
 
         A, B = small_pair(seed=4)
         C = Matrix(np.float64, *A.shape)
-        telemetry.enable()
-        try:
-            with backend(Declining()):
-                ops.mxm(C, A, B, "MIN_PLUS")
-            snap = telemetry.snapshot()
-        finally:
-            telemetry.disable()
-        assert snap["decisions"].get("backend.fallback", 0) >= 1
+        before = C.dup()
+        with telemetry.collect() as col:
+            with pytest.raises(NotImplementedError, match="partial"):
+                ops.mxm(C, A, B, "MIN_PLUS", backend=Partial())
+        served = [e["args"]["backend"] for e in col.events
+                  if e["type"] == "decision"
+                  and e["name"] == "backend.dispatch"]
+        assert served == ["partial"]
+        assert C.isequal(before)
 
 
 class TestSciPyInterop:

@@ -2,8 +2,9 @@
 
 Covers the tier end to end — the default ``optimized`` backend running
 the compiled kernels for every class :func:`compiled.select` accepts,
-the ``compiled`` backend's "compiled or decline" contract (including the
-never-raise warn-once path when no toolchain is usable), the plan-class
+the ``compiled`` name resolving to that same engine (including the
+never-raise warn-once path when no toolchain is usable), the
+differential backend verifying the tier production runs, the plan-class
 memo (warm reuse, LRU bound, one build per class under racing threads,
 a failed build declining its class),
 the ``compiled.kernel`` / ``mxm.early_exit`` / ``mxv.early_exit``
@@ -88,10 +89,9 @@ def _run_threads(threads, timeout=120.0):
 
 class TestRegistryAndFallback:
     def test_compiled_registered(self):
+        # the name stays; it resolves to the engine that runs the tier
         assert "compiled" in backends.available_backends()
-        be = get_backend("compiled")
-        assert be.name == "compiled"
-        assert be.fallback == "optimized"
+        assert get_backend("compiled") is get_backend("optimized")
 
     def test_off_toolchain_warns_once_and_falls_back(self, monkeypatch):
         monkeypatch.setenv("GRAPHBLAS_COMPILED_TOOLCHAIN", "off")
@@ -120,29 +120,15 @@ class TestRegistryAndFallback:
             ops.mxm(Matrix(FP64, A.nrows, B.ncols), A, B, "PLUS_TIMES")
             ops.mxv(Vector(FP64, A.nrows), A, u, "PLUS_TIMES")
 
-    def test_fallback_telemetry_emitted(self, monkeypatch):
-        monkeypatch.setenv("GRAPHBLAS_COMPILED_TOOLCHAIN", "off")
-        compiled.reset()
-        A, B = rand_pair()
-        C = Matrix(FP64, A.nrows, B.ncols)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with telemetry.collect() as col:
-                ops.mxm(C, A, B, "PLUS_TIMES", backend="compiled")
-        falls = _decisions(col, "backend.fallback")
-        assert any(e["declined"] == "compiled"
-                   and e["fallback"] == "optimized" for e in falls)
-
     @needs_tier
     def test_unsupported_semiring_declined(self):
-        # the heap method has no compiled kernel: the plan falls through
+        # the heap method has no compiled kernel: NumPy runs it, in one call
         A, B = rand_pair()
         C = Matrix(FP64, A.nrows, B.ncols)
-        with telemetry.collect() as col:
-            ops.mxm(C, A, B, "PLUS_TIMES", backend="compiled",
-                    method="heap")
-        falls = _decisions(col, "backend.fallback")
-        assert any(e["declined"] == "compiled" for e in falls)
+        rep = obs.explain(lambda: ops.mxm(C, A, B, "PLUS_TIMES",
+                                          backend="compiled", method="heap"))
+        (rec,) = rep.records
+        assert rec["backend"] == "optimized" and rec["kernel"] == "numpy"
         assert C.nvals > 0
 
 
@@ -312,7 +298,7 @@ class TestObservability:
         rep = obs.explain(
             lambda: ops.mxm(C, A, B, "PLUS_TIMES", backend="compiled"))
         rec = rep.records[0]
-        assert rec["backend"] == "compiled"
+        assert rec["backend"] == "optimized"
         assert rec["kernel"] == "compiled"
         assert rec["kernel_cache"] == "built"
         header = rep.text().splitlines()[1]
@@ -494,19 +480,31 @@ class TestParity:
         np.testing.assert_array_equal(c1, c2)
         np.testing.assert_array_equal(v1, v2)
 
-    def test_differential_primary_compiled(self):
-        be = DifferentialBackend(primary="compiled")
+
+
+class TestDifferentialVerifiesProduction:
+    """The differential backend checks the tier production dispatch runs."""
+
+    @pytest.mark.parametrize("method, tier", [("auto", "compiled"),
+                                              ("heap", "numpy")])
+    def test_kernel_matches_optimized(self, method, tier):
         A, B = rand_pair(seed=8, n=16)
-        u = rand_vec(seed=9, n=16)
-        plan_ops = [
-            lambda: ops.mxm(Matrix(FP64, 16, 16), A, B, "PLUS_TIMES",
-                            backend=be),
-            lambda: ops.mxv(Vector(FP64, 16), A, u, "MIN_PLUS", backend=be),
-        ]
-        for f in plan_ops:
-            f()
-        assert be.stats["divergences"] == 0
-        assert be.stats["verified"] == len(plan_ops)
+        be = DifferentialBackend()
+        kernels, outs = {}, {}
+        for name in ("optimized", "differential", "compiled"):
+            C = Matrix(FP64, 16, 16)
+            rep = obs.explain(lambda: ops.mxm(
+                C, A, B, "PLUS_TIMES", method=method,
+                backend=be if name == "differential" else name))
+            (rec,) = rep.records
+            kernels[name] = rec["kernel"]
+            outs[name] = C.extract_tuples()
+        assert kernels["differential"] == kernels["optimized"]
+        assert kernels["optimized"] == (tier if HAVE_TIER else "numpy")
+        assert be.stats == {"verified": 1, "skipped": 0, "divergences": 0}
+        # backend="compiled" is the optimized engine: bit-identical output
+        for got, want in zip(outs["compiled"], outs["optimized"]):
+            assert got.tobytes() == want.tobytes()
 
 
 @needs_tier

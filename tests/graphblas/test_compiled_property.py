@@ -1,9 +1,9 @@
 """Property-based parity: compiled kernels vs the dense spec reference.
 
-Every example routes a Table-I workload through the differential engine
-with ``primary="compiled"``, so the JIT tier executes exactly the kernel
-production dispatch would pick (declining to ``optimized`` where it
-must) and the result is replayed on the spec-literal dense mimic; any
+Every example routes a Table-I workload through the differential engine,
+which runs the optimized engine — so the JIT tier executes exactly the
+kernel production dispatch picks (NumPy where the tier declines) — and
+replays the result on the spec-literal dense mimic; any
 pattern or value disagreement raises
 :class:`~repro.graphblas.errors.BackendDivergence` and fails the test.
 
@@ -129,9 +129,7 @@ def maybe_mask_vector(draw):
 
 
 def _fresh_backend():
-    be = DifferentialBackend(primary="compiled")
-    assert be.primary == "compiled"
-    return be
+    return DifferentialBackend()
 
 
 @needs_tier

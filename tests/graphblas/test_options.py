@@ -52,8 +52,10 @@ def _other_value(row):
         return not row.default
     if row.kind == "choice":
         choices = row.choices() if callable(row.choices) else row.choices
+        # "compiled" names the optimized engine, the backend default
         return next(c for c in choices
-                    if c not in (row.default, "differential", "off"))
+                    if c not in (row.default, "compiled", "differential",
+                                 "off"))
     if row.kind == "path":
         return "/tmp/option-table-roundtrip"
     if row.kind == "float":

@@ -1,9 +1,10 @@
-"""Execution governor: budgets, deadlines, cancellation, retry.
+"""Execution governor: budgets, deadlines, cancellation, failed ops.
 
 The acceptance property under test: a budget-rejected operation raises a
 *typed* error (and the matching ``GxB_*`` code at the C-API boundary)
 **before any output allocation**, leaving every operand bit-identical and
-valid per ``graphblas.validate``.
+valid per ``graphblas.validate``.  A kernel that fails under a context
+raises once — nothing replays it — with the same guarantee.
 """
 
 import time
@@ -28,7 +29,8 @@ from repro.graphblas import (
     validate,
 )
 from repro.graphblas import operations as ops
-from tests.helpers import random_matrix_np
+from repro.graphblas.backends.differential import DifferentialBackend
+from tests.helpers import random_matrix_np, random_vector_np
 from tests.resilience._state import assert_same_state, deep_state
 
 
@@ -192,82 +194,124 @@ class TestDeadlineCancel:
 
 
 # --------------------------------------------------------------------------
-# retry
+# a failed op fails once (arXiv 2104.01661's error-handling pillar)
 # --------------------------------------------------------------------------
 
-class TestRetry:
-    """Dispatch-level retry of a kernel's transient ``OutOfMemory``, on the
-    default backend and on the compiled one (whose kernels trip the same
-    ``spgemm.flop`` point)."""
+N = 20
+_I = np.arange(0, N, 3)
 
-    BACKENDS = ("optimized", "compiled")
 
-    def test_transient_fault_retried_at_dispatch(self, AB):
+def _operands(seed=11):
+    rng = np.random.default_rng(seed)
+    A, _, _ = random_matrix_np(rng, N, N, 0.3)
+    B, _, _ = random_matrix_np(rng, N, N, 0.3)
+    S, _, _ = random_matrix_np(rng, _I.size, _I.size, 0.4)
+    u, _, _ = random_vector_np(rng, N, 0.3)
+    return A, B, S, u
+
+
+def _vec(A, S):
+    return Vector("FP64", N)
+
+
+def _mat(A, S):
+    return Matrix("FP64", N, N)
+
+
+#: kernel fault point -> (fresh output from (A, S), the call on it)
+KERNEL_CASES = {
+    "spgemm.flop": (_mat, lambda C, A, B, S, u, be: ops.mxm(
+        C, A, B, "PLUS_TIMES", backend=be)),
+    "mxv.push": (_vec, lambda w, A, B, S, u, be: ops.mxv(
+        w, A, u, "PLUS_TIMES", method="push", backend=be)),
+    "mxv.pull": (_vec, lambda w, A, B, S, u, be: ops.vxm(
+        w, u, A, "PLUS_TIMES", method="pull", backend=be)),
+    "ewise": (_mat, lambda C, A, B, S, u, be: ops.ewise_add(
+        C, A, B, "PLUS", backend=be)),
+    "apply": (_mat, lambda C, A, B, S, u, be: ops.apply(
+        C, A, "AINV", backend=be)),
+    "select": (_mat, lambda C, A, B, S, u, be: ops.select(
+        C, A, "TRIL", backend=be)),
+    "reduce": (_vec, lambda w, A, B, S, u, be: ops.reduce_rowwise(
+        w, A, "PLUS", backend=be)),
+    "transpose": (_mat, lambda C, A, B, S, u, be: ops.transpose(
+        C, A, backend=be)),
+    "extract": (lambda A, S: Matrix("FP64", _I.size, _I.size),
+                lambda C, A, B, S, u, be: ops.extract(
+                    C, A, _I, _I, backend=be)),
+    "assign": (lambda A, S: A.dup(), lambda C, A, B, S, u, be: ops.assign(
+        C, S, _I, _I, backend=be)),
+    "kronecker": (lambda A, S: Matrix("FP64", _I.size * N, _I.size * N),
+                  lambda C, A, B, S, u, be: ops.kronecker(
+                      C, S, A, "TIMES", backend=be)),
+}
+
+
+class TestFailedOpFailsOnce:
+    """An ``OutOfMemory`` at a kernel fault point, under a context, is the
+    op's answer: it raises once, the kernel is not re-run, every operand
+    is untouched, and the same call outside the fault is correct."""
+
+    @pytest.mark.parametrize("point", sorted(KERNEL_CASES))
+    def test_kernel_fault_raises_once_operands_intact(self, point):
+        make, call = KERNEL_CASES[point]
+        A, B, S, u = _operands()
+        out = make(A, S)
+        operands = (out, A, B, S, u)
+        snaps = [deep_state(o) for o in operands]
+        with governor.ExecutionContext() as ctx:
+            with faults.inject(point, OutOfMemory, probability=1.0, seed=1,
+                               max_fires=None) as plan:
+                with pytest.raises(OutOfMemory):
+                    call(*operands, None)
+        assert plan.fires == 1  # one kernel run: nothing replayed it
+        assert ctx.stats["retries"] == 0
+        for obj, snap in zip(operands, snaps):
+            assert_same_state(obj, snap)
+            assert validate.check(obj) == Info.SUCCESS
+        # outside the fault the same call runs, checked against the
+        # dense reference by the differential engine (divergence raises)
+        diff = DifferentialBackend(strict=True)
+        call(*operands, diff)
+        assert diff.stats == {"verified": 1, "skipped": 0, "divergences": 0}
+
+    def test_transient_fault_fails_once_caller_reruns(self, AB):
         A, B = AB
         expected = Matrix("FP64", 20, 20)
         ops.mxm(expected, A, B, "PLUS_TIMES")
-        for name in self.BACKENDS:
-            C = Matrix("FP64", 20, 20)
-            policy = governor.RetryPolicy(attempts=3, base_delay=0.0,
-                                          jitter=0.0)
-            with governor.ExecutionContext(retry=policy) as ctx:
-                with faults.inject("spgemm.flop", OutOfMemory, nth=1):
-                    # fails once, retried inside
-                    ops.mxm(C, A, B, "PLUS_TIMES", backend=name)
-            assert ctx.stats["retries"] == 1, name
-            assert C.isequal(expected), name
+        C = Matrix("FP64", 20, 20)
+        with governor.ExecutionContext() as ctx:
+            with faults.inject("spgemm.flop", OutOfMemory, nth=1) as plan:
+                with pytest.raises(OutOfMemory):
+                    ops.mxm(C, A, B, "PLUS_TIMES")
+                assert plan.fires == 1 and C.nvals == 0
+                # the fault has lifted; rerunning is the caller's choice
+                ops.mxm(C, A, B, "PLUS_TIMES")
+        assert ctx.stats["retries"] == 0
+        assert C.isequal(expected)
 
-    def test_persistent_fault_exhausts_attempts(self, AB):
+    def test_persistent_fault_fails_every_call_once(self, AB):
         A, B = AB
-        for name in self.BACKENDS:
-            C = Matrix("FP64", 20, 20)
-            policy = governor.RetryPolicy(attempts=3, base_delay=0.0,
-                                          jitter=0.0)
-            with governor.ExecutionContext(retry=policy) as ctx:
-                with faults.inject(
-                    "spgemm.flop", OutOfMemory, probability=1.0, seed=1,
-                    max_fires=None,
-                ):
+        C = Matrix("FP64", 20, 20)
+        with governor.ExecutionContext() as ctx:
+            with faults.inject("spgemm.flop", OutOfMemory, probability=1.0,
+                               seed=1, max_fires=None) as plan:
+                for calls in range(1, 4):
                     with pytest.raises(OutOfMemory):
-                        ops.mxm(C, A, B, "PLUS_TIMES", backend=name)
-            assert ctx.stats["retries"] == 2, name  # 3 attempts = 2 retries
+                        ops.mxm(C, A, B, "PLUS_TIMES")
+                    assert plan.fires == calls  # one kernel run per call
+        assert ctx.stats["retries"] == 0
+        assert C.nvals == 0 and validate.check(C) == Info.SUCCESS
 
-    def test_nontransient_error_not_retried(self, AB):
+    def test_non_memory_error_propagates_once(self, AB):
         A, B = AB
-        for name in self.BACKENDS:
-            C = Matrix("FP64", 20, 20)
-            policy = governor.RetryPolicy(attempts=5, base_delay=0.0,
-                                          jitter=0.0)
-            with governor.ExecutionContext(retry=policy) as ctx:
-                with faults.inject("spgemm.flop", ValueError, nth=1):
-                    with pytest.raises(ValueError):
-                        ops.mxm(C, A, B, "PLUS_TIMES", backend=name)
-            assert ctx.stats["retries"] == 0, name
-
-    def test_with_retry_plain_callable(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OutOfMemory("transient")
-            return "ok"
-
-        policy = governor.RetryPolicy(attempts=4, base_delay=0.0, jitter=0.0)
-        assert governor.with_retry(flaky, policy=policy) == "ok"
-        assert len(calls) == 3
-
-    def test_backoff_is_bounded_and_seeded(self):
-        p1 = governor.RetryPolicy(
-            attempts=5, base_delay=0.1, max_delay=0.3, jitter=0.5, seed=9
-        )
-        p2 = governor.RetryPolicy(
-            attempts=5, base_delay=0.1, max_delay=0.3, jitter=0.5, seed=9
-        )
-        d1 = [p1.delay(k) for k in range(1, 6)]
-        d2 = [p2.delay(k) for k in range(1, 6)]
-        assert d1 == d2  # same seed, same jitter stream
-        assert all(d <= 0.3 * 1.5 for d in d1)
+        C = Matrix("FP64", 20, 20)
+        with governor.ExecutionContext():
+            with faults.inject("spgemm.flop", ValueError, probability=1.0,
+                               seed=1, max_fires=None) as plan:
+                with pytest.raises(ValueError):
+                    ops.mxm(C, A, B, "PLUS_TIMES")
+        assert plan.fires == 1 and C.nvals == 0
 
 
 # --------------------------------------------------------------------------

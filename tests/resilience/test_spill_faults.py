@@ -1,10 +1,12 @@
-"""Fault-hardened spill I/O: seeded retry, clean failure, no orphans.
+"""Fault-hardened spill I/O: one retry loop, clean failure, no orphans.
 
-The transactional guarantee extends to disk: an injected write/read
-failure during tiled spill execution is retried with seeded backoff;
-when retry is exhausted the operation fails with the typed error,
-operands stay bit-identical, the output is untouched, and no tile or
-temp file is left behind.
+The transactional guarantee extends to disk: an ``OSError`` on a tile
+write/read during tiled spill execution is re-run by the spill pool
+(``tiled._IO_ATTEMPTS`` tries, a fixed doubling delay); when those are
+spent, or the failure is anything else, the operation fails with the
+error, operands stay bit-identical, the output is untouched, and no tile
+or temp file is left behind.  A kernel fault on the tiled route fails
+the op once.
 """
 
 import os
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.graphblas import (
+    Cancelled,
     Matrix,
     OutOfMemory,
     Vector,
@@ -34,8 +37,12 @@ def AB():
     return A, B
 
 
-def _policy():
-    return governor.RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0)
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The retry loop's sleeps, recorded instead of slept."""
+    got = []
+    monkeypatch.setattr(tiled.time, "sleep", got.append)
+    return got
 
 
 class TestTransientFaults:
@@ -46,17 +53,15 @@ class TestTransientFaults:
         C = Matrix("FP64", 40, 40)
         with telemetry.collect() as col:
             with governor.ExecutionContext(
-                memory_budget=1, retry=_policy(),
-                spill_dir=tmp_path, spill_budget=0,
+                memory_budget=1, spill_dir=tmp_path, spill_budget=0,
             ) as ctx:
-                with faults.inject("io.write", OutOfMemory, nth=1):
+                with faults.inject("io.write", OSError, nth=1):
                     ops.mxm(C, A, B, "PLUS_TIMES")
-        assert ctx.stats["retries"] >= 1
-        assert C.isequal(expected)
+        assert ctx.stats["retries"] == 1
         ev, cv = expected.extract_tuples()[2], C.extract_tuples()[2]
-        assert ev.tobytes() == cv.tobytes()
+        assert C.isequal(expected) and ev.tobytes() == cv.tobytes()
         gov = col.snapshot()["governor"]
-        assert gov["retry"] >= 1  # the backoff decision was recorded
+        assert gov["retry"] == 1  # the backoff decision was recorded
         assert not any(tmp_path.iterdir())
 
     def test_read_fault_retried_parity_preserved(self, AB, tmp_path):
@@ -64,43 +69,41 @@ class TestTransientFaults:
         expected = Matrix("FP64", 40, 40)
         ops.mxm(expected, A, B, "PLUS_TIMES")
         C = Matrix("FP64", 40, 40)
-        with governor.ExecutionContext(
-            memory_budget=1, retry=_policy(),
-            spill_dir=tmp_path, spill_budget=0,
-        ) as ctx:
-            with faults.inject("io.read", OutOfMemory, nth=1):
-                ops.mxm(C, A, B, "PLUS_TIMES")
-        assert ctx.stats["retries"] >= 1
-        assert C.isequal(expected)
-        assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("point", ["io.write", "io.read"])
-    def test_context_policy_does_not_cost_the_pool_its_oserror_retry(
-            self, point, AB, tmp_path):
-        # the context's policy names the *kernel's* transient classes
-        # (OutOfMemory); tile I/O failures stay the pool's to retry
-        A, B = AB
-        expected = Matrix("FP64", 40, 40)
-        ops.mxm(expected, A, B, "PLUS_TIMES")
-        C = Matrix("FP64", 40, 40)
         snaps = [deep_state(o) for o in (A, B)]
         with governor.ExecutionContext(
-            memory_budget=1, retry=_policy(),
-            spill_dir=tmp_path, spill_budget=0,
+            memory_budget=1, spill_dir=tmp_path, spill_budget=0,
         ) as ctx:
-            with faults.inject(point, OSError, nth=1):
+            with faults.inject("io.read", OSError, nth=1):
                 ops.mxm(C, A, B, "PLUS_TIMES")
         assert ctx.stats["retries"] == 1
-        assert C.isequal(expected)
         ev, cv = expected.extract_tuples()[2], C.extract_tuples()[2]
-        assert ev.tobytes() == cv.tobytes()
+        assert C.isequal(expected) and ev.tobytes() == cv.tobytes()
         for obj, snap in zip((A, B), snaps):
             assert_same_state(obj, snap)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("point", ["io.write", "io.read"])
+    def test_memory_error_on_tile_io_is_not_retried(self, point, AB,
+                                                    tmp_path):
+        # only OSError is the pool's to re-run: anything else fails the op
+        A, B = AB
+        C = Matrix("FP64", 40, 40)
+        snaps = [deep_state(o) for o in (C, A, B)]
+        with governor.ExecutionContext(
+            memory_budget=1, spill_dir=tmp_path, spill_budget=0,
+        ) as ctx:
+            with faults.inject(point, OutOfMemory, probability=1.0, seed=2,
+                               max_fires=None) as plan:
+                with pytest.raises(OutOfMemory):
+                    ops.mxm(C, A, B, "PLUS_TIMES")
+        assert plan.fires == 1 and ctx.stats["retries"] == 0
+        for obj, snap in zip((C, A, B), snaps):
+            assert_same_state(obj, snap)
+        assert not any(tmp_path.iterdir())
+
     def test_default_pool_policy_retries_oserror(self, tmp_path):
-        # without a context retry policy the pool's own seeded default
-        # applies, and OSError (real disk trouble) counts as transient
+        # the pool re-runs OSError (real disk trouble) with no option set,
+        # governed or not
         rng = np.random.default_rng(2)
         A, _, _ = random_matrix_np(rng, 24, 24, 0.3)
         with governor.ExecutionContext(
@@ -109,66 +112,50 @@ class TestTransientFaults:
             with faults.inject("io.write", OSError, nth=1):
                 C = Matrix("FP64", 24, 24)
                 ops.mxm(C, A, A, "PLUS_TIMES")
-        assert ctx.stats["retries"] >= 1
+        assert ctx.stats["retries"] == 1
         assert C.nvals > 0
 
 
 class TestExhaustedRetry:
-    def test_write_faults_exhaust_operands_intact_no_orphans(self, AB, tmp_path):
+    def _exhaust(self, point, seed, AB, tmp_path):
         A, B = AB
         C = Matrix("FP64", 40, 40)
         snaps = [deep_state(o) for o in (C, A, B)]
         with governor.ExecutionContext(
-            memory_budget=1, retry=_policy(),
-            spill_dir=tmp_path, spill_budget=0,
-        ):
-            with faults.inject(
-                "io.write", OutOfMemory, probability=1.0, seed=3,
-                max_fires=None,
-            ):
-                with pytest.raises(OutOfMemory):
+            memory_budget=1, spill_dir=tmp_path, spill_budget=0,
+        ) as ctx:
+            with faults.inject(point, OSError, probability=1.0, seed=seed,
+                               max_fires=None) as plan:
+                with pytest.raises(OSError):
                     ops.mxm(C, A, B, "PLUS_TIMES")
+        # every try of the failing tile I/O ran, then the op failed
+        assert plan.fires == tiled._IO_ATTEMPTS
+        assert ctx.stats["retries"] == tiled._IO_ATTEMPTS - 1
         for obj, snap in zip((C, A, B), snaps):
             assert_same_state(obj, snap)
         assert C.nvals == 0
         # no orphaned tiles, no torn temp files
         assert not any(tmp_path.iterdir())
 
-    def test_read_faults_exhaust_operands_intact_no_orphans(self, AB, tmp_path):
-        A, B = AB
-        C = Matrix("FP64", 40, 40)
-        snaps = [deep_state(o) for o in (C, A, B)]
-        with governor.ExecutionContext(
-            memory_budget=1, retry=_policy(),
-            spill_dir=tmp_path, spill_budget=0,
-        ):
-            with faults.inject(
-                "io.read", OutOfMemory, probability=1.0, seed=4,
-                max_fires=None,
-            ):
-                with pytest.raises(OutOfMemory):
-                    ops.mxm(C, A, B, "PLUS_TIMES")
-        for obj, snap in zip((C, A, B), snaps):
-            assert_same_state(obj, snap)
-        assert C.nvals == 0
-        assert not any(tmp_path.iterdir())
+    def test_write_faults_exhaust_operands_intact_no_orphans(
+            self, AB, tmp_path, sleeps):
+        self._exhaust("io.write", 3, AB, tmp_path)
 
-    def test_failed_spill_keeps_tile_usable(self, tmp_path):
+    def test_read_faults_exhaust_operands_intact_no_orphans(
+            self, AB, tmp_path, sleeps):
+        self._exhaust("io.read", 4, AB, tmp_path)
+
+    def test_failed_spill_keeps_tile_usable(self, tmp_path, sleeps):
         # a spill that fails even after retry must not lose the tile: it
         # stays resident and the pool remains consistent
         from tests.resilience.test_tiled_spill import _store
 
-        pool = tiled.SpillPool(
-            budget=0, directory=tmp_path,
-            retry=governor.RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0),
-        )
+        pool = tiled.SpillPool(budget=0, directory=tmp_path)
         try:
             s = _store(seed=9)
-            with faults.inject(
-                "io.write", OutOfMemory, probability=1.0, seed=5,
-                max_fires=None,
-            ):
-                with pytest.raises(OutOfMemory):
+            with faults.inject("io.write", OSError, probability=1.0, seed=5,
+                               max_fires=None):
+                with pytest.raises(OSError):
                     pool.put("a", s)
             back = pool.get("a")  # still resident despite the failed spill
             assert back.values.tobytes() == s.values.tobytes()
@@ -180,8 +167,8 @@ class TestExhaustedRetry:
 
 class TestKernelFaults:
     """A tiled chunk is one in-memory kernel call, so the kernels' own
-    fault points fire on the tiled route: a transient fault is replayed
-    by the context's retry policy, a persistent one fails cleanly."""
+    fault points fire on the tiled route, and fail the op once: nothing
+    replays the chunk."""
 
     KERNEL_POINTS = [("mxm", "spgemm.flop"), ("mxv", "mxv.pull")]
 
@@ -198,20 +185,21 @@ class TestKernelFaults:
                     "PLUS_TIMES")
 
     @pytest.mark.parametrize("op,point", KERNEL_POINTS)
-    def test_transient_kernel_fault_replayed_bit_identical(self, op, point,
-                                                           AB, tmp_path):
+    def test_kernel_fault_fails_once_next_call_bit_identical(
+            self, op, point, AB, tmp_path):
         A, B = AB
         expected = self._output(op)
         self._run(op, expected, A, B)
         got = self._output(op)
         with governor.ExecutionContext(
-            memory_budget=1, retry=_policy(),
-            spill_dir=tmp_path, spill_budget=0,
+            memory_budget=1, spill_dir=tmp_path, spill_budget=0,
         ) as ctx:
             with faults.inject(point, OutOfMemory, nth=1) as plan:
-                self._run(op, got, A, B)
-        assert plan.fires == 1
-        assert ctx.stats["tiled"] == 1 and ctx.stats["retries"] == 1
+                with pytest.raises(OutOfMemory):
+                    self._run(op, got, A, B)
+            assert plan.fires == 1 and got.nvals == 0
+            self._run(op, got, A, B)  # the next call, outside the fault
+        assert ctx.stats["tiled"] == 2 and ctx.stats["retries"] == 0
         for g, w in zip(got.extract_tuples(), expected.extract_tuples()):
             assert g.tobytes() == w.tobytes()
         assert not any(tmp_path.iterdir())
@@ -223,14 +211,14 @@ class TestKernelFaults:
         out = self._output(op)
         snaps = [deep_state(o) for o in (out, A, B)]
         with governor.ExecutionContext(
-            memory_budget=1, retry=_policy(),
-            spill_dir=tmp_path, spill_budget=0,
+            memory_budget=1, spill_dir=tmp_path, spill_budget=0,
         ) as ctx:
             with faults.inject(point, OutOfMemory, probability=1.0, seed=6,
-                               max_fires=None):
+                               max_fires=None) as plan:
                 with pytest.raises(OutOfMemory):
                     self._run(op, out, A, B)
-        assert ctx.stats["tiled"] >= 1
+        assert plan.fires == 1
+        assert ctx.stats["tiled"] == 1 and ctx.stats["retries"] == 0
         for obj, snap in zip((out, A, B), snaps):
             assert_same_state(obj, snap)
         assert out.nvals == 0
@@ -238,8 +226,8 @@ class TestKernelFaults:
 
 
 class TestTornTileFiles:
-    """A tile file that disagrees with its own header is an I/O error for
-    the retry policy — never a garbage tile, never a leaked file."""
+    """A tile file that disagrees with its own header is an ``OSError`` for
+    the pool's retry loop — never a garbage tile, never a leaked file."""
 
     @staticmethod
     def _truncate(path):
@@ -272,17 +260,11 @@ class TestTornTileFiles:
         "_truncate", "_truncate_into_header", "_corrupt_length",
         "_corrupt_magic", "_corrupt_dtype",
     ])
-    def test_damaged_tile_fails_after_retry_schedule(self, damage, tmp_path):
+    def test_damaged_tile_fails_after_retry_schedule(self, damage, tmp_path,
+                                                     sleeps):
         from tests.resilience.test_tiled_spill import _decisions, _store
 
-        attempts = 3
-        pool = tiled.SpillPool(
-            budget=0, directory=tmp_path,
-            retry=governor.RetryPolicy(
-                attempts=attempts, base_delay=0.0, jitter=0.0,
-                transient=(OSError, OutOfMemory),
-            ),
-        )
+        pool = tiled.SpillPool(budget=0, directory=tmp_path)
         try:
             good, bad = _store(seed=1), _store(seed=2)
             pool.put("good", good)
@@ -292,7 +274,8 @@ class TestTornTileFiles:
                 with pytest.raises(OSError, match="torn|corrupt"):
                     pool.get("bad")
             # the whole schedule ran
-            assert len(_decisions(col, "governor.retry")) == attempts - 1
+            assert len(_decisions(col, "governor.retry")) == \
+                tiled._IO_ATTEMPTS - 1
             assert pool.stats["reloads"] == 0     # nothing was accepted
             # the pool is still consistent: its other tile reads back
             back = pool.get("good")
@@ -303,7 +286,7 @@ class TestTornTileFiles:
         assert not any(tmp_path.iterdir())
 
     def test_torn_tile_mid_mxm_operands_intact_no_orphans(self, AB, tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch, sleeps):
         # every reload sees a file two words short, as after a torn write
         A, B = AB
         C = Matrix("FP64", 40, 40)
@@ -320,22 +303,45 @@ class TestTornTileFiles:
         ) as ctx:
             with pytest.raises(OSError, match="torn"):
                 ops.mxm(C, A, B, "PLUS_TIMES")
-        assert ctx.stats["retries"] >= 1  # the pool's default policy ran
+        assert ctx.stats["retries"] >= 1  # the pool's retry loop ran
         for obj, snap in zip((C, A, B), snaps):
             assert_same_state(obj, snap)
         assert C.nvals == 0
         assert not any(tmp_path.iterdir())
 
 
-class TestSeededBackoff:
-    def test_spill_retry_schedule_is_reproducible(self, tmp_path):
-        # same seed -> same backoff delays on the spill path
-        p1 = governor.RetryPolicy(
-            attempts=4, base_delay=0.01, max_delay=0.05, jitter=0.5, seed=21
-        )
-        p2 = governor.RetryPolicy(
-            attempts=4, base_delay=0.01, max_delay=0.05, jitter=0.5, seed=21
-        )
-        assert [p1.delay(k) for k in (1, 2, 3)] == [
-            p2.delay(k) for k in (1, 2, 3)
-        ]
+class TestBackoffSchedule:
+    def test_spill_retry_schedule_is_fixed(self, tmp_path, sleeps):
+        # the delays are constants: 5 ms, doubling, one fewer than tries
+        from tests.resilience.test_tiled_spill import _store
+
+        pool = tiled.SpillPool(budget=0, directory=tmp_path)
+        try:
+            for _ in range(2):
+                with faults.inject("io.write", OSError, probability=1.0,
+                                   seed=7, max_fires=None):
+                    with pytest.raises(OSError):
+                        pool.put(pool.unique_name(), _store(seed=3))
+        finally:
+            pool.close()
+        one = [tiled._IO_DELAY_S * 2 ** k
+               for k in range(tiled._IO_ATTEMPTS - 1)]
+        assert sleeps == one + one == [0.005, 0.01, 0.005, 0.01]
+
+    def test_cancelled_context_aborts_instead_of_sleeping(self, AB, tmp_path,
+                                                          sleeps):
+        A, B = AB
+        C = Matrix("FP64", 40, 40)
+        with governor.ExecutionContext(
+            memory_budget=1, spill_dir=tmp_path, spill_budget=0,
+        ) as ctx:
+            class DiskTroubleWhileCancelled(OSError):
+                def __init__(self, msg):
+                    ctx.cancel("stop")
+                    super().__init__(msg)
+
+            with faults.inject("io.write", DiskTroubleWhileCancelled, nth=1):
+                with pytest.raises(Cancelled, match="stop"):
+                    ops.mxm(C, A, B, "PLUS_TIMES")
+        assert sleeps == [] and ctx.stats["retries"] == 0
+        assert C.nvals == 0 and not any(tmp_path.iterdir())
