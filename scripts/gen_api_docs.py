@@ -403,8 +403,8 @@ with ctx:
   after steps k, 2k, … for every algorithm) and restores `resume=` with
   one check that the snapshot fits the run.  Snapshots serialize the
   loop-carried state through `repro.io.checkpoint.save_state` — a
-  single `.npz` written to a temp file and atomically renamed, so a
-  crash mid-save
+  single `.npz` written to a temp file, `fsync`-ed and atomically
+  renamed, so a crash or power loss mid-save
   preserves the previous snapshot.  Resume restores containers
   bit-identically (`load_checkpoint` rejects a snapshot written by a
   different algorithm), and because each loop body depends only on the
@@ -432,8 +432,8 @@ TILED_SECTION = """
 `mxm`/`mxv`/`vxm` into "run anyway, bounded memory".  A
 `TiledMatrix` partitions a matrix into a 2D grid of hypersparse blocks;
 `mxm_tiled` / `mxv_tiled` schedule work stripe by stripe; and cold tiles
-are spilled to disk as atomic raw-array files and reloaded on demand
-under an LRU resident-byte budget (`SpillPool`).  The route is transparent:
+are spilled as raw arrays to one arena file per pool and reloaded on
+demand under an LRU resident-byte budget (`SpillPool`).  The route is transparent:
 when an admitted plan's estimated footprint exceeds the context budget
 and spilling is enabled, the dispatcher re-plans `mxm`/`mxv`/`vxm` as
 tiled execution instead of rejecting —
@@ -466,19 +466,19 @@ assert ctx.stats["tiled"] == 1
   operands untouched and no tile left behind.  The hypothesis suite proves parity
   across all four `(by_row/by_col) x (standard/hyper)` formats,
   including a chunked product used as an operand.
-* **Tile files are the arrays** — a store *is* its three or four arrays
+* **Spilled tiles are the arrays** — a store *is* its three or four arrays
   (the paper's §IV O(1) import/export argument), so a spilled tile is
   one fixed header of eight int64 words (magic, `n_major`, `n_minor`,
   orientation, `h`/`indptr`/entry counts with `h = -1` for a
   non-hypersparse store, value dtype) followed by `h`, `indptr`, `minor`
   and `values` exactly as they sit in memory: no container, no
-  compression, no per-array header to parse.  A reload is one `readinto`
-  a preallocated buffer plus four writable views on it; the file length
-  must equal what the header implies, so a short or torn file is an
+  compression, no per-array header to parse.  A reload is one read into
+  a preallocated buffer plus four writable views on it; the bytes read
+  must be what the header implies, so a short or torn tile is an
   `OSError` for the pool's retry loop, never a garbage tile.
   Checkpoints keep compressed `.npz`: they are written once, kept, and
   read by other processes, where a self-describing compressed container
-  earns its cost; a tile file lives for one operation and is re-read
+  earns its cost; a spilled tile lives for one operation and is re-read
   many times.
 * **Write-behind output** — everything `mxm_tiled` produces enters the
   pool at the *eviction* end (`SpillPool.put(..., behind=True)`), so
@@ -497,20 +497,21 @@ assert ctx.stats["tiled"] == 1
   19.6 MB.  (The "12.2× read amplification" earlier revisions quoted
   divided uncompressed bytes read by *compressed* bytes written; like
   for like it was ≈ 6.6×, and is now ≈ 1.25×.)
-* **Fault-hardened spill I/O** — spill writes go through the one atomic
-  temp-file + rename writer shared with checkpointing
-  (`repro.io.checkpoint.atomic_write`, which takes the payload-writing
-  callable), trip the
-  `io.write`/`io.read` fault points, and the pool re-runs a tile read or
-  write that raised `OSError` — three tries, 5 ms then 10 ms apart,
-  constants with no option — the library's one retry, for the one
-  transient that really happens (a disk briefly full, a torn file).
-  Anything else, `OutOfMemory` included, fails the op at once.  A crash mid-spill
-  leaves only a stale temp file, never a torn tile;
-  `rollback_partial_spills` (invoked when a pool opens its directory and
-  by the fault-injection suite) removes every artifact of an aborted
-  operation.  `tests/resilience/test_spill_faults.py` proves injected
-  faults never corrupt operands or leak spill files.
+* **Fault-hardened spill I/O** — each `SpillPool` spills into one
+  anonymous arena file in the spill directory (`tempfile.TemporaryFile`,
+  unlinked as it is created) with an offset table `key → (offset,
+  nbytes)`: a spill is one positional write at the arena's end, recorded
+  only once complete, and a reload is one read of `nbytes` at its offset,
+  checked against the tile's header.  Tile writes and reads trip the
+  `io.write`/`io.read` fault points, and the pool re-runs one that raised
+  `OSError` — three tries, 5 ms then 10 ms apart, constants with no
+  option — the library's one retry, for the one transient that really
+  happens (a disk briefly full, a torn tile); a failed write is
+  overwritten in place by its retry.  Anything else, `OutOfMemory`
+  included, fails the op at once.  The directory holds no entry of an
+  open pool, and neither `close()` nor a crash leaves anything behind, so
+  there is nothing to clean up.  `tests/resilience/test_spill_faults.py`
+  proves injected faults never corrupt operands or leak spill files.
 * **Bounded streaming** — `TiledMatrix.iter_stripes(max_bytes=...)`
   yields sorted coordinate blocks of bounded size (per-tile row slabs
   via `major_slab`), so a result bigger than memory can be consumed

@@ -92,8 +92,8 @@ POINTS = {
     "assign",         # assign / subassign
     "kronecker",      # kronecker product
     # i/o
-    "io.read",        # Matrix Market / edge list / npz reading
-    "io.write",       # Matrix Market / edge list / npz writing
+    "io.read",        # Matrix Market / edge list / npz / spilled tile reading
+    "io.write",       # Matrix Market / edge list / npz / spilled tile writing
     # serving
     "serve.exec",     # repro.serve query run (chaos harness)
 }

@@ -4,8 +4,8 @@ The governor's admission control refuses an oversized operation.  For
 the tileable ops this module turns that into "run anyway, bounded
 memory": a :class:`TiledMatrix` partitions a matrix into a 2D grid of
 hypersparse blocks, SpGEMM/mxv are scheduled tile by tile, and cold tiles
-are spilled to disk as atomic raw-array files and reloaded on demand under
-an LRU byte budget (:class:`SpillPool`).  The dispatcher routes a plan
+are spilled to one raw-array arena file per pool and reloaded on demand
+under an LRU byte budget (:class:`SpillPool`).  The dispatcher routes a plan
 here when the governor tagged it over-budget (see
 :meth:`~repro.graphblas.governor.ExecutionContext.admit`) or when the
 caller asked for ``method="tiled"`` explicitly.
@@ -17,26 +17,27 @@ call: :func:`~repro.graphblas.mxm.mxm_coo` (Gustavson) or
 global coordinates, with the kernels
 :func:`repro.graphblas.compiled.select_class` picks for the product.
 
-**Fault hardening.**  Spill writes go through the atomic temp-file +
-rename writer shared with :mod:`repro.io.checkpoint`, tripping the
-``io.write`` / ``io.read`` fault points; the pool re-runs a tile read or
-write that raised ``OSError`` (:data:`_IO_ATTEMPTS` tries, a delay of
-:data:`_IO_DELAY_S` doubling between them) — the library's one retry,
-for the one failure that really passes.  A crash mid-spill leaves only a
-``*.tmp.*`` file, rolled back by :func:`rollback_partial_spills`;
-:meth:`SpillPool.close` removes every tile file, so a failed operation
-leaves operands bit-identical and no orphaned tiles on disk.
+**Fault hardening.**  Tile writes and reads trip the ``io.write`` /
+``io.read`` fault points; the pool re-runs one that raised ``OSError``
+(:data:`_IO_ATTEMPTS` tries, a delay of :data:`_IO_DELAY_S` doubling
+between them) — the library's one retry, for the one failure that really
+passes.  A pool's arena is an anonymous file (unlinked as it is
+created), so neither :meth:`SpillPool.close` nor a crash leaves anything
+on disk, and a failed operation leaves operands bit-identical.
 Cancellation and deadlines are polled at every tile boundary.
 
-**Tile files.**  A store *is* its three or four arrays (the paper's
-O(1) import/export argument), so a spilled tile is those arrays and
-nothing else: one fixed int64 header (:data:`_HEADER_FIELDS`) followed by
-``h``, ``indptr``, ``minor`` and ``values`` as they sit in memory.  A
-reload is one ``readinto`` a preallocated buffer and four views on it;
-the file length must equal what the header implies, so a short or torn
-file is an ``OSError`` for that retry, never a garbage tile.
-Checkpoints keep compressed ``.npz`` (written once, kept, read by other
-processes); tile files live for one operation and are re-read many times.
+**The arena.**  A store *is* its three or four arrays (the paper's O(1)
+import/export argument), so a spilled tile is those arrays and nothing
+else: one fixed int64 header (:data:`_HEADER_FIELDS`) followed by ``h``,
+``indptr``, ``minor`` and ``values`` as they sit in memory, written with
+one positional write at the arena's end.  The pool's offset table
+records ``(offset, nbytes)`` only after the whole write, so a failed or
+short write is overwritten in place by its retry.  A reload is one read
+of ``nbytes`` into a preallocated buffer and four views on it; the bytes
+read must be what the header implies, so a short or torn tile is an
+``OSError`` for that retry, never a garbage tile.  Checkpoints keep
+compressed ``.npz`` files (written once, kept, read by other processes);
+a spilled tile lives for one operation and is re-read many times.
 
 **Write-behind.**  Everything :func:`mxm_tiled` produces enters the pool
 at the *eviction* end: output streams to disk as it is made instead of
@@ -49,7 +50,6 @@ time, and a bounded drain touches only the pieces its rows overlap.
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 import threading
 import time
@@ -71,7 +71,6 @@ __all__ = [
     "mxm_tiled",
     "mxv_tiled",
     "choose_tile_dim",
-    "rollback_partial_spills",
     "execute",
     "DEFAULT_TILE_DIM",
     "MIN_TILE_DIM",
@@ -85,7 +84,7 @@ DEFAULT_TILE_DIM = 4096
 #: Smallest tile edge the budget heuristic will choose.
 MIN_TILE_DIM = 64
 
-#: Tile-file header: eight int64 words, then the arrays in this order —
+#: Spilled-tile header: eight int64 words, then the arrays in this order —
 #: ``h`` (absent when ``h_len`` is -1), ``indptr``, ``minor``, ``values``.
 _HEADER_FIELDS = ("magic", "n_major", "n_minor", "is_row", "h_len",
                   "indptr_len", "nvals", "value_dtype")
@@ -126,8 +125,11 @@ def _retry_io(fn, op: str):
             delay *= 2
 
 
-def _write_tile(f, store: SparseStore) -> None:
-    """Write ``store`` to ``f`` as header + raw arrays (no re-encoding)."""
+def _write_tile(fd: int, offset: int, store: SparseStore) -> int:
+    """Write ``store`` at ``offset`` of ``fd`` as header + raw arrays (no
+    re-encoding), in one positional write; returns the bytes written."""
+    if faults.ENABLED:
+        faults.trip("io.write")
     dt = store.values.dtype
     code = dt.str.encode("ascii")
     if len(code) > 8 or np.dtype(dt.str) != dt:
@@ -140,27 +142,31 @@ def _write_tile(f, store: SparseStore) -> None:
          int.from_bytes(code.ljust(8, b"\0"), "little")],
         dtype=_INDEX,
     )
-    f.write(header.data)
-    for arr in (store.h, store.indptr, store.minor):
-        if arr is not None:
-            f.write(np.ascontiguousarray(arr, dtype=_INDEX).data)
+    bufs = [header] + [np.ascontiguousarray(arr, dtype=_INDEX)
+                       for arr in (store.h, store.indptr, store.minor)
+                       if arr is not None]
     # not every dtype exports a buffer (datetime64); its bytes always do
-    f.write(np.ascontiguousarray(store.values).view(np.uint8).data)
+    bufs.append(np.ascontiguousarray(store.values).view(np.uint8))
+    nbytes = sum(b.nbytes for b in bufs)
+    wrote = os.pwritev(fd, bufs, offset)
+    if wrote != nbytes:
+        raise OSError(f"short tile write: {wrote} of {nbytes} B")
+    return nbytes
 
 
-def _read_tile(path: str) -> SparseStore:
-    """Load a tile file: one ``readinto``, then views on that buffer.
+def _read_tile(fd: int, offset: int, nbytes: int) -> SparseStore:
+    """Load the tile of ``nbytes`` at ``offset`` of ``fd``: one read into a
+    preallocated buffer, then views on that buffer.
 
     The arrays of the returned store are writable views of one private
-    buffer.  Any disagreement between the header and the file length
+    buffer.  Any disagreement between the header and the bytes read
     raises ``OSError`` (transient: the pool re-runs the read).
     """
-    with open(path, "rb", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        buf = np.empty(size, dtype=np.uint8)
-        got = f.readinto(buf) if size else 0
-    if got != size or size < _HEADER_BYTES:
-        raise OSError(f"tile file {path!r} is torn: read {got} of {size} B")
+    buf = np.empty(nbytes, dtype=np.uint8)
+    got = os.preadv(fd, [buf], offset)
+    if got != nbytes or nbytes < _HEADER_BYTES:
+        raise OSError(f"tile at offset {offset} is torn: "
+                      f"read {got} of {nbytes} B")
     head = buf[:_HEADER_BYTES].view(_INDEX)
     magic, n_major, n_minor, is_row, h_len, indptr_len, nvals, code = (
         int(x) for x in head
@@ -170,13 +176,13 @@ def _read_tile(path: str) -> SparseStore:
             raise ValueError("bad header")
         dt = np.dtype(code.to_bytes(8, "little").rstrip(b"\0").decode("ascii"))
     except (ValueError, TypeError, OverflowError) as exc:
-        raise OSError(f"tile file {path!r} has a corrupt header") from exc
+        raise OSError(f"tile at offset {offset} has a corrupt header") from exc
     h_words = max(h_len, 0)
     values_at = _HEADER_BYTES + 8 * (h_words + indptr_len + nvals)
-    if size != values_at + nvals * dt.itemsize:
+    if nbytes != values_at + nvals * dt.itemsize:
         raise OSError(
-            f"tile file {path!r} is torn: {size} B on disk, header implies "
-            f"{values_at + nvals * dt.itemsize} B"
+            f"tile at offset {offset} is torn: {nbytes} B written, header "
+            f"implies {values_at + nvals * dt.itemsize} B"
         )
     index = buf[_HEADER_BYTES:values_at].view(_INDEX)
     indptr_end = h_words + indptr_len
@@ -191,28 +197,6 @@ def _read_tile(path: str) -> SparseStore:
     )
 
 
-def rollback_partial_spills(directory) -> list:
-    """Remove leftover ``*.tmp.*`` files from interrupted spill writes.
-
-    An atomic spill that crashed between opening its temp file and the
-    rename leaves a ``<tile>.tile.tmp.<pid>`` file behind; completed tile
-    files never have that infix.  Returns the paths removed.
-    """
-    removed = []
-    directory = str(directory)
-    if not os.path.isdir(directory):
-        return removed
-    for fname in os.listdir(directory):
-        if ".tmp." in fname:
-            path = os.path.join(directory, fname)
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - racing cleanup is fine
-                continue
-            removed.append(path)
-    return removed
-
-
 # --------------------------------------------------------------------------
 # the spill pool
 # --------------------------------------------------------------------------
@@ -224,7 +208,10 @@ class SpillPool:
     most once (first eviction) and later evictions merely drop the
     in-memory copy.  ``put(..., behind=True)`` is the write-behind door
     for produced output: the tile enters at the eviction end, so it goes
-    to disk before any tile a consumer is still re-reading.  All spill
+    to disk before any tile a consumer is still re-reading.  Spilled
+    tiles share one arena file in ``directory`` (default: the
+    ``spill.directory`` option, else the system temp dir), unlinked as it
+    is created, so the directory keeps no entry of the pool.  All spill
     I/O runs on the coordinating thread —
     worker threads of the parallel engine never touch the pool — so the
     thread-local fault/telemetry/governor machinery observes every
@@ -240,15 +227,15 @@ class SpillPool:
             base = tempfile.gettempdir()
         base = str(base)
         os.makedirs(base, exist_ok=True)
-        # Partial-spill rollback: a crashed predecessor using this
-        # directory can only have left *.tmp.* files (the atomic writer
-        # renames completed tiles); remove them before reusing the space.
-        self.rolled_back = rollback_partial_spills(base)
-        self.dir = tempfile.mkdtemp(prefix="gbspill-", dir=base)
+        # unlinked as it is created: the pool's disk space goes with the
+        # descriptor, at close or at a crash, and no cleanup is needed
+        self._arena = tempfile.TemporaryFile(dir=base)
+        self._arena_end = 0
         self._lock = threading.RLock()
         self._resident: OrderedDict[str, SparseStore] = OrderedDict()
         self._nbytes: dict[str, int] = {}
-        self._on_disk: set[str] = set()
+        # the offset table: key -> (offset, nbytes) of its spilled copy
+        self._spilled: dict[str, tuple[int, int]] = {}
         self._resident_bytes = 0
         self._names = 0
         self._closed = False
@@ -263,9 +250,6 @@ class SpillPool:
         with self._lock:
             self._names += 1
             return f"{prefix}{self._names}"
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.dir, key.replace("/", "_") + ".tile")
 
     # -- tile lifecycle -----------------------------------------------------
 
@@ -321,7 +305,7 @@ class SpillPool:
             if victim is None:
                 break  # only the pinned tile remains; it must stay usable
             store = self._resident.pop(victim)
-            if victim not in self._on_disk:
+            if victim not in self._spilled:
                 try:
                     self._spill(victim, store)
                 except BaseException:
@@ -336,15 +320,11 @@ class SpillPool:
     # -- disk I/O (fault-injected, retried) ---------------------------------
 
     def _spill(self, key: str, store: SparseStore) -> None:
-        # deferred: repro.io imports this package back at load time
-        from ..io.checkpoint import atomic_write
-
-        path = self._path(key)
-        nbytes = _retry_io(
-            lambda: atomic_write(path, lambda f: _write_tile(f, store)),
-            "tile.spill",
-        )
-        self._on_disk.add(key)
+        fd, offset = self._arena.fileno(), self._arena_end
+        nbytes = _retry_io(lambda: _write_tile(fd, offset, store),
+                           "tile.spill")
+        self._spilled[key] = (offset, nbytes)
+        self._arena_end = offset + nbytes
         self.stats["spills"] += 1
         self.stats["spilled_bytes"] += int(nbytes)
         if telemetry.ENABLED:
@@ -352,12 +332,12 @@ class SpillPool:
             telemetry.tally("governor.spill", calls=1, bytes_moved=int(nbytes))
 
     def _load(self, key: str) -> SparseStore:
-        path = self._path(key)
+        fd, (offset, nbytes) = self._arena.fileno(), self._spilled[key]
 
         def _read() -> SparseStore:
             if faults.ENABLED:
                 faults.trip("io.read")
-            return _read_tile(path)
+            return _read_tile(fd, offset, nbytes)
 
         store = _retry_io(_read, "tile.reload")
         self.stats["reloads"] += 1
@@ -372,16 +352,17 @@ class SpillPool:
     # -- teardown -----------------------------------------------------------
 
     def close(self) -> None:
-        """Remove every tile file and the pool directory (idempotent)."""
+        """Drop every tile and close the arena, freeing its disk space
+        (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._resident.clear()
             self._nbytes.clear()
-            self._on_disk.clear()
+            self._spilled.clear()
             self._resident_bytes = 0
-            shutil.rmtree(self.dir, ignore_errors=True)
+            self._arena.close()
 
     def __enter__(self) -> "SpillPool":
         return self

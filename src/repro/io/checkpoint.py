@@ -8,9 +8,10 @@ file.  The file holds one JSON ``__manifest__`` describing every entry
 same ``Ap``/``Ai``/``Ax`` layout as :mod:`repro.io.binary` so a resumed
 matrix reconstructs the identical storage structure.
 
-Writes are atomic: the payload goes to a temp file in the same directory
-and is moved into place with ``os.replace``, so a crash (or injected
-``io.write`` fault) mid-save leaves the previous snapshot intact —
+Writes are atomic and durable: the payload goes to a temp file in the
+same directory, is flushed to disk with ``os.fsync`` and only then moved
+into place with ``os.replace``, so a crash, a power loss or an injected
+``io.write`` fault mid-save leaves the previous snapshot intact —
 verified by the resilience suite.
 """
 
@@ -37,12 +38,13 @@ _SEP = "::"
 def atomic_write(path, write_payload) -> int:
     """Write a file atomically; ``write_payload(f)`` produces its bytes.
 
-    The payload goes to a temp file in the same directory and is moved
-    into place with ``os.replace``, so a crash (or an injected
-    ``io.write`` fault, tripped here) mid-save leaves either the previous
-    file or nothing — never a torn write.  The one atomic writer behind
-    checkpoints (compressed ``.npz`` payload) and the tile spill pools
-    (raw arrays, :class:`repro.graphblas.tiled.SpillPool`).  Returns the
+    The payload goes to a temp file in the same directory, is flushed
+    and ``os.fsync``-ed, and only then is moved into place with
+    ``os.replace``, so a crash, a power loss or an injected ``io.write``
+    fault (tripped here) mid-save leaves either the previous file or
+    nothing — never a torn write.  The writer behind checkpoints
+    (compressed ``.npz`` payload); spilled tiles go to an anonymous arena
+    (:class:`repro.graphblas.tiled.SpillPool`) instead.  Returns the
     final file size in bytes.
     """
     if faults.ENABLED:
@@ -52,6 +54,8 @@ def atomic_write(path, write_payload) -> int:
     try:
         with open(tmp, "wb") as f:
             write_payload(f)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # pragma: no cover - only on write failure

@@ -83,6 +83,30 @@ class TestSaveLoadState:
         leftovers = [f for f in os.listdir(tmp_path) if ".tmp." in f]
         assert not leftovers  # no temp debris
 
+    def test_atomic_write_syncs_temp_file_before_rename(self, tmp_path,
+                                                        monkeypatch):
+        # a rename that reaches the disk before the data would leave an
+        # empty checkpoint after a power loss
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.getsize(src)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = str(tmp_path / "cp.npz")
+        save_state(path, {"gen": 1})
+        size = os.path.getsize(path)
+        # the whole payload was synced, then renamed
+        assert calls == [("fsync", size), ("replace", size)]
+        assert load_state(path)["gen"] == 1
+
     def test_load_missing_manifest_rejected(self, tmp_path):
         path = str(tmp_path / "bogus.npz")
         np.savez(path, junk=np.arange(3))

@@ -4,8 +4,8 @@ The transactional guarantee extends to disk: an ``OSError`` on a tile
 write/read during tiled spill execution is re-run by the spill pool
 (``tiled._IO_ATTEMPTS`` tries, a fixed doubling delay); when those are
 spent, or the failure is anything else, the operation fails with the
-error, operands stay bit-identical, the output is untouched, and no tile
-or temp file is left behind.  A kernel fault on the tiled route fails
+error, operands stay bit-identical, the output is untouched, and nothing
+is left in the spill directory.  A kernel fault on the tiled route fails
 the op once.
 """
 
@@ -226,35 +226,35 @@ class TestKernelFaults:
 
 
 class TestTornTileFiles:
-    """A tile file that disagrees with its own header is an ``OSError`` for
-    the pool's retry loop — never a garbage tile, never a leaked file."""
+    """A spilled tile that disagrees with its own header is an ``OSError``
+    for the pool's retry loop — never a garbage tile, never a leaked file.
+
+    Each damage kind gets the pool's arena and the damaged tile's
+    ``(offset, nbytes)``; truncation hits the last-written tile.
+    """
 
     @staticmethod
-    def _truncate(path):
-        with open(path, "r+b") as f:
-            f.truncate(os.path.getsize(path) - 8)
+    def _truncate(f, offset, nbytes):
+        f.truncate(offset + nbytes - 8)
 
     @staticmethod
-    def _truncate_into_header(path):
-        with open(path, "r+b") as f:
-            f.truncate(tiled._HEADER_BYTES - 8)
+    def _truncate_into_header(f, offset, nbytes):
+        f.truncate(offset + tiled._HEADER_BYTES - 8)
 
     @staticmethod
-    def _corrupt_length(path):
-        with open(path, "r+b") as f:
-            f.seek(8 * tiled._HEADER_FIELDS.index("nvals"))
-            f.write(np.int64(1 << 40).tobytes())
+    def _corrupt_length(f, offset, nbytes):
+        f.seek(offset + 8 * tiled._HEADER_FIELDS.index("nvals"))
+        f.write(np.int64(1 << 40).tobytes())
 
     @staticmethod
-    def _corrupt_magic(path):
-        with open(path, "r+b") as f:
-            f.write(b"\0" * 8)
+    def _corrupt_magic(f, offset, nbytes):
+        f.seek(offset)
+        f.write(b"\0" * 8)
 
     @staticmethod
-    def _corrupt_dtype(path):
-        with open(path, "r+b") as f:
-            f.seek(8 * tiled._HEADER_FIELDS.index("value_dtype"))
-            f.write(b"\xff" * 8)
+    def _corrupt_dtype(f, offset, nbytes):
+        f.seek(offset + 8 * tiled._HEADER_FIELDS.index("value_dtype"))
+        f.write(b"\xff" * 8)
 
     @pytest.mark.parametrize("damage", [
         "_truncate", "_truncate_into_header", "_corrupt_length",
@@ -262,14 +262,19 @@ class TestTornTileFiles:
     ])
     def test_damaged_tile_fails_after_retry_schedule(self, damage, tmp_path,
                                                      sleeps):
-        from tests.resilience.test_tiled_spill import _decisions, _store
+        from tests.resilience.test_tiled_spill import (
+            _arena,
+            _decisions,
+            _store,
+        )
 
         pool = tiled.SpillPool(budget=0, directory=tmp_path)
         try:
             good, bad = _store(seed=1), _store(seed=2)
             pool.put("good", good)
-            pool.put("bad", bad)   # budget 0: both on disk now
-            getattr(self, damage)(os.path.join(pool.dir, "bad.tile"))
+            pool.put("bad", bad)   # budget 0: both on disk now, "bad" last
+            with _arena(pool) as f:
+                getattr(self, damage)(f, *pool._spilled["bad"])
             with telemetry.collect() as col:
                 with pytest.raises(OSError, match="torn|corrupt"):
                     pool.get("bad")
@@ -287,15 +292,15 @@ class TestTornTileFiles:
 
     def test_torn_tile_mid_mxm_operands_intact_no_orphans(self, AB, tmp_path,
                                                           monkeypatch, sleeps):
-        # every reload sees a file two words short, as after a torn write
+        # every reload finds its tile a word short, as after a torn write
         A, B = AB
         C = Matrix("FP64", 40, 40)
         snaps = [deep_state(o) for o in (C, A, B)]
         real_read = tiled._read_tile
 
-        def torn_read(path):
-            self._truncate(path)
-            return real_read(path)
+        def torn_read(fd, offset, nbytes):
+            os.ftruncate(fd, offset + nbytes - 8)
+            return real_read(fd, offset, nbytes)
 
         monkeypatch.setattr(tiled, "_read_tile", torn_read)
         with governor.ExecutionContext(
@@ -307,6 +312,39 @@ class TestTornTileFiles:
         for obj, snap in zip((C, A, B), snaps):
             assert_same_state(obj, snap)
         assert C.nvals == 0
+        assert not any(tmp_path.iterdir())
+
+    def test_partial_write_retried_at_same_offset(self, tmp_path,
+                                                  monkeypatch, sleeps):
+        # the disk fails after part of a tile reached it: the retry
+        # rewrites the tile in place, and the next tile follows it
+        from tests.resilience.test_tiled_spill import _arena_size, _store
+
+        real_pwritev = os.pwritev
+        failed_at = []
+
+        def pwritev(fd, bufs, offset):
+            if not failed_at:
+                failed_at.append(offset)
+                real_pwritev(fd, [bufs[0], b"\xff" * 64], offset)
+                raise OSError(28, "No space left on device")
+            return real_pwritev(fd, bufs, offset)
+
+        monkeypatch.setattr(os, "pwritev", pwritev)
+        a, b = _store(seed=1), _store(seed=2)
+        na, nb = (tiled._HEADER_BYTES + s.nbytes for s in (a, b))
+        with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
+            pool.put("a", a)
+            pool.put("b", b)
+            assert failed_at == [0] and len(sleeps) == 1  # one retry
+            assert pool._spilled == {"a": (0, na), "b": (na, nb)}
+            assert _arena_size(pool) == na + nb == \
+                pool.stats["spilled_bytes"]
+            for key, want in (("a", a), ("b", b)):
+                got = pool.get(key)
+                for name in ("h", "indptr", "minor", "values"):
+                    assert getattr(got, name).tobytes() == \
+                        getattr(want, name).tobytes()
         assert not any(tmp_path.iterdir())
 
 

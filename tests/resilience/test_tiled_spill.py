@@ -8,6 +8,9 @@ floating-point partial-product folds would change low-order bits.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.graphblas import (
     Descriptor,
     Matrix,
     Vector,
+    faults,
     governor,
     options,
     telemetry,
@@ -189,20 +193,24 @@ class TestChunkedFold:
             C_t = tiled.mxm_tiled(A_t, B_t, "PLUS_TIMES",
                                   chunk_bytes=1 << 20)
             got = C_t.to_matrix()
-            # no transient piece files (the old "<name>/p<bi>.<bj>.<ci>"
-            # keys) linger in the pool ...
-            assert not any("_p" in f for f in os.listdir(pool.dir))
+            # no transient piece tiles (the old "<name>/p<bi>.<bj>.<ci>"
+            # keys) were spilled ...
+            assert not any("/p" in key for key in pool._spilled)
             # ... because there are none any more: each chunk's row run
             # *is* a piece of its grid cell, written once, never
-            # reassembled, so every file belongs to a live cell
+            # reassembled, so every spilled tile belongs to a live cell
             live = {
-                key.replace("/", "_") + ".tile"
+                key
                 for T in (A_t, B_t, C_t)
                 for pieces in T._cells.values() for key, _, _ in pieces
             }
-            assert set(os.listdir(pool.dir)) <= live
+            assert pool._spilled and set(pool._spilled) <= live
             assert any(len(p) > 1 for p in C_t._cells.values())
-            assert pool.stats["spills"] <= pool.stats["tiles"]
+            assert pool.stats["spills"] == len(pool._spilled) \
+                <= pool.stats["tiles"]
+            # the arena grew by exactly the spilled tiles, back to back
+            assert _arena_size(pool) == pool.stats["spilled_bytes"] == sum(
+                n for _, n in pool._spilled.values())
         _bits_equal(got.extract_tuples(), expected.extract_tuples())
 
     def test_multi_piece_cell_serves_as_operand_and_metadata(self, tmp_path):
@@ -334,6 +342,16 @@ def _dtype(name):
     return lookup_type(name)
 
 
+def _arena(pool):
+    """The pool's arena file, opened again through its descriptor (it has
+    no name), for reading and writing in place."""
+    return open(pool._arena.fileno(), "r+b", buffering=0, closefd=False)
+
+
+def _arena_size(pool) -> int:
+    return os.fstat(pool._arena.fileno()).st_size
+
+
 class TestSpillPool:
     def test_lru_spills_cold_reloads_on_demand(self, tmp_path):
         s1, s2, s3 = _store(seed=1), _store(seed=2), _store(seed=3)
@@ -352,7 +370,11 @@ class TestSpillPool:
 
     def test_spill_file_written_once(self, tmp_path):
         s = _store(seed=4)
-        with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
+        # armed but never firing: the plans count every tile write and read
+        never = 1 << 30
+        with tiled.SpillPool(budget=0, directory=tmp_path) as pool, \
+                faults.inject("io.write", OSError, nth=never) as writes, \
+                faults.inject("io.read", OSError, nth=never) as reads:
             pool.put("a", s)  # spilled immediately (budget 0)
             pool.get("a")     # reload; stays pinned-resident
             pool.get("a")     # cache hit
@@ -361,26 +383,61 @@ class TestSpillPool:
             pool.get("a")
             assert pool.stats["spills"] == 2  # one write per tile, ever
             assert pool.stats["reloads"] == 2
+            assert (writes.calls, reads.calls) == (2, 2)
 
     def test_close_removes_all_tile_files(self, tmp_path):
+        s = _store(seed=5)
         pool = tiled.SpillPool(budget=0, directory=tmp_path)
-        pool.put("a", _store(seed=5))
-        assert os.path.isdir(pool.dir)
+        pool.put("a", s)
+        assert pool._spilled == {"a": (0, tiled._HEADER_BYTES + s.nbytes)}
+        assert _arena_size(pool) == tiled._HEADER_BYTES + s.nbytes
         pool.close()
-        assert not os.path.exists(pool.dir)
+        assert pool._arena.closed and not pool._spilled
         assert not any(tmp_path.iterdir())
         pool.close()  # idempotent
 
-    def test_partial_spill_rollback_on_init(self, tmp_path):
-        stale = tmp_path / "t3.npz.tmp.12345"
-        stale.write_bytes(b"torn write")
-        complete = tmp_path / "unrelated.npz"
-        complete.write_bytes(b"keep me")
-        pool = tiled.SpillPool(budget=0, directory=tmp_path)
-        assert str(stale) in pool.rolled_back
-        assert not stale.exists()
-        assert complete.exists()  # completed files are never touched
-        pool.close()
+    def test_crash_leaves_no_spill_file(self, tmp_path):
+        # a process killed with spilled tiles leaves nothing to clean up;
+        # while its pool is open the directory holds no entry either
+        child = textwrap.dedent("""
+            import os, sys
+            import numpy as np
+            from repro.graphblas import tiled
+            from repro.graphblas.formats import Orientation, SparseStore
+            from repro.graphblas.types import lookup_type
+
+            def store(seed):
+                rng = np.random.default_rng(seed)
+                return SparseStore.from_coo(
+                    Orientation.ROW, 8, 8, np.arange(8), rng.permutation(8),
+                    rng.uniform(-1, 1, 8), lookup_type("FP64"), hyper=True,
+                    assume_sorted_unique=True)
+
+            pool = tiled.SpillPool(budget=0, directory=sys.argv[1])
+            pool.put("a", store(1))
+            pool.put("b", store(2))
+            print(pool.stats["spills"], os.listdir(sys.argv[1]), flush=True)
+            os._exit(1)
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.strip() == "2 []"  # two spills, no entry
+        assert os.listdir(tmp_path) == []
+
+    def test_unrelated_temp_file_survives_pool(self, tmp_path):
+        # a checkpoint's in-flight temp file shares the spill directory
+        in_flight = tmp_path / "t3.npz.tmp.12345"
+        in_flight.write_bytes(b"checkpoint being written")
+        with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
+            assert in_flight.read_bytes() == b"checkpoint being written"
+            pool.put("a", _store(seed=5))
+            assert pool.stats["spills"] == 1
+            assert os.listdir(tmp_path) == [in_flight.name]
+        assert os.listdir(tmp_path) == [in_flight.name]
 
     def test_use_after_close_rejected_immediately(self, tmp_path):
         from repro.graphblas import InvalidValue
@@ -388,7 +445,7 @@ class TestSpillPool:
         pool = tiled.SpillPool(budget=0, directory=tmp_path)
         pool.put("a", _store(seed=5))
         pool.close()
-        assert not pool._nbytes and not pool._on_disk
+        assert not pool._nbytes and not pool._spilled
         with telemetry.collect() as col:
             with pytest.raises(InvalidValue, match="spill pool is closed"):
                 pool.get("a")
@@ -405,7 +462,9 @@ class TestSpillPool:
             pool.put("b", s2)
             pool.put("out", s3, behind=True)  # over budget: "out" goes
             assert pool.stats["spills"] == 1
-            assert os.listdir(pool.dir) == ["out.tile"]
+            assert list(pool._spilled) == ["out"]
+            assert _arena_size(pool) == pool.stats["spilled_bytes"] == \
+                tiled._HEADER_BYTES + s3.nbytes
             pool.get("a"), pool.get("b")      # operands never left
             assert pool.stats["reloads"] == 0
             back = pool.get("out")
@@ -423,7 +482,7 @@ class TestSpillPool:
 
 
 # --------------------------------------------------------------------------
-# raw tile files
+# raw spilled tiles
 # --------------------------------------------------------------------------
 
 def _typed_store(type_name: str, hyper: bool, empty: bool) -> SparseStore:
@@ -461,10 +520,11 @@ class TestTileFormat:
         s = _typed_store(type_name, hyper, empty)
         with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
             pool.put("t", s)  # budget 0: on disk at once
-            path = os.path.join(pool.dir, "t.tile")
-            # the file is the header and the arrays, nothing else
-            assert os.path.getsize(path) == tiled._HEADER_BYTES + s.nbytes
-            assert pool.stats["spilled_bytes"] == os.path.getsize(path)
+            # the spill is the header and the arrays, nothing else
+            nbytes = tiled._HEADER_BYTES + s.nbytes
+            assert pool._spilled == {"t": (0, nbytes)}
+            assert _arena_size(pool) == nbytes
+            assert pool.stats["spilled_bytes"] == nbytes
             back = pool.get("t")
             assert pool.stats["reloads"] == 1
             assert pool.stats["reloaded_bytes"] == s.nbytes
@@ -497,7 +557,8 @@ class TestTileFormat:
         with tiled.SpillPool(budget=0, directory=tmp_path) as pool:
             with pytest.raises(InvalidValue, match="cannot spill"):
                 pool.put("t", s)
-            assert not os.listdir(pool.dir)  # no torn temp file either
+            # nothing registered, nothing written
+            assert not pool._spilled and _arena_size(pool) == 0
 
 
 # --------------------------------------------------------------------------
@@ -531,7 +592,7 @@ class TestSpillTraffic:
             after_mxm = dict(pool.stats)
             assert after_mxm["reloads"] == 0       # zero operand reloads
             assert after_mxm["spills"] > 0         # output did stream out
-            assert not any(k.startswith(A_t.name) for k in pool._on_disk)
+            assert not any(k.startswith(A_t.name) for k in pool._spilled)
 
             with telemetry.collect() as col:
                 blocks = list(C_t.iter_stripes(max_bytes=budget // 2))
