@@ -1,4 +1,4 @@
-"""O1 — observability overhead: disabled, enabled, and fully traced.
+"""O1 — observability overhead: disabled, metrics, metrics plus a collector.
 
 ISSUE 7's acceptance gate: with observability *disabled* the Table-I
 workload must run within noise of the plain-telemetry baseline (the
@@ -12,8 +12,9 @@ Three columns over the Table-I kernels:
 * ``disabled`` — shipped state: no collector, no sink;
 * ``metrics`` — ``obs.enable()`` only: every op feeds the process-wide
   registry (two dict writes per record on the owning thread's shard);
-* ``metrics+explain`` — worst case: sink installed *and* per-plan events
-  captured under ``telemetry.plan_capture`` with a collector attached.
+* ``metrics+collector`` — worst case: sink installed *and* a collector
+  attached, so each op's one record also lands in the event log (what
+  ``obs.explain`` captures).
 
 Plus microbenchmarks of the disabled guard and one registry write, and a
 machine-readable summary written to ``benchmarks/results/obs_overhead.json``
@@ -39,8 +40,8 @@ N = 1500
 DENSITY = 0.004
 
 # the enabled-path budget asserted by CI.  Metrics cost is a constant
-# per executed plan (a handful of shard writes plus the plan.done
-# record), so the fair gate is two-sided: ops long enough for the
+# per executed plan (a handful of shard writes for its one op record),
+# so the fair gate is two-sided: ops long enough for the
 # constant to wash out must stay under the ratio, and µs-scale ops
 # (transpose on a 1500² sparse matrix runs in ~15 µs) must keep the
 # absolute per-op overhead bounded.
@@ -60,15 +61,15 @@ def _cases(A, B, u):
     return {
         "mxm": lambda: ops.mxm(Matrix("FP64", N, N), A, B, "PLUS_TIMES"),
         "mxv": lambda: ops.mxv(Vector("FP64", N), A, u),
-        "eWiseAdd": lambda: ops.ewise_add(Matrix("FP64", N, N), A, B, "PLUS"),
+        "ewise_add": lambda: ops.ewise_add(Matrix("FP64", N, N), A, B, "PLUS"),
         "apply": lambda: ops.apply(Matrix("FP64", N, N), A, "AINV"),
-        "reduce": lambda: ops.reduce_rowwise(Vector("FP64", N), A, "PLUS"),
+        "reduce_rowwise": lambda: ops.reduce_rowwise(Vector("FP64", N), A, "PLUS"),
         "transpose": lambda: ops.transpose(Matrix("FP64", N, N), A),
     }
 
 
 def test_obs_overhead(benchmark, workload):
-    """Disabled vs metrics-enabled vs fully-traced Table-I kernels."""
+    """Disabled vs metrics-enabled vs metrics+collector Table-I kernels."""
     A, B, u = workload
 
     def run():
@@ -76,7 +77,7 @@ def test_obs_overhead(benchmark, workload):
         t = Table(
             "Observability overhead "
             f"(n={N}, density={DENSITY}; seconds, best of 3)",
-            ["operation", "disabled", "metrics", "metrics+explain",
+            ["operation", "disabled", "metrics", "metrics+collector",
              "metrics/disabled"],
         )
         summary = {"n": N, "density": DENSITY, "ops": {}}
@@ -88,9 +89,8 @@ def test_obs_overhead(benchmark, workload):
             obs.enable()
             on = wall(fn, repeat=3)
 
-            with telemetry.plan_capture():
-                with telemetry.collect():
-                    traced = wall(fn, repeat=3)
+            with telemetry.collect():
+                traced = wall(fn, repeat=3)
             obs.disable()
 
             ratio = on / off

@@ -3,13 +3,13 @@
 The telemetry subsystem (:mod:`repro.graphblas.telemetry`) threads counters,
 timers and decision events through every Table-I operation.  Like the fault
 harness it rides the module-attribute fast path: with no collector active,
-each operation pays one ``if telemetry.ENABLED:`` read (plus one decorator
-frame on the instrumented entry points) and nothing else.  This bench
-quantifies the claim two ways:
+each operation pays one ``if telemetry.ENABLED:`` read in the backend
+dispatcher and nothing else.  This bench quantifies the claim two ways:
 
 * the Table-I workload timed with telemetry in its shipped state (disabled)
-  versus actively collecting (counters + decision events, burble off) —
-  the enabled column bounds the cost of turning diagnostics on;
+  versus actively collecting (one op record per call, named after the
+  plan's op, plus decision events; burble off) — the enabled column
+  bounds the cost of turning diagnostics on;
 * a microbenchmark of the disabled guard itself.
 
 Acceptance (ISSUE 2): the disabled column must sit within noise of the
@@ -42,9 +42,9 @@ def _cases(A, B, u):
     return {
         "mxm": lambda: ops.mxm(Matrix("FP64", N, N), A, B, "PLUS_TIMES"),
         "mxv": lambda: ops.mxv(Vector("FP64", N), A, u),
-        "eWiseAdd": lambda: ops.ewise_add(Matrix("FP64", N, N), A, B, "PLUS"),
+        "ewise_add": lambda: ops.ewise_add(Matrix("FP64", N, N), A, B, "PLUS"),
         "apply": lambda: ops.apply(Matrix("FP64", N, N), A, "AINV"),
-        "reduce": lambda: ops.reduce_rowwise(Vector("FP64", N), A, "PLUS"),
+        "reduce_rowwise": lambda: ops.reduce_rowwise(Vector("FP64", N), A, "PLUS"),
         "transpose": lambda: ops.transpose(Matrix("FP64", N, N), A),
     }
 
@@ -62,9 +62,10 @@ def test_disabled_overhead(benchmark, workload):
         assert not telemetry.ENABLED
         for name, fn in _cases(A, B, u).items():
             off = wall(fn, repeat=3)
-            with telemetry.collect():
+            with telemetry.collect() as col:
                 assert telemetry.ENABLED
                 on = wall(fn, repeat=3)
+            assert col.ops[name].calls > 0  # recorded under the plan's op name
             t.add(name, f"{off:.6f}", f"{on:.6f}", f"{on / off:.3f}")
 
         # the guard itself: one disabled check costs ~an attribute read

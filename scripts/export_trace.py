@@ -18,9 +18,11 @@ Two modes:
   worker thread, exercising the merge path.
 
 The output loads in ``chrome://tracing`` (or https://ui.perfetto.dev):
-Table-I operations and algorithm spans appear as duration slices, engine
-decisions (push/pull direction, SpGEMM method, assembly) as instant
-events.
+Table-I operations (one slice per executed plan, named after its op —
+``mxv``, ``ewise_add``, ``reduce_scalar``, ... — with the serving
+``backend``, ``route`` and kernel tier as args) and algorithm spans
+appear as duration slices, engine decisions (push/pull direction,
+SpGEMM method, assembly) as instant events.
 
 Run:  python scripts/export_trace.py --demo -o /tmp/trace.json
 """
@@ -116,8 +118,10 @@ def demo(out_path: str, scale: int, threads: int) -> int:
         json.dump(trace, f)
 
     print("\n# snapshot summary" + (f" (thread 1 of {threads})" if threads > 1 else ""))
+    width = max(map(len, snap["ops"]), default=0)
     for name, st in snap["ops"].items():
-        print(f"#   {name:12s} calls={st['calls']:<6d} seconds={st['seconds']:.4f}")
+        print(f"#   {name:{width}s} calls={st['calls']:<6d} "
+              f"seconds={st['seconds']:.4f}")
     for kind, count in snap["decisions"].items():
         print(f"#   decision {kind}: {count}")
     tids = {ev["tid"] for ev in trace["traceEvents"]}

@@ -165,7 +165,7 @@ Built-in engines:
   selection, push/pull mxv direction switching, masked kernels.  Its
   mxm/mxv/vxm run the compiled kernels (below) whenever a toolchain
   resolved and the plan's class has a template, and vectorized NumPy
-  kernels otherwise; `plan.done` records which (`kernel`).  The name
+  kernels otherwise; each op's telemetry record says which (`kernel`).  The name
   `compiled` resolves to this same engine (it warns once when no
   toolchain is usable); it is kept for callers that select the tier by
   name.
@@ -184,7 +184,7 @@ Built-in engines:
 Dispatch is one call: the selected backend runs the plan or raises.
 No backend declines a plan and nothing walks to another engine; which
 kernel tier ran is `plan.kernel`.  Selection is observable (the
-`backend.dispatch` telemetry decision), settable at the C-API level
+`backend` field of each op's telemetry record), settable at the C-API level
 (`capi.GxB_Backend_set/get`), and extensible: `register_backend(name,
 factory)` adds an engine, which must serve every op it is asked to run
 (a missing one raises `NotImplementedError`).  `Matrix.to_scipy/from_scipy` and
@@ -266,7 +266,7 @@ Cache traffic shows up as `compiled.kernel` telemetry
 (`event="compile"` with wall seconds, `event="hit"`), the
 `graphblas_compile_seconds` histogram and
 `graphblas_compiled_kernel_cache` gauges in the obs registry.  Each
-`plan.done` record carries the tier that ran (`kernel`: `compiled` or
+op record carries the tier that ran (`kernel`: `compiled` or
 `numpy`) and that plan's own memo outcome (`kernel_cache`: `hit` or
 `built`) — read off the plan, so concurrent plans never absorb each
 other's compiles — shown in the `kernel` and `cmp` columns of
@@ -303,24 +303,37 @@ operation, the kernel decision points, and the LAGraph algorithms — with
 a thread-local collector that costs one module-attribute read
 (`telemetry.ENABLED`, ~20 ns) when nothing is listening.  Attach a
 collector with `telemetry.collect()` (context manager) or
-`telemetry.enable()` / `telemetry.disable()`, then read results three
-ways:
+`telemetry.enable()` / `telemetry.disable()`.  A nested `collect()`
+reuses the outer collector and puts its `burble`/`stream` back on exit.
+
+**One record per executed operation.**  The backend dispatcher is the
+only per-operation timer: each Table-I call leaves exactly one `op`
+record, named after the plan's op (`mxm`, `mxv`, `vxm`, `ewise_add`,
+`ewise_mult`, `apply`, `select`, `reduce_rowwise`, `reduce_scalar`,
+`transpose`, `extract`, `assign`, `subassign`, `kronecker`), whose `dur`
+is the kernel's wall time and whose fields are `out_nvals`, `backend`,
+`route` (`direct` or `tiled`), `kernel` and `kernel_cache` (the tier
+that ran), `method`, `est_bytes`, `actual_bytes` and `admission`.  The
+record is the same whether or not `repro.obs` is on; `Matrix.wait` /
+`Vector.wait` add a bare `wait` record.  Read it three ways:
 
 * **Burble** — a SuiteSparse-`GxB_BURBLE`-style live diagnostic stream.
   `telemetry.collect(burble=True)` (or `capi.GxB_Burble_set(True)`)
-  prints one line per operation with wall time and output `nvals`, plus
-  kernel decisions as they happen: SpGEMM method selection, push/pull
-  direction with the frontier density that drove it, dot-product early
-  exits, format switches, and zombie/pending-tuple assembly.
+  prints one line per operation with wall time, output `nvals` and the
+  record's fields, plus kernel decisions as they happen: SpGEMM method
+  selection, push/pull direction with the frontier density that drove
+  it, dot-product early exits, format switches, and
+  zombie/pending-tuple assembly.
 * **Snapshot** — `telemetry.snapshot()` returns a JSON-serializable dict
   of per-op counters (`calls`, `seconds`, `out_nvals`, `flops` for
   mxm/mxv/vxm, `bytes_moved` for import/export and file I/O), decision
   counts, and span timings.  The same dict is available at the C-API
   level as `capi.global_stats()`.
 * **Chrome trace** — `Collector.write_chrome_trace(path)` (or
-  `scripts/export_trace.py`) emits Chrome `trace_event` JSON: ops and
-  algorithm spans as complete events, decisions as instants.  Load the
-  file in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+  `scripts/export_trace.py`) emits Chrome `trace_event` JSON: ops
+  (with `backend`, `route`, ... as args) and algorithm spans as complete
+  events, decisions as instants.  Load the file in `chrome://tracing` or
+  [Perfetto](https://ui.perfetto.dev).
 
 Algorithm spans cover `bfs`, `sssp.bellman_ford` / `sssp.delta_stepping`,
 `triangles`, `components.fastsv`, `pagerank`, and betweenness, each with
@@ -414,10 +427,11 @@ with ctx:
 New `GrB_Info` codes cross the C-API boundary: `GxB_BUDGET_EXCEEDED`,
 `GxB_DEADLINE_EXCEEDED`, `GxB_CANCELLED`; `capi.GxB_Context_new()`
 constructs a context from C-API code.  Every governor decision —
-`governor.admit` / `governor.tiled` / `governor.reject` /
-`governor.cancel` / `governor.retry` / `governor.checkpoint` /
-`governor.resume` — is a telemetry decision event, aggregated under the
-`"governor"` key of `telemetry.snapshot()`.
+`governor.admit` / `governor.reject` / `governor.cancel` /
+`governor.retry` / `governor.checkpoint` / `governor.resume` — is a
+telemetry decision event, aggregated under the `"governor"` key of
+`telemetry.snapshot()`; a tiled re-plan is the op record's
+`route="tiled"`, counted there as `tiled`.
 
 The `governor.*` rows of [Configuration](#configuration) wrap each
 resilience test in a governed context (`governor.env_limits()`); the CI
@@ -601,9 +615,12 @@ observability registry aggregates *every thread since process start*
 into the cumulative counters and latency percentiles a scraper expects.
 `obs.enable()` (or `GRAPHBLAS_OBS=on`, or `capi.GxB_Obs_set(True)`)
 installs a `MetricsSink` into the telemetry module; from then on every
-instrumented site — Table-I op timers, backend dispatch, governor
+instrumented site — the one op record per executed plan, governor
 verdicts, spill traffic, engine events — feeds a process-wide
 `MetricsRegistry` with no collector attached and no call-site changes.
+Each op record lands in `graphblas_op_seconds{op}` (the one latency
+histogram), `graphblas_plan_route_total{backend,op,route}`,
+`graphblas_plan_bytes{kind,op}` and `graphblas_op_out_entries_total`.
 
 * **Registry** — per-thread shards (plain dicts, no lock on the hot
   path) merged at read time; shards survive thread exit so counters
@@ -619,15 +636,16 @@ verdicts, spill traffic, engine events — feeds a process-wide
   `scripts/export_metrics.py --demo --check` runs a workload, writes
   both formats, and cross-validates their totals.  C API:
   `capi.GxB_Metrics_get(format="snapshot"|"json"|"prometheus")`.
-* **EXPLAIN** — `obs.explain(fn, *args)` runs one call under per-plan
-  event capture and returns an `ExplainReport`: one row per executed
-  `OpPlan` with route (direct/tiled), backend, SpGEMM
-  method / mxv direction, estimated vs actual result bytes,
-  kernel-cache delta, tile/spill counts, and wall time — so "why was
-  this op slow" is answerable without a trace viewer.  The same
-  per-plan records feed the **slow-op log** (`obs.slow_ops()`, a
-  bounded min-heap of the worst plans; threshold, capacity and the
-  other `obs.*` tunables are in [Configuration](#configuration)).
+* **EXPLAIN** — `obs.explain(fn, *args)` runs one call under a plain
+  telemetry collector and returns an `ExplainReport`: one row per
+  executed `OpPlan` — its op record plus the decisions that led to it —
+  with route (direct/tiled), backend, SpGEMM method / mxv direction,
+  estimated vs actual result bytes, kernel tier and cache outcome,
+  tile/spill counts, and wall time — so "why was this op slow" is
+  answerable without a trace viewer.  The same op records feed the
+  **slow-op log** (`obs.slow_ops()`, a bounded min-heap of the worst
+  plans; lowering its capacity drops the fastest; threshold, capacity
+  and the other `obs.*` tunables are in [Configuration](#configuration)).
 
 ```python
 from repro import obs

@@ -33,8 +33,9 @@ Selection, outermost wins:
 4. the ``optimized`` default.
 
 Dispatch is one call: the selected backend runs the plan or raises.
-Every dispatch records a ``backend.dispatch`` telemetry decision naming
-the backend that served the op.
+It is also the one per-operation timer: while telemetry is on, every
+executed plan leaves exactly one ``op`` record naming the backend that
+served it and the route it took (see :func:`_execute`).
 """
 
 from __future__ import annotations
@@ -249,73 +250,60 @@ def dispatch(plan: OpPlan, backend=None):
     if tiled_route:
         from .. import tiled as _tiled
 
-        if telemetry.ENABLED:
-            telemetry.decision(
-                "governor.tiled", op=plan.op,
-                est_bytes=plan.params.get("est_bytes"),
-            )
         return _execute(plan, "tiled", "tiled", _tiled.execute)
     be = get_backend(backend) if backend is not None else current_backend()
-    if telemetry.ENABLED:
-        telemetry.decision("backend.dispatch", op=plan.op, backend=be.name)
     return _execute(plan, "direct", be.name, getattr(be, plan.op))
 
 
-def _actual_bytes(plan, out) -> int | None:
-    """Measured result footprint, comparable to the admission estimate."""
-    try:
-        nvals = getattr(out, "nvals", None)
-        if nvals is None:
-            return None
-        return int(nvals) * governor._entry_bytes(out, plan.out_type)
-    except (AttributeError, TypeError, ValueError):
-        return None
+def _out_nvals(out) -> int | None:
+    """Stored entries of a kernel result, read without forcing assembly
+    (``nvals`` would run ``wait()`` and record an op of its own)."""
+    store = getattr(out, "_store", None)
+    if store is not None:
+        return int(store.nvals)
+    idx = getattr(out, "indices", None)
+    return None if idx is None else int(idx.size)
 
 
 def _execute(plan: OpPlan, route: str, backend_name: str, kernel):
-    """Run ``kernel(plan)``, emitting a ``plan.done`` record when wanted.
+    """Run ``kernel(plan)``; while telemetry is on, record the op once.
 
-    The record — kernel wall time, dispatch route, the kernel tier that
-    ran and this plan's own compiled-kernel cache outcome (read off the
-    plan, never a difference of process-global counters, so concurrent
-    plans cannot absorb each other's compiles), estimated vs actual
-    result bytes — feeds the process metrics (``graphblas_plan_seconds``,
-    slow-op log) and :func:`repro.obs.explain`.  It is only produced
-    while observability or an EXPLAIN capture is active
-    (``telemetry.PLAN_EVENTS``), so a plain collector-only telemetry
-    stream is byte-identical to before.
+    The one ``op`` record per executed plan, named ``plan.op``: kernel
+    wall time, output nvals, the serving backend and dispatch route, the
+    kernel tier that ran and this plan's own compiled-kernel cache
+    outcome (read off the plan, never a difference of process-global
+    counters, so concurrent plans cannot absorb each other's compiles),
+    the SpGEMM method, estimated vs actual result bytes and the
+    governor's admission verdict.  The collector, burble, Chrome trace,
+    metrics sink, slow-op log and :func:`repro.obs.explain` all read it.
     """
-    if not (telemetry.ENABLED and telemetry.PLAN_EVENTS):
+    if not telemetry.ENABLED:
         return kernel(plan)
-    ctx = governor.current() if governor.ACTIVE else None
     t0 = time.perf_counter()
     out = kernel(plan)
     seconds = time.perf_counter() - t0
-    detail = {
-        "op": plan.op,
-        "backend": backend_name,
-        "route": route,
-        "seconds": seconds,
-    }
+    nvals = _out_nvals(out)
+    fields = {"backend": backend_name, "route": route}
     if plan.kernel is not None:
-        detail["kernel"] = plan.kernel
+        fields["kernel"] = plan.kernel
         if plan.kernel == "compiled":
-            detail["kernel_cache"] = plan.selection[1]
+            fields["kernel_cache"] = plan.selection[1]
     method = plan.params.get("method")
     if method is not None:
-        detail["method"] = method
+        fields["method"] = method
     est = plan.params.get("est_bytes")
     if est is not None:
-        detail["est_bytes"] = int(est)
-    actual = _actual_bytes(plan, out)
-    if actual is not None:
-        detail["actual_bytes"] = actual
-    if ctx is not None:
-        if ctx.memory_budget is not None:
-            detail["budget_bytes"] = ctx.memory_budget
-        detail["admission"] = "tiled" if route == "tiled" else (
-            "admitted" if ctx.memory_budget is not None else "unbudgeted")
+        fields["est_bytes"] = int(est)
+    if nvals is not None:
+        fields["actual_bytes"] = nvals * governor._entry_bytes(
+            out, plan.out_type)
+    ctx = governor.current() if governor.ACTIVE else None
+    if route == "tiled":
+        fields["admission"] = "tiled"
+    elif ctx is None:
+        fields["admission"] = "ungoverned"
     else:
-        detail["admission"] = "ungoverned"
-    telemetry.decision("plan.done", **detail)
+        fields["admission"] = (
+            "admitted" if ctx.memory_budget is not None else "unbudgeted")
+    telemetry.record_op(plan.op, seconds, nvals, **fields)
     return out

@@ -167,7 +167,7 @@ def select(plan) -> KernelSet | None:
 
     Resolved once per plan and kept on it (``plan.selection`` holds the
     kernel set and this plan's memo outcome, ``"hit"`` or ``"built"``, or
-    ``"declined"``), so every backend and the ``plan.done`` record see
+    ``"declined"``), so every backend and the dispatcher's op record see
     the same choice.  The choice itself is :func:`select_class`.
     """
     sel = plan.selection

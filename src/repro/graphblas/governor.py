@@ -363,7 +363,7 @@ class ExecutionContext:
         if plan.op in _TILEABLE and self.spill_enabled():
             plan.params["governor_tiled"] = True
             self.stats["tiled"] += 1
-            return  # the dispatcher records the governor.tiled decision
+            return  # the dispatcher's op record carries route="tiled"
         self.stats["rejected"] += 1
         if telemetry.ENABLED:
             telemetry.decision("governor.reject", op=plan.op, reason="budget",

@@ -11,8 +11,9 @@ explicit halves:
    default; ``compiled``, ``reference`` or ``differential`` by selection).
 
 This module is the thin shim tying the halves together.  It owns the
-cross-cutting concerns that must fire exactly once per call, whichever
-engine runs: fault-injection trip points and telemetry op timers.
+fault-injection trip points, which must fire exactly once per call
+whichever engine runs; the per-call telemetry record is the
+dispatcher's.
 
 Matrix and vector variants share entry points and dispatch on object type,
 mirroring the polymorphic C interface the IBM implementation builds with
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import faults, governor, plan as _plan, telemetry
+from . import faults, governor, plan as _plan
 from .backends import dispatch as _dispatch
 from .errors import DimensionMismatch, InvalidValue
 from .matrix import Matrix
@@ -71,7 +72,6 @@ __all__ = [
 # Table-I operations: plan, then dispatch
 # --------------------------------------------------------------------------
 
-@telemetry.instrumented("mxm")
 def mxm(C, A, B, semiring="PLUS_TIMES", *, mask=None, accum=None, desc=None,
         method="auto", backend=None):
     """``GrB_mxm``: C<mask> (+)= A (+).(x) B."""
@@ -80,7 +80,6 @@ def mxm(C, A, B, semiring="PLUS_TIMES", *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("mxv")
 def mxv(w, A, u, semiring="PLUS_TIMES", *, mask=None, accum=None, desc=None,
         method="auto", optimizer: DirectionOptimizer | None = None,
         backend=None):
@@ -90,7 +89,6 @@ def mxv(w, A, u, semiring="PLUS_TIMES", *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("vxm")
 def vxm(w, u, A, semiring="PLUS_TIMES", *, mask=None, accum=None, desc=None,
         method="auto", optimizer: DirectionOptimizer | None = None,
         backend=None):
@@ -100,7 +98,6 @@ def vxm(w, u, A, semiring="PLUS_TIMES", *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("eWiseAdd")
 def ewise_add(C, A, B, op="PLUS", *, mask=None, accum=None, desc=None,
               backend=None):
     """``GrB_eWiseAdd``: set *union* of patterns; op applied where both."""
@@ -110,7 +107,6 @@ def ewise_add(C, A, B, op="PLUS", *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("eWiseMult")
 def ewise_mult(C, A, B, op="TIMES", *, mask=None, accum=None, desc=None,
                backend=None):
     """``GrB_eWiseMult``: set *intersection* of patterns."""
@@ -120,7 +116,6 @@ def ewise_mult(C, A, B, op="TIMES", *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("apply")
 def apply(C, A, op="IDENTITY", *, left=None, right=None, thunk=None,
           mask=None, accum=None, desc=None, backend=None):
     """``GrB_apply``: C<mask> (+)= f(A).
@@ -135,7 +130,6 @@ def apply(C, A, op="IDENTITY", *, left=None, right=None, thunk=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("select")
 def select(C, A, op, thunk=0, *, mask=None, accum=None, desc=None,
            backend=None):
     """``GrB_select``: keep entries where the index-unary predicate holds."""
@@ -145,7 +139,6 @@ def select(C, A, op, thunk=0, *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("reduce")
 def reduce_rowwise(w, A, op="PLUS", *, mask=None, accum=None, desc=None,
                    backend=None):
     """``GrB_reduce`` (matrix to vector): w(i) = (+)_j A(i, j).
@@ -158,7 +151,6 @@ def reduce_rowwise(w, A, op="PLUS", *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("reduce")
 def reduce_scalar(A, op="PLUS", *, accum=None, init=None, backend=None):
     """``GrB_reduce`` (to scalar): fold every stored value with a monoid.
 
@@ -171,7 +163,6 @@ def reduce_scalar(A, op="PLUS", *, accum=None, init=None, backend=None):
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("transpose")
 def transpose(C, A, *, mask=None, accum=None, desc=None, backend=None):
     """``GrB_transpose``: C<mask> (+)= A^T.
 
@@ -184,7 +175,6 @@ def transpose(C, A, *, mask=None, accum=None, desc=None, backend=None):
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("extract")
 def extract(C, A, I=ALL, J=ALL, *, mask=None, accum=None, desc=None,
             backend=None):
     """``GrB_extract``: C<mask> (+)= A(I, J) (matrix), w (+)= u(I) (vector),
@@ -195,7 +185,6 @@ def extract(C, A, I=ALL, J=ALL, *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("assign")
 def assign(C, A, I=ALL, J=ALL, *, mask=None, accum=None, desc=None,
            backend=None):
     """``GrB_assign``: C<mask>(I, J) (+)= A.
@@ -210,7 +199,6 @@ def assign(C, A, I=ALL, J=ALL, *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("subassign")
 def subassign(C, A, I=ALL, J=ALL, *, mask=None, accum=None, desc=None,
               backend=None):
     """``GxB_subassign``: C(I, J)<mask> (+)= A.
@@ -225,7 +213,6 @@ def subassign(C, A, I=ALL, J=ALL, *, mask=None, accum=None, desc=None,
     return _dispatch(p, backend)
 
 
-@telemetry.instrumented("kronecker")
 def kronecker(C, A, B, op="TIMES", *, mask=None, accum=None, desc=None,
               backend=None):
     """``GrB_kronecker``: C<mask> (+)= kron(A, B)."""

@@ -7,16 +7,21 @@ terminal-monoid early exit — yet an engine normally executes all of those
 decisions invisibly.  This module, modeled on SuiteSparse's ``GxB_BURBLE``
 and ``GxB_Global`` diagnostics, makes every one of them observable:
 
-* **counters/timers** — each Table-I operation records calls, wall time,
-  output nvals, flop estimates (mxm/mxv), and bytes moved (import/export
-  and file I/O) into a per-thread :class:`Collector`;
+* **one record per executed operation** — the backend dispatcher times
+  each Table-I call's kernel and emits one ``op`` record named after the
+  plan's op (``mxm``, ``ewise_add``, ``reduce_scalar``, ...) carrying the
+  kernel's wall time, output nvals, the ``backend`` that served it, the
+  dispatch ``route`` (``direct`` or governor ``tiled``), the kernel
+  tier, SpGEMM method, estimated vs actual result bytes and the
+  governor's admission verdict.  The per-thread :class:`Collector`
+  folds it into per-op counters next to the flop estimates (mxm/mxv)
+  and bytes moved (import/export and file I/O) the kernels tally;
 * **decision events** — the engine reports *why* it chose what it chose:
   SpGEMM method (Gustavson/dot/heap), push vs pull with the frontier
   density behind the switch, early-exit dot-product terminations, format
   (CSR/CSC/hypersparse) selections, zombie/pending-tuple assemblies
-  with counts, and kernel-backend routing (``backend.dispatch`` per
-  dispatched op plan, plus the ``differential`` engine's
-  verify/skip/divergence events);
+  with counts, governor verdicts, and the ``differential`` engine's
+  verify/skip/divergence events;
 * **spans** — LAGraph algorithms wrap themselves in named spans and emit
   per-iteration records (e.g. BFS frontier size per level);
 * **sinks** — a human-readable burble stream, a structured
@@ -34,8 +39,7 @@ Instrumented sites reuse the module-attribute fast path proven by
 
 With no collector attached the guard is one module-attribute read per
 *operation* (never per element); ``benchmarks/bench_telemetry_overhead.py``
-verifies the disabled Table-I workload sits within noise of the
-uninstrumented baseline.
+times the Table-I workload disabled vs collecting.
 
 Typical use::
 
@@ -57,7 +61,7 @@ MetricsSink` via :func:`set_sink`; while one is installed, every record
 flowing through the module-level functions is *also* folded into the
 durable metrics registry (from every thread, collector or not), and
 ``ENABLED`` stays true so instrumented sites keep reporting.  The sink
-sees the same stream a collector would — op timers, decisions, spans,
+sees the same stream a collector would — op records, decisions, spans,
 instants, and ring-buffer drops.
 """
 
@@ -70,7 +74,6 @@ import time
 
 __all__ = [
     "ENABLED",
-    "PLAN_EVENTS",
     "Collector",
     "OpStats",
     "enable",
@@ -85,12 +88,10 @@ __all__ = [
     "instant",
     "span",
     "span_at",
-    "instrumented",
     "chrome_trace_events",
     "chrome_trace_merged",
     "set_sink",
     "get_sink",
-    "plan_capture",
 ]
 
 # Process-wide kill switch: True while any thread has a collector attached
@@ -99,15 +100,8 @@ __all__ = [
 # a single module-attribute read.
 ENABLED = False
 
-# True while per-plan ``plan.done`` dispatch events should be emitted:
-# the backend dispatcher times each kernel and reports route/bytes only
-# when observability or an EXPLAIN capture wants them, keeping plain
-# collector-only telemetry streams unchanged.
-PLAN_EVENTS = False
-
 # The installed observability sink (repro.obs.sink.MetricsSink), or None.
 _SINK = None
-_capture_count = 0
 
 # Keep event streams bounded: a runaway loop must not exhaust memory.
 # Overflow is counted (Collector.dropped) and reported in the snapshot.
@@ -125,10 +119,10 @@ def _collector() -> "Collector | None":
 class OpStats:
     """Accumulated metrics for one operation name.
 
-    ``calls``/``seconds``/``out_nvals`` are filled by the per-operation
-    timer; ``flops`` (mxm/mxv partial-product estimates) and
-    ``bytes_moved`` (import/export and file I/O) are tallied by the
-    kernels that know them.
+    ``calls``/``seconds``/``out_nvals`` are filled by the op records;
+    ``flops`` (mxm/mxv partial-product estimates) and ``bytes_moved``
+    (import/export and file I/O) are tallied by the kernels that know
+    them.
     """
 
     __slots__ = ("calls", "seconds", "out_nvals", "flops", "bytes_moved")
@@ -203,29 +197,33 @@ class Collector:
 
     # -- recording ----------------------------------------------------------
 
-    def record_op(self, name: str, seconds: float, out_nvals: int | None = None, ts_us: float | None = None) -> None:
-        """One completed Table-I operation: wall time plus output size."""
+    def record_op(self, name: str, seconds: float,
+                  out_nvals: int | None = None, **fields) -> None:
+        """One completed operation: wall time, output size, and the
+        dispatcher's ``fields`` (backend, route, kernel, bytes, ...)."""
         st = self.ops.get(name)
         if st is None:
             st = self.ops[name] = OpStats()
         st.calls += 1
         st.seconds += seconds
+        args = fields
         if out_nvals is not None:
             st.out_nvals += int(out_nvals)
+            args = {"out_nvals": int(out_nvals), **fields}
         dur_us = seconds * 1e6
-        if ts_us is None:
-            ts_us = self._now_us() - dur_us
         self._push(
             {
                 "type": "op",
                 "name": name,
-                "ts": ts_us,
+                "ts": self._now_us() - dur_us,
                 "dur": dur_us,
-                "args": {} if out_nvals is None else {"out_nvals": int(out_nvals)},
+                "args": args,
             }
         )
-        nv = "" if out_nvals is None else f" nvals {int(out_nvals)}"
-        self._burble(f"{seconds * 1e3:8.3f} ms  [{name}]{nv}")
+        if self.burble:
+            nv = "" if out_nvals is None else f" nvals {int(out_nvals)}"
+            pretty = "".join(f" {k}={_fmt(v)}" for k, v in fields.items())
+            self._burble(f"{seconds * 1e3:8.3f} ms  [{name}]{nv}{pretty}")
 
     def tally(self, name: str, **fields) -> None:
         """Add numeric metrics (flops, bytes_moved, calls, ...) to an op."""
@@ -304,9 +302,12 @@ class Collector:
         """Structured, JSON-serializable view of everything collected."""
         decisions: dict[str, int] = {}
         spans: dict[str, dict] = {}
+        tiled = 0
         for ev in self.events:
             if ev["type"] == "decision":
                 decisions[ev["name"]] = decisions.get(ev["name"], 0) + 1
+            elif ev["type"] == "op":
+                tiled += ev["args"].get("route") == "tiled"
             elif ev["type"] == "span":
                 agg = spans.setdefault(ev["name"], {"count": 0, "seconds": 0.0})
                 agg["count"] += 1
@@ -326,6 +327,8 @@ class Collector:
             for name, count in decisions.items()
             if name.startswith("governor.")
         }
+        if tiled:
+            gov["tiled"] = tiled
         if gov:
             # disk traffic of the spill pools, tallied next to the
             # decision counts they explain
@@ -477,10 +480,9 @@ def chrome_trace_merged(sources) -> dict:
 # -- module-level control ------------------------------------------------------
 
 def _recompute_flags() -> None:
-    """Refresh the fast-path flags; callers hold ``_lock``."""
-    global ENABLED, PLAN_EVENTS
+    """Refresh the fast-path flag; callers hold ``_lock``."""
+    global ENABLED
     ENABLED = _active_count > 0 or _SINK is not None
-    PLAN_EVENTS = _SINK is not None or _capture_count > 0
 
 
 def set_sink(sink) -> None:
@@ -500,24 +502,6 @@ def get_sink():
     """The installed observability sink, or None."""
     return _SINK
 
-
-@contextlib.contextmanager
-def plan_capture():
-    """Force per-plan ``plan.done`` dispatch events for the duration.
-
-    Used by :func:`repro.obs.explain` so a capture works even when the
-    process-wide observability sink is not installed.
-    """
-    global _capture_count
-    with _lock:
-        _capture_count += 1
-        _recompute_flags()
-    try:
-        yield
-    finally:
-        with _lock:
-            _capture_count -= 1
-            _recompute_flags()
 
 def enable(burble: bool = False, stream=None, max_events: int = MAX_EVENTS) -> Collector:
     """Attach a collector to the current thread (idempotent) and return it.
@@ -559,15 +543,20 @@ def collect(burble: bool = False, stream=None, max_events: int = MAX_EVENTS):
 
     Yields the :class:`Collector`; on exit the collector is detached but
     still readable (``snapshot()``, ``chrome_trace()``).  Nested use
-    reuses the outer collector and leaves it attached.
+    reuses the outer collector, applies this block's ``burble``/
+    ``stream`` for its duration, and on exit leaves the outer collector
+    attached with its own settings back.
     """
     outer = _collector()
+    saved = None if outer is None else (outer.burble, outer.stream)
     col = enable(burble=burble, stream=stream, max_events=max_events)
     try:
         yield col
     finally:
         if outer is None:
             disable()
+        else:
+            outer.burble, outer.stream = saved
 
 
 def active() -> Collector | None:
@@ -592,13 +581,19 @@ def reset() -> None:
 # No-ops when the thread has no collector AND no observability sink is
 # installed; otherwise each record goes to whichever consumers exist.
 
-def record_op(name: str, seconds: float, out_nvals: int | None = None) -> None:
-    """Record one completed operation (guard with ``telemetry.ENABLED``)."""
+def record_op(name: str, seconds: float, out_nvals: int | None = None,
+              **fields) -> None:
+    """Record one completed operation (guard with ``telemetry.ENABLED``).
+
+    The backend dispatcher calls this once per executed Table-I plan with
+    its ``fields`` (backend, route, kernel, method, bytes, admission);
+    ``Matrix.wait``/``Vector.wait`` record their assembly time bare.
+    """
     col = _collector()
     if col is not None:
-        col.record_op(name, seconds, out_nvals)
+        col.record_op(name, seconds, out_nvals, **fields)
     if _SINK is not None:
-        _SINK.record_op(name, seconds, out_nvals)
+        _SINK.record_op(name, seconds, out_nvals, fields)
 
 
 def tally(name: str, **fields) -> None:
@@ -658,50 +653,3 @@ def span(name: str, **attrs):
             col.end_span()
         if sink is not None:
             sink.span(name, time.perf_counter() - t0)
-
-
-def _out_nvals(obj) -> int | None:
-    """Cheap output-size probe (duck-typed to avoid circular imports)."""
-    try:
-        store = getattr(obj, "_store", None)
-        if store is not None:
-            return int(store.nvals)
-        idx = getattr(obj, "indices", None)
-        if idx is not None:
-            return int(idx.size)
-    except (AttributeError, TypeError):
-        return None
-    return None
-
-
-def instrumented(op_name: str):
-    """Decorator: time a Table-I operation and record its output nvals.
-
-    The disabled path is one module-attribute read plus the wrapper call —
-    per operation, never per element.
-    """
-
-    def deco(fn):
-        import functools
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not ENABLED:
-                return fn(*args, **kwargs)
-            col = _collector()
-            sink = _SINK
-            if col is None and sink is None:
-                return fn(*args, **kwargs)
-            t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            seconds = time.perf_counter() - t0
-            nvals = _out_nvals(out)
-            if col is not None:
-                col.record_op(op_name, seconds, nvals)
-            if sink is not None:
-                sink.record_op(op_name, seconds, nvals)
-            return out
-
-        return wrapper
-
-    return deco

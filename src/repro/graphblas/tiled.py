@@ -834,7 +834,7 @@ def _plan_tile_dim(plan, n_major, n_minor) -> int:
 
 def _select(plan) -> None:
     """Choose the plan's kernels once, as the in-memory backend does, so
-    ``plan.done`` and EXPLAIN report the tier every chunk ran on."""
+    the op record and EXPLAIN report the tier every chunk ran on."""
     plan.kernel = "numpy" if compiled.select(plan) is None else "compiled"
 
 

@@ -8,10 +8,10 @@ and per-plan profiles:
 
 * :func:`enable` installs a :class:`~repro.obs.sink.MetricsSink` into
   the telemetry fan-out; from then on every instrumented site in the
-  engine (Table-I op timers, SpGEMM/push-pull decisions, governor
-  verdicts, spill traffic, backend dispatch) feeds the process-wide
-  :class:`~repro.obs.registry.MetricsRegistry` from all threads, with
-  or without per-thread collectors.
+  engine (the dispatcher's one ``op`` record per executed plan,
+  SpGEMM/push-pull decisions, governor verdicts, spill traffic) feeds
+  the process-wide :class:`~repro.obs.registry.MetricsRegistry` from all
+  threads, with or without per-thread collectors.
 * :func:`prometheus_text` / :func:`json_snapshot` / :func:`start_emitter`
   expose the registry (Prometheus scrape format, structured JSON, and a
   periodic JSON log line).
@@ -92,7 +92,7 @@ def _apply_options() -> dict:
     """Retune the slow-op log from the ``obs`` option rows."""
     cfg = _options.get("obs")
     _slow_log.threshold_s = cfg["slow_ms"] / 1e3
-    _slow_log.capacity = cfg["slow_capacity"]
+    _slow_log.resize(cfg["slow_capacity"])
     return cfg
 
 

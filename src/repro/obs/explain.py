@@ -1,8 +1,10 @@
 """EXPLAIN/profile: per-OpPlan execution reports for any op or algorithm.
 
-``obs.explain(fn)`` runs ``fn`` under a telemetry capture with per-plan
-dispatch events forced on, then correlates the event stream into one
-record per executed :class:`~repro.graphblas.plan.OpPlan`:
+``obs.explain(fn)`` runs ``fn`` under a telemetry collector, then
+correlates the event stream into one record per executed
+:class:`~repro.graphblas.plan.OpPlan` — the dispatcher's ``op`` record
+(the same one the collector, burble, trace and metrics read) plus the
+decisions that led to it:
 
 * the **dispatch route** — which backend served it, or the governor's
   ``tiled`` spill re-plan of an over-budget plan;
@@ -19,12 +21,12 @@ record per executed :class:`~repro.graphblas.plan.OpPlan`:
 The correlation needs no plan IDs: telemetry events are appended in
 program order by the executing thread, and every decision belonging to a
 plan (admission, tile planning, method selection, pool summary) is
-emitted before that plan's ``plan.done`` record, so a single in-order
-sweep attributes each pending decision to the next completed plan.
+emitted before that plan's ``op`` record, so a single in-order sweep
+attributes each pending decision to the next completed plan.
 
 The report renders as an aligned text table (``str(report)``) and a
 machine-readable dict (``report.as_dict()``); algorithm spans and
-top-level op timers ride along as secondary tables.
+per-name op totals ride along as secondary tables.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from ..graphblas import telemetry
 
 __all__ = ["explain", "ExplainReport"]
 
-# decision kinds folded into the next plan.done record, and the fields
-# lifted from each
+# fields lifted from each pool summary folded into the next plan record
 _POOL_FIELDS = ("tiles", "spills", "reloads", "evictions",
                 "spilled_bytes", "reloaded_bytes")
 
@@ -66,25 +67,26 @@ def _build_records(events: list[dict]) -> tuple[list[dict], dict, dict]:
     pending: list = []
     ops: dict[str, dict] = {}
     spans: dict[str, dict] = {}
-    # plan.done events that fall inside a stream.window span's time range
-    # belong to that window (span events are appended at span exit but
-    # carry their begin timestamp and duration)
+    # plans that start inside a stream.window span's time range belong
+    # to that window (span events are appended at span exit but carry
+    # their begin timestamp and duration)
     plan_ts: list[float] = []
     for ev in events:
         etype = ev["type"]
         name = ev["name"]
         args = ev.get("args", {})
         if etype == "decision":
-            if name == "plan.done":
-                plans.append(_fold(dict(args), pending))
-                plan_ts.append(ev.get("ts", 0.0))
-                pending = []
-            else:
-                pending.append((name, args))
+            pending.append((name, args))
         elif etype == "op":
+            seconds = ev.get("dur", 0.0) / 1e6
             agg = ops.setdefault(name, {"calls": 0, "seconds": 0.0})
             agg["calls"] += 1
-            agg["seconds"] += ev.get("dur", 0.0) / 1e6
+            agg["seconds"] += seconds
+            if "route" in args:  # an executed plan, not a bare wait timer
+                plans.append(_fold({"op": name, "seconds": seconds, **args},
+                                   pending))
+                plan_ts.append(ev.get("ts", 0.0))
+                pending = []
         elif etype == "span":
             agg = spans.setdefault(name, {"count": 0, "seconds": 0.0})
             agg["count"] += 1
@@ -124,8 +126,8 @@ class ExplainReport:
     """The outcome of one :func:`explain` capture.
 
     ``records`` holds one dict per executed plan (dispatch order);
-    ``ops`` and ``spans`` aggregate the surrounding operation timers and
-    algorithm spans; ``result`` is whatever the profiled callable
+    ``ops`` and ``spans`` total the op records and algorithm spans by
+    name; ``result`` is whatever the profiled callable
     returned.  ``str(report)`` renders the aligned tables.
     """
 
@@ -203,11 +205,11 @@ class ExplainReport:
 def explain(fn, *args, max_events: int | None = None, **kwargs) -> ExplainReport:
     """Profile ``fn(*args, **kwargs)`` and report every executed OpPlan.
 
-    Works standalone — observability need not be enabled; per-plan
-    dispatch events are forced on for the duration via
-    :func:`repro.graphblas.telemetry.plan_capture`.  Nested inside an
-    outer telemetry ``collect`` the outer collector keeps every event;
-    the report is built only from those recorded during this call.
+    Works standalone — observability need not be enabled; the capture
+    is a plain telemetry collector.  Nested inside an outer telemetry
+    ``collect`` the outer collector keeps every event (and its burble
+    settings once this returns); the report is built only from those
+    recorded during this call.
 
     ::
 
@@ -216,10 +218,9 @@ def explain(fn, *args, max_events: int | None = None, **kwargs) -> ExplainReport
         report.records[0]["route"]   # "tiled" when the governor re-planned
     """
     kw = {} if max_events is None else {"max_events": max_events}
-    with telemetry.plan_capture():
-        with telemetry.collect(**kw) as col:
-            start = len(col.events)
-            result = fn(*args, **kwargs)
-            events = list(col.events[start:])
+    with telemetry.collect(**kw) as col:
+        start = len(col.events)
+        result = fn(*args, **kwargs)
+        events = list(col.events[start:])
     plans, ops, spans = _build_records(events)
     return ExplainReport(plans, ops, spans, result)

@@ -1,10 +1,11 @@
 """Telemetry-stream -> metrics-registry translation, plus the slow-op log.
 
 :mod:`repro.graphblas.telemetry` already has every interesting site
-instrumented — Table-I op timers, engine decisions (SpGEMM method,
-push/pull direction, kernel compiles, twin reuse), governor verdicts
-(admit/reject/tiled/retry/cancel), spill pool traffic, backend
-dispatch — but it only delivers those records to a per-thread collector.
+instrumented — one ``op`` record per executed Table-I plan (from the
+backend dispatcher), engine decisions (SpGEMM method, push/pull
+direction, kernel compiles, twin reuse), governor verdicts
+(admit/reject/retry/cancel), spill pool traffic — but it only delivers
+those records to a per-thread collector.
 
 :class:`MetricsSink` is the second consumer: installed into the telemetry
 module by :func:`repro.obs.enable`, it receives the same stream (from
@@ -15,10 +16,9 @@ low-cardinality — op names, backend names, event kinds — never indices,
 tile keys, or paths.
 
 The sink also owns the **slow-op log**: a bounded min-heap of the N
-slowest ``plan.done`` records (the per-plan execution events emitted by
-the backend dispatcher when observability is on), each carrying its
-EXPLAIN fields — route, backend, estimated vs actual bytes, kernel-cache
-hits, spill activity — so "what were my worst ops since startup" is one
+slowest plan records (the dispatcher's ``op`` records), each carrying
+its EXPLAIN fields — route, backend, kernel tier, estimated vs actual
+bytes, admission — so "what were my worst ops since startup" is one
 call, no trace replay needed.
 """
 
@@ -50,6 +50,12 @@ def _labels1(key: str, value) -> tuple:
 def _labels2(k1: str, v1, k2: str, v2) -> tuple:
     # callers pass keys already in sorted order
     return ((k1, str(v1)), (k2, str(v2)))
+
+
+@lru_cache(maxsize=4096)
+def _labels3(k1: str, v1, k2: str, v2, k3: str, v3) -> tuple:
+    # callers pass keys already in sorted order
+    return ((k1, str(v1)), (k2, str(v2)), (k3, str(v3)))
 
 
 class SlowOpLog:
@@ -92,6 +98,13 @@ class SlowOpLog:
         with self._lock:
             self._heap.clear()
 
+    def resize(self, capacity: int) -> None:
+        """Set the capacity, dropping the fastest records beyond it."""
+        with self._lock:
+            self.capacity = int(capacity)
+            while len(self._heap) > max(self.capacity, 0):
+                heapq.heappop(self._heap)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._heap)
@@ -115,17 +128,13 @@ class MetricsSink:
     def _declare(self) -> None:
         d = self.registry.declare
         d("graphblas_op_seconds", "histogram",
-          "Wall time of Table-I operations by op name")
+          "Kernel wall time of executed operations by op name")
         d("graphblas_op_out_entries_total", "counter",
           "Stored entries written to operation outputs")
-        d("graphblas_plan_seconds", "histogram",
-          "Dispatcher-measured kernel time per executed OpPlan")
         d("graphblas_plan_bytes", "histogram",
           "Estimated and actual result bytes per executed OpPlan")
         d("graphblas_plan_route_total", "counter",
-          "Executed OpPlans by dispatch route (direct/tiled)")
-        d("graphblas_backend_dispatch_total", "counter",
-          "OpPlans served, by backend and op")
+          "Executed OpPlans by backend, op and dispatch route (direct/tiled)")
         d("graphblas_governor_events_total", "counter",
           "Execution-governor verdicts and actions by event kind")
         d("graphblas_spill_bytes_total", "counter",
@@ -164,12 +173,39 @@ class MetricsSink:
     # -- the telemetry recording surface ----------------------------------
 
     def record_op(self, name: str, seconds: float,
-                  out_nvals: int | None) -> None:
-        self.registry.observe("graphblas_op_seconds", seconds, _labels1("op", name))
+                  out_nvals: int | None, fields: dict) -> None:
+        op = _labels1("op", name)
+        self.registry.observe("graphblas_op_seconds", seconds, op)
         if out_nvals:
             self.registry.counter_inc(
-                "graphblas_op_out_entries_total", int(out_nvals), _labels1("op", name)
+                "graphblas_op_out_entries_total", int(out_nvals), op
             )
+        route = fields.get("route")
+        if route is None:
+            return  # a bare timer (wait), not an executed plan
+        self.registry.counter_inc(
+            "graphblas_plan_route_total", 1,
+            _labels3("backend", fields["backend"], "op", name, "route", route),
+        )
+        est = fields.get("est_bytes")
+        if est:
+            self.registry.observe(
+                "graphblas_plan_bytes", int(est),
+                _labels2("kind", "estimated", "op", name),
+            )
+        actual = fields.get("actual_bytes")
+        if actual:
+            self.registry.observe(
+                "graphblas_plan_bytes", int(actual),
+                _labels2("kind", "actual", "op", name),
+            )
+        if seconds >= self.slow_log.threshold_s:
+            record = {"op": name, "seconds": seconds, **fields,
+                      "wall_time": time.time()}
+            if out_nvals is not None:
+                record["out_nvals"] = int(out_nvals)
+            if self.slow_log.offer(seconds, record):
+                self.registry.counter_inc("graphblas_slow_ops_total", 1, op)
 
     def tally(self, name: str, fields: dict) -> None:
         if name.startswith("governor."):
@@ -190,14 +226,6 @@ class MetricsSink:
 
     def decision(self, kind: str, detail: dict) -> None:
         inc = self.registry.counter_inc
-        if kind == "plan.done":
-            self._plan_done(detail)
-            return
-        if kind == "backend.dispatch":
-            inc("graphblas_backend_dispatch_total", 1,
-                _labels2("backend", detail.get("backend"),
-                         "op", detail.get("op")))
-            return
         if kind.startswith("governor."):
             event = kind.split(".", 1)[1]
             inc("graphblas_governor_events_total", 1, _labels1("event", event))
@@ -242,38 +270,6 @@ class MetricsSink:
                 _labels1("op", detail.get("op")))
             return
         inc("graphblas_decisions_total", 1, _labels1("kind", kind))
-
-    def _plan_done(self, detail: dict) -> None:
-        op = str(detail.get("op"))
-        backend = str(detail.get("backend"))
-        route = str(detail.get("route", "direct"))
-        seconds = float(detail.get("seconds", 0.0))
-        self.registry.observe(
-            "graphblas_plan_seconds", seconds,
-            _labels2("backend", backend, "op", op),
-        )
-        self.registry.counter_inc(
-            "graphblas_plan_route_total", 1, _labels2("op", op, "route", route)
-        )
-        est = detail.get("est_bytes")
-        if est:
-            self.registry.observe(
-                "graphblas_plan_bytes", int(est),
-                _labels2("kind", "estimated", "op", op),
-            )
-        actual = detail.get("actual_bytes")
-        if actual:
-            self.registry.observe(
-                "graphblas_plan_bytes", int(actual),
-                _labels2("kind", "actual", "op", op),
-            )
-        if seconds >= self.slow_log.threshold_s:
-            record = dict(detail)
-            record["wall_time"] = time.time()
-            if self.slow_log.offer(seconds, record):
-                self.registry.counter_inc(
-                    "graphblas_slow_ops_total", 1, _labels1("op", op)
-                )
 
     def instant(self, name: str, attrs: dict) -> None:
         self.registry.counter_inc(

@@ -20,6 +20,7 @@ from repro.graphblas.backends import (
     KernelBackend,
     available_backends,
     backend,
+    current_backend_name,
     dispatch,
     get_backend,
     register_backend,
@@ -137,10 +138,13 @@ class TestDispatchTelemetry:
         telemetry.enable()
         try:
             ops.mxm(C, A, B, "PLUS_TIMES")
-            snap = telemetry.snapshot()
+            snap = telemetry.snapshot(include_events=True)
         finally:
             telemetry.disable()
-        assert snap["decisions"].get("backend.dispatch", 0) >= 1
+        assert snap["ops"]["mxm"]["calls"] == 1
+        (rec,) = [e["args"] for e in snap["events"] if e["type"] == "op"]
+        assert rec["backend"] == current_backend_name()
+        assert rec["route"] == "direct"
 
     def test_dispatch_is_one_call(self):
         # a backend without the op raises; dispatch walks to no other engine
@@ -153,10 +157,10 @@ class TestDispatchTelemetry:
         with telemetry.collect() as col:
             with pytest.raises(NotImplementedError, match="partial"):
                 ops.mxm(C, A, B, "MIN_PLUS", backend=Partial())
+        # no engine completed the op, so no backend left an op record
         served = [e["args"]["backend"] for e in col.events
-                  if e["type"] == "decision"
-                  and e["name"] == "backend.dispatch"]
-        assert served == ["partial"]
+                  if e["type"] == "op"]
+        assert served == []
         assert C.isequal(before)
 
 

@@ -9,7 +9,7 @@ memo (warm reuse, LRU bound, one build per class under racing threads,
 a failed build declining its class),
 the ``compiled.kernel`` / ``mxm.early_exit`` / ``mxv.early_exit``
 telemetry and their obs metrics, the plan-owned ``kernel`` /
-``kernel_cache`` fields of ``plan.done`` and EXPLAIN's ``kernel``/``cmp``
+``kernel_cache`` fields of the op record and EXPLAIN's ``kernel``/``cmp``
 columns, the ``GxB_Compiled_set/get`` C-API option, terminal early exit,
 and value parity against the NumPy kernels (the toolchain-off side):
 bit-identical for order-insensitive add monoids and integer types,
@@ -291,7 +291,7 @@ class TestKernelCache:
 @needs_tier
 class TestObservability:
     def test_plan_done_carries_cache_deltas_and_cmp_column(self):
-        """``plan.done`` names the tier and this plan's own cache outcome;
+        """The op record names the tier and this plan's own cache outcome;
         EXPLAIN renders them in the ``kernel`` and ``cmp`` columns."""
         A, B = rand_pair()
         C = Matrix(FP64, A.nrows, B.ncols)
@@ -311,7 +311,7 @@ class TestObservability:
     def test_plan_done_attribution_under_threads(self, tmp_path):
         """Two threads, obs on: a compiled-class plan compiling while a
         NumPy-only class (a multiply with no template) runs beside it.  Each
-        ``plan.done`` names its own tier; neither reports the other's
+        op record names its own tier; neither reports the other's
         compile."""
         compiled.set_config(directory=str(tmp_path))  # a real cc compile
         A, B = rand_pair(seed=3)
@@ -324,7 +324,7 @@ class TestObservability:
         errors = []
 
         def plans(col):
-            return _decisions(col, "plan.done")
+            return [e["args"] for e in col.events if e["type"] == "op"]
 
         def compiled_side():
             try:

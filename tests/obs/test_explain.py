@@ -79,8 +79,8 @@ class TestExplainBasics:
             lambda: ops.mxm(Matrix(FP64, 3, 3), A, B, "plus_times")
         )
         assert len(rep.records) == 1
-        # and plan events stop once the capture exits
-        assert not telemetry.PLAN_EVENTS
+        # and telemetry is off again once the capture exits
+        assert not telemetry.ENABLED
 
     def test_nested_in_outer_collector_keeps_outer_events(self):
         A, B = small_mats()
@@ -93,6 +93,28 @@ class TestExplainBasics:
             # the outer collector saw the explained run's events too
             assert len(col.events) > before
         assert len(rep.records) == 1
+
+    def test_nested_explain_keeps_outer_burble(self):
+        import io
+
+        A, B = small_mats()
+        buf = io.StringIO()
+
+        def lines():
+            ops.mxm(Matrix(FP64, 3, 3), A, B, "plus_times")
+            out = buf.getvalue().splitlines()
+            buf.seek(0)
+            buf.truncate()
+            return out
+
+        with telemetry.collect(burble=True, stream=buf) as col:
+            first = lines()
+            obs.explain(
+                lambda: ops.mxm(Matrix(FP64, 3, 3), A, B, "plus_times"))
+            after = lines()
+            assert col.burble and col.stream is buf
+        assert any("[mxm]" in ln for ln in first)
+        assert any("[mxm]" in ln for ln in after)
 
 
 class TestExplainOverBudget:

@@ -217,6 +217,17 @@ class TestLifecycle:
         telemetry.disable()
         assert not telemetry.ENABLED  # one disable balances both enables
 
+    def test_nested_collect_restores_outer_settings(self):
+        outer_buf, inner_buf = io.StringIO(), io.StringIO()
+        with telemetry.collect(burble=True, stream=outer_buf) as outer:
+            with telemetry.collect(stream=inner_buf) as inner:
+                assert inner is outer
+                assert not outer.burble and outer.stream is inner_buf
+            assert outer.burble and outer.stream is outer_buf
+            telemetry.record_op("mxv", 0.001, 1)
+        assert "[mxv]" in outer_buf.getvalue()
+        assert inner_buf.getvalue() == ""
+
     def test_disable_without_enable_returns_none(self):
         assert telemetry.disable() is None
 
@@ -298,31 +309,3 @@ class TestThreadLocality:
         assert list(results["a"]["ops"]) == ["a"]
         assert list(results["b"]["ops"]) == ["b"]
         assert not telemetry.ENABLED
-
-
-class TestInstrumentedDecorator:
-    def test_preserves_signature_and_name(self):
-        import inspect
-
-        @telemetry.instrumented("myop")
-        def myfn(a, b, *, c=None):
-            """Docstring survives."""
-            return a + b
-
-        assert myfn.__name__ == "myfn"
-        assert "Docstring" in myfn.__doc__
-        assert list(inspect.signature(myfn).parameters) == ["a", "b", "c"]
-
-    def test_records_only_when_enabled(self):
-        calls = []
-
-        @telemetry.instrumented("myop")
-        def myfn():
-            calls.append(1)
-            return None
-
-        myfn()
-        assert calls == [1]
-        with telemetry.collect() as col:
-            myfn()
-        assert col.snapshot()["ops"]["myop"]["calls"] == 1

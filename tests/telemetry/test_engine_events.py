@@ -47,16 +47,18 @@ class TestTableOneCounters:
         assert col.snapshot()["ops"]["vxm"]["calls"] == 1
 
     @pytest.mark.parametrize(
-        "opname", ["eWiseAdd", "eWiseMult", "apply", "select", "reduce", "transpose"]
+        "opname",
+        ["ewise_add", "ewise_mult", "apply", "select", "reduce_rowwise",
+         "transpose"],
     )
     def test_elementwise_family_counted(self, small, opname):
         A, B, _ = small
         run = {
-            "eWiseAdd": lambda: ops.ewise_add(Matrix("FP64", 60, 60), A, B, "PLUS"),
-            "eWiseMult": lambda: ops.ewise_mult(Matrix("FP64", 60, 60), A, B, "TIMES"),
+            "ewise_add": lambda: ops.ewise_add(Matrix("FP64", 60, 60), A, B, "PLUS"),
+            "ewise_mult": lambda: ops.ewise_mult(Matrix("FP64", 60, 60), A, B, "TIMES"),
             "apply": lambda: ops.apply(Matrix("FP64", 60, 60), A, "AINV"),
             "select": lambda: ops.select(Matrix("FP64", 60, 60), A, "TRIL", 0),
-            "reduce": lambda: ops.reduce_rowwise(Vector("FP64", 60), A, "PLUS"),
+            "reduce_rowwise": lambda: ops.reduce_rowwise(Vector("FP64", 60), A, "PLUS"),
             "transpose": lambda: ops.transpose(Matrix("FP64", 60, 60), A),
         }[opname]
         with telemetry.collect() as col:
