@@ -20,9 +20,10 @@ Two modes:
 The output loads in ``chrome://tracing`` (or https://ui.perfetto.dev):
 Table-I operations (one slice per executed plan, named after its op —
 ``mxv``, ``ewise_add``, ``reduce_scalar``, ... — with the serving
-``backend``, ``route`` and kernel tier as args) and algorithm spans
-appear as duration slices, engine decisions (push/pull direction,
-SpGEMM method, assembly) as instant events.
+``backend``, ``route``, kernel tier and, for mxm/mxv/vxm, the SpGEMM
+method or push/pull direction that ran as args) and algorithm spans
+appear as duration slices, engine decisions (early exits, kernel
+compiles, assembly) as instant events.
 
 Run:  python scripts/export_trace.py --demo -o /tmp/trace.json
 """

@@ -173,7 +173,7 @@ Built-in engines:
   engine; every op is a loop written line-by-line from the spec.  Slow,
   but an oracle: the whole `tests/graphblas` suite passes under it.
 * **`differential`** — runs `optimized`, so the kernel tier production
-  runs (compiled or NumPy, the same `plan.kernel`), then re-executes
+  runs (compiled or NumPy, the same `kernel` field), then re-executes
   every operation whose dense replay fits the verification budget on
   `reference` (the `diff.*` rows of [Configuration](#configuration)) and
   compares pattern + values, raising `BackendDivergence` on mismatch;
@@ -183,7 +183,7 @@ Built-in engines:
 
 Dispatch is one call: the selected backend runs the plan or raises.
 No backend declines a plan and nothing walks to another engine; which
-kernel tier ran is `plan.kernel`.  Selection is observable (the
+kernel tier ran is the op record's `kernel` field.  Selection is observable (the
 `backend` field of each op's telemetry record), settable at the C-API level
 (`capi.GxB_Backend_set/get`), and extensible: `register_backend(name,
 factory)` adds an engine, which must serve every op it is asked to run
@@ -262,15 +262,16 @@ behavior is reported in `mxm.early_exit` / `mxv.early_exit` telemetry
 (terminated/eligible counts, scanned terms, summed hit depth) and the
 `graphblas_early_exit_total` counter.
 
-Cache traffic shows up as `compiled.kernel` telemetry
-(`event="compile"` with wall seconds, `event="hit"`), the
-`graphblas_compile_seconds` histogram and
-`graphblas_compiled_kernel_cache` gauges in the obs registry.  Each
-op record carries the tier that ran (`kernel`: `compiled` or
-`numpy`) and that plan's own memo outcome (`kernel_cache`: `hit` or
-`built`) — read off the plan, so concurrent plans never absorb each
-other's compiles — shown in the `kernel` and `cmp` columns of
-`obs.explain` reports.
+A build shows up as a `compiled.kernel` telemetry decision
+(`event="compile"` with wall seconds), the `graphblas_compile_seconds`
+histogram and the `graphblas_compiled_kernel_cache` gauges in the obs
+registry.  Each op record carries the tier that ran (`kernel`:
+`compiled` or `numpy`) and, when compiled, that plan's own memo
+outcome (`kernel_cache`: `hit` or `built`) and `toolchain` — read off
+the plan, so concurrent plans never absorb each other's compiles —
+shown in the `kernel` and `cmp` columns of `obs.explain` reports; the
+metrics sink counts the hits as
+`graphblas_compiled_kernel_events_total{event="hit"}`.
 
 **Numerics.** Float PLUS/TIMES reductions are a strict ascending-k left
 fold on every default path: the Gustavson SPA, push, pull and dot
@@ -304,7 +305,9 @@ a thread-local collector that costs one module-attribute read
 (`telemetry.ENABLED`, ~20 ns) when nothing is listening.  Attach a
 collector with `telemetry.collect()` (context manager) or
 `telemetry.enable()` / `telemetry.disable()`.  A nested `collect()`
-reuses the outer collector and puts its `burble`/`stream` back on exit.
+reuses the outer collector (and its event buffer, so its own
+`max_events` does not apply) and puts its `burble`/`stream` back on
+exit.
 
 **One record per executed operation.**  The backend dispatcher is the
 only per-operation timer: each Table-I call leaves exactly one `op`
@@ -312,18 +315,25 @@ record, named after the plan's op (`mxm`, `mxv`, `vxm`, `ewise_add`,
 `ewise_mult`, `apply`, `select`, `reduce_rowwise`, `reduce_scalar`,
 `transpose`, `extract`, `assign`, `subassign`, `kronecker`), whose `dur`
 is the kernel's wall time and whose fields are `out_nvals`, `backend`,
-`route` (`direct` or `tiled`), `kernel` and `kernel_cache` (the tier
-that ran), `method`, `est_bytes`, `actual_bytes` and `admission`.  The
-record is the same whether or not `repro.obs` is on; `Matrix.wait` /
-`Vector.wait` add a bare `wait` record.  Read it three ways:
+`route` (`direct` or `tiled`), `kernel`, `kernel_cache` and
+`toolchain` (the tier that ran), `method` (what ran: `gustavson`, `dot`
+or `heap` for mxm, `push` or `pull` for mxv/vxm, with the frontier
+`density` and `threshold` behind an `auto` direction), `est_bytes`,
+`actual_bytes` and `admission`, plus for the tiled route `tile_dim`
+and the spill pool's `tiles`, `spills`, `reloads`, `evictions`,
+`spilled_bytes` and `reloaded_bytes`.  The code that makes each choice
+writes it onto the plan (`OpPlan.chosen`) and the dispatcher emits it,
+so no per-plan decision event is needed.  The record is the same
+whether or not `repro.obs` is on; `Matrix.wait` / `Vector.wait` add a
+bare `wait` record.  Read it three ways:
 
 * **Burble** — a SuiteSparse-`GxB_BURBLE`-style live diagnostic stream.
   `telemetry.collect(burble=True)` (or `capi.GxB_Burble_set(True)`)
   prints one line per operation with wall time, output `nvals` and the
-  record's fields, plus kernel decisions as they happen: SpGEMM method
-  selection, push/pull direction with the frontier density that drove
-  it, dot-product early exits, format switches, and
-  zombie/pending-tuple assembly.
+  record's fields (so the SpGEMM method, or the push/pull direction with
+  the frontier density that drove it), plus the decisions made inside
+  kernels as they happen: dot-product early exits, kernel compiles,
+  format switches, and zombie/pending-tuple assembly.
 * **Snapshot** — `telemetry.snapshot()` returns a JSON-serializable dict
   of per-op counters (`calls`, `seconds`, `out_nvals`, `flops` for
   mxm/mxv/vxm, `bytes_moved` for import/export and file I/O), decision
@@ -426,12 +436,14 @@ with ctx:
 
 New `GrB_Info` codes cross the C-API boundary: `GxB_BUDGET_EXCEEDED`,
 `GxB_DEADLINE_EXCEEDED`, `GxB_CANCELLED`; `capi.GxB_Context_new()`
-constructs a context from C-API code.  Every governor decision —
-`governor.admit` / `governor.reject` / `governor.cancel` /
-`governor.retry` / `governor.checkpoint` / `governor.resume` — is a
-telemetry decision event, aggregated under the `"governor"` key of
-`telemetry.snapshot()`; a tiled re-plan is the op record's
-`route="tiled"`, counted there as `tiled`.
+constructs a context from C-API code.  The verdict on a plan that runs
+is its op record's `admission` field (`admitted`, `tiled`, `unbudgeted`
+or `ungoverned`); the governor events that have no op record —
+`governor.reject` / `governor.cancel` / `governor.retry` /
+`governor.checkpoint` / `governor.resume` — are telemetry decision
+events.  Both are aggregated under the `"governor"` key of
+`telemetry.snapshot()`: an `admitted` record counts as `admit`, a
+`tiled` one as `tiled`, each decision under its own name.
 
 The `governor.*` rows of [Configuration](#configuration) wrap each
 resilience test in a governed context (`governor.env_limits()`); the CI
@@ -475,8 +487,8 @@ assert ctx.stats["tiled"] == 1
   default `memory_budget / 6`, floor 1 MiB), and a chunk's gathered B
   entries never outnumber its flops, so the working set stays bounded
   on RMAT hub rows.  The kernel's own fault points (`spgemm.flop`,
-  `mxv.pull`), row blocks (`GxB_NTHREADS`) and `plan.kernel` /
-  EXPLAIN `kernel` apply unchanged; a kernel fault fails the op once,
+  `mxv.pull`), row blocks (`GxB_NTHREADS`) and the op record's /
+  EXPLAIN's `kernel` apply unchanged; a kernel fault fails the op once,
   operands untouched and no tile left behind.  The hypothesis suite proves parity
   across all four `(by_row/by_col) x (standard/hyper)` formats,
   including a chunked product used as an operand.
@@ -540,8 +552,11 @@ Process-wide defaults are the `spill.*` rows of
 `capi.GxB_Spill_set` / `GxB_Spill_get`); per-context `spill=` /
 `spill_dir=` / `spill_budget=` kwargs override them.
 `method="tiled"` on the descriptor forces the tiled path for
-an in-budget op.  Telemetry records `governor.tile_plan`,
-`governor.spill`, and `governor.reload` decisions with byte counts.
+an in-budget op.  A tiled plan's op record carries its `tile_dim`, the
+`method` every chunk ran (`gustavson` for mxm, `pull` for mxv/vxm) and
+its pool's `tiles` / `spills` / `reloads` / `evictions` /
+`spilled_bytes` / `reloaded_bytes`; each tile write and read is also a
+`governor.spill` / `governor.reload` decision with its byte count.
 """
 
 
@@ -620,7 +635,11 @@ verdicts, spill traffic, engine events — feeds a process-wide
 `MetricsRegistry` with no collector attached and no call-site changes.
 Each op record lands in `graphblas_op_seconds{op}` (the one latency
 histogram), `graphblas_plan_route_total{backend,op,route}`,
-`graphblas_plan_bytes{kind,op}` and `graphblas_op_out_entries_total`.
+`graphblas_plan_bytes{kind,op}` and `graphblas_op_out_entries_total`,
+and what it says the plan chose in `graphblas_spgemm_method_total{method}`
+(mxm), `graphblas_mxv_direction_total{direction}` (mxv/vxm),
+`graphblas_compiled_kernel_events_total{event="hit"}` and
+`graphblas_governor_events_total{event="admit"}`.
 
 * **Registry** — per-thread shards (plain dicts, no lock on the hot
   path) merged at read time; shards survive thread exit so counters
@@ -638,14 +657,18 @@ histogram), `graphblas_plan_route_total{backend,op,route}`,
   `capi.GxB_Metrics_get(format="snapshot"|"json"|"prometheus")`.
 * **EXPLAIN** — `obs.explain(fn, *args)` runs one call under a plain
   telemetry collector and returns an `ExplainReport`: one row per
-  executed `OpPlan` — its op record plus the decisions that led to it —
-  with route (direct/tiled), backend, SpGEMM method / mxv direction,
+  executed `OpPlan`, which is the dispatcher's op record itself: route
+  (direct/tiled), backend, the SpGEMM method or mxv direction that ran,
   estimated vs actual result bytes, kernel tier and cache outcome,
   tile/spill counts, and wall time — so "why was this op slow" is
-  answerable without a trace viewer.  The same op records feed the
+  answerable without a trace viewer.  `max_events=n` keeps the first
+  `n` events of the call, nested in an outer collector or not, and
+  counts the rest in `report.dropped`.  The same op records feed the
   **slow-op log** (`obs.slow_ops()`, a bounded min-heap of the worst
   plans; lowering its capacity drops the fastest; threshold, capacity
-  and the other `obs.*` tunables are in [Configuration](#configuration)).
+  and the other `obs.*` tunables are in [Configuration](#configuration)):
+  a plan's slow-op record and its EXPLAIN record are the same dict, up
+  to the timing stamps.
 
 ```python
 from repro import obs

@@ -3,10 +3,11 @@
 # stream on (SuiteSparse GxB_BURBLE-style), then a Chrome trace written to
 # /tmp/repro_trace.json (open in chrome://tracing or ui.perfetto.dev).
 #
-# The burble shows every engine decision as it happens — push/pull
-# direction per BFS level with the frontier sparsity behind the switch,
-# SpGEMM method selection, zombie/pending assembly — and the trace holds
-# the same events on a timeline.
+# The burble shows one line per operation as it runs — each mxv/vxm line
+# names the push/pull direction per BFS level with the frontier density
+# behind the switch, each mxm line its SpGEMM method — plus early exits
+# and zombie/pending assembly, and the trace holds the same events on a
+# timeline.
 #
 # Usage:  scripts/run_telemetry_demo.sh [--scale N] [-o trace.json]
 set -eu

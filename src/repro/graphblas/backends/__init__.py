@@ -11,7 +11,7 @@ and a kernel half served by a :class:`KernelBackend`.  Three engines ship:
     :mod:`repro.graphblas.compiled` (true terminal-monoid early exit)
     whenever a toolchain resolved and the plan's class has a template —
     one memoised :func:`~repro.graphblas.compiled.select` per class —
-    and vectorized NumPy kernels otherwise.  ``plan.kernel`` records
+    and vectorized NumPy kernels otherwise.  ``plan.chosen`` records
     which tier ran.  The name ``compiled`` resolves to this engine too
     (warning once when no toolchain is usable).
 ``reference``
@@ -269,13 +269,15 @@ def _execute(plan: OpPlan, route: str, backend_name: str, kernel):
     """Run ``kernel(plan)``; while telemetry is on, record the op once.
 
     The one ``op`` record per executed plan, named ``plan.op``: kernel
-    wall time, output nvals, the serving backend and dispatch route, the
-    kernel tier that ran and this plan's own compiled-kernel cache
-    outcome (read off the plan, never a difference of process-global
-    counters, so concurrent plans cannot absorb each other's compiles),
-    the SpGEMM method, estimated vs actual result bytes and the
-    governor's admission verdict.  The collector, burble, Chrome trace,
-    metrics sink, slow-op log and :func:`repro.obs.explain` all read it.
+    wall time, output nvals, the serving backend and dispatch route,
+    what the kernel chose and did (``plan.chosen``: the kernel tier with
+    this plan's own compiled-kernel cache outcome and toolchain, the
+    SpGEMM method or push/pull direction that ran, the tiled route's
+    tile size and spill traffic — read off the plan, so concurrent plans
+    cannot absorb each other's), estimated vs actual result bytes and
+    the governor's admission verdict.  The collector, burble, Chrome
+    trace, metrics sink, slow-op log and :func:`repro.obs.explain` all
+    read it.
     """
     if not telemetry.ENABLED:
         return kernel(plan)
@@ -283,14 +285,7 @@ def _execute(plan: OpPlan, route: str, backend_name: str, kernel):
     out = kernel(plan)
     seconds = time.perf_counter() - t0
     nvals = _out_nvals(out)
-    fields = {"backend": backend_name, "route": route}
-    if plan.kernel is not None:
-        fields["kernel"] = plan.kernel
-        if plan.kernel == "compiled":
-            fields["kernel_cache"] = plan.selection[1]
-    method = plan.params.get("method")
-    if method is not None:
-        fields["method"] = method
+    fields = {"backend": backend_name, "route": route, **plan.chosen}
     est = plan.params.get("est_bytes")
     if est is not None:
         fields["est_bytes"] = int(est)

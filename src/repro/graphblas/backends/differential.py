@@ -6,7 +6,7 @@ two on random inputs.  This backend turns that offline methodology into
 a runtime engine: every dispatched :class:`~repro.graphblas.plan.OpPlan`
 executes on the ``optimized`` engine — the one production dispatch
 runs, so its compiled kernels wherever ``compiled.select`` picks them
-and NumPy elsewhere (``plan.kernel`` says which) — and, when the
+and NumPy elsewhere (``plan.chosen`` says which) — and, when the
 operation is small enough to afford a dense replay, the same plan is
 re-run through the ``reference`` kernels on snapshots of the inputs
 taken *before* the optimized engine mutated the output.  Any

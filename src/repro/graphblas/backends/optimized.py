@@ -6,7 +6,8 @@ selection, push/pull direction-optimized mxv, vectorized eWise merges via
 sorted-coordinate matching, and segment-folded reductions.  ``mxm``,
 ``mxv`` and ``vxm`` run the compiled kernels whenever
 :func:`repro.graphblas.compiled.select` returns a kernel set for the
-plan, and the NumPy kernels otherwise; ``plan.kernel`` records which.
+plan, and the NumPy kernels otherwise.  ``plan.chosen`` records which
+tier ran, and the SpGEMM method or push/pull direction.
 Every method consumes a resolved :class:`~repro.graphblas.plan.OpPlan`
 and finishes through the shared accum-then-mask write step in
 :mod:`repro.graphblas.mask`.
@@ -116,11 +117,11 @@ class OptimizedBackend(KernelBackend):
         if plan.mask is not None and not d.complement_mask:
             mask_hint = mask_true_coords(plan.mask, d)
         kernels = compiled.select(plan)
-        plan.kernel = "numpy" if kernels is None else "compiled"
-        method = plan.params["method"]
+        method = plan.chosen["method"] = pick_method(
+            plan.params["method"], sr, mask_hint is not None, False, kernels)
         # build only the view of B the method reads: its columns for dot
         # (free for a transposed B), its rows otherwise
-        if pick_method(method, sr, mask_hint is not None, False, kernels) == "dot":
+        if method == "dot":
             b = B.by_row().transposed() if d.transpose_b else B.by_col()
         else:
             b = B.by_col().transposed() if d.transpose_b else B.by_row()
@@ -154,17 +155,13 @@ class OptimizedBackend(KernelBackend):
         A, u = plan.args if is_mxv else (plan.args[1], plan.args[0])
         w, d, sr = plan.out, plan.desc, plan.operator
         transposed = p["transposed"]
-        method, optimizer = p["method"], p["optimizer"]
-
         method = _mxv_mod.choose_direction(
-            method, u, optimizer, op_name="mxv" if is_mxv else "vxm"
-        )
+            p["method"], u, p["optimizer"], plan.chosen)
 
         if governor.ACTIVE:
             # direction boundary: poll before the push/pull kernel runs
             governor.poll()
         kernels = compiled.select(plan)
-        plan.kernel = "numpy" if kernels is None else "compiled"
         if method == "push":
             store = A.by_row() if transposed else A.by_col()
             u_idx, u_vals = u.extract_tuples()

@@ -23,10 +23,10 @@ see which ran.
   resolved toolchain), declines included; no size cut, so a tiled and
   an in-memory run of one product always agree.  :func:`select` applies
   it to a plan, a direct tiled call to its operands.  The memo is the
-  only kernel cache (LRU of :data:`CACHE_SIZE` classes).  Builds emit
-  ``compiled.kernel`` telemetry (``event="compile"`` with wall seconds,
-  ``event="hit"`` on a memo hit) that feeds the
-  ``graphblas_compile_seconds`` histogram.
+  only kernel cache (LRU of :data:`CACHE_SIZE` classes).  A build emits
+  ``compiled.kernel`` telemetry (``event="compile"`` with wall seconds)
+  that feeds the ``graphblas_compile_seconds`` histogram; a plan's own
+  cache outcome (``hit`` or ``built``) rides on its op record.
 * :func:`cache_stats` — hits/misses(builds)/declined/evictions/size/
   capacity plus cumulative compile seconds, surfaced as obs gauges.
 * Tunables are the ``compiled`` rows of :mod:`repro.graphblas.options`
@@ -167,8 +167,10 @@ def select(plan) -> KernelSet | None:
 
     Resolved once per plan and kept on it (``plan.selection`` holds the
     kernel set and this plan's memo outcome, ``"hit"`` or ``"built"``, or
-    ``"declined"``), so every backend and the dispatcher's op record see
-    the same choice.  The choice itself is :func:`select_class`.
+    ``"declined"``), so every backend sees the same choice; the tier
+    that runs, and for a compiled one its cache outcome and toolchain,
+    go into ``plan.chosen`` for the dispatcher's op record.  The choice
+    itself is :func:`select_class`.
     """
     sel = plan.selection
     if sel is None:
@@ -184,6 +186,12 @@ def select(plan) -> KernelSet | None:
                 plan.operator, a.dtype, b.dtype, plan.out_type, span,
                 heap=op == "mxm" and plan.params.get("method") == "heap")
         plan.selection = sel
+        kern, outcome = sel
+        if kern is None:
+            plan.chosen["kernel"] = "numpy"
+        else:
+            plan.chosen.update(kernel="compiled", kernel_cache=outcome,
+                               toolchain=kern.toolchain)
     return sel[0]
 
 
@@ -231,12 +239,7 @@ def _memo_hit(key) -> tuple | None:
             return None
         _memo.entries.move_to_end(key)
         _memo.hits += 1
-    if kern is None:
-        return _DECLINED
-    if telemetry.ENABLED:
-        telemetry.decision("compiled.kernel", event="hit",
-                           toolchain=kern.toolchain, kernel=str(kern.spec))
-    return kern, "hit"
+    return _DECLINED if kern is None else (kern, "hit")
 
 
 def _resolve(key, sr, a, b, out, tc) -> tuple:

@@ -317,12 +317,6 @@ class ExecutionContext:
         """Trip this context's cancellation token (any thread may call)."""
         self.token.cancel(reason)
 
-    def remaining_seconds(self) -> float | None:
-        """Seconds until the deadline (None = no deadline)."""
-        if self.deadline_at is None:
-            return None
-        return self.deadline_at - time.monotonic()
-
     # -- enforcement --------------------------------------------------------
 
     def check(self) -> None:
@@ -357,9 +351,7 @@ class ExecutionContext:
         plan.params["est_bytes"] = est
         if est <= self.memory_budget:
             self.stats["admitted"] += 1
-            if telemetry.ENABLED:
-                telemetry.decision("governor.admit", op=plan.op, est_bytes=est)
-            return
+            return  # the dispatcher's op record carries admission="admitted"
         if plan.op in _TILEABLE and self.spill_enabled():
             plan.params["governor_tiled"] = True
             self.stats["tiled"] += 1

@@ -52,8 +52,7 @@ from .ops import BinaryOp
 from .semiring import Semiring
 from .types import Type
 
-__all__ = ["mxm_coo", "pick_method", "resolve_method", "dot_candidates",
-           "MXM_METHODS"]
+__all__ = ["mxm_coo", "pick_method", "dot_candidates", "MXM_METHODS"]
 
 _INDEX = np.int64
 
@@ -128,36 +127,6 @@ def pick_method(
     return method
 
 
-def resolve_method(
-    method: str,
-    semiring: Semiring,
-    mask_coords,
-    mask_complement: bool,
-    a_rows: SparseStore,
-    b: SparseStore,
-    kernels=None,
-) -> str:
-    """:func:`pick_method`, recorded: the ``spgemm.method`` telemetry
-    decision and the governor poll every backend's SpGEMM passes."""
-    requested = method
-    method = pick_method(method, semiring, mask_coords is not None,
-                         mask_complement, kernels)
-    if telemetry.ENABLED:
-        telemetry.decision(
-            "spgemm.method",
-            method=method,
-            requested=requested,
-            masked=mask_coords is not None,
-            a_nvals=a_rows.nvals,
-            b_nvals=b.nvals,
-        )
-    if governor.ACTIVE:
-        # SpGEMM method boundary: last cooperative cancellation point
-        # before the expansion kernels allocate their working set.
-        governor.poll()
-    return method
-
-
 def mxm_coo(
     a_rows: SparseStore,
     b: SparseStore,
@@ -203,10 +172,12 @@ def mxm_coo(
         raise InvalidValue(f"unknown mxm method {method!r}")
     if faults.ENABLED:
         faults.trip("spgemm.flop")
-    method = resolve_method(
-        method, semiring, mask_coords, mask_complement, a_rows, b,
-        kernels=kernels,
-    )
+    method = pick_method(method, semiring, mask_coords is not None,
+                         mask_complement, kernels)
+    if governor.ACTIVE:
+        # SpGEMM method boundary: last cooperative cancellation point
+        # before the expansion kernels allocate their working set.
+        governor.poll()
     if b_by_col != (method == "dot"):
         raise InvalidValue(
             f"the {method} method reads B by "

@@ -337,50 +337,31 @@ def spmv_pull(
     return _pull_block(0, major.size, major, vals, add, out_type)
 
 
-def choose_direction(method: str, u, optimizer, *, op_name: str) -> str:
+def choose_direction(method: str, u, optimizer, chosen: dict) -> str:
     """Resolve a matvec plan's method to ``push`` or ``pull``.
 
-    The one direction-choice policy shared by every kernel backend
-    (optimized and compiled both route through here, so their
-    ``mxv.direction`` telemetry and hysteresis state are identical):
+    The one direction-choice policy every kernel backend shares:
     ``tiled`` degrades to the bit-identical in-memory ``pull``;
     ``auto`` applies the GraphBLAST density rule — through the plan's
     :class:`DirectionOptimizer` when the caller is iterating, the
-    module threshold otherwise; explicit directions pass through.
+    module threshold otherwise; explicit directions pass through.  The
+    direction goes into ``chosen`` (the plan's op-record fields) as
+    ``method``, with the ``density`` and ``threshold`` behind an
+    ``auto`` choice.
     """
     if method == "tiled":
         method = "pull"
     if method == "auto":
         density = u.nvals / u.size
-        threshold = (
-            optimizer.threshold
-            if optimizer is not None
-            else get_switch_threshold()
-        )
         if optimizer is not None:
+            threshold = optimizer.threshold
             method = optimizer.choose(density)
         else:
+            threshold = get_switch_threshold()
             method = "push" if density <= threshold else "pull"
-        if telemetry.ENABLED:
-            telemetry.decision(
-                "mxv.direction",
-                op=op_name,
-                direction=method,
-                density=density,
-                threshold=threshold,
-                frontier_nvals=u.nvals,
-                size=u.size,
-                hysteresis=optimizer is not None,
-            )
-    elif telemetry.ENABLED:
-        telemetry.decision(
-            "mxv.direction",
-            op=op_name,
-            direction=method,
-            forced=True,
-            frontier_nvals=u.nvals,
-            size=u.size,
-        )
+        chosen.update(method=method, density=density, threshold=threshold)
+    else:
+        chosen["method"] = method
     return method
 
 

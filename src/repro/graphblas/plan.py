@@ -279,9 +279,15 @@ class OpPlan:
         This plan's compiled-tier choice, ``(kernel set | None, outcome)``
         with outcome ``"hit"``, ``"built"`` or ``"declined"``; set by
         :func:`repro.graphblas.compiled.select` on first use.
-    kernel:
-        The kernel tier that ran the plan, ``"compiled"`` or ``"numpy"``
-        (None for ops without a tier choice).
+    chosen:
+        What the engine chose and did for this plan, as fields of its
+        ``op`` record: the kernel tier (``kernel``, with ``kernel_cache``
+        and ``toolchain`` when compiled), the SpGEMM ``method`` or
+        push/pull direction that ran (with the ``density`` and
+        ``threshold`` behind an ``auto`` direction), and for the tiled
+        route its ``tile_dim`` and spill-pool counts.  Written by the
+        code that makes each choice; :mod:`repro.graphblas.backends`
+        emits it.
     """
 
     op: str
@@ -294,7 +300,7 @@ class OpPlan:
     out_type: Type | None = None
     params: dict = field(default_factory=dict)
     selection: tuple | None = None
-    kernel: str | None = None
+    chosen: dict = field(default_factory=dict)
 
 
 def _admitted(*args, **kwargs) -> OpPlan:

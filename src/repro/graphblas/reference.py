@@ -118,10 +118,6 @@ class RefVector:
     def from_vector(cls, v: Vector) -> "RefVector":
         return cls(v.to_dense(), v.pattern(), v.dtype)
 
-    def to_vector(self) -> Vector:
-        (idx,) = np.nonzero(self.pattern)
-        return Vector.from_coo(idx, self.vals[idx], size=self.vals.size, dtype=self.dtype)
-
     @property
     def size(self):
         return self.vals.size

@@ -11,17 +11,19 @@ and ``GxB_Global`` diagnostics, makes every one of them observable:
   each Table-I call's kernel and emits one ``op`` record named after the
   plan's op (``mxm``, ``ewise_add``, ``reduce_scalar``, ...) carrying the
   kernel's wall time, output nvals, the ``backend`` that served it, the
-  dispatch ``route`` (``direct`` or governor ``tiled``), the kernel
-  tier, SpGEMM method, estimated vs actual result bytes and the
-  governor's admission verdict.  The per-thread :class:`Collector`
-  folds it into per-op counters next to the flop estimates (mxm/mxv)
-  and bytes moved (import/export and file I/O) the kernels tally;
-* **decision events** — the engine reports *why* it chose what it chose:
-  SpGEMM method (Gustavson/dot/heap), push vs pull with the frontier
-  density behind the switch, early-exit dot-product terminations, format
+  dispatch ``route`` (``direct`` or governor ``tiled``), what the plan
+  chose — kernel tier and toolchain, the SpGEMM ``method`` that ran
+  (Gustavson/dot/heap) or the push/pull direction with the frontier
+  ``density`` and ``threshold`` behind it, a tiled plan's tile size and
+  spill traffic — estimated vs actual result bytes and the governor's
+  admission verdict.  The per-thread :class:`Collector` folds it into
+  per-op counters next to the flop estimates (mxm/mxv) and bytes moved
+  (import/export and file I/O) the kernels tally;
+* **decision events** — what happens inside a kernel or outside any
+  plan: early-exit dot-product terminations, kernel compiles, format
   (CSR/CSC/hypersparse) selections, zombie/pending-tuple assemblies
-  with counts, governor verdicts, and the ``differential`` engine's
-  verify/skip/divergence events;
+  with counts, governor rejections, cancellations and spill I/O, and
+  the ``differential`` engine's verify/skip/divergence events;
 * **spans** — LAGraph algorithms wrap themselves in named spans and emit
   per-iteration records (e.g. BFS frontier size per level);
 * **sinks** — a human-readable burble stream, a structured
@@ -35,7 +37,7 @@ Instrumented sites reuse the module-attribute fast path proven by
 :mod:`repro.graphblas.faults` (~40 ns when disabled)::
 
     if telemetry.ENABLED:
-        telemetry.decision("mxv.direction", direction="push", density=d)
+        telemetry.decision("mxv.early_exit", terminated=n)
 
 With no collector attached the guard is one module-attribute read per
 *operation* (never per element); ``benchmarks/bench_telemetry_overhead.py``
@@ -302,12 +304,14 @@ class Collector:
         """Structured, JSON-serializable view of everything collected."""
         decisions: dict[str, int] = {}
         spans: dict[str, dict] = {}
-        tiled = 0
+        admit = tiled = 0  # governor verdicts on the op records
         for ev in self.events:
             if ev["type"] == "decision":
                 decisions[ev["name"]] = decisions.get(ev["name"], 0) + 1
             elif ev["type"] == "op":
-                tiled += ev["args"].get("route") == "tiled"
+                admission = ev["args"].get("admission")
+                admit += admission == "admitted"
+                tiled += admission == "tiled"
             elif ev["type"] == "span":
                 agg = spans.setdefault(ev["name"], {"count": 0, "seconds": 0.0})
                 agg["count"] += 1
@@ -327,6 +331,8 @@ class Collector:
             for name, count in decisions.items()
             if name.startswith("governor.")
         }
+        if admit:
+            gov["admit"] = admit
         if tiled:
             gov["tiled"] = tiled
         if gov:
@@ -543,7 +549,8 @@ def collect(burble: bool = False, stream=None, max_events: int = MAX_EVENTS):
 
     Yields the :class:`Collector`; on exit the collector is detached but
     still readable (``snapshot()``, ``chrome_trace()``).  Nested use
-    reuses the outer collector, applies this block's ``burble``/
+    reuses the outer collector — its event buffer, so this block's
+    ``max_events`` does not apply — applies this block's ``burble``/
     ``stream`` for its duration, and on exit leaves the outer collector
     attached with its own settings back.
     """

@@ -832,30 +832,6 @@ def _plan_tile_dim(plan, n_major, n_minor) -> int:
                            budget)
 
 
-def _select(plan) -> None:
-    """Choose the plan's kernels once, as the in-memory backend does, so
-    the op record and EXPLAIN report the tier every chunk ran on."""
-    plan.kernel = "numpy" if compiled.select(plan) is None else "compiled"
-
-
-def _report_pool(pool: SpillPool, op: str) -> None:
-    """One ``governor.pool`` decision summarizing a plan's spill traffic.
-
-    Pools are per-plan and closed immediately after use, so this is the
-    record EXPLAIN reports and the metrics registry aggregate from —
-    emitted before ``close()`` while the stats are still meaningful.
-    """
-    if not telemetry.ENABLED:
-        return
-    st = pool.stats
-    telemetry.decision(
-        "governor.pool", op=op, tiles=st["tiles"], spills=st["spills"],
-        reloads=st["reloads"], evictions=st["evictions"],
-        spilled_bytes=st["spilled_bytes"], reloaded_bytes=st["reloaded_bytes"],
-        resident_bytes=pool.resident_bytes, budget=pool.budget,
-    )
-
-
 def execute(plan):
     """Serve a plan the governor re-planned as tiled (or an explicit
     ``method="tiled"`` request).  Called by the backend dispatcher."""
@@ -874,12 +850,9 @@ def _execute_mxm(plan):
     a_rows = A.by_col().transposed() if d.transpose_a else A.by_row()
     b_rows = B.by_col().transposed() if d.transpose_b else B.by_row()
     td = _plan_tile_dim(plan, a_rows.n_major, b_rows.n_minor)
-    if telemetry.ENABLED:
-        telemetry.decision(
-            "governor.tile_plan", op="mxm", tile_dim=td,
-            est_bytes=plan.params.get("est_bytes"),
-        )
-    _select(plan)
+    # the op record names the tier and method every chunk runs on
+    compiled.select(plan)
+    plan.chosen.update(method="gustavson", tile_dim=td)
     pool = _spill_pool_for(plan)
     try:
         A_t = TiledMatrix.from_store(a_rows, td, pool, dtype=A.dtype)
@@ -891,7 +864,7 @@ def _execute_mxm(plan):
                         nthreads=d.nthreads, selection=plan.selection)
         tr, tc, tv = C_t.to_coo()
     finally:
-        _report_pool(pool, "mxm")
+        plan.chosen.update(pool.stats)  # the pool's traffic, before close
         pool.close()
     return write_matrix(
         C, tr, tc, tv, mask=plan.mask, accum=plan.accum, desc=d,
@@ -909,12 +882,8 @@ def _execute_matvec(plan):
     w, d, sr = plan.out, plan.desc, plan.operator
     store = A.by_col().transposed() if p["transposed"] else A.by_row()
     td = _plan_tile_dim(plan, store.n_major, store.n_minor)
-    if telemetry.ENABLED:
-        telemetry.decision(
-            "governor.tile_plan", op="mxv" if is_mxv else "vxm", tile_dim=td,
-            est_bytes=p.get("est_bytes"),
-        )
-    _select(plan)
+    compiled.select(plan)
+    plan.chosen.update(method="pull", tile_dim=td)
     pool = _spill_pool_for(plan)
     try:
         A_t = TiledMatrix.from_store(store, td, pool, dtype=A.dtype)
@@ -922,6 +891,6 @@ def _execute_matvec(plan):
                            matrix_first=is_mxv, nthreads=d.nthreads,
                            selection=plan.selection)
     finally:
-        _report_pool(pool, "mxv" if is_mxv else "vxm")
+        plan.chosen.update(pool.stats)
         pool.close()
     return write_vector(w, ti, tv, mask=plan.mask, accum=plan.accum, desc=d)

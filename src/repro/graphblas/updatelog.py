@@ -364,10 +364,6 @@ class DeltaBatch:
         """Sorted unique row indices this window wrote or deleted at."""
         return np.unique(np.concatenate([self.ins_rows, self.del_rows]))
 
-    def touched_cols(self) -> np.ndarray:
-        """Sorted unique column indices this window wrote or deleted at."""
-        return np.unique(np.concatenate([self.ins_cols, self.del_cols]))
-
     def as_matrix(self):
         """The surviving insertions as a hypersparse Matrix (the window's
         delta block, per arXiv 2509.18984)."""

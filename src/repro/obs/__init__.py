@@ -8,17 +8,19 @@ and per-plan profiles:
 
 * :func:`enable` installs a :class:`~repro.obs.sink.MetricsSink` into
   the telemetry fan-out; from then on every instrumented site in the
-  engine (the dispatcher's one ``op`` record per executed plan,
-  SpGEMM/push-pull decisions, governor verdicts, spill traffic) feeds
-  the process-wide :class:`~repro.obs.registry.MetricsRegistry` from all
+  engine (the dispatcher's one ``op`` record per executed plan, with
+  the SpGEMM method or push/pull direction it ran; kernel compiles,
+  governor events, spill traffic) feeds the process-wide :class:`~repro.obs.registry.MetricsRegistry` from all
   threads, with or without per-thread collectors.
 * :func:`prometheus_text` / :func:`json_snapshot` / :func:`start_emitter`
   expose the registry (Prometheus scrape format, structured JSON, and a
   periodic JSON log line).
 * :func:`explain` profiles one callable into a per-OpPlan report —
-  route, backend, estimated vs actual bytes, kernel-cache and spill
-  activity — and :func:`slow_ops` returns the N slowest plans seen
-  since enable (ring-buffered with their full EXPLAIN records).
+  route, backend, method, estimated vs actual bytes, kernel-cache and
+  spill activity — and :func:`slow_ops` returns the N slowest plans
+  seen since enable.  Both hold the dispatcher's op record itself, so
+  a plan's EXPLAIN record and its slow-op record are the same dict
+  (up to timing stamps).
 
 The tunables are the ``obs`` rows of
 :mod:`repro.graphblas.options` — ``enabled`` (``GRAPHBLAS_OBS=on``
@@ -260,8 +262,9 @@ def stop_emitter(*, final_emit: bool = False) -> None:
 # -- slow-op log --------------------------------------------------------------
 
 def slow_ops() -> list[dict]:
-    """The retained slowest plan records (slowest first), with their
-    EXPLAIN fields (route, backend, est/actual bytes, spills, ...)."""
+    """The retained slowest plan records (slowest first): each the op
+    record EXPLAIN reports (route, backend, method, est/actual bytes,
+    spills, ...) plus its ``wall_time``."""
     return _slow_log.records()
 
 

@@ -1,31 +1,25 @@
 """EXPLAIN/profile: per-OpPlan execution reports for any op or algorithm.
 
-``obs.explain(fn)`` runs ``fn`` under a telemetry collector, then
-correlates the event stream into one record per executed
-:class:`~repro.graphblas.plan.OpPlan` — the dispatcher's ``op`` record
-(the same one the collector, burble, trace and metrics read) plus the
-decisions that led to it:
+``obs.explain(fn)`` runs ``fn`` under a telemetry collector and reports
+one record per executed :class:`~repro.graphblas.plan.OpPlan`: the
+dispatcher's ``op`` record itself (the same one the collector, burble,
+trace, metrics sink and slow-op log read), which says
 
 * the **dispatch route** — which backend served it, or the governor's
   ``tiled`` spill re-plan of an over-budget plan;
 * the **admission verdict** with estimated vs actual result bytes, so
   the governor's footprint model is auditable against reality;
 * **engine activity** — the kernel tier that ran (``compiled`` or
-  ``numpy``), SpGEMM method, push/pull direction, and the plan's own
-  compiled-kernel cache outcome (the ``cmp`` column: ``hit`` or
-  ``built``, with the toolchain);
-* **spill traffic** — tiles, spills, reloads, and bytes through the
-  plan's :class:`~repro.graphblas.tiled.SpillPool`;
+  ``numpy``), the SpGEMM method or push/pull direction that ran, and
+  the plan's own compiled-kernel cache outcome (the ``cmp`` column:
+  ``hit`` or ``built``, with the toolchain);
+* **spill traffic** — tile size, tiles, spills, reloads, and bytes
+  through the plan's :class:`~repro.graphblas.tiled.SpillPool`;
 * **wall time**, kernel-only (the dispatcher's measurement).
 
-The correlation needs no plan IDs: telemetry events are appended in
-program order by the executing thread, and every decision belonging to a
-plan (admission, tile planning, method selection, pool summary) is
-emitted before that plan's ``op`` record, so a single in-order sweep
-attributes each pending decision to the next completed plan.
-
-The report renders as an aligned text table (``str(report)``) and a
-machine-readable dict (``report.as_dict()``); algorithm spans and
+A record made inside a ``stream.window`` span also gets that window's
+index.  The report renders as an aligned text table (``str(report)``)
+and a machine-readable dict (``report.as_dict()``); algorithm spans and
 per-name op totals ride along as secondary tables.
 """
 
@@ -35,36 +29,9 @@ from ..graphblas import telemetry
 
 __all__ = ["explain", "ExplainReport"]
 
-# fields lifted from each pool summary folded into the next plan record
-_POOL_FIELDS = ("tiles", "spills", "reloads", "evictions",
-                "spilled_bytes", "reloaded_bytes")
-
-
-def _fold(record: dict, pending: list) -> dict:
-    """Attach the pending pre-dispatch decisions to one plan record."""
-    for kind, args in pending:
-        if kind == "governor.pool":
-            for f in _POOL_FIELDS:
-                if f in args:
-                    record[f] = record.get(f, 0) + int(args[f])
-        elif kind == "governor.tile_plan":
-            record["tile_dim"] = args.get("tile_dim")
-        elif kind == "spgemm.method":
-            record.setdefault("method", args.get("method"))
-        elif kind == "mxv.direction":
-            record["direction"] = args.get("direction")
-        elif kind == "governor.admit":
-            record.setdefault("est_bytes", args.get("est_bytes"))
-        elif kind == "engine.workers":
-            record["workers"] = args.get("admitted")
-        elif kind == "compiled.kernel":
-            record["compiled_toolchain"] = args.get("toolchain")
-    return record
-
 
 def _build_records(events: list[dict]) -> tuple[list[dict], dict, dict]:
     plans: list[dict] = []
-    pending: list = []
     ops: dict[str, dict] = {}
     spans: dict[str, dict] = {}
     # plans that start inside a stream.window span's time range belong
@@ -75,18 +42,14 @@ def _build_records(events: list[dict]) -> tuple[list[dict], dict, dict]:
         etype = ev["type"]
         name = ev["name"]
         args = ev.get("args", {})
-        if etype == "decision":
-            pending.append((name, args))
-        elif etype == "op":
+        if etype == "op":
             seconds = ev.get("dur", 0.0) / 1e6
             agg = ops.setdefault(name, {"calls": 0, "seconds": 0.0})
             agg["calls"] += 1
             agg["seconds"] += seconds
             if "route" in args:  # an executed plan, not a bare wait timer
-                plans.append(_fold({"op": name, "seconds": seconds, **args},
-                                   pending))
+                plans.append({"op": name, "seconds": seconds, **args})
                 plan_ts.append(ev.get("ts", 0.0))
-                pending = []
         elif etype == "span":
             agg = spans.setdefault(name, {"count": 0, "seconds": 0.0})
             agg["count"] += 1
@@ -127,21 +90,24 @@ class ExplainReport:
 
     ``records`` holds one dict per executed plan (dispatch order);
     ``ops`` and ``spans`` total the op records and algorithm spans by
-    name; ``result`` is whatever the profiled callable
-    returned.  ``str(report)`` renders the aligned tables.
+    name; ``dropped`` counts the events of the call past ``max_events``,
+    which the report does not see; ``result`` is whatever the profiled
+    callable returned.  ``str(report)`` renders the aligned tables.
     """
 
-    def __init__(self, records, ops, spans, result):
+    def __init__(self, records, ops, spans, result, dropped=0):
         self.records = records
         self.ops = ops
         self.spans = spans
         self.result = result
+        self.dropped = dropped
 
     def as_dict(self) -> dict:
         return {
             "plans": [dict(r) for r in self.records],
             "ops": {k: dict(v) for k, v in self.ops.items()},
             "spans": {k: dict(v) for k, v in self.spans.items()},
+            "dropped": self.dropped,
         }
 
     def text(self) -> str:
@@ -157,15 +123,13 @@ class ExplainReport:
             for i, r in enumerate(self.records):
                 cmp_cell = "-"
                 if "kernel_cache" in r:
-                    cmp_cell = r["kernel_cache"]
-                    if r.get("compiled_toolchain"):
-                        cmp_cell += f"/{r['compiled_toolchain']}"
+                    cmp_cell = f"{r['kernel_cache']}/{r['toolchain']}"
                 rows.append([
                     str(i),
                     str(r.get("op", "?")),
                     str(r.get("route", "direct")),
                     str(r.get("backend", "-")),
-                    str(r.get("method") or r.get("direction") or "-"),
+                    str(r.get("method", "-")),
                     f"{r.get('seconds', 0.0) * 1e3:.3f}",
                     _fmt_bytes(r.get("est_bytes")),
                     _fmt_bytes(r.get("actual_bytes")),
@@ -181,6 +145,8 @@ class ExplainReport:
             parts.append("EXPLAIN: executed plans\n" + _table(headers, rows))
         else:
             parts.append("EXPLAIN: no plans executed")
+        if self.dropped:
+            parts.append(f"{self.dropped} events dropped past max_events")
         if self.spans:
             rows = [
                 [name, str(v["count"]), f"{v['seconds'] * 1e3:.3f}"]
@@ -209,7 +175,9 @@ def explain(fn, *args, max_events: int | None = None, **kwargs) -> ExplainReport
     is a plain telemetry collector.  Nested inside an outer telemetry
     ``collect`` the outer collector keeps every event (and its burble
     settings once this returns); the report is built only from those
-    recorded during this call.
+    recorded during this call.  Either way it sees at most
+    ``max_events`` of them, the first, and counts the rest in
+    ``report.dropped``.
 
     ::
 
@@ -219,8 +187,14 @@ def explain(fn, *args, max_events: int | None = None, **kwargs) -> ExplainReport
     """
     kw = {} if max_events is None else {"max_events": max_events}
     with telemetry.collect(**kw) as col:
-        start = len(col.events)
+        start, dropped = len(col.events), col.dropped
         result = fn(*args, **kwargs)
-        events = list(col.events[start:])
+        events = col.events[start:]
+        dropped = col.dropped - dropped
+    # a nested capture shares the outer collector's buffer, which does
+    # not stop at this call's max_events: cut it here
+    if max_events is not None and len(events) > max_events:
+        dropped += len(events) - max_events
+        del events[max_events:]
     plans, ops, spans = _build_records(events)
-    return ExplainReport(plans, ops, spans, result)
+    return ExplainReport(plans, ops, spans, result, dropped)

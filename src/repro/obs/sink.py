@@ -2,10 +2,11 @@
 
 :mod:`repro.graphblas.telemetry` already has every interesting site
 instrumented — one ``op`` record per executed Table-I plan (from the
-backend dispatcher), engine decisions (SpGEMM method, push/pull
-direction, kernel compiles, twin reuse), governor verdicts
-(admit/reject/retry/cancel), spill pool traffic — but it only delivers
-those records to a per-thread collector.
+backend dispatcher) carrying what the plan chose (SpGEMM method or
+push/pull direction, kernel tier and cache outcome, admission verdict),
+engine decisions (kernel compiles, early exits, twin reuse), governor
+events (reject/cancel/spill/reload) — but it only delivers those records
+to a per-thread collector.
 
 :class:`MetricsSink` is the second consumer: installed into the telemetry
 module by :func:`repro.obs.enable`, it receives the same stream (from
@@ -16,10 +17,11 @@ low-cardinality — op names, backend names, event kinds — never indices,
 tile keys, or paths.
 
 The sink also owns the **slow-op log**: a bounded min-heap of the N
-slowest plan records (the dispatcher's ``op`` records), each carrying
-its EXPLAIN fields — route, backend, kernel tier, estimated vs actual
-bytes, admission — so "what were my worst ops since startup" is one
-call, no trace replay needed.
+slowest plan records (the dispatcher's ``op`` records), each the same
+dict :func:`repro.obs.explain` reports for its plan — route, backend,
+kernel tier, method, estimated vs actual bytes, admission, spill
+traffic — so "what were my worst ops since startup" is one call, no
+trace replay needed.
 """
 
 from __future__ import annotations
@@ -199,6 +201,21 @@ class MetricsSink:
                 "graphblas_plan_bytes", int(actual),
                 _labels2("kind", "actual", "op", name),
             )
+        method = fields.get("method")
+        if method is not None:
+            if name == "mxm":
+                self.registry.counter_inc("graphblas_spgemm_method_total", 1,
+                                          _labels1("method", method))
+            else:
+                self.registry.counter_inc("graphblas_mxv_direction_total", 1,
+                                          _labels1("direction", method))
+        if fields.get("kernel_cache") == "hit":
+            self.registry.counter_inc(
+                "graphblas_compiled_kernel_events_total", 1,
+                _labels2("event", "hit", "toolchain", fields["toolchain"]))
+        if fields.get("admission") == "admitted":
+            self.registry.counter_inc("graphblas_governor_events_total", 1,
+                                      _labels1("event", "admit"))
         if seconds >= self.slow_log.threshold_s:
             record = {"op": name, "seconds": seconds, **fields,
                       "wall_time": time.time()}
@@ -256,14 +273,6 @@ class MetricsSink:
             if terminated:
                 inc("graphblas_early_exit_total", terminated,
                     _labels1("op", kind.split(".", 1)[0]))
-            return
-        if kind == "spgemm.method":
-            inc("graphblas_spgemm_method_total", 1,
-                _labels1("method", detail.get("method")))
-            return
-        if kind == "mxv.direction":
-            inc("graphblas_mxv_direction_total", 1,
-                _labels1("direction", detail.get("direction")))
             return
         if kind == "differential.divergence":
             inc("graphblas_differential_divergence_total", 1,

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from ..graphblas import Vector, telemetry
+from ..graphblas import telemetry
 from ..graphblas.formats import ragged_take
 from ..graphblas.updatelog import chain_net_edges
 from ..lagraph.centrality import pagerank
@@ -76,9 +76,6 @@ class DynamicPageRank:
     @property
     def ranks(self) -> np.ndarray | None:
         return self._p
-
-    def as_vector(self) -> Vector:
-        return Vector.from_dense(self._p, dtype="FP64")
 
     # -- the solver --------------------------------------------------------
 

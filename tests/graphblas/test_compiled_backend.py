@@ -281,11 +281,13 @@ class TestKernelCache:
             ops.mxm(Matrix(FP64, A.nrows, B.ncols), A, B, "PLUS_TIMES",
                     backend="compiled")
         evs = _decisions(col, "compiled.kernel")
-        events = [e["event"] for e in evs]
-        assert "compile" in events and "hit" in events
-        first_compile = next(e for e in evs if e["event"] == "compile")
-        assert first_compile["seconds"] >= 0.0
-        assert first_compile["toolchain"] == compiled.toolchain_name()
+        assert [e["event"] for e in evs] == ["compile"]  # one build
+        assert evs[0]["seconds"] >= 0.0
+        assert evs[0]["toolchain"] == compiled.toolchain_name()
+        # each plan's record says whether it built the class or hit it
+        recs = [e["args"] for e in col.events if e["type"] == "op"]
+        assert [r["kernel_cache"] for r in recs] == ["built", "hit"]
+        assert {r["toolchain"] for r in recs} == {compiled.toolchain_name()}
 
 
 @needs_tier
@@ -436,7 +438,8 @@ class TestParity:
         C2 = Matrix(FP64, A.nrows, B.ncols)
         with telemetry.collect() as col:
             ops.mxm(C1, A, B, "PLUS_TIMES", mask=M, backend="compiled")
-        assert "dot" in [e["method"] for e in _decisions(col, "spgemm.method")]
+        (rec,) = [e["args"] for e in col.events if e["type"] == "op"]
+        assert (rec["method"], rec["kernel"]) == ("dot", "compiled")
         with compiled.toolchain_off():
             ops.mxm(C2, A, B, "PLUS_TIMES", mask=M)
         r1, c1, v1 = C1.extract_tuples()

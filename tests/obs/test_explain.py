@@ -60,17 +60,53 @@ class TestExplainBasics:
         assert rep.result == 3
 
     def test_mxv_direction_shows_as_method(self):
-        A, _ = small_mats()
-        v = Vector.from_coo([0, 1], [1.0, 2.0], size=3, dtype=FP64)
+        """The record names the direction that ran and the density and
+        threshold behind it; the table prints it in the method column."""
+        rng = np.random.default_rng(3)
+        A, _, _ = random_matrix_np(rng, 100, 100, 0.05)
+        for nvals, direction in ((1, "push"), (40, "pull")):
+            v = Vector.from_coo(np.arange(nvals), np.ones(nvals), size=100,
+                                dtype=FP64)
+            rep = obs.explain(lambda: ops.mxv(Vector(FP64, 100), A, v))
+            (r,) = rep.records
+            assert r["op"] == "mxv"
+            assert r["method"] == direction
+            assert r["density"] == pytest.approx(nvals / 100)
+            assert r["threshold"] == pytest.approx(0.03)
+            row = rep.text().splitlines()[3].split()
+            assert row[1] == "mxv" and row[4] == direction
 
-        def run():
-            w = Vector(FP64, 3)
-            ops.mxv(w, A, v, "plus_times")
-
-        rep = obs.explain(run)
+    @pytest.mark.parametrize("masked, method", [(False, "gustavson"),
+                                                (True, "dot")])
+    def test_mxm_shows_the_method_that_ran(self, masked, method):
+        A, B = small_mats()
+        mask = A if masked else None
+        rep = obs.explain(lambda: ops.mxm(Matrix(FP64, 3, 3), A, B,
+                                          "plus_times", mask=mask))
         (r,) = rep.records
-        assert r["op"] == "mxv"
-        assert r.get("direction") in ("push", "pull", None) or r.get("method")
+        assert r["method"] == method
+        row = rep.text().splitlines()[3].split()
+        assert row[1] == "mxm" and row[4] == method
+        assert "auto" not in rep.text()
+
+    def test_max_events_bounds_the_capture_when_nested(self):
+        """``max_events`` bounds what one explain call keeps, whether or
+        not an outer collector is attached; the rest count as dropped."""
+        A, B = small_mats()
+
+        def three():
+            for _ in range(3):
+                ops.mxm(Matrix(FP64, 3, 3), A, B, "plus_times")
+
+        three()  # warm the kernel cache: one op record per call
+        alone = obs.explain(three, max_events=2)
+        with telemetry.collect() as col:
+            nested = obs.explain(three, max_events=2)
+        assert len(nested.records) == len(alone.records) == 2
+        assert nested.dropped == alone.dropped == 1
+        # the outer collector itself keeps every event
+        assert len([e for e in col.events if e["type"] == "op"]) == 3
+        assert "1 events dropped" in str(nested)
 
     def test_works_without_obs_enabled(self):
         assert not obs.enabled()
@@ -115,6 +151,45 @@ class TestExplainBasics:
             assert col.burble and col.stream is buf
         assert any("[mxm]" in ln for ln in first)
         assert any("[mxm]" in ln for ln in after)
+
+
+def _untimed(record):
+    return {k: v for k, v in record.items()
+            if k not in ("seconds", "wall_time")}
+
+
+class TestSlowOpIsExplainRecord:
+    """A plan's slow-op record and its EXPLAIN record are one dict, up to
+    the timing stamps."""
+
+    @pytest.mark.parametrize("case", ["mxm", "mxv", "tiled_mxm"])
+    def test_same_record(self, case, tmp_path):
+        rng = np.random.default_rng(5)
+        A, _, _ = random_matrix_np(rng, 60, 60, 0.2)
+        v = Vector.from_coo([3], [2.0], size=60, dtype=FP64)  # push
+
+        def run():
+            if case == "mxv":
+                ops.mxv(Vector(FP64, 60), A, v)
+            elif case == "mxm":
+                ops.mxm(Matrix(FP64, 60, 60), A, A, "plus_times")
+            else:
+                with capi.GxB_Context_new(memory_budget=1, spill=True,
+                                          spill_dir=str(tmp_path),
+                                          spill_budget=4096):
+                    ops.mxm(Matrix(FP64, 60, 60), A, A, "plus_times")
+
+        run()  # warm the kernel cache
+        obs.enable(slow_ms=0.0)
+        obs.clear_slow_ops()
+        rep = obs.explain(run)
+        (slow,) = obs.slow_ops()
+        (r,) = rep.records
+        assert _untimed(slow) == _untimed(r)
+        assert r["method"] in ("gustavson", "push")
+        if case == "tiled_mxm":
+            assert r["route"] == "tiled" and r["tile_dim"] > 0
+            assert r["spills"] > 0
 
 
 class TestExplainOverBudget:

@@ -23,8 +23,13 @@ _I = np.array([0, 2, 5])
 
 # every field the dispatcher's record may carry; the first group always
 ALWAYS = {"backend", "route", "admission"}
-FIELDS = ALWAYS | {"out_nvals", "kernel", "kernel_cache", "method",
-                   "est_bytes", "actual_bytes"}
+FIELDS = ALWAYS | {"out_nvals", "kernel", "kernel_cache", "toolchain",
+                   "method", "density", "threshold", "est_bytes",
+                   "actual_bytes", "tile_dim", "tiles", "spills", "reloads",
+                   "evictions", "spilled_bytes", "reloaded_bytes"}
+#: what the SpGEMM / push-pull choice may say ran
+METHODS = {"mxm": {"gustavson", "dot", "heap"},
+           "mxv": {"push", "pull"}, "vxm": {"push", "pull"}}
 
 
 def _operands():
@@ -93,6 +98,8 @@ def _record(events, op):
     assert args["admission"] == "ungoverned"
     assert ("out_nvals" in args) is (op != "reduce_scalar")
     assert ("kernel_cache" in args) is (args.get("kernel") == "compiled")
+    assert ("toolchain" in args) is (args.get("kernel") == "compiled")
+    assert args.get("method") in METHODS.get(op, {None})
     return rec
 
 
@@ -163,6 +170,9 @@ def test_governed_over_budget_mxm_is_one_tiled_record(tmp_path):
     assert (args["route"], args["backend"], args["admission"]) == (
         "tiled", "tiled", "tiled")
     assert args["est_bytes"] > 0 and args["actual_bytes"] > 0
+    assert args["method"] == "gustavson" and args["tile_dim"] > 0
+    assert args["tiles"] > 0
+    assert set(args) <= FIELDS
     assert col.snapshot()["governor"]["tiled"] == 1
     (route,) = obs.snapshot()["counters"]["graphblas_plan_route_total"]
     assert route["labels"]["route"] == "tiled" and route["value"] == 1

@@ -115,7 +115,8 @@ class TestDroppedEvents:
     def test_dropped_counter_reaches_registry(self):
         obs.enable()
         with telemetry.collect(max_events=2):
-            do_work()  # overflows the 2-event ring buffer
+            do_work()
+            do_work()  # four op records overflow the 2-event ring buffer
         snap = obs.snapshot()
         dropped = snap["counters"].get("graphblas_telemetry_dropped_total")
         assert dropped is not None

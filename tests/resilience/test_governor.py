@@ -362,4 +362,7 @@ class TestContext:
             with governor.ExecutionContext(memory_budget=1 << 30):
                 ops.mxm(C, A, B, "PLUS_TIMES")
             snap = col.snapshot()
-        assert snap["governor"]["admit"] >= 1
+        # counted from the op record's admission verdict
+        (rec,) = [e["args"] for e in col.events if e["type"] == "op"]
+        assert rec["admission"] == "admitted" and rec["est_bytes"] > 0
+        assert snap["governor"]["admit"] == 1

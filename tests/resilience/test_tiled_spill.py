@@ -625,9 +625,9 @@ class TestSpillTraffic:
                     memory_budget=1, spill_dir=tmp_path, spill_budget=0
                 ):
                     ops.mxm(C, X, Y, "PLUS_TIMES", desc=desc)
-            (plan_rec,) = _decisions(col, "governor.tile_plan")
-            (pool_rec,) = _decisions(col, "governor.pool")
-            return C, pool_rec["tiles"], plan_rec["tile_dim"]
+            (rec,) = [e["args"] for e in col.events if e["type"] == "op"]
+            assert rec["route"] == "tiled"
+            return C, rec["tiles"], rec["tile_dim"]
 
         C_same, tiles_same, td = governed(A, A)
         C_dup, tiles_dup, td_dup = governed(A, B)

@@ -82,53 +82,66 @@ class TestTableOneCounters:
         assert instrumented.isequal(plain)
 
 
+def _op_record(col, name):
+    """The one op record of ``name`` the block left."""
+    (rec,) = [e["args"] for e in col.events
+              if e["type"] == "op" and e["name"] == name]
+    return rec
+
+
 class TestDirectionDecisions:
+    """The direction that ran, and the numbers behind an ``auto`` choice,
+    ride on the mxv/vxm op record."""
+
     def test_auto_push_below_threshold(self):
         A = random_matrix(200, 200, 0.05, seed=4)
         u = Vector.from_coo([0], [1.0], size=200)  # density 1/200 << 0.03
         with telemetry.collect() as col:
             ops.mxv(Vector("FP64", 200), A, u)
-        ev = [e for e in col.events if e["name"] == "mxv.direction"][0]
-        assert ev["args"]["direction"] == "push"
-        assert ev["args"]["density"] == pytest.approx(1 / 200)
-        assert ev["args"]["threshold"] == pytest.approx(0.03)
-        assert ev["args"]["frontier_nvals"] == 1
+        rec = _op_record(col, "mxv")
+        assert rec["method"] == "push"
+        assert rec["density"] == pytest.approx(1 / 200)  # one frontier entry
+        assert rec["threshold"] == pytest.approx(0.03)
 
     def test_auto_pull_above_threshold(self, small):
         A, _, u = small  # density 0.2 > 0.03
         with telemetry.collect() as col:
             ops.mxv(Vector("FP64", 60), A, u)
-        ev = [e for e in col.events if e["name"] == "mxv.direction"][0]
-        assert ev["args"]["direction"] == "pull"
+        rec = _op_record(col, "mxv")
+        assert rec["method"] == "pull"
+        assert rec["density"] == pytest.approx(u.nvals / 60)
 
     def test_forced_method_flagged(self, small):
         A, _, u = small
         with telemetry.collect() as col:
             ops.mxv(Vector("FP64", 60), A, u, method="push")
-        ev = [e for e in col.events if e["name"] == "mxv.direction"][0]
-        assert ev["args"]["forced"] is True
-        assert ev["args"]["direction"] == "push"
+        rec = _op_record(col, "mxv")
+        # forced: the requested direction ran, no density rule behind it
+        assert rec["method"] == "push"
+        assert "density" not in rec and "threshold" not in rec
 
     def test_optimizer_hysteresis_flagged(self, small):
         from repro.graphblas.mxv import DirectionOptimizer
 
         A, _, u = small
+        opt = DirectionOptimizer(0.1)
         with telemetry.collect() as col:
-            ops.mxv(Vector("FP64", 60), A, u, optimizer=DirectionOptimizer(0.1))
-        ev = [e for e in col.events if e["name"] == "mxv.direction"][0]
-        assert ev["args"]["hysteresis"] is True
-        assert ev["args"]["threshold"] == pytest.approx(0.1)
+            ops.mxv(Vector("FP64", 60), A, u, optimizer=opt)
+        rec = _op_record(col, "mxv")
+        # the optimizer's threshold, not the module's, drove the choice
+        assert rec["threshold"] == pytest.approx(0.1)
+        assert opt.history == [rec["method"]] == ["pull"]
 
 
 class TestSpGEMMDecisions:
+    """The SpGEMM method that ran rides on the mxm op record."""
+
     def test_method_resolution_recorded(self, small):
         A, B, _ = small
         with telemetry.collect() as col:
             ops.mxm(Matrix("FP64", 60, 60), A, B, "PLUS_TIMES")
-        ev = [e for e in col.events if e["name"] == "spgemm.method"][0]
-        assert ev["args"]["requested"] == "auto"
-        assert ev["args"]["method"] in ("gustavson", "dot", "heap")
-        assert ev["args"]["masked"] is False
+        # auto, unmasked: Gustavson
+        assert _op_record(col, "mxm")["method"] == "gustavson"
 
     def test_masked_dot_recorded(self, small):
         A, B, _ = small
@@ -144,9 +157,21 @@ class TestSpGEMMDecisions:
                 desc=Descriptor(replace=True, structural_mask=True),
                 method="dot",
             )
-        ev = [e for e in col.events if e["name"] == "spgemm.method"][0]
-        assert ev["args"]["method"] == "dot"
-        assert ev["args"]["masked"] is True
+        assert _op_record(col, "mxm")["method"] == "dot"
+
+    def test_masked_auto_picks_dot(self, small):
+        A, B, _ = small
+        with telemetry.collect() as col:
+            ops.mxm(Matrix("FP64", 60, 60), A, B, "PLUS_TIMES", mask=A,
+                    desc="RS")
+        assert _op_record(col, "mxm")["method"] == "dot"
+
+    def test_heap_recorded(self, small):
+        A, B, _ = small
+        with telemetry.collect() as col:
+            ops.mxm(Matrix("FP64", 60, 60), A, B, "PLUS_TIMES", method="heap")
+        rec = _op_record(col, "mxm")
+        assert rec["method"] == "heap" and rec["kernel"] == "numpy"
 
     def test_early_exit_decision_with_terminal_monoid(self):
         # LOR is terminal at True: dense boolean inputs guarantee early

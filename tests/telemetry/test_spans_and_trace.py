@@ -195,24 +195,29 @@ class TestAcceptanceRMAT16:
         _, _, _, burble, _, _ = run
         assert "[bfs] begin" in burble
         direction_lines = [
-            ln for ln in burble.splitlines() if "[mxv.direction]" in ln
+            ln for ln in burble.splitlines() if "[mxv]" in ln
         ]
         assert len(direction_lines) >= 2
         for ln in direction_lines:
-            assert "direction=push" in ln or "direction=pull" in ln
+            assert "method=push" in ln or "method=pull" in ln
             assert "density=" in ln
-            assert "frontier_nvals=" in ln
+            assert "threshold=" in ln
         # an RMAT-16 BFS from a high-degree-ish source switches direction
-        dirs = {"push" if "push" in ln else "pull" for ln in direction_lines}
+        dirs = {"push" if "method=push" in ln else "pull"
+                for ln in direction_lines}
         assert dirs == {"push", "pull"}
 
     def test_snapshot_has_nonzero_mxv_counters_and_flops(self, run):
-        _, levels, snap, _, _, _ = run
+        _, levels, snap, _, _, col = run
         mxv = snap["ops"]["mxv"]
         assert mxv["calls"] >= 2
         assert mxv["seconds"] > 0
         assert mxv["flops"] > 0
-        assert snap["decisions"]["mxv.direction"] == mxv["calls"]
+        # every mxv call's record names the direction it ran
+        directed = [e for e in col.events if e["type"] == "op"
+                    and e["name"] == "mxv"
+                    and e["args"]["method"] in ("push", "pull")]
+        assert len(directed) == mxv["calls"]
         assert levels.nvals > 0
 
     def test_per_level_records_match_bfs_depth(self, run):
@@ -229,5 +234,6 @@ class TestAcceptanceRMAT16:
             trace = json.load(f)
         events = trace["traceEvents"]
         assert any(e.get("cat") == "span" and e["name"] == "bfs" for e in events)
-        assert any(e["name"] == "mxv.direction" for e in events)
-        assert any(e["name"] == "mxv" and e["ph"] == "X" for e in events)
+        mxv = [e for e in events if e["name"] == "mxv" and e["ph"] == "X"]
+        assert mxv
+        assert {e["args"]["method"] for e in mxv} == {"push", "pull"}
