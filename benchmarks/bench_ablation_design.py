@@ -5,7 +5,8 @@ ablation sweeps the knob and reports where our substrate's optimum falls:
 
 * **Gustavson chunk cap** — the expansion SpGEMM bounds its intermediate
   partial-product buffer; too small re-pays per-chunk overhead, too large
-  blows the cache/allocator.
+  blows the cache/allocator.  Only the NumPy Gustavson chunks (the
+  compiled one folds each row in a SPA), so this sweep runs it.
 * **Direction-switch threshold** — GraphBLAST's push/pull density cutoff
   (section II.E): sweep it over a BFS and compare traversal time.
 * **Dual-orientation storage** — GraphBLAST's 2x-memory CSR+CSC mode
@@ -22,7 +23,7 @@ import importlib
 
 # the package re-exports the mxm *function*, shadowing the submodule name
 mxm_mod = importlib.import_module("repro.graphblas.mxm")
-from repro.graphblas import DirectionOptimizer, Matrix
+from repro.graphblas import DirectionOptimizer, Matrix, compiled
 from repro.graphblas import operations as ops
 from repro.harness import Table
 from repro.lagraph.bfs import bfs_level
@@ -42,12 +43,13 @@ def test_ablation_gustavson_chunk(benchmark, rmat_medium):
             ["chunk cap (partial products)", "seconds"],
         )
         default = mxm_mod.GUSTAVSON_CHUNK_FLOPS
-        try:
-            for cap in (1 << 12, 1 << 16, 1 << 20, 1 << 23, 1 << 26):
-                mxm_mod.GUSTAVSON_CHUNK_FLOPS = cap
-                t.add(cap, wall(product, repeat=2))
-        finally:
-            mxm_mod.GUSTAVSON_CHUNK_FLOPS = default
+        with compiled.toolchain_off():
+            try:
+                for cap in (1 << 12, 1 << 16, 1 << 20, 1 << 23, 1 << 26):
+                    mxm_mod.GUSTAVSON_CHUNK_FLOPS = cap
+                    t.add(cap, wall(product, repeat=2))
+            finally:
+                mxm_mod.GUSTAVSON_CHUNK_FLOPS = default
         t.note("too small: per-chunk overhead; too large: giant intermediates")
         emit(t, "ablation_gustavson_chunk")
 
@@ -58,14 +60,15 @@ def test_ablation_chunk_results_identical(rmat_small):
     A = rmat_small.structure("FP64")
     default = mxm_mod.GUSTAVSON_CHUNK_FLOPS
     outs = []
-    try:
-        for cap in (1 << 8, 1 << 14, 1 << 23):
-            mxm_mod.GUSTAVSON_CHUNK_FLOPS = cap
-            C = Matrix("FP64", A.nrows, A.ncols)
-            ops.mxm(C, A, A, "PLUS_TIMES", method="gustavson")
-            outs.append(C)
-    finally:
-        mxm_mod.GUSTAVSON_CHUNK_FLOPS = default
+    with compiled.toolchain_off():
+        try:
+            for cap in (1 << 8, 1 << 14, 1 << 23):
+                mxm_mod.GUSTAVSON_CHUNK_FLOPS = cap
+                C = Matrix("FP64", A.nrows, A.ncols)
+                ops.mxm(C, A, A, "PLUS_TIMES", method="gustavson")
+                outs.append(C)
+        finally:
+            mxm_mod.GUSTAVSON_CHUNK_FLOPS = default
     assert outs[0].isequal(outs[1]) and outs[0].isequal(outs[2])
 
 

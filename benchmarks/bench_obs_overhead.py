@@ -83,12 +83,22 @@ def test_obs_overhead(benchmark, workload):
         summary = {"n": N, "density": DENSITY, "ops": {}}
         ratios = []
         for name, fn in _cases(A, B, u).items():
-            assert not telemetry.ENABLED
-            off = wall(fn, repeat=3)
+            # disabled and enabled rounds interleave, and the first of a
+            # pair alternates, so a load swing on a shared machine lands
+            # on both columns rather than on whichever ran second; each
+            # round is one untimed call and one timed call
+            best = {False: math.inf, True: math.inf}
+            for rnd in range(3):
+                for enabled in (rnd % 2 == 1, rnd % 2 == 0):
+                    if enabled:
+                        obs.enable()
+                    assert telemetry.ENABLED == enabled
+                    fn()
+                    best[enabled] = min(best[enabled], wall(fn, repeat=1))
+                    obs.disable()
+            off, on = best[False], best[True]
 
             obs.enable()
-            on = wall(fn, repeat=3)
-
             with telemetry.collect():
                 traced = wall(fn, repeat=3)
             obs.disable()

@@ -84,18 +84,15 @@ def run_bounded(scale: int, edge_factor: int, budget: int,
                 tile_dim: int = 0) -> dict:
     """Stream C = A*A through tiled spill execution; measure peak RSS."""
     from repro.graphblas import tiled
-
-    import numpy as np
+    from repro.graphblas.mxm import flop_total
 
     A = _weighted_rmat(scale, edge_factor, seed=7)
     n, nvals = A.nrows, A.nvals
     a_rows = A.by_row()
-    # exact flop count of A*A (sum of B-row lengths over A's entries):
-    # the unreduced expansion an in-memory product must hold, and what
-    # the budget is being compared against
-    rowlen = np.diff(a_rows.indptr)
-    flops = int(rowlen[a_rows.minor].sum())
-    est_bytes = flops * 24
+    # exact flop count of A*A, the count the kernels and the governor
+    # use: the unreduced expansion an in-memory product must hold, and
+    # what the budget is being compared against
+    est_bytes = flop_total(a_rows, a_rows) * 24
     # chunk_bytes bounds each chunk's working set regardless of tile
     # size, so the grid only needs enough tiles for spill locality
     # — a ~32x32 grid keeps per-stripe scheduling overhead low

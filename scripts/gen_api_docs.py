@@ -305,9 +305,10 @@ a thread-local collector that costs one module-attribute read
 (`telemetry.ENABLED`, ~20 ns) when nothing is listening.  Attach a
 collector with `telemetry.collect()` (context manager) or
 `telemetry.enable()` / `telemetry.disable()`.  A nested `collect()`
-reuses the outer collector (and its event buffer, so its own
-`max_events` does not apply) and puts its `burble`/`stream` back on
-exit.
+yields a collector of its own: it keeps at most its own `max_events`
+of the block's events (the rest count in its own `dropped`) and
+burbles by its own `burble`/`stream`, while every event and count also
+reaches the outer collector, up to the outer bound.
 
 **One record per executed operation.**  The backend dispatcher is the
 only per-operation timer: each Table-I call leaves exactly one `op`
@@ -382,8 +383,13 @@ with ctx:
 
 * **Admission control** — every planner submits its `OpPlan` to the
   governing context *before any output is allocated*.  The estimated
-  result footprint (an nnz-based bound per op; flops-based for `mxm`)
-  is compared against the budget: within budget → admitted; over budget
+  result footprint (an nnz-based bound per op; for `mxm` Gustavson's
+  partial-product count `Σₖ colcount(op(A))ₖ·rowcount(op(B))ₖ`, the
+  total of the per-entry flops the kernels cut by, read from each
+  operand's stored orientation; every op capped by a non-complemented
+  mask's nvals) never lies below the result, so an outer product is
+  refused at its real n² size; it is compared against the budget:
+  within budget → admitted; over budget
   → `mxm`/`mxv`/`vxm` are **re-planned as tiled spill execution** (see
   "Bounded-memory execution" below) when spilling is enabled (the
   context's `spill=`, else the `GRAPHBLAS_SPILL` switch); every other
@@ -482,11 +488,16 @@ assert ctx.stats["tiled"] == 1
   `compiled.select` picked for the plan; an `mxv`/`vxm` stripe is one
   `spmv_pull`.  The rows are whole, so each output entry folds in the
   same ascending-`k` order as in memory, and positional multiplies see
-  the in-memory `(i, k, j)`.  Stripes run in row chunks sized by
-  predicted flops (`TiledMatrix.major_lengths()`; `chunk_bytes`,
+  the in-memory `(i, k, j)`.  Stripes run in row chunks cut by their
+  exact flops (A's entry `(i, k)` costs `nnz(B(k,:))`, read off
+  `TiledMatrix.major_lengths()`) with `mxm.cut_rows`, the cutter the
+  in-memory Gustavson's row blocks and chunks use (`chunk_bytes`,
   default `memory_budget / 6`, floor 1 MiB), and a chunk's gathered B
   entries never outnumber its flops, so the working set stays bounded
-  on RMAT hub rows.  The kernel's own fault points (`spgemm.flop`,
+  on RMAT hub rows.  The tile edge comes from the operand, not the
+  product: `choose_tile_dim` halves from 4096 until the larger
+  operand's average tile is at most a quarter of the spill pool.  The
+  kernel's own fault points (`spgemm.flop`,
   `mxv.pull`), row blocks (`GxB_NTHREADS`) and the op record's /
   EXPLAIN's `kernel` apply unchanged; a kernel fault fails the op once,
   operands untouched and no tile left behind.  The hypothesis suite proves parity
@@ -662,8 +673,9 @@ and what it says the plan chose in `graphblas_spgemm_method_total{method}`
   estimated vs actual result bytes, kernel tier and cache outcome,
   tile/spill counts, and wall time — so "why was this op slow" is
   answerable without a trace viewer.  `max_events=n` keeps the first
-  `n` events of the call, nested in an outer collector or not, and
-  counts the rest in `report.dropped`.  The same op records feed the
+  `n` events of the call, nested in an outer collector or not (the
+  capture is a nested `collect`), and counts the rest in
+  `report.dropped`.  The same op records feed the
   **slow-op log** (`obs.slow_ops()`, a bounded min-heap of the worst
   plans; lowering its capacity drops the fastest; threshold, capacity
   and the other `obs.*` tunables are in [Configuration](#configuration)):

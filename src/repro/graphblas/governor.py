@@ -16,8 +16,9 @@ Four cooperating mechanisms:
 **Admission control.**  Every planner in :mod:`repro.graphblas.plan`
 submits its finished :class:`~repro.graphblas.plan.OpPlan` to
 :func:`admit` before any backend sees it.  The governor estimates the
-result footprint from the plan (output shape, operand ``nvals``, SpGEMM
-inner dimension) and raises :class:`~repro.graphblas.errors.BudgetExceeded`
+result footprint from the plan (output shape, operand ``nvals``, and for
+SpGEMM the partial products the kernels themselves count) and raises
+:class:`~repro.graphblas.errors.BudgetExceeded`
 — *before the output is allocated* — when the estimate exceeds the
 context's ``memory_budget``.  A passed ``deadline`` (seconds of wall
 clock from context entry) is checked at the same point and at every poll,
@@ -155,30 +156,33 @@ def _entry_bytes(container, out_type) -> int:
     return _INDEX_BYTES + itemsize
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // max(b, 1))
-
-
 def estimate_result_entries(plan) -> int:
     """Upper estimate of stored entries the op will materialize.
 
-    Deliberately pessimistic-but-cheap: uses only operand ``nvals`` and
-    shapes already resolved in the plan.  For SpGEMM the estimate follows
-    the expected Gustavson flop count ``nnz(A) * nnz(B)/inner`` (the
-    working set of un-summed partial products — the actual allocation
-    peak), capped by a structural mask's population when one is present
-    without complement.
+    Cheap and pessimistic: operand ``nvals`` and shapes already resolved
+    in the plan.  For SpGEMM it is Gustavson's partial-product count
+    (:func:`~repro.graphblas.mxm.flop_total`, the total of the per-entry
+    flops the kernels cut by), read from each operand's stored
+    orientation, plus ``nnz(C)`` under an accumulator: the product has
+    no more entries than that, nor than the dense output.  Every op's
+    estimate is capped by a non-complemented mask's population (plus
+    ``nnz(C)`` under an accumulator).
     """
     op = plan.op
     args = plan.args
     out = plan.out
 
     if op == "mxm":
-        A, B = args[0], args[1]
-        inner = int(plan.params.get("inner", 1) or 1)
-        flops = _nvals(A) * _ceil_div(_nvals(B), inner)
-        dense = int(out.nrows) * int(out.ncols)
-        est = max(min(flops, dense), flops // 4)
+        from .mxm import flop_total
+
+        A, B = args
+        A.wait()
+        B.wait()
+        est = flop_total(A._store, B._store, plan.desc.transpose_a,
+                         plan.desc.transpose_b)
+        if plan.accum is not None:
+            est += _nvals(out)
+        est = min(est, int(out.nrows) * int(out.ncols))
     elif op in ("mxv", "vxm"):
         A = args[0] if plan.params.get("is_mxv", op == "mxv") else args[1]
         est = min(int(out.size), _nvals(A))
@@ -219,7 +223,7 @@ def estimate_result_entries(plan) -> int:
             else int(out.size)
 
     mask = plan.mask
-    if mask is not None and not plan.desc.complement_mask and op != "mxm":
+    if mask is not None and not plan.desc.complement_mask:
         cap = _nvals(mask)
         if plan.accum is not None and out is not None:
             cap += _nvals(out)

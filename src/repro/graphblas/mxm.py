@@ -52,7 +52,8 @@ from .ops import BinaryOp
 from .semiring import Semiring
 from .types import Type
 
-__all__ = ["mxm_coo", "pick_method", "dot_candidates", "MXM_METHODS"]
+__all__ = ["mxm_coo", "pick_method", "dot_candidates", "flop_prefix",
+           "cut_rows", "flop_total", "MXM_METHODS"]
 
 _INDEX = np.int64
 
@@ -213,6 +214,66 @@ def _empty_coo(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # --------------------------------------------------------------------------
+# The flop count: A's entry (i, k) makes nnz(B(k,:)) partial products
+# --------------------------------------------------------------------------
+
+def flop_prefix(counts: np.ndarray, indptr: np.ndarray | None = None) -> np.ndarray:
+    """Per-row prefix of per-entry ``counts``: element ``r`` sums the
+    counts of every row before ``r``, so it has one more element than
+    there are rows.  ``indptr`` delimits the rows' entries (a store's
+    pointer); without it each count is a row of its own."""
+    cum = np.zeros(counts.size + 1, dtype=_INDEX)
+    np.cumsum(counts, out=cum[1:])
+    return cum if indptr is None else cum[indptr]
+
+
+def cut_rows(cum: np.ndarray, *, blocks: int = 1,
+             cap: int | None = None) -> list[tuple[int, int]]:
+    """Cut the rows of a :func:`flop_prefix` into ``[lo, hi)`` spans.
+
+    With ``cap``: maximal runs of at most ``cap`` flops, a row over the
+    cap alone (a kernel folds a row in one piece).  Otherwise ``blocks``
+    spans of roughly equal flops.  Cuts land between rows only, so the
+    spans' outputs concatenate to the whole product's; the spans cover
+    every row (one empty span when there is none).  ``cum`` may be a
+    slice of a longer prefix.
+    """
+    n = cum.size - 1
+    total = int(cum[-1] - cum[0])
+    if cap is None:
+        targets = cum[0] + (np.arange(1, blocks) * total) // blocks
+        cuts = np.searchsorted(cum, targets).tolist()
+    else:
+        cuts, lo = [], 0
+        while lo < n and int(cum[n] - cum[lo]) > cap:
+            hi = int(np.searchsorted(cum, cum[lo] + cap, side="right")) - 1
+            lo = max(hi, lo + 1)
+            cuts.append(lo)
+    bounds = [0, *sorted(set(cuts) - {0, n}), n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _line_counts(store: SparseStore, orientation: Orientation) -> np.ndarray:
+    """Entries per row (``ROW``) or per column (``COL``) of the matrix
+    ``store`` holds, read in the store's own orientation."""
+    if store.orientation is orientation:
+        return store.vector_counts()
+    return np.bincount(store.minor, minlength=store.n_minor)
+
+
+def flop_total(a: SparseStore, b: SparseStore, transpose_a: bool = False,
+               transpose_b: bool = False) -> int:
+    """Gustavson's partial products of ``op(A) * op(B)`` from the stored
+    ``a`` and ``b``: ``sum_k colcount(op(A))[k] * rowcount(op(B))[k]``,
+    the sum of the per-entry flops the kernels cut by, and an upper bound
+    on the product's entries.  Either orientation serves; nothing is
+    transposed."""
+    ka = _line_counts(a, Orientation.ROW if transpose_a else Orientation.COL)
+    kb = _line_counts(b, Orientation.COL if transpose_b else Orientation.ROW)
+    return int(ka @ kb)
+
+
+# --------------------------------------------------------------------------
 # Gustavson: saxpy expansion
 # --------------------------------------------------------------------------
 
@@ -227,9 +288,9 @@ def _mxm_gustavson(
     if ar.size == 0 or b_rows.nvals == 0:
         return _empty_coo(out_type.np_dtype)
     starts, ends = b_rows.major_ranges(ac)
-    lens = ends - starts
-    flops = np.cumsum(lens)
-    total = int(flops[-1])
+    lens = ends - starts  # each A entry's flops
+    cum = flop_prefix(lens, a_rows.indptr)
+    total = int(cum[-1])
     if telemetry.ENABLED:
         telemetry.tally("mxm", flops=total)
     if total == 0:
@@ -242,9 +303,10 @@ def _mxm_gustavson(
         "mxm", total, engine.MIN_PARALLEL_FLOPS, nthreads,
         lambda _: GUSTAVSON_CHUNK_FLOPS * (48 + out_type.np_dtype.itemsize),
         semiring, out_type)
-    blocks = _row_blocks(ar, flops, workers) if workers > 1 else [(0, ar.size)]
-    block_args = (ar, ac, av, b_rows.minor, b_rows.values, starts, ends, lens,
-                  flops, semiring, out_type, (a_rows.n_major, b_rows.n_minor))
+    blocks = cut_rows(cum, blocks=workers)
+    block_args = (a_rows.indptr, cum, ar, ac, av, b_rows.minor, b_rows.values,
+                  starts, ends, lens, semiring, out_type,
+                  (a_rows.n_major, b_rows.n_minor))
     if len(blocks) > 1:
         def timed(lo, hi):
             t0 = time.perf_counter()
@@ -259,7 +321,7 @@ def _mxm_gustavson(
                 )
         pieces = [res for res, _, _ in results]
     else:
-        pieces = [_gustavson_block(0, ar.size, *block_args)]
+        pieces = [_gustavson_block(*blocks[0], *block_args)]
 
     out_r = [arr for piece in pieces for arr in piece[0]]
     out_c = [arr for piece in pieces for arr in piece[1]]
@@ -272,16 +334,17 @@ def _mxm_gustavson(
 
 
 def _gustavson_block(
-    lo_end: int,
-    hi_end: int,
-    ar, ac, av, b_minor, b_values, starts, ends, lens, flops,
+    lo: int,
+    hi: int,
+    indptr, cum, ar, ac, av, b_minor, b_values, starts, ends, lens,
     semiring: Semiring,
     out_type: Type,
     shape,
 ):
-    """Expand A entries ``[lo_end, hi_end)``; both bounds lie on A-row
-    boundaries, so per-block outputs concatenate sorted and deduplicated
-    (each output row is produced wholly inside one block)."""
+    """Expand the A rows ``[lo, hi)`` (vectors of its store) in chunks of
+    at most :data:`GUSTAVSON_CHUNK_FLOPS` partial products.  Blocks and
+    chunks cut only between rows, so their outputs concatenate sorted and
+    deduplicated (each output row is produced wholly inside one chunk)."""
     mult = semiring.mult
     positional = mult.positional is not None
 
@@ -291,18 +354,8 @@ def _gustavson_block(
     out_r: list[np.ndarray] = []
     out_c: list[np.ndarray] = []
     out_v: list[np.ndarray] = []
-    # chunk the entries so each expansion stays below the flop cap, cutting
-    # only at row boundaries of A so per-chunk results concatenate sorted
-    lo = lo_end
-    while lo < hi_end:
-        base = flops[lo - 1] if lo else 0
-        hi = int(np.searchsorted(flops, base + GUSTAVSON_CHUNK_FLOPS))
-        hi = min(max(hi, lo + 1), hi_end)
-        if hi < hi_end:  # extend to finish the current A row
-            row = ar[hi - 1]
-            while hi < hi_end and ar[hi] == row:
-                hi += 1
-        chunk = slice(lo, hi)
+    for c_lo, c_hi in cut_rows(cum[lo:hi + 1], cap=GUSTAVSON_CHUNK_FLOPS):
+        chunk = slice(indptr[lo + c_lo], indptr[lo + c_hi])
         gather = _gather_ranges(starts[chunk], ends[chunk])
         reps = lens[chunk]
         i = np.repeat(ar[chunk], reps)
@@ -316,26 +369,7 @@ def _gustavson_block(
         out_r.append(i)
         out_c.append(j)
         out_v.append(vals)
-        lo = hi
     return out_r, out_c, out_v
-
-
-def _row_blocks(ar: np.ndarray, flops: np.ndarray, nblocks: int):
-    """Split ``[0, ar.size)`` into up to ``nblocks`` flop-balanced spans,
-    cutting only at A-row boundaries (a row split across blocks would emit
-    its output entries twice)."""
-    total = int(flops[-1])
-    cuts = [0]
-    for k in range(1, nblocks):
-        hi = int(np.searchsorted(flops, (total * k) // nblocks))
-        if hi <= cuts[-1]:
-            continue
-        while hi < ar.size and ar[hi] == ar[hi - 1]:
-            hi += 1
-        if hi > cuts[-1] and hi < ar.size:
-            cuts.append(hi)
-    cuts.append(ar.size)
-    return [(cuts[m], cuts[m + 1]) for m in range(len(cuts) - 1)]
 
 
 def _compiled_gustavson(kern, a_rows, b_rows, out_type, nthreads):
@@ -361,9 +395,7 @@ def _compiled_gustavson(kern, a_rows, b_rows, out_type, nthreads):
         lambda req: n_minor * 16 + (total // req + 1) * (16 + dt.itemsize))
     blocks = [(0, n_rows)]
     if workers > 1:
-        cum = np.zeros(a.minor.size + 1, dtype=_INDEX)
-        np.cumsum(ent_flops, out=cum[1:])
-        blocks = _flop_row_blocks(cum[a.indptr], workers)
+        blocks = cut_rows(flop_prefix(ent_flops, a.indptr), blocks=workers)
 
     def run_block(lo, hi):
         t0 = time.perf_counter()
@@ -388,23 +420,6 @@ def _compiled_gustavson(kern, a_rows, b_rows, out_type, nthreads):
     return tuple(
         np.concatenate([r[0][k] for r in results]) for k in range(3)
     )
-
-
-def _flop_row_blocks(row_cum: np.ndarray, workers: int) -> list[tuple[int, int]]:
-    """Cut rows into ≤ ``workers`` spans of roughly equal flops.
-
-    ``row_cum[i]`` is the flop count of all rows before ``i`` (length
-    n_rows + 1, monotone).  Cuts land on row boundaries, so each block's
-    SPA is self-contained and concatenated results equal serial output.
-    """
-    n = row_cum.size - 1
-    total = int(row_cum[-1])
-    if n <= 1 or total == 0:
-        return [(0, n)]
-    targets = (np.arange(1, workers) * total) // workers
-    cuts = np.searchsorted(row_cum, targets, side="left")
-    bounds = sorted({0, n, *(int(c) for c in cuts if 0 <= c <= n)})
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # --------------------------------------------------------------------------

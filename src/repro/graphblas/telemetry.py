@@ -153,14 +153,18 @@ class Collector:
     """Per-thread telemetry sink: counters, event log, burble stream.
 
     Create through :func:`enable` or :func:`collect`; the module-level
-    recording functions route to the calling thread's collector.
+    recording functions route to the calling thread's collector.  A
+    collector with a ``parent`` (a nested :func:`collect`) also hands
+    every event and count to it, on the parent's clock.
     """
 
-    def __init__(self, burble: bool = False, stream=None, max_events: int = MAX_EVENTS):
+    def __init__(self, burble: bool = False, stream=None,
+                 max_events: int = MAX_EVENTS, parent: "Collector | None" = None):
         self.burble = bool(burble)
         self.stream = stream  # None = sys.stdout, resolved at write time
         self.max_events = int(max_events)
-        self.t0 = time.perf_counter()
+        self.parent = parent
+        self.t0 = time.perf_counter() if parent is None else parent.t0
         self.ops: dict[str, OpStats] = {}
         self.events: list[dict] = []
         self.dropped = 0
@@ -174,6 +178,8 @@ class Collector:
         return (time.perf_counter() - self.t0) * 1e6
 
     def _push(self, ev: dict) -> None:
+        if self.parent is not None:
+            self.parent._push(ev)
         if len(self.events) >= self.max_events:
             self.dropped += 1
             kind = ev.get("type", "unknown")
@@ -184,10 +190,21 @@ class Collector:
                     f"event buffer full at {self.max_events}; further events "
                     "are dropped (counted in snapshot()['events_dropped'])"
                 )
-            if _SINK is not None:
-                _SINK.dropped(kind)
+            if _SINK is not None and self.parent is None:
+                _SINK.dropped(kind)  # lost from the thread's outermost log
             return
         self.events.append(ev)
+
+    def _stats(self, name: str):
+        """This collector's :class:`OpStats` for ``name``, then each
+        enclosing collector's."""
+        col = self
+        while col is not None:
+            st = col.ops.get(name)
+            if st is None:
+                st = col.ops[name] = OpStats()
+            yield st
+            col = col.parent
 
     def _burble(self, line: str) -> None:
         if not self.burble:
@@ -203,14 +220,13 @@ class Collector:
                   out_nvals: int | None = None, **fields) -> None:
         """One completed operation: wall time, output size, and the
         dispatcher's ``fields`` (backend, route, kernel, bytes, ...)."""
-        st = self.ops.get(name)
-        if st is None:
-            st = self.ops[name] = OpStats()
-        st.calls += 1
-        st.seconds += seconds
+        for st in self._stats(name):
+            st.calls += 1
+            st.seconds += seconds
+            if out_nvals is not None:
+                st.out_nvals += int(out_nvals)
         args = fields
         if out_nvals is not None:
-            st.out_nvals += int(out_nvals)
             args = {"out_nvals": int(out_nvals), **fields}
         dur_us = seconds * 1e6
         self._push(
@@ -229,11 +245,9 @@ class Collector:
 
     def tally(self, name: str, **fields) -> None:
         """Add numeric metrics (flops, bytes_moved, calls, ...) to an op."""
-        st = self.ops.get(name)
-        if st is None:
-            st = self.ops[name] = OpStats()
-        for key, value in fields.items():
-            setattr(st, key, getattr(st, key) + int(value))
+        for st in self._stats(name):
+            for key, value in fields.items():
+                setattr(st, key, getattr(st, key) + int(value))
 
     def decision(self, kind: str, **detail) -> None:
         """Record one engine choice and the numbers that drove it."""
@@ -375,7 +389,7 @@ class Collector:
         self.dropped = 0
         self.dropped_by_type.clear()
         self._span_stack.clear()
-        self.t0 = time.perf_counter()
+        self.t0 = time.perf_counter() if self.parent is None else self.parent.t0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -531,12 +545,15 @@ def enable(burble: bool = False, stream=None, max_events: int = MAX_EVENTS) -> C
 
 
 def disable() -> Collector | None:
-    """Detach (and return) the current thread's collector, if any."""
+    """Detach (and return) the current thread's collector, if any; a
+    nested one hands the thread back to its parent."""
     global ENABLED, _active_count
     col = _collector()
     if col is None:
         return None
-    _tls.collector = None
+    _tls.collector = col.parent
+    if col.parent is not None:
+        return col
     with _lock:
         _active_count -= 1
         _recompute_flags()
@@ -548,22 +565,28 @@ def collect(burble: bool = False, stream=None, max_events: int = MAX_EVENTS):
     """Attach a collector for the duration of the ``with`` block.
 
     Yields the :class:`Collector`; on exit the collector is detached but
-    still readable (``snapshot()``, ``chrome_trace()``).  Nested use
-    reuses the outer collector — its event buffer, so this block's
-    ``max_events`` does not apply — applies this block's ``burble``/
-    ``stream`` for its duration, and on exit leaves the outer collector
-    attached with its own settings back.
+    still readable (``snapshot()``, ``chrome_trace()``).  Nested in
+    another block, it is a collector of its own: it keeps at most
+    ``max_events`` of this block's events and counts the rest in its own
+    ``dropped``, burbles by this block's ``burble``/``stream`` (the
+    stream defaults to the outer one's), and hands every event and count
+    to the outer collector, which keeps them up to its own bound and is
+    attached again on exit.
     """
     outer = _collector()
-    saved = None if outer is None else (outer.burble, outer.stream)
-    col = enable(burble=burble, stream=stream, max_events=max_events)
+    if outer is None:
+        col = enable(burble=burble, stream=stream, max_events=max_events)
+    else:
+        col = _tls.collector = Collector(
+            burble=burble, stream=outer.stream if stream is None else stream,
+            max_events=max_events, parent=outer)
     try:
         yield col
     finally:
         if outer is None:
             disable()
         else:
-            outer.burble, outer.stream = saved
+            _tls.collector = outer
 
 
 def active() -> Collector | None:

@@ -60,7 +60,7 @@ import numpy as np
 from . import compiled, faults, governor, telemetry
 from .errors import InvalidValue
 from .formats import Orientation, SparseStore, group_starts
-from .mxm import _gather_ranges, mxm_coo
+from .mxm import _gather_ranges, cut_rows, flop_prefix, mxm_coo
 from .mxv import spmv_pull
 from .plan import resolve_semiring
 from .types import lookup_type
@@ -78,10 +78,11 @@ __all__ = [
 
 _INDEX = np.int64
 
-#: Tile edge used when no budget information is available.
+#: Largest tile edge :func:`choose_tile_dim` picks, and its pick with
+#: no pool budget.
 DEFAULT_TILE_DIM = 4096
 
-#: Smallest tile edge the budget heuristic will choose.
+#: Smallest tile edge :func:`choose_tile_dim` picks.
 MIN_TILE_DIM = 64
 
 #: Spilled-tile header: eight int64 words, then the arrays in this order —
@@ -375,21 +376,28 @@ class SpillPool:
 # the tiled matrix
 # --------------------------------------------------------------------------
 
-def choose_tile_dim(n_major: int, n_minor: int, est_bytes: int | None = None,
-                    budget: int | None = None) -> int:
-    """Pick a tile edge so one output stripe's estimate fits a chunk.
+def choose_tile_dim(n_major: int, n_minor: int,
+                    operand_bytes: int | None = None,
+                    pool_budget: int | None = None) -> int:
+    """Pick a tile edge from an operand's bytes and the spill pool's budget.
 
-    Targets roughly ``budget / 6`` estimated bytes per stripe, the share
-    :func:`mxm_tiled` gives one chunk by default, so a typical stripe is
-    one kernel call; clamped to ``[MIN_TILE_DIM, max(n_major, n_minor)]``.
+    The largest edge, halving down from :data:`DEFAULT_TILE_DIM` to
+    :data:`MIN_TILE_DIM`, whose grid over the ``n_major`` x ``n_minor``
+    operand has an average tile of at most a quarter of ``pool_budget``,
+    so the tiles a stripe reads stay resident together.  The product's
+    size plays no part: :func:`mxm_tiled`'s chunks bound each kernel
+    call, and smaller tiles only add spills.  Without a budget,
+    :data:`DEFAULT_TILE_DIM`; never more than the larger dimension.
     """
     n = max(int(n_major), int(n_minor), 1)
-    if budget is None or not est_bytes or est_bytes <= 0:
-        return max(1, min(n, DEFAULT_TILE_DIM))
-    target = max(int(budget) // 6, 1 << 16)
-    per_row = max(int(est_bytes) // max(int(n_major), 1), 1)
-    td = target // per_row
-    return int(min(max(td, MIN_TILE_DIM), n))
+    td = DEFAULT_TILE_DIM
+    if pool_budget is not None and operand_bytes:
+        def tiles(edge):
+            return -(-int(n_major) // edge) * -(-int(n_minor) // edge)
+
+        while td > MIN_TILE_DIM and 4 * operand_bytes > pool_budget * tiles(td):
+            td //= 2
+    return min(td, n)
 
 
 def _group_by_tile(minor: np.ndarray, tile_dim: int):
@@ -522,9 +530,8 @@ class TiledMatrix:
     def major_lengths(self) -> np.ndarray:
         """Entries per global major index (metadata; reads no tile).
 
-        The tiled SpGEMM uses this to predict each output row's flops
-        (``sum of B-row lengths over A's row entries``) so stripes run in
-        bounded-memory row chunks.
+        The tiled SpGEMM reads it as the flops of each A entry (i, k),
+        ``nnz(B(k,:))``, so stripes run in bounded-memory row chunks.
         """
         return self._lens.copy()
 
@@ -544,17 +551,13 @@ class TiledMatrix:
         run loads only the pieces whose rows it overlaps.
         """
         td = self.tile_dim
-        target = None
+        cap = None
         if max_bytes is not None:
-            target = max(int(max_bytes), 1 << 16) // 24
+            cap = max(int(max_bytes), 1 << 16) // 24
         for bi in range(self.grid_rows):
             rows_here = min(td, self.nrows - bi * td)
-            bounds = [(0, rows_here)]
-            if target is not None:
-                bounds = _chunk_bounds(
-                    self._lens[bi * td:bi * td + rows_here], target
-                )
-            for lo, hi in bounds:
+            lens = self._lens[bi * td:bi * td + rows_here]
+            for lo, hi in cut_rows(flop_prefix(lens), cap=cap):
                 governor.poll()
                 block = self._stripe_coo(bi, lo, hi)
                 if block is not None:
@@ -652,30 +655,6 @@ def _gather_rows(T: TiledMatrix, ks: np.ndarray) -> SparseStore | None:
                       np.concatenate(parts_v)[order])
 
 
-def _chunk_bounds(counts: np.ndarray, target: int) -> list[tuple[int, int]]:
-    """Partition rows into maximal runs whose summed counts fit ``target``.
-
-    A single row over the target still forms its own chunk (the kernel
-    folds a row in one piece).
-    """
-    if counts.size == 0:
-        return [(0, 0)]
-    cum = np.cumsum(counts)
-    if int(cum[-1]) <= target:
-        return [(0, counts.size)]
-    bounds = []
-    lo = 0
-    base = 0
-    while lo < counts.size:
-        hi = int(np.searchsorted(cum, base + target, side="right"))
-        if hi <= lo:
-            hi = lo + 1
-        bounds.append((lo, hi))
-        base = int(cum[hi - 1])
-        lo = hi
-    return bounds
-
-
 def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
               out_type=None, *, pool: SpillPool | None = None,
               name: str | None = None, chunk_bytes: int | None = None,
@@ -692,14 +671,16 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
     or displacing the operand tiles the next chunk reads again.
     Cancellation/deadline tokens are polled at every tile boundary.
 
-    ``chunk_bytes`` bounds a chunk's working set: rows are grouped by a
-    per-row flop prediction (``B.major_lengths()``, ~24 B per partial
-    product) so skewed stripes (RMAT hubs) run in several chunks, and
-    each chunk's output becomes one row-run piece of its grid cells.  A
-    chunk's gathered B entries never outnumber its predicted flops.
-    Values below 1 MiB are raised to 1 MiB; the default is
-    ``memory_budget / 6`` of the active governor context, and with no
-    budget a stripe is one chunk.
+    ``chunk_bytes`` bounds a chunk's working set: a stripe's rows are
+    cut by their exact flops (A's entry (i, k) costs ``nnz(B(k,:))``,
+    read off ``B.major_lengths()``; ~24 B per partial product) with
+    :func:`~repro.graphblas.mxm.cut_rows`, the cutter the in-memory
+    Gustavson uses, so skewed stripes (RMAT hubs) run in several chunks,
+    and each chunk's output becomes one row-run piece of its grid cells.
+    A chunk's gathered B entries never outnumber its flops.  Values
+    below 1 MiB are raised to 1 MiB; the default is ``memory_budget / 6``
+    of the active governor context, and with no budget a stripe is one
+    chunk.  The tile edge is the operands' (:func:`choose_tile_dim`).
 
     ``nthreads`` caps the kernel's row-blocked parallelism
     (``GxB_NTHREADS``).  ``selection`` is the
@@ -729,10 +710,10 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
         ctx = governor.current()
         if ctx is not None and ctx.memory_budget is not None:
             chunk_bytes = ctx.memory_budget // 6
-    chunk_target = None
+    cap = None
     if chunk_bytes is not None and chunk_bytes > 0:
         # ~24 B per partial product (two int64 coords + a value)
-        chunk_target = max(int(chunk_bytes), 1 << 20) // 24
+        cap = max(int(chunk_bytes), 1 << 20) // 24
     b_rowlen = B.major_lengths()
 
     for bi in range(A.grid_rows):
@@ -742,15 +723,10 @@ def mxm_tiled(A: TiledMatrix, B: TiledMatrix, semiring="PLUS_TIMES",
         if stripe is None:
             continue
         ai, ak, av = stripe
-        bounds = [(0, rows_here)]
-        if chunk_target is not None:
-            # predicted partial products per row of the stripe
-            counts = np.bincount(ai - bi * td, weights=b_rowlen[ak],
-                                 minlength=rows_here).astype(np.int64)
-            bounds = _chunk_bounds(counts, chunk_target)
-        cuts = np.searchsorted(ai, [bi * td + lo for lo, _ in bounds]
-                               + [bi * td + rows_here])
-        for (lo, hi), s, e in zip(bounds, cuts, cuts[1:]):
+        # where each tile-local row's entries start in the stripe
+        indptr = np.searchsorted(ai, bi * td + np.arange(rows_here + 1))
+        for lo, hi in cut_rows(flop_prefix(b_rowlen[ak], indptr), cap=cap):
+            s, e = indptr[lo], indptr[hi]
             if s == e:
                 continue
             b_rows = _gather_rows(B, np.unique(ak[s:e]))
@@ -822,14 +798,14 @@ def _spill_pool_for(plan) -> SpillPool:
     return SpillPool(budget=sbudget, directory=sdir)
 
 
-def _plan_tile_dim(plan, n_major, n_minor) -> int:
+def _plan_tile_dim(plan, pool: SpillPool, *stores: SparseStore) -> int:
+    """The plan's ``tile_dim``, else :func:`choose_tile_dim` for its
+    largest operand store against ``pool``'s budget."""
     td = plan.params.get("tile_dim")
     if td:
         return int(td)
-    ctx = governor.current()
-    budget = ctx.memory_budget if ctx is not None else None
-    return choose_tile_dim(n_major, n_minor, plan.params.get("est_bytes"),
-                           budget)
+    big = max(stores, key=lambda s: s.nbytes)
+    return choose_tile_dim(big.n_major, big.n_minor, big.nbytes, pool.budget)
 
 
 def execute(plan):
@@ -849,12 +825,12 @@ def _execute_mxm(plan):
     C, d, sr = plan.out, plan.desc, plan.operator
     a_rows = A.by_col().transposed() if d.transpose_a else A.by_row()
     b_rows = B.by_col().transposed() if d.transpose_b else B.by_row()
-    td = _plan_tile_dim(plan, a_rows.n_major, b_rows.n_minor)
-    # the op record names the tier and method every chunk runs on
-    compiled.select(plan)
-    plan.chosen.update(method="gustavson", tile_dim=td)
     pool = _spill_pool_for(plan)
     try:
+        td = _plan_tile_dim(plan, pool, a_rows, b_rows)
+        # the op record names the tier and method every chunk runs on
+        compiled.select(plan)
+        plan.chosen.update(method="gustavson", tile_dim=td)
         A_t = TiledMatrix.from_store(a_rows, td, pool, dtype=A.dtype)
         if B is A and d.transpose_b == d.transpose_a:
             B_t = A_t  # A*A: one set of operand tiles serves both sides
@@ -881,11 +857,11 @@ def _execute_matvec(plan):
     A, u = plan.args if is_mxv else (plan.args[1], plan.args[0])
     w, d, sr = plan.out, plan.desc, plan.operator
     store = A.by_col().transposed() if p["transposed"] else A.by_row()
-    td = _plan_tile_dim(plan, store.n_major, store.n_minor)
-    compiled.select(plan)
-    plan.chosen.update(method="pull", tile_dim=td)
     pool = _spill_pool_for(plan)
     try:
+        td = _plan_tile_dim(plan, pool, store)
+        compiled.select(plan)
+        plan.chosen.update(method="pull", tile_dim=td)
         A_t = TiledMatrix.from_store(store, td, pool, dtype=A.dtype)
         ti, tv = mxv_tiled(A_t, u.to_dense(), u.pattern(), sr, plan.out_type,
                            matrix_first=is_mxv, nthreads=d.nthreads,

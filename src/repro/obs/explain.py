@@ -172,12 +172,10 @@ def explain(fn, *args, max_events: int | None = None, **kwargs) -> ExplainReport
     """Profile ``fn(*args, **kwargs)`` and report every executed OpPlan.
 
     Works standalone — observability need not be enabled; the capture
-    is a plain telemetry collector.  Nested inside an outer telemetry
-    ``collect`` the outer collector keeps every event (and its burble
-    settings once this returns); the report is built only from those
-    recorded during this call.  Either way it sees at most
-    ``max_events`` of them, the first, and counts the rest in
-    ``report.dropped``.
+    is a plain telemetry collector (a nested one inside an outer
+    telemetry ``collect``, which still receives every event).  The
+    report holds at most ``max_events`` events of this call, the first,
+    and counts the rest in ``report.dropped``.
 
     ::
 
@@ -187,14 +185,6 @@ def explain(fn, *args, max_events: int | None = None, **kwargs) -> ExplainReport
     """
     kw = {} if max_events is None else {"max_events": max_events}
     with telemetry.collect(**kw) as col:
-        start, dropped = len(col.events), col.dropped
         result = fn(*args, **kwargs)
-        events = col.events[start:]
-        dropped = col.dropped - dropped
-    # a nested capture shares the outer collector's buffer, which does
-    # not stop at this call's max_events: cut it here
-    if max_events is not None and len(events) > max_events:
-        dropped += len(events) - max_events
-        del events[max_events:]
-    plans, ops, spans = _build_records(events)
-    return ExplainReport(plans, ops, spans, result, dropped)
+    plans, ops, spans = _build_records(col.events)
+    return ExplainReport(plans, ops, spans, result, col.dropped)

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphblas import (
     BudgetExceeded,
@@ -30,7 +32,9 @@ from repro.graphblas import (
 )
 from repro.graphblas import operations as ops
 from repro.graphblas.backends.differential import DifferentialBackend
-from tests.helpers import random_matrix_np, random_vector_np
+from repro.graphblas.descriptor import Descriptor
+from repro.graphblas.mxm import flop_total
+from tests.helpers import kernel_tier, random_matrix_np, random_vector_np
 from tests.resilience._state import assert_same_state, deep_state
 
 
@@ -130,6 +134,86 @@ class TestBudget:
             governor.ExecutionContext(memory_budget=-1)
         with pytest.raises(InvalidValue):
             governor.ExecutionContext(deadline=-1.0)
+
+
+_FORMATS = ("csr", "csc", "hypercsr", "hypercsc")
+
+
+def _outer_product(n=256):
+    """One full column times one full row: 2n entries in, n*n out."""
+    idx, zero = np.arange(n), np.zeros(n, dtype=np.int64)
+    col = Matrix.from_coo(idx, zero, np.ones(n), nrows=n, ncols=n)
+    row = Matrix.from_coo(zero, idx, np.ones(n), nrows=n, ncols=n)
+    return col, row
+
+
+class TestMxmEstimate:
+    """The ``mxm`` admission estimate is Gustavson's flop count: never
+    below the product's entries, and the kernels' own tally."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_estimate_bounds_the_result(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m, k, n = (data.draw(st.integers(1, 12)) for _ in range(3))
+        ta, tb = data.draw(st.booleans()), data.draw(st.booleans())
+        dens = [data.draw(st.floats(0.0, 1.0)) for _ in range(4)]
+        A, _, _ = random_matrix_np(rng, *((k, m) if ta else (m, k)), dens[0])
+        B, _, _ = random_matrix_np(rng, *((n, k) if tb else (k, n)), dens[1])
+        A.set_format(data.draw(st.sampled_from(_FORMATS)))
+        B.set_format(data.draw(st.sampled_from(_FORMATS)))
+        mask = None
+        kind = data.draw(st.sampled_from(
+            ["none", "valued", "structural", "complemented",
+             "structural complemented"]))
+        if kind != "none":
+            sel = np.flatnonzero(rng.random(m * n) < dens[2])
+            mask = Matrix.from_coo(sel // n, sel % n, rng.random(sel.size) < 0.5,
+                                   nrows=m, ncols=n, dtype="BOOL")
+        accum = data.draw(st.sampled_from([None, "PLUS"]))
+        C = Matrix("FP64", m, n)
+        if accum is not None:  # accumulate into entries already there
+            C, _, _ = random_matrix_np(rng, m, n, dens[3])
+        d = Descriptor(transpose_a=ta, transpose_b=tb,
+                       complement_mask="complemented" in kind,
+                       structural_mask="structural" in kind)
+        twins = A._alt, B._alt
+        est = governor.estimate_result_entries(
+            gplan.plan_mxm(C, A, B, mask=mask, accum=accum, desc=d))
+        assert (A._alt, B._alt) == twins  # counted in the stored orientation
+        ops.mxm(C, A, B, mask=mask, accum=accum, desc=d)
+        assert est >= C.nvals
+        assert est <= max(1, m * n)
+
+    def test_outer_product_over_budget_is_refused(self):
+        col, row = _outer_product()
+        C = Matrix("FP64", 256, 256)
+        p = gplan.plan_mxm(C, col, row)
+        assert governor.estimate_result_entries(p) == 256 * 256
+        with governor.ExecutionContext(memory_budget=64 << 10,
+                                       spill=False) as ctx:
+            with pytest.raises(BudgetExceeded):
+                ops.mxm(C, col, row)
+        assert ctx.stats["rejected"] == 1 and C.nvals == 0
+        ops.mxm(C, col, row)  # the refused product really is 1.5 MiB
+        assert C.nvals * 24 > 64 << 10
+
+    @pytest.mark.parametrize("kernel", ["numpy", "compiled"])
+    @pytest.mark.parametrize("ta,tb", [(False, False), (True, False),
+                                       (False, True), (True, True)])
+    def test_flop_total_is_the_kernel_tally(self, kernel, ta, tb):
+        rng = np.random.default_rng(21)
+        A, _, _ = random_matrix_np(rng, 40, 40, 0.08)
+        B, _, _ = random_matrix_np(rng, 40, 40, 0.08)
+        B.set_format("csc")
+        d = Descriptor(transpose_a=ta, transpose_b=tb)
+        C = Matrix("FP64", 40, 40)
+        est = governor.estimate_result_entries(gplan.plan_mxm(C, A, B, desc=d))
+        with kernel_tier(kernel), telemetry.collect() as col:
+            ops.mxm(C, A, B, desc=d, method="gustavson")
+        tally = col.ops["mxm"].flops
+        assert flop_total(A._store, B._store, ta, tb) == tally == est
+        assert C.nvals <= est < 40 * 40
 
 
 # --------------------------------------------------------------------------

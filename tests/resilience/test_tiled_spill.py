@@ -29,6 +29,7 @@ from repro.graphblas import (
 )
 from repro.graphblas import operations as ops
 from repro.graphblas.formats import Orientation, SparseStore
+from repro.graphblas.mxm import cut_rows, flop_prefix
 from tests.helpers import kernel_tier, random_matrix_np, random_vector_np
 
 
@@ -264,13 +265,35 @@ class TestChunkedFold:
             assert np.array_equal(T.major_lengths(), want)
 
     def test_chunk_bounds_partitions_by_target(self):
-        counts = np.array([5, 5, 5, 100, 1, 1])
-        assert tiled._chunk_bounds(counts, 10) == [
+        def cut(counts, **kw):
+            return cut_rows(flop_prefix(np.asarray(counts, dtype=np.int64)),
+                            **kw)
+
+        counts = [5, 5, 5, 100, 1, 1]
+        assert cut(counts, cap=10) == [
             (0, 2), (2, 3), (3, 4), (4, 6)  # a huge row rides alone
         ]
-        assert tiled._chunk_bounds(np.array([1, 1]), 10) == [(0, 2)]
-        assert tiled._chunk_bounds(np.zeros(0, dtype=np.int64), 10) == \
-            [(0, 0)]
+        assert cut([1, 1], cap=10) == [(0, 2)]
+        assert cut([], cap=10) == [(0, 0)]
+        assert cut([], blocks=4) == [(0, 0)]
+        # blocks: cut at the first row boundary at or past each target
+        assert cut(counts, blocks=2) == [(0, 4), (4, 6)]
+        assert cut([4] * 8, blocks=4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        # a slice of a longer prefix cuts by its own flops
+        cum = flop_prefix(np.array([9, 5, 5, 5, 100, 1, 1]))
+        assert cut_rows(cum[1:], cap=10) == cut(counts, cap=10)
+        # randomised: maximal runs under the cap, a row over it alone
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            c = rng.integers(0, 20, rng.integers(1, 40))
+            cap = int(rng.integers(1, 60))
+            bounds = cut(c, cap=cap)
+            assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
+            assert bounds[0][0] == 0 and bounds[-1][1] == c.size
+            for k, (lo, hi) in enumerate(bounds):
+                assert c[lo:hi].sum() <= cap or hi - lo == 1
+                if k + 1 < len(bounds):  # maximal: the next row does not fit
+                    assert c[lo:hi + 1].sum() > cap
 
 
 # --------------------------------------------------------------------------
@@ -308,12 +331,23 @@ class TestTiledMatrix:
     def test_choose_tile_dim_clamps(self):
         assert tiled.choose_tile_dim(100, 100) == 100
         assert tiled.choose_tile_dim(10**6, 10**6) == tiled.DEFAULT_TILE_DIM
-        td = tiled.choose_tile_dim(1 << 14, 1 << 14, est_bytes=100 << 20,
-                                   budget=64 << 20)
+        td = tiled.choose_tile_dim(1 << 14, 1 << 14, operand_bytes=100 << 20,
+                                   pool_budget=64 << 20)
         assert tiled.MIN_TILE_DIM <= td <= (1 << 14)
-        # a huge per-row footprint still yields a usable tile edge
-        assert tiled.choose_tile_dim(4, 4, est_bytes=1 << 40,
-                                     budget=1 << 20) == 4
+        assert td == tiled.DEFAULT_TILE_DIM  # 16 tiles of 6.25 MiB fit
+        # the largest edge whose average operand tile is <= pool / 4
+        assert tiled.choose_tile_dim(4096, 4096, operand_bytes=1 << 20,
+                                     pool_budget=1 << 20) == 2048
+        assert tiled.choose_tile_dim(4096, 4096, operand_bytes=1 << 22,
+                                     pool_budget=1 << 20) == 1024
+        # the product's size is not an input: a tiny operand keeps big tiles
+        assert tiled.choose_tile_dim(4096, 4096, operand_bytes=1 << 10,
+                                     pool_budget=1 << 16) == 4096
+        # a huge operand still yields a usable tile edge
+        assert tiled.choose_tile_dim(1 << 14, 1 << 14, operand_bytes=1 << 40,
+                                     pool_budget=1 << 20) == tiled.MIN_TILE_DIM
+        assert tiled.choose_tile_dim(4, 4, operand_bytes=1 << 40,
+                                     pool_budget=1 << 20) == 4
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from repro.graphblas import telemetry
+from repro.graphblas import Matrix, telemetry
+from repro.graphblas import operations as ops
 from repro.graphblas.telemetry import Collector, OpStats
 
 
@@ -221,11 +222,14 @@ class TestLifecycle:
         outer_buf, inner_buf = io.StringIO(), io.StringIO()
         with telemetry.collect(burble=True, stream=outer_buf) as outer:
             with telemetry.collect(stream=inner_buf) as inner:
-                assert inner is outer
-                assert not outer.burble and outer.stream is inner_buf
+                assert telemetry.active() is inner is not outer
+                assert not inner.burble and inner.stream is inner_buf
+                telemetry.record_op("mxm", 0.001, 1)  # burbled by nobody
+            assert telemetry.active() is outer
             assert outer.burble and outer.stream is outer_buf
             telemetry.record_op("mxv", 0.001, 1)
         assert "[mxv]" in outer_buf.getvalue()
+        assert "[mxm]" not in outer_buf.getvalue()
         assert inner_buf.getvalue() == ""
 
     def test_disable_without_enable_returns_none(self):
@@ -244,12 +248,46 @@ class TestLifecycle:
         snap = col.snapshot()
         assert snap["ops"]["mxv"]["calls"] == 1
 
-    def test_nested_collect_reuses_outer(self):
+    def test_nested_collect_feeds_outer(self):
         with telemetry.collect() as outer:
+            telemetry.record_op("mxv", 0.001, 1)
             with telemetry.collect() as inner:
-                assert inner is outer
+                telemetry.record_op("mxm", 0.002, 3)
+                telemetry.tally("mxm", flops=7)
             assert telemetry.ENABLED  # outer still attached
         assert not telemetry.ENABLED
+        assert [e["name"] for e in inner.events] == ["mxm"]
+        assert [e["name"] for e in outer.events] == ["mxv", "mxm"]
+        assert inner.t0 == outer.t0  # one clock for both logs
+        for col in (inner, outer):
+            st = col.snapshot()["ops"]["mxm"]
+            assert (st["calls"], st["out_nvals"], st["flops"]) == (1, 3, 7)
+        assert "mxv" not in inner.ops
+
+    def test_nested_collect_keeps_its_own_bound(self):
+        """A nested block keeps at most its own ``max_events`` and counts
+        the rest in its own ``dropped``; the outer log gets every event
+        up to the outer bound."""
+        A = Matrix.from_coo([0, 1], [1, 0], [1.0, 2.0], nrows=2, ncols=2)
+
+        def three():
+            for _ in range(3):
+                ops.mxm(Matrix("FP64", 2, 2), A, A, "PLUS_TIMES")
+
+        three()  # warm the kernel cache: one op record per call
+        with telemetry.collect() as outer:
+            with telemetry.collect(max_events=2) as inner:
+                three()
+        with telemetry.collect(max_events=4) as small_outer:
+            with telemetry.collect(max_events=2) as inner2:
+                three()
+                three()
+        assert (len(inner.events), inner.dropped) == (2, 1)
+        assert inner.snapshot()["events_dropped_by_type"] == {"op": 1}
+        assert (len(outer.events), outer.dropped) == (3, 0)
+        assert (len(inner2.events), inner2.dropped) == (2, 4)
+        assert (len(small_outer.events), small_outer.dropped) == (4, 2)
+        assert outer.ops["mxm"].calls == inner.ops["mxm"].calls == 3
 
     def test_module_recorders_are_noops_when_off(self):
         telemetry.record_op("mxv", 0.1, 1)
