@@ -153,7 +153,7 @@ they are interchangeable per call, per block, or process-wide:
 import repro.graphblas as gb
 
 gb.mxm(C, A, B, "PLUS_TIMES", backend="optimized")  # per call
-with gb.backend("reference"):                       # per block (thread-local)
+with gb.backend("reference"):                       # per block (this thread)
     bfs_level(0, graph)
 gb.set_default_backend("differential")              # process-wide
 # or: GRAPHBLAS_BACKEND=reference pytest tests/graphblas
@@ -246,7 +246,7 @@ resolved — silently: only selecting the `compiled` name
 (`GRAPHBLAS_BACKEND=compiled`, `backend="compiled"`) warns, once.  A kernel build that fails
 (an unwritable artifact directory, a broken compiler) warns once and
 declines its class, so NumPy runs.  `with compiled.toolchain_off():`
-runs a block on the NumPy kernels.
+runs a block on the NumPy kernels; other threads keep their toolchain.
 Accumulators and masks are applied by the shared write step either way.
 The compiled kernels trip the same fault points (`spgemm.flop`,
 `mxv.push`, `mxv.pull`) and governor polls as the NumPy ones.
@@ -301,7 +301,7 @@ TELEMETRY_SECTION = """
 
 `repro.graphblas.telemetry` instruments the whole engine — every Table-I
 operation, the kernel decision points, and the LAGraph algorithms — with
-a thread-local collector that costs one module-attribute read
+a collector held in a context variable, which costs one module-attribute read
 (`telemetry.ENABLED`, ~20 ns) when nothing is listening.  Attach a
 collector with `telemetry.collect()` (context manager) or
 `telemetry.enable()` / `telemetry.disable()`.  A nested `collect()`
@@ -364,11 +364,13 @@ GOVERNOR_SECTION = """
 ## Resource governance & recovery
 
 `repro.graphblas.governor` puts long-running graph work under an
-**execution governor**: a thread-local `ExecutionContext` that enforces a
+**execution governor**: an `ExecutionContext`, held in a context variable, that enforces a
 memory budget and a wall-clock deadline, carries a cooperative
-`CancellationToken`, and drives checkpoint/resume for the iterative LAGraph algorithms.  Like
-faults and telemetry, the disabled path costs one module-attribute read
-(`governor.ACTIVE`); with no context entered nothing changes.
+`CancellationToken`, and drives checkpoint/resume for the iterative LAGraph algorithms.  The
+context is the caller's alone: other threads do not see it, and the engine's
+pool blocks run in a copy of it, so a NumPy Gustavson `mxm` stops between
+chunks.  The ungoverned path costs one `governor.current()` read per check;
+with no context entered nothing changes.
 
 ```python
 from repro.graphblas import governor

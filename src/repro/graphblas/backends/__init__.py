@@ -40,9 +40,9 @@ served it and the route it took (see :func:`_execute`).
 
 from __future__ import annotations
 
+import contextvars
 import importlib
 import threading
-
 import time
 
 from .. import governor, options, telemetry
@@ -100,7 +100,9 @@ _instances: dict[str, KernelBackend] = {}
 #: serializes first-use construction: two threads entering
 #: ``backend(name)`` together must share one (stateful) instance.
 _instances_lock = threading.RLock()
-_tls = threading.local()
+#: the ``backend(...)`` blocks enclosing this call, innermost last
+_selected: contextvars.ContextVar[tuple] = contextvars.ContextVar(
+    "graphblas_backend", default=())
 _default: KernelBackend | None = None
 
 
@@ -185,10 +187,11 @@ def set_default_backend(name: str | None) -> None:
 
 
 def current_backend() -> KernelBackend:
-    """The backend active on this thread (stack top, else the default)."""
-    stack = getattr(_tls, "stack", None)
-    if stack:
-        return stack[-1]
+    """The backend active in this context (innermost block, else the
+    default)."""
+    selected = _selected.get()
+    if selected:
+        return selected[-1]
     global _default
     if _default is None:
         # Resolved once per change: an unknown GRAPHBLAS_BACKEND warns
@@ -199,7 +202,7 @@ def current_backend() -> KernelBackend:
 
 
 def current_backend_name() -> str:
-    """Name of the backend active on this thread."""
+    """Name of the backend active in this context."""
     return current_backend().name
 
 
@@ -211,21 +214,19 @@ class backend:
         with graphblas.backend("differential"):
             bfs_level(src, G)   # every Table-I op is cross-checked
 
-    Selection is thread-local and nests; the innermost wins.
+    Selection is a context variable: it nests (the innermost wins),
+    holds for the engine's pool blocks, and no other thread sees it.
     """
 
     def __init__(self, name):
         self._target = get_backend(name)
 
     def __enter__(self) -> KernelBackend:
-        stack = getattr(_tls, "stack", None)
-        if stack is None:
-            stack = _tls.stack = []
-        stack.append(self._target)
+        _selected.set(_selected.get() + (self._target,))
         return self._target
 
     def __exit__(self, *exc) -> None:
-        _tls.stack.pop()
+        _selected.set(_selected.get()[:-1])
 
 
 # --------------------------------------------------------------------------
@@ -245,8 +246,7 @@ def dispatch(plan: OpPlan, backend=None):
         plan.params.get("method") == "tiled"
         and plan.op in ("mxm", "mxv", "vxm")
     )
-    if governor.ACTIVE:
-        governor.poll()
+    governor.poll()
     if tiled_route:
         from .. import tiled as _tiled
 
@@ -292,7 +292,7 @@ def _execute(plan: OpPlan, route: str, backend_name: str, kernel):
     if nvals is not None:
         fields["actual_bytes"] = nvals * governor._entry_bytes(
             out, plan.out_type)
-    ctx = governor.current() if governor.ACTIVE else None
+    ctx = governor.current()
     if route == "tiled":
         fields["admission"] = "tiled"
     elif ctx is None:

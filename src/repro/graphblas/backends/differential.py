@@ -79,8 +79,7 @@ class DifferentialBackend(KernelBackend):
         self.stats = {"verified": 0, "skipped": 0, "divergences": 0}
 
     def _run(self, plan: OpPlan):
-        if governor.ACTIVE:
-            governor.poll()
+        governor.poll()
         opt = get_backend("optimized")
         cost = plan_cost(plan)
         if cost > self.budget:

@@ -158,9 +158,8 @@ class OptimizedBackend(KernelBackend):
         method = _mxv_mod.choose_direction(
             p["method"], u, p["optimizer"], plan.chosen)
 
-        if governor.ACTIVE:
-            # direction boundary: poll before the push/pull kernel runs
-            governor.poll()
+        # direction boundary: poll before the push/pull kernel runs
+        governor.poll()
         kernels = compiled.select(plan)
         if method == "push":
             store = A.by_row() if transposed else A.by_col()

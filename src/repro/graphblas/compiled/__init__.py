@@ -32,7 +32,8 @@ see which ran.
 * Tunables are the ``compiled`` rows of :mod:`repro.graphblas.options`
   (``toolchain``, ``directory``); the toolchain is resolved at first use,
   :func:`set_config`/:func:`reset` re-resolve it, and
-  :func:`toolchain_off` runs a block on the NumPy kernels.
+  :func:`toolchain_off` runs a block on the NumPy kernels without
+  touching other threads.
 
 With no usable toolchain, or a kernel build that fails, :func:`select`
 declines (NumPy runs); a failed build warns once.  Only an explicit
@@ -44,6 +45,7 @@ policy).
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import threading
 import time
 from collections import OrderedDict
@@ -103,10 +105,14 @@ _lock = threading.Lock()
 #: serialises first use: one build per class however many threads race
 _build_lock = threading.Lock()
 _UNRESOLVED = object()
-#: toolchain preference and its resolution, snapshotted at first use
-#: (select runs per op; options.get() parses the environment)
+#: the process toolchain preference, snapshotted at first use (select
+#: runs per op; options.get() parses the environment)
 _preference: str | None = None
-_resolved: object = _UNRESOLVED
+#: a preference that overrides it in this context (:func:`toolchain_off`)
+_override: contextvars.ContextVar = contextvars.ContextVar(
+    "graphblas_toolchain", default=None)
+#: preference -> probed toolchain (None: no usable one)
+_probed: dict = {}
 
 
 def _load_preference() -> str:
@@ -124,10 +130,10 @@ def set_config(**overrides) -> None:
     — the key includes the toolchain, so stale kernels are never served,
     only retained until evicted.
     """
-    global _preference, _resolved
+    global _preference
     options.set("compiled", **overrides)
     _preference = None
-    _resolved = _UNRESOLVED
+    _probed.clear()
 
 
 def get_config() -> dict:
@@ -139,21 +145,22 @@ def get_config() -> dict:
 def toolchain_off():
     """Run the enclosed operations on the NumPy kernels: with the
     toolchain off every class declines (the baseline side of parity
-    tests and benchmarks)."""
-    prev = _load_preference()
-    set_config(toolchain="off")
+    tests and benchmarks).  The override is a context variable: it holds
+    for this thread and its pool blocks, not for other threads."""
+    token = _override.set("off")
     try:
         yield
     finally:
-        set_config(toolchain=prev)
+        _override.reset(token)
 
 
 def toolchain_name() -> str | None:
-    """The resolved toolchain (``numba``/``cc``/``python``) or None."""
-    global _resolved
-    tc = _resolved
+    """The resolved toolchain (``numba``/``cc``/``python``) or None: the
+    probe of this context's override, else of the process preference."""
+    pref = _override.get() or _load_preference()
+    tc = _probed.get(pref, _UNRESOLVED)
     if tc is _UNRESOLVED:
-        tc = _resolved = _toolchain.probe_toolchain(_load_preference())
+        tc = _probed[pref] = _toolchain.probe_toolchain(pref)
     return tc
 
 
@@ -215,7 +222,7 @@ def select_class(semiring, a_type, b_type, out_type, span,
     """
     if heap or span > MAX_DIMENSION:
         return _DECLINED
-    tc = _resolved if _resolved is not _UNRESOLVED else toolchain_name()
+    tc = toolchain_name()
     if tc is None:
         return _DECLINED
     add, mult = getattr(semiring, "add", None), getattr(semiring, "mult", None)
@@ -302,18 +309,18 @@ def clear_cache() -> None:
 def reset() -> None:
     """Drop overrides, re-resolve the toolchain at next use and drop the
     memo and its counters (test hook)."""
-    global _memo, _preference, _resolved
+    global _memo, _preference
     options.reset("compiled")
     with _lock:
         _preference = None
-        _resolved = _UNRESOLVED
+        _probed.clear()
         _memo = _Memo()
 
 
 def warn_unavailable() -> None:
     """Warn once that the compiled backend was requested but unusable."""
     rows = options.GROUPS
-    if _load_preference() == "off":
+    if (_override.get() or _load_preference()) == "off":
         why = f"{rows['compiled']['toolchain'].env}=off disables the tier"
     else:
         why = ("no toolchain available (numba not installed and no C "

@@ -6,16 +6,18 @@ tuples and zombies and assembled lazily in one O(e + p log p) step when a
 materialized view is next needed.  In blocking mode every call completes
 fully before returning, so each ``setElement`` costs O(e) — the contrast
 the paper draws in section II.A, reproduced by bench E1.
+
+The mode is a context variable: :func:`set_mode` and the ``with`` blocks
+hold for the calling thread and the engine's pool blocks it starts; a
+new thread starts non-blocking.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
+import contextvars
 
 __all__ = ["Mode", "get_mode", "set_mode", "blocking", "nonblocking"]
-
-_state = threading.local()
 
 
 class Mode:
@@ -23,9 +25,12 @@ class Mode:
     NONBLOCKING = "nonblocking"
 
 
+_mode = contextvars.ContextVar("graphblas_mode", default=Mode.NONBLOCKING)
+
+
 def get_mode() -> str:
     """The current execution mode (blocking or nonblocking)."""
-    return getattr(_state, "mode", Mode.NONBLOCKING)
+    return _mode.get()
 
 
 def set_mode(mode: str) -> None:
@@ -34,26 +39,24 @@ def set_mode(mode: str) -> None:
         from .errors import InvalidValue
 
         raise InvalidValue(f"unknown mode {mode!r}")
-    _state.mode = mode
+    _mode.set(mode)
 
 
 @contextlib.contextmanager
 def blocking():
     """Run a block of code in blocking mode."""
-    prev = get_mode()
-    set_mode(Mode.BLOCKING)
+    token = _mode.set(Mode.BLOCKING)
     try:
         yield
     finally:
-        set_mode(prev)
+        _mode.reset(token)
 
 
 @contextlib.contextmanager
 def nonblocking():
     """Run a block of code in non-blocking (lazy) mode."""
-    prev = get_mode()
-    set_mode(Mode.NONBLOCKING)
+    token = _mode.set(Mode.NONBLOCKING)
     try:
         yield
     finally:
-        set_mode(prev)
+        _mode.reset(token)

@@ -30,6 +30,7 @@ attributes at import so hot paths pay one attribute load;
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -195,15 +196,19 @@ def admit_blocks(op: str, work: int, threshold: int, nthreads: int | None,
 def run_blocks(fn, arg_tuples, workers: int):
     """Run ``fn(*args)`` for each tuple on the shared pool, preserving order.
 
-    Worker threads must not touch thread-local machinery (telemetry
-    collectors, governor contexts, fault plans are all thread-local by
-    design) — block functions do pure numpy work and return their piece;
-    the coordinator merges and reports.  Exceptions propagate to the
-    caller with all futures drained first, so a failed parallel section
-    leaves no stray work running.
+    Each block runs in a copy of the caller's context, so it sees the
+    caller's backend, toolchain, mode and governing context: a block may
+    :func:`~repro.graphblas.governor.poll`.  Beyond the decision of a
+    poll that raises, blocks record no telemetry (the caller's
+    :class:`~repro.graphblas.telemetry.Collector` has no lock): they do
+    NumPy or compiled work and return their piece; the coordinator
+    merges and reports.  Exceptions propagate to the caller with all
+    futures drained first, so a failed parallel section leaves no stray
+    work running.
     """
     ex = _get_executor(workers)
-    futures = [ex.submit(fn, *args) for args in arg_tuples]
+    futures = [ex.submit(contextvars.copy_context().run, fn, *args)
+               for args in arg_tuples]
     results = []
     first_exc = None
     for fut in futures:

@@ -6,7 +6,9 @@ resource discipline: a single oversized ``mxm`` or a non-converging
 ``pagerank`` must not consume unbounded memory or wall time with no way
 to bound, cancel, or resume it.
 
-The governor is a thread-local scope threaded through the op pipeline::
+The governor is a scope held in a context variable and read by the op
+pipeline (and by the engine's pool blocks, which run in a copy of their
+caller's context)::
 
     with governor.ExecutionContext(memory_budget=64 << 20, deadline=60.0) as ctx:
         ranks, iters = pagerank(G, checkpoint="pr.ckpt.npz")
@@ -48,19 +50,20 @@ and anything else raises ``BudgetExceeded`` — the caller's answer.
 
 Every decision (admit/reject/tiled/cancel/retry/checkpoint/resume)
 emits a ``governor.*`` telemetry decision event, so traces show why an
-op was throttled.  Like :mod:`~repro.graphblas.faults` and
-:mod:`~repro.graphblas.telemetry`, the module-level :data:`ACTIVE` flag
-keeps the inactive fast path to a single attribute load.
+op was throttled.  An ungoverned call pays one :func:`current` read per
+guard.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 
-import numpy as np
-
-from . import options, telemetry
+# matrix, mxm and vector import this module: their names are read at
+# call time, by when all three have loaded
+from . import matrix as _matrix, mxm as _mxm, options, telemetry
+from . import vector as _vector
 from .errors import (
     BudgetExceeded,
     Cancelled,
@@ -69,7 +72,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ACTIVE",
     "CancellationToken",
     "ExecutionContext",
     "Checkpoint",
@@ -89,14 +91,8 @@ __all__ = [
     "reset_spill_config",
 ]
 
-#: True iff any thread has an ExecutionContext open.  Mirrors
-#: ``faults.ENABLED`` / ``telemetry.ENABLED``: the un-governed fast path
-#: through plan/dispatch/wait is one module-attribute load.
-ACTIVE = False
-
-_lock = threading.Lock()
-_active_count = 0
-_tls = threading.local()
+_governing: contextvars.ContextVar = contextvars.ContextVar(
+    "graphblas_governor", default=None)
 
 #: GrB_Index storage cost per stored entry (int64).
 _INDEX_BYTES = 8
@@ -134,13 +130,11 @@ class CancellationToken:
 # --------------------------------------------------------------------------
 
 def _is_matrix(x) -> bool:
-    from .matrix import Matrix
-    return isinstance(x, Matrix)
+    return isinstance(x, _matrix.Matrix)
 
 
 def _is_vector(x) -> bool:
-    from .vector import Vector
-    return isinstance(x, Vector)
+    return isinstance(x, _vector.Vector)
 
 
 def _nvals(x) -> int:
@@ -148,9 +142,7 @@ def _nvals(x) -> int:
 
 
 def _entry_bytes(container, out_type) -> int:
-    itemsize = 8
-    if out_type is not None:
-        itemsize = int(np.dtype(out_type.np_dtype).itemsize)
+    itemsize = 8 if out_type is None else out_type.np_dtype.itemsize
     if _is_matrix(container):
         return 2 * _INDEX_BYTES + itemsize
     return _INDEX_BYTES + itemsize
@@ -173,13 +165,11 @@ def estimate_result_entries(plan) -> int:
     out = plan.out
 
     if op == "mxm":
-        from .mxm import flop_total
-
         A, B = args
         A.wait()
         B.wait()
-        est = flop_total(A._store, B._store, plan.desc.transpose_a,
-                         plan.desc.transpose_b)
+        est = _mxm.flop_total(A._store, B._store, plan.desc.transpose_a,
+                              plan.desc.transpose_b)
         if plan.accum is not None:
             est += _nvals(out)
         est = min(est, int(out.nrows) * int(out.ncols))
@@ -242,7 +232,7 @@ def estimate_plan_bytes(plan) -> int:
 # --------------------------------------------------------------------------
 
 class ExecutionContext:
-    """Thread-local resource scope for a batch of GraphBLAS work.
+    """Resource scope for a batch of GraphBLAS work.
 
     Parameters
     ----------
@@ -261,8 +251,10 @@ class ExecutionContext:
         Tiled spill for over-budget tileable plans: on/off (None = the
         ``GRAPHBLAS_SPILL`` switch), pool directory and byte budget.
 
-    Contexts nest (a thread-local stack; the innermost governs) and are
-    single-use: re-entering a context raises.
+    The scope is a context variable: contexts nest (the innermost
+    governs), the engine's pool blocks see the context of the call that
+    started them, and other threads do not.  A context is single-use:
+    re-entering it raises.
     """
 
     def __init__(self, *, memory_budget: int | None = None,
@@ -289,6 +281,7 @@ class ExecutionContext:
             "cancelled": 0, "retries": 0,
         }
         self._entered = False
+        self._token = None
 
     # -- scope management ---------------------------------------------------
 
@@ -298,22 +291,11 @@ class ExecutionContext:
         self._entered = True
         if self.deadline is not None:
             self.deadline_at = time.monotonic() + self.deadline
-        stack = getattr(_tls, "stack", None)
-        if stack is None:
-            stack = _tls.stack = []
-        stack.append(self)
-        global ACTIVE, _active_count
-        with _lock:
-            _active_count += 1
-            ACTIVE = True
+        self._token = _governing.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _tls.stack.remove(self)
-        global ACTIVE, _active_count
-        with _lock:
-            _active_count -= 1
-            ACTIVE = _active_count > 0
+        _governing.reset(self._token)
 
     # -- controls -----------------------------------------------------------
 
@@ -387,9 +369,8 @@ class ExecutionContext:
 
 
 def current() -> ExecutionContext | None:
-    """The innermost context governing this thread, or None."""
-    stack = getattr(_tls, "stack", None)
-    return stack[-1] if stack else None
+    """The innermost context governing this call, or None."""
+    return _governing.get()
 
 
 def poll() -> None:

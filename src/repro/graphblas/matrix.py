@@ -419,10 +419,9 @@ class Matrix:
         self._require_valid()
         if not self.has_pending:
             return self
-        if governor.ACTIVE:
-            # Poll before any assembly work: a cancellation here leaves
-            # the store and the whole pending/zombie log fully intact.
-            governor.poll()
+        # Poll before any assembly work: a cancellation here leaves
+        # the store and the whole pending/zombie log fully intact.
+        governor.poll()
         if faults.ENABLED:
             faults.trip("assemble")
         if telemetry.ENABLED:

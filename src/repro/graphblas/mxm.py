@@ -175,10 +175,9 @@ def mxm_coo(
         faults.trip("spgemm.flop")
     method = pick_method(method, semiring, mask_coords is not None,
                          mask_complement, kernels)
-    if governor.ACTIVE:
-        # SpGEMM method boundary: last cooperative cancellation point
-        # before the expansion kernels allocate their working set.
-        governor.poll()
+    # SpGEMM method boundary: last cooperative cancellation point
+    # before the expansion kernels allocate their working set.
+    governor.poll()
     if b_by_col != (method == "dot"):
         raise InvalidValue(
             f"the {method} method reads B by "
@@ -344,7 +343,9 @@ def _gustavson_block(
     """Expand the A rows ``[lo, hi)`` (vectors of its store) in chunks of
     at most :data:`GUSTAVSON_CHUNK_FLOPS` partial products.  Blocks and
     chunks cut only between rows, so their outputs concatenate sorted and
-    deduplicated (each output row is produced wholly inside one chunk)."""
+    deduplicated (each output row is produced wholly inside one chunk).
+    The governor is polled before each chunk, so a deadline or cancel
+    stops a serial or parallel product between chunks."""
     mult = semiring.mult
     positional = mult.positional is not None
 
@@ -355,6 +356,7 @@ def _gustavson_block(
     out_c: list[np.ndarray] = []
     out_v: list[np.ndarray] = []
     for c_lo, c_hi in cut_rows(cum[lo:hi + 1], cap=GUSTAVSON_CHUNK_FLOPS):
+        governor.poll()
         chunk = slice(indptr[lo + c_lo], indptr[lo + c_hi])
         gather = _gather_ranges(starts[chunk], ends[chunk])
         reps = lens[chunk]

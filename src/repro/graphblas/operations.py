@@ -247,8 +247,7 @@ def concat(tiles, dtype=None) -> Matrix:
     out_dtype = lookup_type(dtype) if dtype is not None else tiles[0][0].dtype
     rows_all, cols_all, vals_all = [], [], []
     for bi, row in enumerate(tiles):
-        if governor.ACTIVE:
-            governor.poll()
+        governor.poll()
         for bj, t in enumerate(row):
             r, c, v = t.extract_tuples()
             rows_all.append(r + row_off[bi])
@@ -280,8 +279,7 @@ def split(A: Matrix, row_sizes, col_sizes) -> list[list[Matrix]]:
     col_off = np.concatenate([[0], np.cumsum(col_sizes)])
     out = []
     for bi in range(len(row_sizes)):
-        if governor.ACTIVE:
-            governor.poll()
+        governor.poll()
         row = []
         for bj in range(len(col_sizes)):
             t = Matrix(A.dtype, row_sizes[bi], col_sizes[bj])

@@ -52,9 +52,12 @@ Typical use::
     snap = col.snapshot()                # {"ops": {"mxv": {...}}, ...}
     col.write_chrome_trace("trace.json") # open in chrome://tracing
 
-Telemetry is **thread-local**: each thread attaches its own collector and
-records only its own work; ``ENABLED`` is a process-wide fast-path flag
-that is true while *any* thread is collecting.
+The attached collector is a **context variable**: each thread attaches
+its own and records only its own work.  The engine's pool blocks run in
+a copy of their caller's context but record nothing into its collector
+beyond a poll's cancel decision (:class:`Collector` has no lock).
+``ENABLED`` is a process-wide fast-path flag that is true while *any*
+thread is collecting.
 
 Observability fan-out
 ---------------------
@@ -70,6 +73,7 @@ instants, and ring-buffer drops.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import json
 import threading
 import time
@@ -111,11 +115,10 @@ MAX_EVENTS = 200_000
 
 _lock = threading.Lock()
 _active_count = 0
-_tls = threading.local()
-
-
-def _collector() -> "Collector | None":
-    return getattr(_tls, "collector", None)
+_attached: contextvars.ContextVar = contextvars.ContextVar(
+    "graphblas_collector", default=None)
+#: the collector attached in this context, or None
+_collector = _attached.get
 
 
 class OpStats:
@@ -153,7 +156,8 @@ class Collector:
     """Per-thread telemetry sink: counters, event log, burble stream.
 
     Create through :func:`enable` or :func:`collect`; the module-level
-    recording functions route to the calling thread's collector.  A
+    recording functions route to the collector attached in the calling
+    context.  A
     collector with a ``parent`` (a nested :func:`collect`) also hands
     every event and count to it, on the parent's clock.
     """
@@ -537,7 +541,7 @@ def enable(burble: bool = False, stream=None, max_events: int = MAX_EVENTS) -> C
             col.stream = stream
         return col
     col = Collector(burble=burble, stream=stream, max_events=max_events)
-    _tls.collector = col
+    _attached.set(col)
     with _lock:
         _active_count += 1
         _recompute_flags()
@@ -551,7 +555,7 @@ def disable() -> Collector | None:
     col = _collector()
     if col is None:
         return None
-    _tls.collector = col.parent
+    _attached.set(col.parent)
     if col.parent is not None:
         return col
     with _lock:
@@ -577,16 +581,17 @@ def collect(burble: bool = False, stream=None, max_events: int = MAX_EVENTS):
     if outer is None:
         col = enable(burble=burble, stream=stream, max_events=max_events)
     else:
-        col = _tls.collector = Collector(
+        col = Collector(
             burble=burble, stream=outer.stream if stream is None else stream,
             max_events=max_events, parent=outer)
+        _attached.set(col)
     try:
         yield col
     finally:
         if outer is None:
             disable()
         else:
-            _tls.collector = outer
+            _attached.set(outer)
 
 
 def active() -> Collector | None:

@@ -214,9 +214,9 @@ class SpillPool:
     ``spill.directory`` option, else the system temp dir), unlinked as it
     is created, so the directory keeps no entry of the pool.  All spill
     I/O runs on the coordinating thread —
-    worker threads of the parallel engine never touch the pool — so the
-    thread-local fault/telemetry/governor machinery observes every
-    spill and reload.
+    worker threads of the parallel engine never touch the pool — so its
+    telemetry collector and governing context observe every spill and
+    reload.
     """
 
     def __init__(self, budget: int | None = None, directory=None) -> None:

@@ -198,10 +198,9 @@ class Vector:
         self._require_valid()
         if not self.has_pending:
             return self
-        if governor.ACTIVE:
-            # Poll before any assembly work: a cancellation here leaves
-            # the arrays and the whole pending log fully intact.
-            governor.poll()
+        # Poll before any assembly work: a cancellation here leaves
+        # the arrays and the whole pending log fully intact.
+        governor.poll()
         if faults.ENABLED:
             faults.trip("assemble")
         if telemetry.ENABLED:

@@ -20,9 +20,10 @@ The pieces:
   product over the ambient semiring), ``+`` (eWiseAdd), ``*`` (eWiseMult),
   ``A.T`` (lazy transpose), and ``~x`` (complemented mask).
 * ``with SomeSemiring:`` sets the ambient semiring; ``with Replace:`` sets
-  the REPLACE descriptor; context state is a thread-local stack, so blocks
-  nest.  A context object exists for every named built-in semiring
-  (``LogicalSemiring``, ``PlusTimesSemiring``, ``MinPlusSemiring``, ...).
+  the REPLACE descriptor; context state is a stack in a context variable,
+  so blocks nest, per thread.  A context object exists for every named
+  built-in semiring (``LogicalSemiring``, ``PlusTimesSemiring``,
+  ``MinPlusSemiring``, ...).
 * ``w[mask] = expr`` evaluates ``expr`` into ``w`` under ``mask`` and the
   ambient descriptor; ``w[mask][:] = scalar`` is masked constant assign.
 """

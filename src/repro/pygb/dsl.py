@@ -2,14 +2,14 @@
 
 The DSL wraps :mod:`repro.graphblas` objects and dispatches overloaded
 operators into the core operations, with the active semiring and descriptor
-flags drawn from a thread-local context stack — PyGB's "dynamic execution"
+flags drawn from a context-variable stack — PyGB's "dynamic execution"
 (section II.D) without its C++ code generation, which our NumPy back-end
 replaces.
 """
 
 from __future__ import annotations
 
-import threading
+import contextvars
 from dataclasses import dataclass
 
 from ..graphblas import Descriptor, Matrix as _CoreMatrix, Vector as _CoreVector
@@ -21,18 +21,14 @@ from ..graphblas.types import lookup_type
 
 __all__ = ["Matrix", "Vector", "Replace", "Structural", "ambient_semiring"]
 
-_state = threading.local()
-
-
-def _stack() -> list:
-    if not hasattr(_state, "stack"):
-        _state.stack = []
-    return _state.stack
+#: the enclosing ``with`` payloads (semirings, descriptors), innermost last
+_ambient: contextvars.ContextVar[tuple] = contextvars.ContextVar(
+    "pygb_ambient", default=())
 
 
 def ambient_semiring(default: str = "PLUS_TIMES") -> Semiring:
     """The innermost active semiring, or ``default``."""
-    for entry in reversed(_stack()):
+    for entry in reversed(_ambient.get()):
         if isinstance(entry, Semiring):
             return entry
     return _plan.resolve_semiring(default)
@@ -40,7 +36,7 @@ def ambient_semiring(default: str = "PLUS_TIMES") -> Semiring:
 
 def _ambient_desc() -> Descriptor:
     d = Descriptor()
-    for entry in _stack():
+    for entry in _ambient.get():
         if isinstance(entry, Descriptor):
             d = d & entry
     return d
@@ -53,11 +49,11 @@ class _Context:
         self.payload = payload
 
     def __enter__(self):
-        _stack().append(self.payload)
+        _ambient.set(_ambient.get() + (self.payload,))
         return self.payload
 
     def __exit__(self, *exc):
-        _stack().pop()
+        _ambient.set(_ambient.get()[:-1])
         return False
 
 

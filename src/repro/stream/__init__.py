@@ -304,16 +304,14 @@ class GraphStream:
                 A.update_batch(s[lo:lo + chunk], d[lo:lo + chunk], w[lo:lo + chunk])
                 A.wait()
                 chunks += 1
-                if governor.ACTIVE:
-                    governor.poll()
+                governor.poll()
             for lo in range(0, exp_s.size, chunk):
                 A.update_batch(
                     exp_s[lo:lo + chunk], exp_d[lo:lo + chunk], deleted=True
                 )
                 A.wait()
                 chunks += 1
-                if governor.ACTIVE:
-                    governor.poll()
+                governor.poll()
         seconds = _time.perf_counter() - t0
         deltas = A.deltas_since(epoch_from)
 

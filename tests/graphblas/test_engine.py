@@ -7,6 +7,7 @@ exact array equality, dtypes included — the kernel parity tests on both
 kernel tiers.
 """
 
+import importlib
 import sys
 import threading
 import time
@@ -16,15 +17,18 @@ import pytest
 
 from repro.generators import random_matrix, random_vector, rmat_graph
 from repro.graphblas import (
-    Descriptor, Matrix, Vector, backend, backends, capi, compiled, engine,
-    governor, options, telemetry,
+    Descriptor, Matrix, Vector, backend, backends, blocking, capi, compiled,
+    engine, governor, options, telemetry,
 )
 from repro.graphblas import operations as ops
 from repro.graphblas import plan as planning
-from repro.graphblas.errors import Info, InvalidValue
+from repro.graphblas.errors import Cancelled, Info, InvalidValue
 from repro.graphblas.matrix import Matrix as _Matrix
 from repro.graphblas.types import lookup_type
 from tests.helpers import kernel_tier
+
+# the package exports the function ``mxm`` under the module's name
+mxm_module = importlib.import_module("repro.graphblas.mxm")
 
 
 @pytest.fixture(autouse=True)
@@ -611,6 +615,104 @@ class TestSwitchesUnderThreads:
         (be,) = instances  # one shared instance, so one stats dict
         assert be.stats["divergences"] == 0 and be.stats["skipped"] == 0
         assert be.stats["verified"] > 0
+
+
+def _observe():
+    """What one thread's ops see: the serving backend, kernel tier and
+    admission of an ``mxm``, whether a ``set_element`` was deferred, and
+    whether ``collect()`` nested in someone else's collector."""
+    A = random_matrix(24, 24, 0.2, seed=5)
+    M = Matrix(A.dtype, 4, 4)
+    M.set_element(0, 0, 1.0)
+    with telemetry.collect() as col:
+        ops.mxm(Matrix(A.dtype, 24, 24), A, A, "PLUS_TIMES")
+    (rec,) = [e["args"] for e in col.events
+              if e["type"] == "op" and e["name"] == "mxm"]
+    return {"backend": rec["backend"], "kernel": rec.get("kernel"),
+            "admission": rec["admission"], "pending": M.has_pending,
+            "nested": col.parent is not None}
+
+
+def _in_thread(fn):
+    got = []
+    t = threading.Thread(target=lambda: got.append(fn()))
+    t.start()
+    t.join(timeout=60)
+    assert got, "the probe thread failed"
+    return got[0]
+
+
+_SCOPES = {
+    "kernel": compiled.toolchain_off,
+    "backend": lambda: backend("reference"),
+    "pending": blocking,
+    "nested": telemetry.collect,
+    "admission": lambda: governor.ExecutionContext(deadline=60.0),
+}
+
+
+class TestScopesUnderThreads:
+    """Per-call settings are context variables: a ``with`` block held in
+    one thread changes nothing another thread sees, and a new thread
+    starts from the defaults."""
+
+    @pytest.mark.parametrize("field", sorted(_SCOPES))
+    def test_a_held_scope_stays_in_its_thread(self, field):
+        defaults = _in_thread(_observe)
+        held, release, inside = threading.Event(), threading.Event(), []
+
+        def holder():
+            with _SCOPES[field]():
+                inside.append(_observe())
+                held.set()
+                release.wait(timeout=60)
+
+        t = threading.Thread(target=holder)
+        t.start()
+        try:
+            assert held.wait(timeout=60)
+            seen = _in_thread(_observe)
+        finally:
+            release.set()
+            t.join(timeout=60)
+        assert not t.is_alive()
+        if inside[0][field] == defaults[field]:
+            pytest.skip(f"the default {field} already is the scoped one")
+        assert seen == defaults
+
+    def test_a_new_thread_starts_from_the_defaults(self):
+        defaults = _in_thread(_observe)
+        with compiled.toolchain_off(), backend("reference"), blocking(), \
+                telemetry.collect(), governor.ExecutionContext(deadline=60.0):
+            assert _observe() != defaults
+            assert _in_thread(_observe) == defaults
+
+    @pytest.mark.parametrize("nthreads", [1, 2])
+    def test_cancel_stops_numpy_gustavson_between_chunks(
+            self, monkeypatch, nthreads):
+        monkeypatch.setattr(mxm_module, "GUSTAVSON_CHUNK_FLOPS", 64)
+        monkeypatch.setattr(engine, "MIN_PARALLEL_FLOPS", 1)
+        A = random_matrix(120, 120, 0.08, seed=9)
+        chunks, fold = [], mxm_module.coo_sort_fold
+
+        def counted(*args):
+            chunks.append(1)
+            if len(chunks) == 1 and governor.current() is not None:
+                governor.current().cancel("after the first chunk")
+            return fold(*args)
+
+        monkeypatch.setattr(mxm_module, "coo_sort_fold", counted)
+        desc = Descriptor(nthreads=nthreads)
+        with compiled.toolchain_off(), backend("optimized"):
+            ops.mxm(Matrix(A.dtype, 120, 120), A, A, "PLUS_TIMES",
+                    method="gustavson", desc=desc)
+            total = len(chunks)
+            chunks.clear()
+            with pytest.raises(Cancelled, match="after the first chunk"):
+                with governor.ExecutionContext():
+                    ops.mxm(Matrix(A.dtype, 120, 120), A, A, "PLUS_TIMES",
+                            method="gustavson", desc=desc)
+        assert total >= 8 and 1 <= len(chunks) < total
 
 
 def test_lookup_type_roundtrip_for_engine_dtypes():

@@ -405,15 +405,14 @@ class TestFailedOpFailsOnce:
 class TestContext:
     def test_active_flag_tracks_scopes(self):
         # the CI governor leg wraps every test in a context, so compare
-        # against the surrounding state rather than assuming False
-        baseline = governor.ACTIVE
-        assert baseline is (governor.current() is not None)
-        with governor.ExecutionContext():
-            assert governor.ACTIVE is True
-            with governor.ExecutionContext():
-                assert governor.ACTIVE is True
-            assert governor.ACTIVE is True
-        assert governor.ACTIVE is baseline
+        # against the surrounding state rather than assuming None
+        baseline = governor.current()
+        with governor.ExecutionContext() as outer:
+            assert governor.current() is outer
+            with governor.ExecutionContext() as inner:
+                assert governor.current() is inner
+            assert governor.current() is outer
+        assert governor.current() is baseline
 
     def test_innermost_context_governs(self, AB):
         A, B = AB
